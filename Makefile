@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz chaos trace bench pipeline-bench store-bench bench-gate metrics-report cloudd coord store
+.PHONY: all build vet lint test race fuzz chaos trace bench store-bench bench-gate metrics-report cloudd coord store
 
 all: build vet lint test
 
@@ -70,13 +70,6 @@ trace:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# Regenerate the committed sharded-round benchmark baseline
-# (BENCH_pipeline.json). Commit the result; bench-gate compares
-# against it.
-pipeline-bench:
-	$(GO) run ./cmd/whowas-bench -pipeline-bench BENCH_pipeline.json -ec2-scale 512
-	@echo "wrote BENCH_pipeline.json"
-
 # Regenerate the committed store-engine benchmark baseline
 # (BENCH_store.json): per-op latency and on-disk bytes for the
 # in-memory and columnar backends on one synthetic campaign. Commit
@@ -85,9 +78,9 @@ store-bench:
 	$(GO) run ./cmd/whowas-bench -store-bench BENCH_store.json
 	@echo "wrote BENCH_store.json"
 
-# Hold fresh benchmark runs to the committed baselines (what the CI
-# pipeline-bench job runs): digests, record counts, and on-disk bytes
-# exact; throughput/latency within BENCH_TOLERANCE.
+# Hold a fresh store benchmark run to the committed baseline (what the
+# CI store-bench job runs): digests, record counts, and on-disk bytes
+# exact; write-path latency within BENCH_TOLERANCE.
 bench-gate:
 	sh scripts/bench_gate.sh
 

@@ -540,28 +540,6 @@ func TestCoordinatorBadFlags(t *testing.T) {
 	}
 }
 
-// TestBenchPipelineSmoke exercises whowas-bench's sharded-pipeline
-// benchmark, which doubles as its own digest-identity gate.
-func TestBenchPipelineSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("e2e suite skipped in -short mode")
-	}
-	outPath := filepath.Join(t.TempDir(), "bench.json")
-	out, code := runCLI(t, "whowas-bench",
-		"-pipeline-bench", outPath, "-ec2-scale", e2eScale, "-q")
-	if code != 0 {
-		t.Fatalf("whowas-bench exit %d:\n%s", code, out)
-	}
-	raw, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report map[string]any
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("-pipeline-bench output is not JSON: %v", err)
-	}
-}
-
 // TestLintCLI exercises whowas-lint: the analyzer catalogue and a
 // real single-package run.
 func TestLintCLI(t *testing.T) {

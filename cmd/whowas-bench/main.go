@@ -11,7 +11,6 @@
 //	whowas-bench -faults scenarios/chaos.json  # evaluation over a degraded network
 //	whowas-bench -faults scenarios/chaos.json -retries 3 -round-timeout 30s
 //	whowas-bench -ops-addr 127.0.0.1:8377 -trace-journal run.jsonl
-//	whowas-bench -pipeline-bench BENCH_pipeline.json  # sharded-round smoke benchmark
 //	WHOWAS_SCALE=4 whowas-bench  # shrink everything 4x
 package main
 
@@ -51,9 +50,6 @@ func main() {
 		opsAddr      = flag.String("ops-addr", "", "serve the live ops endpoint (/healthz, /metrics, /trace/*, pprof) on this address")
 		journalPath  = flag.String("trace-journal", "", "append completed spans as JSONL to this path (crash-safe; read with whowas-query trace)")
 		shards       = flag.Int("pipeline-shards", 0, "round pipeline region lanes (0 = one per region, 1 = unsharded)")
-		pipeBench    = flag.String("pipeline-bench", "", "instead of the suite, run the sharded-pipeline smoke benchmark (shards=1 vs shards=regions) and write its JSON result to this path")
-		pipeBaseline = flag.String("pipeline-baseline", "", "with -pipeline-bench: compare against this committed baseline JSON and exit non-zero on digest drift or throughput regression")
-		pipeTol      = flag.Float64("pipeline-tolerance", 0, "with -pipeline-baseline: allowed fractional throughput regression (0 = default 0.35)")
 		storeBench   = flag.String("store-bench", "", "instead of the suite, benchmark the store backends (in-memory vs columnar) on a synthetic campaign and write the JSON result to this path")
 		storeBase    = flag.String("store-baseline", "", "with -store-bench: compare against this committed baseline JSON and exit non-zero on digest/footprint drift or write-path regression")
 		storeTol     = flag.Float64("store-tolerance", 0, "with -store-baseline: allowed fractional write-path regression (0 = default 0.35)")
@@ -107,48 +103,6 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Fprintf(os.Stderr, "[bench] baseline gate passed against %s\n", *storeBase)
-		}
-		return
-	}
-
-	if *pipeBench != "" {
-		res, err := experiments.PipelineBench(ctx, *ec2Scale, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "whowas-bench: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "whowas-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := atomicfile.WriteFile(*pipeBench, append(data, '\n')); err != nil {
-			fmt.Fprintf(os.Stderr, "whowas-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "[bench] pipeline: %d regions, speedup %.2fx, digests match: %v\n",
-			res.Regions, res.Speedup, res.DigestsMatch)
-		fmt.Fprintf(os.Stderr, "[bench] wrote %s\n", *pipeBench)
-		if !res.DigestsMatch {
-			fmt.Fprintln(os.Stderr, "whowas-bench: sharded and unsharded store digests diverged")
-			os.Exit(1)
-		}
-		if *pipeBaseline != "" {
-			raw, err := os.ReadFile(*pipeBaseline)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "whowas-bench: %v\n", err)
-				os.Exit(1)
-			}
-			var base experiments.PipelineBenchResult
-			if err := json.Unmarshal(raw, &base); err != nil {
-				fmt.Fprintf(os.Stderr, "whowas-bench: parsing %s: %v\n", *pipeBaseline, err)
-				os.Exit(1)
-			}
-			if err := experiments.ComparePipelineBench(res, &base, *pipeTol); err != nil {
-				fmt.Fprintf(os.Stderr, "whowas-bench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "[bench] baseline gate passed against %s\n", *pipeBaseline)
 		}
 		return
 	}

@@ -2,7 +2,9 @@ package coord
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"whowas/internal/cloudapi"
 	"whowas/internal/core"
 	"whowas/internal/metrics"
+	"whowas/internal/ratelimit"
 	"whowas/internal/websim"
 )
 
@@ -279,5 +282,96 @@ func TestCoordinatorStatus(t *testing.T) {
 	}
 	if got := srv.ScheduledRounds(); got != 1 {
 		t.Errorf("ScheduledRounds = %d, want 1", got)
+	}
+	// A fleet round reports its lanes' timings like an in-process one,
+	// on Reports() and over the ops surface's /rounds.
+	reports := srv.Reports()
+	if len(reports) != 1 || reports[0].Scan <= 0 || reports[0].Total < reports[0].Scan {
+		t.Errorf("fleet reports = %+v, want one round with scan > 0 and total >= scan", reports)
+	}
+	resp, err := http.Get("http://" + srv.Addr() + "/rounds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var wire []struct {
+		ScanNS int64 `json:"scan_ns"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	if len(wire) != 1 || wire[0].ScanNS <= 0 {
+		t.Errorf("/rounds = %+v, want one round with scan_ns > 0", wire)
+	}
+}
+
+// TestWorkerDoneWithHeartbeatInFlight is the regression test for the
+// worker's self-inflicted "context canceled": a heartbeat caught in
+// flight when the campaign completes is aborted by the session's own
+// teardown, and that induced error must not become Run's result.
+func TestWorkerDoneWithHeartbeatInFlight(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed campaign skipped in -short mode")
+	}
+	clouddAddr := startCloudd(t)
+	ctx, cancel := context.WithTimeout(context.Background(), campaignTimeout())
+	defer cancel()
+	srv, err := NewServer(ctx, Config{
+		CloudAddr: clouddAddr,
+		Rounds:    []int{0},
+		// A short TTL puts the first heartbeat 100ms after registration;
+		// the frozen clock keeps the lease from expiring while that
+		// heartbeat — the worker's only one — is held.
+		LeaseTTL: 300 * time.Millisecond,
+		Clock:    ratelimit.NewFakeClock(time.Unix(1380499200, 0)),
+		Metrics:  metrics.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first heartbeat to arrive is held in its handler until the
+	// test ends.
+	inFlight := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	srv.testOnHeartbeat = func() {
+		once.Do(func() { close(inFlight) })
+		<-release
+	}
+	defer func() {
+		close(release)
+		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer scancel()
+		_ = srv.Shutdown(sctx)
+	}()
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker(WorkerConfig{Coordinator: addr, ID: "hb", Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	workErr := make(chan error, 1)
+	go func() { workErr <- w.Run(ctx) }()
+
+	// Only once the heartbeat is in flight does the campaign start, so
+	// the worker reaches StateDone with it still outstanding.
+	select {
+	case <-inFlight:
+	case <-ctx.Done():
+		t.Fatal("no heartbeat arrived")
+	}
+	if err := srv.Run(ctx); err != nil {
+		t.Fatalf("coordinator run: %v", err)
+	}
+	select {
+	case err := <-workErr:
+		if err != nil {
+			t.Errorf("worker Run = %v after a clean campaign, want nil", err)
+		}
+	case <-ctx.Done():
+		t.Fatal("worker never finished")
 	}
 }

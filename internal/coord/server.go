@@ -36,9 +36,9 @@ type Config struct {
 	// no cap. Mirrors the CLIs' -rounds flag.
 	MaxRounds int
 	// Shards sets how many region shards each round is split into
-	// (regions are round-robined across shards, exactly like the
-	// in-process round's lanes). 0 means one shard per region. The
-	// store digest is byte-identical for any value.
+	// (core.ShardLayout, the in-process round's lane layout). 0 means
+	// one shard per region. The store digest is byte-identical for any
+	// value.
 	Shards int
 	// MaxWorkers bounds the fleet: the global probe budget is divided
 	// into MaxWorkers equal lease slices, and the MaxWorkers+1'th
@@ -145,6 +145,10 @@ type Server struct {
 	mExpired    *metrics.Counter
 	mRegistered *metrics.Counter
 	mRejected   *metrics.Counter
+
+	// testOnHeartbeat, when set, runs at the top of every heartbeat
+	// request — the worker tests hold one in flight through it.
+	testOnHeartbeat func()
 }
 
 // NewServer dials the shared cloud daemon and assembles the
@@ -168,14 +172,6 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 	if err != nil {
 		cloud.Close()
 		return nil, err
-	}
-	nShards := cfg.Shards
-	if nShards <= 0 || nShards > len(regions) {
-		nShards = len(regions)
-	}
-	shards := make([][]string, nShards)
-	for i, name := range regions {
-		shards[i%nShards] = append(shards[i%nShards], name)
 	}
 	days := cfg.Rounds
 	if days == nil {
@@ -222,7 +218,7 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 		slice:       rate / float64(cfg.MaxWorkers),
 		unlimited:   unlimited,
 		days:        days,
-		shards:      shards,
+		shards:      core.ShardLayout(regions, cfg.Shards),
 		notify:      make(chan struct{}, 1),
 		agg:         fleetobs.NewAggregator(cfg.HistorySize),
 		mRounds:     cfg.Metrics.Counter("coord.rounds"),
@@ -416,7 +412,7 @@ func (s *Server) requeueLocked(worker string) {
 
 // Run drives the campaign: one round per scheduled day, each waiting
 // until every shard has been submitted (re-assigning as leases die),
-// then finalizing through the same store path as the in-process
+// then finalizing through core.FinishRound like the in-process
 // round. After the last round, workers asking for work are told to
 // exit.
 func (s *Server) Run(ctx context.Context) error {
@@ -504,119 +500,30 @@ func (s *Server) runRound(ctx context.Context, idx, day int) error {
 
 	s.mu.Lock()
 	s.round = nil
-	degraded := r.degraded || timedOut
 	s.mu.Unlock()
 
-	var probed int64
-	for _, res := range r.results {
-		if res == nil {
-			continue
-		}
-		for _, reg := range res.Regions {
-			probed += reg.Stats.Probed
-		}
-	}
-	s.st.AddProbed(probed)
-	if degraded {
-		if err := s.st.MarkDegraded(); err != nil {
-			r.span.End()
-			return err
-		}
-	}
-	if err := s.st.EndRound(); err != nil {
+	// With s.round cleared no submission can land: r.results is final.
+	report, err := core.FinishRound(s.st, s.shards, r.results, timedOut)
+	if err != nil {
 		r.span.End()
 		return err
 	}
-
-	report := s.buildReport(r, degraded)
+	report.Round, report.Day, report.Total = idx, day, time.Since(r.start)
 	r.span.SetAttr(
 		trace.Int64("records", report.Records),
-		trace.Bool("degraded", degraded),
+		trace.Bool("degraded", report.Degraded),
 	)
 	r.span.End()
 	s.mu.Lock()
 	s.reports = append(s.reports, report)
 	s.roundsDone++
-	s.recordRoundEndLocked(r, degraded)
+	s.recordRoundEndLocked(r, report.Degraded)
 	s.mu.Unlock()
 	s.mRounds.Inc()
 	if s.cfg.Observer != nil {
 		s.cfg.Observer(report)
 	}
 	return nil
-}
-
-// buildReport folds the accepted shard results into a RoundReport
-// with regions in address-range order, matching the in-process
-// round's report shape. A region whose shard never completed (the
-// round timed out first) reports zero counts and Degraded.
-func (s *Server) buildReport(r *roundState, degraded bool) core.RoundReport {
-	byRegion := make(map[string]core.RegionResult)
-	shardDegraded := make(map[string]bool)
-	for shard, res := range r.results {
-		if res == nil {
-			for _, name := range s.shards[shard] {
-				shardDegraded[name] = true
-			}
-			continue
-		}
-		for _, reg := range res.Regions {
-			byRegion[reg.Region] = reg
-			if res.Degraded && !reg.ScanDone {
-				shardDegraded[reg.Region] = true
-			}
-		}
-	}
-	report := core.RoundReport{
-		Round:    r.idx,
-		Day:      r.day,
-		Degraded: degraded,
-		Total:    time.Since(r.start),
-	}
-	for _, name := range flatten(s.shards) {
-		rr, ok := byRegion[name]
-		reg := core.RegionReport{
-			Region:   name,
-			Degraded: degraded && (!ok || shardDegraded[name]),
-		}
-		if ok {
-			reg.Probed = rr.Stats.Probed
-			reg.Skipped = rr.Stats.Skipped
-			reg.Responsive = rr.Stats.Responsive
-			reg.Fetched = rr.Fetched
-			reg.Records = rr.Records
-			report.Probes += rr.Stats.Probes
-			report.Retries += rr.Stats.Retries
-			report.RobotsDenied += rr.RobotsDenied
-			report.FetchErrors += rr.FetchErrors
-			report.BodyBytes += rr.BodyBytes
-		}
-		report.Regions = append(report.Regions, reg)
-		report.Probed += reg.Probed
-		report.Skipped += reg.Skipped
-		report.Responsive += reg.Responsive
-		report.Fetched += reg.Fetched
-		report.Records += reg.Records
-	}
-	return report
-}
-
-// flatten restores the region address-range order from the
-// round-robin shard layout (shard i holds regions i, i+n, i+2n, ...).
-func flatten(shards [][]string) []string {
-	var out []string
-	for col := 0; ; col++ {
-		added := false
-		for _, sh := range shards {
-			if col < len(sh) {
-				out = append(out, sh[col])
-				added = true
-			}
-		}
-		if !added {
-			return out
-		}
-	}
 }
 
 // DrainWorkers blocks until every worker has been told the campaign
@@ -709,6 +616,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, req *http.Request) {
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
+	if s.testOnHeartbeat != nil {
+		s.testOnHeartbeat()
+	}
 	var hb HeartbeatRequest
 	if !decodeBody(w, req, &hb) {
 		return

@@ -173,6 +173,11 @@ func (w *Worker) session(ctx context.Context) error {
 				return
 			case <-t.C:
 				if err := w.heartbeat(inner); err != nil {
+					if inner.Err() != nil {
+						// The session ended under a heartbeat in flight:
+						// the error is that cancellation, not a verdict.
+						return
+					}
 					hbMu.Lock()
 					hbErr = err
 					hbMu.Unlock()

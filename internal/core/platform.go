@@ -67,11 +67,11 @@ type CampaignConfig struct {
 	KeepBodies bool
 	// PipelineShards sets how many region lanes the round pipeline
 	// runs: each lane is an independent scan→fetch→featurize chain over
-	// its share of the cloud's regions, writing through its own store
-	// shard. 0 (the default) means one lane per region; 1 recovers the
-	// unsharded round; values above the region count are clamped. The
-	// store contents are byte-identical for any shard count — shards
-	// are merged and IP-sorted before the round digest is taken.
+	// its share of the cloud's regions (ShardLayout), handing the store
+	// its records in one batch. 0 (the default) means one lane per
+	// region; 1 recovers the unsharded round; values above the region
+	// count are clamped. The store contents are byte-identical for any
+	// shard count — the round is IP-sorted before its digest is taken.
 	PipelineShards int
 	// Observer, when non-nil, receives one structured RoundReport as
 	// each round completes. It is called synchronously from
@@ -205,10 +205,10 @@ type Platform struct {
 
 	reportsMu sync.Mutex // guards Reports against mid-campaign readers
 
-	// putHook, when non-nil, replaces Store.Put in the round pipeline's
-	// featurize sink. Tests inject store failures and mid-round
-	// cancellations through it.
-	putHook func(*store.Record) error
+	// laneHook, when non-nil, runs on each lane's result just before it
+	// is handed to Store.PutBatch. Tests inject hand-off failures and
+	// mid-round cancellations through it.
+	laneHook func(*ShardResult) error
 }
 
 // RoundReports returns a copy of the completed rounds' reports. Safe
@@ -300,9 +300,11 @@ func withPlatformDefaults(p *Platform, cfg CampaignConfig) CampaignConfig {
 // RunCampaign executes rounds per the config's schedule: each round
 // advances the network day and runs the region-sharded pipeline
 // (round.go) — scan the cloud's ranges, fetch pages for responsive web
-// IPs, extract features, store the records — one lane per region
-// shard. Each completed round appends a RoundReport to p.Reports and,
-// when configured, invokes cfg.Observer with it.
+// IPs, extract features, store the records — one ShardRunner lane per
+// region shard, all on one runner so the scanner's rate limiter stays
+// the campaign-wide §7 probe budget. Each completed round appends a
+// RoundReport to p.Reports and, when configured, invokes cfg.Observer
+// with it.
 func (p *Platform) RunCampaign(ctx context.Context, cfg CampaignConfig) error {
 	days := cfg.RoundDays
 	if days == nil {
@@ -312,22 +314,14 @@ func (p *Platform) RunCampaign(ctx context.Context, cfg CampaignConfig) error {
 	if p.Tracer != nil {
 		p.Store.SetTracer(p.Tracer)
 	}
-	// Chaos campaigns wrap the cloud's data plane with the fault
-	// injector at this single point; its decisions are deterministic
-	// per (ip, port, day, attempt), so the same scenario reproduces
-	// the same campaign byte for byte — over any transport.
-	cloud := p.Cloud
-	if cfg.Faults != nil {
-		fc, err := cloudapi.WithFaults(p.Cloud, *cfg.Faults, p.Metrics)
-		if err != nil {
-			return err
-		}
-		cloud = fc
-	}
-	c, err := newCampaign(p, cfg, cloud)
+	p.Store.KeepBodies = cfg.KeepBodies
+	runner, err := NewShardRunner(p.Cloud, cfg)
 	if err != nil {
 		return err
 	}
+	layout := ShardLayout(runner.RegionNames(), cfg.PipelineShards)
+	runner.scanWorkers = poolShare(runner.scanWorkers, len(layout))
+	runner.fetchWorkers = poolShare(runner.fetchWorkers, len(layout))
 	for i, day := range days {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -335,7 +329,7 @@ func (p *Platform) RunCampaign(ctx context.Context, cfg CampaignConfig) error {
 		if day < 0 || day >= p.Cloud.Days() {
 			return fmt.Errorf("core: round day %d outside campaign [0,%d)", day, p.Cloud.Days())
 		}
-		if err := c.runRound(ctx, i, day); err != nil {
+		if err := p.runRound(ctx, runner, layout, i, day); err != nil {
 			return err
 		}
 	}

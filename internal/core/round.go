@@ -1,134 +1,38 @@
-// The round pipeline: region-sharded scan → fetch → featurize lanes on
-// the internal/pipeline stage-graph runtime. RunCampaign (platform.go)
-// assembles a campaign once — scanner, fetcher, region split, worker
-// budgets — and then runs one graph per round through it.
+// The round: a layout deals the cloud's regions into shards, every
+// shard runs as one ShardRunner lane (shard.go), and FinishRound folds
+// the shard results into a finalized store round and its RoundReport.
+// RunCampaign runs a round's lanes concurrently in-process; the coord
+// package hands the same shards to a worker fleet and finishes the
+// round through the same FinishRound.
 package core
 
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
-	"whowas/internal/cloudapi"
-	"whowas/internal/features"
-	"whowas/internal/fetcher"
-	"whowas/internal/ipaddr"
-	"whowas/internal/metrics"
-	"whowas/internal/pipeline"
-	"whowas/internal/scanner"
 	"whowas/internal/store"
 	"whowas/internal/trace"
 )
 
-// campaign is one RunCampaign invocation's assembled state: the
-// resolved config, the shared scanner/fetcher, and the region-to-lane
-// layout every round reuses.
-type campaign struct {
-	p   *Platform
-	cfg CampaignConfig
-	scn *scanner.Scanner
-	ftc *fetcher.Fetcher
-
-	// regions lists the cloud's regions in address-range order; lanes
-	// holds each lane's region slots (round-robin assignment). One
-	// scanner and one fetcher are shared by every lane — the scanner's
-	// global rate limiter is the §7 probe budget and must stay
-	// campaign-wide — while the worker pools are split per lane.
-	regions      []laneRegion
-	lanes        [][]int
-	slots        map[string]int // region name -> slot
-	scanWorkers  int            // per-lane scan pool
-	fetchWorkers int            // per-lane fetch pool
-
-	put func(*store.Record) error
-
-	scanStage      *metrics.Stage
-	drainStage     *metrics.Stage
-	roundStage     *metrics.Stage
-	degradedRounds *metrics.Counter
+// ShardLayout deals regions (in address-range order) round-robin over
+// n shards: shard i holds regions i, i+n, i+2n, … n <= 0 means one
+// shard per region; values above the region count are clamped.
+func ShardLayout(regions []string, n int) [][]string {
+	if n <= 0 || n > len(regions) {
+		n = len(regions)
+	}
+	layout := make([][]string, n)
+	for i, name := range regions {
+		layout[i%n] = append(layout[i%n], name)
+	}
+	return layout
 }
 
-// laneRegion is one region's slice of the probed address space.
-type laneRegion struct {
-	name   string
-	ranges *ipaddr.RangeList
-}
-
-// regionTally accumulates one region's fetch-side counts for a round.
-// Each slot is written by exactly one lane's single-worker featurize
-// sink, so no locking is needed; the round loop reads after Run.
-type regionTally struct {
-	fetched      int64
-	robotsDenied int64
-	fetchErrors  int64
-	records      int64
-	bodyBytes    int64
-}
-
-// newCampaign resolves the config against the platform and builds the
-// shared components and the lane layout. cfg must already have its
-// metrics/tracer/region hooks threaded (RunCampaign does).
-func newCampaign(p *Platform, cfg CampaignConfig, dialer cloudapi.Dialer) (*campaign, error) {
-	scn, err := scanner.New(dialer, cfg.Scanner)
-	if err != nil {
-		return nil, err
-	}
-	ftc, err := fetcher.New(dialer, cfg.Fetcher)
-	if err != nil {
-		return nil, err
-	}
-	c := &campaign{
-		p:              p,
-		cfg:            cfg,
-		scn:            scn,
-		ftc:            ftc,
-		put:            p.Store.Put,
-		scanStage:      p.Metrics.Stage("core.scan"),
-		drainStage:     p.Metrics.Stage("core.drain"),
-		roundStage:     p.Metrics.Stage("core.round"),
-		degradedRounds: p.Metrics.Counter("core.degraded_rounds"),
-	}
-	if p.putHook != nil {
-		c.put = p.putHook
-	}
-
-	c.regions, err = splitRegions(p.Cloud.Ranges(), cfg.Scanner.RegionOf)
-	if err != nil {
-		return nil, fmt.Errorf("core: splitting regions: %w", err)
-	}
-	c.slots = make(map[string]int, len(c.regions))
-	for i, r := range c.regions {
-		c.slots[r.name] = i
-	}
-
-	shards := cfg.PipelineShards
-	if shards <= 0 {
-		shards = len(c.regions)
-	}
-	if shards > len(c.regions) {
-		shards = len(c.regions)
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	c.lanes = make([][]int, shards)
-	for i := range c.regions {
-		c.lanes[i%shards] = append(c.lanes[i%shards], i)
-	}
-
-	// Split the configured pools across lanes instead of multiplying
-	// them: N lanes with W total workers keep the same concurrency
-	// budget as the unsharded round.
-	scanCfg := cfg.Scanner.WithDefaults()
-	fetchCfg := cfg.Fetcher.WithDefaults()
-	c.scanWorkers = poolShare(scanCfg.Workers, len(c.lanes))
-	c.fetchWorkers = poolShare(fetchCfg.Workers, len(c.lanes))
-
-	p.Store.KeepBodies = cfg.KeepBodies
-	p.Store.SetShards(len(c.lanes))
-	return c, nil
-}
-
+// poolShare splits a configured pool across lanes instead of
+// multiplying it: N lanes with W total workers keep the same
+// concurrency budget as one lane.
 func poolShare(workers, lanes int) int {
 	if lanes < 1 {
 		lanes = 1
@@ -140,278 +44,170 @@ func poolShare(workers, lanes int) int {
 	return w
 }
 
-// splitRegions groups the probed ranges by region, preserving the
-// address-range order both of regions and of each region's prefixes
-// (cloudsim regions are /22-contiguous, so a prefix's first address
-// labels the whole prefix).
-func splitRegions(ranges *ipaddr.RangeList, regionOf func(ipaddr.Addr) string) ([]laneRegion, error) {
-	var out []laneRegion
-	idx := map[string]int{}
-	var groups [][]ipaddr.Prefix
-	for _, p := range ranges.Prefixes() {
-		name := ""
-		if regionOf != nil {
-			name = regionOf(p.First())
+// FinishRound closes st's open round from its shards' results:
+// results[i] is layout[i]'s run, already handed to st.PutBatch, or nil
+// for a shard that never came back; timedOut says the round deadline
+// cut the wait short. It adds the probed counts, marks the round
+// degraded when the deadline fired or any shard degraded, ends the
+// round, and returns its report — regions in address-range order, a
+// missing shard's regions zero-count and Degraded, Scan the longest
+// lane scan and Drain the tail from there to the end of the longest
+// lane. The caller stamps Round, Day and Total.
+func FinishRound(st *store.Store, layout [][]string, results []*ShardResult, timedOut bool) (RoundReport, error) {
+	report := RoundReport{Degraded: timedOut}
+	var laneTotal time.Duration
+	nRegions := 0
+	for i, res := range results {
+		nRegions += len(layout[i])
+		if res == nil {
+			continue
 		}
-		i, ok := idx[name]
-		if !ok {
-			i = len(groups)
-			idx[name] = i
-			groups = append(groups, nil)
-			out = append(out, laneRegion{name: name})
+		report.Degraded = report.Degraded || res.Degraded
+		if res.Scan > report.Scan {
+			report.Scan = res.Scan
 		}
-		groups[i] = append(groups[i], p)
-	}
-	for i := range out {
-		rl, err := ipaddr.NewRangeList(groups[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i].ranges = rl
-	}
-	return out, nil
-}
-
-// slotOf maps an IP to its region slot (for the featurize tallies).
-func (c *campaign) slotOf(ip ipaddr.Addr) int {
-	if c.cfg.Scanner.RegionOf != nil {
-		if s, ok := c.slots[c.cfg.Scanner.RegionOf(ip)]; ok {
-			return s
+		if res.Total > laneTotal {
+			laneTotal = res.Total
 		}
 	}
-	return 0
-}
-
-// laneLabel names a lane by its comma-joined regions (a span attr).
-func (c *campaign) laneLabel(slots []int) string {
-	label := ""
-	for i, s := range slots {
-		if i > 0 {
-			label += ","
+	if laneTotal > report.Scan {
+		report.Drain = laneTotal - report.Scan
+	}
+	// Region i sits at layout[i%n][i/n]: walking i restores
+	// address-range order from the round-robin deal.
+	for i := 0; i < nRegions; i++ {
+		shard := i % len(layout)
+		reg := RegionReport{Region: layout[shard][i/len(layout)]}
+		if rr := results[shard].region(reg.Region); rr != nil {
+			reg.Probed = rr.Stats.Probed
+			reg.Skipped = rr.Stats.Skipped
+			reg.Responsive = rr.Stats.Responsive
+			reg.Fetched = rr.Fetched
+			reg.Records = rr.Records
+			reg.Degraded = results[shard].Degraded && !rr.ScanDone
+			report.Probes += rr.Stats.Probes
+			report.Retries += rr.Stats.Retries
+			report.RobotsDenied += rr.RobotsDenied
+			report.FetchErrors += rr.FetchErrors
+			report.BodyBytes += rr.BodyBytes
+		} else {
+			reg.Degraded = report.Degraded
 		}
-		label += c.regions[s].name
+		report.Regions = append(report.Regions, reg)
+		report.Probed += reg.Probed
+		report.Skipped += reg.Skipped
+		report.Responsive += reg.Responsive
+		report.Fetched += reg.Fetched
+		report.Records += reg.Records
 	}
-	return label
-}
-
-// scanSlots runs the given region slots through a scanner,
-// sequentially, into a lane's results stream. Per-region stats land in
-// their slots even when a later region never runs (the deadline case);
-// completion flags drive the per-region Degraded report bits. Shared
-// by the in-process round's lanes and the distributed ShardRunner.
-func scanSlots(ctx context.Context, scn *scanner.Scanner, regions []laneRegion, blacklist *ipaddr.Set, workers int, slots []int, out chan<- scanner.Result, scan []scanner.Stats, done []bool) error {
-	for _, slot := range slots {
-		st, err := scn.ScanRangesInto(ctx, regions[slot].ranges, blacklist, out, workers)
-		if st != nil {
-			scan[slot] = *st
+	st.AddProbed(report.Probed)
+	if report.Degraded {
+		if err := st.MarkDegraded(); err != nil {
+			return report, err
 		}
-		if err != nil {
-			return err
-		}
-		done[slot] = true
 	}
-	// Mirror the pre-pipeline round's scan-span attributes at lane
-	// granularity (the span rides the node context).
-	if sp := trace.FromContext(ctx); sp != nil {
-		var probed, responsive, retries int64
-		for _, slot := range slots {
-			probed += scan[slot].Probed
-			responsive += scan[slot].Responsive
-			retries += scan[slot].Retries
-		}
-		sp.SetAttr(
-			trace.Int64("probed", probed),
-			trace.Int64("responsive", responsive),
-			trace.Int64("retries", retries),
-		)
+	if err := st.EndRound(); err != nil {
+		return report, err
 	}
-	return nil
+	return report, nil
 }
 
-// scanLane runs one lane's regions through the shared scanner.
-func (c *campaign) scanLane(ctx context.Context, slots []int, out chan<- scanner.Result, scan []scanner.Stats, done []bool) error {
-	return scanSlots(ctx, c.scn, c.regions, c.cfg.Blacklist, c.scanWorkers, slots, out, scan, done)
-}
-
-// wireLane adds one scan → fetch → featurize lane to a graph: the scan
-// source feeds a fetch stage pool, whose pages drain into a
-// single-worker featurize sink. Both the in-process round and the
-// distributed ShardRunner build their lanes through it, so the two
-// execution modes stay structurally identical.
-func wireLane(g *pipeline.Graph, ftc *fetcher.Fetcher, fetchWorkers int, laneAttr trace.Attr,
-	scan func(context.Context, chan<- scanner.Result) error,
-	sink func(context.Context, fetcher.Page) error) {
-	results := pipeline.NewStream[scanner.Result](1024)
-	pages := pipeline.NewStream[fetcher.Page](1024)
-	pipeline.SourceChan(g, "scan", results, scan, laneAttr)
-	pipeline.Stage(g, "fetch", fetchWorkers, results, pages,
-		func(ctx context.Context, res scanner.Result, emit func(fetcher.Page) error) error {
-			return emit(ftc.Exchange(ctx, res))
-		}, laneAttr)
-	pipeline.Sink(g, "featurize", 1, pages, sink, laneAttr)
-}
-
-// tallyPage folds one fetched page into its region tally and extracts
-// its store record. The caller stores (or collects) the record and
-// bumps t.records on success.
-func tallyPage(page *fetcher.Page, t *regionTally) *store.Record {
-	if page.Available() {
-		t.fetched++
-	}
-	if page.RobotsDenied {
-		t.robotsDenied++
-	}
-	if page.Err != nil {
-		t.fetchErrors++
-	}
-	t.bodyBytes += int64(len(page.Body))
-	return features.FromPage(page)
-}
-
-// featurize is the sink stage's per-page work: tally, extract
-// features, store.
-func (c *campaign) featurize(page *fetcher.Page, tallies []regionTally) error {
-	t := &tallies[c.slotOf(page.IP)]
-	rec := tallyPage(page, t)
-	if err := c.put(rec); err != nil {
-		return err
-	}
-	t.records++
-	return nil
-}
-
-// runRound executes one round as a pipeline graph: one
-// scan → fetch → featurize lane per shard, all writing through the
-// sharded store, degrading gracefully on the round deadline.
-func (c *campaign) runRound(ctx context.Context, roundIdx, day int) error {
-	p := c.p
-	roundStart := time.Now()
+// runRound executes one in-process round: advance the cloud's day, open
+// the store round, run every shard of the layout as a concurrent lane
+// on the shared runner, and finish.
+func (p *Platform) runRound(ctx context.Context, runner *ShardRunner, layout [][]string, idx, day int) error {
+	start := time.Now()
 	if err := p.Cloud.SetDay(ctx, day); err != nil {
-		return fmt.Errorf("core: round %d: %w", roundIdx, err)
+		return fmt.Errorf("core: round %d: %w", idx, err)
 	}
 	if _, err := p.Store.BeginRound(day); err != nil {
 		return err
 	}
+	// One CloseIdle per round, on every exit path and only once every
+	// lane is done — never while a sibling lane is still using the
+	// shared fetcher's pool. It runs after the report is stamped:
+	// tearing the pool down is not part of the round's Total.
+	defer runner.CloseIdle()
 	rootSp := p.Tracer.Start("round", nil,
-		trace.Int("round", roundIdx), trace.Int("day", day))
+		trace.Int("round", idx), trace.Int("day", day))
+	defer rootSp.End()
 
-	// The round deadline, when configured, drives graceful
-	// degradation: stages abort where they are and the round finalizes
-	// with whatever was collected.
-	roundCtx, cancelRound := ctx, context.CancelFunc(func() {})
-	if c.cfg.RoundTimeout > 0 {
-		roundCtx, cancelRound = context.WithTimeout(ctx, c.cfg.RoundTimeout)
-	}
-	defer cancelRound()
-	// Drop pooled connections on every exit path — the next round is
-	// days away, and a kept-alive connection must not outlive the IP's
-	// tenancy. (The pre-pipeline loop missed its error paths here.)
-	defer c.ftc.CloseIdle()
-
-	g := pipeline.New(pipeline.Options{
-		Metrics: p.Metrics,
-		Tracer:  p.Tracer,
-		Parent:  rootSp,
-		Outer:   ctx,
-	})
-	scan := make([]scanner.Stats, len(c.regions))
-	scanDone := make([]bool, len(c.regions))
-	tallies := make([]regionTally, len(c.regions))
-	for _, slots := range c.lanes {
-		slots := slots
-		wireLane(g, c.ftc, c.fetchWorkers, trace.String("regions", c.laneLabel(slots)),
-			func(ctx context.Context, out chan<- scanner.Result) error {
-				return c.scanLane(ctx, slots, out, scan, scanDone)
-			},
-			func(ctx context.Context, page fetcher.Page) error {
-				return c.featurize(&page, tallies)
-			})
-	}
-
-	res, runErr := g.Run(roundCtx)
-	if runErr != nil {
+	results, err := p.runLanes(trace.NewContext(ctx, rootSp), runner, layout)
+	if err != nil {
 		// A hard failure (campaign cancellation, a store error) must
 		// not leave the store wedged on an open round: drop the
 		// partial round so the completed ones stay digestable.
 		_ = p.Store.AbortRound()
 		rootSp.SetAttr(trace.String("error", "pipeline"))
-		rootSp.End()
-		return fmt.Errorf("core: round %d: %w", roundIdx, runErr)
+		return fmt.Errorf("core: round %d: %w", idx, err)
 	}
-	degraded := res.Degraded
-	if degraded {
-		if err := p.Store.MarkDegraded(); err != nil {
-			rootSp.End()
-			return err
-		}
-		c.degradedRounds.Inc()
-	}
-	var probed int64
-	for _, st := range scan {
-		probed += st.Probed
-	}
-	p.Store.AddProbed(probed)
-	if err := p.Store.EndRound(); err != nil {
-		rootSp.End()
+	report, err := FinishRound(p.Store, layout, results, false)
+	if err != nil {
 		return err
 	}
-
-	// Fetching overlaps scanning: Scan covers until the last lane's
-	// scan finished, Drain the tail until the last page was stored.
-	scanEnd := roundStart
-	for _, st := range res.Stages {
-		if st.Name == "scan" && st.End.After(scanEnd) {
-			scanEnd = st.End
-		}
+	report.Round, report.Day, report.Total = idx, day, time.Since(start)
+	degradedRounds := p.Metrics.Counter("core.degraded_rounds")
+	if report.Degraded {
+		degradedRounds.Inc()
 	}
-	scanDur := scanEnd.Sub(roundStart)
-	drainDur := res.End.Sub(scanEnd)
-	if drainDur < 0 {
-		drainDur = 0
-	}
-	totalDur := time.Since(roundStart)
-	c.scanStage.Add(scanDur)
-	c.drainStage.Add(drainDur)
-	c.roundStage.Add(totalDur)
-
-	report := RoundReport{
-		Round:    roundIdx,
-		Day:      day,
-		Degraded: degraded,
-		Scan:     scanDur,
-		Drain:    drainDur,
-		Total:    totalDur,
-	}
-	for slot, rr := range c.regions {
-		reg := RegionReport{
-			Region:     rr.name,
-			Probed:     scan[slot].Probed,
-			Skipped:    scan[slot].Skipped,
-			Responsive: scan[slot].Responsive,
-			Fetched:    tallies[slot].fetched,
-			Records:    tallies[slot].records,
-			Degraded:   degraded && !scanDone[slot],
-		}
-		report.Regions = append(report.Regions, reg)
-		report.Probed += reg.Probed
-		report.Skipped += reg.Skipped
-		report.Probes += scan[slot].Probes
-		report.Retries += scan[slot].Retries
-		report.Responsive += reg.Responsive
-		report.Fetched += reg.Fetched
-		report.RobotsDenied += tallies[slot].robotsDenied
-		report.FetchErrors += tallies[slot].fetchErrors
-		report.Records += reg.Records
-		report.BodyBytes += tallies[slot].bodyBytes
-	}
+	p.Metrics.Stage("core.scan").Add(report.Scan)
+	p.Metrics.Stage("core.drain").Add(report.Drain)
+	p.Metrics.Stage("core.round").Add(report.Total)
 	rootSp.SetAttr(
 		trace.Int64("records", report.Records),
-		trace.Bool("degraded", degraded),
+		trace.Bool("degraded", report.Degraded),
 	)
 	rootSp.End()
 	p.appendReport(report)
-	if c.cfg.Observer != nil {
-		c.cfg.Observer(report)
+	if runner.cfg.Observer != nil {
+		runner.cfg.Observer(report)
 	}
 	return nil
+}
+
+// runLanes runs every shard of the layout as a concurrent lane on the
+// shared runner and hands each lane's records to the open store round
+// in one batch. The first hard error cancels the sibling lanes; a
+// round deadline is not an error (the lanes degrade). A campaign
+// cancelled mid-round fails the round even if every lane had already
+// exited cleanly.
+func (p *Platform) runLanes(ctx context.Context, runner *ShardRunner, layout [][]string) ([]*ShardResult, error) {
+	laneCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	results := make([]*ShardResult, len(layout))
+	var (
+		wg       sync.WaitGroup
+		failOnce sync.Once
+		failErr  error
+	)
+	for i, regions := range layout {
+		wg.Add(1)
+		go func(i int, regions []string) {
+			defer wg.Done()
+			res, err := runner.runLane(laneCtx, regions)
+			if err == nil && p.laneHook != nil {
+				err = p.laneHook(res)
+			}
+			if err == nil {
+				err = p.Store.PutBatch(res.Records)
+			}
+			if err != nil {
+				failOnce.Do(func() {
+					failErr = err
+					cancel()
+				})
+				return
+			}
+			results[i] = res
+		}(i, regions)
+	}
+	wg.Wait()
+	if failErr != nil {
+		return nil, failErr
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return results, nil
 }

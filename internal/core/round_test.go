@@ -3,12 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"net"
 	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"whowas/internal/cloudapi"
+	"whowas/internal/ipaddr"
+	"whowas/internal/scanner"
 	"whowas/internal/store"
 )
 
@@ -80,31 +84,11 @@ func TestPipelineShardDigestIdentity(t *testing.T) {
 	}
 }
 
-// TestRoundStorePutFailure is the goroutine-leak regression test: a
-// failing store put must abort the round, propagate the error, and
-// unwind every pipeline goroutine (the pre-pipeline collector returned
-// without draining the page channel, leaving the fetcher and scanner
-// pools blocked forever). The store must stay usable afterwards.
-func TestRoundStorePutFailure(t *testing.T) {
-	p, err := NewPlatform(chaosCloudConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	errBoom := errors.New("store full")
-	var puts int64
-	p.putHook = func(rec *store.Record) error {
-		if atomic.AddInt64(&puts, 1) > 10 {
-			return errBoom
-		}
-		return p.Store.Put(rec)
-	}
-	before := runtime.NumGoroutine()
-	err = p.RunCampaign(context.Background(), quickConfig([]int{0}))
-	if !errors.Is(err, errBoom) {
-		t.Fatalf("campaign error = %v, want %v", err, errBoom)
-	}
-	// Every pipeline goroutine must unwind; give the unblocked pools a
-	// moment to exit before comparing.
+// assertUnwound fails the test unless the goroutine count returns to
+// (about) what it was before a failed round: every pipeline goroutine
+// must unwind, given a moment for the unblocked pools to exit.
+func assertUnwound(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > before+3 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -112,6 +96,27 @@ func TestRoundStorePutFailure(t *testing.T) {
 	if g := runtime.NumGoroutine(); g > before+3 {
 		t.Errorf("%d goroutines after failed round, %d before: pipeline leaked", g, before)
 	}
+}
+
+// TestRoundStorePutFailure is the goroutine-leak regression test: a
+// failing lane hand-off must abort the round, propagate the error, and
+// unwind every pipeline goroutine — the sibling lane's included (the
+// pre-pipeline collector returned without draining the page channel,
+// leaving the fetcher and scanner pools blocked forever). The store
+// must stay usable afterwards.
+func TestRoundStorePutFailure(t *testing.T) {
+	p, err := NewPlatform(chaosCloudConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	errBoom := errors.New("store full")
+	p.laneHook = func(*ShardResult) error { return errBoom }
+	before := runtime.NumGoroutine()
+	err = p.RunCampaign(context.Background(), quickConfig([]int{0}))
+	if !errors.Is(err, errBoom) {
+		t.Fatalf("campaign error = %v, want %v", err, errBoom)
+	}
+	assertUnwound(t, before)
 	// The failed round was aborted, not left open: no round landed,
 	// the store digests, and a rerun on the same platform succeeds.
 	if n := p.Store.NumRounds(); n != 0 {
@@ -120,7 +125,7 @@ func TestRoundStorePutFailure(t *testing.T) {
 	if _, err := p.Store.Digest(); err != nil {
 		t.Errorf("store digest after aborted round: %v", err)
 	}
-	p.putHook = nil
+	p.laneHook = nil
 	if err := p.RunCampaign(context.Background(), quickConfig([]int{0})); err != nil {
 		t.Fatalf("campaign after aborted round: %v", err)
 	}
@@ -129,28 +134,44 @@ func TestRoundStorePutFailure(t *testing.T) {
 	}
 }
 
+// cancelOnDial is a cloud that cancels the campaign at the nth dial of
+// the given day — from inside the round, with every lane live.
+type cancelOnDial struct {
+	cloudapi.Cloud
+	day    int
+	nth    int64
+	dials  atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnDial) DialContext(ctx context.Context, network, address string) (net.Conn, error) {
+	if c.Day() == c.day && c.dials.Add(1) == c.nth {
+		c.cancel()
+	}
+	return c.Cloud.DialContext(ctx, network, address)
+}
+
 // TestCampaignCancelMidRound cancels the campaign context from inside
-// round 1's featurize sink: the campaign must return the cancellation
-// as a failure (not a degraded round), abort the in-flight round, and
-// leave round 0 finalized and digestable.
+// round 1's scan: the campaign must return the cancellation as a
+// failure (not a degraded round), unwind every lane, abort the
+// in-flight round, and leave round 0 finalized and digestable.
 func TestCampaignCancelMidRound(t *testing.T) {
-	p, err := NewPlatform(chaosCloudConfig())
+	inner, err := cloudapi.NewInProcess(chaosCloudConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var puts int64
-	p.putHook = func(rec *store.Record) error {
-		if p.Store.NumRounds() == 1 && atomic.AddInt64(&puts, 1) == 5 {
-			cancel()
-		}
-		return p.Store.Put(rec)
+	p, err := NewPlatformCloud(&cancelOnDial{Cloud: inner, day: 2, nth: 500, cancel: cancel})
+	if err != nil {
+		t.Fatal(err)
 	}
+	before := runtime.NumGoroutine()
 	err = p.RunCampaign(ctx, quickConfig([]int{0, 2}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("campaign error = %v, want context.Canceled", err)
 	}
+	assertUnwound(t, before)
 	if len(p.Reports) != 1 {
 		t.Errorf("%d round reports, want only round 0's", len(p.Reports))
 	}
@@ -186,17 +207,195 @@ func TestSplitRegions(t *testing.T) {
 	if total != int64(p.Cloud.Ranges().Total()) {
 		t.Errorf("region ranges cover %d IPs, cloud has %d", total, p.Cloud.Ranges().Total())
 	}
+	names, err := CloudRegionNames(p.Cloud)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct{ shards, lanes int }{
 		{0, 2}, {1, 1}, {2, 2}, {9, 2},
 	} {
-		cfg := quickConfig([]int{0})
-		cfg.PipelineShards = tc.shards
-		c, err := newCampaign(p, withPlatformDefaults(p, cfg), p.Cloud)
-		if err != nil {
-			t.Fatal(err)
+		if got := len(ShardLayout(names, tc.shards)); got != tc.lanes {
+			t.Errorf("shards=%d: %d lanes, want %d", tc.shards, got, tc.lanes)
 		}
-		if len(c.lanes) != tc.lanes {
-			t.Errorf("shards=%d: %d lanes, want %d", tc.shards, len(c.lanes), tc.lanes)
+	}
+}
+
+// finishFixture is one FinishRound call's inputs over a five-region
+// cloud: a store with a round open, the layout, and a full set of
+// healthy shard results (each region probed 100, 10 responsive, one
+// record) not yet handed to the store.
+func finishFixture(t *testing.T, regions []string, shards int) (*store.Store, [][]string, []*ShardResult) {
+	t.Helper()
+	st := store.New("finish-test")
+	if _, err := st.BeginRound(0); err != nil {
+		t.Fatal(err)
+	}
+	layout := ShardLayout(regions, shards)
+	results := make([]*ShardResult, len(layout))
+	ip := ipaddr.MustParseAddr("54.0.0.1")
+	for i, names := range layout {
+		res := &ShardResult{
+			Scan:  time.Duration(i+1) * time.Second,
+			Total: time.Duration(i+2) * time.Second,
 		}
+		for _, name := range names {
+			res.Regions = append(res.Regions, RegionResult{
+				Region:   name,
+				Stats:    scanner.Stats{Probed: 100, Probes: 300, Responsive: 10, Retries: 2, Skipped: 1},
+				Fetched:  5,
+				Records:  1,
+				ScanDone: true,
+			})
+			res.Records = append(res.Records, &store.Record{IP: ip, OpenPorts: store.PortHTTP})
+			ip++
+		}
+		results[i] = res
+	}
+	return st, layout, results
+}
+
+// TestFinishRound holds the one fold to its contract for every shape a
+// caller can hand it: all shards present, a shard that never came back
+// under a timed-out round, a degraded shard with one unfinished
+// region — and, for every shard count, regions reported in the
+// cloud's address-range order whatever the round-robin deal was.
+func TestFinishRound(t *testing.T) {
+	cfg := chaosCloudConfig()
+	cfg.Regions = nil
+	for _, name := range []string{"east", "south", "west", "north", "central"} {
+		cfg.Regions = append(cfg.Regions, cloudapi.RegionConfig{Name: name, Prefixes22: 1})
+	}
+	cloud, err := cloudapi.NewInProcess(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions, err := CloudRegionNames(cloud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regions) != 5 {
+		t.Fatalf("cloud has regions %v, want 5", regions)
+	}
+
+	for _, tc := range []struct {
+		name     string
+		shards   int
+		timedOut bool
+		// mutate edits the healthy results before the fold.
+		mutate func(layout [][]string, results []*ShardResult)
+		// degraded lists the regions that must report Degraded; empty
+		// regions must report zero counts.
+		degraded []string
+		empty    []string
+		scan     time.Duration
+		drain    time.Duration
+	}{
+		{name: "all present, one shard", shards: 1, scan: 1 * time.Second, drain: 1 * time.Second},
+		{name: "all present, two shards", shards: 2, scan: 2 * time.Second, drain: 1 * time.Second},
+		{name: "all present, shard per region", shards: 5, scan: 5 * time.Second, drain: 1 * time.Second},
+		{name: "all present, clamped", shards: 8, scan: 5 * time.Second, drain: 1 * time.Second},
+		{
+			name: "shard never submitted", shards: 2, timedOut: true,
+			mutate: func(_ [][]string, results []*ShardResult) { results[1] = nil },
+			// Shard 1 of 2 holds regions 1 and 3.
+			degraded: []string{regions[1], regions[3]},
+			empty:    []string{regions[1], regions[3]},
+			scan:     1 * time.Second, drain: 1 * time.Second,
+		},
+		{
+			name: "degraded shard, one region unscanned", shards: 2,
+			mutate: func(_ [][]string, results []*ShardResult) {
+				results[0].Degraded = true
+				results[0].Regions[2].ScanDone = false
+			},
+			// Shard 0 of 2 holds regions 0, 2 and 4.
+			degraded: []string{regions[4]},
+			scan:     2 * time.Second, drain: 1 * time.Second,
+		},
+		{
+			name: "drain clamps at zero", shards: 2,
+			mutate: func(_ [][]string, results []*ShardResult) {
+				results[0].Total, results[1].Total = time.Second, time.Second
+			},
+			scan: 2 * time.Second, drain: 0,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, layout, results := finishFixture(t, regions, tc.shards)
+			if tc.mutate != nil {
+				tc.mutate(layout, results)
+			}
+			for _, res := range results {
+				if res == nil {
+					continue
+				}
+				if err := st.PutBatch(res.Records); err != nil {
+					t.Fatal(err)
+				}
+			}
+			report, err := FinishRound(st, layout, results, tc.timedOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantDegraded := tc.timedOut || len(tc.degraded) > 0
+			if report.Degraded != wantDegraded {
+				t.Errorf("report degraded = %v, want %v", report.Degraded, wantDegraded)
+			}
+			if report.Scan != tc.scan || report.Drain != tc.drain {
+				t.Errorf("scan/drain = %v/%v, want %v/%v", report.Scan, report.Drain, tc.scan, tc.drain)
+			}
+			degraded := map[string]bool{}
+			for _, name := range tc.degraded {
+				degraded[name] = true
+			}
+			empty := map[string]bool{}
+			for _, name := range tc.empty {
+				empty[name] = true
+			}
+			if len(report.Regions) != len(regions) {
+				t.Fatalf("%d region reports, want %d", len(report.Regions), len(regions))
+			}
+			var probed, records int64
+			for i, reg := range report.Regions {
+				if reg.Region != regions[i] {
+					t.Errorf("region %d = %q, want %q (address-range order)", i, reg.Region, regions[i])
+				}
+				if reg.Degraded != degraded[reg.Region] {
+					t.Errorf("region %s degraded = %v, want %v", reg.Region, reg.Degraded, degraded[reg.Region])
+				}
+				want := RegionReport{Region: reg.Region, Probed: 100, Skipped: 1, Responsive: 10, Fetched: 5, Records: 1}
+				if empty[reg.Region] {
+					want = RegionReport{Region: reg.Region}
+				}
+				want.Degraded = reg.Degraded
+				if reg != want {
+					t.Errorf("region report %+v, want %+v", reg, want)
+				}
+				probed += reg.Probed
+				records += reg.Records
+			}
+			present := int64(len(regions) - len(tc.empty))
+			if report.Probed != probed || report.Records != records || probed != 100*present {
+				t.Errorf("round totals probed=%d records=%d, region sums %d/%d", report.Probed, report.Records, probed, records)
+			}
+			if report.Probes != 300*present || report.Retries != 2*present || report.Responsive != 10*present {
+				t.Errorf("round totals probes=%d retries=%d responsive=%d over %d regions", report.Probes, report.Retries, report.Responsive, present)
+			}
+			// The store round was closed with the same verdict.
+			if st.NumRounds() != 1 {
+				t.Fatalf("store has %d rounds, want the finished one", st.NumRounds())
+			}
+			round := st.Round(0)
+			if round.Probed != report.Probed || round.Degraded != report.Degraded || int64(round.Len()) != present {
+				t.Errorf("store round probed=%d degraded=%v len=%d, report %d/%v/%d",
+					round.Probed, round.Degraded, round.Len(), report.Probed, report.Degraded, present)
+			}
+		})
+	}
+
+	// A store with no open round surfaces the error instead of a report
+	// that never landed.
+	if _, err := FinishRound(store.New("closed"), ShardLayout(regions, 1), make([]*ShardResult, 1), true); err == nil {
+		t.Error("FinishRound on a store with no open round succeeded")
 	}
 }

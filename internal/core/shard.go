@@ -1,19 +1,25 @@
-// The distributed round's worker half: a ShardRunner executes the same
-// scan → fetch → featurize lane as the in-process round (round.go) over
-// an assigned subset of the cloud's regions, but collects the records
-// instead of storing them — the coordinator owns the one store and
-// merges shard submissions exactly as EndRound merges lanes, so store
-// digests stay byte-identical for any worker count.
+// The lane: a ShardRunner executes one scan → fetch → featurize lane
+// over a subset of the cloud's regions and returns the counts and
+// records as a ShardResult. It is the only thing that runs a lane —
+// RunCampaign (round.go) runs a round's lanes concurrently on one
+// shared runner, a coord worker runs its assigned shards one at a time
+// on its own — and FinishRound is the only thing that folds the results
+// into a finalized store round, so store digests are byte-identical for
+// any lane or worker count.
 package core
 
 import (
 	"context"
 	"fmt"
 	"os"
+	"strings"
 	"sync/atomic"
+	"time"
 
 	"whowas/internal/cloudapi"
+	"whowas/internal/features"
 	"whowas/internal/fetcher"
+	"whowas/internal/ipaddr"
 	"whowas/internal/pipeline"
 	"whowas/internal/scanner"
 	"whowas/internal/store"
@@ -25,8 +31,8 @@ import (
 var shardSession atomic.Int64
 
 // RegionResult is one region's share of a shard run. It carries the
-// scanner's counts and the fetch-side tallies the coordinator folds
-// into the round's RegionReport.
+// scanner's counts and the fetch-side tallies FinishRound folds into
+// the round's RegionReport.
 type RegionResult struct {
 	Region       string        `json:"region"`
 	Stats        scanner.Stats `json:"stats"`
@@ -41,34 +47,59 @@ type RegionResult struct {
 }
 
 // ShardResult is everything one shard run produced: the per-region
-// counts, the extracted records, and whether the shard degraded under
-// its deadline.
+// counts, the extracted records, whether the shard degraded under its
+// deadline, and the lane's timings.
 type ShardResult struct {
 	Regions  []RegionResult  `json:"regions"`
 	Records  []*store.Record `json:"records"`
 	Degraded bool            `json:"degraded"`
+	// Scan is how long the lane's scan stage ran; Total the whole lane,
+	// until its last page was featurized. Fetching overlaps scanning.
+	Scan  time.Duration `json:"scan_ns"`
+	Total time.Duration `json:"total_ns"`
 }
 
-// ShardRunner executes assigned region shards against a cloud. It owns
-// a scanner and fetcher configured exactly like a campaign's — the
-// scanner's rate is the worker's leased slice of the global §7
-// budget — but never touches a store or the cloud's day schedule; both
-// belong to the coordinator.
+// region returns the named region's result, or nil when the shard is
+// nil (never submitted) or did not cover it.
+func (s *ShardResult) region(name string) *RegionResult {
+	if s == nil {
+		return nil
+	}
+	for i := range s.Regions {
+		if s.Regions[i].Region == name {
+			return &s.Regions[i]
+		}
+	}
+	return nil
+}
+
+// laneRegion is one region's slice of the probed address space.
+type laneRegion struct {
+	name   string
+	ranges *ipaddr.RangeList
+}
+
+// ShardRunner executes region shards against a cloud. It owns one
+// scanner and one fetcher, shared by every lane it runs — the scanner's
+// rate limiter is the §7 probe budget (the whole budget in-process, the
+// worker's leased slice in a fleet) — but never touches a store or the
+// cloud's day schedule; both belong to whoever finishes the round.
 type ShardRunner struct {
 	cfg          CampaignConfig
 	scn          *scanner.Scanner
 	ftc          *fetcher.Fetcher
 	regions      []laneRegion
 	slots        map[string]int // region name -> slot
-	scanWorkers  int
-	fetchWorkers int
+	scanWorkers  int            // per-lane scan pool
+	fetchWorkers int            // per-lane fetch pool
 }
 
-// NewShardRunner builds a runner over the cloud. The config is
-// resolved the same way RunCampaign resolves it: region hooks default
+// NewShardRunner builds a runner over the cloud. Region hooks default
 // to the cloud's, and a fault scenario wraps the data plane through
-// cloudapi.WithFaults so chaos campaigns reproduce identically over
-// workers.
+// cloudapi.WithFaults at this single point; its decisions are
+// deterministic per (ip, port, day, attempt), so the same scenario
+// reproduces the same campaign byte for byte — over any transport and
+// any worker count.
 func NewShardRunner(cloud cloudapi.Cloud, cfg CampaignConfig) (*ShardRunner, error) {
 	if cloud == nil {
 		return nil, fmt.Errorf("core: nil cloud")
@@ -104,40 +135,74 @@ func NewShardRunner(cloud cloudapi.Cloud, cfg CampaignConfig) (*ShardRunner, err
 	for i, reg := range r.regions {
 		r.slots[reg.name] = i
 	}
-	// A worker runs one lane at a time, so unlike the sharded
-	// in-process round its pools are not divided.
+	// A worker runs one lane at a time on the full pools; RunCampaign
+	// divides them over its concurrent lanes (poolShare).
 	r.scanWorkers = cfg.Scanner.WithDefaults().Workers
 	r.fetchWorkers = cfg.Fetcher.WithDefaults().Workers
 	return r, nil
 }
 
+// splitRegions groups the probed ranges by region, preserving the
+// address-range order both of regions and of each region's prefixes
+// (cloudsim regions are /22-contiguous, so a prefix's first address
+// labels the whole prefix).
+func splitRegions(ranges *ipaddr.RangeList, regionOf func(ipaddr.Addr) string) ([]laneRegion, error) {
+	var out []laneRegion
+	idx := map[string]int{}
+	var groups [][]ipaddr.Prefix
+	for _, p := range ranges.Prefixes() {
+		name := ""
+		if regionOf != nil {
+			name = regionOf(p.First())
+		}
+		i, ok := idx[name]
+		if !ok {
+			i = len(groups)
+			idx[name] = i
+			groups = append(groups, nil)
+			out = append(out, laneRegion{name: name})
+		}
+		groups[i] = append(groups[i], p)
+	}
+	for i := range out {
+		rl, err := ipaddr.NewRangeList(groups[i])
+		if err != nil {
+			return nil, err
+		}
+		out[i].ranges = rl
+	}
+	return out, nil
+}
+
 // RegionNames lists the cloud's regions in address-range order — the
-// order the coordinator assigns shards in.
+// order ShardLayout deals them into shards in.
 func (r *ShardRunner) RegionNames() []string {
-	out := make([]string, len(r.regions))
-	for i, reg := range r.regions {
+	return regionNames(r.regions)
+}
+
+func regionNames(regs []laneRegion) []string {
+	out := make([]string, len(regs))
+	for i, reg := range regs {
 		out[i] = reg.name
 	}
 	return out
 }
 
 // CloudRegionNames lists a cloud's regions in address-range order —
-// the same split and order the round pipeline lanes use, so a
-// coordinator's shard layout lines up with the in-process round's.
+// the same split and order a ShardRunner over that cloud uses, so a
+// coordinator's shard layout lines up with its workers' runners.
 func CloudRegionNames(cloud cloudapi.Cloud) ([]string, error) {
 	regs, err := splitRegions(cloud.Ranges(), cloud.RegionOf)
 	if err != nil {
 		return nil, fmt.Errorf("core: splitting regions: %w", err)
 	}
-	out := make([]string, len(regs))
-	for i, reg := range regs {
-		out[i] = reg.name
-	}
-	return out, nil
+	return regionNames(regs), nil
 }
 
-// CloseIdle drops the fetcher's pooled connections. RunShard calls it
-// on every exit path; workers call it again at shutdown.
+// CloseIdle drops the fetcher's pooled connections. Pooled connections
+// must not outlive a round — the next one is days away, and a
+// kept-alive connection must not outlive the IP's tenancy. RunShard
+// calls it on every exit path; workers call it again at shutdown.
 func (r *ShardRunner) CloseIdle() {
 	r.ftc.CloseIdle()
 }
@@ -146,7 +211,7 @@ func (r *ShardRunner) CloseIdle() {
 // order — as a single scan → fetch → featurize lane and returns the
 // counts and records. When the config carries a RoundTimeout the shard
 // degrades gracefully at the deadline (partial records, Degraded set)
-// instead of failing, mirroring the in-process round.
+// instead of failing.
 func (r *ShardRunner) RunShard(ctx context.Context, regions []string) (*ShardResult, error) {
 	// Every run gets a fresh probe session so the simulated network's
 	// transient-loss bookkeeping treats it as a first measurement. A
@@ -155,80 +220,131 @@ func (r *ShardRunner) RunShard(ctx context.Context, regions []string) (*ShardRes
 	// lossy IPs responsive and break 1-vs-N digest identity.
 	ctx = cloudapi.WithProbeSession(ctx,
 		fmt.Sprintf("shard-%d-%d", os.Getpid(), shardSession.Add(1)))
+	defer r.CloseIdle()
+	return r.runLane(ctx, regions)
+}
+
+// runLane is the lane body: it builds and runs the one pipeline graph
+// the module has — a scan source over the regions feeding a fetch pool
+// whose pages drain into a single-worker featurize sink — under the
+// config's RoundTimeout. The stage spans are children of the span ctx
+// carries (the in-process round's root; none on a worker, whose spans
+// the coordinator re-parents). It keeps the caller's probe session and
+// leaves the fetcher's pooled connections alone: sibling lanes share
+// the fetcher, and keep-alive reuse between a robots.txt and its page
+// GET is digest-relevant under faults.
+func (r *ShardRunner) runLane(ctx context.Context, regions []string) (*ShardResult, error) {
 	slots := make([]int, 0, len(regions))
-	label := ""
-	for i, name := range regions {
+	for _, name := range regions {
 		slot, ok := r.slots[name]
 		if !ok {
 			return nil, fmt.Errorf("core: unknown region %q", name)
 		}
 		slots = append(slots, slot)
-		if i > 0 {
-			label += ","
-		}
-		label += name
 	}
 	if len(slots) == 0 {
 		return nil, fmt.Errorf("core: empty shard")
 	}
+	label := strings.Join(regions, ",")
+	laneAttr := trace.String("regions", label)
 
-	shardCtx, cancel := ctx, context.CancelFunc(func() {})
+	laneCtx, cancel := ctx, context.CancelFunc(func() {})
 	if r.cfg.RoundTimeout > 0 {
-		shardCtx, cancel = context.WithTimeout(ctx, r.cfg.RoundTimeout)
+		laneCtx, cancel = context.WithTimeout(ctx, r.cfg.RoundTimeout)
 	}
 	defer cancel()
-	// As in runRound: pooled connections must not outlive the round —
-	// the next assignment is a different day.
-	defer r.ftc.CloseIdle()
 
 	g := pipeline.New(pipeline.Options{
 		Metrics: r.cfg.Scanner.Metrics,
 		Tracer:  r.cfg.Scanner.Tracer,
+		Parent:  trace.FromContext(ctx),
 		Outer:   ctx,
 	})
-	scan := make([]scanner.Stats, len(r.regions))
-	done := make([]bool, len(r.regions))
-	tallies := make([]regionTally, len(r.regions))
+	// Indexed by region slot and read after Run. The scan source writes
+	// Stats and ScanDone, the single-worker sink the fetch-side tallies.
+	regs := make([]RegionResult, len(r.regions))
 	var recs []*store.Record
-	wireLane(g, r.ftc, r.fetchWorkers, trace.String("regions", label),
+
+	results := pipeline.NewStream[scanner.Result](1024)
+	pages := pipeline.NewStream[fetcher.Page](1024)
+	pipeline.SourceChan(g, "scan", results,
 		func(ctx context.Context, out chan<- scanner.Result) error {
-			return scanSlots(ctx, r.scn, r.regions, r.cfg.Blacklist, r.scanWorkers, slots, out, scan, done)
-		},
+			return r.scanSlots(ctx, slots, out, regs)
+		}, laneAttr)
+	pipeline.Stage(g, "fetch", r.fetchWorkers, results, pages,
+		func(ctx context.Context, res scanner.Result, emit func(fetcher.Page) error) error {
+			return emit(r.ftc.Exchange(ctx, res))
+		}, laneAttr)
+	pipeline.Sink(g, "featurize", 1, pages,
 		func(ctx context.Context, page fetcher.Page) error {
-			slot := 0
-			if r.cfg.Scanner.RegionOf != nil {
-				if s, ok := r.slots[r.cfg.Scanner.RegionOf(page.IP)]; ok {
-					slot = s
-				}
+			t := &regs[r.slots[r.cfg.Scanner.RegionOf(page.IP)]]
+			if page.Available() {
+				t.Fetched++
 			}
-			t := &tallies[slot]
-			rec := tallyPage(&page, t)
+			if page.RobotsDenied {
+				t.RobotsDenied++
+			}
+			if page.Err != nil {
+				t.FetchErrors++
+			}
+			t.BodyBytes += int64(len(page.Body))
+			rec := features.FromPage(&page)
 			if !r.cfg.KeepBodies {
-				// The coordinator's EndRound would drop the body anyway;
-				// shedding it here keeps it off the wire.
+				// EndRound would drop the body anyway; shedding it here
+				// keeps it off the wire and out of the round's memory.
 				rec.Body = ""
 			}
 			recs = append(recs, rec)
-			t.records++
+			t.Records++
 			return nil
-		})
+		}, laneAttr)
 
-	res, runErr := g.Run(shardCtx)
-	if runErr != nil {
-		return nil, fmt.Errorf("core: shard %s: %w", label, runErr)
+	res, err := g.Run(laneCtx)
+	if err != nil {
+		return nil, fmt.Errorf("core: shard %s: %w", label, err)
 	}
-	out := &ShardResult{Degraded: res.Degraded, Records: recs}
+	out := &ShardResult{Degraded: res.Degraded, Records: recs, Total: res.End.Sub(res.Start)}
+	for _, st := range res.Stages {
+		if st.Name == "scan" {
+			out.Scan = st.End.Sub(res.Start)
+		}
+	}
 	for _, slot := range slots {
-		out.Regions = append(out.Regions, RegionResult{
-			Region:       r.regions[slot].name,
-			Stats:        scan[slot],
-			Fetched:      tallies[slot].fetched,
-			RobotsDenied: tallies[slot].robotsDenied,
-			FetchErrors:  tallies[slot].fetchErrors,
-			Records:      tallies[slot].records,
-			BodyBytes:    tallies[slot].bodyBytes,
-			ScanDone:     done[slot],
-		})
+		regs[slot].Region = r.regions[slot].name
+		out.Regions = append(out.Regions, regs[slot])
 	}
 	return out, nil
+}
+
+// scanSlots runs the given region slots through the scanner,
+// sequentially, into the lane's results stream. Per-region stats land
+// in their slots even when a later region never runs (the deadline
+// case); ScanDone drives the per-region Degraded report bits.
+func (r *ShardRunner) scanSlots(ctx context.Context, slots []int, out chan<- scanner.Result, regs []RegionResult) error {
+	for _, slot := range slots {
+		st, err := r.scn.ScanRangesInto(ctx, r.regions[slot].ranges, r.cfg.Blacklist, out, r.scanWorkers)
+		if st != nil {
+			regs[slot].Stats = *st
+		}
+		if err != nil {
+			return err
+		}
+		regs[slot].ScanDone = true
+	}
+	// Lane-granularity scan-span attributes (the span rides the node
+	// context).
+	if sp := trace.FromContext(ctx); sp != nil {
+		var probed, responsive, retries int64
+		for _, slot := range slots {
+			probed += regs[slot].Stats.Probed
+			responsive += regs[slot].Stats.Responsive
+			retries += regs[slot].Stats.Retries
+		}
+		sp.SetAttr(
+			trace.Int64("probed", probed),
+			trace.Int64("responsive", responsive),
+			trace.Int64("retries", retries),
+		)
+	}
+	return nil
 }

@@ -242,6 +242,12 @@ func (w *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// DefaultBenchTolerance is the allowed fractional latency regression
+// against a committed baseline. Wall time varies across hosts and
+// runner load far more than across code changes, so the tolerance is
+// wide; the digest comparison is the exact gate.
+const DefaultBenchTolerance = 0.35
+
 // CompareStoreBench holds a fresh store benchmark to a committed
 // baseline (BENCH_store.json): campaign shape, digests, and on-disk
 // bytes must match exactly — all three are deterministic — and each

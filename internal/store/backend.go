@@ -1,5 +1,5 @@
 // The storage boundary: the Store frontend owns the open-round
-// lifecycle (sharded writes, finalize, metrics, digests) and delegates
+// lifecycle (batched writes, finalize, metrics, digests) and delegates
 // persistence of finalized rounds to a Backend. Two implementations
 // exist: the in-memory maps this package grew up with (memory.go, the
 // default) and the on-disk columnar engine (internal/store/colstore)

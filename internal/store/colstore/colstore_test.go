@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"whowas/internal/ipaddr"
@@ -222,15 +223,39 @@ func TestEncodeRejectsUnsorted(t *testing.T) {
 // identity tests.
 func buildCampaign(t *testing.T, s *store.Store, rounds, perRound int) {
 	t.Helper()
+	buildCampaignLanes(t, s, rounds, perRound, 0)
+}
+
+// buildCampaignLanes is buildCampaign written the way the round
+// pipeline writes: each round's records dealt over the given number of
+// lanes, every lane handing its share over in one concurrent PutBatch.
+// lanes == 0 puts record by record.
+func buildCampaignLanes(t *testing.T, s *store.Store, rounds, perRound, lanes int) {
+	t.Helper()
 	for r := 0; r < rounds; r++ {
 		if _, err := s.BeginRound(r * 3); err != nil {
 			t.Fatal(err)
 		}
+		batches := make([][]*store.Record, lanes)
 		for i := 0; i < perRound; i++ {
-			if err := s.Put(fullRecord(uint32(0x0a000000+i*11), r, r*3)); err != nil {
+			rec := fullRecord(uint32(0x0a000000+i*11), r, r*3)
+			if lanes > 0 {
+				batches[i%lanes] = append(batches[i%lanes], rec)
+			} else if err := s.Put(rec); err != nil {
 				t.Fatal(err)
 			}
 		}
+		var wg sync.WaitGroup
+		for _, batch := range batches {
+			wg.Add(1)
+			go func(batch []*store.Record) {
+				defer wg.Done()
+				if err := s.PutBatch(batch); err != nil {
+					t.Error(err)
+				}
+			}(batch)
+		}
+		wg.Wait()
 		s.AddProbed(int64(perRound) * 2)
 		if err := s.EndRound(); err != nil {
 			t.Fatal(err)
@@ -346,28 +371,22 @@ func derefAll(recs []*store.Record) []store.Record {
 	return out
 }
 
-// TestShardedDigestIdentity: the columnar backend under the sharded
-// write path matches the unsharded in-memory digest.
+// TestShardedDigestIdentity: the columnar backend fed by any number
+// of pipeline shards — one concurrent PutBatch each — matches the
+// in-memory digest of the same campaign put record by record.
 func TestShardedDigestIdentity(t *testing.T) {
-	var base string
-	for _, shards := range []int{1, 2, 4} {
-		col := store.NewWithBackend("ec2", openBackend(t, t.TempDir(), Options{CloudName: "ec2"}))
-		col.SetShards(shards)
-		buildCampaign(t, col, 2, 64)
-		d, err := col.Digest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shards == 1 {
-			base = d
-		} else if d != base {
-			t.Errorf("%d shards digest %s, 1 shard %s", shards, d, base)
-		}
-	}
 	mem := store.New("ec2")
 	buildCampaign(t, mem, 2, 64)
-	if d, err := mem.Digest(); err != nil || d != base {
-		t.Errorf("memory digest %s (err %v), colstore %s", d, err, base)
+	base, err := mem.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lanes := range []int{1, 2, 4} {
+		col := store.NewWithBackend("ec2", openBackend(t, t.TempDir(), Options{CloudName: "ec2"}))
+		buildCampaignLanes(t, col, 2, 64, lanes)
+		if d, err := col.Digest(); err != nil || d != base {
+			t.Errorf("%d lanes: colstore digest %s (err %v), memory %s", lanes, d, err, base)
+		}
 	}
 }
 

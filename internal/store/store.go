@@ -4,10 +4,10 @@
 // rounds of per-IP records, plus the per-IP history lookup ("whowas
 // 1.2.3.4") that gives the platform its name.
 //
-// The Store type is a thin frontend: it owns the open round's
-// lock-striped write path, finalization (merge, IP-sort, body drop),
-// metrics and digests, and delegates finalized-round persistence to a
-// Backend (backend.go). The default backend keeps everything in memory;
+// The Store type is a thin frontend: it owns the open round's write
+// path, finalization (IP-sort, body drop), metrics and digests, and
+// delegates finalized-round persistence to a Backend (backend.go).
+// The default backend keeps everything in memory;
 // internal/store/colstore persists append-only columnar segments so a
 // campaign's memory stays bounded by one round, not the whole history.
 // Save/Digest/ExportJSON/History are byte-identical whichever backend
@@ -98,10 +98,11 @@ func (r *Record) WebOpen() bool { return r.OpenPorts&(PortHTTP|PortHTTPS) != 0 }
 func (r *Record) Available() bool { return r.HTTPStatus != 0 }
 
 // Round is one round of scanning: records keyed by IP. While the
-// round is open, records live in write shards (per-shard locks keep
-// the hot Put path off one global mutex); finalize merges the shards
-// into one IP-sorted index, so the persisted form — and therefore the
-// store digest — is byte-identical whatever the shard count was.
+// round is open, records live in one map under one mutex — every
+// pipeline lane hands the store its records in one PutBatch, so the
+// lock is taken a handful of times per round; finalize builds the
+// IP-sorted index, so the persisted form — and therefore the store
+// digest — is byte-identical whatever order the lanes wrote in.
 // Finalized rounds handed out by Store.Round/Rounds/EachRound are
 // read-mostly views over the backend's records; mutations to their
 // records persist only through Store.UpdateRounds.
@@ -114,41 +115,22 @@ type Round struct {
 	// undercount the true population and churn analyses should treat
 	// it accordingly.
 	Degraded bool
-	records  map[ipaddr.Addr]*Record
-	shards   []recordShard // open-round write path; nil once finalized
-	sorted   []*Record     // built on finalize, ascending by IP
-	final    bool
-}
-
-// recordShard is one lock-striped slice of an open round's records.
-type recordShard struct {
+	// mu guards records while the round is open. records is set by
+	// BeginRound and stays nil on the backend views roundOf builds,
+	// whose reads go lock-free to sorted.
 	mu      sync.Mutex
 	records map[ipaddr.Addr]*Record
+	sorted  []*Record // built on finalize, ascending by IP
+	final   bool
 }
 
-// shardFor picks a shard by splitmix64-mixed IP, so region-contiguous
-// address blocks spread across shards instead of hammering one lock.
-func (r *Round) shardFor(ip ipaddr.Addr) *recordShard {
-	h := uint64(ip)
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return &r.shards[h%uint64(len(r.shards))]
-}
-
-// Get returns the record for an IP, or nil (unresponsive). On an open
-// round it consults the write shards; on a finalized round it binary
-// searches the IP-sorted index.
+// Get returns the record for an IP, or nil (unresponsive). On a
+// BeginRound handle it consults the write map; on a backend view it
+// binary searches the IP-sorted index.
 func (r *Round) Get(ip ipaddr.Addr) *Record {
-	if r.shards != nil {
-		sh := r.shardFor(ip)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return sh.records[ip]
-	}
 	if r.records != nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
 		return r.records[ip]
 	}
 	i := sort.Search(len(r.sorted), func(i int) bool { return r.sorted[i].IP >= ip })
@@ -160,19 +142,12 @@ func (r *Round) Get(ip ipaddr.Addr) *Record {
 
 // Len returns the number of records (responsive IPs).
 func (r *Round) Len() int {
-	if r.final {
-		return len(r.sorted)
-	}
-	if r.shards == nil {
+	if r.records != nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
 		return len(r.records)
 	}
-	n := 0
-	for i := range r.shards {
-		r.shards[i].mu.Lock()
-		n += len(r.shards[i].records)
-		r.shards[i].mu.Unlock()
-	}
-	return n
+	return len(r.sorted)
 }
 
 // Records returns the round's records sorted by IP. Finalize must have
@@ -193,22 +168,12 @@ func (r *Round) Each(fn func(*Record) bool) {
 	}
 }
 
-// finalize merges any write shards into the record index and sorts
-// it. The merge is order-insensitive (records are keyed by IP and each
-// IP is written by exactly one scan), so the sorted index — and the
-// Save encoding derived from it — does not depend on the shard count.
+// finalize sorts the record index. Records are keyed by IP and each IP
+// is written by exactly one scan, so the sorted index — and the Save
+// encoding derived from it — does not depend on the order the lanes
+// wrote in. The caller holds the store's write lock, which excludes
+// every writer.
 func (r *Round) finalize() {
-	if r.shards != nil {
-		if r.records == nil {
-			r.records = make(map[ipaddr.Addr]*Record, r.Len())
-		}
-		for i := range r.shards {
-			for ip, rec := range r.shards[i].records {
-				r.records[ip] = rec
-			}
-		}
-		r.shards = nil
-	}
 	r.sorted = make([]*Record, 0, len(r.records))
 	for _, rec := range r.records {
 		r.sorted = append(r.sorted, rec)
@@ -239,10 +204,6 @@ type Store struct {
 	// features first and drop bodies to keep memory proportional to
 	// features, unless a caller opts in.
 	KeepBodies bool
-	// shardCount is how many write shards each new round gets
-	// (SetShards); 0 and 1 both mean the single-map write path.
-	shardCount int
-
 	// Instrumentation handles (SetMetrics); nil (no-op) by default.
 	mRecords  *metrics.Counter // records inserted
 	mRounds   *metrics.Counter // rounds finalized
@@ -302,21 +263,6 @@ func (s *Store) Close() error {
 	return s.backend.Close()
 }
 
-// SetShards sets how many write shards future rounds stripe their
-// records over. Concurrent Puts contend only within a shard, so a
-// region-sharded pipeline scales its store writes with its lanes; the
-// shard count never affects the finalized round or its digest (the
-// shards are merged and IP-sorted at EndRound). Values below 1 mean 1.
-// Call between rounds; the open round keeps its layout.
-func (s *Store) SetShards(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	s.shardCount = n
-}
-
 // BeginRound opens a new round at the given campaign day. Only one
 // round may be open at a time. The returned handle stays readable
 // after EndRound (it keeps the finalized index) — the round loop reads
@@ -336,25 +282,18 @@ func (s *Store) BeginRound(day int) (*Round, error) {
 			return nil, fmt.Errorf("store: day %d not after previous round day %d", day, last.Day)
 		}
 	}
-	n := s.shardCount
-	if n < 1 {
-		n = 1
-	}
 	r := &Round{
-		Index:  s.backend.NumRounds(),
-		Day:    day,
-		shards: make([]recordShard, n),
-	}
-	for i := range r.shards {
-		r.shards[i].records = make(map[ipaddr.Addr]*Record)
+		Index:   s.backend.NumRounds(),
+		Day:     day,
+		records: make(map[ipaddr.Addr]*Record),
 	}
 	s.open = r
 	return r, nil
 }
 
-// Put inserts a record into the open round. Safe for concurrent use by
-// scanner/fetcher workers: the store mutex is taken in read mode (it
-// excludes only Begin/End/AbortRound) and writes contend per shard.
+// Put inserts a record into the open round. Safe for concurrent use:
+// the store mutex is taken in read mode (it excludes only
+// Begin/End/AbortRound) and writers serialize on the round's own.
 func (s *Store) Put(rec *Record) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -364,17 +303,17 @@ func (s *Store) Put(rec *Record) error {
 	}
 	rec.Round = r.Index
 	rec.Day = r.Day
-	sh := r.shardFor(rec.IP)
-	sh.mu.Lock()
-	sh.records[rec.IP] = rec
-	sh.mu.Unlock()
+	r.mu.Lock()
+	r.records[rec.IP] = rec
+	r.mu.Unlock()
 	s.mRecords.Inc()
 	return nil
 }
 
 // PutBatch records a batch of observations in the open round under a
-// single round-lock acquisition. The coordinator folds a whole shard
-// submission through it; per-record semantics are exactly Put's.
+// single round-lock acquisition. Every lane's records — an in-process
+// lane's or a worker's shard submission — arrive through it;
+// per-record semantics are exactly Put's.
 func (s *Store) PutBatch(recs []*Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -385,14 +324,13 @@ func (s *Store) PutBatch(recs []*Record) error {
 	if r == nil {
 		return fmt.Errorf("store: no open round")
 	}
+	r.mu.Lock()
 	for _, rec := range recs {
 		rec.Round = r.Index
 		rec.Day = r.Day
-		sh := r.shardFor(rec.IP)
-		sh.mu.Lock()
-		sh.records[rec.IP] = rec
-		sh.mu.Unlock()
+		r.records[rec.IP] = rec
 	}
+	r.mu.Unlock()
 	s.mRecords.Add(int64(len(recs)))
 	return nil
 }
@@ -420,8 +358,8 @@ func (s *Store) AddProbed(n int64) {
 	}
 }
 
-// EndRound finalizes the open round — merge the write shards, sort by
-// IP, drop raw bodies unless KeepBodies — and appends it to the
+// EndRound finalizes the open round — sort by IP, drop raw bodies
+// unless KeepBodies — and appends it to the
 // backend. On a backend failure the round is discarded (the store
 // never wedges on a half-persisted round) and the error returned.
 func (s *Store) EndRound() error {
@@ -578,7 +516,7 @@ func (s *Store) History(ip ipaddr.Addr) []*Record {
 // and a records frame per round. Independent frames let a reader skip
 // straight to one round's records without decoding the rest (the
 // FileBackend does), while the encoding stays fully deterministic:
-// identical data produces identical bytes, whatever backend or shard
+// identical data produces identical bytes, whatever backend or lane
 // count collected it.
 const saveMagic = "WHOWAS2\n"
 

@@ -384,31 +384,33 @@ func TestDigest(t *testing.T) {
 }
 
 // buildSharded runs an identical two-round campaign through a store
-// with the given shard count and returns its digest.
-func buildSharded(t *testing.T, shards int) string {
+// the way the round pipeline does — the given number of lanes, each
+// handing its share of the records over in one concurrent PutBatch —
+// and returns its digest.
+func buildSharded(t *testing.T, lanes int) string {
 	t.Helper()
 	s := New("shard-test")
-	s.SetShards(shards)
 	for round, day := range []int{0, 3} {
 		if _, err := s.BeginRound(day); err != nil {
 			t.Fatal(err)
 		}
+		batches := make([][]*Record, lanes)
+		for i := 0; i < 1600; i++ {
+			ip := fmt.Sprintf("10.%d.%d.%d", round, i/200, i%200)
+			batches[i%lanes] = append(batches[i%lanes], mkRecord(ip, round))
+		}
 		var wg sync.WaitGroup
-		for w := 0; w < 8; w++ {
+		for _, batch := range batches {
 			wg.Add(1)
-			go func(w int) {
+			go func(batch []*Record) {
 				defer wg.Done()
-				for i := 0; i < 200; i++ {
-					ip := fmt.Sprintf("10.%d.%d.%d", round, w, i)
-					if err := s.Put(mkRecord(ip, round)); err != nil {
-						t.Error(err)
-						return
-					}
+				if err := s.PutBatch(batch); err != nil {
+					t.Error(err)
 				}
-			}(w)
+			}(batch)
 		}
 		wg.Wait()
-		if got, want := s.open.Len(), 8*200; got != want {
+		if got, want := s.open.Len(), 1600; got != want {
 			t.Fatalf("open round holds %d records, want %d", got, want)
 		}
 		if err := s.EndRound(); err != nil {
@@ -422,26 +424,23 @@ func buildSharded(t *testing.T, shards int) string {
 	return d
 }
 
-// TestShardedDigestIdentical is the sharded write path's core
-// contract: the same records produce byte-identical digests whatever
-// the shard count, because finalize merges and IP-sorts the shards.
+// TestShardedDigestIdentical is the write path's core contract: the
+// same records produce byte-identical digests however many pipeline
+// shards handed them over and in whatever order, because finalize
+// IP-sorts the round.
 func TestShardedDigestIdentical(t *testing.T) {
 	base := buildSharded(t, 1)
-	for _, shards := range []int{2, 3, 8, 64} {
-		if d := buildSharded(t, shards); d != base {
-			t.Errorf("%d shards digest %s, 1 shard %s", shards, d, base)
+	for _, lanes := range []int{2, 3, 8, 64} {
+		if d := buildSharded(t, lanes); d != base {
+			t.Errorf("%d lanes digest %s, 1 lane %s", lanes, d, base)
 		}
-	}
-	// Unset (0) behaves like 1.
-	if d := buildSharded(t, 0); d != base {
-		t.Errorf("0 shards digest diverges from 1 shard")
 	}
 }
 
-// TestShardedRoundAccessors: Get/Len work on an open sharded round.
-func TestShardedRoundAccessors(t *testing.T) {
+// TestOpenRoundAccessors: Get/Len work on an open round's handle, and
+// keep working on it once the round is finalized.
+func TestOpenRoundAccessors(t *testing.T) {
 	s := New("ec2")
-	s.SetShards(4)
 	r, err := s.BeginRound(0)
 	if err != nil {
 		t.Fatal(err)
@@ -451,7 +450,7 @@ func TestShardedRoundAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.Len() != 1 || r.Get(rec.IP) != rec {
-		t.Errorf("open sharded round: len=%d get=%v", r.Len(), r.Get(rec.IP))
+		t.Errorf("open round: len=%d get=%v", r.Len(), r.Get(rec.IP))
 	}
 	if r.Get(ipaddr.MustParseAddr("9.9.9.9")) != nil {
 		t.Error("missing IP returned a record")

@@ -1,46 +1,32 @@
 #!/bin/sh
-# bench_gate.sh — hold fresh benchmark runs to the committed baselines:
-# the sharded-pipeline smoke benchmark (BENCH_pipeline.json) and the
-# store-engine benchmark (BENCH_store.json).
+# bench_gate.sh — hold a fresh store-engine benchmark run to the
+# committed baseline (BENCH_store.json).
 #
-# Each gate is two-layered:
-#   - exact: the fresh run's store digest(s) and record count must
-#     equal the committed baseline's — and for the store gate the
-#     on-disk byte counts too, since both encodings are deterministic
-#     (any drift means the code changed what it produces, not how
-#     fast);
-#   - tolerant: throughput/latency must be within BENCH_TOLERANCE
+# The gate is two-layered:
+#   - exact: the fresh run's store digests, record count and on-disk
+#     byte counts must equal the committed baseline's — both encodings
+#     are deterministic, so any drift means the code changed what it
+#     produces, not how fast;
+#   - tolerant: write-path latency must be within BENCH_TOLERANCE
 #     (default 0.35, i.e. 35%) of the baseline's — wide because runner
 #     hardware varies far more than code does.
 #
-# Regenerate the baselines intentionally with:
-#   make pipeline-bench
+# Regenerate the baseline intentionally with:
 #   make store-bench
 #
 # Environment:
-#   BENCH_SCALE      scale divisor matching the pipeline baseline (default 512)
-#   BENCH_TOLERANCE  fractional throughput regression allowed
+#   BENCH_TOLERANCE  fractional write-path regression allowed
 set -eu
 
 cd "$(dirname "$0")/.."
 
-BASELINE=${BASELINE:-BENCH_pipeline.json}
 STORE_BASELINE=${STORE_BASELINE:-BENCH_store.json}
-SCALE=${BENCH_SCALE:-512}
 TOL=${BENCH_TOLERANCE:-0.35}
 
-[ -f "$BASELINE" ] || { echo "bench_gate: baseline $BASELINE missing (run make pipeline-bench and commit it)" >&2; exit 1; }
 [ -f "$STORE_BASELINE" ] || { echo "bench_gate: baseline $STORE_BASELINE missing (run make store-bench and commit it)" >&2; exit 1; }
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
-
-echo "bench_gate: fresh pipeline run (scale $SCALE) vs $BASELINE (tolerance $TOL)"
-go run ./cmd/whowas-bench \
-    -pipeline-bench "$WORK/fresh.json" \
-    -pipeline-baseline "$BASELINE" \
-    -pipeline-tolerance "$TOL" \
-    -ec2-scale "$SCALE"
 
 echo "bench_gate: fresh store run vs $STORE_BASELINE (tolerance $TOL)"
 go run ./cmd/whowas-bench \
