@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz chaos trace bench store-bench bench-gate metrics-report cloudd coord store
+.PHONY: all build vet lint test race fuzz chaos trace bench metrics-report cloudd coord store
 
 all: build vet lint test
 
@@ -32,7 +32,7 @@ test:
 race:
 	$(GO) test -race -count=2 -timeout 20m \
 		./internal/coord/ ./internal/pipeline/ ./internal/fleetobs/ \
-		./internal/cloudapi/ ./internal/ops/
+		./internal/cloudapi/ ./internal/ops/ ./internal/httpd/
 	$(GO) test -race -timeout 40m ./...
 
 # Short native-fuzzing smoke over the parser surfaces (what the CI
@@ -66,23 +66,15 @@ trace:
 		-ops-addr 127.0.0.1:8377 -trace-journal trace-journal.jsonl
 	$(GO) run ./cmd/whowas-query trace -journal trace-journal.jsonl -slowest 3
 
-# Regenerate every paper table/figure benchmark.
+# The repository's one benchmark (bench/, declared in BENCHMARK.json):
+# four workloads, six end-to-end metrics each. It exits non-zero when
+# any built-in check fails (fleet digest = in-process reference,
+# colstore digest = memory digest, every History answer). The CI bench
+# job runs it through scripts/bench_gate.sh, which also holds the
+# counts (failed operations, bytes and allocations per record) to
+# bench/baseline.json.
 bench:
-	$(GO) test -bench . -benchmem ./...
-
-# Regenerate the committed store-engine benchmark baseline
-# (BENCH_store.json): per-op latency and on-disk bytes for the
-# in-memory and columnar backends on one synthetic campaign. Commit
-# the result; bench-gate compares against it.
-store-bench:
-	$(GO) run ./cmd/whowas-bench -store-bench BENCH_store.json
-	@echo "wrote BENCH_store.json"
-
-# Hold a fresh store benchmark run to the committed baseline (what the
-# CI store-bench job runs): digests, record counts, and on-disk bytes
-# exact; write-path latency within BENCH_TOLERANCE.
-bench-gate:
-	sh scripts/bench_gate.sh
+	bash bench/run.sh --seed 1
 
 # Cloud-boundary acceptance gate (what the CI cloudd job runs): start
 # whowas-cloudd, run the same seeded campaign over the wire and

@@ -50,62 +50,11 @@ func main() {
 		opsAddr      = flag.String("ops-addr", "", "serve the live ops endpoint (/healthz, /metrics, /trace/*, pprof) on this address")
 		journalPath  = flag.String("trace-journal", "", "append completed spans as JSONL to this path (crash-safe; read with whowas-query trace)")
 		shards       = flag.Int("pipeline-shards", 0, "round pipeline region lanes (0 = one per region, 1 = unsharded)")
-		storeBench   = flag.String("store-bench", "", "instead of the suite, benchmark the store backends (in-memory vs columnar) on a synthetic campaign and write the JSON result to this path")
-		storeBase    = flag.String("store-baseline", "", "with -store-bench: compare against this committed baseline JSON and exit non-zero on digest/footprint drift or write-path regression")
-		storeTol     = flag.Float64("store-tolerance", 0, "with -store-baseline: allowed fractional write-path regression (0 = default 0.35)")
-		storeRounds  = flag.Int("store-rounds", 0, "with -store-bench: rounds in the synthetic campaign (0 = default 10)")
-		storePer     = flag.Int("store-per-round", 0, "with -store-bench: IP pool size per round (0 = default 5000)")
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	if *storeBench != "" {
-		res, err := experiments.StoreBench(*storeRounds, *storePer)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "whowas-bench: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "whowas-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := atomicfile.WriteFile(*storeBench, append(data, '\n')); err != nil {
-			fmt.Fprintf(os.Stderr, "whowas-bench: %v\n", err)
-			os.Exit(1)
-		}
-		for _, b := range res.Backends {
-			fmt.Fprintf(os.Stderr, "[bench] store %-8s put %6d  batch %6d  end %6d  history %6d  digest %6d ns/op, %d bytes on disk\n",
-				b.Name+":", b.PutNsOp, b.PutBatchNsOp, b.EndRoundNsOp, b.HistoryNsOp, b.DigestNsOp, b.BytesOnDisk)
-		}
-		fmt.Fprintf(os.Stderr, "[bench] store: %d rounds, %d records, digests match: %v\n",
-			res.Rounds, res.Records, res.DigestsMatch)
-		fmt.Fprintf(os.Stderr, "[bench] wrote %s\n", *storeBench)
-		if !res.DigestsMatch {
-			fmt.Fprintln(os.Stderr, "whowas-bench: in-memory and columnar store digests diverged")
-			os.Exit(1)
-		}
-		if *storeBase != "" {
-			raw, err := os.ReadFile(*storeBase)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "whowas-bench: %v\n", err)
-				os.Exit(1)
-			}
-			var base experiments.StoreBenchResult
-			if err := json.Unmarshal(raw, &base); err != nil {
-				fmt.Fprintf(os.Stderr, "whowas-bench: parsing %s: %v\n", *storeBase, err)
-				os.Exit(1)
-			}
-			if err := experiments.CompareStoreBench(res, &base, *storeTol); err != nil {
-				fmt.Fprintf(os.Stderr, "whowas-bench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "[bench] baseline gate passed against %s\n", *storeBase)
-		}
-		return
-	}
 
 	opts := experiments.Options{
 		EC2Scale:       *ec2Scale,

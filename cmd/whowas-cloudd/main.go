@@ -6,9 +6,9 @@
 //   - a data-plane listener fleet tunneling scanner and fetcher dials
 //     onto the simulated network (the WHOWAS1 preamble protocol);
 //   - a JSON-over-HTTP control plane: /healthz, /cloud/info,
-//     /cloud/day, /truth/snapshot, /dns/public and /faults, plus the
-//     standard observability surface (/metrics, /metrics/prom,
-//     /debug/pprof/*) with dial, preamble and session counters.
+//     /cloud/day, /truth/snapshot and /dns/public, plus the standard
+//     observability surface (/metrics, /metrics/prom, /debug/pprof/*)
+//     with dial, preamble and session counters.
 //
 // Usage:
 //
@@ -53,16 +53,10 @@ func run(cloudName string, scale int, seed int64, addr string, dataN, dataBase i
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	var cfg cloudapi.SimConfig
-	switch cloudName {
-	case "ec2":
-		cfg = cloudapi.DefaultEC2Config(scale, seed)
-	case "azure":
-		cfg = cloudapi.DefaultAzureConfig(scale, seed)
-	default:
-		return fmt.Errorf("unknown cloud %q (want ec2 or azure)", cloudName)
+	cfg, err := cloudapi.ProfileConfig(cloudName, scale, seed)
+	if err != nil {
+		return err
 	}
-
 	cloud, err := cloudapi.NewInProcess(cfg)
 	if err != nil {
 		return err

@@ -185,38 +185,18 @@ func run(o options) error {
 	fmt.Printf("store digest: %s\n", digest)
 
 	if o.out != "" {
-		f, err := atomicfile.Create(o.out)
-		if err != nil {
-			return err
-		}
-		if err := st.Save(f); err != nil {
-			f.Abort()
-			return err
-		}
-		if err := f.Commit(); err != nil {
+		if err := atomicfile.WriteWith(o.out, st.Save); err != nil {
 			return err
 		}
 		fmt.Printf("store written to %s\n", o.out)
 	}
 	if o.metricsPath != "" {
-		if err := writeMetrics(o.metricsPath, cfg.Metrics); err != nil {
+		if err := atomicfile.WriteWith(o.metricsPath, cfg.Metrics.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Printf("metrics report written to %s\n", o.metricsPath)
 	}
 	return nil
-}
-
-func writeMetrics(path string, reg *metrics.Registry) error {
-	f, err := atomicfile.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSON(f); err != nil {
-		f.Abort()
-		return err
-	}
-	return f.Commit()
 }
 
 func budgetLabel(rate float64) string {

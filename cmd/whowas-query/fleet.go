@@ -1,11 +1,10 @@
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -13,6 +12,7 @@ import (
 
 	"whowas/internal/coord"
 	"whowas/internal/fleetobs"
+	"whowas/internal/httpd"
 )
 
 // runFleet implements the fleet subcommand: a live dashboard over a
@@ -36,77 +36,41 @@ func runFleet(args []string) error {
 	if addr == "" {
 		return fmt.Errorf("fleet: coordinator address required (positional or -addr)")
 	}
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
+	client, err := httpd.NewClient(addr, 10*time.Second)
+	if err != nil {
+		return err
 	}
-	base = strings.TrimSuffix(base, "/")
-
-	hc := &http.Client{Timeout: 10 * time.Second}
+	defer client.Close()
+	ctx := context.Background()
 	if *promRaw {
-		return dumpBody(hc, base+"/metrics/prom", os.Stdout)
-	}
-	if !*watch {
-		fleet, err := fetchFleet(hc, base)
-		if err != nil {
-			return err
+		if _, err := client.GetRaw(ctx, "/metrics/prom", os.Stdout); err != nil {
+			return fmt.Errorf("fleet: %w", err)
 		}
-		renderFleet(os.Stdout, addr, fleet, *histN)
 		return nil
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	defer signal.Stop(sig)
-	tick := time.NewTicker(*interval)
-	defer tick.Stop()
 	for {
-		fleet, err := fetchFleet(hc, base)
-		if err != nil {
-			return err
+		var fleet coord.Fleet
+		if _, err := client.GetJSON(ctx, "/coord/fleet", &fleet); err != nil {
+			return fmt.Errorf("fleet: %w", err)
 		}
-		// Home the cursor and clear: a terminal dashboard, not a log.
-		fmt.Print("\033[H\033[2J")
-		renderFleet(os.Stdout, addr, fleet, *histN)
-		if fleet.Status.Done {
+		if *watch {
+			// Home the cursor and clear: a terminal dashboard, not a log.
+			fmt.Print("\033[H\033[2J")
+		}
+		renderFleet(os.Stdout, addr, &fleet, *histN)
+		if !*watch || fleet.Status.Done {
 			return nil
 		}
 		select {
 		case <-sig:
 			return nil
-		case <-tick.C:
+		case <-time.After(*interval):
 		}
 	}
-}
-
-func fetchFleet(hc *http.Client, base string) (*coord.Fleet, error) {
-	resp, err := hc.Get(base + "/coord/fleet")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-		return nil, fmt.Errorf("fleet: GET /coord/fleet: %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	var fleet coord.Fleet
-	if err := json.NewDecoder(resp.Body).Decode(&fleet); err != nil {
-		return nil, fmt.Errorf("fleet: decoding /coord/fleet: %w", err)
-	}
-	return &fleet, nil
-}
-
-func dumpBody(hc *http.Client, url string, w io.Writer) error {
-	resp, err := hc.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fleet: GET %s: %d", url, resp.StatusCode)
-	}
-	_, err = io.Copy(w, resp.Body)
-	return err
 }
 
 func renderFleet(w io.Writer, addr string, f *coord.Fleet, histN int) {

@@ -126,18 +126,12 @@ func run(o options) error {
 			return err
 		}
 	} else {
-		var cfg cloudapi.SimConfig
-		switch o.cloudName {
-		case "ec2":
-			cfg = cloudapi.DefaultEC2Config(o.scale, o.seed)
-		case "azure":
-			cfg = cloudapi.DefaultAzureConfig(o.scale, o.seed)
-		default:
-			return fmt.Errorf("unknown cloud %q (want ec2 or azure)", o.cloudName)
+		cfg, err := cloudapi.ProfileConfig(o.cloudName, o.scale, o.seed)
+		if err != nil {
+			return err
 		}
 		fmt.Printf("building %s-like cloud (%d probed IPs, %d-day campaign)...\n",
 			o.cloudName, totalIPs(cfg), cfg.Days)
-		var err error
 		p, err = core.NewPlatform(cfg)
 		if err != nil {
 			return err
@@ -269,15 +263,7 @@ func run(o options) error {
 	}
 
 	if o.out != "" {
-		f, err := atomicfile.Create(o.out)
-		if err != nil {
-			return err
-		}
-		if err := p.Store.Save(f); err != nil {
-			f.Abort()
-			return err
-		}
-		if err := f.Commit(); err != nil {
+		if err := atomicfile.WriteWith(o.out, p.Store.Save); err != nil {
 			return err
 		}
 		fmt.Printf("store written to %s\n", o.out)

@@ -64,22 +64,10 @@ func runWorker(ctx context.Context, o options) error {
 	}
 	fmt.Printf("worker %s: done\n", w.ID())
 	if o.metricsPath != "" {
-		if err := writeWorkerMetrics(o.metricsPath, reg); err != nil {
+		if err := atomicfile.WriteWith(o.metricsPath, reg.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Printf("metrics report written to %s\n", o.metricsPath)
 	}
 	return nil
-}
-
-func writeWorkerMetrics(path string, reg *metrics.Registry) error {
-	f, err := atomicfile.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSON(f); err != nil {
-		f.Abort()
-		return err
-	}
-	return f.Commit()
 }

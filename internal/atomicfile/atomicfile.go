@@ -9,6 +9,7 @@ package atomicfile
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -87,16 +88,28 @@ func (a *File) Abort() {
 	_ = os.Remove(tmpPath(a.path))
 }
 
-// WriteFile writes data to path via the temp-and-rename protocol — the
-// crash-safe os.WriteFile.
-func WriteFile(path string, data []byte) error {
+// WriteWith streams write's output to path via the temp-and-rename
+// protocol: the destination changes only if write and the commit both
+// succeed.
+func WriteWith(path string, write func(io.Writer) error) error {
 	f, err := Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Abort()
-	if _, err := f.Write(data); err != nil {
-		return fmt.Errorf("atomicfile: write %s: %w", filepath.Base(path), err)
+	if err := write(f); err != nil {
+		return err
 	}
 	return f.Commit()
+}
+
+// WriteFile writes data to path via the temp-and-rename protocol — the
+// crash-safe os.WriteFile.
+func WriteFile(path string, data []byte) error {
+	return WriteWith(path, func(w io.Writer) error {
+		if _, err := w.Write(data); err != nil {
+			return fmt.Errorf("atomicfile: write %s: %w", filepath.Base(path), err)
+		}
+		return nil
+	})
 }

@@ -1,6 +1,8 @@
 package atomicfile
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -53,6 +55,25 @@ func TestAbortLeavesDestinationIntact(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Errorf("abort left temp file: %v", err)
+	}
+
+	// WriteWith aborts the same way when its writer fails part-way.
+	failed := errors.New("encoder failed")
+	err = WriteWith(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("partial")); err != nil {
+			return err
+		}
+		return failed
+	})
+	if !errors.Is(err, failed) {
+		t.Errorf("WriteWith = %v, want the writer's error", err)
+	}
+	got, err = os.ReadFile(path)
+	if err != nil || string(got) != "original" {
+		t.Errorf("destination changed by a failed WriteWith: %q, %v", got, err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("failed WriteWith left temp file: %v", err)
 	}
 }
 

@@ -2,15 +2,12 @@ package cloudapi
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"net"
-	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
@@ -19,6 +16,7 @@ import (
 
 	"whowas/internal/cloudsim"
 	"whowas/internal/dnssim"
+	"whowas/internal/httpd"
 	"whowas/internal/ipaddr"
 	"whowas/internal/netsim"
 )
@@ -30,8 +28,7 @@ import (
 // control-plane round trips; only dials, day changes, snapshots, and
 // DNS queries cross the wire.
 type Client struct {
-	base      string // control-plane base URL, e.g. "http://127.0.0.1:8390"
-	hc        *http.Client
+	ctl       *httpd.Client // the daemon's control plane
 	info      Info
 	ranges    *ipaddr.RangeList
 	prefixes  []cloudsim.PrefixInfo
@@ -42,14 +39,11 @@ type Client struct {
 // Dial connects to a daemon's control plane, fetches the cloud's
 // configuration, and rebuilds the address layout locally.
 func Dial(ctx context.Context, addr string) (*Client, error) {
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
+	ctl, err := httpd.NewClient(addr, 0)
+	if err != nil {
+		return nil, fmt.Errorf("cloudapi: %w", err)
 	}
-	if _, err := url.Parse(base); err != nil {
-		return nil, fmt.Errorf("cloudapi: bad address %q: %w", addr, err)
-	}
-	c := &Client{base: strings.TrimSuffix(base, "/"), hc: &http.Client{}}
+	c := &Client{ctl: ctl}
 	if err := c.getJSON(ctx, "/cloud/info", &c.info); err != nil {
 		return nil, fmt.Errorf("cloudapi: fetching cloud info: %w", err)
 	}
@@ -61,9 +55,7 @@ func Dial(ctx context.Context, addr string) (*Client, error) {
 		return nil, err
 	}
 	c.prefixes, c.ranges = infos, rl
-	var doc struct {
-		Day int `json:"day"`
-	}
+	var doc dayDoc
 	if err := c.getJSON(ctx, "/cloud/day", &doc); err != nil {
 		return nil, fmt.Errorf("cloudapi: fetching current day: %w", err)
 	}
@@ -188,12 +180,9 @@ func (c *Client) Day() int { return int(c.day.Load()) }
 
 // SetDay advances the daemon's simulated day and the local cache.
 func (c *Client) SetDay(ctx context.Context, day int) error {
-	var doc struct {
-		Day int `json:"day"`
-	}
-	doc.Day = day
-	if err := c.postJSON(ctx, "/cloud/day", doc, &doc); err != nil {
-		return err
+	doc := dayDoc{Day: day}
+	if _, err := c.ctl.PostJSON(ctx, "/cloud/day", doc, &doc); err != nil {
+		return fmt.Errorf("cloudapi: %w", err)
 	}
 	c.day.Store(int64(doc.Day))
 	return nil
@@ -225,7 +214,7 @@ func (c *Client) Health(ctx context.Context) error {
 
 // Close releases pooled control-plane connections. Idempotent.
 func (c *Client) Close() error {
-	c.hc.CloseIdleConnections()
+	c.ctl.Close()
 	return nil
 }
 
@@ -243,45 +232,11 @@ func (r *wireResolver) LookupPublicName(ctx context.Context, name string) (dnssi
 	return resp, err
 }
 
-// getJSON fetches path into out, surfacing non-200 bodies as errors.
+// getJSON fetches a control-plane document; a non-200 answer
+// surfaces as "cloudapi: GET <path>: <status>: <the daemon's reason>".
 func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
+	if _, err := c.ctl.GetJSON(ctx, path, out); err != nil {
 		return fmt.Errorf("cloudapi: %w", err)
-	}
-	return c.doJSON(req, out)
-}
-
-// postJSON posts a JSON body to path and decodes the reply into out.
-func (c *Client) postJSON(ctx context.Context, path string, body, out any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("cloudapi: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(buf))
-	if err != nil {
-		return fmt.Errorf("cloudapi: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return c.doJSON(req, out)
-}
-
-func (c *Client) doJSON(req *http.Request, out any) error {
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("cloudapi: control plane: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("cloudapi: %s %s: %s: %s",
-			req.Method, req.URL.Path, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("cloudapi: decoding %s: %w", req.URL.Path, err)
 	}
 	return nil
 }

@@ -23,6 +23,7 @@ package cloudapi
 
 import (
 	"context"
+	"fmt"
 	"net"
 
 	"whowas/internal/blacklist"
@@ -125,6 +126,18 @@ func DefaultEC2Config(scaleDiv int, seed int64) SimConfig {
 // down by scaleDiv.
 func DefaultAzureConfig(scaleDiv int, seed int64) SimConfig {
 	return cloudsim.DefaultAzureConfig(scaleDiv, seed)
+}
+
+// ProfileConfig returns the stock simulation for a named cloud
+// profile — "ec2" or "azure", the CLIs' -cloud values.
+func ProfileConfig(name string, scaleDiv int, seed int64) (SimConfig, error) {
+	switch name {
+	case "ec2":
+		return DefaultEC2Config(scaleDiv, seed), nil
+	case "azure":
+		return DefaultAzureConfig(scaleDiv, seed), nil
+	}
+	return SimConfig{}, fmt.Errorf("unknown cloud %q (want ec2 or azure)", name)
 }
 
 // Unwrapper is implemented by decorating clouds (WithFaults) so

@@ -84,6 +84,7 @@ func conformanceClouds(t *testing.T) (truth *InProcess, impls map[string]Cloud) 
 }
 
 func TestCloudConformance(t *testing.T) {
+	t.Run("wire-silent-data-plane", testSilentDataPlane)
 	truth, impls := conformanceClouds(t)
 	wantInfo := truth.Info()
 	ctx := context.Background()
@@ -181,6 +182,35 @@ func TestCloudConformance(t *testing.T) {
 				t.Errorf("second Close: %v", err)
 			}
 		})
+	}
+}
+
+// testSilentDataPlane is the wire's real-socket timeout case (the one
+// behaviour only a kernel-TCP dialer has): a data-plane peer that
+// accepts and never answers holds the dial until the caller's real
+// deadline, and the failure is the timeout-class net.Error the scanner
+// classifies as an unresponsive IP.
+func testSilentDataPlane(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	c := &Client{info: Info{DataAddrs: []string{ln.Addr().String()}}}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	conn, err := c.DialContext(ctx, "tcp", "54.9.9.9:80")
+	if err == nil {
+		_ = conn.Close()
+		t.Fatal("dial through a silent data plane succeeded")
+	}
+	var nerr net.Error
+	if !errors.As(err, &nerr) || !nerr.Timeout() {
+		t.Errorf("silent data plane error = %v, want timeout net.Error", err)
+	}
+	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
+		t.Errorf("dial returned after %v, want to block until the deadline", elapsed)
 	}
 }
 

@@ -11,15 +11,17 @@ import (
 	"testing"
 	"time"
 
+	"whowas/internal/httpd"
 	"whowas/internal/metrics"
 	"whowas/internal/netsim"
 )
 
-// TestDaemonOpsSurface proves the daemon carries the platform's
-// standard observability surface on its control plane: /metrics and
-// /metrics/prom backed by the cloudd.* instruments, pprof mounted, and
-// the data-plane counters (dials, session dials, preamble errors)
-// moving as traffic flows.
+// TestDaemonOpsSurface proves the daemon's wiring into the shared
+// control-plane stack (internal/httpd tests the stack itself): the
+// cloudd.* instruments back /metrics and /metrics/prom and move as
+// traffic flows, /healthz carries the simulated day, the daemon's own
+// routes sit behind the method gate, and a refusal's reason reaches
+// the wire client's error.
 func TestDaemonOpsSurface(t *testing.T) {
 	backing, err := NewInProcess(conformanceConfig())
 	if err != nil {
@@ -70,12 +72,9 @@ func TestDaemonOpsSurface(t *testing.T) {
 	}
 
 	resp, body := get("/metrics")
-	if resp.StatusCode != 200 || resp.Header.Get("Content-Type") != "application/json" {
-		t.Fatalf("/metrics: %d %s", resp.StatusCode, resp.Header.Get("Content-Type"))
-	}
 	var snap metrics.Snapshot
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("/metrics not a snapshot: %v", err)
+		t.Fatalf("/metrics (%d) not a snapshot: %v", resp.StatusCode, err)
 	}
 	if snap.Counters["cloudd.dials"] < 2 {
 		t.Errorf("cloudd.dials = %d, want >= 2", snap.Counters["cloudd.dials"])
@@ -86,17 +85,43 @@ func TestDaemonOpsSurface(t *testing.T) {
 	if snap.Counters["cloudd.control_requests"] < 1 {
 		t.Errorf("cloudd.control_requests = %d, want >= 1", snap.Counters["cloudd.control_requests"])
 	}
-
-	resp, body = get("/metrics/prom")
-	if resp.StatusCode != 200 || resp.Header.Get("Content-Type") != "text/plain; version=0.0.4" {
-		t.Fatalf("/metrics/prom: %d %s", resp.StatusCode, resp.Header.Get("Content-Type"))
-	}
-	if !strings.Contains(body, "whowas_cloudd_dials_total") {
+	if _, body = get("/metrics/prom"); !strings.Contains(body, "whowas_cloudd_dials_total") {
 		t.Errorf("prom exposition missing cloudd dials: %q", body)
 	}
 
-	if resp, _ = get("/debug/pprof/cmdline"); resp.StatusCode != 200 {
-		t.Errorf("/debug/pprof/cmdline: %d", resp.StatusCode)
+	if err := client.SetDay(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, body = get("/healthz"); !strings.Contains(body, `"day": 2`) {
+		t.Errorf("/healthz does not report the simulated day: %q", body)
+	}
+
+	// Read-only routes answer the stack's JSON 405; /cloud/day admits
+	// POST beside GET.
+	for path, allow := range map[string]string{
+		"/cloud/info":     "GET, HEAD",
+		"/truth/snapshot": "GET, HEAD",
+		"/dns/public":     "GET, HEAD",
+		"/cloud/day":      "GET, POST, HEAD",
+	} {
+		rr := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rr, httptest.NewRequest("DELETE", path, nil))
+		var doc httpd.ErrorDoc
+		if err := json.Unmarshal(rr.Body.Bytes(), &doc); rr.Code != http.StatusMethodNotAllowed ||
+			rr.Header().Get("Allow") != allow || err != nil || doc.Error == "" {
+			t.Errorf("DELETE %s = %d, Allow %q, body %q; want a JSON 405 allowing %s",
+				path, rr.Code, rr.Header().Get("Allow"), rr.Body, allow)
+		}
+	}
+
+	// A refused request's reason crosses the wire into the client error.
+	wantErr := backing.SetDay(context.Background(), -1)
+	if wantErr == nil {
+		t.Fatal("in-process SetDay(-1) accepted")
+	}
+	want := "cloudapi: POST /cloud/day: 400 Bad Request: " + wantErr.Error()
+	if err := client.SetDay(context.Background(), -1); err == nil || err.Error() != want {
+		t.Errorf("wire SetDay(-1) error %q, want %q", err, want)
 	}
 
 	// A garbage preamble counts as a preamble error.
@@ -110,13 +135,5 @@ func TestDaemonOpsSurface(t *testing.T) {
 	conn.Close()
 	if got := reg.Counter("cloudd.preamble_errors").Load(); got < 1 {
 		t.Errorf("cloudd.preamble_errors = %d, want >= 1", got)
-	}
-
-	// A metrics-less daemon serves the surface degraded, not broken.
-	bare := NewServer(backing, ServerConfig{DataListeners: 1})
-	rr := httptest.NewRecorder()
-	bare.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-	if rr.Code != 200 {
-		t.Errorf("bare /metrics: %d", rr.Code)
 	}
 }

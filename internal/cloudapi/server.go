@@ -3,19 +3,17 @@ package cloudapi
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"whowas/internal/faults"
+	"whowas/internal/httpd"
 	"whowas/internal/metrics"
 	"whowas/internal/netsim"
 )
@@ -25,40 +23,29 @@ type ServerConfig struct {
 	// DataListeners is the size of the data-plane listener fleet
 	// (default 2). Clients spread dials across the fleet.
 	DataListeners int
-	// DataHost is the data-plane bind host (default 127.0.0.1).
-	DataHost string
 	// DataBasePort, when positive, binds data listeners on
 	// deterministic consecutive ports; zero uses ephemeral ports.
 	DataBasePort int
 	// Metrics, when non-nil, instruments the daemon (cloudd.* counters
-	// and the active-tunnel gauge) and backs the /metrics and
-	// /metrics/prom endpoints. The package cannot ride internal/ops
-	// (ops imports core imports cloudapi), so the daemon mounts the
-	// standard observability surface — metrics JSON, Prometheus text,
-	// pprof — on its own control mux instead.
+	// and the active-tunnel gauge) and backs the control plane's
+	// /metrics and /metrics/prom.
 	Metrics *metrics.Registry
 }
 
 // Server is the daemon side of the wire cloud: it owns an InProcess
 // cloud and serves its data plane over a TCP listener fleet and its
-// control plane as JSON over HTTP (the internal/ops mux style).
+// control plane as JSON over HTTP (internal/httpd's shared surface
+// plus the /cloud, /truth and /dns routes).
 type Server struct {
 	cloud *InProcess
 	cfg   ServerConfig
 	fleet *netsim.Fleet
-	mux   *http.ServeMux
-	srv   *http.Server
-	start time.Time
-
-	mu       sync.Mutex
-	dialer   Dialer // the cloud, or a fault injector around it
-	scenario *faults.Scenario
+	ctrl  *httpd.Server
 
 	mDials        *metrics.Counter
 	mDialErrs     *metrics.Counter
 	mPreambleErrs *metrics.Counter
 	mSessionDials *metrics.Counter
-	mCtrlRequests *metrics.Counter
 	gTunnels      *metrics.Gauge
 }
 
@@ -71,45 +58,28 @@ func NewServer(cloud *InProcess, cfg ServerConfig) *Server {
 	s := &Server{
 		cloud: cloud,
 		cfg:   cfg,
-		fleet: netsim.NewFleet(netsim.FleetConfig{
-			Max:      cfg.DataListeners,
-			Host:     cfg.DataHost,
-			BasePort: cfg.DataBasePort,
+		fleet: netsim.NewFleet(netsim.FleetConfig{Max: cfg.DataListeners, BasePort: cfg.DataBasePort}),
+		ctrl: httpd.New(httpd.Config{
+			Metrics:  cfg.Metrics,
+			Health:   func(doc map[string]any) { doc["day"] = cloud.Day() },
+			Requests: cfg.Metrics.Counter("cloudd.control_requests"),
 		}),
-		mux:    http.NewServeMux(),
-		start:  time.Now(),
-		dialer: cloud,
+		mDials:        cfg.Metrics.Counter("cloudd.dials"),
+		mDialErrs:     cfg.Metrics.Counter("cloudd.dial_errors"),
+		mPreambleErrs: cfg.Metrics.Counter("cloudd.preamble_errors"),
+		mSessionDials: cfg.Metrics.Counter("cloudd.session_dials"),
+		gTunnels:      cfg.Metrics.Gauge("cloudd.active_tunnels"),
 	}
-	s.mDials = cfg.Metrics.Counter("cloudd.dials")
-	s.mDialErrs = cfg.Metrics.Counter("cloudd.dial_errors")
-	s.mPreambleErrs = cfg.Metrics.Counter("cloudd.preamble_errors")
-	s.mSessionDials = cfg.Metrics.Counter("cloudd.session_dials")
-	s.mCtrlRequests = cfg.Metrics.Counter("cloudd.control_requests")
-	s.gTunnels = cfg.Metrics.Gauge("cloudd.active_tunnels")
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/cloud/info", s.handleInfo)
-	s.mux.HandleFunc("/cloud/day", s.handleDay)
-	s.mux.HandleFunc("/truth/snapshot", s.handleSnapshot)
-	s.mux.HandleFunc("/dns/public", s.handleDNS)
-	s.mux.HandleFunc("/faults", s.handleFaults)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/metrics/prom", s.handleMetricsProm)
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	s.ctrl.Handle("/cloud/info", s.handleInfo, http.MethodGet)
+	s.ctrl.Handle("/cloud/day", s.handleDay, http.MethodGet, http.MethodPost)
+	s.ctrl.Handle("/truth/snapshot", s.handleSnapshot, http.MethodGet)
+	s.ctrl.Handle("/dns/public", s.handleDNS, http.MethodGet)
 	return s
 }
 
 // Handler returns the control-plane routing handler (tests mount it
-// on httptest servers), with the control-request counter applied.
-func (s *Server) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.mCtrlRequests.Inc()
-		s.mux.ServeHTTP(w, r)
-	})
-}
+// on httptest servers).
+func (s *Server) Handler() http.Handler { return s.ctrl.Handler() }
 
 // Start binds the data-plane fleet and the control listener, serving
 // both in background goroutines, and returns the bound control
@@ -121,14 +91,12 @@ func (s *Server) Start(ctrlAddr string) (string, error) {
 			return "", err
 		}
 	}
-	ln, err := net.Listen("tcp", ctrlAddr)
+	bound, err := s.ctrl.Start(ctrlAddr)
 	if err != nil {
 		_ = s.fleet.Close()
-		return "", fmt.Errorf("cloudapi: control listen %s: %w", ctrlAddr, err)
+		return "", fmt.Errorf("cloudapi: control plane: %w", err)
 	}
-	s.srv = &http.Server{Handler: s.Handler()}
-	go func() { _ = s.srv.Serve(ln) }()
-	return ln.Addr().String(), nil
+	return bound, nil
 }
 
 // DataAddrs returns the data-plane listener addresses.
@@ -137,21 +105,11 @@ func (s *Server) DataAddrs() []string { return s.fleet.Addrs() }
 // Shutdown stops the control server and drains the data-plane fleet
 // (closing live tunnels). Safe to call repeatedly.
 func (s *Server) Shutdown(ctx context.Context) error {
-	var err error
-	if s.srv != nil {
-		err = s.srv.Shutdown(ctx)
-	}
+	err := s.ctrl.Shutdown(ctx)
 	if cerr := s.fleet.Close(); err == nil {
 		err = cerr
 	}
 	return err
-}
-
-// currentDialer is the data plane with any active scenario applied.
-func (s *Server) currentDialer() Dialer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dialer
 }
 
 // serveData handles one tunneled dial: preamble in, status out, then
@@ -181,7 +139,7 @@ func (s *Server) serveData(c net.Conn) {
 	if hasBudget {
 		ctx, cancel = context.WithTimeout(ctx, budget)
 	}
-	inner, err := s.currentDialer().DialContext(ctx, "tcp", address)
+	inner, err := s.cloud.DialContext(ctx, "tcp", address)
 	cancel()
 	if err != nil {
 		s.mDialErrs.Inc()
@@ -239,34 +197,10 @@ func sanitize(msg string) string {
 
 // --- control plane ---
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.cfg.Metrics.Snapshot())
-}
-
-func (s *Server) handleMetricsProm(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = s.cfg.Metrics.Snapshot().WriteProm(w, "whowas")
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, map[string]any{
-		"status":    "ok",
-		"day":       s.cloud.Day(),
-		"uptime_ns": time.Since(s.start).Nanoseconds(),
-	})
-}
-
 func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	info := s.cloud.Info()
 	info.DataAddrs = s.DataAddrs()
-	writeJSON(w, info)
+	httpd.WriteJSON(w, info)
 }
 
 // dayDoc is the /cloud/day document, shared by GET and POST.
@@ -275,107 +209,61 @@ type dayDoc struct {
 }
 
 func (s *Server) handleDay(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		writeJSON(w, dayDoc{Day: s.cloud.Day()})
-	case http.MethodPost:
+	if r.Method == http.MethodPost {
 		var doc dayDoc
-		if err := json.NewDecoder(r.Body).Decode(&doc); err != nil {
-			http.Error(w, "cloudapi: bad day document: "+err.Error(), http.StatusBadRequest)
+		if !httpd.DecodeBody(w, r, &doc) {
 			return
 		}
 		if err := s.cloud.SetDay(r.Context(), doc.Day); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			httpd.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		writeJSON(w, dayDoc{Day: s.cloud.Day()})
-	default:
-		http.Error(w, "cloudapi: GET or POST", http.StatusMethodNotAllowed)
 	}
+	httpd.WriteJSON(w, dayDoc{Day: s.cloud.Day()})
+}
+
+// queryDay reads the optional ?day= parameter (default: the current
+// day), answering a 400 when it is not an integer.
+func (s *Server) queryDay(w http.ResponseWriter, r *http.Request) (int, bool) {
+	q := r.URL.Query().Get("day")
+	if q == "" {
+		return s.cloud.Day(), true
+	}
+	day, err := strconv.Atoi(q)
+	if err != nil {
+		httpd.WriteError(w, http.StatusBadRequest, "cloudapi: day must be an integer")
+		return 0, false
+	}
+	return day, true
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	day := s.cloud.Day()
-	if q := r.URL.Query().Get("day"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil {
-			http.Error(w, "cloudapi: day must be an integer", http.StatusBadRequest)
-			return
-		}
-		day = v
+	day, ok := s.queryDay(w, r)
+	if !ok {
+		return
 	}
 	snap, err := s.cloud.Snapshot(r.Context(), day)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		httpd.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, snap)
+	httpd.WriteJSON(w, snap)
 }
 
 func (s *Server) handleDNS(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {
-		http.Error(w, "cloudapi: name parameter required", http.StatusBadRequest)
+		httpd.WriteError(w, http.StatusBadRequest, "cloudapi: name parameter required")
 		return
 	}
-	day := s.cloud.Day()
-	if q := r.URL.Query().Get("day"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil {
-			http.Error(w, "cloudapi: day must be an integer", http.StatusBadRequest)
-			return
-		}
-		day = v
+	day, ok := s.queryDay(w, r)
+	if !ok {
+		return
 	}
 	resp, err := s.cloud.Resolver(day).LookupPublicName(r.Context(), name)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		httpd.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, resp)
-}
-
-// faultsDoc is the /faults GET document.
-type faultsDoc struct {
-	Active   bool             `json:"active"`
-	Scenario *faults.Scenario `json:"scenario,omitempty"`
-}
-
-// handleFaults manages a server-side scenario: POST a faults.Scenario
-// to wrap the data plane, DELETE to restore the raw cloud. Campaigns
-// normally inject client-side (WithFaults) for transport-identical
-// digests; this endpoint is for operators degrading a shared daemon.
-func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		s.mu.Lock()
-		doc := faultsDoc{Active: s.scenario != nil, Scenario: s.scenario}
-		s.mu.Unlock()
-		writeJSON(w, doc)
-	case http.MethodPost:
-		var sc faults.Scenario
-		if err := json.NewDecoder(r.Body).Decode(&sc); err != nil {
-			http.Error(w, "cloudapi: bad scenario: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		inj, err := faults.Wrap(s.cloud, sc, faults.Options{
-			Day:      s.cloud.Day,
-			RegionOf: s.cloud.RegionOf,
-		})
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		s.mu.Lock()
-		s.dialer, s.scenario = inj, &sc
-		s.mu.Unlock()
-		writeJSON(w, faultsDoc{Active: true, Scenario: &sc})
-	case http.MethodDelete:
-		s.mu.Lock()
-		s.dialer, s.scenario = s.cloud, nil
-		s.mu.Unlock()
-		writeJSON(w, faultsDoc{Active: false})
-	default:
-		http.Error(w, "cloudapi: GET, POST or DELETE", http.StatusMethodNotAllowed)
-	}
+	httpd.WriteJSON(w, resp)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -140,6 +141,12 @@ func baselineDigest(t *testing.T) string {
 // at cleanup) after Run and DrainWorkers complete.
 func runFleet(t *testing.T, clouddAddr string, cfg Config, n int) *Server {
 	t.Helper()
+	return runFleetLogf(t, clouddAddr, cfg, n, t.Logf)
+}
+
+// runFleetLogf is runFleet with the workers' log lines routed to logf.
+func runFleetLogf(t *testing.T, clouddAddr string, cfg Config, n int, logf func(string, ...any)) *Server {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), campaignTimeout())
 	t.Cleanup(cancel)
 	srv, err := NewServer(ctx, cfg)
@@ -164,7 +171,7 @@ func runFleet(t *testing.T, clouddAddr string, cfg Config, n int) *Server {
 			Coordinator: addr,
 			ID:          fmt.Sprintf("w%d", i),
 			Metrics:     metrics.NewRegistry(),
-			Logf:        t.Logf,
+			Logf:        logf,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -224,14 +231,30 @@ func TestCoordinatorDigestIdentity(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("workers=%d_shards=%d_max=%d", tc.workers, tc.shards, tc.maxWorkers), func(t *testing.T) {
 			clouddAddr := startCloudd(t)
-			srv := runFleet(t, clouddAddr, Config{
+			var logMu sync.Mutex
+			var logged []string
+			srv := runFleetLogf(t, clouddAddr, Config{
 				CloudAddr:  clouddAddr,
 				Rounds:     coordDays,
 				Shards:     tc.shards,
 				MaxWorkers: tc.maxWorkers,
 				LeaseTTL:   5 * time.Second,
 				Metrics:    metrics.NewRegistry(),
-			}, tc.workers)
+			}, tc.workers, func(format string, args ...any) {
+				logMu.Lock()
+				defer logMu.Unlock()
+				logged = append(logged, fmt.Sprintf(format, args...))
+			})
+			// A worker refused a lease slice is told why: the coordinator's
+			// 409 reason reaches its log, not just the status code.
+			if tc.workers > tc.maxWorkers {
+				logMu.Lock()
+				lines := strings.Join(logged, "\n")
+				logMu.Unlock()
+				if want := "409 Conflict: " + ratelimit.ErrOverSubscribed.Error(); !strings.Contains(lines, want) {
+					t.Errorf("no worker logged the coordinator's refusal reason %q:\n%s", want, lines)
+				}
+			}
 			if n := srv.Store().NumRounds(); n != len(coordDays) {
 				t.Fatalf("rounds collected = %d, want %d", n, len(coordDays))
 			}

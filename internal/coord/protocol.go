@@ -5,14 +5,16 @@
 // that budget and runs assigned shards through core.ShardRunner
 // against a shared whowas-cloudd.
 //
-// The protocol is internal/ops-style JSON over HTTP, mounted on an
-// ops.Server beside the standard observability surface:
+// The protocol is JSON over HTTP on the shared internal/httpd stack,
+// beside its observability surface and internal/ops' routes; a refusal
+// is an httpd.ErrorDoc carrying the reason:
 //
 //	POST /coord/register   RegisterRequest  → RegisterReply (409 when the budget is full)
 //	POST /coord/heartbeat  HeartbeatRequest → HeartbeatReply (410 when the lease is gone)
 //	POST /coord/next       NextRequest      → Assignment     (410 when the lease is gone)
 //	POST /coord/submit     SubmitRequest    → SubmitReply
 //	GET  /coord/status                      → Status
+//	GET  /coord/fleet                       → Fleet
 //
 // Liveness is the lease: a worker that stops renewing (heartbeat or
 // /next, both renew) expires after the TTL, its tokens return to the

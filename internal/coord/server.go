@@ -2,7 +2,6 @@ package coord
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +13,7 @@ import (
 	"whowas/internal/core"
 	"whowas/internal/faults"
 	"whowas/internal/fleetobs"
+	"whowas/internal/httpd"
 	"whowas/internal/metrics"
 	"whowas/internal/ops"
 	"whowas/internal/ratelimit"
@@ -120,8 +120,8 @@ type Server struct {
 	cloud     *cloudapi.Client
 	st        *store.Store
 	budget    *ratelimit.Budget
-	ops       *ops.Server
-	opsAddr   string
+	ctrl      *httpd.Server
+	addr      string
 	slice     float64 // per-worker lease slice
 	unlimited bool
 	days      []int
@@ -210,7 +210,7 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 		// Store finalize spans join the merged journal too.
 		st.SetTracer(cfg.Tracer)
 	}
-	return &Server{
+	s := &Server{
 		cfg:         cfg,
 		cloud:       cloud,
 		st:          st,
@@ -228,7 +228,21 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 		mExpired:    cfg.Metrics.Counter("coord.leases_expired"),
 		mRegistered: cfg.Metrics.Counter("coord.workers_registered"),
 		mRejected:   cfg.Metrics.Counter("coord.submits_rejected"),
-	}, nil
+	}
+	// One address answers workers and operators: the protocol routes
+	// beside the ops routes and the shared surface, whose /metrics/prom
+	// carries the fleet-wide exposition — the coordinator's own
+	// instruments unlabeled, then every worker's last-reported snapshot
+	// under a worker label.
+	s.ctrl = httpd.New(httpd.Config{Metrics: cfg.Metrics, Prom: s.writeProm})
+	ops.Mount(s.ctrl, cfg.Tracer, s.Reports)
+	s.ctrl.Handle("/coord/register", s.handleRegister, http.MethodPost)
+	s.ctrl.Handle("/coord/heartbeat", s.handleHeartbeat, http.MethodPost)
+	s.ctrl.Handle("/coord/next", s.handleNext, http.MethodPost)
+	s.ctrl.Handle("/coord/submit", s.handleSubmit, http.MethodPost)
+	s.ctrl.Handle("/coord/status", s.handleStatus, http.MethodGet)
+	s.ctrl.Handle("/coord/fleet", s.handleFleet, http.MethodGet)
+	return s, nil
 }
 
 // Store returns the coordinator's store (the campaign's single source
@@ -251,35 +265,18 @@ func (s *Server) Reports() []core.RoundReport {
 	return append([]core.RoundReport(nil), s.reports...)
 }
 
-// Start binds the coordinator protocol (plus the standard ops
-// observability surface) on addr and serves in the background,
-// returning the bound address. /metrics/prom serves the fleet-wide
-// exposition: the coordinator's own instruments unlabeled, then every
-// worker's last-reported snapshot under a worker label.
+// Start binds the coordinator's address and serves in the background,
+// returning the bound address.
 func (s *Server) Start(addr string) (string, error) {
-	s.ops = ops.New(ops.Config{
-		Metrics: s.cfg.Metrics,
-		Tracer:  s.cfg.Tracer,
-		Rounds:  s.Reports,
-		Prom:    s.writeProm,
-		Extra: map[string]http.HandlerFunc{
-			"/coord/register":  s.handleRegister,
-			"/coord/heartbeat": s.handleHeartbeat,
-			"/coord/next":      s.handleNext,
-			"/coord/submit":    s.handleSubmit,
-			"/coord/status":    s.handleStatus,
-			"/coord/fleet":     s.handleFleet,
-		},
-	})
-	bound, err := s.ops.Start(addr)
+	bound, err := s.ctrl.Start(addr)
 	if err == nil {
-		s.opsAddr = bound
+		s.addr = bound
 	}
 	return bound, err
 }
 
 // Addr reports the bound protocol address ("" before Start).
-func (s *Server) Addr() string { return s.opsAddr }
+func (s *Server) Addr() string { return s.addr }
 
 // Aggregator exposes the fleet-view aggregator (tests assert on it).
 func (s *Server) Aggregator() *fleetobs.Aggregator { return s.agg }
@@ -550,9 +547,7 @@ func (s *Server) DrainWorkers(ctx context.Context) error {
 // started.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closeOnce.Do(func() {
-		if s.ops != nil {
-			s.closeErr = s.ops.Shutdown(ctx)
-		}
+		s.closeErr = s.ctrl.Shutdown(ctx)
 		if err := s.cloud.Close(); err != nil && s.closeErr == nil {
 			s.closeErr = err
 		}
@@ -569,21 +564,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // --- protocol handlers ---
 
-func decodeBody(w http.ResponseWriter, req *http.Request, v any) bool {
-	if err := json.NewDecoder(req.Body).Decode(v); err != nil {
-		ops.WriteError(w, http.StatusBadRequest, fmt.Sprintf("coord: bad request: %v", err))
-		return false
-	}
-	return true
-}
-
 func (s *Server) handleRegister(w http.ResponseWriter, req *http.Request) {
 	var rr RegisterRequest
-	if !decodeBody(w, req, &rr) {
+	if !httpd.DecodeBody(w, req, &rr) {
 		return
 	}
 	if rr.Worker == "" {
-		ops.WriteError(w, http.StatusBadRequest, "coord: worker ID required")
+		httpd.WriteError(w, http.StatusBadRequest, "coord: worker ID required")
 		return
 	}
 	s.mu.Lock()
@@ -597,12 +584,12 @@ func (s *Server) handleRegister(w http.ResponseWriter, req *http.Request) {
 	}
 	s.mu.Unlock()
 	if err != nil {
-		ops.WriteError(w, http.StatusConflict, err.Error())
+		httpd.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
 	s.mRegistered.Inc()
 	s.wake()
-	ops.WriteJSON(w, RegisterReply{
+	httpd.WriteJSON(w, RegisterReply{
 		Lease:          rr.Worker,
 		Rate:           s.slice,
 		Unlimited:      s.unlimited,
@@ -620,24 +607,24 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 		s.testOnHeartbeat()
 	}
 	var hb HeartbeatRequest
-	if !decodeBody(w, req, &hb) {
+	if !httpd.DecodeBody(w, req, &hb) {
 		return
 	}
 	if _, err := s.budget.Renew(hb.Worker); err != nil {
-		ops.WriteError(w, http.StatusGone, err.Error())
+		httpd.WriteError(w, http.StatusGone, err.Error())
 		return
 	}
 	s.agg.Observe(hb.Obs, s.now())
-	ops.WriteJSON(w, HeartbeatReply{ExpiresInMS: s.cfg.LeaseTTL.Milliseconds()})
+	httpd.WriteJSON(w, HeartbeatReply{ExpiresInMS: s.cfg.LeaseTTL.Milliseconds()})
 }
 
 func (s *Server) handleNext(w http.ResponseWriter, req *http.Request) {
 	var nr NextRequest
-	if !decodeBody(w, req, &nr) {
+	if !httpd.DecodeBody(w, req, &nr) {
 		return
 	}
 	if _, err := s.budget.Renew(nr.Worker); err != nil {
-		ops.WriteError(w, http.StatusGone, err.Error())
+		httpd.WriteError(w, http.StatusGone, err.Error())
 		return
 	}
 	var a Assignment
@@ -666,12 +653,12 @@ func (s *Server) handleNext(w http.ResponseWriter, req *http.Request) {
 	if released {
 		s.wake()
 	}
-	ops.WriteJSON(w, a)
+	httpd.WriteJSON(w, a)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var sr SubmitRequest
-	if !decodeBody(w, req, &sr) {
+	if !httpd.DecodeBody(w, req, &sr) {
 		return
 	}
 	accepted := false
@@ -697,7 +684,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	}
 	s.mu.Unlock()
 	if putErr != nil {
-		ops.WriteError(w, http.StatusInternalServerError, putErr.Error())
+		httpd.WriteError(w, http.StatusInternalServerError, putErr.Error())
 		return
 	}
 	s.agg.Observe(sr.Obs, s.now())
@@ -716,7 +703,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	} else {
 		s.mRejected.Inc()
 	}
-	ops.WriteJSON(w, SubmitReply{Accepted: accepted})
+	httpd.WriteJSON(w, SubmitReply{Accepted: accepted})
 }
 
 // statusDoc assembles the live Status document.
@@ -745,7 +732,7 @@ func (s *Server) statusDoc() Status {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	ops.WriteJSON(w, s.statusDoc())
+	httpd.WriteJSON(w, s.statusDoc())
 }
 
 // handleFleet serves the aggregated fleet view: the live status plus
@@ -753,7 +740,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 // status-history tail.
 func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {
 	now := s.now()
-	ops.WriteJSON(w, Fleet{
+	httpd.WriteJSON(w, Fleet{
 		Status:    s.statusDoc(),
 		FleetView: s.agg.View(now, s.leaseStates(now)),
 	})

@@ -1,12 +1,9 @@
 package coord
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -16,6 +13,7 @@ import (
 	"whowas/internal/cloudapi"
 	"whowas/internal/core"
 	"whowas/internal/fleetobs"
+	"whowas/internal/httpd"
 	"whowas/internal/metrics"
 	"whowas/internal/trace"
 )
@@ -51,8 +49,7 @@ var errReregister = errors.New("coord: lease lost; re-registering")
 // idempotent and releases the cloud connections.
 type Worker struct {
 	cfg    WorkerConfig
-	base   string
-	hc     *http.Client
+	coord  *httpd.Client
 	tracer *trace.Tracer
 	spans  *trace.Buffer
 	col    *fleetobs.Collector
@@ -75,11 +72,10 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.ID == "" {
 		cfg.ID = fmt.Sprintf("worker-%d", os.Getpid())
 	}
-	base := cfg.Coordinator
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
+	client, err := httpd.NewClient(cfg.Coordinator, 2*time.Minute)
+	if err != nil {
+		return nil, fmt.Errorf("coord: %w", err)
 	}
-	base = strings.TrimSuffix(base, "/")
 	// The worker's spans land in an in-memory buffer drained into each
 	// shard submission; the coordinator owns the durable journal.
 	spans := trace.NewBuffer(4096)
@@ -90,8 +86,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	})
 	return &Worker{
 		cfg:    cfg,
-		base:   base,
-		hc:     &http.Client{Timeout: 2 * time.Minute},
+		coord:  client,
 		tracer: tracer,
 		spans:  spans,
 		col:    &fleetobs.Collector{Worker: cfg.ID, Metrics: cfg.Metrics, Tracer: tracer},
@@ -316,16 +311,16 @@ func (w *Worker) register(ctx context.Context) (*RegisterReply, error) {
 			return nil, err
 		}
 		var reply RegisterReply
-		code, err := w.post(ctx, "/coord/register", RegisterRequest{Worker: w.cfg.ID}, &reply)
+		code, err := w.coord.PostJSON(ctx, "/coord/register", RegisterRequest{Worker: w.cfg.ID}, &reply)
 		switch {
-		case err == nil && code == http.StatusOK:
+		case err == nil:
 			return &reply, nil
-		case code == http.StatusConflict:
-			w.logf("worker %s: budget full; retrying", w.cfg.ID)
-		case err != nil:
-			w.logf("worker %s: register: %v", w.cfg.ID, err)
+		case code == 0 || code == http.StatusOK || code == http.StatusConflict:
+			// Not up yet, an answer cut short, or the budget is full
+			// (the reason says which): all pass.
+			w.logf("worker %s: register: %v; retrying", w.cfg.ID, err)
 		default:
-			return nil, fmt.Errorf("coord: register: unexpected status %d", code)
+			return nil, fmt.Errorf("coord: %w", err)
 		}
 		if err := sleepCtx(ctx, 200*time.Millisecond); err != nil {
 			return nil, err
@@ -335,31 +330,14 @@ func (w *Worker) register(ctx context.Context) (*RegisterReply, error) {
 
 func (w *Worker) heartbeat(ctx context.Context) error {
 	var reply HeartbeatReply
-	code, err := w.post(ctx, "/coord/heartbeat",
+	return w.post(ctx, "/coord/heartbeat",
 		HeartbeatRequest{Worker: w.cfg.ID, Obs: w.col.Report()}, &reply)
-	if code == http.StatusGone {
-		return errReregister
-	}
-	if err != nil {
-		return err
-	}
-	if code != http.StatusOK {
-		return fmt.Errorf("coord: heartbeat: unexpected status %d", code)
-	}
-	return nil
 }
 
 func (w *Worker) next(ctx context.Context) (*Assignment, error) {
 	var a Assignment
-	code, err := w.post(ctx, "/coord/next", NextRequest{Worker: w.cfg.ID}, &a)
-	if code == http.StatusGone {
-		return nil, errReregister
-	}
-	if err != nil {
+	if err := w.post(ctx, "/coord/next", NextRequest{Worker: w.cfg.ID}, &a); err != nil {
 		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("coord: next: unexpected status %d", code)
 	}
 	return &a, nil
 }
@@ -374,53 +352,29 @@ func (w *Worker) submit(ctx context.Context, a Assignment, res *core.ShardResult
 		Obs:    w.col.Report(),
 		Spans:  w.spans.Drain(),
 	}
-	code, err := w.post(ctx, "/coord/submit", req, &reply)
-	if code == http.StatusGone {
-		return false, errReregister
-	}
-	if err != nil {
-		return false, err
-	}
-	if code != http.StatusOK {
-		return false, fmt.Errorf("coord: submit: unexpected status %d", code)
-	}
-	return reply.Accepted, nil
+	err := w.post(ctx, "/coord/submit", req, &reply)
+	return reply.Accepted, err
 }
 
-// post sends one JSON request and decodes the JSON reply. The status
-// code is returned even on non-200 answers so callers can react to
-// protocol statuses (409, 410).
-func (w *Worker) post(ctx context.Context, path string, body, reply any) (int, error) {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return 0, err
+// post is one leased-session exchange: a 410 means the lease is gone
+// (errReregister, with the coordinator's reason logged); any other
+// failure carries the coordinator's reason in the returned error.
+func (w *Worker) post(ctx context.Context, path string, body, reply any) error {
+	code, err := w.coord.PostJSON(ctx, path, body, reply)
+	if err == nil {
+		return nil
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+path, bytes.NewReader(payload))
-	if err != nil {
-		return 0, err
+	if code == http.StatusGone {
+		w.logf("worker %s: %v", w.cfg.ID, err)
+		return errReregister
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(reply); err != nil {
-		return resp.StatusCode, fmt.Errorf("coord: decoding %s reply: %w", path, err)
-	}
-	return resp.StatusCode, nil
+	return fmt.Errorf("coord: %w", err)
 }
 
 // closeIdle drops pooled connections without marking the worker
 // closed (Run's exit path; Run may be retried).
 func (w *Worker) closeIdle() {
-	w.hc.CloseIdleConnections()
+	w.coord.Close()
 	w.mu.Lock()
 	cloud := w.cloud
 	w.mu.Unlock()
@@ -442,7 +396,7 @@ func (w *Worker) Close() error {
 	cloud := w.cloud
 	w.cloud = nil
 	w.mu.Unlock()
-	w.hc.CloseIdleConnections()
+	w.coord.Close()
 	if cloud != nil {
 		return cloud.Close()
 	}

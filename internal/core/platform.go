@@ -376,15 +376,7 @@ func (p *Platform) WriteMetricsJSON(w io.Writer) error {
 // JSON lands in a temp file that is fsynced and renamed into place, so
 // a crash mid-write never leaves a torn report at the destination.
 func (p *Platform) WriteMetricsFile(path string) error {
-	f, err := atomicfile.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := p.WriteMetricsJSON(f); err != nil {
-		f.Abort()
-		return err
-	}
-	return f.Commit()
+	return atomicfile.WriteWith(path, p.WriteMetricsJSON)
 }
 
 // RunCartography performs the §5 one-time VPC/classic DNS sweep and

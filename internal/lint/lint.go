@@ -131,7 +131,7 @@ type Options struct {
 	// sites seed the wiretag closure — the wire boundaries.
 	WirePackages []string
 	// WireSinks lists additional wire sinks as "pkgsuffix.Func" (the
-	// ops helpers that wrap json.Encoder); any argument type at a call
+	// httpd helper that wraps json.Encoder); any argument type at a call
 	// site seeds the wiretag closure.
 	WireSinks []string
 	// PersistPackages lists the packages that must route every durable
@@ -181,10 +181,10 @@ func DefaultOptions() Options {
 			"internal/ops",
 			"internal/cloudapi",
 			"internal/fleetobs",
+			"internal/httpd",
 		},
 		WireSinks: []string{
-			"internal/ops.WriteJSON",
-			"internal/ops.writeJSON",
+			"internal/httpd.WriteJSON",
 		},
 		PersistPackages: []string{"internal/store", "internal/store/colstore", "internal/trace"},
 		AtomicPackages:  []string{"internal/atomicfile"},

@@ -66,7 +66,7 @@ func TestAnalyzerGoldens(t *testing.T) {
 		{"errcheck_lockdisc", "./internal/pipeline"},
 		{"errcheck_forwarder", "./internal/relay"},
 		{"goleak", "./internal/fleet"},
-		{"wiretag", "./internal/ops"},
+		{"wiretag", "./internal/httpd"},
 		{"atomicwrite", "./internal/trace"},
 		{"budgetpath", "./internal/core"},
 	}

@@ -1,8 +1,8 @@
-// Package ops is a lint fixture wire package for the wiretag
+// Package httpd is a lint fixture wire package for the wiretag
 // analyzer: documents reach the encoder through a sink helper's any
 // parameter, so the closure is seeded from call-site types, not
 // declarations.
-package ops
+package httpd
 
 import (
 	"encoding/json"

@@ -10,14 +10,16 @@ import (
 // DefaultFleetMax bounds a fleet that did not configure its own cap.
 const DefaultFleetMax = 16
 
+// fleetHost is where every fleet listener binds: the simulated cloud's
+// data plane is a loopback service.
+const fleetHost = "127.0.0.1"
+
 // FleetConfig sizes a listener fleet.
 type FleetConfig struct {
 	// Max is the listener cap; Listen fails once reached (<=0 uses
 	// DefaultFleetMax). The bound is what keeps a misconfigured caller
 	// from exhausting ephemeral ports or file descriptors.
 	Max int
-	// Host is the bind address (default "127.0.0.1").
-	Host string
 	// BasePort, when positive, makes port assignment deterministic:
 	// the i-th listener binds BasePort+i. Zero asks the kernel for
 	// ephemeral ports.
@@ -27,8 +29,7 @@ type FleetConfig struct {
 // Fleet is a bounded set of real TCP listeners sharing one lifecycle:
 // deterministic port assignment, per-connection goroutine tracking,
 // and an idempotent Close that waits for every accept loop and
-// handler to drain. It generalizes the single-listener loopback mode
-// to the many-tenant data plane whowas-cloudd serves.
+// handler to drain — the data plane whowas-cloudd serves.
 type Fleet struct {
 	cfg FleetConfig
 
@@ -43,9 +44,6 @@ type Fleet struct {
 func NewFleet(cfg FleetConfig) *Fleet {
 	if cfg.Max <= 0 {
 		cfg.Max = DefaultFleetMax
-	}
-	if cfg.Host == "" {
-		cfg.Host = "127.0.0.1"
 	}
 	return &Fleet{cfg: cfg, conns: make(map[net.Conn]struct{})}
 }
@@ -71,7 +69,7 @@ func (f *Fleet) Listen(handler func(net.Conn)) (string, error) {
 	if f.cfg.BasePort > 0 {
 		port = f.cfg.BasePort + len(f.listeners)
 	}
-	ln, err := net.Listen("tcp", net.JoinHostPort(f.cfg.Host, strconv.Itoa(port)))
+	ln, err := net.Listen("tcp", net.JoinHostPort(fleetHost, strconv.Itoa(port)))
 	if err != nil {
 		f.mu.Unlock()
 		return "", fmt.Errorf("netsim: fleet listen: %w", err)

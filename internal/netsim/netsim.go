@@ -13,8 +13,9 @@
 //
 // The scanner and fetcher consume the network through the Dialer
 // interface, exactly as they would plug a custom DialContext into
-// net.Dialer / http.Transport; swapping in a real dialer (see
-// Loopback in this package) changes nothing else.
+// net.Dialer / http.Transport; swapping in a real dialer (the
+// cloudapi wire client, over whowas-cloudd's listener Fleet) changes
+// nothing else.
 package netsim
 
 import (
@@ -350,7 +351,7 @@ func (n *Network) serveHTTP(c net.Conn, ip ipaddr.Addr, useTLS bool) {
 }
 
 // notFoundPage is the body every simulated server returns for an
-// unknown path (netsim and loopback serving share it).
+// unknown path.
 const notFoundPage = "<html><head><title>404 Not Found</title></head><body><h1>Not Found</h1></body></html>\n"
 
 // respond builds the HTTP response for a request to ip on the given

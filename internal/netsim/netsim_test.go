@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/tls"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"strings"
@@ -13,7 +12,6 @@ import (
 
 	"whowas/internal/cloudsim"
 	"whowas/internal/ipaddr"
-	"whowas/internal/websim"
 )
 
 func testNetwork(t testing.TB) (*Network, *cloudsim.Cloud) {
@@ -344,41 +342,6 @@ func TestCancelledContext(t *testing.T) {
 	cancel()
 	if _, err := n.DialContext(ctx, "tcp", ip.String()+":80"); err == nil {
 		t.Error("dial with cancelled context succeeded")
-	}
-}
-
-func TestLoopbackRealTCP(t *testing.T) {
-	lb := NewLoopback()
-	defer lb.Close()
-	profile := websim.GenProfile(rand.New(rand.NewSource(1)), 1, websim.EC2Like, websim.CategoryBlog)
-	profile.StatusCode = 200
-	profile.ContentType = "text/html"
-	profile.DefaultPage = false
-	profile.MultiVhost = false
-	ip := ipaddr.MustParseAddr("54.1.2.3")
-	if err := lb.ServeProfile(ip, 80, profile, 0); err != nil {
-		t.Fatal(err)
-	}
-	client := &http.Client{Transport: &http.Transport{DialContext: lb.DialContext}, Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + ip.String() + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), profile.Title) {
-		t.Errorf("loopback body missing title %q", profile.Title)
-	}
-	// Unrouted IP: dial must honor the context deadline (real timeout).
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = lb.DialContext(ctx, "tcp", "54.9.9.9:80")
-	if err == nil {
-		t.Fatal("unrouted dial succeeded")
-	}
-	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
-		t.Errorf("unrouted dial returned after %v, want to block until deadline", elapsed)
 	}
 }
 

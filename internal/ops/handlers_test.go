@@ -1,8 +1,9 @@
 package ops
 
-// Handler-contract tests: every endpoint's content type, method
-// validation, parameter bounds, and the JSON error shape scripted
-// clients rely on.
+// Handler-contract tests for this package's routes: content type, the
+// read-only method gate, parameter bounds, and the JSON error shape
+// scripted clients rely on. The shared surface's contract is tested
+// in internal/httpd.
 
 import (
 	"encoding/json"
@@ -12,7 +13,7 @@ import (
 	"strings"
 	"testing"
 
-	"whowas/internal/metrics"
+	"whowas/internal/httpd"
 )
 
 // do issues an arbitrary-method request against the handler.
@@ -27,9 +28,6 @@ func do(t *testing.T, h http.Handler, method, path string) *httptest.ResponseRec
 func TestContentTypes(t *testing.T) {
 	s, _, _ := testServer(t)
 	for path, want := range map[string]string{
-		"/healthz":       "application/json",
-		"/metrics":       "application/json",
-		"/metrics/prom":  "text/plain; version=0.0.4",
 		"/rounds":        "application/json",
 		"/trace/active":  "application/json",
 		"/trace/slowest": "application/json",
@@ -46,9 +44,7 @@ func TestContentTypes(t *testing.T) {
 
 func TestMethodValidation(t *testing.T) {
 	s, _, _ := testServer(t)
-	for _, path := range []string{
-		"/healthz", "/metrics", "/metrics/prom", "/rounds", "/trace/active", "/trace/slowest",
-	} {
+	for _, path := range []string{"/rounds", "/trace/active", "/trace/slowest"} {
 		for _, method := range []string{"POST", "PUT", "DELETE"} {
 			rr := do(t, s.Handler(), method, path)
 			if rr.Code != http.StatusMethodNotAllowed {
@@ -96,35 +92,12 @@ func assertErrorDoc(t *testing.T, rr *httptest.ResponseRecorder) {
 		t.Errorf("error content type %q, want application/json", ct)
 	}
 	body, _ := io.ReadAll(rr.Result().Body)
-	var doc ErrorDoc
+	var doc httpd.ErrorDoc
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Errorf("error body not an ErrorDoc: %q (%v)", body, err)
 		return
 	}
 	if doc.Error == "" {
 		t.Errorf("error doc has empty message: %q", body)
-	}
-}
-
-func TestPromOverride(t *testing.T) {
-	reg := metrics.NewRegistry()
-	reg.Counter("scanner.probes").Add(5)
-	s := New(Config{
-		Metrics: reg,
-		Prom: func(w io.Writer) error {
-			_, err := io.WriteString(w, "custom_exposition 1\n")
-			return err
-		},
-	})
-	rr := do(t, s.Handler(), "GET", "/metrics/prom")
-	if rr.Code != 200 {
-		t.Fatalf("status %d", rr.Code)
-	}
-	body, _ := io.ReadAll(rr.Result().Body)
-	if string(body) != "custom_exposition 1\n" {
-		t.Errorf("override ignored: %q", body)
-	}
-	if ct := rr.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4" {
-		t.Errorf("content type %q", ct)
 	}
 }

@@ -1,9 +1,10 @@
 // Package ops is the platform's live operations endpoint: a small
 // HTTP server an operator points a browser or curl at while a
-// campaign runs. It exposes liveness, the metrics registry (JSON and
-// Prometheus text), the completed rounds' reports, the tracer's
-// active and slowest spans, and Go's pprof handlers. Everything is
-// read-only and safe to serve concurrently with a running campaign.
+// campaign runs. On top of the surface every daemon shares
+// (internal/httpd: liveness, the metrics registry as JSON and
+// Prometheus text, pprof) it serves the completed rounds' reports and
+// the tracer's active and slowest spans. Everything is read-only and
+// safe to serve concurrently with a running campaign.
 //
 // The server is opt-in: the CLIs only start it when -ops-addr is set,
 // and a zero Config serves degraded-but-valid answers (empty metrics,
@@ -11,17 +12,12 @@
 package ops
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
-	"time"
 
 	"whowas/internal/core"
+	"whowas/internal/httpd"
 	"whowas/internal/metrics"
 	"whowas/internal/trace"
 )
@@ -30,195 +26,64 @@ import (
 // field may be nil; the corresponding endpoints then serve empty
 // documents rather than errors.
 type Config struct {
-	// Metrics backs /metrics (JSON snapshot) and /metrics/prom
-	// (Prometheus text exposition).
+	// Metrics backs the shared /metrics and /metrics/prom.
 	Metrics *metrics.Registry
 	// Tracer backs /trace/active and /trace/slowest.
 	Tracer *trace.Tracer
 	// Rounds supplies the completed rounds for /rounds
 	// (Platform.RoundReports fits directly).
 	Rounds func() []core.RoundReport
-	// Extra mounts additional routes on the server's mux. The
-	// coordinator rides an ops server this way: its control protocol
-	// (/coord/*) serves beside the standard observability surface, so
-	// one address answers both workers and operators.
-	Extra map[string]http.HandlerFunc
-	// Prom, when non-nil, replaces the /metrics/prom body. The mux
-	// panics on duplicate patterns, so overriding the exposition must
-	// be a hook, not an Extra route — the coordinator substitutes its
-	// fleet-wide, worker-labeled exposition here.
-	Prom func(w io.Writer) error
 }
 
-// Server is the live ops endpoint.
-type Server struct {
-	cfg   Config
-	mux   *http.ServeMux
-	srv   *http.Server
-	start time.Time
-}
-
-// New builds a server; call Start to bind it, or use Handler directly
+// New builds the live ops endpoint: the shared httpd surface plus this
+// package's routes. Call Start to bind it, or use Handler directly
 // (tests mount it on httptest servers).
-func New(cfg Config) *Server {
-	s := &Server{cfg: cfg, mux: http.NewServeMux(), start: time.Now()}
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/metrics/prom", s.handleMetricsProm)
-	s.mux.HandleFunc("/rounds", s.handleRounds)
-	s.mux.HandleFunc("/trace/active", s.handleTraceActive)
-	s.mux.HandleFunc("/trace/slowest", s.handleTraceSlowest)
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	for pattern, h := range cfg.Extra {
-		s.mux.HandleFunc(pattern, h)
-	}
+func New(cfg Config) *httpd.Server {
+	s := httpd.New(httpd.Config{Metrics: cfg.Metrics})
+	Mount(s, cfg.Tracer, cfg.Rounds)
 	return s
-}
-
-// Handler returns the server's routing handler.
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// Start binds addr (e.g. "127.0.0.1:8377", or ":0" for an ephemeral
-// port) and serves in a background goroutine, returning the bound
-// address. Shut it down with Shutdown.
-func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("ops: listen %s: %w", addr, err)
-	}
-	s.srv = &http.Server{Handler: s.mux}
-	go func() { _ = s.srv.Serve(ln) }()
-	return ln.Addr().String(), nil
-}
-
-// Shutdown stops the server, waiting for in-flight requests up to the
-// context's deadline. A server never started shuts down trivially.
-func (s *Server) Shutdown(ctx context.Context) error {
-	if s.srv == nil {
-		return nil
-	}
-	return s.srv.Shutdown(ctx)
-}
-
-// WriteJSON writes v as indented JSON with the conventional content
-// type — the package's house answer format, exported for the handlers
-// Config.Extra mounts.
-func WriteJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeJSON(w http.ResponseWriter, v any) { WriteJSON(w, v) }
-
-// ErrorDoc is the house error shape: every handler failure is a JSON
-// document, never bare text, so scripted clients can always decode the
-// body.
-type ErrorDoc struct {
-	Error string `json:"error"`
-}
-
-// WriteError writes an ErrorDoc with the given status — exported for
-// the handlers Config.Extra mounts, so the whole surface shares one
-// error shape.
-func WriteError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(ErrorDoc{Error: msg})
-}
-
-// requireGet rejects non-GET/HEAD methods with a JSON 405. The
-// read-only surface answers nothing else.
-func requireGet(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method == http.MethodGet || r.Method == http.MethodHead {
-		return true
-	}
-	w.Header().Set("Allow", "GET, HEAD")
-	WriteError(w, http.StatusMethodNotAllowed, "ops: "+r.Method+" not allowed; use GET")
-	return false
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
-		return
-	}
-	writeJSON(w, map[string]any{
-		"status":    "ok",
-		"uptime_ns": time.Since(s.start).Nanoseconds(),
-	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
-		return
-	}
-	writeJSON(w, s.cfg.Metrics.Snapshot())
-}
-
-func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if s.cfg.Prom != nil {
-		_ = s.cfg.Prom(w)
-		return
-	}
-	_ = s.cfg.Metrics.Snapshot().WriteProm(w, "whowas")
-}
-
-func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
-		return
-	}
-	rounds := []core.RoundReport{}
-	if s.cfg.Rounds != nil {
-		if rr := s.cfg.Rounds(); rr != nil {
-			rounds = rr
-		}
-	}
-	writeJSON(w, rounds)
-}
-
-func (s *Server) handleTraceActive(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
-		return
-	}
-	spans := s.cfg.Tracer.Active()
-	if spans == nil {
-		spans = []trace.SpanSnapshot{}
-	}
-	writeJSON(w, spans)
 }
 
 // maxSlowest bounds /trace/slowest?n=: the ring holds a few thousand
 // spans at most, so anything beyond this is a typo, not a query.
 const maxSlowest = 10000
 
-func (s *Server) handleTraceSlowest(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
-		return
-	}
-	n := 10
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 || v > maxSlowest {
-			WriteError(w, http.StatusBadRequest,
-				fmt.Sprintf("ops: n must be an integer in [1, %d], got %q", maxSlowest, q))
-			return
+// Mount adds /rounds, /trace/active and /trace/slowest to a server the
+// caller built — the coordinator serves them beside its protocol, so
+// one address answers both workers and operators. Either argument may
+// be nil.
+func Mount(s *httpd.Server, tracer *trace.Tracer, rounds func() []core.RoundReport) {
+	s.Handle("/rounds", func(w http.ResponseWriter, _ *http.Request) {
+		rr := []core.RoundReport{}
+		if rounds != nil {
+			if got := rounds(); got != nil {
+				rr = got
+			}
 		}
-		n = v
-	}
-	spans := s.cfg.Tracer.Slowest(n)
+		httpd.WriteJSON(w, rr)
+	}, http.MethodGet)
+	s.Handle("/trace/active", func(w http.ResponseWriter, _ *http.Request) {
+		writeSpans(w, tracer.Active())
+	}, http.MethodGet)
+	s.Handle("/trace/slowest", func(w http.ResponseWriter, r *http.Request) {
+		n := 10
+		if q := r.URL.Query().Get("n"); q != "" {
+			v, err := strconv.Atoi(q)
+			if err != nil || v < 1 || v > maxSlowest {
+				httpd.WriteError(w, http.StatusBadRequest,
+					fmt.Sprintf("ops: n must be an integer in [1, %d], got %q", maxSlowest, q))
+				return
+			}
+			n = v
+		}
+		writeSpans(w, tracer.Slowest(n))
+	}, http.MethodGet)
+}
+
+// writeSpans answers a span list, an empty one as [] rather than null.
+func writeSpans(w http.ResponseWriter, spans []trace.SpanSnapshot) {
 	if spans == nil {
 		spans = []trace.SpanSnapshot{}
 	}
-	writeJSON(w, spans)
+	httpd.WriteJSON(w, spans)
 }

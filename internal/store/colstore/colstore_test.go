@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -139,6 +140,14 @@ func TestSegmentRoundTrip(t *testing.T) {
 	data, err := encodeSegment(meta, "ec2", recs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Format pin: the segment encoding is hand-rolled (no gob, no
+	// process-global state), so this fixed round has one byte image. A
+	// deliberate format change re-pins both values.
+	const pinLen, pinSHA = 14924, "2b7fa3d4b517532b1e672653b35bf83ad082f966ddf87409ded1f5462952a9ca"
+	if sum := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != pinLen || sum != pinSHA {
+		t.Errorf("segment image is %d bytes, sha256 %s; the committed format pin is %d bytes, %s",
+			len(data), sum, pinLen, pinSHA)
 	}
 	foot, err := parseFooter(data)
 	if err != nil {
