@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test ./internal/htmlparse -fuzz FuzzParseHTML -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/simhash -fuzz FuzzSimhash -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ipaddr -fuzz FuzzParseIPRange -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netsim -fuzz FuzzRequestHead -fuzztime $(FUZZTIME)
 
 # Fault-injection + resilience suites (what the CI chaos job runs):
 # -count=2 replays every deterministic campaign against its first
@@ -71,8 +72,9 @@ trace:
 # any built-in check fails (fleet digest = in-process reference,
 # colstore digest = memory digest, every History answer). The CI bench
 # job runs it through scripts/bench_gate.sh, which also holds the
-# counts (failed operations, bytes and allocations per record) to
-# bench/baseline.json.
+# counts to bench/baseline.json: no failed operation, bytes per record
+# exact, allocations per record not above it (a fall passes and is
+# logged as "baseline stale" for the next [benchmark] change).
 bench:
 	bash bench/run.sh --seed 1
 

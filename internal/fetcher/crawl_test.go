@@ -47,7 +47,8 @@ func TestFollowLinksFetchesSubpages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(net, Config{Workers: 2, Timeout: 5 * time.Second, FollowLinks: 4})
+	dialer := &openCounter{inner: net}
+	f, err := New(dialer, Config{Workers: 2, Timeout: 5 * time.Second, FollowLinks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +85,16 @@ func TestFollowLinksFetchesSubpages(t *testing.T) {
 	}
 	if okCount == 0 {
 		t.Errorf("no subpage returned content: %+v", page.SubPages)
+	}
+	// The whole crawl rides one connection, and the last followed link
+	// closes it (on the transport's read loop, hence the wait).
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if open, _, _ := dialer.counts(); open == 0 {
+			break
+		}
+	}
+	if open, _, seen := dialer.counts(); open != 0 || seen != 1 {
+		t.Errorf("crawl used %d connections and left %d open, want 1 and 0", seen, open)
 	}
 }
 

@@ -171,10 +171,14 @@ type Fetcher struct {
 	mFetchLat     *metrics.Histogram // per-IP exchange latency
 }
 
-// CloseIdle drops pooled keep-alive connections. The platform calls it
-// between rounds: rounds are days apart, and no real server keeps a
-// connection open that long — without this, a pooled connection could
-// observe a dead IP as still serving.
+// CloseIdle drops pooled keep-alive connections. A connection's scope
+// is one IP's exchange: robots.txt and the page share it, and the
+// exchange's final GET closes it at both ends as soon as the page is
+// read. What is left for CloseIdle are the exchanges that end early —
+// robots.txt disallows "/", a GET fails, a crawl finds no link to
+// follow. The platform calls it between rounds: rounds are days apart,
+// and no real server keeps a connection open that long — without this,
+// a pooled connection could observe a dead IP as still serving.
 func (f *Fetcher) CloseIdle() { f.transport.CloseIdleConnections() }
 
 // New builds a fetcher over the given dialer.
@@ -232,13 +236,15 @@ func textualType(ctype string) bool {
 }
 
 // get performs one GET, recording status/headers and, for textual
-// types, the truncated body.
-func (f *Fetcher) get(ctx context.Context, url string) (*Page, error) {
+// types, the truncated body. last marks the final GET of an exchange:
+// it asks both ends to close the connection once the page is read.
+func (f *Fetcher) get(ctx context.Context, url string, last bool) (*Page, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("User-Agent", f.cfg.UserAgent)
+	req.Close = last
 	f.mGets.Inc()
 	var start time.Time
 	if f.mGetLat != nil {
@@ -312,7 +318,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // getRetry runs the bounded retry schedule for one URL: up to
 // Config.Attempts GETs, each under its own Timeout deadline, retrying
 // only transient transport errors with exponential backoff.
-func (f *Fetcher) getRetry(ctx context.Context, url string) (*Page, error) {
+func (f *Fetcher) getRetry(ctx context.Context, url string, last bool) (*Page, error) {
 	var page *Page
 	var err error
 	for attempt := 0; attempt < f.cfg.Attempts; attempt++ {
@@ -323,7 +329,7 @@ func (f *Fetcher) getRetry(ctx context.Context, url string) (*Page, error) {
 			}
 		}
 		actx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
-		page, err = f.get(actx, url)
+		page, err = f.get(actx, url, last)
 		cancel()
 		if err == nil {
 			return page, nil
@@ -404,7 +410,7 @@ func (f *Fetcher) fetchIP(ctx context.Context, res scanner.Result) Page {
 	out := Page{IP: res.IP, OpenPorts: res.OpenPorts, Scheme: scheme}
 	base := fmt.Sprintf("%s://%s", scheme, res.IP)
 
-	robots, err := f.getRetry(ctx, base+"/robots.txt")
+	robots, err := f.getRetry(ctx, base+"/robots.txt", false)
 	if err == nil && robots.Status == 200 && len(robots.Body) > 0 {
 		if RobotsDisallowsRoot(string(robots.Body), f.cfg.UserAgent) {
 			out.RobotsDenied = true
@@ -413,7 +419,7 @@ func (f *Fetcher) fetchIP(ctx context.Context, res scanner.Result) Page {
 		}
 	}
 
-	page, err := f.getRetry(ctx, base+"/")
+	page, err := f.getRetry(ctx, base+"/", f.cfg.FollowLinks == 0)
 	if err != nil {
 		out.Err = err
 		return out
@@ -427,8 +433,9 @@ func (f *Fetcher) fetchIP(ctx context.Context, res scanner.Result) Page {
 	// §9 extension: follow same-site links from the front page.
 	if f.cfg.FollowLinks > 0 && out.Status == 200 && len(out.Body) > 0 &&
 		strings.HasPrefix(strings.ToLower(out.ContentType), "text/html") {
-		for _, path := range SameSitePaths(string(out.Body), f.cfg.FollowLinks) {
-			sub, err := f.getRetry(ctx, base+path)
+		paths := SameSitePaths(string(out.Body), f.cfg.FollowLinks)
+		for i, path := range paths {
+			sub, err := f.getRetry(ctx, base+path, i == len(paths)-1)
 			if err != nil {
 				continue
 			}

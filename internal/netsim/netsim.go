@@ -19,7 +19,6 @@
 package netsim
 
 import (
-	"bufio"
 	"context"
 	"crypto/ecdsa"
 	"crypto/elliptic"
@@ -31,9 +30,7 @@ import (
 	"io"
 	"math/big"
 	"net"
-	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,7 +95,9 @@ type Network struct {
 	mu       sync.Mutex
 	attempts map[attemptKey]int
 
-	recordProbes  bool
+	// recordProbes is read before mu on every dial and request, so a
+	// network with accounting off shares no lock between connections.
+	recordProbes  atomic.Bool
 	probeCounts   map[int]map[ipaddr.Addr]int // day -> ip -> probes
 	requestCounts map[int]map[ipaddr.Addr]int // day -> ip -> HTTP requests
 
@@ -170,7 +169,7 @@ func (n *Network) Stats() *Stats { return &n.stats }
 func (n *Network) RecordProbes(on bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.recordProbes = on
+	n.recordProbes.Store(on)
 	if on && n.probeCounts == nil {
 		n.probeCounts = make(map[int]map[ipaddr.Addr]int)
 		n.requestCounts = make(map[int]map[ipaddr.Addr]int)
@@ -195,11 +194,11 @@ func (n *Network) RequestCount(day int, ip ipaddr.Addr) int {
 
 // countRequest records one HTTP request when accounting is on.
 func (n *Network) countRequest(day int, ip ipaddr.Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.recordProbes {
+	if !n.recordProbes.Load() {
 		return
 	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.requestCounts[day] == nil {
 		n.requestCounts[day] = make(map[ipaddr.Addr]int)
 	}
@@ -226,7 +225,7 @@ func (n *Network) DialContext(ctx context.Context, network, address string) (net
 	n.stats.Dials.Add(1)
 	day := n.Day()
 
-	if n.recordProbes {
+	if n.recordProbes.Load() {
 		n.mu.Lock()
 		if n.probeCounts[day] == nil {
 			n.probeCounts[day] = make(map[ipaddr.Addr]int)
@@ -259,7 +258,7 @@ func (n *Network) DialContext(ctx context.Context, network, address string) (net
 	}
 
 	n.stats.Accepted.Add(1)
-	client, server := net.Pipe()
+	client, server := newConnPair()
 	switch port {
 	case 80:
 		go n.serveHTTP(server, ip, false)
@@ -307,103 +306,6 @@ func serveSSHBanner(c net.Conn) {
 		if _, err := c.Read(buf); err != nil {
 			return
 		}
-	}
-}
-
-// serveHTTP answers HTTP requests on one connection with the cloud's
-// content for the network's *current* day — a keep-alive connection
-// held across SetDay serves fresh content, like a long-lived server
-// would. On 443 the connection is wrapped in TLS with a self-signed
-// certificate, as most 2013 cloud HTTPS endpoints were.
-func (n *Network) serveHTTP(c net.Conn, ip ipaddr.Addr, useTLS bool) {
-	defer c.Close()
-	if useTLS {
-		tc := tls.Server(c, n.tlsConf)
-		if err := tc.Handshake(); err != nil {
-			return
-		}
-		n.stats.TLSConns.Add(1)
-		c = tc
-	}
-	br := bufio.NewReader(c)
-	for {
-		req, err := http.ReadRequest(br)
-		if err != nil {
-			return
-		}
-		n.stats.Requests.Add(1)
-		day := n.Day()
-		n.countRequest(day, ip)
-		resp := n.respond(day, ip, req)
-		if resp == nil {
-			// Application-layer failure: the backend dies mid-request,
-			// like the transient failures WhoWas observed — the client
-			// sees a reset, and the IP counts as unavailable.
-			return
-		}
-		if err := resp.Write(c); err != nil {
-			return
-		}
-		if req.Close || resp.Close {
-			return
-		}
-	}
-}
-
-// notFoundPage is the body every simulated server returns for an
-// unknown path.
-const notFoundPage = "<html><head><title>404 Not Found</title></head><body><h1>Not Found</h1></body></html>\n"
-
-// respond builds the HTTP response for a request to ip on the given
-// day.
-func (n *Network) respond(day int, ip ipaddr.Addr, req *http.Request) *http.Response {
-	profile, revision, ok := n.cloud.PageOn(day, ip)
-	if !ok {
-		// Port open but the application layer is failing today: no
-		// HTTP response at all (nil -> connection closed).
-		return nil
-	}
-	path := req.URL.Path
-	switch {
-	case path == "/robots.txt":
-		return plainResponse(req, 200, "text/plain", profile.RobotsTxt(), nil)
-	case path == "/" || path == "":
-		body := profile.RenderPage(revision)
-		headers := profile.Headers(revision)
-		return plainResponse(req, profile.StatusCode, "", body, headers)
-	default:
-		if body := profile.RenderSubpage(path, revision); body != "" {
-			return plainResponse(req, 200, "text/html", body,
-				map[string]string{"Server": profile.Server})
-		}
-		return plainResponse(req, 404, "text/html", notFoundPage,
-			map[string]string{"Server": profile.Server})
-	}
-}
-
-// plainResponse assembles an *http.Response. When headers carries a
-// Content-Type it wins over ctype.
-func plainResponse(req *http.Request, status int, ctype, body string, headers map[string]string) *http.Response {
-	h := http.Header{}
-	for k, v := range headers {
-		h.Set(k, v)
-	}
-	if h.Get("Content-Type") == "" {
-		if ctype == "" {
-			ctype = "text/html; charset=utf-8"
-		}
-		h.Set("Content-Type", ctype)
-	}
-	return &http.Response{
-		StatusCode:    status,
-		Status:        fmt.Sprintf("%d %s", status, http.StatusText(status)),
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        h,
-		Body:          io.NopCloser(strings.NewReader(body)),
-		ContentLength: int64(len(body)),
-		Request:       req,
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -317,6 +319,54 @@ func TestProbeRecording(t *testing.T) {
 	}
 	if got := n.ProbeCount(0, ip); got != 3 {
 		t.Errorf("ProbeCount = %d, want 3", got)
+	}
+}
+
+// TestRecordProbesToggledUnderLoad flips accounting while dials and
+// requests are in flight — under -race, the check that the flag both
+// paths read before taking the network lock is the atomic — and then
+// that counting is exact once it is on.
+func TestRecordProbesToggledUnderLoad(t *testing.T) {
+	n, cloud := testNetwork(t)
+	web := findWebIP(t, cloud, 80)
+	unbound := findIP(t, cloud, func(s cloudsim.IPState) bool { return !s.Bound })
+	const request = "GET /robots.txt HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_, _ = n.DialContext(context.Background(), "tcp", unbound.String()+":80")
+				if resp, err := rawHTTP(t, n, web, 80, request); err != nil || !strings.HasPrefix(resp, "HTTP/1.1 200") {
+					t.Errorf("request under toggling: %.40q, %v", resp, err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 500; i++ {
+		n.RecordProbes(i%2 == 0)
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
+
+	n.RecordProbes(true)
+	probes, requests := n.ProbeCount(0, web), n.RequestCount(0, web)
+	for i := 0; i < 3; i++ {
+		if _, err := rawHTTP(t, n, web, 80, request); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dp, dr := n.ProbeCount(0, web)-probes, n.RequestCount(0, web)-requests; dp != 3 || dr != 3 {
+		t.Errorf("3 exchanges counted as %d probes and %d requests", dp, dr)
 	}
 }
 

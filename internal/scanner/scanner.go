@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -214,7 +215,7 @@ func intMax(a, b int) int {
 func (s *Scanner) probe(ctx context.Context, ip ipaddr.Addr, port int, timeout time.Duration) (bool, error) {
 	pctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	conn, err := s.dialer.DialContext(pctx, "tcp", fmt.Sprintf("%s:%d", ip, port))
+	conn, err := s.dialer.DialContext(pctx, "tcp", net.JoinHostPort(ip.String(), strconv.Itoa(port)))
 	if err != nil {
 		return false, err
 	}
