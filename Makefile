@@ -44,6 +44,8 @@ fuzz:
 	$(GO) test ./internal/simhash -fuzz FuzzSimhash -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ipaddr -fuzz FuzzParseIPRange -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netsim -fuzz FuzzRequestHead -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store/colstore -fuzz FuzzSegment -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+	$(GO) test ./internal/store/colstore -fuzz FuzzDecompress -fuzztime $(FUZZTIME)
 
 # Fault-injection + resilience suites (what the CI chaos job runs):
 # -count=2 replays every deterministic campaign against its first
@@ -72,9 +74,10 @@ trace:
 # any built-in check fails (fleet digest = in-process reference,
 # colstore digest = memory digest, every History answer). The CI bench
 # job runs it through scripts/bench_gate.sh, which also holds the
-# counts to bench/baseline.json: no failed operation, bytes per record
-# exact, allocations per record not above it (a fall passes and is
-# logged as "baseline stale" for the next [benchmark] change).
+# counts to bench/baseline.json: no failed operation, bytes and
+# allocations per record not above it (a fall passes and is logged as
+# "baseline stale" for the next [benchmark] change; campaign-local's
+# gob bytes must match exactly).
 bench:
 	bash bench/run.sh --seed 1
 

@@ -3,10 +3,10 @@
 // (round-00000.seg, round-00001.seg, ...) written crash-safely through
 // internal/atomicfile, so a campaign's resident memory is bounded by
 // the open round plus a small LRU of decoded segments instead of the
-// whole history. Segments are validated — framing, CRC, block bounds —
-// once at Open; a torn final write (a leftover *.tmp sibling) is
-// ignored and a truncated or mangled segment reports store.ErrCorrupt
-// before any read path runs.
+// whole history. Segments are validated — framing, CRC, every offset,
+// length and count the footer declares — once at Open; a torn final
+// write (a leftover *.tmp sibling) is ignored and a truncated or
+// mangled segment reports store.ErrCorrupt before any read path runs.
 //
 // The backend honors the store.Backend byte-identity contract: records
 // round-trip through the column encodings field-for-field, so
@@ -69,9 +69,11 @@ func segName(i int) string { return fmt.Sprintf("round-%05d.seg", i) }
 func (b *Backend) segPath(i int) string { return filepath.Join(b.dir, segName(i)) }
 
 // Open opens (creating if needed) a segment directory. Every existing
-// segment is fully validated — magic, CRC over the whole file, block
-// bounds, sequential round indexes — so later reads operate on proven
-// data; any damage surfaces here as an error wrapping store.ErrCorrupt.
+// segment is fully validated — magic, CRC over the whole file, the
+// footer's directories against the file's size, sequential round
+// indexes — so later reads operate on proven data; any damage surfaces
+// here as an error wrapping store.ErrCorrupt, and a directory in the
+// superseded v1 layout as an error that says how to rebuild it.
 // Leftover .tmp files from an interrupted atomic write are ignored:
 // the rename never happened, so the directory's committed state is
 // intact without them.
@@ -139,8 +141,8 @@ func (b *Backend) NumRounds() int {
 	return len(b.segs)
 }
 
-// Meta returns a round's metadata from its segment footer — no block
-// is touched.
+// Meta returns a round's metadata from its segment footer — the file
+// is not touched.
 func (b *Backend) Meta(i int) (store.RoundMeta, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -244,10 +246,11 @@ func (b *Backend) recordsLocked(i int) ([]*store.Record, error) {
 	return recs, nil
 }
 
-// History walks the per-IP record trail without materializing rounds
-// wholesale: the footer's IP bounds rule most segments out, and a
-// candidate segment's membership is tested against its IP column alone
-// (one partial file read) before the full round is decoded.
+// History walks the per-IP record trail without materializing rounds:
+// the footer's IP bounds rule most segments out, and in a candidate
+// segment the point read (readRow) touches one row group — nothing is
+// decoded wholesale and nothing enters the LRU, though a round the LRU
+// already holds is answered from it.
 func (b *Backend) History(ip ipaddr.Addr) ([]*store.Record, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -259,56 +262,32 @@ func (b *Backend) History(ip ipaddr.Addr) ([]*store.Record, error) {
 		if foot.Meta.Records == 0 || uint32(ip) < foot.MinIP || uint32(ip) > foot.MaxIP {
 			continue
 		}
-		if recs, ok := b.cacheGet(i); ok {
-			if rec := searchRecs(recs, ip); rec != nil {
-				out = append(out, rec)
-			}
-			continue
-		}
-		hit, err := b.ipInSegment(i, foot, ip)
+		rec, err := b.recordAt(i, foot, ip)
 		if err != nil {
 			return nil, err
 		}
-		if !hit {
-			continue
-		}
-		recs, err := b.recordsLocked(i)
-		if err != nil {
-			return nil, err
-		}
-		if rec := searchRecs(recs, ip); rec != nil {
+		if rec != nil {
 			out = append(out, rec)
 		}
 	}
 	return out, nil
 }
 
-// ipInSegment tests membership by decoding only the segment's IP
-// column, read with one ReadAt of the block's byte range.
-func (b *Backend) ipInSegment(i int, foot *segFooter, ip ipaddr.Addr) (bool, error) {
-	blk, err := foot.block(ipCol)
-	if err != nil {
-		return false, err
+// recordAt returns round i's record for ip, or nil. Caller holds mu.
+func (b *Backend) recordAt(i int, foot *segFooter, ip ipaddr.Addr) (*store.Record, error) {
+	if recs, ok := b.cacheGet(i); ok {
+		return searchRecs(recs, ip), nil
 	}
 	f, err := os.Open(b.segPath(i))
 	if err != nil {
-		return false, fmt.Errorf("colstore: %w", err)
+		return nil, fmt.Errorf("colstore: %w", err)
 	}
 	defer f.Close()
-	comp := make([]byte, blk.CompLen)
-	if _, err := f.ReadAt(comp, blk.Off); err != nil {
-		return false, fmt.Errorf("colstore: reading %s ip column: %w", segName(i), err)
-	}
-	raw, err := decompress(comp, int(blk.RawLen))
+	rec, err := readRow(f, foot, uint32(ip))
 	if err != nil {
-		return false, fmt.Errorf("%w: segment %s ip column: %v", store.ErrCorrupt, segName(i), err)
+		return nil, fmt.Errorf("colstore: segment %s: %w", segName(i), err)
 	}
-	ips, err := decodeIPColumn(raw, foot.Meta.Records)
-	if err != nil {
-		return false, err
-	}
-	j := sort.Search(len(ips), func(k int) bool { return ips[k] >= uint32(ip) })
-	return j < len(ips) && ips[j] == uint32(ip), nil
+	return rec, nil
 }
 
 // searchRecs binary searches an IP-sorted record slice.

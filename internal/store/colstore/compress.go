@@ -1,8 +1,9 @@
 // The segment byte compressor: an LZ77-family byte codec in the
-// snappy/LZ4 spirit — greedy hash-chain matching, literal runs and
-// back-references, no entropy stage — small enough to own outright
-// (the repo takes no dependencies) and fast enough that column
-// encoding stays I/O-bound. The format is deliberately simple:
+// snappy/LZ4 spirit — single-probe hash matching with a one-byte lazy
+// step, literal runs and back-references, no entropy stage — small
+// enough to own outright (the repo takes no dependencies) and fast
+// enough that column encoding stays I/O-bound. The format is
+// deliberately simple:
 //
 //	control byte c < 0x80: literal run of c+1 bytes follows
 //	control byte c >= 0x80: copy of (c&0x7f)+minMatch bytes from
@@ -37,10 +38,9 @@ func load32(b []byte, i int) uint32 {
 
 // compress appends the compressed form of src to dst.
 func compress(dst, src []byte) []byte {
+	// table maps a 4-byte hash to one past the last position that
+	// hashed there, so the zero value means "none yet".
 	var table [1 << hashBits]int32
-	for i := range table {
-		table[i] = -1
-	}
 	litStart := 0
 	emitLiterals := func(end int) {
 		for litStart < end {
@@ -53,38 +53,58 @@ func compress(dst, src []byte) []byte {
 			litStart += n
 		}
 	}
+	// match returns the length and distance of the table's candidate
+	// match at i (0 if it has none) and enters i into the table.
+	match := func(i int) (length, dist int) {
+		h := hash4(load32(src, i))
+		cand := int(table[h]) - 1
+		table[h] = int32(i + 1)
+		if cand < 0 || i-cand > maxOffset || load32(src, cand) != load32(src, i) {
+			return 0, 0
+		}
+		length = minMatch
+		for i+length < len(src) && length < maxCopyLen && src[cand+length] == src[i+length] {
+			length++
+		}
+		return length, i - cand
+	}
 	i := 0
 	for i+minMatch <= len(src) {
-		h := hash4(load32(src, i))
-		cand := table[h]
-		table[h] = int32(i)
-		if cand >= 0 && i-int(cand) <= maxOffset && load32(src, int(cand)) == load32(src, i) {
-			// Extend the match.
-			length := minMatch
-			for i+length < len(src) && length < maxCopyLen && src[int(cand)+length] == src[i+length] {
-				length++
-			}
-			emitLiterals(i)
-			dst = append(dst, byte(0x80|(length-minMatch)))
-			var off [2]byte
-			binary.LittleEndian.PutUint16(off[:], uint16(i-int(cand)))
-			dst = append(dst, off[0], off[1])
-			i += length
-			litStart = i
+		length, dist := match(i)
+		if length == 0 {
+			i++
 			continue
 		}
-		i++
+		// Lazy step: a longer match one byte on is worth a literal. It
+		// is what keeps 512-row groups no larger than the whole-round
+		// blocks they replaced (ROADMAP item 2(a) has the table).
+		for length < maxCopyLen && i+1+minMatch <= len(src) {
+			l, d := match(i + 1)
+			if l <= length {
+				break
+			}
+			i, length, dist = i+1, l, d
+		}
+		emitLiterals(i)
+		dst = append(dst, byte(0x80|(length-minMatch)), byte(dist), byte(dist>>8))
+		i += length
+		litStart = i
 	}
 	emitLiterals(len(src))
 	return dst
 }
 
+// maxRawLen bounds what compLen compressed bytes can expand to: the
+// densest token is a 3-byte copy yielding maxCopyLen bytes. A declared
+// raw length above it is a lie, and is refused before it sizes a buffer.
+func maxRawLen(compLen int) int { return (compLen/3 + 1) * maxCopyLen }
+
 // decompress expands src into a fresh buffer of exactly rawLen bytes,
 // bounds-checking every step: mangled input returns an error, never a
 // panic or an overrun.
 func decompress(src []byte, rawLen int) ([]byte, error) {
-	if rawLen < 0 {
-		return nil, fmt.Errorf("colstore: negative raw length %d", rawLen)
+	if rawLen < 0 || rawLen > maxRawLen(len(src)) {
+		return nil, fmt.Errorf("colstore: raw length %d impossible for %d compressed bytes", rawLen, len(src))
 	}
 	dst := make([]byte, 0, rawLen)
 	i := 0
@@ -108,6 +128,10 @@ func decompress(src []byte, rawLen int) ([]byte, error) {
 		i += 2
 		if off == 0 || off > len(dst) {
 			return nil, fmt.Errorf("colstore: copy offset %d outside window of %d", off, len(dst))
+		}
+		if off >= length {
+			dst = append(dst, dst[len(dst)-off:len(dst)-off+length]...)
+			continue
 		}
 		// Overlapping copies (off < length) are legal and replicate
 		// runs, so copy byte by byte.

@@ -2,14 +2,15 @@
 # bench_gate.sh — run the repository's benchmark (bench/, which fails on
 # its own when a digest or answer check does) and hold its counts to
 # bench/baseline.json on every workload: no failed operation,
-# bytes_per_record exact, allocs_per_record not more than 1 % above the
-# baseline (or 0.01 allocs: store-mixed's 0.125 is amortised set-up and
-# moves 2.5 % with the op mix a timed run fits). The allocation leg is
-# one-sided: a fall of more than that passes and prints
-# "bench_gate: baseline stale: ..." so the [benchmark] change that
-# re-records bench/baseline.json shows up in the log — a change that
-# claims a gain may not edit bench/ itself. Wall times vary by host, so
-# none is gated.
+# bytes_per_record not above the baseline, allocs_per_record not more
+# than 1 % above it (or 0.01 allocs: store-mixed's amortised set-up
+# moves a few percent with the op mix a timed run fits). Both legs are
+# one-sided: a fall passes and prints "bench_gate: baseline stale: ..."
+# so the [benchmark] change that re-records bench/baseline.json shows up
+# in the log — a change that claims a gain may not edit bench/ itself.
+# The one exception is campaign-local's bytes_per_record, the gob bytes
+# of the memory store: no storage format sits under it, so it must
+# match exactly. Wall times vary by host, so none is gated.
 set -eu
 cd "$(dirname "$0")/.."
 OUT=$(mktemp)
@@ -25,8 +26,13 @@ for name in sorted(fresh.keys() & base.keys()):
     if fresh[name]["failed"]:
         bad.append("%s: %d of %d operations failed" % (name, fresh[name]["failed"], fresh[name]["attempted"]))
     got, want = value(fresh, "bytes_per_record"), value(base, "bytes_per_record")
-    if abs(got - want) > 1e-9 * want:
-        bad.append("%s: bytes_per_record %r, baseline %r" % (name, got, want))
+    if got - want > 1e-9 * want:
+        bad.append("%s: bytes_per_record %r, above baseline %r" % (name, got, want))
+    elif want - got > 1e-9 * want and name == "campaign-local":
+        bad.append("%s: bytes_per_record %r, baseline %r (gob bytes must match exactly)" % (name, got, want))
+    elif want - got > 1e-9 * want:
+        print("bench_gate: baseline stale: %s bytes_per_record fell %.1f %% (%.4f, baseline %.4f)"
+              % (name, 100 * (want - got) / want, got, want))
     got, want = value(fresh, "allocs_per_record"), value(base, "allocs_per_record")
     slack = max(0.01 * want, 0.01)
     if got - want > slack:
