@@ -454,9 +454,10 @@ func TestCoordinatorFleet(t *testing.T) {
 
 	runFleet := func(t *testing.T, workers int, chaos bool) string {
 		journal := filepath.Join(t.TempDir(), "journal.jsonl")
+		metricsPath := filepath.Join(t.TempDir(), "metrics.json")
 		coordArgs := []string{
 			"-cloud-addr", cloudAddr, "-addr", "127.0.0.1:0",
-			"-rounds", "2", "-q", "-trace-journal", journal,
+			"-rounds", "2", "-trace-journal", journal, "-metrics", metricsPath,
 		}
 		if chaos {
 			coordArgs = append(coordArgs, "-lease-ttl", "1s")
@@ -512,6 +513,33 @@ func TestCoordinatorFleet(t *testing.T) {
 		if !strings.Contains(out, "round  0") && !strings.Contains(out, "round 0") {
 			t.Errorf("journal trace missing round breakdown:\n%s", out)
 		}
+		// The coordinator ends through the same tail as whowas: one
+		// progress line per round, scan time included, and a -metrics
+		// document of the same shape.
+		progress := 0
+		for _, line := range strings.Split(coord.output(), "\n") {
+			if strings.HasPrefix(line, "  round ") && strings.Contains(line, ", scan ") {
+				progress++
+			}
+		}
+		if progress != 2 {
+			t.Errorf("%d progress lines with a scan time, want one per round (2):\n%s", progress, coord.output())
+		}
+		var report struct {
+			Cloud   string           `json:"cloud"`
+			Rounds  []map[string]any `json:"rounds"`
+			Metrics map[string]any   `json:"metrics"`
+		}
+		raw, err := os.ReadFile(metricsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &report); err != nil {
+			t.Fatalf("coordinator -metrics is not JSON: %v", err)
+		}
+		if report.Cloud == "" || len(report.Rounds) != 2 || report.Metrics["counters"] == nil {
+			t.Errorf("coordinator -metrics is not a campaign report (cloud, 2 rounds, metrics): %s", raw)
+		}
 		return digestFrom(t, coord.output())
 	}
 
@@ -537,6 +565,59 @@ func TestCoordinatorBadFlags(t *testing.T) {
 	}
 	if out, code := runCLI(t, "whowas", "-worker"); code == 0 {
 		t.Errorf("whowas -worker without -coordinator-addr succeeded:\n%s", out)
+	}
+}
+
+// TestExperimentsCLI drives the figure generator: -only prints exactly
+// the sections it names, -csv writes the figures' series, and what is
+// not this command's to accept — an unknown experiment, a campaign
+// flag that belongs to cmd/whowas — is a usage error before any
+// campaign runs.
+func TestExperimentsCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("e2e suite skipped in -short mode")
+	}
+	csvDir := filepath.Join(t.TempDir(), "csv")
+	cmd := exec.Command(bin("whowas-experiments"),
+		"-ec2-scale", "2048", "-azure-scale", "512", "-q",
+		"-only", "table3,accuracy", "-csv", csvDir)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("whowas-experiments: %v\n%s", err, stderr.String())
+	}
+	var sections []string
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "==== "); ok {
+			id, _, _ := strings.Cut(rest, " ")
+			sections = append(sections, id)
+		}
+	}
+	if strings.Join(sections, ",") != "table3,accuracy" {
+		t.Errorf("-only table3,accuracy printed sections %v:\n%s", sections, stdout.String())
+	}
+	for _, want := range []string{"Table 3 (ec2)", "Table 3 (azure)", "Clustering accuracy (ec2)", "Clustering accuracy (azure)"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, stdout.String())
+		}
+	}
+	if stderr.Len() != 0 {
+		t.Errorf("-q left progress on stderr:\n%s", stderr.String())
+	}
+	for _, stem := range []string{"figure8-ec2", "figure9-azure", "figure19-ec2"} {
+		data, err := os.ReadFile(filepath.Join(csvDir, stem+".csv"))
+		if err != nil || bytes.Count(data, []byte("\n")) < 2 {
+			t.Errorf("-csv %s.csv: %v (%d bytes)", stem, err, len(data))
+		}
+	}
+
+	out, code := runCLI(t, "whowas-experiments", "-only", "table3,tabel4")
+	if code != 2 || !strings.Contains(out, `"tabel4"`) || !strings.Contains(out, "table4, ") {
+		t.Errorf("unknown -only ID: exit %d, want 2 with the valid IDs listed:\n%s", code, out)
+	}
+	out, code = runCLI(t, "whowas-experiments", "-faults", "scenarios/chaos.json")
+	if code != 2 || !strings.Contains(out, "flag provided but not defined: -faults") {
+		t.Errorf("-faults: exit %d, want the flag package's usage error (2):\n%s", code, out)
 	}
 }
 

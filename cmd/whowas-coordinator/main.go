@@ -34,11 +34,11 @@ import (
 	"os/signal"
 	"time"
 
-	"whowas/internal/atomicfile"
 	"whowas/internal/coord"
 	"whowas/internal/core"
 	"whowas/internal/faults"
 	"whowas/internal/metrics"
+	"whowas/internal/ops"
 	"whowas/internal/trace"
 )
 
@@ -77,7 +77,7 @@ func main() {
 	flag.StringVar(&o.faultsPath, "faults", "", "inject faults from this JSON scenario on every worker")
 	flag.StringVar(&o.out, "out", "", "write the merged store (gob) to this path")
 	flag.StringVar(&o.storeDir, "store-dir", "", "back the merged store with the on-disk columnar engine at this directory (one segment file per round)")
-	flag.StringVar(&o.metricsPath, "metrics", "", "write the coordinator metrics snapshot as JSON to this path")
+	flag.StringVar(&o.metricsPath, "metrics", "", "write the campaign metrics report (round reports + registry snapshot) as JSON to this path")
 	flag.StringVar(&o.journalPath, "trace-journal", "", "append the fleet's merged spans (worker spans stamped with worker identity under each round) as JSONL to this path")
 	flag.DurationVar(&o.drainWait, "drain-wait", 10*time.Second, "how long to wait after the last round for workers to be told the campaign is done")
 	flag.BoolVar(&o.quiet, "q", false, "suppress per-round progress")
@@ -126,37 +126,19 @@ func run(o options) error {
 			}
 		}()
 	}
-	if o.faultsPath != "" {
-		sc, err := faults.LoadFile(o.faultsPath)
-		if err != nil {
-			return err
-		}
-		cfg.Faults = sc
-		fmt.Printf("injecting faults from %s (scenario %q, seed %d)\n", o.faultsPath, sc.Name, sc.Seed)
+	var err error
+	if cfg.Faults, err = faults.LoadFlag(os.Stdout, o.faultsPath); err != nil {
+		return err
 	}
 	if !o.quiet {
-		cfg.Observer = func(r core.RoundReport) {
-			line := fmt.Sprintf("  round %2d (day %2d): %d/%d responsive, %d fetched, %d errors",
-				r.Round, r.Day, r.Responsive, r.Probed, r.Fetched, r.FetchErrors)
-			if r.Retries > 0 {
-				line += fmt.Sprintf(", %d retries", r.Retries)
-			}
-			if r.Degraded {
-				line += " [degraded]"
-			}
-			fmt.Println(line)
-		}
+		cfg.Observer = func(r core.RoundReport) { fmt.Println(" ", r.ProgressLine()) }
 	}
 
 	srv, err := coord.NewServer(ctx, cfg)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(sctx)
-	}()
+	defer ops.Stop(srv)
 
 	addr, err := srv.Start(o.addr)
 	if err != nil {
@@ -175,28 +157,11 @@ func run(o options) error {
 	}
 
 	st := srv.Store()
-	fmt.Printf("campaign complete: %d rounds collected\n", st.NumRounds())
-	digest, err := st.Digest()
-	if err != nil {
+	if err := core.AnnounceDigest(os.Stdout, st); err != nil {
 		return err
 	}
-	// The digest is the campaign's identity: the coord CI gate diffs it
-	// against a single-process run of the same seed.
-	fmt.Printf("store digest: %s\n", digest)
-
-	if o.out != "" {
-		if err := atomicfile.WriteWith(o.out, st.Save); err != nil {
-			return err
-		}
-		fmt.Printf("store written to %s\n", o.out)
-	}
-	if o.metricsPath != "" {
-		if err := atomicfile.WriteWith(o.metricsPath, cfg.Metrics.WriteJSON); err != nil {
-			return err
-		}
-		fmt.Printf("metrics report written to %s\n", o.metricsPath)
-	}
-	return nil
+	report := core.CampaignReport{Cloud: st.CloudName, Rounds: srv.Reports(), Metrics: cfg.Metrics.Snapshot()}
+	return core.WriteOutputs(os.Stdout, st, o.out, report, o.metricsPath)
 }
 
 func budgetLabel(rate float64) string {

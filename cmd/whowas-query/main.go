@@ -58,26 +58,23 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "trace" {
-		if err := runTrace(os.Args[2:]); err != nil {
-			fmt.Fprintf(os.Stderr, "whowas-query: %v\n", err)
-			os.Exit(1)
+	if len(os.Args) > 1 {
+		var sub func([]string) error
+		switch os.Args[1] {
+		case "trace":
+			sub = runTrace
+		case "cloud":
+			sub = runCloud
+		case "fleet":
+			sub = runFleet
 		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "cloud" {
-		if err := runCloud(os.Args[2:]); err != nil {
-			fmt.Fprintf(os.Stderr, "whowas-query: %v\n", err)
-			os.Exit(1)
+		if sub != nil {
+			if err := sub(os.Args[2:]); err != nil {
+				fmt.Fprintf(os.Stderr, "whowas-query: %v\n", err)
+				os.Exit(1)
+			}
+			return
 		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "fleet" {
-		if err := runFleet(os.Args[2:]); err != nil {
-			fmt.Fprintf(os.Stderr, "whowas-query: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 	var o queryOptions
 	flag.StringVar(&o.storePath, "store", "", "path to a store written by whowas -out")

@@ -33,9 +33,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
-	"whowas/internal/atomicfile"
 	"whowas/internal/carto"
 	"whowas/internal/cloudapi"
 	"whowas/internal/cluster"
@@ -130,12 +130,12 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("building %s-like cloud (%d probed IPs, %d-day campaign)...\n",
-			o.cloudName, totalIPs(cfg), cfg.Days)
 		p, err = core.NewPlatform(cfg)
 		if err != nil {
 			return err
 		}
+		fmt.Printf("building %s-like cloud (%d probed IPs, %d-day campaign)...\n",
+			o.cloudName, p.Cloud.Ranges().Total(), cfg.Days)
 	}
 
 	if o.storeDir != "" {
@@ -173,17 +173,11 @@ func run(o options) error {
 		}()
 	}
 	if o.opsAddr != "" {
-		srv := ops.New(ops.Config{Metrics: p.Metrics, Tracer: p.Tracer, Rounds: p.RoundReports})
-		addr, err := srv.Start(o.opsAddr)
+		stopOps, err := ops.Serve(os.Stdout, o.opsAddr, ops.Config{Metrics: p.Metrics, Tracer: p.Tracer, Rounds: p.RoundReports})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("ops endpoint listening on http://%s\n", addr)
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(sctx)
-		}()
+		defer stopOps()
 	}
 
 	camp := core.FastCampaign()
@@ -194,13 +188,9 @@ func run(o options) error {
 		}
 		camp.RoundDays = days
 	}
-	if o.faultsPath != "" {
-		sc, err := faults.LoadFile(o.faultsPath)
-		if err != nil {
-			return err
-		}
-		camp.Faults = sc
-		fmt.Printf("injecting faults from %s (scenario %q, seed %d)\n", o.faultsPath, sc.Name, sc.Seed)
+	var err error
+	if camp.Faults, err = faults.LoadFlag(os.Stdout, o.faultsPath); err != nil {
+		return err
 	}
 	if o.retries > 0 {
 		camp.Scanner.Attempts = o.retries
@@ -210,7 +200,7 @@ func run(o options) error {
 	camp.PipelineShards = o.shards
 	if o.exclude != "" {
 		set := ipaddr.NewSet()
-		for _, s := range splitComma(o.exclude) {
+		for _, s := range strings.FieldsFunc(o.exclude, func(r rune) bool { return r == ',' }) {
 			a, err := ipaddr.ParseAddr(s)
 			if err != nil {
 				return fmt.Errorf("bad -exclude entry: %w", err)
@@ -221,30 +211,15 @@ func run(o options) error {
 		fmt.Printf("excluding %d opted-out IPs\n", set.Len())
 	}
 	if !o.quiet {
-		camp.Observer = func(r core.RoundReport) {
-			line := fmt.Sprintf("  round %2d (day %2d): %d/%d responsive, %d fetched, %d errors, scan %s",
-				r.Round, r.Day, r.Responsive, r.Probed, r.Fetched, r.FetchErrors, r.Scan.Round(time.Millisecond))
-			if r.Retries > 0 {
-				line += fmt.Sprintf(", %d retries", r.Retries)
-			}
-			if r.Degraded {
-				line += " [degraded]"
-			}
-			fmt.Println(line)
-		}
+		camp.Observer = func(r core.RoundReport) { fmt.Println(" ", r.ProgressLine()) }
 	}
 
 	if err := p.RunCampaign(ctx, camp); err != nil {
 		return err
 	}
-	fmt.Printf("campaign complete: %d rounds collected\n", p.Store.NumRounds())
-	digest, err := p.Store.Digest()
-	if err != nil {
+	if err := core.AnnounceDigest(os.Stdout, p.Store); err != nil {
 		return err
 	}
-	// The digest is the campaign's identity: the cloudd CI gate diffs
-	// it between in-process and wire runs of the same seed.
-	fmt.Printf("store digest: %s\n", digest)
 
 	if o.doCarto && p.IsEC2Like() {
 		fmt.Println("running VPC cartography sweep...")
@@ -262,39 +237,5 @@ func run(o options) error {
 			p.Clusters.TopLevel, p.Clusters.SecondLevel, p.Clusters.Final, p.Clusters.Threshold)
 	}
 
-	if o.out != "" {
-		if err := atomicfile.WriteWith(o.out, p.Store.Save); err != nil {
-			return err
-		}
-		fmt.Printf("store written to %s\n", o.out)
-	}
-	if o.metricsPath != "" {
-		if err := p.WriteMetricsFile(o.metricsPath); err != nil {
-			return err
-		}
-		fmt.Printf("metrics report written to %s\n", o.metricsPath)
-	}
-	return nil
-}
-
-func totalIPs(cfg cloudapi.SimConfig) int {
-	n := 0
-	for _, r := range cfg.Regions {
-		n += r.Prefixes22 * 1024
-	}
-	return n
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
+	return core.WriteOutputs(os.Stdout, p.Store, o.out, p.Report(), o.metricsPath)
 }

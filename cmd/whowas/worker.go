@@ -11,10 +11,9 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"time"
 
-	"whowas/internal/atomicfile"
 	"whowas/internal/coord"
+	"whowas/internal/core"
 	"whowas/internal/metrics"
 	"whowas/internal/ops"
 )
@@ -45,17 +44,11 @@ func runWorker(ctx context.Context, o options) error {
 	}()
 
 	if o.opsAddr != "" {
-		srv := ops.New(ops.Config{Metrics: reg, Tracer: w.Tracer()})
-		addr, err := srv.Start(o.opsAddr)
+		stopOps, err := ops.Serve(os.Stdout, o.opsAddr, ops.Config{Metrics: reg, Tracer: w.Tracer()})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("ops endpoint listening on http://%s\n", addr)
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(sctx)
-		}()
+		defer stopOps()
 	}
 
 	fmt.Printf("worker %s: joining coordinator at %s\n", w.ID(), o.coordAddr)
@@ -63,11 +56,7 @@ func runWorker(ctx context.Context, o options) error {
 		return err
 	}
 	fmt.Printf("worker %s: done\n", w.ID())
-	if o.metricsPath != "" {
-		if err := atomicfile.WriteWith(o.metricsPath, reg.WriteJSON); err != nil {
-			return err
-		}
-		fmt.Printf("metrics report written to %s\n", o.metricsPath)
-	}
-	return nil
+	// A worker runs shards, not rounds, and holds no store: its report
+	// is the registry alone, in the document every -metrics writes.
+	return core.CampaignReport{Metrics: reg.Snapshot()}.WriteFile(os.Stdout, o.metricsPath)
 }

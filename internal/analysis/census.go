@@ -64,7 +64,7 @@ func (s *shareCounter) addRound(counts map[string]int) {
 func (s *shareCounter) shares() []Share {
 	out := make([]Share, 0, len(s.counts))
 	for k, n := range s.counts {
-		sh := Share{Name: k, Count: n / float64(maxInt(s.rounds, 1))}
+		sh := Share{Name: k, Count: n / float64(max(s.rounds, 1))}
 		if s.total > 0 {
 			sh.Share = n / s.total
 		}

@@ -245,7 +245,7 @@ func SizePatterns(st *store.Store, res *cluster.Result, campaignDays int) Patter
 func (p PatternTable) Format(cloud string, topN int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Table 11 (%s): top size-change patterns (%d clusters; %.1f%% ephemeral)\n",
-		cloud, p.Total, 100*float64(p.Ephemeral)/float64(maxInt(p.Total, 1)))
+		cloud, p.Total, 100*float64(p.Ephemeral)/float64(max(p.Total, 1)))
 	rows := p.Rows
 	if topN > 0 && len(rows) > topN {
 		rows = rows[:topN]
@@ -254,13 +254,6 @@ func (p PatternTable) Format(cloud string, topN int) string {
 		fmt.Fprintf(&sb, "  %-14s %8d (%5.1f%%)\n", r.Pattern, r.Count, 100*r.Frac)
 	}
 	return sb.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // UptimeCDF is Figure 12: the distribution of average IP uptime across

@@ -352,13 +352,12 @@ func TestUnavailableRecordsExcluded(t *testing.T) {
 	_ = res
 }
 
-// TestRunPersistsThroughCachingBackend: clustering's write-back must
-// reach the disk even when the backend's round cache holds the whole
-// store — the cached records are the same pointers Run labels in
-// place, so a naive changed-detection inside UpdateRounds would read
-// its own mutation and skip every rewrite (regression: stale segments
-// after a fully-cached columnar campaign).
-func TestRunPersistsThroughCachingBackend(t *testing.T) {
+// TestRunPersistsThroughColumnarBackend: clustering's write-back must
+// reach the disk — a lazy backend hands every reader its own decoded
+// records, so labels that do not go through UpdateRounds' Rewrite are
+// lost, and only rewritten segments reproduce the post-clustering
+// digest after a reopen.
+func TestRunPersistsThroughColumnarBackend(t *testing.T) {
 	rounds := [][]*store.Record{
 		{page("1.0.0.1", "Shop", "nginx", bodyA), page("1.0.0.2", "Shop", "nginx", bodyA)},
 		{page("1.0.0.1", "Shop", "nginx", bodyA), page("1.0.0.3", "Corp", "apache", bodyB)},
@@ -366,7 +365,7 @@ func TestRunPersistsThroughCachingBackend(t *testing.T) {
 	mem := buildStore(t, rounds)
 
 	dir := t.TempDir()
-	backend, err := colstore.Open(dir, colstore.Options{CloudName: "test", CacheRounds: len(rounds)})
+	backend, err := colstore.Open(dir, colstore.Options{CloudName: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,8 +402,7 @@ func TestRunPersistsThroughCachingBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen from disk alone: the cache is gone, so only rewritten
-	// segments can reproduce the post-clustering digest.
+	// Reopen from disk alone.
 	reBackend, err := colstore.Open(dir, colstore.Options{CloudName: "test"})
 	if err != nil {
 		t.Fatal(err)

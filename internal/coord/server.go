@@ -80,8 +80,6 @@ type Config struct {
 	// identity), and journals the lot — so whowas-query trace
 	// reconstructs the distributed campaign from this one journal.
 	Tracer *trace.Tracer
-	// HistorySize bounds the status-history ring (default 512).
-	HistorySize int
 	// Observer, when non-nil, receives each completed round's report.
 	Observer func(core.RoundReport)
 	// Clock feeds the lease budget (tests install a fake). Nil means
@@ -220,7 +218,7 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 		days:        days,
 		shards:      core.ShardLayout(regions, cfg.Shards),
 		notify:      make(chan struct{}, 1),
-		agg:         fleetobs.NewAggregator(cfg.HistorySize),
+		agg:         fleetobs.NewAggregator(),
 		mRounds:     cfg.Metrics.Counter("coord.rounds"),
 		mAssigned:   cfg.Metrics.Counter("coord.shards_assigned"),
 		mCompleted:  cfg.Metrics.Counter("coord.shards_completed"),

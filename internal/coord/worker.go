@@ -26,15 +26,8 @@ type WorkerConfig struct {
 	// ID names the worker (and its lease). Empty means a PID-derived
 	// default; fleets must keep IDs unique.
 	ID string
-	// PollInterval paces the /coord/next loop while waiting for work.
-	// 0 means the coordinator-suggested interval.
-	PollInterval time.Duration
 	// Metrics, when non-nil, instruments the worker's scanner/fetcher.
 	Metrics *metrics.Registry
-	// TraceSamplePerMille sets the worker tracer's per-IP sampling
-	// rate (trace.Config.SamplePerMille): 0 takes the default,
-	// negative disables per-IP spans.
-	TraceSamplePerMille int
 	// Logf, when non-nil, receives one line per lifecycle event
 	// (registered, assigned, submitted, re-registering).
 	Logf func(format string, args ...any)
@@ -79,11 +72,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	// The worker's spans land in an in-memory buffer drained into each
 	// shard submission; the coordinator owns the durable journal.
 	spans := trace.NewBuffer(4096)
-	tracer := trace.New(trace.Config{
-		RingSize:       1024,
-		SamplePerMille: cfg.TraceSamplePerMille,
-		Journal:        spans,
-	})
+	tracer := trace.New(trace.Config{RingSize: 1024, Journal: spans})
 	return &Worker{
 		cfg:    cfg,
 		coord:  client,
@@ -223,10 +212,7 @@ func (w *Worker) work(ctx context.Context, runner *core.ShardRunner) error {
 			w.logf("worker %s: campaign done", w.cfg.ID)
 			return nil
 		case StateWait:
-			d := w.cfg.PollInterval
-			if d <= 0 {
-				d = time.Duration(a.RetryMS) * time.Millisecond
-			}
+			d := time.Duration(a.RetryMS) * time.Millisecond
 			if d <= 0 {
 				d = defaultRetryMS * time.Millisecond
 			}

@@ -120,6 +120,20 @@ type RoundReport struct {
 	Regions []RegionReport `json:"regions,omitempty"`
 }
 
+// ProgressLine renders the round as the one line every campaign CLI
+// prints per round.
+func (r RoundReport) ProgressLine() string {
+	line := fmt.Sprintf("round %2d (day %2d): %d/%d responsive, %d fetched, %d errors, scan %s",
+		r.Round, r.Day, r.Responsive, r.Probed, r.Fetched, r.FetchErrors, r.Scan.Round(time.Millisecond))
+	if r.Retries > 0 {
+		line += fmt.Sprintf(", %d retries", r.Retries)
+	}
+	if r.Degraded {
+		line += " [degraded]"
+	}
+	return line
+}
+
 // RegionReport is one region's share of a round.
 type RegionReport struct {
 	Region     string `json:"region"`
@@ -365,18 +379,51 @@ func (p *Platform) Report() CampaignReport {
 	}
 }
 
-// WriteMetricsJSON writes the campaign report as indented JSON.
-func (p *Platform) WriteMetricsJSON(w io.Writer) error {
+// WriteJSON writes the report as indented JSON.
+func (r CampaignReport) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(p.Report())
+	return enc.Encode(r)
 }
 
-// WriteMetricsFile writes the campaign report to path atomically: the
-// JSON lands in a temp file that is fsynced and renamed into place, so
-// a crash mid-write never leaves a torn report at the destination.
-func (p *Platform) WriteMetricsFile(path string) error {
-	return atomicfile.WriteWith(path, p.WriteMetricsJSON)
+// AnnounceDigest prints how many rounds a campaign collected and the
+// store digest. The digest is the campaign's identity: the cloudd,
+// coord and store gates diff it between runs of one seed.
+func AnnounceDigest(w io.Writer, st *store.Store) error {
+	fmt.Fprintf(w, "campaign complete: %d rounds collected\n", st.NumRounds())
+	digest, err := st.Digest()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "store digest: %s\n", digest)
+	return nil
+}
+
+// WriteOutputs is how every campaign CLI ends: the store goes to
+// outPath as a gob and the report to metricsPath as JSON, each
+// atomically (a crash mid-write never leaves a torn file) and each
+// announced on w. An empty path skips its file.
+func WriteOutputs(w io.Writer, st *store.Store, outPath string, report CampaignReport, metricsPath string) error {
+	if outPath != "" {
+		if err := atomicfile.WriteWith(outPath, st.Save); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "store written to %s\n", outPath)
+	}
+	return report.WriteFile(w, metricsPath)
+}
+
+// WriteFile is the -metrics half of WriteOutputs, for a process with
+// a report and no store (a fleet worker).
+func (r CampaignReport) WriteFile(w io.Writer, path string) error {
+	if path == "" {
+		return nil
+	}
+	if err := atomicfile.WriteWith(path, r.WriteJSON); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "metrics report written to %s\n", path)
+	return nil
 }
 
 // RunCartography performs the §5 one-time VPC/classic DNS sweep and

@@ -372,7 +372,7 @@ func TestCampaignMetricsRegistry(t *testing.T) {
 
 	// The full campaign report marshals and round-trips.
 	var buf bytes.Buffer
-	if err := p.WriteMetricsJSON(&buf); err != nil {
+	if err := p.Report().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var rep CampaignReport

@@ -63,8 +63,8 @@ func (s *Suite) ClusteringAccuracy() string {
 			fragSum += f
 		}
 		fmt.Fprintf(&sb, "Clustering accuracy (%s): purity %.3f over %d clusters; %d/%d services in one cluster (mean fragmentation %.2f)\n",
-			pc.cloud, puritySum/float64(maxInt(clusters, 1)), clusters,
-			oneCluster, len(svcClusters), fragSum/float64(maxInt(len(svcClusters), 1)))
+			pc.cloud, puritySum/float64(max(clusters, 1)), clusters,
+			oneCluster, len(svcClusters), fragSum/float64(max(len(svcClusters), 1)))
 	}
 	return sb.String()
 }

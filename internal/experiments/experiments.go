@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§4 calibration, §6 dataset, §8 analyses) over
-// freshly simulated EC2- and Azure-like clouds. The benchmark harness
-// (bench_test.go) and the whowas-bench CLI both drive this package, so
-// `go test -bench .` and the CLI print identical reports.
+// freshly simulated EC2- and Azure-like clouds. The
+// whowas-experiments CLI is its one driver.
 //
 // DESIGN.md's experiment index maps each output here back to the
 // paper; EXPERIMENTS.md records paper-vs-measured values.
@@ -14,7 +13,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"whowas/internal/analysis"
@@ -26,14 +24,11 @@ import (
 	"whowas/internal/cluster"
 	"whowas/internal/core"
 	"whowas/internal/dnssim"
-	"whowas/internal/faults"
 	"whowas/internal/ipaddr"
-	"whowas/internal/metrics"
 	"whowas/internal/plot"
 	"whowas/internal/ratelimit"
 	"whowas/internal/scanner"
 	"whowas/internal/store"
-	"whowas/internal/trace"
 )
 
 // Options sizes the experiment suite.
@@ -44,34 +39,8 @@ type Options struct {
 	// variable multiplies both (e.g. WHOWAS_SCALE=4 shrinks 4x).
 	EC2Scale, AzureScale int
 	Seed                 int64
-	// Faults, when non-nil, replays both campaigns through the
-	// deterministic fault-injection layer (the whowas-bench -faults
-	// flag): the evaluation then reports what the paper's analyses look
-	// like when collected over a degraded network.
-	Faults *faults.Scenario
-	// RoundTimeout bounds each campaign round when positive; rounds
-	// that exceed it finalize degraded instead of wedging the suite.
-	RoundTimeout time.Duration
-	// Retries overrides the scan/fetch attempt count (the whowas-bench
-	// -retries flag). 0 keeps the defaults: 1 attempt on a clean
-	// network, 3 when Faults is set.
-	Retries int
-	// PipelineShards sets the round pipeline's region-lane count on
-	// both campaigns (the -pipeline-shards flag); 0 means one lane per
-	// region. See core.CampaignConfig.PipelineShards.
-	PipelineShards int
-	// Metrics, when non-nil, replaces both platforms' own registries
-	// so a live observer (the ops server) sees one combined view.
-	Metrics *metrics.Registry
-	// Tracer, when non-nil, is installed on both platforms: the
-	// campaigns, cartography and clustering record spans through it.
-	Tracer *trace.Tracer
 	// Progress receives per-round log lines when non-nil.
 	Progress func(format string, args ...any)
-	// Observe, when non-nil, receives each completed round's report
-	// tagged with its cloud, alongside Progress (the ops server's
-	// /rounds feed).
-	Observe func(cloud string, r core.RoundReport)
 }
 
 func (o *Options) withDefaults() Options {
@@ -103,14 +72,13 @@ func (o *Options) logf(format string, args ...any) {
 // Suite holds the two measured clouds and their analyses' inputs.
 type Suite struct {
 	EC2, Azure *core.Platform
-	opts       Options
 }
 
 // Run builds both clouds, runs the full §6 campaigns, the cartography
 // sweep (EC2), and the clustering on both.
 func Run(ctx context.Context, opts Options) (*Suite, error) {
 	opts = opts.withDefaults()
-	s := &Suite{opts: opts}
+	s := &Suite{}
 	start := time.Now()
 
 	build := func(name string, cfg cloudsim.Config) (*core.Platform, error) {
@@ -118,36 +86,8 @@ func Run(ctx context.Context, opts Options) (*Suite, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s platform: %w", name, err)
 		}
-		if opts.Metrics != nil {
-			p.Metrics = opts.Metrics
-			p.Store.SetMetrics(opts.Metrics)
-		}
-		p.Tracer = opts.Tracer
 		camp := core.FastCampaign()
-		camp.Faults = opts.Faults
-		camp.RoundTimeout = opts.RoundTimeout
-		camp.PipelineShards = opts.PipelineShards
-		if opts.Faults != nil {
-			// Resilience defaults for faulty runs; a clean network keeps
-			// the single-attempt fast path.
-			camp.Scanner.Attempts = 3
-			camp.Fetcher.Attempts = 3
-		}
-		if opts.Retries > 0 {
-			camp.Scanner.Attempts = opts.Retries
-			camp.Fetcher.Attempts = opts.Retries
-		}
-		camp.Observer = func(r core.RoundReport) {
-			suffix := ""
-			if r.Degraded {
-				suffix = " [degraded]"
-			}
-			opts.logf("%s round %d (day %d): %d responsive, %d fetched, scan %s%s",
-				name, r.Round, r.Day, r.Responsive, r.Fetched, r.Scan.Round(time.Millisecond), suffix)
-			if opts.Observe != nil {
-				opts.Observe(name, r)
-			}
-		}
+		camp.Observer = func(r core.RoundReport) { opts.logf("%s %s", name, r.ProgressLine()) }
 		if err := p.RunCampaign(ctx, camp); err != nil {
 			return nil, fmt.Errorf("experiments: %s campaign: %w", name, err)
 		}
@@ -177,41 +117,9 @@ func Run(ctx context.Context, opts Options) (*Suite, error) {
 	return s, nil
 }
 
-// suiteCache shares one Suite across benchmark functions in a single
-// `go test -bench` process.
-var (
-	suiteOnce sync.Once
-	suiteVal  *Suite
-	suiteErr  error
-)
-
-// Shared returns the process-wide suite, building it on first use.
-func Shared() (*Suite, error) {
-	suiteOnce.Do(func() {
-		opts := Options{}
-		if os.Getenv("WHOWAS_BENCH_VERBOSE") != "" {
-			opts.Progress = func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "[suite] "+format+"\n", args...)
-			}
-		}
-		suiteVal, suiteErr = Run(context.Background(), opts)
-	})
-	return suiteVal, suiteErr
-}
-
 // both runs an analysis for each cloud and joins the outputs.
 func (s *Suite) both(fn func(p *core.Platform, cloud string) string) string {
 	return fn(s.EC2, "ec2") + "\n" + fn(s.Azure, "azure")
-}
-
-// CampaignReports returns the per-cloud observability documents (round
-// reports plus registry snapshots) for the suite's two campaigns; the
-// whowas-bench -metrics flag serializes this map.
-func (s *Suite) CampaignReports() map[string]core.CampaignReport {
-	return map[string]core.CampaignReport{
-		"ec2":   s.EC2.Report(),
-		"azure": s.Azure.Report(),
-	}
 }
 
 // Table2 regenerates the VPC prefix breakdown via the cartography map.
@@ -372,8 +280,8 @@ func (s *Suite) Table17And18() string {
 		fmt.Sprintf("VirusTotal (azure): %d malicious IPs (paper found none)\n", az.MaliciousIPs)
 }
 
-// Figure19 is reported within Table17And18's VTStudy output; this
-// accessor isolates it for the bench harness.
+// Figure19 isolates the detection-lag CDFs that Table17And18's
+// VTStudy output also carries.
 func (s *Suite) Figure19() string {
 	study := vtStudy(s.EC2)
 	var sb strings.Builder
@@ -514,8 +422,8 @@ func (s *Suite) Sec4TimeoutExperiment(ctx context.Context) (string, error) {
 	}
 	respRetry = resp2 + len(recovered)
 
-	gain8 := 100 * float64(resp8-resp2) / float64(maxInt(resp2, 1))
-	gainRetry := 100 * float64(respRetry-resp2) / float64(maxInt(resp2, 1))
+	gain8 := 100 * float64(resp8-resp2) / float64(max(resp2, 1))
+	gainRetry := 100 * float64(respRetry-resp2) / float64(max(resp2, 1))
 	return fmt.Sprintf(
 		"§4 timeout experiment (ec2): sampled %d IPs (5%% of each /24)\n"+
 			"  responsive with 2s timeout: %d\n"+
@@ -552,51 +460,69 @@ func (s *Suite) BaselineComparison(ctx context.Context) (string, error) {
 	return sb.String(), nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Experiment pairs an identifier with its regenerated output.
 type Experiment struct {
 	ID, Title, Output string
 }
 
-// All regenerates every experiment, in paper order.
+// plain adapts an experiment that needs no context and cannot fail.
+func plain(fn func(*Suite) string) func(*Suite, context.Context) (string, error) {
+	return func(s *Suite, _ context.Context) (string, error) { return fn(s), nil }
+}
+
+// catalog lists every experiment in paper order, then the two
+// evaluations the simulator adds. The ablation re-clusters the EC2
+// store, so it runs after everything that reads the canonical labels.
+var catalog = []struct {
+	id, title string
+	run       func(*Suite, context.Context) (string, error)
+}{
+	{"sec4-timeout", "§4 probe timeout and retry calibration", (*Suite).Sec4TimeoutExperiment},
+	{"table2", "Table 2: VPC prefixes by region", plain((*Suite).Table2)},
+	{"table3", "Table 3: open-port mix", plain((*Suite).Table3)},
+	{"table4", "Table 4: HTTP status mix", plain((*Suite).Table4)},
+	{"table5", "Table 5: content types", plain((*Suite).Table5)},
+	{"table6", "Table 6: clustering summary", plain((*Suite).Table6)},
+	{"table7", "Table 7: usage summary", plain((*Suite).Table7)},
+	{"figure8", "Figure 8: usage over time", plain((*Suite).Figure8)},
+	{"figure9", "Figure 9: IP status churn", plain((*Suite).Figure9)},
+	{"figure10", "Figure 10: cluster availability churn", plain((*Suite).Figure10)},
+	{"table11", "Table 11: size-change patterns", plain((*Suite).Table11)},
+	{"figure12", "Figure 12: IP uptime CDF", plain((*Suite).Figure12)},
+	{"figure13", "Figure 13: VPC vs classic IPs", plain((*Suite).Figure13)},
+	{"figure14", "Figure 14: VPC vs classic clusters", plain((*Suite).Figure14)},
+	{"table15", "Table 15: top clusters", plain((*Suite).Table15)},
+	{"sec81", "§8.1 extras: sizes, regions, overlap", plain((*Suite).Sec81Extras)},
+	{"figure16", "Figure 16: malicious IP lifetimes (Safe Browsing)", plain((*Suite).Figure16)},
+	{"table17-18", "Tables 17/18: VirusTotal regions and domains", plain((*Suite).Table17And18)},
+	{"figure19", "Figure 19: detection lag CDFs", plain((*Suite).Figure19)},
+	{"linchpins", "§8.2: linchpin IPs aggregating malicious URLs", plain((*Suite).Linchpins)},
+	{"sec83", "§8.3: software census", plain((*Suite).Sec83Census)},
+	{"table20", "Table 20: third-party trackers", plain((*Suite).Table20)},
+	{"baseline", "DNS-interrogation baseline comparison", (*Suite).BaselineComparison},
+	{"accuracy", "Clustering accuracy vs simulator ground truth", plain((*Suite).ClusteringAccuracy)},
+	{"ablation", "Clustering ablation: §5's design alternatives",
+		func(s *Suite, _ context.Context) (string, error) { return s.AblationClustering() }},
+}
+
+// IDs lists the experiment identifiers All produces, in order.
+func IDs() []string {
+	ids := make([]string, len(catalog))
+	for i, e := range catalog {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// All regenerates every experiment in the catalog.
 func (s *Suite) All(ctx context.Context) ([]Experiment, error) {
-	timeout, err := s.Sec4TimeoutExperiment(ctx)
-	if err != nil {
-		return nil, err
+	out := make([]Experiment, len(catalog))
+	for i, e := range catalog {
+		output, err := e.run(s, ctx)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", e.id, err)
+		}
+		out[i] = Experiment{ID: e.id, Title: e.title, Output: output}
 	}
-	baselineOut, err := s.BaselineComparison(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return []Experiment{
-		{"sec4-timeout", "§4 probe timeout and retry calibration", timeout},
-		{"table2", "Table 2: VPC prefixes by region", s.Table2()},
-		{"table3", "Table 3: open-port mix", s.Table3()},
-		{"table4", "Table 4: HTTP status mix", s.Table4()},
-		{"table5", "Table 5: content types", s.Table5()},
-		{"table6", "Table 6: clustering summary", s.Table6()},
-		{"table7", "Table 7: usage summary", s.Table7()},
-		{"figure8", "Figure 8: usage over time", s.Figure8()},
-		{"figure9", "Figure 9: IP status churn", s.Figure9()},
-		{"figure10", "Figure 10: cluster availability churn", s.Figure10()},
-		{"table11", "Table 11: size-change patterns", s.Table11()},
-		{"figure12", "Figure 12: IP uptime CDF", s.Figure12()},
-		{"figure13", "Figure 13: VPC vs classic IPs", s.Figure13()},
-		{"figure14", "Figure 14: VPC vs classic clusters", s.Figure14()},
-		{"table15", "Table 15: top clusters", s.Table15()},
-		{"sec81", "§8.1 extras: sizes, regions, overlap", s.Sec81Extras()},
-		{"figure16", "Figure 16: malicious IP lifetimes (Safe Browsing)", s.Figure16()},
-		{"table17-18", "Tables 17/18: VirusTotal regions and domains", s.Table17And18()},
-		{"figure19", "Figure 19: detection lag CDFs", s.Figure19()},
-		{"linchpins", "§8.2: linchpin IPs aggregating malicious URLs", s.Linchpins()},
-		{"sec83", "§8.3: software census", s.Sec83Census()},
-		{"table20", "Table 20: third-party trackers", s.Table20()},
-		{"baseline", "DNS-interrogation baseline comparison", baselineOut},
-	}, nil
+	return out, nil
 }

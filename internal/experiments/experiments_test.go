@@ -52,11 +52,14 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 23 {
-		t.Errorf("experiment count = %d, want 23", len(all))
+	if len(all) != 25 {
+		t.Errorf("experiment count = %d, want 25", len(all))
 	}
 	seen := map[string]bool{}
-	for _, exp := range all {
+	for i, exp := range all {
+		if exp.ID != IDs()[i] {
+			t.Errorf("experiment %d is %q, IDs() says %q", i, exp.ID, IDs()[i])
+		}
 		if exp.ID == "" || exp.Title == "" {
 			t.Errorf("experiment missing metadata: %+v", exp)
 		}
@@ -72,7 +75,7 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 		}
 	}
 	// Spot-check that each paper artifact is present.
-	for _, id := range []string{"table2", "table7", "figure9", "table11", "figure16", "table17-18", "sec83", "table20", "baseline", "sec4-timeout"} {
+	for _, id := range []string{"table2", "table7", "figure9", "table11", "figure16", "table17-18", "sec83", "table20", "baseline", "sec4-timeout", "accuracy", "ablation"} {
 		if !seen[id] {
 			t.Errorf("missing experiment %q", id)
 		}

@@ -216,8 +216,13 @@ func Load(r io.Reader) (*Scenario, error) {
 	return &s, nil
 }
 
-// LoadFile reads a JSON scenario from disk (the CLIs' -faults flag).
-func LoadFile(path string) (*Scenario, error) {
+// LoadFlag serves the CLIs' -faults flag: an empty path is no
+// scenario; otherwise the JSON scenario is read from disk and
+// announced on w.
+func LoadFlag(w io.Writer, path string) (*Scenario, error) {
+	if path == "" {
+		return nil, nil
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("faults: %w", err)
@@ -227,5 +232,6 @@ func LoadFile(path string) (*Scenario, error) {
 	if err != nil {
 		return nil, fmt.Errorf("faults: %s: %w", path, err)
 	}
+	fmt.Fprintf(w, "injecting faults from %s (scenario %q, seed %d)\n", path, s.Name, s.Seed)
 	return s, nil
 }

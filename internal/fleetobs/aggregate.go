@@ -74,9 +74,12 @@ type Aggregator struct {
 	history *History
 }
 
-// NewAggregator builds an aggregator whose status history keeps
-// historyMax records (default 512).
-func NewAggregator(historyMax int) *Aggregator {
+// historyMax is how many status records the aggregator's history
+// ring keeps.
+const historyMax = 512
+
+// NewAggregator builds an empty aggregator.
+func NewAggregator() *Aggregator {
 	return &Aggregator{
 		workers: make(map[string]*workerState),
 		history: NewHistory(historyMax),

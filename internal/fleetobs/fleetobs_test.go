@@ -85,7 +85,7 @@ func TestRestampSpans(t *testing.T) {
 }
 
 func TestAggregatorRatesAndView(t *testing.T) {
-	a := NewAggregator(8)
+	a := NewAggregator()
 	t0 := time.Unix(1000, 0)
 	a.Observe(report("w0", 100), t0)
 	a.Observe(report("w1", 0), t0)
@@ -168,7 +168,7 @@ func TestAggregatorNilAndUnknown(t *testing.T) {
 		t.Error("nil aggregator not inert")
 	}
 
-	real := NewAggregator(0)
+	real := NewAggregator()
 	real.Observe(nil, time.Now())
 	real.Observe(&WorkerReport{}, time.Now())
 	if len(real.Snapshots()) != 0 {

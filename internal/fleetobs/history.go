@@ -61,12 +61,8 @@ type History struct {
 	total int64
 }
 
-// NewHistory builds a ring keeping the most recent max records
-// (default 512).
+// NewHistory builds a ring keeping the most recent max (> 0) records.
 func NewHistory(max int) *History {
-	if max <= 0 {
-		max = 512
-	}
 	return &History{max: max}
 }
 

@@ -105,41 +105,6 @@ func objPkgPath(obj types.Object) string {
 	return obj.Pkg().Path()
 }
 
-// typeHasLock reports whether t is, or directly contains (through
-// struct fields, arrays, and embedding), a sync.Mutex or sync.RWMutex.
-// Pointers, slices, maps and channels stop the search — holding a
-// pointer to a lock is fine; holding the lock itself by value is what
-// copying breaks.
-func typeHasLock(t types.Type) bool {
-	return hasLock(t, map[types.Type]bool{})
-}
-
-func hasLock(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-			(obj.Name() == "Mutex" || obj.Name() == "RWMutex") {
-			return true
-		}
-		return hasLock(named.Underlying(), seen)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if hasLock(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return hasLock(u.Elem(), seen)
-	}
-	return false
-}
-
 // recvIdent returns a method's named receiver identifier, or nil for
 // functions and unnamed/blank receivers.
 func recvIdent(fd *ast.FuncDecl) *ast.Ident {

@@ -23,9 +23,9 @@
 //   - errcheck — no silently discarded error returns from the
 //     crash-safety layer (atomicfile, store mutations, trace journal)
 //     or from closing files opened for writing.
-//   - lockdisc — lock discipline: no sync.Mutex/RWMutex value copies,
-//     and no channel send while a mutex is held in pipeline/store
-//     (colstore included).
+//   - lockdisc — lock discipline: no channel send while a mutex is
+//     held in pipeline/store (colstore included); mutex value copies
+//     are go vet's to report.
 //
 // A second generation of analyzers runs over the whole module at once,
 // powered by the conservative call graph in internal/lint/callgraph
@@ -130,10 +130,6 @@ type Options struct {
 	// WirePackages lists the packages whose JSON encoder/decoder call
 	// sites seed the wiretag closure — the wire boundaries.
 	WirePackages []string
-	// WireSinks lists additional wire sinks as "pkgsuffix.Func" (the
-	// httpd helper that wraps json.Encoder); any argument type at a call
-	// site seeds the wiretag closure.
-	WireSinks []string
 	// PersistPackages lists the packages that must route every durable
 	// write through AtomicPackages (atomicwrite analyzer).
 	PersistPackages []string
@@ -182,9 +178,6 @@ func DefaultOptions() Options {
 			"internal/cloudapi",
 			"internal/fleetobs",
 			"internal/httpd",
-		},
-		WireSinks: []string{
-			"internal/httpd.WriteJSON",
 		},
 		PersistPackages: []string{"internal/store", "internal/store/colstore", "internal/trace"},
 		AtomicPackages:  []string{"internal/atomicfile"},

@@ -1,12 +1,7 @@
 // The lockdisc analyzer: lock discipline in the concurrency-bearing
-// layers. Two rules:
+// layers. One rule (mutex value copies are go vet's copylocks check,
+// which `make lint` and the CI lint job run first):
 //
-//	lockdisc/copy — no sync.Mutex or sync.RWMutex reaches a function
-//	    by value, leaves one by value, or is copied by a range loop or
-//	    a pointer dereference. A copied mutex is two mutexes that both
-//	    think they guard the same state — the store's per-shard locks
-//	    and the pipeline's failure latch both die silently this way.
-//	    Checked module-wide.
 //	lockdisc/chansend — in the pipeline and store packages, no channel
 //	    send while a mutex is lexically held. The pipeline's bounded
 //	    streams exert backpressure by design; a send under a lock
@@ -22,79 +17,25 @@ import (
 	"go/ast"
 )
 
-// LockDiscAnalyzer enforces mutex copy and hold-across-send
-// discipline.
+// LockDiscAnalyzer enforces hold-across-send discipline.
 var LockDiscAnalyzer = &Analyzer{
 	Name: "lockdisc",
-	Doc:  "no mutex value copies; no channel send while holding a lock in pipeline/store/colstore",
+	Doc:  "no channel send while holding a lock in pipeline/store/colstore",
 	Run:  runLockDisc,
 }
 
 func runLockDisc(pkg *Package, opts Options) []Diagnostic {
+	if !matchPkg(pkg.Path, opts.LockSendPackages) {
+		return nil
+	}
 	var out []Diagnostic
-	checkSends := matchPkg(pkg.Path, opts.LockSendPackages)
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			out = append(out, lockCopyDiags(pkg, fd)...)
-			if checkSends && fd.Body != nil {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 				out = append(out, sendUnderLockDiags(pkg, fd.Body, false)...)
 			}
 		}
 	}
-	return out
-}
-
-// lockCopyDiags flags lock-containing values crossing a function
-// boundary or being copied by a range or dereference.
-func lockCopyDiags(pkg *Package, fd *ast.FuncDecl) []Diagnostic {
-	var out []Diagnostic
-	flagFields := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			t := pkg.Info.TypeOf(field.Type)
-			// typeHasLock stops at pointers itself, so *T params pass.
-			if t != nil && typeHasLock(t) {
-				out = append(out, diag(pkg, field.Type, "lockdisc/copy",
-					fd.Name.Name+" passes a lock-containing value as a "+what+"; use a pointer"))
-			}
-		}
-	}
-	flagFields(fd.Recv, "receiver")
-	flagFields(fd.Type.Params, "parameter")
-	flagFields(fd.Type.Results, "result")
-	if fd.Body == nil {
-		return out
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch nn := n.(type) {
-		case *ast.RangeStmt:
-			if nn.Value == nil {
-				return true
-			}
-			if t := pkg.Info.TypeOf(nn.Value); t != nil && typeHasLock(t) {
-				out = append(out, diag(pkg, nn.Value, "lockdisc/copy",
-					"range copies a lock-containing element; iterate by index"))
-			}
-		case *ast.AssignStmt:
-			for _, rhs := range nn.Rhs {
-				star, ok := ast.Unparen(rhs).(*ast.StarExpr)
-				if !ok {
-					continue
-				}
-				if t := pkg.Info.TypeOf(star); t != nil && typeHasLock(t) {
-					out = append(out, diag(pkg, rhs, "lockdisc/copy",
-						"dereference copies a lock-containing value; keep the pointer"))
-				}
-			}
-		}
-		return true
-	})
 	return out
 }
 

@@ -36,12 +36,12 @@ type Shard struct {
 	n  int
 }
 
-// Grow copies its lock-containing receiver: flagged.
+// Grow copies its lock-containing receiver: go vet's to flag.
 func (s Shard) Grow() int { return s.n + 1 }
 
-// Sum copies each lock-containing element while ranging: flagged on
-// the range value. The slice parameter itself is behind a slice
-// header and not flagged.
+// Sum copies each lock-containing element while ranging: go vet's to
+// flag, on the range value. The slice parameter itself is behind a
+// slice header and fine.
 func Sum(shards []Shard) int {
 	total := 0
 	for _, s := range shards {
@@ -50,7 +50,7 @@ func Sum(shards []Shard) int {
 	return total
 }
 
-// Clone dereferences a lock-containing pointer into a copy: flagged.
+// Clone dereferences a lock-containing pointer into a copy: go vet's.
 func Clone(s *Shard) int {
 	dup := *s
 	return dup.n

@@ -24,7 +24,6 @@ import (
 	"go/ast"
 	"go/types"
 	"reflect"
-	"strings"
 
 	"whowas/internal/lint/callgraph"
 )
@@ -55,7 +54,7 @@ func runWireTag(pkgs []*Package, g *callgraph.Graph, opts Options) []Diagnostic 
 		}, map[types.Type]bool{})
 	}
 
-	sinks := wireSinks(g, opts)
+	sinks := wireSinks(g)
 	for _, pkg := range pkgs {
 		if !matchPkg(pkg.Path, opts.WirePackages) {
 			continue
@@ -66,7 +65,7 @@ func runWireTag(pkgs []*Package, g *callgraph.Graph, opts Options) []Diagnostic 
 				if !ok {
 					return true
 				}
-				params := sinkParams(pkg.Info, call, sinks, opts)
+				params := sinkParams(pkg.Info, call, sinks)
 				for i := range params {
 					if i >= len(call.Args) {
 						continue
@@ -124,7 +123,7 @@ func runWireTag(pkgs []*Package, g *callgraph.Graph, opts Options) []Diagnostic 
 // fixpoint. This is what lets coord's generic post(ctx, path, body,
 // reply) helper seed the closure with the concrete types its callers
 // pass.
-func wireSinks(g *callgraph.Graph, opts Options) map[*types.Func]map[int]bool {
+func wireSinks(g *callgraph.Graph) map[*types.Func]map[int]bool {
 	sinks := map[*types.Func]map[int]bool{}
 	for changed := true; changed; {
 		changed = false
@@ -145,7 +144,7 @@ func wireSinks(g *callgraph.Graph, opts Options) map[*types.Func]map[int]bool {
 				if !ok {
 					return
 				}
-				idxs := sinkParams(n.Pkg.Info, call, sinks, opts)
+				idxs := sinkParams(n.Pkg.Info, call, sinks)
 				for i := range idxs {
 					if i >= len(call.Args) {
 						continue
@@ -169,10 +168,9 @@ func wireSinks(g *callgraph.Graph, opts Options) map[*types.Func]map[int]bool {
 }
 
 // sinkParams returns the argument indices of a call that flow to a
-// JSON encoder: the encoding/json entry points, the propagated module
-// helpers, and the configured extra sinks (all of whose parameters are
-// treated as wire-bound).
-func sinkParams(info *types.Info, call *ast.CallExpr, sinks map[*types.Func]map[int]bool, opts Options) map[int]bool {
+// JSON encoder: the encoding/json entry points and the propagated
+// module helpers.
+func sinkParams(info *types.Info, call *ast.CallExpr, sinks map[*types.Func]map[int]bool) map[int]bool {
 	fn, ok := calleeOfInfo(info, call).(*types.Func)
 	if !ok {
 		return nil
@@ -185,27 +183,7 @@ func sinkParams(info *types.Info, call *ast.CallExpr, sinks map[*types.Func]map[
 			return map[int]bool{1: true}
 		}
 	}
-	if idxs := sinks[fn]; idxs != nil {
-		return idxs
-	}
-	for _, sink := range opts.WireSinks {
-		dot := strings.LastIndex(sink, ".")
-		if dot < 0 {
-			continue
-		}
-		if fn.Name() == sink[dot+1:] && matchPkg(objPkgPath(fn), []string{sink[:dot]}) {
-			sig, ok := fn.Type().(*types.Signature)
-			if !ok {
-				return nil
-			}
-			all := map[int]bool{}
-			for i := 0; i < sig.Params().Len(); i++ {
-				all[i] = true
-			}
-			return all
-		}
-	}
-	return nil
+	return sinks[fn]
 }
 
 // paramObjects maps a declaration's parameter objects to their index.

@@ -12,9 +12,12 @@
 package ops
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"time"
 
 	"whowas/internal/core"
 	"whowas/internal/httpd"
@@ -42,6 +45,27 @@ func New(cfg Config) *httpd.Server {
 	s := httpd.New(httpd.Config{Metrics: cfg.Metrics})
 	Mount(s, cfg.Tracer, cfg.Rounds)
 	return s
+}
+
+// Serve is the CLIs' -ops-addr flag: it binds the endpoint to addr,
+// announces where it listens on w and returns the function that stops
+// it.
+func Serve(w io.Writer, addr string, cfg Config) (stop func(), err error) {
+	srv := New(cfg)
+	bound, err := srv.Start(addr)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "ops endpoint listening on http://%s\n", bound)
+	return func() { Stop(srv) }, nil
+}
+
+// Stop shuts a CLI's server down when its campaign ends, giving
+// requests in flight two seconds to finish.
+func Stop(srv interface{ Shutdown(context.Context) error }) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	_ = srv.Shutdown(ctx)
 }
 
 // maxSlowest bounds /trace/slowest?n=: the ring holds a few thousand

@@ -1,9 +1,7 @@
 package ops
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -114,12 +112,16 @@ func TestNilConfigServesEmpty(t *testing.T) {
 // TestStartAndShutdown drives the CLIs' use of the endpoint: bind,
 // answer an ops route over a real socket, stop.
 func TestStartAndShutdown(t *testing.T) {
-	s, _, _ := testServer(t)
-	addr, err := s.Start("127.0.0.1:0")
+	var announced strings.Builder
+	stop, err := Serve(&announced, "127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(fmt.Sprintf("http://%s/rounds", addr))
+	url, ok := strings.CutPrefix(strings.TrimSpace(announced.String()), "ops endpoint listening on ")
+	if !ok {
+		t.Fatalf("Serve announced %q", announced.String())
+	}
+	resp, err := http.Get(url + "/rounds")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +129,11 @@ func TestStartAndShutdown(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Errorf("live /rounds status %d", resp.StatusCode)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatal(err)
+	stop()
+	if _, err := http.Get(url + "/rounds"); err == nil {
+		t.Error("server still answering after stop")
 	}
-	if _, err := http.Get(fmt.Sprintf("http://%s/rounds", addr)); err == nil {
-		t.Error("server still answering after Shutdown")
+	if _, err := Serve(&announced, "not-an-address", Config{}); err == nil {
+		t.Error("Serve bound an unparsable address")
 	}
 }

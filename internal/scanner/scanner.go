@@ -51,10 +51,6 @@ type Config struct {
 	// RetryBackoff is the delay before the first retry; it doubles on
 	// each further attempt. Default 100ms when Attempts > 1.
 	RetryBackoff time.Duration
-	// RetryJitter bounds the ± adjustment applied to each backoff
-	// delay. The jitter is derived from (ip, port, attempt), never from
-	// a shared RNG, so identical scans sleep identically. Default 0.
-	RetryJitter time.Duration
 	// Metrics, when non-nil, receives the scanner's instrumentation:
 	// the scanner.* counters, the scanner.probe_latency histogram and
 	// the scanner.limiter_wait stage. Nil disables instrumentation
@@ -244,38 +240,16 @@ func (s *Scanner) probePort(ctx context.Context, ip ipaddr.Addr, port int, stats
 		}
 		atomic.AddInt64(&stats.Retries, 1)
 		s.mRetries.Inc()
-		if err := sleepCtx(ctx, s.retryDelay(ip, port, attempt)); err != nil {
+		if err := sleepCtx(ctx, s.retryDelay(attempt)); err != nil {
 			return false, int64(attempt + 1), err
 		}
 	}
 }
 
 // retryDelay is the pause before retry number attempt+1: RetryBackoff
-// doubled per prior attempt, adjusted by a jitter derived from
-// (ip, port, attempt) so the schedule is a pure function of the probe
-// identity and identical scans sleep identically.
-func (s *Scanner) retryDelay(ip ipaddr.Addr, port, attempt int) time.Duration {
-	d := s.cfg.RetryBackoff << uint(attempt)
-	if j := s.cfg.RetryJitter; j > 0 {
-		h := mix64(uint64(ip)<<24 ^ uint64(port)<<8 ^ uint64(attempt))
-		span := uint64(2*j + 1)
-		d += time.Duration(h%span) - j
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// mix64 is the splitmix64 finalizer (the same mixing netsim and the
-// fault layer use for their seeded decisions).
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+// doubled per prior attempt, so identical scans sleep identically.
+func (s *Scanner) retryDelay(attempt int) time.Duration {
+	return s.cfg.RetryBackoff << uint(attempt)
 }
 
 // sleepCtx sleeps for d or until the context ends.

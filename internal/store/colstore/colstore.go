@@ -2,8 +2,8 @@
 // finalized round becomes one append-only segment file
 // (round-00000.seg, round-00001.seg, ...) written crash-safely through
 // internal/atomicfile, so a campaign's resident memory is bounded by
-// the open round plus a small LRU of decoded segments instead of the
-// whole history. Segments are validated — framing, CRC, every offset,
+// the open round plus whichever rounds a reader is holding instead of
+// the whole history. Segments are validated — framing, CRC, every offset,
 // length and count the footer declares — once at Open; a torn final
 // write (a leftover *.tmp sibling) is ignored and a truncated or
 // mangled segment reports store.ErrCorrupt before any read path runs.
@@ -32,33 +32,20 @@ type Options struct {
 	// segments already exist their recorded cloud name wins; a non-empty
 	// CloudName that disagrees with it is an error.
 	CloudName string
-	// CacheRounds bounds the LRU of decoded rounds. Zero means the
-	// default (2: the round being read plus its predecessor, the shape
-	// churn analyses walk). Negative disables caching.
-	CacheRounds int
 }
-
-const defaultCacheRounds = 2
 
 // Backend implements store.Backend over a directory of per-round
 // columnar segments.
 type Backend struct {
 	dir       string
 	cloudName string
-	cacheCap  int
 
-	// mu guards segs, cache and closed. The store frontend allows
-	// concurrent readers; they serialize here, which is the price of
-	// sharing one LRU — segment decode, not lock hold time, dominates.
-	mu     sync.Mutex
+	// mu guards segs and closed. Reads hold it shared for as long as
+	// they use a segment's file, so Rewrite cannot swap the file under
+	// the footer they parsed it with.
+	mu     sync.RWMutex
 	segs   []*segFooter
-	cache  []cachedRound // LRU order: most recently used last
 	closed bool
-}
-
-type cachedRound struct {
-	index int
-	recs  []*store.Record
 }
 
 var _ store.Backend = (*Backend)(nil)
@@ -97,14 +84,7 @@ func Open(dir string, opts Options) (*Backend, error) {
 	}
 	sort.Strings(names)
 
-	cacheCap := opts.CacheRounds
-	switch {
-	case cacheCap == 0:
-		cacheCap = defaultCacheRounds
-	case cacheCap < 0:
-		cacheCap = 0
-	}
-	b := &Backend{dir: dir, cloudName: opts.CloudName, cacheCap: cacheCap}
+	b := &Backend{dir: dir, cloudName: opts.CloudName}
 	for i, name := range names {
 		if name != segName(i) {
 			return nil, fmt.Errorf("%w: expected segment %s, found %s", store.ErrCorrupt, segName(i), name)
@@ -136,16 +116,16 @@ func (b *Backend) CloudName() string { return b.cloudName }
 
 // NumRounds returns how many segments the directory holds.
 func (b *Backend) NumRounds() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	b.mu.RLock()
+	defer b.mu.RUnlock()
 	return len(b.segs)
 }
 
 // Meta returns a round's metadata from its segment footer — the file
 // is not touched.
 func (b *Backend) Meta(i int) (store.RoundMeta, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	b.mu.RLock()
+	defer b.mu.RUnlock()
 	if i < 0 || i >= len(b.segs) {
 		return store.RoundMeta{}, fmt.Errorf("colstore: no round %d", i)
 	}
@@ -153,8 +133,7 @@ func (b *Backend) Meta(i int) (store.RoundMeta, error) {
 }
 
 // Append encodes the round into a new segment and commits it with an
-// atomic write; the encoded records stay in the LRU so the round just
-// finalized reads back without a decode.
+// atomic write.
 func (b *Backend) Append(meta store.RoundMeta, recs []*store.Record) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -169,7 +148,6 @@ func (b *Backend) Append(meta store.RoundMeta, recs []*store.Record) error {
 		return err
 	}
 	b.segs = append(b.segs, foot)
-	b.cachePut(meta.Index, recs)
 	return nil
 }
 
@@ -192,8 +170,6 @@ func (b *Backend) Rewrite(i int, meta store.RoundMeta, recs []*store.Record) err
 		return err
 	}
 	b.segs[i] = foot
-	b.cacheDrop(i)
-	b.cachePut(i, recs)
 	return nil
 }
 
@@ -216,23 +192,16 @@ func (b *Backend) writeSegment(meta store.RoundMeta, recs []*store.Record) (*seg
 	return foot, nil
 }
 
-// Records returns a round's records, decoding its segment unless the
-// LRU still holds it.
+// Records decodes a round's segment; every call returns fresh records
+// the caller owns.
 func (b *Backend) Records(i int) ([]*store.Record, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.recordsLocked(i)
-}
-
-func (b *Backend) recordsLocked(i int) ([]*store.Record, error) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
 	if b.closed {
 		return nil, fmt.Errorf("colstore: backend closed")
 	}
 	if i < 0 || i >= len(b.segs) {
 		return nil, fmt.Errorf("colstore: no round %d", i)
-	}
-	if recs, ok := b.cacheGet(i); ok {
-		return recs, nil
 	}
 	data, err := os.ReadFile(b.segPath(i))
 	if err != nil {
@@ -242,18 +211,16 @@ func (b *Backend) recordsLocked(i int) ([]*store.Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("colstore: segment %s: %w", segName(i), err)
 	}
-	b.cachePut(i, recs)
 	return recs, nil
 }
 
 // History walks the per-IP record trail without materializing rounds:
 // the footer's IP bounds rule most segments out, and in a candidate
 // segment the point read (readRow) touches one row group — nothing is
-// decoded wholesale and nothing enters the LRU, though a round the LRU
-// already holds is answered from it.
+// decoded wholesale.
 func (b *Backend) History(ip ipaddr.Addr) ([]*store.Record, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	b.mu.RLock()
+	defer b.mu.RUnlock()
 	if b.closed {
 		return nil, fmt.Errorf("colstore: backend closed")
 	}
@@ -275,9 +242,6 @@ func (b *Backend) History(ip ipaddr.Addr) ([]*store.Record, error) {
 
 // recordAt returns round i's record for ip, or nil. Caller holds mu.
 func (b *Backend) recordAt(i int, foot *segFooter, ip ipaddr.Addr) (*store.Record, error) {
-	if recs, ok := b.cacheGet(i); ok {
-		return searchRecs(recs, ip), nil
-	}
 	f, err := os.Open(b.segPath(i))
 	if err != nil {
 		return nil, fmt.Errorf("colstore: %w", err)
@@ -290,15 +254,6 @@ func (b *Backend) recordAt(i int, foot *segFooter, ip ipaddr.Addr) (*store.Recor
 	return rec, nil
 }
 
-// searchRecs binary searches an IP-sorted record slice.
-func searchRecs(recs []*store.Record, ip ipaddr.Addr) *store.Record {
-	j := sort.Search(len(recs), func(k int) bool { return recs[k].IP >= ip })
-	if j < len(recs) && recs[j].IP == ip {
-		return recs[j]
-	}
-	return nil
-}
-
 // Close marks the backend closed. Segment files are opened per read,
 // so there is nothing else to release; Close is idempotent.
 func (b *Backend) Close() error {
@@ -306,39 +261,4 @@ func (b *Backend) Close() error {
 	defer b.mu.Unlock()
 	b.closed = true
 	return nil
-}
-
-// cacheGet returns a cached round, refreshing its recency.
-func (b *Backend) cacheGet(i int) ([]*store.Record, bool) {
-	for k := range b.cache {
-		if b.cache[k].index == i {
-			c := b.cache[k]
-			b.cache = append(append(b.cache[:k:k], b.cache[k+1:]...), c)
-			return c.recs, true
-		}
-	}
-	return nil, false
-}
-
-// cachePut inserts a round as most-recent, evicting the oldest beyond
-// the cap.
-func (b *Backend) cachePut(i int, recs []*store.Record) {
-	if b.cacheCap == 0 {
-		return
-	}
-	b.cacheDrop(i)
-	b.cache = append(b.cache, cachedRound{index: i, recs: recs})
-	if len(b.cache) > b.cacheCap {
-		b.cache = append(b.cache[:0:0], b.cache[len(b.cache)-b.cacheCap:]...)
-	}
-}
-
-// cacheDrop removes a round from the cache if present.
-func (b *Backend) cacheDrop(i int) {
-	for k := range b.cache {
-		if b.cache[k].index == i {
-			b.cache = append(b.cache[:k:k], b.cache[k+1:]...)
-			return
-		}
-	}
 }

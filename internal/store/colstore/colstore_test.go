@@ -517,38 +517,34 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
-func TestCacheEviction(t *testing.T) {
-	dir := t.TempDir()
-	s := store.NewWithBackend("c", store.Backend(openBackend(t, dir, Options{CloudName: "c", CacheRounds: 1})))
-	buildCampaign(t, s, 4, 10)
-	// Walk all rounds repeatedly with a one-round cache; every access
-	// must still see the right records.
-	for pass := 0; pass < 2; pass++ {
-		i := 0
-		s.EachRound(func(r *store.Round) bool {
-			if r.Index != i {
-				t.Fatalf("round %d has index %d", i, r.Index)
-			}
-			want := 10
-			if i == 4 {
-				want = 0
-			}
-			if r.Len() != want {
-				t.Fatalf("round %d has %d records, want %d", i, r.Len(), want)
-			}
-			i++
-			return true
-		})
+// TestRecordsAreNotAliased: a record handed out by Records is the
+// caller's own — mutating it without a Rewrite leaves the stored value
+// alone, so an analysis that labels in place and forgets UpdateRounds
+// cannot leak its labels to the next reader.
+func TestRecordsAreNotAliased(t *testing.T) {
+	b := openBackend(t, t.TempDir(), Options{CloudName: "c"})
+	meta, recs := roundTripFixture()
+	meta.Index = 0
+	if err := b.Append(meta, recs); err != nil {
+		t.Fatal(err)
 	}
-	// CacheRounds < 0 disables caching entirely.
-	b := openBackend(t, dir, Options{CacheRounds: -1})
-	for i := 0; i < b.NumRounds(); i++ {
-		if _, err := b.Records(i); err != nil {
-			t.Fatal(err)
-		}
+	first, err := b.Records(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(b.cache) != 0 {
-		t.Fatalf("disabled cache holds %d rounds", len(b.cache))
+	want := *first[0]
+	first[0].Cluster += 99
+	first[0].Title = "mutated by a reader"
+	again, err := b.Records(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*again[0], want) {
+		t.Fatalf("a reader's mutation reached the next reader:\n got %+v\nwant %+v", *again[0], want)
+	}
+	hist, err := b.History(want.IP)
+	if err != nil || len(hist) != 1 || !reflect.DeepEqual(*hist[0], want) {
+		t.Fatalf("History after a reader's mutation = %+v (%v), want %+v", hist, err, want)
 	}
 }
 

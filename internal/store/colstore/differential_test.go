@@ -45,8 +45,7 @@ func TestPointReadMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// No LRU: every History below is a point read off the files.
-	b, err := colstore.Open(dir, colstore.Options{CacheRounds: -1})
+	b, err := colstore.Open(dir, colstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

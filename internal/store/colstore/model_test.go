@@ -142,11 +142,7 @@ func TestModelAgainstMemoryBackend(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
-			// A one- or two-round LRU against six and more rounds: most
-			// reads are cold, some find their round cached, some find
-			// it just evicted; a third of the seeds run uncached.
-			opts := Options{CloudName: "model", CacheRounds: []int{-1, 1, 0}[seed%3]}
-			col := openBackend(t, dir, opts)
+			col := openBackend(t, dir, Options{CloudName: "model"})
 			defer func() { _ = col.Close() }()
 			mem := store.NewMemoryBackend()
 
@@ -208,11 +204,11 @@ func TestModelAgainstMemoryBackend(t *testing.T) {
 					if err := mem.Rewrite(i, meta, recs); err != nil {
 						t.Fatal(err)
 					}
-				case op == 2: // Close + reopen: the LRU is gone, the footers are re-read
+				case op == 2: // Close + reopen: the footers are re-read
 					if err := col.Close(); err != nil {
 						t.Fatal(err)
 					}
-					col = openBackend(t, dir, Options{CacheRounds: opts.CacheRounds})
+					col = openBackend(t, dir, Options{})
 					if col.NumRounds() != n || col.CloudName() != "model" {
 						t.Fatalf("reopened %d rounds of %q, want %d of model", col.NumRounds(), col.CloudName(), n)
 					}
@@ -240,9 +236,9 @@ func TestModelAgainstMemoryBackend(t *testing.T) {
 
 // TestConcurrentReadersAndWriter runs History and EachRound readers
 // against an UpdateRounds writer through the Store frontend — the
-// sharing the one backend mutex exists for. It is a -race test first;
-// the readers also check what they can without touching the fields the
-// writer mutates.
+// sharing the backend's reader/writer lock exists for. It is a -race
+// test first; the readers also check what they can without touching
+// the fields the writer mutates.
 func TestConcurrentReadersAndWriter(t *testing.T) {
 	const rounds, perRound, writes = 4, 2*groupRows + 50, 6
 	col := store.NewWithBackend("c", openBackend(t, t.TempDir(), Options{CloudName: "c"}))
@@ -273,13 +269,18 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 				default:
 				}
 				if g == 0 {
-					seen := 0
+					seen, next := 0, 0
 					col.EachRound(func(r *store.Round) bool {
+						if r.Index != next {
+							t.Errorf("EachRound visit %d has index %d", next, r.Index)
+						}
+						next++
 						seen += r.Len()
 						return true
 					})
-					if seen != rounds*perRound {
-						t.Errorf("EachRound saw %d records, want %d", seen, rounds*perRound)
+					// buildCampaign closes with one empty round.
+					if seen != rounds*perRound || next != rounds+1 {
+						t.Errorf("EachRound saw %d records in %d rounds, want %d in %d", seen, next, rounds*perRound, rounds+1)
 						return
 					}
 					continue
