@@ -38,12 +38,16 @@ test:
 	$(GO) test -short ./...
 
 # What CI runs; the campaign fixtures shrink under -race. The
-# concurrency-heavy packages go first, twice, so a schedule-dependent
-# race has two chances to interleave before the full-module pass.
+# concurrency-heavy packages and the round's lane tests go first,
+# twice, so a schedule-dependent race has two chances to interleave
+# before the full-module pass.
 race:
 	$(GO) test -race -count=2 -timeout 20m \
-		./internal/coord/ ./internal/pipeline/ ./internal/fleetobs/ \
+		./internal/coord/ ./internal/fleetobs/ \
 		./internal/cloudapi/ ./internal/ops/ ./internal/httpd/
+	$(GO) test -race -count=2 -timeout 20m \
+		-run 'TestRunLane|TestRoundStorePutFailure|TestCampaignCancelMidRound|TestPipelineShardDigestIdentity' \
+		./internal/core/
 	$(GO) test -race -timeout 40m ./...
 
 # Short native-fuzzing smoke over the parser surfaces (what the CI

@@ -566,6 +566,16 @@ func TestCoordinatorBadFlags(t *testing.T) {
 	if out, code := runCLI(t, "whowas", "-worker"); code == 0 {
 		t.Errorf("whowas -worker without -coordinator-addr succeeded:\n%s", out)
 	}
+	// A campaign flag beside -worker would be dropped (the coordinator
+	// owns campaign settings): a usage error naming it, not a silent
+	// start. The worker's own flags still start it.
+	out, code := runCLI(t, "whowas", "-worker", "-coordinator-addr", "127.0.0.1:1", "-store-dir", "d")
+	if code != 2 || !strings.Contains(out, "-store-dir") {
+		t.Errorf("whowas -worker -store-dir: exit %d, want 2 naming -store-dir:\n%s", code, out)
+	}
+	w := startProc(t, "whowas", "-worker", "-coordinator-addr", "127.0.0.1:1", "-q")
+	w.awaitLine("joining coordinator", 10*time.Second)
+	w.kill()
 }
 
 // TestExperimentsCLI drives the figure generator: -only prints exactly

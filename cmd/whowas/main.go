@@ -96,6 +96,13 @@ func main() {
 	flag.StringVar(&o.coordAddr, "coordinator-addr", "", "coordinator protocol address (required with -worker)")
 	flag.StringVar(&o.workerID, "worker-id", "", "worker identity for leasing and shard ownership (default: PID-derived; must be unique per fleet)")
 	flag.Parse()
+	if o.worker {
+		if stray := strayWorkerFlags(); len(stray) > 0 {
+			fmt.Fprintf(os.Stderr, "whowas: %s set with -worker: the coordinator owns campaign settings; a worker takes only -coordinator-addr, -worker-id, -q, -ops-addr and -metrics\n",
+				strings.Join(stray, " "))
+			os.Exit(2)
+		}
+	}
 
 	if err := run(o); err != nil {
 		fmt.Fprintf(os.Stderr, "whowas: %v\n", err)

@@ -9,6 +9,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"os"
 
@@ -17,6 +18,26 @@ import (
 	"whowas/internal/metrics"
 	"whowas/internal/ops"
 )
+
+// workerFlags are the flags that mean something with -worker. The
+// campaign's settings — cloud, schedule, faults, retries, deadlines,
+// opt-outs, store — come from the coordinator, so any other flag set
+// beside -worker would be silently dropped.
+var workerFlags = map[string]bool{
+	"worker": true, "coordinator-addr": true, "worker-id": true,
+	"q": true, "ops-addr": true, "metrics": true,
+}
+
+// strayWorkerFlags lists the explicitly set flags a worker ignores.
+func strayWorkerFlags() []string {
+	var stray []string
+	flag.Visit(func(f *flag.Flag) {
+		if !workerFlags[f.Name] {
+			stray = append(stray, "-"+f.Name)
+		}
+	})
+	return stray
+}
 
 func runWorker(ctx context.Context, o options) error {
 	if o.coordAddr == "" {

@@ -56,25 +56,6 @@ type SafeBrowsing struct {
 	Lookups int64
 }
 
-// StaticEntry is one URL's flagging window for NewSafeBrowsingStatic.
-type StaticEntry struct {
-	Kind websim.MaliciousKind
-	// FlaggedFrom/FlaggedTo bound the days the feed flags the URL
-	// (half-open interval).
-	FlaggedFrom, FlaggedTo int
-}
-
-// NewSafeBrowsingStatic builds a feed from explicit entries — for
-// tests, and for loading an externally collected blacklist instead of
-// the simulated one.
-func NewSafeBrowsingStatic(entries map[string]StaticEntry) *SafeBrowsing {
-	sb := &SafeBrowsing{byURL: make(map[string]urlRecord, len(entries))}
-	for u, e := range entries {
-		sb.byURL[u] = urlRecord{kind: e.Kind, flaggedFrom: e.FlaggedFrom, flaggedTo: e.FlaggedTo}
-	}
-	return sb
-}
-
 // Lookup returns the verdict for a URL on a given day.
 func (sb *SafeBrowsing) Lookup(rawURL string, day int) Verdict {
 	sb.Lookups++
@@ -178,16 +159,6 @@ func (vt *VirusTotal) MaliciousIPs(minEngines int) []ipaddr.Addr {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// AllReports returns every report, sorted by IP.
-func (vt *VirusTotal) AllReports() []*Report {
-	var out []*Report
-	for _, r := range vt.reports {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].IP < out[j].IP })
 	return out
 }
 

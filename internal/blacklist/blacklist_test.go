@@ -103,7 +103,7 @@ func TestSafeBrowsingUnknownURL(t *testing.T) {
 func TestVirusTotalConsensusFiltersNoise(t *testing.T) {
 	feeds, cloud := buildTestFeeds(t, "ec2")
 	vt := feeds.VirusTotal
-	all := vt.AllReports()
+	all := vt.MaliciousIPs(0) // every reported IP
 	if len(all) == 0 {
 		t.Fatal("no VT reports")
 	}

@@ -45,18 +45,6 @@ func (m *Map) VPCPrefixCount() int {
 	return n
 }
 
-// CountByRegion tallies VPC /22 prefixes per region (Table 2's left
-// column). regionOf maps a prefix's network address to its region.
-func (m *Map) CountByRegion(regionOf func(ipaddr.Addr) string) map[string]int {
-	out := map[string]int{}
-	for p, v := range m.vpc {
-		if v {
-			out[regionOf(p)]++
-		}
-	}
-	return out
-}
-
 // Apply writes the VPC label into every record of every round,
 // persisting through the store's update path so the join survives a
 // lazy storage backend.

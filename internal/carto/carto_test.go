@@ -77,7 +77,15 @@ func TestSweepNoFalseVPC(t *testing.T) {
 func TestCountByRegion(t *testing.T) {
 	cloud := testCloud(t)
 	m := fastSweep(t, cloud, Config{SamplePerPrefix: 64})
-	counts := m.CountByRegion(cloud.RegionOf)
+	// Table 2's left column: VPC /22s per region, tallied through IsVPC
+	// at each prefix's network address.
+	counts := map[string]int{}
+	cloud.Ranges().Each(func(a ipaddr.Addr) bool {
+		if a == a.Prefix22().Addr && m.IsVPC(a) {
+			counts[cloud.RegionOf(a)]++
+		}
+		return true
+	})
 	total := 0
 	for _, n := range counts {
 		total += n

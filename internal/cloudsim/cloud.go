@@ -365,16 +365,6 @@ func (c *Cloud) IsVPC(a ipaddr.Addr) bool {
 	return pi != nil && pi.vpc
 }
 
-// VPCPrefixes22 returns, per region, how many /22 prefixes are VPC
-// (ground truth behind Table 2).
-func (c *Cloud) VPCPrefixes22() map[string]int {
-	out := map[string]int{}
-	for _, r := range c.cfg.Regions {
-		out[r.Name] = r.VPC22
-	}
-	return out
-}
-
 // StateAt returns the ground-truth state of ip on the given day.
 func (c *Cloud) StateAt(day int, ip ipaddr.Addr) IPState {
 	var st IPState

@@ -15,6 +15,7 @@ import (
 	"whowas/internal/fleetobs"
 	"whowas/internal/httpd"
 	"whowas/internal/metrics"
+	"whowas/internal/ratelimit"
 	"whowas/internal/trace"
 )
 
@@ -202,7 +203,7 @@ func (w *Worker) work(ctx context.Context, runner *core.ShardRunner) error {
 			// The coordinator may be briefly unreachable (restart,
 			// listen backlog); keep polling until ctx says otherwise.
 			w.logf("worker %s: next: %v", w.cfg.ID, err)
-			if err := sleepCtx(ctx, 500*time.Millisecond); err != nil {
+			if err := ratelimit.Sleep(ctx, 500*time.Millisecond); err != nil {
 				return err
 			}
 			continue
@@ -216,7 +217,7 @@ func (w *Worker) work(ctx context.Context, runner *core.ShardRunner) error {
 			if d <= 0 {
 				d = defaultRetryMS * time.Millisecond
 			}
-			if err := sleepCtx(ctx, d); err != nil {
+			if err := ratelimit.Sleep(ctx, d); err != nil {
 				return err
 			}
 		case StateRun:
@@ -308,7 +309,7 @@ func (w *Worker) register(ctx context.Context) (*RegisterReply, error) {
 		default:
 			return nil, fmt.Errorf("coord: %w", err)
 		}
-		if err := sleepCtx(ctx, 200*time.Millisecond); err != nil {
+		if err := ratelimit.Sleep(ctx, 200*time.Millisecond); err != nil {
 			return nil, err
 		}
 	}
@@ -387,15 +388,4 @@ func (w *Worker) Close() error {
 		return cloud.Close()
 	}
 	return nil
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

@@ -9,7 +9,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"whowas/internal/store"
@@ -172,19 +171,10 @@ func (p *Platform) runRound(ctx context.Context, runner *ShardRunner, layout [][
 // cancelled mid-round fails the round even if every lane had already
 // exited cleanly.
 func (p *Platform) runLanes(ctx context.Context, runner *ShardRunner, layout [][]string) ([]*ShardResult, error) {
-	laneCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	results := make([]*ShardResult, len(layout))
-	var (
-		wg       sync.WaitGroup
-		failOnce sync.Once
-		failErr  error
-	)
+	g, laneCtx := newGroup(ctx)
 	for i, regions := range layout {
-		wg.Add(1)
-		go func(i int, regions []string) {
-			defer wg.Done()
+		g.Go(func() error {
 			res, err := runner.runLane(laneCtx, regions)
 			if err == nil && p.laneHook != nil {
 				err = p.laneHook(res)
@@ -192,19 +182,14 @@ func (p *Platform) runLanes(ctx context.Context, runner *ShardRunner, layout [][
 			if err == nil {
 				err = p.Store.PutBatch(res.Records)
 			}
-			if err != nil {
-				failOnce.Do(func() {
-					failErr = err
-					cancel()
-				})
-				return
+			if err == nil {
+				results[i] = res
 			}
-			results[i] = res
-		}(i, regions)
+			return err
+		})
 	}
-	wg.Wait()
-	if failErr != nil {
-		return nil, failErr
+	if err := g.Wait(); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -6,14 +6,17 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"whowas/internal/cloudapi"
+	"whowas/internal/faults"
 	"whowas/internal/ipaddr"
 	"whowas/internal/scanner"
 	"whowas/internal/store"
+	"whowas/internal/trace"
 )
 
 // quickConfig is a fast fault-free campaign over the two-region chaos
@@ -85,7 +88,7 @@ func TestPipelineShardDigestIdentity(t *testing.T) {
 }
 
 // assertUnwound fails the test unless the goroutine count returns to
-// (about) what it was before a failed round: every pipeline goroutine
+// (about) what it was before a lane or round ran: every stage goroutine
 // must unwind, given a moment for the unblocked pools to exit.
 func assertUnwound(t *testing.T, before int) {
 	t.Helper()
@@ -94,15 +97,17 @@ func assertUnwound(t *testing.T, before int) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if g := runtime.NumGoroutine(); g > before+3 {
-		t.Errorf("%d goroutines after failed round, %d before: pipeline leaked", g, before)
+		t.Errorf("%d goroutines after the run, %d before: a lane leaked", g, before)
 	}
 }
 
 // TestRoundStorePutFailure is the goroutine-leak regression test: a
 // failing lane hand-off must abort the round, propagate the error, and
-// unwind every pipeline goroutine — the sibling lane's included (the
+// unwind every lane goroutine — the sibling lane's included (the
 // pre-pipeline collector returned without draining the page channel,
-// leaving the fetcher and scanner pools blocked forever). The store
+// leaving the fetcher and scanner pools blocked forever). East is
+// blacked out in hold mode, so its lane is minutes from done when
+// south's hand-off fails: only cancellation ends it in time. The store
 // must stay usable afterwards.
 func TestRoundStorePutFailure(t *testing.T) {
 	p, err := NewPlatform(chaosCloudConfig())
@@ -110,11 +115,24 @@ func TestRoundStorePutFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	errBoom := errors.New("store full")
-	p.laneHook = func(*ShardResult) error { return errBoom }
+	var handOffs atomic.Int64
+	p.laneHook = func(*ShardResult) error {
+		handOffs.Add(1)
+		return errBoom
+	}
+	cfg := quickConfig([]int{0})
+	cfg.Faults = &faults.Scenario{Name: "east-held", Seed: 1,
+		Episodes: []faults.Episode{faults.Blackout("east", 0, 0, true)}}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
 	before := runtime.NumGoroutine()
-	err = p.RunCampaign(context.Background(), quickConfig([]int{0}))
+	start := time.Now()
+	err = p.RunCampaign(ctx, cfg)
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("campaign error = %v, want %v", err, errBoom)
+	}
+	if n, took := handOffs.Load(), time.Since(start); n != 1 || took > 30*time.Second {
+		t.Errorf("%d lane hand-offs in %v: south's failure did not cancel the held east lane", n, took)
 	}
 	assertUnwound(t, before)
 	// The failed round was aborted, not left open: no round landed,
@@ -183,6 +201,131 @@ func TestCampaignCancelMidRound(t *testing.T) {
 	}
 	if _, err := p.Store.Digest(); err != nil {
 		t.Errorf("store digest after mid-round cancel: %v", err)
+	}
+}
+
+// TestRunLane drives the lane body directly, both chaos-cloud regions
+// in one lane under a parent span: what it returns when it runs clean,
+// when its RoundTimeout fires under a live caller, and when the caller
+// gives up mid-lane — and that every stage goroutine is gone afterwards
+// in each case (none parked on a full channel).
+func TestRunLane(t *testing.T) {
+	regions := []string{"east", "south"}
+	oneLane := quickConfig([]int{0})
+	oneLane.PipelineShards = 1
+	campaign := runQuick(t, oneLane)
+
+	type outcome struct {
+		p      *Platform
+		res    *ShardResult
+		err    error
+		stages map[string]trace.SpanSnapshot // the parent span's children, by name
+	}
+	cases := []struct {
+		name     string
+		faults   *faults.Scenario
+		timeout  time.Duration
+		cancelAt int64 // cancel the caller's context at this dial; 0 = never
+		check    func(t *testing.T, o outcome)
+	}{
+		{name: "clean", check: func(t *testing.T, o outcome) {
+			if o.err != nil || o.res.Degraded {
+				t.Fatalf("clean lane: err %v, degraded %v", o.err, o.res != nil && o.res.Degraded)
+			}
+			// The lane's result, finished as a round, is the one-lane
+			// campaign's round.
+			if _, err := o.p.Store.BeginRound(0); err != nil {
+				t.Fatal(err)
+			}
+			if err := o.p.Store.PutBatch(o.res.Records); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := FinishRound(o.p.Store, [][]string{regions}, []*ShardResult{o.res}, false); err != nil {
+				t.Fatal(err)
+			}
+			if digest, err := o.p.Store.Digest(); err != nil || digest != campaign.digest {
+				t.Errorf("lane digest %s (err %v), one-lane campaign %s", digest, err, campaign.digest)
+			}
+			items := strconv.Itoa(len(o.res.Records))
+			snap := o.p.Metrics.Snapshot()
+			for _, name := range []string{"scan", "fetch", "featurize"} {
+				sp, ok := o.stages[name]
+				if !ok || sp.Attr("regions") != "east,south" || sp.Attr("error") != "" {
+					t.Errorf("stage span %q under the parent: %+v (found %v)", name, sp, ok)
+				}
+				if name != "scan" && sp.Attr("items") != items {
+					t.Errorf("%s span items = %q, want %s", name, sp.Attr("items"), items)
+				}
+				if _, ok := snap.Stages["pipeline."+name]; !ok {
+					t.Errorf("no pipeline.%s stage timer", name)
+				}
+			}
+			if got := snap.Counters["pipeline.fetch.items"]; got != int64(len(o.res.Records)) {
+				t.Errorf("pipeline.fetch.items = %d, want %d", got, len(o.res.Records))
+			}
+			if o.res.Scan <= 0 || o.res.Total < o.res.Scan {
+				t.Errorf("lane timings scan %v total %v", o.res.Scan, o.res.Total)
+			}
+		}},
+		{name: "deadline-degrades", timeout: 5 * time.Second,
+			faults: &faults.Scenario{Name: "south-held", Seed: 1,
+				Episodes: []faults.Episode{faults.Blackout("south", 0, 0, true)}},
+			check: func(t *testing.T, o outcome) {
+				if o.err != nil || !o.res.Degraded {
+					t.Fatalf("deadline under a live caller: err %v, want a degraded result", o.err)
+				}
+				east, south := o.res.Regions[0], o.res.Regions[1]
+				if !east.ScanDone || east.Records == 0 || int64(len(o.res.Records)) != east.Records {
+					t.Errorf("east = %+v with %d records kept, want its completed scan's records", east, len(o.res.Records))
+				}
+				if south.ScanDone || south.Records != 0 {
+					t.Errorf("south = %+v, want an unfinished scan and no records", south)
+				}
+				if got := o.stages["scan"].Attr("error"); got != "deadline" {
+					t.Errorf("scan span error = %q, want deadline", got)
+				}
+			}},
+		{name: "caller-cancels", cancelAt: 500, check: func(t *testing.T, o outcome) {
+			if !errors.Is(o.err, context.Canceled) || o.res != nil {
+				t.Errorf("cancelled caller: result %v, err %v, want no result and context.Canceled", o.res, o.err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inner, err := cloudapi.NewInProcess(chaosCloudConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			p, err := NewPlatformCloud(&cancelOnDial{Cloud: inner, nth: tc.cancelAt, cancel: cancel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Tracer = trace.New(trace.Config{SamplePerMille: -1})
+			cfg := quickConfig(nil)
+			cfg.Faults, cfg.RoundTimeout = tc.faults, tc.timeout
+			runner, err := NewShardRunner(p.Cloud, withPlatformDefaults(p, cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Cloud.SetDay(ctx, 0); err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+			parent := p.Tracer.Start("round", nil)
+			o := outcome{p: p, stages: map[string]trace.SpanSnapshot{}}
+			o.res, o.err = runner.runLane(trace.NewContext(ctx, parent), regions)
+			runner.CloseIdle()
+			for _, sp := range p.Tracer.Slowest(16) {
+				if sp.Parent == parent.ID() {
+					o.stages[sp.Name] = sp
+				}
+			}
+			tc.check(t, o)
+			assertUnwound(t, before)
+		})
 	}
 }
 

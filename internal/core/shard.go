@@ -5,14 +5,19 @@
 // shared runner, a coord worker runs its assigned shards one at a time
 // on its own — and FinishRound is the only thing that folds the results
 // into a finalized store round, so store digests are byte-identical for
-// any lane or worker count.
+// any lane or worker count. The lane is a plain function (runLane) whose
+// stages run on a first-error group; the rule that turns a RoundTimeout
+// into a degraded result instead of a failure lives in deadlineHit and
+// nowhere else.
 package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,7 +25,6 @@ import (
 	"whowas/internal/features"
 	"whowas/internal/fetcher"
 	"whowas/internal/ipaddr"
-	"whowas/internal/pipeline"
 	"whowas/internal/scanner"
 	"whowas/internal/store"
 	"whowas/internal/trace"
@@ -224,15 +228,17 @@ func (r *ShardRunner) RunShard(ctx context.Context, regions []string) (*ShardRes
 	return r.runLane(ctx, regions)
 }
 
-// runLane is the lane body: it builds and runs the one pipeline graph
-// the module has — a scan source over the regions feeding a fetch pool
-// whose pages drain into a single-worker featurize sink — under the
-// config's RoundTimeout. The stage spans are children of the span ctx
-// carries (the in-process round's root; none on a worker, whose spans
-// the coordinator re-parents). It keeps the caller's probe session and
-// leaves the fetcher's pooled connections alone: sibling lanes share
-// the fetcher, and keep-alive reuse between a robots.txt and its page
-// GET is digest-relevant under faults.
+// runLane is the lane body: one scan goroutine over the regions feeds
+// a pool of fetch workers through a bounded channel, and their pages
+// come back through a second one to the calling goroutine, which
+// featurizes them — all under the config's RoundTimeout. A full channel
+// backpressures the stage before it; the first error cancels every
+// stage, so none is left parked on a send. The stage spans are children
+// of the span ctx carries (the in-process round's root; none on a
+// worker, whose spans the coordinator re-parents). It keeps the
+// caller's probe session and leaves the fetcher's pooled connections
+// alone: sibling lanes share the fetcher, and keep-alive reuse between
+// a robots.txt and its page GET is digest-relevant under faults.
 func (r *ShardRunner) runLane(ctx context.Context, regions []string) (*ShardResult, error) {
 	slots := make([]int, 0, len(regions))
 	for _, name := range regions {
@@ -254,66 +260,197 @@ func (r *ShardRunner) runLane(ctx context.Context, regions []string) (*ShardResu
 	}
 	defer cancel()
 
-	g := pipeline.New(pipeline.Options{
-		Metrics: r.cfg.Scanner.Metrics,
-		Tracer:  r.cfg.Scanner.Tracer,
-		Parent:  trace.FromContext(ctx),
-		Outer:   ctx,
-	})
-	// Indexed by region slot and read after Run. The scan source writes
-	// Stats and ScanDone, the single-worker sink the fetch-side tallies.
+	// Indexed by region slot: the scan goroutine writes Stats and
+	// ScanDone, this goroutine the fetch-side tallies.
 	regs := make([]RegionResult, len(r.regions))
-	var recs []*store.Record
+	out := &ShardResult{}
+	// 1024 deep so a burst of responsive IPs (or of pages) rides out a
+	// momentarily busy next stage without stalling the one behind it.
+	results := make(chan scanner.Result, 1024)
+	pages := make(chan fetcher.Page, 1024)
 
-	results := pipeline.NewStream[scanner.Result](1024)
-	pages := pipeline.NewStream[fetcher.Page](1024)
-	pipeline.SourceChan(g, "scan", results,
-		func(ctx context.Context, out chan<- scanner.Result) error {
-			return r.scanSlots(ctx, slots, out, regs)
-		}, laneAttr)
-	pipeline.Stage(g, "fetch", r.fetchWorkers, results, pages,
-		func(ctx context.Context, res scanner.Result, emit func(fetcher.Page) error) error {
-			return emit(r.ftc.Exchange(ctx, res))
-		}, laneAttr)
-	pipeline.Sink(g, "featurize", 1, pages,
-		func(ctx context.Context, page fetcher.Page) error {
-			t := &regs[r.slots[r.cfg.Scanner.RegionOf(page.IP)]]
-			if page.Available() {
-				t.Fetched++
+	start := time.Now()
+	g, gctx := newGroup(laneCtx)
+	g.Go(func() error {
+		defer close(results)
+		err := r.stage(gctx, ctx, "scan", laneAttr, func(ctx context.Context) (int64, error) {
+			return 0, r.scanSlots(ctx, slots, results, regs)
+		})
+		out.Scan = time.Since(start)
+		return err
+	})
+	g.Go(func() error {
+		defer close(pages)
+		return r.stage(gctx, ctx, "fetch", laneAttr, func(ctx context.Context) (int64, error) {
+			return r.fetchPool(ctx, results, pages)
+		})
+	})
+	err := r.stage(gctx, ctx, "featurize", laneAttr, func(ctx context.Context) (int64, error) {
+		for {
+			select {
+			case page, ok := <-pages:
+				if !ok {
+					return int64(len(out.Records)), nil
+				}
+				out.Records = append(out.Records, r.featurize(&page, regs))
+			case <-ctx.Done():
+				return int64(len(out.Records)), ctx.Err()
 			}
-			if page.RobotsDenied {
-				t.RobotsDenied++
-			}
-			if page.Err != nil {
-				t.FetchErrors++
-			}
-			t.BodyBytes += int64(len(page.Body))
-			rec := features.FromPage(&page)
-			if !r.cfg.KeepBodies {
-				// EndRound would drop the body anyway; shedding it here
-				// keeps it off the wire and out of the round's memory.
-				rec.Body = ""
-			}
-			recs = append(recs, rec)
-			t.Records++
-			return nil
-		}, laneAttr)
-
-	res, err := g.Run(laneCtx)
-	if err != nil {
-		return nil, fmt.Errorf("core: shard %s: %w", label, err)
-	}
-	out := &ShardResult{Degraded: res.Degraded, Records: recs, Total: res.End.Sub(res.Start)}
-	for _, st := range res.Stages {
-		if st.Name == "scan" {
-			out.Scan = st.End.Sub(res.Start)
 		}
+	})
+	if gerr := g.Wait(); gerr != nil {
+		err = gerr
+	}
+	out.Total = time.Since(start)
+	// A campaign cancelled mid-lane fails the lane even when every
+	// stage happened to exit cleanly first.
+	if err == nil {
+		err = ctx.Err()
+	}
+	switch {
+	case err == nil:
+	case deadlineHit(ctx, err):
+		out.Degraded = true
+	default:
+		return nil, fmt.Errorf("core: shard %s: %w", label, err)
 	}
 	for _, slot := range slots {
 		regs[slot].Region = r.regions[slot].name
 		out.Regions = append(out.Regions, regs[slot])
 	}
 	return out, nil
+}
+
+// deadlineHit is the degrade rule, the only place a deadline becomes
+// degradation: err is the lane's RoundTimeout expiring while the
+// caller's context is still live. The lane then keeps its partial
+// output and reports Degraded; any other context error — the campaign
+// cancelled, a sibling lane failed — fails the lane and aborts the
+// round.
+func deadlineHit(caller context.Context, err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) && caller.Err() == nil
+}
+
+// stage runs one lane stage under its span (a child of the span ctx
+// carries, riding the context handed to run so sampled per-IP spans
+// nest under it), its "pipeline.<name>" stage timer and its
+// "pipeline.<name>.items" counter. caller is the lane's caller's
+// context, for the degrade rule's span mark — a timing attribute,
+// excluded from determinism comparisons.
+func (r *ShardRunner) stage(ctx, caller context.Context, name string, attr trace.Attr, run func(ctx context.Context) (items int64, err error)) error {
+	sp := r.cfg.Scanner.Tracer.Start(name, trace.FromContext(ctx), attr)
+	if sp != nil {
+		ctx = trace.NewContext(ctx, sp)
+	}
+	m := r.cfg.Scanner.Metrics
+	start := time.Now()
+	items, err := run(ctx)
+	m.Stage("pipeline." + name).Add(time.Since(start))
+	if items > 0 {
+		m.Counter("pipeline." + name + ".items").Add(items)
+		sp.SetAttr(trace.Int64("items", items))
+	}
+	switch {
+	case err == nil:
+	case deadlineHit(caller, err):
+		sp.SetAttr(trace.String("error", "deadline"))
+	case errors.Is(err, context.Canceled):
+		sp.SetAttr(trace.String("error", "canceled"))
+	default:
+		sp.SetAttr(trace.String("error", "failed"))
+	}
+	sp.End()
+	return err
+}
+
+// fetchPool runs the lane's fetch workers: each turns scan results
+// into pages until results closes or ctx ends. It returns the pages
+// sent and the first worker's context error.
+func (r *ShardRunner) fetchPool(ctx context.Context, results <-chan scanner.Result, pages chan<- fetcher.Page) (int64, error) {
+	var sent atomic.Int64
+	g, ctx := newGroup(ctx)
+	for w := 0; w < r.fetchWorkers; w++ {
+		g.Go(func() error {
+			for {
+				select {
+				case res, ok := <-results:
+					if !ok {
+						return nil
+					}
+					page := r.ftc.Exchange(ctx, res)
+					select {
+					case pages <- page:
+						sent.Add(1)
+					case <-ctx.Done():
+						return ctx.Err()
+					}
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			}
+		})
+	}
+	err := g.Wait()
+	return sent.Load(), err
+}
+
+// featurize extracts one page's record and tallies the page into its
+// region's slot.
+func (r *ShardRunner) featurize(page *fetcher.Page, regs []RegionResult) *store.Record {
+	t := &regs[r.slots[r.cfg.Scanner.RegionOf(page.IP)]]
+	if page.Available() {
+		t.Fetched++
+	}
+	if page.RobotsDenied {
+		t.RobotsDenied++
+	}
+	if page.Err != nil {
+		t.FetchErrors++
+	}
+	t.BodyBytes += int64(len(page.Body))
+	rec := features.FromPage(page)
+	if !r.cfg.KeepBodies {
+		// EndRound would drop the body anyway; shedding it here
+		// keeps it off the wire and out of the round's memory.
+		rec.Body = ""
+	}
+	t.Records++
+	return rec
+}
+
+// group runs functions on goroutines of their own under one derived
+// context: the first to return an error cancels it, so the others
+// unwind instead of parking on a channel, and Wait returns that error
+// once all have exited.
+type group struct {
+	wg     sync.WaitGroup
+	cancel context.CancelFunc
+	once   sync.Once
+	err    error
+}
+
+func newGroup(ctx context.Context) (*group, context.Context) {
+	ctx, cancel := context.WithCancel(ctx)
+	return &group{cancel: cancel}, ctx
+}
+
+func (g *group) Go(fn func() error) {
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		if err := fn(); err != nil {
+			g.once.Do(func() {
+				g.err = err
+				g.cancel()
+			})
+		}
+	}()
+}
+
+func (g *group) Wait() error {
+	g.wg.Wait()
+	g.cancel()
+	return g.err
 }
 
 // scanSlots runs the given region slots through the scanner,

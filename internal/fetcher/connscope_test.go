@@ -97,16 +97,7 @@ func TestConnectionScopeIsTheExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := make(chan scanner.Result)
-	out := make(chan Page)
-	f.Run(context.Background(), in, out)
-	go func() {
-		for _, res := range targets {
-			in <- res
-		}
-		close(in)
-	}()
-	for page := range out {
+	for _, page := range exchangePool(f, workers, targets) {
 		if page.Err != nil || page.Status == 0 {
 			t.Errorf("%s: status %d, err %v", page.IP, page.Status, page.Err)
 		}
@@ -128,12 +119,12 @@ func TestConnectionScopeIsTheExchange(t *testing.T) {
 		t.Errorf("%d connections for %d exchanges, want one each (robots.txt and the page share it)", seen, len(targets))
 	}
 	if open != 0 {
-		t.Errorf("%d connections still open after Run returned, want 0 without CloseIdle", open)
+		t.Errorf("%d connections still open after the pool returned, want 0 without CloseIdle", open)
 	}
 	if peak > 2*workers {
 		t.Errorf("peak open connections = %d with %d workers", peak, workers)
 	}
 	if got := runtime.NumGoroutine(); got > baseline {
-		t.Errorf("%d goroutines after Run, %d before: connections are still parked", got, baseline)
+		t.Errorf("%d goroutines after the pool, %d before: connections are still parked", got, baseline)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"net/url"
@@ -29,6 +28,7 @@ import (
 	"whowas/internal/ipaddr"
 	"whowas/internal/metrics"
 	"whowas/internal/netsim"
+	"whowas/internal/ratelimit"
 	"whowas/internal/scanner"
 	"whowas/internal/store"
 	"whowas/internal/trace"
@@ -300,21 +300,6 @@ func IsTransient(err error) bool {
 	return strings.Contains(err.Error(), "connection reset")
 }
 
-// sleepCtx sleeps for d or until the context ends.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // getRetry runs the bounded retry schedule for one URL: up to
 // Config.Attempts GETs, each under its own Timeout deadline, retrying
 // only transient transport errors with exponential backoff.
@@ -324,7 +309,7 @@ func (f *Fetcher) getRetry(ctx context.Context, url string, last bool) (*Page, e
 	for attempt := 0; attempt < f.cfg.Attempts; attempt++ {
 		if attempt > 0 {
 			f.mRetries.Inc()
-			if serr := sleepCtx(ctx, f.cfg.RetryBackoff<<uint(attempt-1)); serr != nil {
+			if serr := ratelimit.Sleep(ctx, f.cfg.RetryBackoff<<uint(attempt-1)); serr != nil {
 				return nil, err
 			}
 		}
@@ -479,7 +464,7 @@ func SameSitePaths(body string, max int) []string {
 }
 
 // Exchange runs one scan result through the §4 exchange and is the
-// unit of work a pipeline fetch stage performs per item: SSH-only IPs
+// unit of work a lane's fetch stage performs per item: SSH-only IPs
 // pass straight through as bare responsive pages (nothing to fetch,
 // but the record of the responsive IP still flows downstream), web IPs
 // go through FetchIP.
@@ -488,30 +473,6 @@ func (f *Fetcher) Exchange(ctx context.Context, res scanner.Result) Page {
 		return Page{IP: res.IP, OpenPorts: res.OpenPorts}
 	}
 	return f.FetchIP(ctx, res)
-}
-
-// Run consumes scan results and produces Pages with the configured
-// worker pool, closing out when in is exhausted.
-func (f *Fetcher) Run(ctx context.Context, in <-chan scanner.Result, out chan<- Page) {
-	var wg sync.WaitGroup
-	for w := 0; w < f.cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for res := range in {
-				page := f.Exchange(ctx, res)
-				select {
-				case out <- page:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
 }
 
 // RobotsDisallowsRoot parses a robots.txt body and reports whether the

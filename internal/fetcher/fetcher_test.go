@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -165,46 +166,52 @@ func TestBodyTruncation(t *testing.T) {
 	}
 }
 
+// exchangePool runs the targets through Exchange on a pool of workers,
+// the way a lane's fetch stage does; pages[i] is targets[i]'s.
+func exchangePool(f *Fetcher, workers int, targets []scanner.Result) []Page {
+	pages := make([]Page, len(targets))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(targets); i += workers {
+				pages[i] = f.Exchange(context.Background(), targets[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return pages
+}
+
 func TestRunPool(t *testing.T) {
 	cloud, _, f := testSetup(t)
-	// Feed a batch of mixed results through the pool.
-	in := make(chan scanner.Result, 64)
-	out := make(chan Page, 64)
-	go f.Run(context.Background(), in, out)
-
-	// Producer runs concurrently: filling `in` from the main goroutine
-	// before draining `out` would deadlock once both buffers fill.
-	want := make(chan int, 1)
-	go func() {
-		n, count := 0, 0
-		cloud.Ranges().Each(func(a ipaddr.Addr) bool {
-			st := cloud.StateAt(0, a)
-			if !st.Bound || st.Slow {
-				return true
-			}
-			var ports uint8
-			switch st.Ports {
-			case cloudsim.SSHOnly:
-				ports = store.PortSSH
-			case cloudsim.HTTPOnly:
-				ports = store.PortHTTP
-			case cloudsim.HTTPSOnly:
-				ports = store.PortHTTPS
-			case cloudsim.HTTPBoth:
-				ports = store.PortHTTP | store.PortHTTPS
-			}
-			in <- scanner.Result{IP: a, OpenPorts: ports}
-			n++
-			count++
-			return count < 200
-		})
-		close(in)
-		want <- n
-	}()
-	got := 0
+	// Feed a batch of mixed results through a pool of Exchange loops.
+	var targets []scanner.Result
+	cloud.Ranges().Each(func(a ipaddr.Addr) bool {
+		st := cloud.StateAt(0, a)
+		if !st.Bound || st.Slow {
+			return true
+		}
+		var ports uint8
+		switch st.Ports {
+		case cloudsim.SSHOnly:
+			ports = store.PortSSH
+		case cloudsim.HTTPOnly:
+			ports = store.PortHTTP
+		case cloudsim.HTTPSOnly:
+			ports = store.PortHTTPS
+		case cloudsim.HTTPBoth:
+			ports = store.PortHTTP | store.PortHTTPS
+		}
+		targets = append(targets, scanner.Result{IP: a, OpenPorts: ports})
+		return len(targets) < 200
+	})
 	sshPages, webPages := 0, 0
-	for page := range out {
-		got++
+	for i, page := range exchangePool(f, 8, targets) {
+		if page.IP != targets[i].IP || page.OpenPorts != targets[i].OpenPorts {
+			t.Errorf("page %d is %s/%d, want %s/%d", i, page.IP, page.OpenPorts, targets[i].IP, targets[i].OpenPorts)
+		}
 		if page.OpenPorts&(store.PortHTTP|store.PortHTTPS) == 0 {
 			sshPages++
 			if page.Status != 0 {
@@ -213,9 +220,6 @@ func TestRunPool(t *testing.T) {
 		} else {
 			webPages++
 		}
-	}
-	if w := <-want; got != w {
-		t.Errorf("pool emitted %d pages, want %d", got, w)
 	}
 	if sshPages == 0 || webPages == 0 {
 		t.Errorf("page mix: ssh=%d web=%d", sshPages, webPages)

@@ -1,5 +1,5 @@
-// The ctxfirst analyzer. The I/O packages — scanner, fetcher, core,
-// pipeline — are the layers a campaign cancels through: the §7 ethics
+// The ctxfirst analyzer. The I/O packages — scanner, fetcher, core —
+// are the layers a campaign cancels through: the §7 ethics
 // contract ("stop probing when told to stop") is only as good as
 // context propagation. Two rules keep that propagation structural:
 //

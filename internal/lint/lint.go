@@ -18,13 +18,13 @@
 //     types begins with a nil-receiver guard (or delegates to one),
 //     keeping the "nil handle is a no-op" contract true forever.
 //   - ctxfirst — functions in the I/O packages (scanner, fetcher,
-//     core, pipeline) take context.Context as their first parameter and
+//     core) take context.Context as their first parameter and
 //     exported functions never mint their own context.Background.
 //   - errcheck — no silently discarded error returns from the
 //     crash-safety layer (atomicfile, store mutations, trace journal)
 //     or from closing files opened for writing.
 //   - lockdisc — lock discipline: no channel send while a mutex is
-//     held in pipeline/store (colstore included); mutex value copies
+//     held in core/store (colstore included); mutex value copies
 //     are go vet's to report.
 //
 // A second generation of analyzers runs over the whole module at once,
@@ -165,13 +165,12 @@ func DefaultOptions() Options {
 			"internal/scanner",
 			"internal/fetcher",
 			"internal/core",
-			"internal/pipeline",
 			"internal/cloudapi",
 			"internal/coord",
 		},
 		ErrSourcePackages: []string{"internal/atomicfile"},
 		ErrMethodPackages: []string{"internal/store", "internal/store/colstore", "internal/trace"},
-		LockSendPackages:  []string{"internal/pipeline", "internal/store", "internal/store/colstore", "internal/coord", "internal/fleetobs"},
+		LockSendPackages:  []string{"internal/core", "internal/store", "internal/store/colstore", "internal/coord", "internal/fleetobs"},
 		WirePackages: []string{
 			"internal/coord",
 			"internal/ops",

@@ -63,7 +63,7 @@ func TestAnalyzerGoldens(t *testing.T) {
 		{"nilsafe", "./internal/metrics"},
 		{"ctxfirst", "./internal/scanner"},
 		{"errcheck_source", "./internal/atomicfile"},
-		{"errcheck_lockdisc", "./internal/pipeline"},
+		{"errcheck_lockdisc", "./internal/coord"},
 		{"errcheck_forwarder", "./internal/relay"},
 		{"goleak", "./internal/fleet"},
 		{"wiretag", "./internal/httpd"},

@@ -2,14 +2,14 @@
 // layers. One rule (mutex value copies are go vet's copylocks check,
 // which `make lint` and the CI lint job run first):
 //
-//	lockdisc/chansend — in the pipeline and store packages, no channel
-//	    send while a mutex is lexically held. The pipeline's bounded
-//	    streams exert backpressure by design; a send under a lock
+//	lockdisc/chansend — in the core and store packages, no channel
+//	    send while a mutex is lexically held. The lane's bounded
+//	    channels exert backpressure by design; a send under a lock
 //	    turns that backpressure into a deadlock the moment the
 //	    consumer needs the same lock. The analysis is lexical (a
 //	    Lock() earlier in the statement list without an intervening
 //	    Unlock()) — it sees through blocks and branches but not
-//	    function boundaries, which matches how the round pipeline
+//	    function boundaries, which matches how the round's lane
 //	    actually takes its locks.
 package lint
 
@@ -20,7 +20,7 @@ import (
 // LockDiscAnalyzer enforces hold-across-send discipline.
 var LockDiscAnalyzer = &Analyzer{
 	Name: "lockdisc",
-	Doc:  "no channel send while holding a lock in pipeline/store/colstore",
+	Doc:  "no channel send while holding a lock in core/store/colstore",
 	Run:  runLockDisc,
 }
 

@@ -1,7 +1,7 @@
-// Package pipeline is a lint fixture for the caller-side errcheck
+// Package coord is a lint fixture for the caller-side errcheck
 // rules and for lock discipline: discarded crash-safety errors,
 // write-path closes, mutex copies, and sends under a held lock.
-package pipeline
+package coord
 
 import (
 	"os"

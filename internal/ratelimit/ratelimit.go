@@ -28,7 +28,11 @@ type realClock struct{}
 
 func (realClock) Now() time.Time { return time.Now() }
 
-func (realClock) Sleep(ctx context.Context, d time.Duration) error {
+func (realClock) Sleep(ctx context.Context, d time.Duration) error { return Sleep(ctx, d) }
+
+// Sleep blocks for d on the wall clock or until ctx is done, returning
+// ctx.Err() in the latter case. A non-positive d returns at once.
+func Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
@@ -77,16 +81,6 @@ func NewWithClock(rate float64, burst int, clock Clock) (*Limiter, error) {
 		last:   clock.Now(),
 		clock:  clock,
 	}, nil
-}
-
-// MustNew is New but panics on configuration error; for package-level
-// defaults built from constants.
-func MustNew(rate float64, burst int) *Limiter {
-	l, err := New(rate, burst)
-	if err != nil {
-		panic(err)
-	}
-	return l
 }
 
 // refillLocked advances the bucket to now. Callers hold mu.

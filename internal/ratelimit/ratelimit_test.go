@@ -21,15 +21,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew(0,0) did not panic")
-		}
-	}()
-	MustNew(0, 0)
-}
-
 func TestAllowBurst(t *testing.T) {
 	clock := NewFakeClock(time.Unix(0, 0))
 	l, err := NewWithClock(10, 3, clock)
@@ -91,7 +82,7 @@ func TestWaitPacesRequests(t *testing.T) {
 }
 
 func TestWaitContextCancelled(t *testing.T) {
-	l := MustNew(1, 1)
+	l, _ := New(1, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// Drain the burst token first so Wait must block.
@@ -140,7 +131,7 @@ func TestRealClockSleepCancels(t *testing.T) {
 }
 
 func TestRate(t *testing.T) {
-	l := MustNew(42, 1)
+	l, _ := New(42, 1)
 	if l.Rate() != 42 {
 		t.Errorf("Rate = %v, want 42", l.Rate())
 	}

@@ -159,7 +159,7 @@ func New(dialer netsim.Dialer, cfg Config) (*Scanner, error) {
 		s.mLimiterWait = r.Stage("scanner.limiter_wait")
 	}
 	if c.Rate < UnlimitedRate {
-		lim, err := ratelimit.NewWithClock(c.Rate, intMax(1, int(c.Rate/10)), c.Clock)
+		lim, err := ratelimit.NewWithClock(c.Rate, max(1, int(c.Rate/10)), c.Clock)
 		if err != nil {
 			return nil, fmt.Errorf("scanner: %w", err)
 		}
@@ -193,13 +193,6 @@ func (s *Scanner) timedProbe(ctx context.Context, ip ipaddr.Addr, port int, time
 	ok, err := s.probe(ctx, ip, port, timeout)
 	s.mProbeLat.Observe(time.Since(start))
 	return ok, err
-}
-
-func intMax(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // probe sends one connection probe, returning whether the port
@@ -240,7 +233,7 @@ func (s *Scanner) probePort(ctx context.Context, ip ipaddr.Addr, port int, stats
 		}
 		atomic.AddInt64(&stats.Retries, 1)
 		s.mRetries.Inc()
-		if err := sleepCtx(ctx, s.retryDelay(attempt)); err != nil {
+		if err := ratelimit.Sleep(ctx, s.retryDelay(attempt)); err != nil {
 			return false, int64(attempt + 1), err
 		}
 	}
@@ -250,21 +243,6 @@ func (s *Scanner) probePort(ctx context.Context, ip ipaddr.Addr, port int, stats
 // doubled per prior attempt, so identical scans sleep identically.
 func (s *Scanner) retryDelay(attempt int) time.Duration {
 	return s.cfg.RetryBackoff << uint(attempt)
-}
-
-// sleepCtx sleeps for d or until the context ends.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // ProbeOnce exposes a single probe with an explicit timeout, used by
@@ -345,25 +323,15 @@ func (s *Scanner) probeSequence(ctx context.Context, ip ipaddr.Addr, stats *Stat
 	return open, probes, nil
 }
 
-// ScanRanges probes every address in ranges (minus the blacklist),
-// streaming Results for responsive IPs to the results channel, which
-// is closed when the scan completes. The returned Stats are final only
-// after the channel closes.
-func (s *Scanner) ScanRanges(ctx context.Context, ranges *ipaddr.RangeList, blacklist *ipaddr.Set, results chan<- Result) (*Stats, error) {
-	stats, err := s.ScanRangesInto(ctx, ranges, blacklist, results, 0)
-	close(results)
-	return stats, err
-}
-
-// ScanRangesInto is the pipeline-lane entry point: like ScanRanges it
-// probes ranges minus the blacklist and streams Results, but it leaves
-// the results channel open — a region-sharded lane feeds several
-// sequential region scans into one stream the lane owns — and sizes
+// ScanRangesInto probes every address in ranges (minus the blacklist),
+// streaming Results for responsive IPs to the results channel. It
+// leaves the channel open — a region-sharded lane feeds several
+// sequential region scans into one channel the lane owns — and sizes
 // this scan's worker pool explicitly (so N concurrent lanes can split
 // one configured pool instead of multiplying it). workers <= 0 uses
-// the configured pool size. All scans share the scanner's global rate
-// limiter, which keeps the §7 probe budget campaign-wide no matter how
-// many lanes run.
+// the configured pool size. The returned Stats are final. All scans
+// share the scanner's global rate limiter, which keeps the §7 probe
+// budget campaign-wide no matter how many lanes run.
 func (s *Scanner) ScanRangesInto(ctx context.Context, ranges *ipaddr.RangeList, blacklist *ipaddr.Set, results chan<- Result, workers int) (*Stats, error) {
 	if workers <= 0 {
 		workers = s.cfg.Workers

@@ -115,7 +115,8 @@ func collectScan(t testing.TB, s *Scanner, ranges *ipaddr.RangeList, bl *ipaddr.
 			got[r.IP] = r.OpenPorts
 		}
 	}()
-	stats, err := s.ScanRanges(context.Background(), ranges, bl, results)
+	stats, err := s.ScanRangesInto(context.Background(), ranges, bl, results, 0)
+	close(results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,8 @@ func TestScanCancellation(t *testing.T) {
 			}
 		}
 	}()
-	_, err := s.ScanRanges(ctx, cloud.Ranges(), nil, results)
+	_, err := s.ScanRangesInto(ctx, cloud.Ranges(), nil, results, 0)
+	close(results)
 	if err == nil {
 		t.Error("cancelled scan returned nil error")
 	}
@@ -290,7 +292,8 @@ func TestRateLimitEnforced(t *testing.T) {
 		}
 	}()
 	start := clock.Now()
-	stats, err := s.ScanRanges(context.Background(), sub, nil, results)
+	stats, err := s.ScanRangesInto(context.Background(), sub, nil, results, 0)
+	close(results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +370,9 @@ func BenchmarkScanRound(b *testing.B) {
 			for range results {
 			}
 		}()
-		if _, err := s.ScanRanges(context.Background(), cloud.Ranges(), nil, results); err != nil {
+		_, err := s.ScanRangesInto(context.Background(), cloud.Ranges(), nil, results, 0)
+		close(results)
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,7 +11,6 @@
 package timeseries
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -136,24 +135,6 @@ func PatternString(t []int) string {
 		parts[i] = strconv.Itoa(v)
 	}
 	return strings.Join(parts, ",")
-}
-
-// ParsePattern parses a PatternString back to a vector; used by tests
-// and analysis tables.
-func ParsePattern(s string) ([]int, error) {
-	if s == "" {
-		return nil, fmt.Errorf("timeseries: empty pattern")
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < -1 || v > 1 {
-			return nil, fmt.Errorf("timeseries: bad pattern element %q", p)
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // CDF is an empirical cumulative distribution over float64 values.

@@ -166,6 +166,8 @@ func TestPatternEphemeral(t *testing.T) {
 	}
 }
 
+// (Named for ParsePattern too, which went with its last caller; the
+// name stays so the test keeps its id.)
 func TestPatternStringAndParse(t *testing.T) {
 	cases := []struct {
 		vec []int
@@ -179,15 +181,6 @@ func TestPatternStringAndParse(t *testing.T) {
 	for _, c := range cases {
 		if got := PatternString(c.vec); got != c.s {
 			t.Errorf("PatternString(%v) = %q, want %q", c.vec, got, c.s)
-		}
-	}
-	vec, err := ParsePattern("0,-1,1,0")
-	if err != nil || !reflect.DeepEqual(vec, []int{0, -1, 1, 0}) {
-		t.Errorf("ParsePattern = %v, %v", vec, err)
-	}
-	for _, bad := range []string{"", "2", "a", "0,,1", "0,5"} {
-		if _, err := ParsePattern(bad); err == nil {
-			t.Errorf("ParsePattern(%q) succeeded", bad)
 		}
 	}
 }
