@@ -61,6 +61,8 @@ fuzz:
 	$(GO) test ./internal/netsim -fuzz FuzzRequestHead -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/colstore -fuzz FuzzSegment -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/store/colstore -fuzz FuzzDecompress -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cloudapi -fuzz FuzzProbeFrames -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cloudapi -fuzz FuzzChannelPreamble -fuzztime $(FUZZTIME)
 
 # Fault-injection + resilience suites (what the CI chaos job runs):
 # -count=2 replays every deterministic campaign against its first
@@ -98,7 +100,9 @@ bench:
 
 # Cloud-boundary acceptance gate (what the CI cloudd job runs): start
 # whowas-cloudd, run the same seeded campaign over the wire and
-# in-process, and require byte-identical store digests.
+# in-process, and require byte-identical store digests — then the
+# daemon's counters: at most one data connection per four dials,
+# nothing left parked.
 cloudd:
 	sh scripts/cloudd_gate.sh
 

@@ -3,12 +3,17 @@
 // cloud (the same cloudsim/netsim composition the whowas CLI builds)
 // behind two listening surfaces:
 //
-//   - a data-plane listener fleet tunneling scanner and fetcher dials
-//     onto the simulated network (the WHOWAS1 preamble protocol);
+//   - a data-plane listener fleet answering scanner and fetcher dials
+//     against the simulated network: each client keeps one persistent
+//     probe channel per listener (pipelined DIAL frames in, verdicts
+//     out) and opens a tunnelled connection only for an open port it
+//     actually uses (the protocol is in internal/cloudapi/wire.go);
 //   - a JSON-over-HTTP control plane: /healthz, /cloud/info,
 //     /cloud/day, /truth/snapshot and /dns/public, plus the standard
 //     observability surface (/metrics, /metrics/prom, /debug/pprof/*)
-//     with dial, preamble and session counters.
+//     with the cloudd.* data-plane counters and gauges — dials per
+//     accepted connection and per verdict write say whether the
+//     channels are batching.
 //
 // Usage:
 //

@@ -13,9 +13,11 @@
 // Two implementations exist. InProcess wraps the simulators exactly
 // as core composed them before this boundary existed, so in-process
 // campaigns are bit-for-bit what they always were. Client speaks to a
-// whowas-cloudd daemon over real TCP: the data plane tunnels dials
-// through a small preamble protocol onto the daemon's simulated
-// network, and the control plane is JSON over HTTP. The two are
+// whowas-cloudd daemon over real TCP: the data plane asks the daemon
+// for dial verdicts over one persistent, pipelined probe channel per
+// listener and opens a tunnel onto the daemon's simulated network only
+// for a connection somebody uses (wire.go), and the control plane is
+// JSON over HTTP. The two are
 // interchangeable by construction — the conformance suite runs both,
 // and the cross-process identity gate requires a seeded campaign to
 // produce byte-identical store digests either way.

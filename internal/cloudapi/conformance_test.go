@@ -248,7 +248,7 @@ func findConformanceIPs(t *testing.T, truth *InProcess, day int) (web, unbound i
 	return web, unbound
 }
 
-func findConformanceIPs3(t *testing.T, truth *InProcess, day int) (web, unbound, sshOnly ipaddr.Addr) {
+func findConformanceIPs3(t testing.TB, truth *InProcess, day int) (web, unbound, sshOnly ipaddr.Addr) {
 	t.Helper()
 	truth.Ranges().Each(func(a ipaddr.Addr) bool {
 		st := truth.cloud.StateAt(day, a)

@@ -45,20 +45,35 @@ func TestDaemonOpsSurface(t *testing.T) {
 	t.Cleanup(func() { _ = client.Close() })
 
 	// One ordinary dial and one session-stamped dial against a dead
-	// port still count as dials (the tunnel opened; the simulated dial
+	// port still count as dials (the daemon made the simulated dial; it
 	// failed). Use a short budget so the refused/timeout answer is fast.
-	dial := func(session string) {
+	dial := func(session, address string) net.Conn {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 		if session != "" {
 			ctx = netsim.WithProbeSession(ctx, session)
 		}
-		if c, err := client.DialContext(ctx, "tcp", "203.0.113.1:9"); err == nil {
-			c.Close()
+		c, err := dialRetry(ctx, client, address)
+		if err != nil {
+			return nil
 		}
+		return c
 	}
-	dial("")
-	dial("s1")
+	dial("", "203.0.113.1:9")
+	dial("s1", "203.0.113.1:9")
+	// An open port, used: parked on OK, then attached as a tunnel.
+	web, _, _ := findConformanceIPs3(t, backing, 0)
+	open := dial("", web.String()+":80")
+	if open == nil {
+		t.Fatalf("dial of web host %s failed", web)
+	}
+	defer open.Close()
+	if got := reg.Gauge("cloudd.parked_conns").Load(); got != 1 {
+		t.Errorf("cloudd.parked_conns = %d with one open, unused connection, want 1", got)
+	}
+	if err := open.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatalf("attaching the tunnel: %v", err)
+	}
 
 	get := func(path string) (*http.Response, string) {
 		t.Helper()
@@ -84,6 +99,29 @@ func TestDaemonOpsSurface(t *testing.T) {
 	}
 	if snap.Counters["cloudd.control_requests"] < 1 {
 		t.Errorf("cloudd.control_requests = %d, want >= 1", snap.Counters["cloudd.control_requests"])
+	}
+	// The data plane so far: one probe channel (one listener) carrying
+	// every dial, and one tunnel for the one connection that was used.
+	for name, want := range map[string]int64{
+		"cloudd.data_accepts": 2,
+		"cloudd.attaches":     1,
+		"cloudd.dial_errors":  snap.Counters["cloudd.dials"] - 1,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	for name, want := range map[string]int64{
+		"cloudd.probe_channels": 1,
+		"cloudd.parked_conns":   0,
+		"cloudd.active_tunnels": 1,
+	} {
+		if got := snap.Gauges[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := snap.Counters["cloudd.verdict_flushes"]; got < 1 || got > snap.Counters["cloudd.dials"]+1 {
+		t.Errorf("cloudd.verdict_flushes = %d for %d dials", got, snap.Counters["cloudd.dials"])
 	}
 	if _, body = get("/metrics/prom"); !strings.Contains(body, "whowas_cloudd_dials_total") {
 		t.Errorf("prom exposition missing cloudd dials: %q", body)
@@ -124,16 +162,59 @@ func TestDaemonOpsSurface(t *testing.T) {
 		t.Errorf("wire SetDay(-1) error %q, want %q", err, want)
 	}
 
-	// A garbage preamble counts as a preamble error.
+	// A garbage opening line counts as a preamble error and is answered
+	// ERR; so is the per-dial preamble this protocol replaced.
 	dataAddr := srv.DataAddrs()[0]
+	for i, opening := range []string{"NOT-A-PREAMBLE\n", "WHOWAS1 203.0.113.1:9 2000\n"} {
+		conn, err := net.Dial("tcp", dataAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.WriteString(conn, opening)
+		answer, _ := io.ReadAll(conn)
+		conn.Close()
+		if !strings.HasPrefix(string(answer), "ERR ") {
+			t.Errorf("opening %q answered %q, want ERR", opening, answer)
+		}
+		if got := reg.Counter("cloudd.preamble_errors").Load(); got != int64(i+1) {
+			t.Errorf("cloudd.preamble_errors = %d after %d bad openings", got, i+1)
+		}
+	}
+
+	// A malformed frame closes the probe channel it arrived on.
 	conn, err := net.Dial("tcp", dataAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _ = io.WriteString(conn, "NOT-A-PREAMBLE\n")
-	_, _ = io.ReadAll(conn)
-	conn.Close()
-	if got := reg.Counter("cloudd.preamble_errors").Load(); got < 1 {
-		t.Errorf("cloudd.preamble_errors = %d, want >= 1", got)
+	defer conn.Close()
+	_, _ = io.WriteString(conn, "PROBE\n\x7fjunk")
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Errorf("probe channel after a malformed frame: %v, want it closed", err)
+	}
+}
+
+// TestProbePathAllocsIgnoreMetrics: the daemon's instruments cost the
+// probe path no allocation — handling a DIAL frame allocates the same
+// with a registry as without one.
+func TestProbePathAllocsIgnoreMetrics(t *testing.T) {
+	backing, err := NewInProcess(conformanceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, unbound, _ := findConformanceIPs3(t, backing, 0)
+	perDial := func(reg *metrics.Registry) float64 {
+		srv := NewServer(backing, ServerConfig{Metrics: reg})
+		ch := &serverChannel{parked: make(map[uint32]net.Conn)}
+		f := clientFrame{typ: frameDial, id: 1, budgetMS: 2000, address: []byte(unbound.String() + ":80"), session: []byte("s1")}
+		var last sessionCtx
+		return testing.AllocsPerRun(200, func() {
+			if status, _ := srv.dial(ch, &f, &last); status != verdictTimeout {
+				t.Fatalf("dial of unbound %s: status %d", unbound, status)
+			}
+		})
+	}
+	if bare, instrumented := perDial(nil), perDial(metrics.NewRegistry()); bare != instrumented {
+		t.Errorf("a DIAL frame costs %.1f allocations with a registry, %.1f without", instrumented, bare)
 	}
 }

@@ -27,8 +27,8 @@ type ServerConfig struct {
 	// deterministic consecutive ports; zero uses ephemeral ports.
 	DataBasePort int
 	// Metrics, when non-nil, instruments the daemon (cloudd.* counters
-	// and the active-tunnel gauge) and backs the control plane's
-	// /metrics and /metrics/prom.
+	// and the channel, parked-connection and tunnel gauges) and backs
+	// the control plane's /metrics and /metrics/prom.
 	Metrics *metrics.Registry
 }
 
@@ -42,10 +42,19 @@ type Server struct {
 	fleet *netsim.Fleet
 	ctrl  *httpd.Server
 
-	mDials        *metrics.Counter
+	chanMu   sync.Mutex
+	channels map[uint64]*serverChannel // live probe channels by the name the daemon gave them
+	nextChan uint64
+
+	mAccepts      *metrics.Counter // data-plane connections: channels and tunnels
+	mDials        *metrics.Counter // DIAL frames: one per client dial
 	mDialErrs     *metrics.Counter
 	mPreambleErrs *metrics.Counter
 	mSessionDials *metrics.Counter
+	mAttaches     *metrics.Counter
+	mFlushes      *metrics.Counter // writes on probe channels; dials/flushes is verdicts per write(2)
+	gChannels     *metrics.Gauge
+	gParked       *metrics.Gauge
 	gTunnels      *metrics.Gauge
 }
 
@@ -64,10 +73,16 @@ func NewServer(cloud *InProcess, cfg ServerConfig) *Server {
 			Health:   func(doc map[string]any) { doc["day"] = cloud.Day() },
 			Requests: cfg.Metrics.Counter("cloudd.control_requests"),
 		}),
+		channels:      make(map[uint64]*serverChannel),
+		mAccepts:      cfg.Metrics.Counter("cloudd.data_accepts"),
 		mDials:        cfg.Metrics.Counter("cloudd.dials"),
 		mDialErrs:     cfg.Metrics.Counter("cloudd.dial_errors"),
 		mPreambleErrs: cfg.Metrics.Counter("cloudd.preamble_errors"),
 		mSessionDials: cfg.Metrics.Counter("cloudd.session_dials"),
+		mAttaches:     cfg.Metrics.Counter("cloudd.attaches"),
+		mFlushes:      cfg.Metrics.Counter("cloudd.verdict_flushes"),
+		gChannels:     cfg.Metrics.Gauge("cloudd.probe_channels"),
+		gParked:       cfg.Metrics.Gauge("cloudd.parked_conns"),
 		gTunnels:      cfg.Metrics.Gauge("cloudd.active_tunnels"),
 	}
 	s.ctrl.Handle("/cloud/info", s.handleInfo, http.MethodGet)
@@ -112,80 +127,266 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// serveData handles one tunneled dial: preamble in, status out, then
-// a bidirectional splice between the real socket and the simulated
-// connection. The fleet closes the socket when this returns.
+// serveData handles one data-plane connection: a probe channel or a
+// lazy tunnel, as its opening line says. The fleet closes the socket
+// when this returns.
 func (s *Server) serveData(c net.Conn) {
-	_ = c.SetReadDeadline(time.Now().Add(10 * time.Second))
-	br := bufio.NewReader(c)
-	line, err := br.ReadString('\n')
+	s.mAccepts.Inc()
+	_ = c.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	br := dataReaders.Get().(*bufio.Reader)
+	br.Reset(c)
+	defer func() {
+		br.Reset(nil)
+		dataReaders.Put(br)
+	}()
+	line, err := readLine(br)
 	if err != nil {
 		return
 	}
 	_ = c.SetReadDeadline(time.Time{})
-	address, budget, hasBudget, session, err := parsePreamble(line)
-	if err != nil {
+	attach, channel, id, err := parseOpening(line)
+	switch {
+	case err != nil:
 		s.mPreambleErrs.Inc()
 		writeStatus(c, statusErr+" "+sanitize(err.Error()))
-		return
+	case attach:
+		s.serveTunnel(c, br, channel, id)
+	default:
+		s.serveChannel(c, br)
 	}
+}
+
+// dataReaders recycles the data connections' read buffers: a tunnel's
+// is used for one opening line.
+var dataReaders = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
+// serverChannel is the daemon's end of one probe channel: the
+// simulated connections it answered OK for that are neither attached
+// nor dropped yet.
+type serverChannel struct {
+	mu     sync.Mutex
+	parked map[uint32]net.Conn // nil once the channel has ended
+}
+
+// serveChannel answers a probe channel's frames in arrival order, one
+// simulated dial per DIAL, until the connection ends. Verdicts collect
+// in the write buffer and go out when the read buffer runs dry, so a
+// burst of pipelined dials is answered in one write.
+func (s *Server) serveChannel(c net.Conn, br *bufio.Reader) {
+	ch := &serverChannel{parked: make(map[uint32]net.Conn)}
+	s.chanMu.Lock()
+	s.nextChan++
+	name := s.nextChan
+	s.channels[name] = ch
+	s.chanMu.Unlock()
+	s.gChannels.Add(1)
+	defer func() {
+		s.chanMu.Lock()
+		delete(s.channels, name)
+		s.chanMu.Unlock()
+		ch.mu.Lock()
+		parked := ch.parked
+		ch.parked = nil
+		ch.mu.Unlock()
+		for _, inner := range parked {
+			_ = inner.Close()
+		}
+		s.gParked.Add(-int64(len(parked)))
+		s.gChannels.Add(-1)
+	}()
+
+	out := make([]byte, 0, 512)
+	out = append(out, statusOK+" "...)
+	out = append(strconv.AppendUint(out, name, 10), '\n')
+	dec := &frameDecoder{br: br}
+	var f clientFrame
+	var last sessionCtx
+	for {
+		if br.Buffered() == 0 && len(out) > 0 {
+			_ = c.SetWriteDeadline(time.Now().Add(handshakeTimeout))
+			if _, err := c.Write(out); err != nil {
+				return
+			}
+			s.mFlushes.Inc()
+			out = out[:0]
+		}
+		if err := dec.next(&f); err != nil {
+			return
+		}
+		if f.typ == frameDrop {
+			if inner := ch.unpark(f.id); inner != nil {
+				s.gParked.Add(-1)
+				_ = inner.Close()
+			}
+			continue
+		}
+		status, reason := s.dial(ch, &f, &last)
+		out = appendVerdict(out, f.id, status, reason)
+	}
+}
+
+// sessionCtx remembers the context stamped with a channel's last
+// probe session: a shard's dials all carry one session, so the next
+// frame almost always reuses it.
+type sessionCtx struct {
+	session string
+	ctx     context.Context
+}
+
+// budgetCtx is a context with a deadline and no timer. The simulated
+// network never waits on a dial context — it reads Deadline and Err
+// and decides from state — so the daemon need not arm and stop a
+// runtime timer per probe to rebuild the caller's deadline.
+type budgetCtx struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c *budgetCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+func (c *budgetCtx) Err() error {
+	if time.Now().Before(c.deadline) {
+		return nil
+	}
+	return context.DeadlineExceeded
+}
+
+// dial makes the one simulated dial a DIAL frame stands for, with the
+// frame's session re-stamped and its deadline rebuilt, and parks the
+// connection when there is one.
+func (s *Server) dial(ch *serverChannel, f *clientFrame, last *sessionCtx) (status byte, reason string) {
 	s.mDials.Inc()
 	ctx := context.Background()
-	if session != "" {
+	if len(f.session) > 0 {
 		s.mSessionDials.Inc()
-		ctx = netsim.WithProbeSession(ctx, session)
+		if last.ctx == nil || last.session != string(f.session) {
+			last.session = string(f.session)
+			last.ctx = netsim.WithProbeSession(ctx, last.session)
+		}
+		ctx = last.ctx
 	}
-	cancel := func() {}
-	if hasBudget {
-		ctx, cancel = context.WithTimeout(ctx, budget)
+	if f.budgetMS != noBudget {
+		ctx = &budgetCtx{Context: ctx, deadline: time.Now().Add(time.Duration(f.budgetMS) * time.Millisecond)}
 	}
-	inner, err := s.cloud.DialContext(ctx, "tcp", address)
-	cancel()
+	inner, err := s.cloud.DialContext(ctx, "tcp", string(f.address))
 	if err != nil {
 		s.mDialErrs.Inc()
-		writeStatus(c, classifyDialErr(err))
+		return classifyDialErr(err)
+	}
+	if !ch.park(f.id, inner) {
+		_ = inner.Close()
+		s.mDialErrs.Inc()
+		return verdictErr, "cloudapi: too many parked connections on this channel, or a dial id in use"
+	}
+	s.gParked.Add(1)
+	return verdictOK, ""
+}
+
+// park holds an answered connection for its attach or drop; false when
+// the channel is full or the id already names a parked connection.
+func (ch *serverChannel) park(id uint32, inner net.Conn) bool {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	if _, taken := ch.parked[id]; taken || ch.parked == nil || len(ch.parked) >= maxParked {
+		return false
+	}
+	ch.parked[id] = inner
+	return true
+}
+
+// unpark hands over a parked connection, or nil when there is none.
+func (ch *serverChannel) unpark(id uint32) net.Conn {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	inner := ch.parked[id]
+	delete(ch.parked, id)
+	return inner
+}
+
+// serveTunnel attaches a parked simulated connection to this socket:
+// status out, then a bidirectional splice between the two.
+func (s *Server) serveTunnel(c net.Conn, br *bufio.Reader, channel uint64, id uint32) {
+	s.chanMu.Lock()
+	ch := s.channels[channel]
+	s.chanMu.Unlock()
+	var inner net.Conn
+	if ch != nil {
+		inner = ch.unpark(id)
+	}
+	if inner == nil {
+		writeStatus(c, statusErr+" no connection parked under that channel and id")
 		return
 	}
 	defer inner.Close()
+	s.gParked.Add(-1)
+	s.mAttaches.Inc()
 	s.gTunnels.Add(1)
 	defer s.gTunnels.Add(-1)
 	writeStatus(c, statusOK)
 
 	// Splice: client->simulated runs in its own goroutine (draining
-	// any bytes the client pipelined behind the preamble via br);
+	// any bytes the client pipelined behind the opening line via br);
 	// simulated->client runs inline. Closing both conns on the way
 	// out unblocks whichever copy is still pending.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _ = io.Copy(inner, br)
+		splice(inner, br)
 		_ = inner.Close()
 	}()
-	_, _ = io.Copy(c, inner)
+	splice(c, inner)
 	_ = inner.Close()
 	_ = c.Close()
 	wg.Wait()
 }
 
-// classifyDialErr maps a simulated dial failure onto the wire status
-// vocabulary so the client can resurface an equivalent error.
-func classifyDialErr(err error) string {
-	var nerr net.Error
-	if errors.As(err, &nerr) {
-		if nerr.Timeout() {
-			return statusTimeout
+// spliceBufs recycles the tunnels' copy buffers: io.Copy would
+// allocate 32 KiB per direction per tunnel, and a tunnel lives for one
+// page.
+var spliceBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+// splice copies src to dst until either ends. A response the
+// simulated host wrote in one piece is read in one piece and crosses
+// the wire as one write(2).
+func splice(dst io.Writer, src io.Reader) {
+	buf := spliceBufs.Get().(*[32 << 10]byte)
+	defer spliceBufs.Put(buf)
+	for {
+		n, err := src.Read(buf[:])
+		if n > 0 {
+			if _, werr := dst.Write(buf[:n]); werr != nil {
+				return
+			}
 		}
-		return statusRefused
+		if err != nil {
+			return
+		}
 	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		return statusTimeout
+}
+
+// classifyDialErr maps a simulated dial failure onto the verdict
+// vocabulary so the client can resurface an equivalent error. The
+// simulated network's errors (and an expired budget's
+// context.DeadlineExceeded) are net.Errors as they come, which costs a
+// type assertion; errors.As, which allocates, is for a wrapped one.
+func classifyDialErr(err error) (status byte, reason string) {
+	nerr, ok := err.(net.Error)
+	if !ok {
+		var wrapped net.Error
+		if !errors.As(err, &wrapped) {
+			return verdictErr, err.Error()
+		}
+		nerr = wrapped
 	}
-	return statusErr + " " + sanitize(err.Error())
+	if nerr.Timeout() {
+		return verdictTimeout, ""
+	}
+	return verdictRefused, ""
 }
 
 func writeStatus(c net.Conn, status string) {
-	_ = c.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	_ = c.SetWriteDeadline(time.Now().Add(handshakeTimeout))
 	_, _ = io.WriteString(c, status+"\n")
 	_ = c.SetWriteDeadline(time.Time{})
 }

@@ -216,7 +216,8 @@ func (s *Scanner) probe(ctx context.Context, ip ipaddr.Addr, port int, timeout t
 // Config.Attempts probes, retrying only on timeouts, with exponential
 // backoff and deterministic jitter between attempts. Every attempt
 // pays the rate-limiter toll and counts as a probe; the returned count
-// is how many probes this port consumed.
+// is how many probes this port consumed. A dial error that is no
+// verdict (see verdict) is returned: the port was not measured.
 func (s *Scanner) probePort(ctx context.Context, ip ipaddr.Addr, port int, stats *Stats) (bool, int64, error) {
 	for attempt := 0; ; attempt++ {
 		if err := s.wait(ctx); err != nil {
@@ -228,7 +229,11 @@ func (s *Scanner) probePort(ctx context.Context, ip ipaddr.Addr, port int, stats
 		if ok {
 			return true, int64(attempt + 1), nil
 		}
-		if attempt+1 >= s.cfg.Attempts || !IsTimeout(perr) {
+		timeout, ok := verdict(perr)
+		if !ok {
+			return false, int64(attempt + 1), perr
+		}
+		if attempt+1 >= s.cfg.Attempts || !timeout {
 			return false, int64(attempt + 1), nil
 		}
 		atomic.AddInt64(&stats.Retries, 1)
@@ -252,7 +257,12 @@ func (s *Scanner) ProbeOnce(ctx context.Context, ip ipaddr.Addr, port int, timeo
 		return false, err
 	}
 	s.mProbes.Inc()
-	ok, _ := s.timedProbe(ctx, ip, port, timeout)
+	ok, err := s.timedProbe(ctx, ip, port, timeout)
+	if !ok {
+		if _, answered := verdict(err); !answered {
+			return false, err
+		}
+	}
 	return ok, nil
 }
 
@@ -346,10 +356,12 @@ func (s *Scanner) ScanRangesInto(ctx context.Context, ranges *ipaddr.RangeList, 
 		go func() {
 			defer wg.Done()
 			for ip := range tasks {
+				if firstErr.Load() != nil {
+					continue // the scan has failed: drain, measure nothing more
+				}
 				open, err := s.scanIP(ctx, ip, stats)
 				if err != nil {
 					firstErr.CompareAndSwap(nil, err)
-					// Drain remaining tasks quickly on cancellation.
 					continue
 				}
 				atomic.AddInt64(&stats.Probed, 1)
@@ -394,11 +406,31 @@ feed:
 	return stats, ctx.Err()
 }
 
+// verdict reads a failed probe's dial error. A net.Error is the
+// network's answer about the address — a timeout (dropped SYN) or a
+// refusal — and the port is closed. Anything else says nothing about
+// the address: the dialer itself failed (cloudapi.ErrTransport when
+// the wire to whowas-cloudd is down) or the context was cancelled, and
+// counting the IP as unresponsive would record a dead data plane as an
+// empty cloud. The simulators' and the fault injector's errors are
+// net.Errors themselves, so the common case is one type assertion and
+// no allocation; errors.As, which allocates, is for a wrapped one.
+func verdict(err error) (timeout, ok bool) {
+	if ne, ok := err.(net.Error); ok {
+		return ne.Timeout(), true
+	}
+	var ne net.Error
+	if !errors.As(err, &ne) {
+		return false, false
+	}
+	return ne.Timeout(), true
+}
+
 // IsTimeout reports whether a dial error was a timeout (dropped SYN)
 // rather than a refusal; exposed for diagnostics and tests. errors.As
 // unwraps, so a *url.Error from an HTTP client and the raw net.Error
 // underneath it classify identically.
 func IsTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
+	timeout, _ := verdict(err)
+	return timeout
 }

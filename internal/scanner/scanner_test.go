@@ -2,7 +2,9 @@ package scanner
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net"
 	"net/url"
 	"testing"
 	"time"
@@ -530,5 +532,67 @@ func TestRetriesRecoverInjectedLoss(t *testing.T) {
 	}
 	if retried.Retries == 0 {
 		t.Error("retried scan reported zero retries")
+	}
+}
+
+// dialerFunc adapts a function to netsim.Dialer.
+type dialerFunc func(ctx context.Context, network, address string) (net.Conn, error)
+
+func (f dialerFunc) DialContext(ctx context.Context, network, address string) (net.Conn, error) {
+	return f(ctx, network, address)
+}
+
+// TestDialErrorIsVerdictOnlyWhenNetError pins what the scanner reads
+// into a failed dial: a net.Error, bare or wrapped, is the network's
+// answer and the IP counts as probed and unresponsive; any other error
+// means the dialer failed (a dead whowas-cloudd data plane), the IP
+// was not measured, and the scan aborts with that error instead of
+// reporting an empty cloud.
+func TestDialErrorIsVerdictOnlyWhenNetError(t *testing.T) {
+	ranges, err := ipaddr.NewRangeList([]ipaddr.Prefix{ipaddr.MustParsePrefix("54.1.2.0/28")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := errors.New("data plane down")
+	for _, tc := range []struct {
+		name    string
+		dialErr func(addr string) error
+		abort   bool
+	}{
+		{"timeout", func(a string) error { return netsim.NewTimeoutError(a) }, false},
+		{"refused", func(a string) error { return netsim.NewRefusedError(a) }, false},
+		{"wrapped timeout", func(a string) error { return fmt.Errorf("dial: %w", netsim.NewTimeoutError(a)) }, false},
+		{"plain error", func(string) error { return broken }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := dialerFunc(func(_ context.Context, _, address string) (net.Conn, error) {
+				return nil, tc.dialErr(address)
+			})
+			s, err := New(d, Config{Rate: UnlimitedRate, Workers: 1, Attempts: 2, RetryBackoff: time.Microsecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			results := make(chan Result, 16)
+			stats, err := s.ScanRangesInto(context.Background(), ranges, nil, results, 1)
+			_, onceErr := s.ProbeOnce(context.Background(), ipaddr.MustParseAddr("54.1.2.1"), 80, time.Second)
+			if !tc.abort {
+				if err != nil || onceErr != nil {
+					t.Fatalf("scan error %v, ProbeOnce error %v; a verdict is not a failure", err, onceErr)
+				}
+				if stats.Probed != int64(ranges.Total()) || stats.Responsive != 0 {
+					t.Errorf("probed %d responsive %d, want %d and 0", stats.Probed, stats.Responsive, ranges.Total())
+				}
+				return
+			}
+			if !errors.Is(err, broken) || !errors.Is(onceErr, broken) {
+				t.Fatalf("scan error %v, ProbeOnce error %v; want the dialer's error from both", err, onceErr)
+			}
+			if stats.Probed != 0 {
+				t.Errorf("Probed = %d after a dialer failure, want 0: an unmeasured IP is not an unresponsive one", stats.Probed)
+			}
+			if stats.Probes != 1 {
+				t.Errorf("Probes = %d, want 1: the scan stops at the first failed dial", stats.Probes)
+			}
+		})
 	}
 }

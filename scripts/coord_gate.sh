@@ -17,7 +17,11 @@ ADDR="${COORD_CLOUDD_ADDR:-127.0.0.1:8396}"
 CADDR="${COORD_ADDR:-127.0.0.1:8397}"
 SCALE="${COORD_SCALE:-4096}"
 SEED="${COORD_SEED:-7}"
-ROUNDS="${COORD_ROUNDS:-3}"
+# Twelve rounds: the SIGKILL leg needs a campaign still running ~4 s
+# after its workers start (2 s before the kill, a 1 s lease, the reap),
+# and over the probe-channel wire a three-round fleet campaign of this
+# cloud is done sooner than that.
+ROUNDS="${COORD_ROUNDS:-12}"
 TTL="${COORD_LEASE_TTL:-1s}"
 
 # Binaries and logs live in a scratch dir so the gate never litters
