@@ -24,14 +24,12 @@ loc:
 
 # Project-invariant static analysis (what the CI lint job runs): vet
 # (whose copylocks check is the module's mutex-copy rule), gofmt, then
-# the determinism / nilsafe / ctxfirst / errcheck /
-# lockdisc suite plus the call-graph analyzers (goleak / wiretag /
-# atomicwrite / budgetpath) over the whole module. Non-zero exit on
-# any unsuppressed finding.
+# the internal/lint suite — wiretag, errcheck, lockdisc — as a test
+# over the whole module. Non-zero exit on any finding.
 lint:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
-	$(GO) run ./cmd/whowas-lint ./...
+	$(GO) test -count=1 -run 'TestRepoHeadClean|TestAnalyzerGoldens' ./internal/lint/
 
 # Fast loop: skips the full-campaign integration tests.
 test:
@@ -66,6 +64,7 @@ fuzz:
 	$(GO) test ./internal/store/colstore -fuzz FuzzDecompress -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cloudapi -fuzz FuzzProbeFrames -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cloudapi -fuzz FuzzChannelPreamble -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/faults -fuzz FuzzScenarioLoad -fuzztime $(FUZZTIME)
 
 # Fault-injection + resilience suites (what the CI chaos job runs):
 # -count=2 replays every deterministic campaign against its first

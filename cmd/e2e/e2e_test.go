@@ -630,98 +630,3 @@ func TestExperimentsCLI(t *testing.T) {
 		t.Errorf("-faults: exit %d, want the flag package's usage error (2):\n%s", code, out)
 	}
 }
-
-// TestLintCLI exercises whowas-lint: the analyzer catalogue and a
-// real single-package run.
-func TestLintCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("e2e suite skipped in -short mode")
-	}
-	out, code := runCLI(t, "whowas-lint", "-rules")
-	if code != 0 {
-		t.Fatalf("whowas-lint -rules exit %d:\n%s", code, out)
-	}
-	for _, rule := range []string{"determinism", "ctxfirst", "lockdisc"} {
-		if !strings.Contains(out, rule) {
-			t.Errorf("rule catalogue missing %q:\n%s", rule, out)
-		}
-	}
-	cmd := exec.Command(bin("whowas-lint"), "./internal/atomicfile")
-	cmd.Dir = repoRoot()
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("whowas-lint ./internal/atomicfile: %v\n%s", err, out)
-	}
-}
-
-// TestLintJSONContract pins whowas-lint's machine-readable contract:
-// -json prints a findings array on stdout (empty array when clean),
-// the exit code is 1 when findings survive and 2 on a bad invocation,
-// and -analyzers narrows the run. It drives the binary over the lint
-// fixture module, whose findings are pinned by the golden tests.
-func TestLintJSONContract(t *testing.T) {
-	if testing.Short() {
-		t.Skip("e2e suite skipped in -short mode")
-	}
-	fixture := filepath.Join(repoRoot(), "internal", "lint", "testdata", "src", "fixture")
-	lintRun := func(args ...string) (string, string, int) {
-		t.Helper()
-		cmd := exec.Command(bin("whowas-lint"), args...)
-		cmd.Dir = fixture
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		code := 0
-		if err := cmd.Run(); err != nil {
-			ee, ok := err.(*exec.ExitError)
-			if !ok {
-				t.Fatalf("whowas-lint %s: %v", strings.Join(args, " "), err)
-			}
-			code = ee.ExitCode()
-		}
-		return stdout.String(), stderr.String(), code
-	}
-
-	type finding struct {
-		File string `json:"file"`
-		Line int    `json:"line"`
-		Col  int    `json:"col"`
-		Rule string `json:"rule"`
-		Msg  string `json:"msg"`
-	}
-
-	// A package with a known finding: exit 1, one structured finding.
-	stdout, _, code := lintRun("-json", "./internal/relay")
-	if code != 1 {
-		t.Fatalf("dirty package: exit %d, want 1\nstdout:\n%s", code, stdout)
-	}
-	var findings []finding
-	if err := json.Unmarshal([]byte(stdout), &findings); err != nil {
-		t.Fatalf("-json stdout is not a findings array: %v\n%s", err, stdout)
-	}
-	if len(findings) != 1 {
-		t.Fatalf("findings = %+v, want exactly one", findings)
-	}
-	f := findings[0]
-	if f.Rule != "errcheck/discard" || f.Line <= 0 || f.Col <= 0 ||
-		filepath.ToSlash(f.File) != "internal/relay/relay.go" {
-		t.Errorf("finding = %+v, want errcheck/discard in internal/relay/relay.go with a position", f)
-	}
-
-	// Narrowing to an analyzer with nothing to say there: exit 0 and an
-	// empty — but present — array.
-	stdout, _, code = lintRun("-json", "-analyzers", "atomicwrite", "./internal/relay")
-	if code != 0 {
-		t.Fatalf("narrowed clean run: exit %d, want 0\nstdout:\n%s", code, stdout)
-	}
-	if err := json.Unmarshal([]byte(stdout), &findings); err != nil || len(findings) != 0 {
-		t.Errorf("narrowed clean run stdout = %q, want an empty JSON array", stdout)
-	}
-
-	// An unknown analyzer name is an invocation error: exit 2.
-	_, stderr, code := lintRun("-json", "-analyzers", "nosuch", "./internal/relay")
-	if code != 2 {
-		t.Errorf("unknown analyzer: exit %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "nosuch") {
-		t.Errorf("unknown-analyzer stderr does not name the analyzer:\n%s", stderr)
-	}
-}

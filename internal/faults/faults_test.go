@@ -1,8 +1,10 @@
 package faults
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -458,4 +460,64 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	if _, err := Load(strings.NewReader(`{"seed": 1, "dial_loss_per_mille": -5}`)); err == nil {
 		t.Error("negative rate accepted")
 	}
+}
+
+// TestScenarioRejectsOverflow pins the bounds that keep the injector's
+// arithmetic in range: each scenario here used to load cleanly and then
+// yield a negative dial delay or a per-day loss outside [0,1000].
+func TestScenarioRejectsOverflow(t *testing.T) {
+	for _, in := range []string{
+		`{"dial_latency_ms": 9223372036854}`,
+		`{"dial_latency_ms": 3600001}`,
+		`{"dial_latency_ms": 10, "dial_jitter_ms": -1}`,
+		`{"stall_per_mille": 10, "stall_ms": 9223372036854}`,
+		`{"stall_ms": -1}`,
+		`{"episodes": [{"kind": "slow-network", "to_day": 1, "extra_latency_ms": 9223372036854}]}`,
+		`{"episodes": [{"kind": "slow-network", "to_day": 1, "extra_latency_ms": 2000000},
+			{"kind": "slow-network", "to_day": 1, "extra_latency_ms": 2000000}]}`,
+		`{"episodes": [{"kind": "loss-ramp", "from_day": -9223372036854775808, "to_day": 9223372036854775807, "end_per_mille": 1000}]}`,
+		`{"episodes": [{"kind": "blackout", "from_day": -1, "to_day": 0}]}`,
+		`{"episodes": [{"kind": "blackout", "from_day": 0, "to_day": 10001}]}`,
+	} {
+		if _, err := Load(strings.NewReader(in)); err == nil {
+			t.Errorf("Load accepted %s", in)
+		}
+	}
+}
+
+// FuzzScenarioLoad: Load never panics, and every scenario it accepts
+// gives a per-day loss in [0,1000] and non-negative injected durations
+// on every day its episodes cover.
+func FuzzScenarioLoad(f *testing.F) {
+	chaos, err := os.ReadFile("../../scenarios/chaos.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(chaos)
+	f.Add([]byte(`{"seed": 1, "dial_latency_ms": 3600000, "dial_jitter_ms": 3600000, "stall_ms": 3600000,
+		"episodes": [{"kind": "slow-network", "to_day": 10000, "extra_latency_ms": 3600000},
+		{"kind": "loss-ramp", "from_day": 3, "to_day": 10000, "start_per_mille": 1000}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		inj := &Injector{sc: sc.WithDefaults()}
+		if stall := time.Duration(inj.sc.StallMS) * time.Millisecond; stall < 0 {
+			t.Fatalf("stall = %v", stall)
+		}
+		last := 0
+		for _, e := range sc.Episodes {
+			last = max(last, e.ToDay)
+		}
+		for day := 0; day <= last; day++ {
+			if pm := inj.lossPerMille(day); pm < 0 || pm > 1000 {
+				t.Fatalf("day %d: loss %d per-mille outside [0,1000]", day, pm)
+			}
+			base := time.Duration(inj.sc.DialLatencyMS)*time.Millisecond - time.Duration(inj.sc.DialJitterMS)*time.Millisecond
+			if extra := inj.extraLatency(day); extra < 0 || base+extra < 0 {
+				t.Fatalf("day %d: base delay %v, extra latency %v", day, base, extra)
+			}
+		}
+	})
 }

@@ -126,31 +126,44 @@ func (s Scenario) WithDefaults() Scenario {
 	return out
 }
 
-// Validate reports scenario errors.
+// Bounds on a scenario's durations and day windows. Each sits far
+// above anything a campaign uses (scenarios/chaos.json tops out at a
+// 500 ms stall and day 65) and low enough that the injector's
+// arithmetic — ms × time.Millisecond, summed slow-network latencies, a
+// loss ramp's day span — cannot overflow.
+const (
+	maxDelayMS = 3_600_000 // one hour, per field and summed over slow-network episodes
+	maxDay     = 10_000    // campaign days are offsets in [0, maxDay]
+)
+
+// Validate reports scenario errors: every rate is per-mille in
+// [0,1000], every duration in [0,maxDelayMS] ms, every episode day in
+// [0,maxDay].
 func (s *Scenario) Validate() error {
-	perMille := func(name string, v int) error {
-		if v < 0 || v > 1000 {
-			return fmt.Errorf("faults: %s = %d outside [0,1000]", name, v)
+	inRange := func(name string, v, hi int) error {
+		if v < 0 || v > hi {
+			return fmt.Errorf("faults: %s = %d outside [0,%d]", name, v, hi)
 		}
 		return nil
 	}
 	checks := []struct {
 		name string
 		v    int
+		hi   int
 	}{
-		{"dial_loss_per_mille", s.DialLossPerMille},
-		{"reset_per_mille", s.ResetPerMille},
-		{"stall_per_mille", s.StallPerMille},
-		{"truncate_per_mille", s.TruncatePerMille},
-		{"flap_per_mille", s.FlapPerMille},
+		{"dial_loss_per_mille", s.DialLossPerMille, 1000},
+		{"reset_per_mille", s.ResetPerMille, 1000},
+		{"stall_per_mille", s.StallPerMille, 1000},
+		{"truncate_per_mille", s.TruncatePerMille, 1000},
+		{"flap_per_mille", s.FlapPerMille, 1000},
+		{"dial_latency_ms", s.DialLatencyMS, maxDelayMS},
+		{"dial_jitter_ms", s.DialJitterMS, maxDelayMS},
+		{"stall_ms", s.StallMS, maxDelayMS},
 	}
 	for _, c := range checks {
-		if err := perMille(c.name, c.v); err != nil {
+		if err := inRange(c.name, c.v, c.hi); err != nil {
 			return err
 		}
-	}
-	if s.DialLatencyMS < 0 || s.DialJitterMS < 0 {
-		return fmt.Errorf("faults: negative dial latency/jitter")
 	}
 	if s.DialJitterMS > 0 && s.DialJitterMS > s.DialLatencyMS {
 		return fmt.Errorf("faults: dial_jitter_ms %d exceeds dial_latency_ms %d", s.DialJitterMS, s.DialLatencyMS)
@@ -158,23 +171,34 @@ func (s *Scenario) Validate() error {
 	if s.FlapDownDays > s.FlapPeriodDays && s.FlapPeriodDays > 0 {
 		return fmt.Errorf("faults: flap_down_days %d exceeds flap_period_days %d", s.FlapDownDays, s.FlapPeriodDays)
 	}
+	extraMS := 0
 	for i, e := range s.Episodes {
 		switch e.Kind {
 		case KindLossRamp:
-			if err := perMille(fmt.Sprintf("episode %d start_per_mille", i), e.StartPerMille); err != nil {
+			if err := inRange(fmt.Sprintf("episode %d start_per_mille", i), e.StartPerMille, 1000); err != nil {
 				return err
 			}
-			if err := perMille(fmt.Sprintf("episode %d end_per_mille", i), e.EndPerMille); err != nil {
+			if err := inRange(fmt.Sprintf("episode %d end_per_mille", i), e.EndPerMille, 1000); err != nil {
 				return err
 			}
 		case KindBlackout:
 			// Region may be empty (whole cloud); nothing else to check.
 		case KindSlowNetwork:
-			if e.ExtraLatencyMS < 0 {
-				return fmt.Errorf("faults: episode %d negative extra_latency_ms", i)
+			if err := inRange(fmt.Sprintf("episode %d extra_latency_ms", i), e.ExtraLatencyMS, maxDelayMS); err != nil {
+				return err
+			}
+			// Overlapping episodes add up, so the bound holds for the sum.
+			if extraMS += e.ExtraLatencyMS; extraMS > maxDelayMS {
+				return fmt.Errorf("faults: slow-network extra_latency_ms sums to %d, over %d", extraMS, maxDelayMS)
 			}
 		default:
 			return fmt.Errorf("faults: episode %d has unknown kind %q", i, e.Kind)
+		}
+		if err := inRange(fmt.Sprintf("episode %d from_day", i), e.FromDay, maxDay); err != nil {
+			return err
+		}
+		if err := inRange(fmt.Sprintf("episode %d to_day", i), e.ToDay, maxDay); err != nil {
+			return err
 		}
 		if e.ToDay < e.FromDay {
 			return fmt.Errorf("faults: episode %d window [%d,%d] inverted", i, e.FromDay, e.ToDay)

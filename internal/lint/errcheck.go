@@ -12,77 +12,62 @@
 //	    the store or trace packages, (c) Close/Sync on an os.File
 //	    that this function opened for writing, or (d) a forwarder — a
 //	    function anywhere in the module whose return statement hands
-//	    back an error it got from (a) or (b), found through the call
-//	    graph so wrapping a store mutation in a helper does not launder
-//	    the discard. An explicit `_ = call` is intentional and exempt —
-//	    the discard is visible in review. Inside an error-source
-//	    package itself, every bare discard is flagged (the whole
-//	    package is write path).
+//	    back an error it got from (a) or (b), so wrapping a store
+//	    mutation in a helper does not launder the discard. An explicit
+//	    `_ = call` is intentional and exempt — the discard is visible
+//	    in review. Inside an error-source package itself, every bare
+//	    discard is flagged (the whole package is write path).
 package lint
 
 import (
 	"go/ast"
 	"go/types"
-
-	"whowas/internal/lint/callgraph"
 )
 
-// ErrCheckAnalyzer flags discarded errors on crash-safety write paths.
-var ErrCheckAnalyzer = &Analyzer{
-	Name:      "errcheck",
-	Doc:       "no discarded errors from atomicfile, store/colstore/trace mutations, their forwarders, or write-path file closes",
-	RunModule: runErrCheck,
-}
-
-func runErrCheck(pkgs []*Package, g *callgraph.Graph, opts Options) []Diagnostic {
-	forwarders := errForwarders(g, opts)
+// runErrCheck flags discarded errors on crash-safety write paths.
+func runErrCheck(pkgs []*Package) []Diagnostic {
+	forwarders := errForwarders(pkgs)
 	var out []Diagnostic
 	for _, pkg := range pkgs {
-		insideSource := matchPkg(pkg.Path, opts.ErrSourcePackages)
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+		insideSource := matchPkg(pkg.Path, errSourcePackages)
+		forEachFunc(pkg, func(fd *ast.FuncDecl) {
+			writeFiles := writeOpenedFiles(pkg, fd)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				var call *ast.CallExpr
+				switch nn := n.(type) {
+				case *ast.ExprStmt:
+					call, _ = nn.X.(*ast.CallExpr)
+				case *ast.DeferStmt:
+					call = nn.Call
 				}
-				writeFiles := writeOpenedFiles(pkg, fd)
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					var call *ast.CallExpr
-					switch nn := n.(type) {
-					case *ast.ExprStmt:
-						call, _ = nn.X.(*ast.CallExpr)
-					case *ast.DeferStmt:
-						call = nn.Call
-					}
-					if call == nil {
-						return true
-					}
-					obj := calleeOf(pkg, call)
-					if obj == nil || !returnsError(obj) {
-						return true
-					}
-					calleePkg := objPkgPath(obj)
-					switch {
-					case insideSource:
-						out = append(out, diag(pkg, call, "errcheck/discard",
-							"error from "+obj.Name()+" discarded inside a crash-safety package; handle it or assign it to _ explicitly"))
-					case matchPkg(calleePkg, opts.ErrSourcePackages):
-						out = append(out, diag(pkg, call, "errcheck/discard",
-							"error from "+calleePkg+"."+obj.Name()+" discarded; the atomic-write protocol's outcome must be checked"))
-					case matchPkg(calleePkg, opts.ErrMethodPackages):
-						out = append(out, diag(pkg, call, "errcheck/discard",
-							"error from "+calleePkg+"."+obj.Name()+" discarded; store/journal mutations must surface their failures"))
-					case forwarderDiscard(obj, forwarders):
-						out = append(out, diag(pkg, call, "errcheck/discard",
-							"error from "+obj.Name()+" discarded; it forwards a crash-path error from "+forwarders[obj.(*types.Func)]+" — wrapping the mutation in a helper does not make the failure ignorable"))
-					case isWritePathClose(pkg, call, obj, writeFiles):
-						out = append(out, diag(pkg, call, "errcheck/discard",
-							"error from Close on a file opened for writing discarded; a failed close loses buffered data silently"))
-					}
+				if call == nil {
 					return true
-				})
-			}
-		}
+				}
+				obj := calleeOf(pkg, call)
+				if obj == nil || !returnsError(obj) {
+					return true
+				}
+				calleePkg := objPkgPath(obj)
+				switch {
+				case insideSource:
+					out = append(out, diag(pkg, call, "errcheck/discard",
+						"error from "+obj.Name()+" discarded inside a crash-safety package; handle it or assign it to _ explicitly"))
+				case matchPkg(calleePkg, errSourcePackages):
+					out = append(out, diag(pkg, call, "errcheck/discard",
+						"error from "+calleePkg+"."+obj.Name()+" discarded; the atomic-write protocol's outcome must be checked"))
+				case matchPkg(calleePkg, errMethodPackages):
+					out = append(out, diag(pkg, call, "errcheck/discard",
+						"error from "+calleePkg+"."+obj.Name()+" discarded; store/journal mutations must surface their failures"))
+				case forwarderDiscard(obj, forwarders):
+					out = append(out, diag(pkg, call, "errcheck/discard",
+						"error from "+obj.Name()+" discarded; it forwards a crash-path error from "+forwarders[obj.(*types.Func)]+" — wrapping the mutation in a helper does not make the failure ignorable"))
+				case isWritePathClose(pkg, call, obj, writeFiles):
+					out = append(out, diag(pkg, call, "errcheck/discard",
+						"error from Close on a file opened for writing discarded; a failed close loses buffered data silently"))
+				}
+				return true
+			})
+		})
 	}
 	return out
 }
@@ -91,35 +76,34 @@ func runErrCheck(pkgs []*Package, g *callgraph.Graph, opts Options) []Diagnostic
 // back the error of a crash-path call — the one-level helpers whose
 // discard is as dangerous as discarding the underlying mutation. The
 // map value names the forwarded package for the diagnostic.
-func errForwarders(g *callgraph.Graph, opts Options) map[*types.Func]string {
+func errForwarders(pkgs []*Package) map[*types.Func]string {
 	out := map[*types.Func]string{}
-	crashPath := append(append([]string{}, opts.ErrSourcePackages...), opts.ErrMethodPackages...)
-	for _, n := range g.Nodes() {
-		if n.Func == nil || !returnsError(n.Func) {
-			continue
-		}
-		body := n.Body()
-		if body == nil {
-			continue
-		}
-		info := n.Pkg.Info
-		inspectOwnBody(body, func(node ast.Node) {
-			ret, ok := node.(*ast.ReturnStmt)
-			if ok {
+	crashPath := append(append([]string{}, errSourcePackages...), errMethodPackages...)
+	for _, pkg := range pkgs {
+		forEachFunc(pkg, func(fd *ast.FuncDecl) {
+			fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+			if !ok || !returnsError(fn) {
+				return
+			}
+			inspectOwnBody(fd.Body, func(node ast.Node) {
+				ret, ok := node.(*ast.ReturnStmt)
+				if !ok {
+					return
+				}
 				for _, res := range ret.Results {
 					ast.Inspect(res, func(inner ast.Node) bool {
 						call, ok := inner.(*ast.CallExpr)
 						if !ok {
 							return true
 						}
-						obj := calleeOfInfo(info, call)
+						obj := calleeOf(pkg, call)
 						if obj != nil && returnsError(obj) && matchPkg(objPkgPath(obj), crashPath) {
-							out[n.Func] = objPkgPath(obj)
+							out[fn] = objPkgPath(obj)
 						}
 						return true
 					})
 				}
-			}
+			})
 		})
 	}
 	return out
@@ -155,7 +139,7 @@ func writeOpenedFiles(pkg *Package, fd *ast.FuncDecl) map[types.Object]bool {
 		if !ok {
 			return true
 		}
-		path, _, ok := pkgRef(pkg, sel)
+		path, ok := pkgRef(pkg, sel)
 		if !ok || path != "os" {
 			return true
 		}

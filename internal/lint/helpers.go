@@ -6,62 +6,47 @@ import (
 	"go/types"
 )
 
-// pkgRef resolves a selector like time.Now to its (package path,
-// object) when X names an imported package; ok is false otherwise.
-func pkgRef(pkg *Package, sel *ast.SelectorExpr) (path string, obj types.Object, ok bool) {
+// pkgRef returns the import path of the package a selector's X names
+// (time in time.Now); ok is false when X is not a package name.
+func pkgRef(pkg *Package, sel *ast.SelectorExpr) (path string, ok bool) {
 	id, isIdent := sel.X.(*ast.Ident)
 	if !isIdent {
-		return "", nil, false
+		return "", false
 	}
 	pn, isPkg := pkg.Info.Uses[id].(*types.PkgName)
 	if !isPkg {
-		return "", nil, false
+		return "", false
 	}
-	return pn.Imported().Path(), pkg.Info.Uses[sel.Sel], true
+	return pn.Imported().Path(), true
 }
 
 // calleeOf resolves a call expression's callee object (a *types.Func
 // for method and function calls), or nil.
 func calleeOf(pkg *Package, call *ast.CallExpr) types.Object {
-	return calleeOfInfo(pkg.Info, call)
-}
-
-// calleeOfInfo is calleeOf for code holding only the type info (the
-// call-graph-backed analyzers work on callgraph nodes, whose packages
-// are not lint Packages).
-func calleeOfInfo(info *types.Info, call *ast.CallExpr) types.Object {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		return info.Uses[fun]
+		return pkg.Info.Uses[fun]
 	case *ast.SelectorExpr:
-		return info.Uses[fun.Sel]
+		return pkg.Info.Uses[fun.Sel]
 	}
 	return nil
 }
 
-// baseObj resolves the object an expression names: a plain identifier
-// (local, parameter, package var) or a selector's field/method object
-// (s.srv resolves to the srv field). nil when the expression is more
-// complex than a name.
-func baseObj(info *types.Info, expr ast.Expr) types.Object {
-	switch x := ast.Unparen(expr).(type) {
-	case *ast.Ident:
-		if obj := info.Uses[x]; obj != nil {
-			return obj
+// forEachFunc calls fn for every function declaration with a body in
+// the package.
+func forEachFunc(pkg *Package, fn func(*ast.FuncDecl)) {
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				fn(fd)
+			}
 		}
-		return info.Defs[x]
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[x]; ok {
-			return sel.Obj()
-		}
-		return info.Uses[x.Sel]
 	}
-	return nil
 }
 
 // inspectOwnBody walks a function body without descending into nested
-// function literals — a literal's statements belong to the literal's
-// own call-graph node, not its encloser's.
+// function literals — a literal's statements are not its encloser's
+// (a return inside one does not return from the declaration).
 func inspectOwnBody(body *ast.BlockStmt, fn func(ast.Node)) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
@@ -103,70 +88,6 @@ func objPkgPath(obj types.Object) string {
 		return ""
 	}
 	return obj.Pkg().Path()
-}
-
-// recvIdent returns a method's named receiver identifier, or nil for
-// functions and unnamed/blank receivers.
-func recvIdent(fd *ast.FuncDecl) *ast.Ident {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return nil
-	}
-	id := fd.Recv.List[0].Names[0]
-	if id.Name == "_" {
-		return nil
-	}
-	return id
-}
-
-// recvTypeName returns the receiver's named type and whether it is a
-// pointer receiver.
-func recvTypeName(fd *ast.FuncDecl) (name string, pointer bool) {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return "", false
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		pointer = true
-		t = star.X
-	}
-	switch tt := t.(type) {
-	case *ast.Ident:
-		return tt.Name, pointer
-	case *ast.IndexExpr: // generic receiver
-		if id, ok := tt.X.(*ast.Ident); ok {
-			return id.Name, pointer
-		}
-	case *ast.IndexListExpr:
-		if id, ok := tt.X.(*ast.Ident); ok {
-			return id.Name, pointer
-		}
-	}
-	return "", pointer
-}
-
-// isNilCheckOf reports whether an expression contains a comparison of
-// the named receiver against nil (either == or !=, possibly inside
-// && / || chains).
-func isNilCheckOf(expr ast.Expr, recv string) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok {
-			return true
-		}
-		if be.Op.String() != "==" && be.Op.String() != "!=" {
-			return true
-		}
-		x, xok := ast.Unparen(be.X).(*ast.Ident)
-		y, yok := ast.Unparen(be.Y).(*ast.Ident)
-		if xok && yok &&
-			((x.Name == recv && y.Name == "nil") || (y.Name == recv && x.Name == "nil")) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // diag builds a Diagnostic at a node's position.

@@ -12,8 +12,8 @@ var update = flag.Bool("update", false, "rewrite the golden files from the curre
 
 // fixturePackages loads one package of the fixture module under
 // testdata/src/fixture. The fixture module's import paths end in the
-// same suffixes the default options match, so DefaultSuite runs over
-// it exactly as it runs over the real module.
+// same suffixes the analyzers' scopes match, so the suite runs over it
+// exactly as it runs over the real module.
 func fixturePackage(t *testing.T, pattern string) (*Package, string) {
 	t.Helper()
 	root, err := filepath.Abs(filepath.Join("testdata", "src", "fixture"))
@@ -51,29 +51,23 @@ func render(diags []Diagnostic, root string) string {
 	return b.String()
 }
 
-// TestAnalyzerGoldens runs the default suite over each fixture package
-// and compares the surviving diagnostics against a golden file.
+// TestAnalyzerGoldens runs the suite over each fixture package and
+// compares the diagnostics against a golden file.
 // Regenerate with `go test ./internal/lint -run Goldens -update`.
 func TestAnalyzerGoldens(t *testing.T) {
 	cases := []struct {
 		name    string // golden file stem
 		pattern string // fixture package
 	}{
-		{"determinism", "./internal/cloudsim"},
-		{"nilsafe", "./internal/metrics"},
-		{"ctxfirst", "./internal/scanner"},
 		{"errcheck_source", "./internal/atomicfile"},
 		{"errcheck_lockdisc", "./internal/coord"},
 		{"errcheck_forwarder", "./internal/relay"},
-		{"goleak", "./internal/fleet"},
 		{"wiretag", "./internal/httpd"},
-		{"atomicwrite", "./internal/trace"},
-		{"budgetpath", "./internal/core"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pkg, root := fixturePackage(t, tc.pattern)
-			got := render(DefaultSuite().Run([]*Package{pkg}), root)
+			got := render(run([]*Package{pkg}), root)
 			goldenPath := filepath.Join("testdata", "golden", tc.name+".golden")
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
@@ -100,14 +94,14 @@ func TestAnalyzerGoldens(t *testing.T) {
 // diagnostics.
 func TestCleanFixtureStaysClean(t *testing.T) {
 	pkg, root := fixturePackage(t, "./internal/store")
-	if got := render(DefaultSuite().Run([]*Package{pkg}), root); got != "" {
+	if got := render(run([]*Package{pkg}), root); got != "" {
 		t.Errorf("clean fixture produced diagnostics:\n%s", got)
 	}
 }
 
-// TestRepoHeadClean is the gate the CLI enforces in CI, as a test: the
-// module at HEAD must lint clean. Skipped under -short because it
-// type-checks the whole module.
+// TestRepoHeadClean is the suite's entry point and the gate `make lint`
+// and CI run: the module at HEAD must lint clean. Skipped under -short
+// because it type-checks the whole module.
 func TestRepoHeadClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -123,7 +117,7 @@ func TestRepoHeadClean(t *testing.T) {
 	if len(pkgs) == 0 {
 		t.Fatal("loaded no packages from the module root")
 	}
-	for _, d := range DefaultSuite().Run(pkgs) {
+	for _, d := range run(pkgs) {
 		if rel, err := filepath.Rel(loader.ModuleRoot(), d.Pos.Filename); err == nil {
 			d.Pos.Filename = rel
 		}

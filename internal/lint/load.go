@@ -24,16 +24,14 @@ import (
 type Package struct {
 	// Path is the package's import path within the module.
 	Path string
-	// Dir is the package's directory on disk.
-	Dir string
 	// Fset positions every file in the loader's file set.
 	Fset *token.FileSet
 	// Files holds the parsed non-test files, sorted by file name.
 	Files []*ast.File
 	// Types is the type-checked package object.
 	Types *types.Package
-	// Info carries the resolved identifier uses, definitions,
-	// selections and expression types.
+	// Info carries the resolved identifier uses, definitions and
+	// expression types.
 	Info *types.Info
 }
 
@@ -101,48 +99,20 @@ func modulePathOf(path string) (string, error) {
 	return "", fmt.Errorf("lint: no module directive in %s", path)
 }
 
-// Load resolves the given patterns to packages and type-checks them.
-// Supported patterns: "./..." (every package under the module root), a
-// module-relative directory like "./internal/store", or a full import
-// path like "whowas/internal/store".
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	var paths []string
-	seen := map[string]bool{}
-	add := func(p string) {
-		if !seen[p] {
-			seen[p] = true
-			paths = append(paths, p)
-		}
-	}
-	for _, pat := range patterns {
-		switch {
-		case pat == "./..." || pat == "...":
-			dirs, err := l.packageDirs(l.moduleRoot)
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range dirs {
-				add(l.pathOfDir(d))
-			}
-		case strings.HasSuffix(pat, "/..."):
-			base := strings.TrimSuffix(pat, "/...")
-			dirs, err := l.packageDirs(l.dirOfPattern(base))
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range dirs {
-				add(l.pathOfDir(d))
-			}
-		default:
-			add(l.pathOfDir(l.dirOfPattern(pat)))
+// Load resolves a pattern to packages and type-checks them: "./..."
+// is every package under the module root, anything else a
+// module-relative directory like "./internal/store".
+func (l *Loader) Load(pattern string) ([]*Package, error) {
+	dirs := []string{l.dirOfPattern(pattern)}
+	if pattern == "./..." {
+		var err error
+		if dirs, err = l.packageDirs(l.moduleRoot); err != nil {
+			return nil, err
 		}
 	}
 	var pkgs []*Package
-	for _, p := range paths {
-		pkg, err := l.loadPackage(p)
+	for _, d := range dirs {
+		pkg, err := l.loadPackage(l.pathOfDir(d))
 		if err != nil {
 			return nil, err
 		}
@@ -240,10 +210,9 @@ func (l *Loader) loadPackage(path string) (*Package, error) {
 	}
 
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{
 		Importer: importerFunc(func(imp string) (*types.Package, error) {
@@ -266,7 +235,6 @@ func (l *Loader) loadPackage(path string) (*Package, error) {
 	}
 	pkg := &Package{
 		Path:  path,
-		Dir:   dir,
 		Fset:  l.fset,
 		Files: files,
 		Types: tpkg,

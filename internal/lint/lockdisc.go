@@ -17,39 +17,23 @@ import (
 	"go/ast"
 )
 
-// LockDiscAnalyzer enforces hold-across-send discipline.
-var LockDiscAnalyzer = &Analyzer{
-	Name: "lockdisc",
-	Doc:  "no channel send while holding a lock in core/store/colstore",
-	Run:  runLockDisc,
-}
-
-func runLockDisc(pkg *Package, opts Options) []Diagnostic {
-	if !matchPkg(pkg.Path, opts.LockSendPackages) {
-		return nil
-	}
+// runLockDisc enforces hold-across-send discipline.
+func runLockDisc(pkgs []*Package) []Diagnostic {
 	var out []Diagnostic
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				out = append(out, sendUnderLockDiags(pkg, fd.Body, false)...)
-			}
+	for _, pkg := range pkgs {
+		if matchPkg(pkg.Path, lockSendPackages) {
+			forEachFunc(pkg, func(fd *ast.FuncDecl) {
+				walkStmts(pkg, fd.Body.List, false, &out)
+			})
 		}
 	}
 	return out
 }
 
-// sendUnderLockDiags walks a statement block tracking whether a mutex
-// is lexically held, flagging channel sends (including select send
-// cases) made while it is. Function literals reset the held state —
-// they run later, on a goroutine whose lock state this analysis cannot
-// know.
-func sendUnderLockDiags(pkg *Package, block *ast.BlockStmt, held bool) []Diagnostic {
-	var out []Diagnostic
-	walkStmts(pkg, block.List, held, &out)
-	return out
-}
-
+// walkStmts walks a statement list tracking whether a mutex is
+// lexically held, flagging channel sends (including select send cases)
+// made while it is. Function literals reset the held state — they run
+// later, on a goroutine whose lock state this analysis cannot know.
 func walkStmts(pkg *Package, stmts []ast.Stmt, held bool, out *[]Diagnostic) {
 	for _, st := range stmts {
 		held = walkStmt(pkg, st, held, out)

@@ -6,9 +6,7 @@ package httpd
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
 )
 
 // Health is fully tagged: not flagged.
@@ -49,35 +47,4 @@ func Emit(w io.Writer) error {
 		return err
 	}
 	return WriteDoc(w, Status{})
-}
-
-// Legacy keeps its Go field name on the wire; the suppression records
-// why: not flagged.
-type Legacy struct {
-	//lint:allow wiretag/tag pre-tag peers still parse the Go identifier; retire with the v1 protocol
-	Seq int
-}
-
-// EmitLegacy keeps Legacy wire-reachable.
-func EmitLegacy(w io.Writer) error { return WriteDoc(w, Legacy{}) }
-
-// DumpUnsorted iterates a map straight into the writer; iteration
-// order is random: flagged.
-func DumpUnsorted(w io.Writer, m map[string]int) {
-	for k, v := range m {
-		fmt.Fprintf(w, "%s=%d\n", k, v)
-	}
-}
-
-// DumpSorted collects the keys first and writes from the sorted
-// slice: not flagged.
-func DumpSorted(w io.Writer, m map[string]int) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "%s=%d\n", k, m[k])
-	}
 }

@@ -14,29 +14,16 @@
 //	    follows exported field types across package boundaries —
 //	    store.Record is wire-crossing because coord's SubmitRequest
 //	    embeds a ShardResult that carries records.
-//	wiretag/maporder — a wire package ranges over a map and writes
-//	    inside the loop body. encoding/json sorts map keys itself, but
-//	    a hand-rolled loop writes in random order; wire bytes must not
-//	    depend on map iteration.
 package lint
 
 import (
 	"go/ast"
 	"go/types"
 	"reflect"
-
-	"whowas/internal/lint/callgraph"
 )
 
-// WireTagAnalyzer makes every wire-crossing struct's JSON shape
-// explicit.
-var WireTagAnalyzer = &Analyzer{
-	Name:      "wiretag",
-	Doc:       "structs crossing a wire boundary carry explicit json tags; no map iteration feeds an encoder",
-	RunModule: runWireTag,
-}
-
-func runWireTag(pkgs []*Package, g *callgraph.Graph, opts Options) []Diagnostic {
+// runWireTag makes every wire-crossing struct's JSON shape explicit.
+func runWireTag(pkgs []*Package) []Diagnostic {
 	byTypes := map[*types.Package]*Package{}
 	for _, p := range pkgs {
 		byTypes[p.Types] = p
@@ -54,9 +41,9 @@ func runWireTag(pkgs []*Package, g *callgraph.Graph, opts Options) []Diagnostic 
 		}, map[types.Type]bool{})
 	}
 
-	sinks := wireSinks(g)
+	sinks := wireSinks(pkgs)
 	for _, pkg := range pkgs {
-		if !matchPkg(pkg.Path, opts.WirePackages) {
+		if !matchPkg(pkg.Path, wirePackages) {
 			continue
 		}
 		for _, f := range pkg.Files {
@@ -65,7 +52,7 @@ func runWireTag(pkgs []*Package, g *callgraph.Graph, opts Options) []Diagnostic 
 				if !ok {
 					return true
 				}
-				params := sinkParams(pkg.Info, call, sinks)
+				params := sinkParams(pkg, call, sinks)
 				for i := range params {
 					if i >= len(call.Args) {
 						continue
@@ -77,7 +64,6 @@ func runWireTag(pkgs []*Package, g *callgraph.Graph, opts Options) []Diagnostic 
 				return true
 			})
 		}
-		out = append(out, wireMapOrderDiags(pkg)...)
 	}
 
 	// Closure over exported (and embedded) field types, flagging
@@ -119,48 +105,43 @@ func runWireTag(pkgs []*Package, g *callgraph.Graph, opts Options) []Diagnostic 
 // wireSinks computes, for every module function, which of its
 // parameters reach a JSON encoder — directly (json.Marshal(v)) or
 // through other module helpers (post wraps Marshal, writeJSON wraps
-// WriteJSON wraps Encode), by propagating over the call graph to a
+// WriteJSON wraps Encode), by propagating over the declarations to a
 // fixpoint. This is what lets coord's generic post(ctx, path, body,
 // reply) helper seed the closure with the concrete types its callers
 // pass.
-func wireSinks(g *callgraph.Graph) map[*types.Func]map[int]bool {
+func wireSinks(pkgs []*Package) map[*types.Func]map[int]bool {
 	sinks := map[*types.Func]map[int]bool{}
 	for changed := true; changed; {
 		changed = false
-		for _, n := range g.Nodes() {
-			if n.Func == nil || n.Decl == nil {
-				continue
-			}
-			params := paramObjects(n.Decl, n.Pkg.Info)
-			if len(params) == 0 {
-				continue
-			}
-			body := n.Body()
-			if body == nil {
-				continue
-			}
-			inspectOwnBody(body, func(node ast.Node) {
-				call, ok := node.(*ast.CallExpr)
-				if !ok {
+		for _, pkg := range pkgs {
+			forEachFunc(pkg, func(fd *ast.FuncDecl) {
+				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+				params := paramObjects(fd, pkg.Info)
+				if !ok || len(params) == 0 {
 					return
 				}
-				idxs := sinkParams(n.Pkg.Info, call, sinks)
-				for i := range idxs {
-					if i >= len(call.Args) {
-						continue
-					}
-					pi, ok := paramIndexOf(n.Pkg.Info, call.Args[i], params)
+				inspectOwnBody(fd.Body, func(node ast.Node) {
+					call, ok := node.(*ast.CallExpr)
 					if !ok {
-						continue
+						return
 					}
-					if sinks[n.Func] == nil {
-						sinks[n.Func] = map[int]bool{}
+					for i := range sinkParams(pkg, call, sinks) {
+						if i >= len(call.Args) {
+							continue
+						}
+						pi, ok := paramIndexOf(pkg.Info, call.Args[i], params)
+						if !ok {
+							continue
+						}
+						if sinks[fn] == nil {
+							sinks[fn] = map[int]bool{}
+						}
+						if !sinks[fn][pi] {
+							sinks[fn][pi] = true
+							changed = true
+						}
 					}
-					if !sinks[n.Func][pi] {
-						sinks[n.Func][pi] = true
-						changed = true
-					}
-				}
+				})
 			})
 		}
 	}
@@ -170,8 +151,8 @@ func wireSinks(g *callgraph.Graph) map[*types.Func]map[int]bool {
 // sinkParams returns the argument indices of a call that flow to a
 // JSON encoder: the encoding/json entry points and the propagated
 // module helpers.
-func sinkParams(info *types.Info, call *ast.CallExpr, sinks map[*types.Func]map[int]bool) map[int]bool {
-	fn, ok := calleeOfInfo(info, call).(*types.Func)
+func sinkParams(pkg *Package, call *ast.CallExpr, sinks map[*types.Func]map[int]bool) map[int]bool {
+	fn, ok := calleeOf(pkg, call).(*types.Func)
 	if !ok {
 		return nil
 	}
@@ -259,43 +240,4 @@ func collectNamedStructs(t types.Type, visit func(*types.Named), seen map[types.
 func hasJSONTag(tag string) bool {
 	_, ok := reflect.StructTag(tag).Lookup("json")
 	return ok
-}
-
-// wireMapOrderDiags flags range-over-map loops that write inside the
-// loop body within a wire package.
-func wireMapOrderDiags(pkg *Package) []Diagnostic {
-	var out []Diagnostic
-	writerCalls := map[string]bool{
-		"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
-		"Fprintf": true, "Fprint": true, "Fprintln": true, "Encode": true,
-	}
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
-			}
-			tv, ok := pkg.Info.Types[rs.X]
-			if !ok || tv.Type == nil {
-				return true
-			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			ast.Inspect(rs.Body, func(inner ast.Node) bool {
-				call, ok := inner.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if fn, ok := calleeOf(pkg, call).(*types.Func); ok && writerCalls[fn.Name()] {
-					out = append(out, diag(pkg, rs, "wiretag/maporder",
-						"map iteration writes to the wire inside a wire package; iteration order is random — sort the keys into a slice first"))
-					return false
-				}
-				return true
-			})
-			return true
-		})
-	}
-	return out
 }

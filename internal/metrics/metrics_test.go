@@ -3,10 +3,15 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"whowas/internal/trace"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -57,6 +62,31 @@ func TestNilSafety(t *testing.T) {
 	}
 	if r.Names() != nil {
 		t.Error("nil registry has names")
+	}
+}
+
+// TestNilHandlesAreNoOps calls every exported method of the metrics
+// and trace handle types on a typed nil receiver, with zero-value
+// arguments (io.Discard for a writer), so a method added later is held
+// to the "nil handle is a no-op" contract without being named here.
+func TestNilHandlesAreNoOps(t *testing.T) {
+	for _, h := range []any{(*Counter)(nil), (*Gauge)(nil), (*Stage)(nil), (*Histogram)(nil),
+		(*Registry)(nil), (*trace.Tracer)(nil), (*trace.Span)(nil)} {
+		v := reflect.ValueOf(h)
+		for i := 0; i < v.NumMethod(); i++ {
+			m, mt := v.Method(i), v.Method(i).Type()
+			args := make([]reflect.Value, mt.NumIn())
+			for j := range args {
+				args[j] = reflect.Zero(mt.In(j))
+				if mt.In(j) == reflect.TypeFor[io.Writer]() {
+					args[j] = reflect.ValueOf(io.Discard)
+				}
+			}
+			if mt.IsVariadic() {
+				args = args[:len(args)-1] // Call passes an empty variadic slice
+			}
+			t.Run(fmt.Sprintf("%T.%s", h, v.Type().Method(i).Name), func(t *testing.T) { m.Call(args) })
+		}
 	}
 }
 

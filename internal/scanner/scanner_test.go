@@ -304,6 +304,18 @@ func TestRateLimitEnforced(t *testing.T) {
 	if rate > 260 { // small burst tolerance
 		t.Errorf("effective probe rate %.1f pps exceeds 250", rate)
 	}
+
+	// The second probe path, ProbeOnce, pays the same toll.
+	const once = 500
+	start = clock.Now()
+	for i := 0; i < once; i++ {
+		if _, err := s.ProbeOnce(context.Background(), prefixes[0].First()+ipaddr.Addr(i), 80, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rate := once / clock.Now().Sub(start).Seconds(); rate > 260 {
+		t.Errorf("ProbeOnce rate %.1f pps exceeds 250", rate)
+	}
 }
 
 func TestProbeOnceTimeoutSensitivity(t *testing.T) {

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -191,5 +192,29 @@ func TestOpenTruncatedAtEveryLength(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(derefAll(got), derefAll(want)) {
 			t.Fatalf("a %d-byte .tmp sibling changed round 1 (err %v)", n, err)
 		}
+	}
+}
+
+// TestRewriteReplacesSegmentFile pins the crash-safe write: a segment
+// is written to a temp file and renamed into place, never truncated and
+// rewritten in place, so another link to the old file keeps its bytes.
+func TestRewriteReplacesSegmentFile(t *testing.T) {
+	dir := t.TempDir()
+	b := openBackend(t, dir, Options{CloudName: "ec2"})
+	meta, recs := sparseFixture()
+	if err := b.Append(meta, recs); err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(t.TempDir(), "old.seg")
+	if err := os.Link(filepath.Join(dir, segName(0)), old); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := os.ReadFile(old)
+	meta.Probed++
+	if err := b.Rewrite(0, meta, recs); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := os.ReadFile(old); !bytes.Equal(before, after) {
+		t.Fatal("Rewrite wrote through the old segment file; it must rename a new one into place")
 	}
 }

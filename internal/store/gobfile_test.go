@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"whowas/internal/ipaddr"
@@ -249,5 +250,67 @@ func TestEachRound(t *testing.T) {
 	})
 	if len(seen) != 2 || seen[0] != 0 || seen[1] != 1 {
 		t.Fatalf("seen = %v", seen)
+	}
+}
+
+// TestFileBackendMatchesMemory holds the read-only gob backend to the
+// memory backend it was saved from: rounds of 0, 1 and many records,
+// every read method, and History for every present IP plus gap and
+// out-of-range keys.
+func TestFileBackendMatchesMemory(t *testing.T) {
+	s := New("ec2")
+	var ips []ipaddr.Addr
+	for r, n := range []int{0, 1, 40, 0, 7} {
+		if _, err := s.BeginRound(r * 3); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			rec := mkRecord(fmt.Sprintf("10.0.%d.%d", i%3, 2*i+r), r)
+			ips = append(ips, rec.IP, rec.IP+1) // +1: a gap key no round holds
+			if err := s.Put(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.AddProbed(int64(10 * n))
+		if err := s.EndRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ips = append(ips, 0, ipaddr.MustParseAddr("9.255.255.255"), ipaddr.MustParseAddr("255.255.255.255"))
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "store.gob")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fb, err := OpenFileBackend(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb.Close()
+	mem := s.Backend()
+	if got, want := fb.NumRounds(), mem.NumRounds(); got != want {
+		t.Fatalf("NumRounds = %d, want %d", got, want)
+	}
+	same := func(what string, got, want any, gotErr, wantErr error) {
+		t.Helper()
+		if (gotErr != nil) != (wantErr != nil) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: file = %v (err %v), memory = %v (err %v)", what, got, gotErr, want, wantErr)
+		}
+	}
+	for i := -1; i <= mem.NumRounds(); i++ {
+		gm, gerr := fb.Meta(i)
+		wm, werr := mem.Meta(i)
+		same(fmt.Sprintf("Meta(%d)", i), gm, wm, gerr, werr)
+		gr, gerr := fb.Records(i)
+		wr, werr := mem.Records(i)
+		same(fmt.Sprintf("Records(%d)", i), gr, wr, gerr, werr)
+	}
+	for _, ip := range ips {
+		gh, gerr := fb.History(ip)
+		wh, werr := mem.History(ip)
+		same(fmt.Sprintf("History(%v)", ip), gh, wh, gerr, werr)
 	}
 }
