@@ -38,7 +38,9 @@ test:
 # What CI runs; the campaign fixtures shrink under -race. The
 # concurrency-heavy packages, the round's lane tests and colstore's
 # parallel read paths go first, twice, so a schedule-dependent race has
-# two chances to interleave before the full-module pass.
+# two chances to interleave before the full-module pass. The colstore
+# leg includes the narrowed reads: the decode on parallel workers, and
+# the analyses' cross-backend oracle and read counters.
 race:
 	$(GO) test -race -count=2 -timeout 20m \
 		./internal/coord/ ./internal/fleetobs/ \
@@ -47,8 +49,8 @@ race:
 		-run 'TestRunLane|TestRoundStorePutFailure|TestCampaignCancelMidRound|TestPipelineShardDigestIdentity' \
 		./internal/core/
 	$(GO) test -race -count=2 -timeout 20m \
-		-run 'TestConcurrentReadersAndWriter|TestModelAgainstMemoryBackend|TestRecordsAreNotAliased|TestSegmentFilesLifecycle|TestParallelDecodeDeterministic' \
-		./internal/store/colstore/
+		-run 'TestConcurrentReadersAndWriter|TestModelAgainstMemoryBackend|TestRecordsAreNotAliased|TestSegmentFilesLifecycle|TestParallelDecodeDeterministic|TestNarrowed' \
+		./internal/store/colstore/ ./internal/analysis/
 	$(GO) test -race -timeout 40m ./...
 
 # Short native-fuzzing smoke over the parser surfaces (what the CI

@@ -223,7 +223,7 @@ func convertToDir(st *store.Store, dir string) error {
 			_ = dst.Close()
 			return err
 		}
-		recs, err := src.Records(i)
+		recs, err := src.Read(i, store.AllFields)
 		if err != nil {
 			_ = dst.Close()
 			return err

@@ -91,7 +91,7 @@ func Census(st *store.Store) CensusResult {
 	var availSum, serverSum, backendSum, templateSum float64
 	var wpTotal, wpVulnerable float64
 
-	st.EachRound(func(r *store.Round) bool {
+	st.Scan(store.FieldStatus|store.FieldServer|store.FieldPoweredBy|store.FieldTemplate, func(r *store.Round) bool {
 		sc := map[string]int{}
 		bc := map[string]int{}
 		tc := map[string]int{}
@@ -237,14 +237,32 @@ type TrackerStudy struct {
 }
 
 // Trackers computes Table 20 on the last round, and GA statistics over
-// the whole campaign.
+// the whole campaign, in one pass.
 func Trackers(st *store.Store) TrackerStudy {
 	out := TrackerStudy{}
-	n := st.NumRounds()
-	if n == 0 {
+	ids := map[string]bool{}
+	accounts := map[string]map[string]bool{} // account -> profiles
+	var last *store.Round
+	st.Scan(store.FieldTrackers|store.FieldCluster|store.FieldAnalyticsID, func(r *store.Round) bool {
+		last = r
+		r.Each(func(rec *store.Record) bool {
+			if rec.AnalyticsID == "" {
+				return true
+			}
+			ids[rec.AnalyticsID] = true
+			if acct, prof, ok := htmlparse.SplitAnalyticsID(rec.AnalyticsID); ok {
+				if accounts[acct] == nil {
+					accounts[acct] = map[string]bool{}
+				}
+				accounts[acct][prof] = true
+			}
+			return true
+		})
+		return true
+	})
+	if last == nil {
 		return out
 	}
-	last := st.Round(n - 1)
 	out.Round = last.Index
 
 	ipCounts := map[string]int{}
@@ -289,25 +307,6 @@ func Trackers(st *store.Store) TrackerStudy {
 		out.ThreeTrackers = three / users
 	}
 
-	// GA accounts across the whole campaign.
-	ids := map[string]bool{}
-	accounts := map[string]map[string]bool{} // account -> profiles
-	st.EachRound(func(r *store.Round) bool {
-		r.Each(func(rec *store.Record) bool {
-			if rec.AnalyticsID == "" {
-				return true
-			}
-			ids[rec.AnalyticsID] = true
-			if acct, prof, ok := htmlparse.SplitAnalyticsID(rec.AnalyticsID); ok {
-				if accounts[acct] == nil {
-					accounts[acct] = map[string]bool{}
-				}
-				accounts[acct][prof] = true
-			}
-			return true
-		})
-		return true
-	})
 	out.UniqueGAIDs = len(ids)
 	out.GAAccounts = len(accounts)
 	var oneProf, twoProf float64

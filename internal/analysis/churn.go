@@ -34,14 +34,18 @@ type ChurnSummary struct {
 	AvgRelResponsiveness, AvgRelAvailability, AvgRelClusterChange, AvgRelOverall float64
 }
 
+// statusFields are what the IP-status analyses (Churn, Usage) read:
+// responsiveness, availability and the cluster label.
+const statusFields = store.FieldPorts | store.FieldStatus | store.FieldCluster
+
 // Churn computes the §8.1 IP-status churn between consecutive rounds.
 func Churn(st *store.Store) *ChurnSummary {
 	out := &ChurnSummary{}
 	// Sliding two-round window: consecutive-round comparison needs prev
-	// and cur together but never more, so the fold stays within the
-	// lazy backends' decoded-round cache.
+	// and cur together but never more, so the fold holds at most two
+	// decoded rounds.
 	var prev *store.Round
-	st.EachRound(func(cur *store.Round) bool {
+	st.Scan(statusFields, func(cur *store.Round) bool {
 		if prev == nil {
 			prev = cur
 			return true

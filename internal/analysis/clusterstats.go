@@ -23,7 +23,7 @@ type ClusteringSummary struct {
 // Clustering computes Table 6 from the store and clustering result.
 func Clustering(st *store.Store, res *cluster.Result) ClusteringSummary {
 	ips := map[ipaddr.Addr]bool{}
-	st.EachRound(func(r *store.Round) bool {
+	st.Scan(store.FieldPorts, func(r *store.Round) bool {
 		r.Each(func(rec *store.Record) bool {
 			if rec.Responsive() {
 				ips[rec.IP] = true
@@ -200,11 +200,7 @@ type PatternTable struct {
 // SizePatterns computes Table 11: each final cluster's size series is
 // reduced with 7-day-median PAA and Algorithm 1's tendency vector.
 func SizePatterns(st *store.Store, res *cluster.Result, campaignDays int) PatternTable {
-	rounds := st.Rounds()
-	dayOf := make([]int, len(rounds))
-	for i, r := range rounds {
-		dayOf[i] = r.Day
-	}
+	rounds := st.Metas()
 	counts := map[string]int{}
 	out := PatternTable{}
 	for _, c := range res.Clusters {
@@ -213,7 +209,7 @@ func SizePatterns(st *store.Store, res *cluster.Result, campaignDays int) Patter
 		allZeroMedian := true
 		for i := range rounds {
 			v := float64(len(s.byRound[i]))
-			samples[i] = timeseries.Sample{Day: dayOf[i], Value: v}
+			samples[i] = timeseries.Sample{Day: rounds[i].Day, Value: v}
 		}
 		paa := timeseries.PAA(samples, campaignDays, 7)
 		for _, v := range paa {

@@ -26,18 +26,14 @@ type DepartureEvent struct {
 // leave at that round, and returns the rounds with the largest
 // departure batches (all rounds when topN <= 0).
 func Departures(st *store.Store, res *cluster.Result, topN int) []DepartureEvent {
-	nRounds := st.NumRounds()
+	metas := st.Metas()
+	nRounds := len(metas)
 	if nRounds < 2 {
 		return nil
 	}
-	dayOf := make([]int, 0, nRounds)
-	st.EachRound(func(r *store.Round) bool {
-		dayOf = append(dayOf, r.Day)
-		return true
-	})
 	events := make([]DepartureEvent, nRounds)
 	for i := range events {
-		events[i] = DepartureEvent{Round: i, Day: dayOf[i]}
+		events[i] = DepartureEvent{Round: i, Day: metas[i].Day}
 	}
 	for _, c := range res.Clusters {
 		rounds := c.Rounds()

@@ -62,7 +62,7 @@ func clusterCountInRound(r *store.Round) int {
 // run for the cluster columns to be populated.
 func Usage(st *store.Store) *UsageSummary {
 	out := &UsageSummary{}
-	st.EachRound(func(r *store.Round) bool {
+	st.Scan(statusFields, func(r *store.Round) bool {
 		resp, avail := roundCounts(r)
 		out.RespSeries = append(out.RespSeries, float64(resp))
 		out.AvailSeries = append(out.AvailSeries, float64(avail))
@@ -115,7 +115,7 @@ type PortMix struct {
 func Ports(st *store.Store) PortMix {
 	var mix PortMix
 	rounds := 0
-	st.EachRound(func(r *store.Round) bool {
+	st.Scan(store.FieldPorts, func(r *store.Round) bool {
 		rounds++
 		var ssh, h, hs, both, total float64
 		r.Each(func(rec *store.Record) bool {
@@ -173,7 +173,7 @@ type StatusMix struct {
 func Statuses(st *store.Store) StatusMix {
 	var mix StatusMix
 	rounds := 0
-	st.EachRound(func(r *store.Round) bool {
+	st.Scan(store.FieldStatus, func(r *store.Round) bool {
 		rounds++
 		var ok, c4, c5, other, total float64
 		r.Each(func(rec *store.Record) bool {
@@ -230,7 +230,7 @@ type ContentTypeShare struct {
 func ContentTypes(st *store.Store, topN int) []ContentTypeShare {
 	counts := map[string]int{}
 	total := 0
-	st.EachRound(func(r *store.Round) bool {
+	st.Scan(store.FieldStatus|store.FieldContentType, func(r *store.Round) bool {
 		r.Each(func(rec *store.Record) bool {
 			if rec.HTTPStatus != 0 && rec.ContentType != "" {
 				counts[rec.ContentType]++

@@ -24,7 +24,7 @@ type VPCSeries struct {
 // records).
 func VPCUsage(st *store.Store) VPCSeries {
 	var out VPCSeries
-	st.EachRound(func(r *store.Round) bool {
+	st.Scan(store.FieldPorts|store.FieldStatus|store.FieldFlags, func(r *store.Round) bool {
 		var cr, ca, vr, va int
 		r.Each(func(rec *store.Record) bool {
 			if rec.VPC {

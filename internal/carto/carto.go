@@ -47,18 +47,26 @@ func (m *Map) VPCPrefixCount() int {
 
 // Apply writes the VPC label into every record of every round,
 // persisting through the store's update path so the join survives a
-// lazy storage backend.
+// lazy storage backend. A flags-only scan finds the rounds holding a
+// stale label; only those are read whole and rewritten.
 func (m *Map) Apply(st *store.Store) error {
-	return st.UpdateRounds(func(round *store.Round) bool {
-		changed := false
+	var stale []int
+	st.Scan(store.FieldFlags, func(round *store.Round) bool {
 		round.Each(func(rec *store.Record) bool {
-			if vpc := m.IsVPC(rec.IP); rec.VPC != vpc {
-				rec.VPC = vpc
-				changed = true
+			if rec.VPC != m.IsVPC(rec.IP) {
+				stale = append(stale, round.Index)
+				return false
 			}
 			return true
 		})
-		return changed
+		return true
+	})
+	return st.UpdateRounds(stale, func(round *store.Round) bool {
+		round.Each(func(rec *store.Record) bool {
+			rec.VPC = m.IsVPC(rec.IP)
+			return true
+		})
+		return true
 	})
 }
 

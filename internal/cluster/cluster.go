@@ -156,18 +156,22 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 	reg := cfg.Metrics
 	root := cfg.Tracer.Start("cluster", nil)
 
-	// Collect the records to cluster: those with an HTTP response.
+	// Collect the records to cluster: those with an HTTP response. They
+	// are read whole — the final clusters hand them to analyses that
+	// read any field — but streamed, so a round's unavailable records
+	// are not kept.
 	spL1 := cfg.Tracer.Start("level1", root)
 	stopLevel1 := reg.Stage("cluster.level1").Time()
 	var records []*store.Record
-	for _, round := range st.Rounds() {
+	st.EachRound(func(round *store.Round) bool {
 		round.Each(func(rec *store.Record) bool {
 			if rec.Available() {
 				records = append(records, rec)
 			}
 			return true
 		})
-	}
+		return true
+	})
 	if len(records) == 0 {
 		spL1.End()
 		root.SetAttr(trace.String("error", "no-records"))
@@ -292,11 +296,11 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 		ip    ipaddr.Addr
 	}
 	// The changed-round set must be computed against the records'
-	// pre-clustering IDs, before the in-place labeling below: on a
-	// caching backend the records seen here and the records seen by
-	// UpdateRounds can be the same pointers, so an after-the-fact
-	// "did it change" comparison inside the update would read its own
-	// mutation and skip the rewrite, leaving the on-disk round stale.
+	// pre-clustering IDs, before the in-place labeling below: on the
+	// memory backend the records seen here and the records seen by
+	// UpdateRounds are the same pointers, so an after-the-fact "did it
+	// change" comparison inside the update would read its own mutation.
+	// Only the changed rounds are read back and rewritten.
 	assigned := make(map[recKey]int64, len(records))
 	orig := make(map[recKey]int64, len(records))
 	for _, rec := range records {
@@ -318,21 +322,19 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 			changedRounds[k.round] = true
 		}
 	}
-	err := st.UpdateRounds(func(round *store.Round) bool {
-		changed := false
+	rewrite := make([]int, 0, len(changedRounds))
+	for r := range changedRounds {
+		rewrite = append(rewrite, r)
+	}
+	sort.Ints(rewrite)
+	err := st.UpdateRounds(rewrite, func(round *store.Round) bool {
 		round.Each(func(rec *store.Record) bool {
 			if id, ok := assigned[recKey{rec.Round, rec.IP}]; ok {
-				if rec.Cluster != id {
-					rec.Cluster = id
-					changed = true
-				}
-				if changedRounds[rec.Round] {
-					changed = true
-				}
+				rec.Cluster = id
 			}
 			return true
 		})
-		return changed
+		return true
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: persisting assignments: %w", err)

@@ -61,12 +61,13 @@ func TestSameContentSameCluster(t *testing.T) {
 		t.Fatalf("Final = %d, want 1 (res=%+v)", res.Final, res)
 	}
 	var ids []int64
-	for _, r := range st.Rounds() {
+	st.EachRound(func(r *store.Round) bool {
 		r.Each(func(rec *store.Record) bool {
 			ids = append(ids, rec.Cluster)
 			return true
 		})
-	}
+		return true
+	})
 	for _, id := range ids {
 		if id != ids[0] || id == 0 {
 			t.Fatalf("cluster ids = %v, want all equal nonzero", ids)
@@ -206,7 +207,7 @@ func TestCleaningErrorTitles(t *testing.T) {
 		}
 	}
 	// Cleaned records carry Cluster = 0.
-	st.Rounds()[0].Each(func(rec *store.Record) bool {
+	st.Round(0).Each(func(rec *store.Record) bool {
 		if strings.Contains(rec.Title, "Found") && rec.Cluster != 0 {
 			t.Errorf("cleaned record still assigned cluster %d", rec.Cluster)
 		}

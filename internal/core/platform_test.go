@@ -97,7 +97,11 @@ func TestDefaultRoundSchedule(t *testing.T) {
 
 func TestCampaignEndToEnd(t *testing.T) {
 	p := smallCampaign(t)
-	rounds := p.Store.Rounds()
+	var rounds []*store.Round
+	p.Store.EachRound(func(r *store.Round) bool {
+		rounds = append(rounds, r)
+		return true
+	})
 	if len(rounds) != len(smallSchedule) {
 		t.Fatalf("rounds = %d, want %d", len(rounds), len(smallSchedule))
 	}
@@ -236,7 +240,7 @@ func TestClusteringAttachment(t *testing.T) {
 	}
 	// Most available records should land in a final cluster.
 	var clustered, available int
-	for _, round := range p.Store.Rounds() {
+	p.Store.EachRound(func(round *store.Round) bool {
 		round.Each(func(rec *store.Record) bool {
 			if rec.Available() {
 				available++
@@ -246,7 +250,8 @@ func TestClusteringAttachment(t *testing.T) {
 			}
 			return true
 		})
-	}
+		return true
+	})
 	if frac := float64(clustered) / float64(available); frac < 0.5 {
 		t.Errorf("only %.2f of available records clustered", frac)
 	}

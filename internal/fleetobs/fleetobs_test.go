@@ -1,6 +1,7 @@
 package fleetobs
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -122,6 +123,21 @@ func TestAggregatorRatesAndView(t *testing.T) {
 	}
 	if view.ProbesPerSec != w0.ProbesPerSec {
 		t.Errorf("fleet rate %g != sum of worker rates", view.ProbesPerSec)
+	}
+
+	// Rows come in worker-ID order whatever order workers were first
+	// seen in: nine workers, so a View that ranged over its map would
+	// match this order about once in 9! runs.
+	b := NewAggregator()
+	for _, id := range []string{"w5", "w2", "w8", "w0", "w7", "w3", "w6", "w1", "w4"} {
+		b.Observe(report(id, 1), t0)
+	}
+	var order []string
+	for _, w := range b.View(t0, nil).Workers {
+		order = append(order, w.Worker)
+	}
+	if got := strings.Join(order, " "); got != "w0 w1 w2 w3 w4 w5 w6 w7 w8" {
+		t.Errorf("row order %q, want sorted worker IDs", got)
 	}
 
 	// A counter that goes backwards (worker restart) must not produce

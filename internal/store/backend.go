@@ -18,6 +18,38 @@ import (
 // panics.
 var ErrCorrupt = errors.New("store: corrupt data")
 
+// Fields is a set of Record columns a read fills (Backend.Read,
+// Store.Scan), one bit per stored column in colstore's block order.
+// IP, Round and Day are always filled and have no bit.
+type Fields uint32
+
+const (
+	FieldPorts       Fields = 1 << iota // OpenPorts
+	FieldFlags                          // Fetched, RobotsDenied, VPC
+	FieldScheme                         // Scheme
+	FieldStatus                         // HTTPStatus
+	FieldFetchErr                       // FetchErr
+	FieldContentType                    // ContentType
+	FieldBodyLen                        // BodyLen
+	FieldBody                           // Body
+	FieldPoweredBy                      // PoweredBy
+	FieldDescription                    // Description
+	FieldHeaderNames                    // HeaderNames
+	FieldTitle                          // Title
+	FieldTemplate                       // Template
+	FieldServer                         // Server
+	FieldKeywords                       // Keywords
+	FieldAnalyticsID                    // AnalyticsID
+	FieldSimhash                        // Simhash
+	FieldLinks                          // Links
+	FieldTrackers                       // Trackers
+	FieldSubpages                       // Subpages
+	FieldCluster                        // Cluster
+
+	// AllFields is every column: a whole record.
+	AllFields = FieldCluster<<1 - 1
+)
+
 // RoundMeta is a finalized round's identity and counters — everything
 // about a round except its records.
 type RoundMeta struct {
@@ -38,10 +70,17 @@ type RoundMeta struct {
 // input) and thereafter guarantees reads succeed. The frontend treats a
 // post-open read failure as a programming error, not an I/O condition.
 //
-// Byte-identity contract: Records(i) must return records equal
+// Byte-identity contract: Read(i, AllFields) must return records equal
 // (gob-byte-for-byte, field by field) to the slice Append received —
 // this is what makes Save/Digest/ExportJSON/History identical whichever
 // backend collected the campaign.
+//
+// Fields contract: Read(i, f) fills at least the fields in f, plus IP,
+// Round and Day. colstore decodes only those columns and leaves every
+// other field zero; the memory backend and FileBackend hold whole
+// records and return them whole. A narrowed round is therefore not a
+// copy of the stored one: it must not escape the call that asked for
+// it, and it is never written back (UpdateRounds reads every field).
 type Backend interface {
 	// Append persists a finalized round. meta.Index is always the
 	// current NumRounds (rounds are dense and appended in order), and
@@ -51,10 +90,11 @@ type Backend interface {
 	NumRounds() int
 	// Meta returns round i's metadata.
 	Meta(i int) (RoundMeta, error)
-	// Records returns round i's records, sorted ascending by IP. Lazy
-	// backends decode on demand; callers must not retain the slice
-	// across rounds when streaming (Store.EachRound does not).
-	Records(i int) ([]*Record, error)
+	// Read returns round i's records, sorted ascending by IP, with at
+	// least the fields in f filled. Lazy backends decode on demand;
+	// callers must not retain the slice across rounds when streaming
+	// (Store.Scan does not).
+	Read(i int, f Fields) ([]*Record, error)
 	// History returns every record for an IP across rounds, in round
 	// order; nil when the IP was never responsive.
 	History(ip ipaddr.Addr) ([]*Record, error)

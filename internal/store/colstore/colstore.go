@@ -17,6 +17,7 @@ package colstore
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -50,6 +51,39 @@ type Backend struct {
 	mu     sync.RWMutex
 	segs   []segment
 	closed bool
+
+	stats readStats
+}
+
+// ReadStats counts what a backend's reads have done since Open: how
+// many segments they decoded and what they inflated and read to do it.
+// Open's own validation pass is not counted.
+type ReadStats struct {
+	Scans     int64 // segment decodes (Read, Records)
+	FullScans int64 // of Scans, those that decoded every field
+	Groups    int64 // row-group blocks inflated, by scans and point reads
+	Chunks    int64 // dictionary chunks inflated, by scans and point reads
+	Bytes     int64 // segment bytes read, by scans and point reads
+}
+
+// readStats is ReadStats' live, concurrently updated form.
+type readStats struct {
+	scans, fullScans, groups, chunks, bytes atomic.Int64
+}
+
+// readAt is the package readAt, counted.
+func (st *readStats) readAt(r io.ReaderAt, off int64, n int) ([]byte, error) {
+	st.bytes.Add(int64(n))
+	return readAt(r, off, n)
+}
+
+// ReadStats returns the backend's cumulative read counts.
+func (b *Backend) ReadStats() ReadStats {
+	st := &b.stats
+	return ReadStats{
+		Scans: st.scans.Load(), FullScans: st.fullScans.Load(),
+		Groups: st.groups.Load(), Chunks: st.chunks.Load(), Bytes: st.bytes.Load(),
+	}
 }
 
 // segment is a round's footer, a read-only handle on the file it
@@ -222,9 +256,16 @@ func (b *Backend) writeSegment(meta store.RoundMeta, recs []*store.Record) (segm
 	return segment{foot: foot, f: f, size: len(data)}, nil
 }
 
-// Records decodes a round's segment; every call returns fresh records
-// the caller owns.
+// Records decodes every field of a round's segment: Read(i,
+// store.AllFields).
 func (b *Backend) Records(i int) ([]*store.Record, error) {
+	return b.Read(i, store.AllFields)
+}
+
+// Read decodes the columns of fields from a round's segment and leaves
+// every other field zero (store.Backend's fields contract); every call
+// returns fresh records the caller owns.
+func (b *Backend) Read(i int, fields store.Fields) ([]*store.Record, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if b.closed {
@@ -233,11 +274,15 @@ func (b *Backend) Records(i int) ([]*store.Record, error) {
 	if i < 0 || i >= len(b.segs) {
 		return nil, fmt.Errorf("colstore: no round %d", i)
 	}
-	data, err := readAt(b.segs[i].f, 0, b.segs[i].size)
+	b.stats.scans.Add(1)
+	if fields&store.AllFields == store.AllFields {
+		b.stats.fullScans.Add(1)
+	}
+	data, err := b.stats.readAt(b.segs[i].f, 0, b.segs[i].size)
 	if err != nil {
 		return nil, err
 	}
-	recs, err := decodeSegment(data, b.segs[i].foot)
+	recs, err := decodeSegment(data, b.segs[i].foot, fields, &b.stats)
 	if err != nil {
 		return nil, fmt.Errorf("colstore: segment %s: %w", segName(i), err)
 	}
@@ -266,7 +311,7 @@ func (b *Backend) History(ip ipaddr.Addr) ([]*store.Record, error) {
 	found := make([]*store.Record, len(cand))
 	err := parallel(len(cand), func(k int) (err error) {
 		seg := b.segs[cand[k]]
-		if found[k], err = readRow(seg.f, seg.foot, uint32(ip)); err != nil {
+		if found[k], err = readRow(seg.f, seg.foot, uint32(ip), &b.stats); err != nil {
 			return fmt.Errorf("colstore: segment %s: %w", segName(cand[k]), err)
 		}
 		return nil

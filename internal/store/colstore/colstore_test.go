@@ -173,7 +173,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if foot.MinIP != uint32(recs[0].IP) || foot.MaxIP != uint32(recs[n-1].IP) {
 		t.Fatalf("IP bounds [%d,%d], want [%d,%d]", foot.MinIP, foot.MaxIP, recs[0].IP, recs[n-1].IP)
 	}
-	got, err := decodeSegment(data, foot)
+	got, err := decodeSegment(data, foot, store.AllFields, new(readStats))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestSegmentEmptyAndSparseFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeSegment(data, foot)
+	got, err := decodeSegment(data, foot, store.AllFields, new(readStats))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestSegmentEmptyAndSparseFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := decodeSegment(empty, efoot); err != nil || len(got) != 0 {
+	if got, err := decodeSegment(empty, efoot, store.AllFields, new(readStats)); err != nil || len(got) != 0 {
 		t.Fatalf("empty round: %d records, err %v", len(got), err)
 	}
 }
@@ -360,10 +360,10 @@ func TestDigestIdentity(t *testing.T) {
 		})
 		return changed
 	}
-	if err := mem.UpdateRounds(mutate); err != nil {
+	if err := mem.UpdateRounds(allRounds(mem), mutate); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.UpdateRounds(mutate); err != nil {
+	if err := col.UpdateRounds(allRounds(col), mutate); err != nil {
 		t.Fatal(err)
 	}
 

@@ -178,7 +178,7 @@ func TestParallelDecodeDeterministic(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		prev := runtime.GOMAXPROCS(procs)
 		for rep := 0; rep < 20; rep++ {
-			_, err := decodeSegment(data, foot)
+			_, err := decodeSegment(data, foot, store.AllFields, new(readStats))
 			if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "row group 1:") {
 				t.Fatalf("GOMAXPROCS %d: decodeSegment = %v, want row group 1's ErrCorrupt", procs, err)
 			}
@@ -226,10 +226,11 @@ func allocated() uint64 {
 // FuzzSegment mutates valid segments and re-seals them — magics and
 // CRC restored — so the mutation reaches what the CRC normally
 // shields: the footer, group-header, cursor, dictionary-chunk and
-// front-coding decoders. Whatever the bytes, parse + scan + point reads
-// return records or an error wrapping ErrCorrupt; they never panic and
-// never allocate beyond a multiple of the input (a make sized by an
-// unchecked number overshoots it by orders of magnitude).
+// front-coding decoders. Whatever the bytes, parse + whole and narrowed
+// scans + point reads return records or an error wrapping ErrCorrupt;
+// they never panic and never allocate beyond a multiple of the input
+// (a make sized by an unchecked number overshoots it by orders of
+// magnitude).
 func FuzzSegment(f *testing.F) {
 	for _, fixture := range []func() (store.RoundMeta, []*store.Record){
 		roundTripFixture,
@@ -272,17 +273,31 @@ func FuzzSegment(f *testing.F) {
 		if !check("parseFooter", err) {
 			return
 		}
-		recs, err := decodeSegment(data, foot)
+		recs, err := decodeSegment(data, foot, store.AllFields, new(readStats))
 		scanned := check("decodeSegment", err)
 		if scanned && len(recs) != foot.Meta.Records {
 			t.Fatalf("decoded %d records, footer says %d", len(recs), foot.Meta.Records)
+		}
+		// A narrowed scan, of a field set the input picks, reads a subset
+		// of the same cursors: it may succeed where the whole scan fails,
+		// but never the reverse, and it agrees on what it reads.
+		fields := store.Fields(binary.BigEndian.Uint32(data[crcOff:])) & store.AllFields
+		narrow, err := decodeSegment(data, foot, fields, new(readStats))
+		if check("narrowed decodeSegment", err) && scanned {
+			for k, rec := range recs {
+				if want := masked(rec, fields); !reflect.DeepEqual(*narrow[k], want) {
+					t.Fatalf("fields %b, record %d: narrowed %+v, whole %+v", fields, k, *narrow[k], want)
+				}
+			}
+		} else if scanned {
+			t.Fatalf("fields %b: narrowed scan failed (%v) where the whole scan succeeded", fields, err)
 		}
 		probes := []uint32{foot.MinIP, foot.MaxIP}
 		if len(foot.Groups) > 0 {
 			probes = append(probes, foot.Groups[len(foot.Groups)/2].FirstIP)
 		}
 		for _, ip := range probes {
-			rec, err := readRow(bytes.NewReader(data), foot, ip)
+			rec, err := readRow(bytes.NewReader(data), foot, ip, new(readStats))
 			if !check("readRow", err) || !scanned || rec == nil {
 				continue
 			}

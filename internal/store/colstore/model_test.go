@@ -91,6 +91,15 @@ func randRound(rng *rand.Rand, n, round, day int) []*store.Record {
 	return recs
 }
 
+// allRounds names every finalized round of st, for UpdateRounds.
+func allRounds(st *store.Store) []int {
+	out := make([]int, st.NumRounds())
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 func cloneRecs(recs []*store.Record) []*store.Record {
 	out := make([]*store.Record, len(recs))
 	for i, r := range recs {
@@ -166,7 +175,7 @@ func runModel(t *testing.T, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := mem.Records(i)
+		want, _ := mem.Read(i, store.AllFields)
 		sameRecs(t, fmt.Sprintf("Records(%d)", i), got, want)
 		gm, err := col.Meta(i)
 		wm, _ := mem.Meta(i)
@@ -204,7 +213,7 @@ func runModel(t *testing.T, seed int64) {
 			}
 		case op == 1: // Rewrite: the analysis joins' write-back
 			i := rng.Intn(n)
-			old, _ := mem.Records(i)
+			old, _ := mem.Read(i, store.AllFields)
 			recs := cloneRecs(old)
 			for _, rec := range recs {
 				if rng.Intn(3) == 0 {
@@ -230,7 +239,7 @@ func runModel(t *testing.T, seed int64) {
 		case op <= 4: // Records
 			checkRecords(rng.Intn(n))
 		default: // History, keyed off a random round's shape
-			recs, _ := mem.Records(rng.Intn(n))
+			recs, _ := mem.Read(rng.Intn(n), store.AllFields)
 			for _, ip := range probeKeys(rng, recs) {
 				checkHistory(ip)
 			}
@@ -240,7 +249,7 @@ func runModel(t *testing.T, seed int64) {
 	// address answers like the oracle at the end.
 	for i := 0; i < mem.NumRounds(); i++ {
 		checkRecords(i)
-		recs, _ := mem.Records(i)
+		recs, _ := mem.Read(i, store.AllFields)
 		for _, ip := range probeKeys(rng, recs) {
 			checkHistory(ip)
 		}
@@ -320,14 +329,14 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 		}(g)
 	}
 	for pass := int64(1); pass <= writes; pass++ {
-		if err := col.UpdateRounds(relabel(pass)); err != nil {
+		if err := col.UpdateRounds(allRounds(col), relabel(pass)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(stop)
 	wg.Wait()
 
-	if err := mem.UpdateRounds(relabel(writes)); err != nil {
+	if err := mem.UpdateRounds(allRounds(mem), relabel(writes)); err != nil {
 		t.Fatal(err)
 	}
 	want, err := mem.Digest()

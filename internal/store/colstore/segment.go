@@ -130,9 +130,10 @@ type colKind uint8
 const (
 	kindByte    colKind = iota // one byte
 	kindVarint                 // one varint, signed or not
+	kindWord                   // one uvarint dictionary id
 	kindSimhash                // simhashLen bytes
 	kindBytes                  // uvarint length, then that many bytes
-	kindList                   // uvarint count, then that many uvarints
+	kindList                   // uvarint count, then that many dictionary ids
 )
 
 const simhashLen = 12
@@ -141,32 +142,46 @@ const simhashLen = 12
 // columns: its simhash, and a byte in each of the others.
 const minRowLen = simhashLen + numCols - 1
 
+// columns names each column, its shape, and the Record fields a read
+// must ask for (store.Fields) to have it decoded.
 var columns = [numCols]struct {
-	name string
-	kind colKind
+	name  string
+	kind  colKind
+	field store.Fields
 }{
-	colPorts:     {"ports", kindByte},
-	colFlags:     {"flags", kindByte},
-	colScheme:    {"scheme", kindVarint},
-	colStatus:    {"status", kindVarint},
-	colFetchErr:  {"fetcherr", kindVarint},
-	colCType:     {"ctype", kindVarint},
-	colBodyLen:   {"bodylen", kindVarint},
-	colBody:      {"body", kindBytes},
-	colPoweredBy: {"poweredby", kindVarint},
-	colDesc:      {"desc", kindVarint},
-	colHdrNames:  {"hdrnames", kindVarint},
-	colTitle:     {"title", kindVarint},
-	colTemplate:  {"template", kindVarint},
-	colServer:    {"server", kindVarint},
-	colKeywords:  {"keywords", kindVarint},
-	colGAID:      {"gaid", kindVarint},
-	colSimhash:   {"simhash", kindSimhash},
-	colLinks:     {"links", kindList},
-	colTrackers:  {"trackers", kindList},
-	colSubpages:  {"subpages", kindVarint},
-	colCluster:   {"cluster", kindVarint},
+	colPorts:     {"ports", kindByte, store.FieldPorts},
+	colFlags:     {"flags", kindByte, store.FieldFlags},
+	colScheme:    {"scheme", kindWord, store.FieldScheme},
+	colStatus:    {"status", kindVarint, store.FieldStatus},
+	colFetchErr:  {"fetcherr", kindWord, store.FieldFetchErr},
+	colCType:     {"ctype", kindWord, store.FieldContentType},
+	colBodyLen:   {"bodylen", kindVarint, store.FieldBodyLen},
+	colBody:      {"body", kindBytes, store.FieldBody},
+	colPoweredBy: {"poweredby", kindWord, store.FieldPoweredBy},
+	colDesc:      {"desc", kindWord, store.FieldDescription},
+	colHdrNames:  {"hdrnames", kindWord, store.FieldHeaderNames},
+	colTitle:     {"title", kindWord, store.FieldTitle},
+	colTemplate:  {"template", kindWord, store.FieldTemplate},
+	colServer:    {"server", kindWord, store.FieldServer},
+	colKeywords:  {"keywords", kindWord, store.FieldKeywords},
+	colGAID:      {"gaid", kindWord, store.FieldAnalyticsID},
+	colSimhash:   {"simhash", kindSimhash, store.FieldSimhash},
+	colLinks:     {"links", kindList, store.FieldLinks},
+	colTrackers:  {"trackers", kindList, store.FieldTrackers},
+	colSubpages:  {"subpages", kindVarint, store.FieldSubpages},
+	colCluster:   {"cluster", kindVarint, store.FieldCluster},
 }
+
+// dictFields are the fields whose columns hold dictionary ids: a read
+// that asks for none of them inflates no dictionary chunk.
+var dictFields = func() (f store.Fields) {
+	for _, c := range columns {
+		if c.kind == kindWord || c.kind == kindList {
+			f |= c.field
+		}
+	}
+	return f
+}()
 
 // Flag bits for the packed flags column.
 const (
@@ -261,7 +276,7 @@ func (r *colReader) skipRows(kind colKind, n int) error {
 	case kindSimhash:
 		_, err := r.bytes(uint64(n) * simhashLen)
 		return err
-	case kindVarint:
+	case kindVarint, kindWord:
 		return r.skipVarints(uint64(n))
 	}
 	for ; n > 0; n-- {
@@ -684,10 +699,12 @@ type wordFunc func(id uint64) (string, error)
 // rowDecoder is a cursor into each compressed column of one row group.
 // It is the only routine that turns column bytes into a Record:
 // decodeSegment drives read over every row, the point read seeks to
-// its one row and calls the same read.
+// its one row and calls the same read. Only the columns of fields are
+// read; the others' cursors never move.
 type rowDecoder struct {
-	cols [numCols]colReader
-	word wordFunc
+	cols   [numCols]colReader
+	word   wordFunc
+	fields store.Fields
 }
 
 // reset points the cursors at row 0 of a decompressed group block.
@@ -753,93 +770,86 @@ func (d *rowDecoder) list(c int) ([]string, error) {
 	return out, nil
 }
 
-// read fills rec's stored fields from the cursors' current row and
-// advances them to the next. IP, Round and Day are the caller's: the
-// IP column is walked separately, round and day are constant across a
-// segment and live in its footer.
-func (d *rowDecoder) read(rec *store.Record) (err error) {
-	if rec.OpenPorts, err = d.cols[colPorts].byte(); err != nil {
-		return err
+// read fills rec's requested fields from the cursors' current row and
+// advances their cursors to the next. IP, Round and Day are the
+// caller's: the IP column is walked separately, round and day are
+// constant across a segment and live in its footer.
+func (d *rowDecoder) read(rec *store.Record) error {
+	for c := range d.cols {
+		if d.fields&columns[c].field == 0 {
+			continue
+		}
+		if err := d.readCol(c, rec); err != nil {
+			return err
+		}
 	}
-	flags, err := d.cols[colFlags].byte()
-	if err != nil {
-		return err
+	return nil
+}
+
+// readCol decodes column c's current row into rec.
+func (d *rowDecoder) readCol(c int, rec *store.Record) (err error) {
+	r := &d.cols[c]
+	var v uint64
+	var b []byte
+	switch c {
+	case colPorts:
+		rec.OpenPorts, err = r.byte()
+	case colFlags:
+		var flags byte
+		flags, err = r.byte()
+		rec.Fetched = flags&flagFetched != 0
+		rec.RobotsDenied = flags&flagRobots != 0
+		rec.VPC = flags&flagVPC != 0
+	case colScheme:
+		rec.Scheme, err = d.str(c)
+	case colStatus:
+		v, err = r.uvarint()
+		rec.HTTPStatus = int(v)
+	case colFetchErr:
+		rec.FetchErr, err = d.str(c)
+	case colCType:
+		rec.ContentType, err = d.str(c)
+	case colBodyLen:
+		v, err = r.uvarint()
+		rec.BodyLen = int(v)
+	case colBody:
+		if v, err = r.uvarint(); err == nil {
+			b, err = r.bytes(v)
+			rec.Body = string(b)
+		}
+	case colPoweredBy:
+		rec.PoweredBy, err = d.str(c)
+	case colDesc:
+		rec.Description, err = d.str(c)
+	case colHdrNames:
+		rec.HeaderNames, err = d.str(c)
+	case colTitle:
+		rec.Title, err = d.str(c)
+	case colTemplate:
+		rec.Template, err = d.str(c)
+	case colServer:
+		rec.Server, err = d.str(c)
+	case colKeywords:
+		rec.Keywords, err = d.str(c)
+	case colGAID:
+		rec.AnalyticsID, err = d.str(c)
+	case colSimhash:
+		if b, err = r.bytes(simhashLen); err == nil {
+			rec.Simhash = simhash.Fingerprint{
+				Hi: binary.BigEndian.Uint32(b[:4]),
+				Lo: binary.BigEndian.Uint64(b[4:]),
+			}
+		}
+	case colLinks:
+		rec.Links, err = d.list(c)
+	case colTrackers:
+		rec.Trackers, err = d.list(c)
+	case colSubpages:
+		v, err = r.uvarint()
+		rec.Subpages = int(v)
+	case colCluster:
+		rec.Cluster, err = r.varint()
 	}
-	rec.Fetched = flags&flagFetched != 0
-	rec.RobotsDenied = flags&flagRobots != 0
-	rec.VPC = flags&flagVPC != 0
-	if rec.Scheme, err = d.str(colScheme); err != nil {
-		return err
-	}
-	status, err := d.cols[colStatus].uvarint()
-	if err != nil {
-		return err
-	}
-	rec.HTTPStatus = int(status)
-	if rec.FetchErr, err = d.str(colFetchErr); err != nil {
-		return err
-	}
-	if rec.ContentType, err = d.str(colCType); err != nil {
-		return err
-	}
-	bodyLen, err := d.cols[colBodyLen].uvarint()
-	if err != nil {
-		return err
-	}
-	rec.BodyLen = int(bodyLen)
-	bl, err := d.cols[colBody].uvarint()
-	if err != nil {
-		return err
-	}
-	body, err := d.cols[colBody].bytes(bl)
-	if err != nil {
-		return err
-	}
-	rec.Body = string(body)
-	if rec.PoweredBy, err = d.str(colPoweredBy); err != nil {
-		return err
-	}
-	if rec.Description, err = d.str(colDesc); err != nil {
-		return err
-	}
-	if rec.HeaderNames, err = d.str(colHdrNames); err != nil {
-		return err
-	}
-	if rec.Title, err = d.str(colTitle); err != nil {
-		return err
-	}
-	if rec.Template, err = d.str(colTemplate); err != nil {
-		return err
-	}
-	if rec.Server, err = d.str(colServer); err != nil {
-		return err
-	}
-	if rec.Keywords, err = d.str(colKeywords); err != nil {
-		return err
-	}
-	if rec.AnalyticsID, err = d.str(colGAID); err != nil {
-		return err
-	}
-	sh, err := d.cols[colSimhash].bytes(simhashLen)
-	if err != nil {
-		return err
-	}
-	rec.Simhash = simhash.Fingerprint{
-		Hi: binary.BigEndian.Uint32(sh[:4]),
-		Lo: binary.BigEndian.Uint64(sh[4:]),
-	}
-	if rec.Links, err = d.list(colLinks); err != nil {
-		return err
-	}
-	if rec.Trackers, err = d.list(colTrackers); err != nil {
-		return err
-	}
-	sub, err := d.cols[colSubpages].uvarint()
-	if err != nil {
-		return err
-	}
-	rec.Subpages = int(sub)
-	rec.Cluster, err = d.cols[colCluster].varint()
 	return err
 }
 
@@ -912,15 +922,23 @@ func badWordID(id uint64, f *segFooter) error {
 	return fmt.Errorf("%w: dictionary id %d of %d", store.ErrCorrupt, id, f.Words)
 }
 
-// decodeSegment reconstructs the round's records from full file
-// contents. Round and Day are reproduced from the footer meta (they
-// are constant across a round and not stored per record).
-func decodeSegment(data []byte, f *segFooter) ([]*store.Record, error) {
+// decodeSegment reconstructs the round's records, with the columns of
+// fields filled, from full file contents, counting what it inflates in
+// st. Round and Day are reproduced from the footer meta (they are
+// constant across a round and not stored per record).
+func decodeSegment(data []byte, f *segFooter, fields store.Fields, st *readStats) ([]*store.Record, error) {
 	// Dictionary first; every string column points into it. Each word
 	// is its own allocation: strings cut from one shared blob would pin
-	// the blob for as long as any record is retained.
-	words := make([]string, f.Words)
-	err := parallel(len(f.Chunks), func(i int) error {
+	// the blob for as long as any record is retained. A read of no
+	// string column leaves it empty.
+	var words []string
+	nChunks := 0
+	if fields&dictFields != 0 {
+		words, nChunks = make([]string, f.Words), len(f.Chunks)
+	}
+	st.chunks.Add(int64(nChunks))
+	st.groups.Add(int64(len(f.Groups)))
+	err := parallel(nChunks, func(i int) error {
 		c := f.Chunks[i]
 		raw, err := inflate(data[c.Off:c.Off+int64(c.CompLen)], c.RawLen, "dictionary chunk", i)
 		if err != nil {
@@ -953,7 +971,7 @@ func decodeSegment(data []byte, f *segFooter) ([]*store.Record, error) {
 		if err != nil {
 			return err
 		}
-		dec := rowDecoder{word: func(id uint64) (string, error) {
+		dec := rowDecoder{fields: fields, word: func(id uint64) (string, error) {
 			if id >= uint64(len(words)) {
 				return "", badWordID(id, f)
 			}
@@ -990,13 +1008,13 @@ func decodeSegment(data []byte, f *segFooter) ([]*store.Record, error) {
 // at the walk of that group's raw IP column, a hit decompresses the
 // group's block, seeks the row decoder to the row and resolves the
 // row's dictionary ids through the chunks they fall in.
-func readRow(r io.ReaderAt, f *segFooter, ip uint32) (*store.Record, error) {
+func readRow(r io.ReaderAt, f *segFooter, ip uint32, st *readStats) (*store.Record, error) {
 	gi := sort.Search(len(f.Groups), func(k int) bool { return f.Groups[k].FirstIP > ip }) - 1
 	if gi < 0 || ip > f.MaxIP {
 		return nil, nil
 	}
 	g := &f.Groups[gi]
-	buf, err := readAt(r, g.Off, g.IPLen+g.CompLen)
+	buf, err := st.readAt(r, g.Off, g.IPLen+g.CompLen)
 	if err != nil {
 		return nil, err
 	}
@@ -1011,6 +1029,7 @@ func readRow(r io.ReaderAt, f *segFooter, ip uint32) (*store.Record, error) {
 		return nil, nil
 	}
 
+	st.groups.Add(1)
 	raw, err := inflate(buf[g.IPLen:], g.RawLen, "row group", gi)
 	if err != nil {
 		return nil, err
@@ -1018,17 +1037,18 @@ func readRow(r io.ReaderAt, f *segFooter, ip uint32) (*store.Record, error) {
 	// Decompressed chunks, kept for the length of this one read: a
 	// row's empty fields all resolve through chunk 0.
 	chunks := make([][]byte, len(f.Chunks))
-	dec := rowDecoder{word: func(id uint64) (string, error) {
+	dec := rowDecoder{fields: store.AllFields, word: func(id uint64) (string, error) {
 		if id >= uint64(f.Words) {
 			return "", badWordID(id, f)
 		}
 		ci := int(id / chunkWords)
 		if chunks[ci] == nil {
 			c := f.Chunks[ci]
-			comp, err := readAt(r, c.Off, c.CompLen)
+			comp, err := st.readAt(r, c.Off, c.CompLen)
 			if err != nil {
 				return "", err
 			}
+			st.chunks.Add(1)
 			if chunks[ci], err = inflate(comp, c.RawLen, "dictionary chunk", ci); err != nil {
 				return "", err
 			}

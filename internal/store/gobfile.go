@@ -149,7 +149,9 @@ func (b *FileBackend) Meta(i int) (RoundMeta, error) {
 	return b.metas[i], nil
 }
 
-func (b *FileBackend) Records(i int) ([]*Record, error) {
+// Read decodes round i's frame; gob decodes every field, whatever f
+// asks for.
+func (b *FileBackend) Read(i int, _ Fields) ([]*Record, error) {
 	if i < 0 || i >= len(b.metas) {
 		return nil, fmt.Errorf("store: no round %d", i)
 	}
@@ -175,7 +177,7 @@ func (b *FileBackend) Records(i int) ([]*Record, error) {
 func (b *FileBackend) History(ip ipaddr.Addr) ([]*Record, error) {
 	var out []*Record
 	for i := range b.metas {
-		recs, err := b.Records(i)
+		recs, err := b.Read(i, AllFields)
 		if err != nil {
 			return nil, err
 		}

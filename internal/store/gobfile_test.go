@@ -128,7 +128,7 @@ func TestFileBackendReadOnly(t *testing.T) {
 	if err := st.EndRound(); err == nil {
 		t.Error("EndRound persisted a round into a read-only backend")
 	}
-	if err := st.UpdateRounds(func(r *Round) bool { return true }); err == nil {
+	if err := st.UpdateRounds([]int{0}, func(r *Round) bool { return true }); err == nil {
 		t.Error("UpdateRounds rewrote a read-only backend")
 	}
 }
@@ -212,7 +212,7 @@ func TestUpdateRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = s.UpdateRounds(func(r *Round) bool {
+	err = s.UpdateRounds([]int{0, 1}, func(r *Round) bool {
 		if r.Index != 1 {
 			return false
 		}
@@ -237,6 +237,9 @@ func TestUpdateRounds(t *testing.T) {
 	}
 	if rec := s.Round(0).Get(ipaddr.MustParseAddr("10.0.0.2")); rec == nil || rec.VPC {
 		t.Fatalf("unchanged round mutated: %+v", rec)
+	}
+	if err := s.UpdateRounds([]int{s.NumRounds()}, func(*Round) bool { return true }); err == nil {
+		t.Error("UpdateRounds accepted a round the store does not hold")
 	}
 }
 
@@ -304,8 +307,8 @@ func TestFileBackendMatchesMemory(t *testing.T) {
 		gm, gerr := fb.Meta(i)
 		wm, werr := mem.Meta(i)
 		same(fmt.Sprintf("Meta(%d)", i), gm, wm, gerr, werr)
-		gr, gerr := fb.Records(i)
-		wr, werr := mem.Records(i)
+		gr, gerr := fb.Read(i, AllFields)
+		wr, werr := mem.Read(i, AllFields)
 		same(fmt.Sprintf("Records(%d)", i), gr, wr, gerr, werr)
 	}
 	for _, ip := range ips {

@@ -51,7 +51,8 @@ func (b *memBackend) Meta(i int) (RoundMeta, error) {
 	return b.rounds[i].meta, nil
 }
 
-func (b *memBackend) Records(i int) ([]*Record, error) {
+// Read returns the stored records whole, whatever f asks for.
+func (b *memBackend) Read(i int, _ Fields) ([]*Record, error) {
 	if i < 0 || i >= len(b.rounds) {
 		return nil, fmt.Errorf("store: no round %d", i)
 	}

@@ -103,7 +103,7 @@ func (r *Record) Available() bool { return r.HTTPStatus != 0 }
 // lock is taken a handful of times per round; finalize builds the
 // IP-sorted index, so the persisted form — and therefore the store
 // digest — is byte-identical whatever order the lanes wrote in.
-// Finalized rounds handed out by Store.Round/Rounds/EachRound are
+// Finalized rounds handed out by Store.Round/Scan/EachRound are
 // read-mostly views over the backend's records; mutations to their
 // records persist only through Store.UpdateRounds.
 type Round struct {
@@ -409,16 +409,16 @@ func (s *Store) AbortRound() error {
 	return nil
 }
 
-// roundAt builds the frontend view of finalized round i. The caller
-// holds s.mu (read or write). A backend read failure here is a broken
-// integrity contract (backends validate at open), not an I/O condition
-// — it panics rather than forcing an error return onto every
-// read-path signature.
-func (s *Store) roundAt(i int) *Round {
+// roundAt builds the frontend view of finalized round i with at least
+// the fields in f filled. The caller holds s.mu (read or write). A
+// backend read failure here is a broken integrity contract (backends
+// validate at open), not an I/O condition — it panics rather than
+// forcing an error return onto every read-path signature.
+func (s *Store) roundAt(i int, f Fields) *Round {
 	meta, err := s.backend.Meta(i)
 	if err == nil {
 		var recs []*Record
-		recs, err = s.backend.Records(i)
+		recs, err = s.backend.Read(i, f)
 		if err == nil {
 			return roundOf(meta, recs)
 		}
@@ -426,15 +426,18 @@ func (s *Store) roundAt(i int) *Round {
 	panic(fmt.Sprintf("store: reading round %d: %v (backend integrity contract violated)", i, err))
 }
 
-// Rounds returns views of the finalized rounds in order. On a lazy
-// backend this decodes — and keeps referenced — every round; prefer
-// EachRound for single-pass analyses.
-func (s *Store) Rounds() []*Round {
+// Metas returns every finalized round's metadata in order; no record
+// is read.
+func (s *Store) Metas() []RoundMeta {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]*Round, s.backend.NumRounds())
+	out := make([]RoundMeta, s.backend.NumRounds())
 	for i := range out {
-		out[i] = s.roundAt(i)
+		meta, err := s.backend.Meta(i)
+		if err != nil {
+			panic(fmt.Sprintf("store: round %d meta: %v (backend integrity contract violated)", i, err))
+		}
+		out[i] = meta
 	}
 	return out
 }
@@ -453,22 +456,25 @@ func (s *Store) Round(i int) *Round {
 	if i < 0 || i >= s.backend.NumRounds() {
 		return nil
 	}
-	return s.roundAt(i)
+	return s.roundAt(i, AllFields)
 }
 
-// EachRound streams the finalized rounds in order, one at a time: on a
+// Scan streams the finalized rounds in order, one at a time, with at
+// least the fields in f filled (see Backend's fields contract): on a
 // lazy backend at most one round is loaded per iteration, so a
-// full-campaign fold runs in one round's memory. fn returns false to
-// stop. fn must not retain the round (or its records) across
-// iterations if it wants that bound to hold.
-func (s *Store) EachRound(fn func(*Round) bool) {
+// full-campaign fold runs in one round's memory, and colstore decodes
+// only the columns f names. fn returns false to stop. fn must not
+// retain the round (or its records) across iterations if it wants that
+// bound to hold, and must not let a narrowed round's records outlive
+// the analysis that asked for them.
+func (s *Store) Scan(f Fields, fn func(*Round) bool) {
 	for i := 0; ; i++ {
 		s.mu.RLock()
 		if i >= s.backend.NumRounds() {
 			s.mu.RUnlock()
 			return
 		}
-		r := s.roundAt(i)
+		r := s.roundAt(i, f)
 		s.mu.RUnlock()
 		if !fn(r) {
 			return
@@ -476,19 +482,25 @@ func (s *Store) EachRound(fn func(*Round) bool) {
 	}
 }
 
-// UpdateRounds applies fn to each finalized round in order and
-// persists the rounds fn reports changed (return true) back to the
-// backend. It is the one sanctioned way to mutate stored records —
-// the analysis joins (cartography's VPC labels, clustering's final
-// IDs) write back through it; mutating records obtained from
-// Rounds/Round/EachRound is lost on a lazy backend. fn runs under the
-// store's write lock and must not call other Store methods.
-func (s *Store) UpdateRounds(fn func(*Round) bool) error {
+// EachRound streams whole rounds: Scan(AllFields, fn).
+func (s *Store) EachRound(fn func(*Round) bool) { s.Scan(AllFields, fn) }
+
+// UpdateRounds applies fn to the named finalized rounds, in the order
+// given, and persists the rounds fn reports changed (return true) back
+// to the backend; no other round is read. It is the one sanctioned way
+// to mutate stored records — the analysis joins (cartography's VPC
+// labels, clustering's final IDs) write back through it; mutating
+// records obtained from Round/Scan/EachRound is lost on a lazy backend.
+// fn runs under the store's write lock and must not call other Store
+// methods.
+func (s *Store) UpdateRounds(rounds []int, fn func(*Round) bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := s.backend.NumRounds()
-	for i := 0; i < n; i++ {
-		r := s.roundAt(i)
+	for _, i := range rounds {
+		if i < 0 || i >= s.backend.NumRounds() {
+			return fmt.Errorf("store: no round %d", i)
+		}
+		r := s.roundAt(i, AllFields)
 		if !fn(r) {
 			continue
 		}
@@ -612,7 +624,7 @@ func (s *Store) Save(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		recs, err := s.backend.Records(i)
+		recs, err := s.backend.Read(i, AllFields)
 		if err != nil {
 			return err
 		}
