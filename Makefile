@@ -43,7 +43,7 @@ test:
 # the analyses' cross-backend oracle and read counters.
 race:
 	$(GO) test -race -count=2 -timeout 20m \
-		./internal/coord/ ./internal/fleetobs/ \
+		./internal/coord/ \
 		./internal/cloudapi/ ./internal/ops/ ./internal/httpd/
 	$(GO) test -race -count=2 -timeout 20m \
 		-run 'TestRunLane|TestRoundStorePutFailure|TestCampaignCancelMidRound|TestPipelineShardDigestIdentity' \

@@ -18,8 +18,8 @@
 // The coordinator's address also serves the standard ops surface
 // (/healthz, /metrics, /rounds, pprof) plus /coord/status and
 // /coord/fleet for fleet introspection: workers piggyback metrics
-// snapshots and sampled spans on their heartbeats and submissions, and
-// the coordinator aggregates them into a live fleet view
+// snapshots on their heartbeats and submissions, and sampled spans on
+// their submissions, and the coordinator aggregates them into a live fleet view
 // (`whowas-query fleet` renders it), a worker-labeled Prometheus
 // exposition on /metrics/prom, and — with -trace-journal — one merged
 // span journal that reconstructs the distributed campaign

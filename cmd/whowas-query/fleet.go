@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"whowas/internal/coord"
-	"whowas/internal/fleetobs"
 	"whowas/internal/httpd"
 )
 
@@ -87,7 +86,7 @@ func renderFleet(w io.Writer, addr string, f *coord.Fleet, histN int) {
 		fmt.Fprintf(w, ", idle (%d/%d rounds)\n", st.RoundsCompleted, st.RoundsTotal)
 	}
 	if st.Unlimited {
-		fmt.Fprintf(w, "budget: unlimited (simulation speed), %d lease(s)", len(st.Workers))
+		fmt.Fprintf(w, "budget: unlimited (simulation speed), %d lease(s)", len(st.Leases))
 	} else {
 		util := 0.0
 		if st.Rate > 0 {
@@ -134,7 +133,7 @@ func renderFleet(w io.Writer, addr string, f *coord.Fleet, histN int) {
 }
 
 // historyLine renders one status record as a compact event line.
-func historyLine(rec fleetobs.StatusRecord) string {
+func historyLine(rec coord.Status) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-13s", rec.Event)
 	if rec.Worker != "" {

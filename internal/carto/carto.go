@@ -144,7 +144,7 @@ func Sweep(ctx context.Context, resolver Resolver, ranges *ipaddr.RangeList, reg
 			}
 		}
 	}
-	reg.Stage("carto.sweep").Add(time.Since(start))
+	reg.Histogram("carto.sweep").Observe(time.Since(start))
 	reg.Counter("carto.prefixes").Add(int64(len(m.vpc)))
 	reg.Counter("carto.vpc_prefixes").Add(int64(m.VPCPrefixCount()))
 	sp.SetAttr(

@@ -161,7 +161,7 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 	// read any field — but streamed, so a round's unavailable records
 	// are not kept.
 	spL1 := cfg.Tracer.Start("level1", root)
-	stopLevel1 := reg.Stage("cluster.level1").Time()
+	stopLevel1 := reg.Histogram("cluster.level1").Time()
 	var records []*store.Record
 	st.EachRound(func(round *store.Round) bool {
 		round.Each(func(rec *store.Record) bool {
@@ -195,7 +195,7 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 	// Threshold: explicit, or tuned by the gap statistic over the
 	// observed level-1 groups.
 	spThresh := cfg.Tracer.Start("threshold", root)
-	stopThreshold := reg.Stage("cluster.threshold").Time()
+	stopThreshold := reg.Histogram("cluster.threshold").Time()
 	threshold := cfg.Threshold
 	if threshold <= 0 {
 		threshold = gapThreshold(groups, cfg.Seed)
@@ -207,7 +207,7 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 	// Level 2: split each level-1 group by simhash distance, in
 	// parallel across groups.
 	spL2 := cfg.Tracer.Start("level2", root)
-	stopLevel2 := reg.Stage("cluster.level2").Time()
+	stopLevel2 := reg.Histogram("cluster.level2").Time()
 	type l2Out struct {
 		key      l1Key
 		clusters [][]*store.Record
@@ -258,7 +258,7 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 
 	// Merge heuristic across clusters.
 	spMerge := cfg.Tracer.Start("merge", root)
-	stopMerge := reg.Stage("cluster.merge").Time()
+	stopMerge := reg.Histogram("cluster.merge").Time()
 	merged, nMerges := mergeClusters(all, cfg.MergeDistance)
 	stopMerge()
 	reg.Counter("cluster.merges").Add(int64(nMerges))
@@ -267,7 +267,7 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 
 	// Cleaning.
 	spClean := cfg.Tracer.Start("clean", root)
-	stopClean := reg.Stage("cluster.clean").Time()
+	stopClean := reg.Histogram("cluster.clean").Time()
 	rounds := st.NumRounds()
 	var final, removed []*Cluster
 	for _, c := range merged {

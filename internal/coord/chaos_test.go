@@ -135,7 +135,7 @@ func TestWorkerDeathReassignment(t *testing.T) {
 	// The death must be visible in the status history: a lease_expired
 	// record naming the victim, with the re-assignment tallied.
 	expired := false
-	for _, rec := range srv.Aggregator().History().Snapshot() {
+	for _, rec := range srv.fleetView().History {
 		if rec.Event == "lease_expired" && rec.Worker == "victim" {
 			expired = true
 			if rec.ShardsReassigned < 1 {

@@ -398,3 +398,38 @@ func TestWorkerDoneWithHeartbeatInFlight(t *testing.T) {
 		t.Fatal("worker never finished")
 	}
 }
+
+// TestWorkerExitsPromptlyOnDone: a worker told StateDone returns from
+// Run at once. Its heartbeat goroutine must stop on the session's
+// cancellation, not on its ticker's next firing a third of a lease
+// later (10 s at this TTL).
+func TestWorkerExitsPromptlyOnDone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed campaign skipped in -short mode")
+	}
+	clouddAddr := startCloudd(t)
+	var mu sync.Mutex
+	var doneAt time.Time
+	logf := func(format string, args ...any) {
+		if strings.HasSuffix(format, "campaign done") {
+			mu.Lock()
+			doneAt = time.Now()
+			mu.Unlock()
+		}
+		t.Logf(format, args...)
+	}
+	runFleetLogf(t, clouddAddr, Config{
+		CloudAddr: clouddAddr,
+		Rounds:    []int{0},
+		LeaseTTL:  30 * time.Second,
+	}, 1, logf)
+	// runFleetLogf returns only after the worker's Run has.
+	mu.Lock()
+	defer mu.Unlock()
+	if doneAt.IsZero() {
+		t.Fatal("worker never logged StateDone")
+	}
+	if d := time.Since(doneAt); d > 2*time.Second {
+		t.Errorf("worker Run returned %v after StateDone, want < 2s", d)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"whowas/internal/core"
 	"whowas/internal/metrics"
 	"whowas/internal/trace"
 )
@@ -216,4 +217,195 @@ func decodeJournal(t *testing.T, data []byte) []trace.SpanSnapshot {
 		out = append(out, s)
 	}
 	return out
+}
+
+// TestWorkerSubmitRequest: a submission carries the worker's metrics
+// snapshot and exactly the spans completed since the previous one.
+func TestWorkerSubmitRequest(t *testing.T) {
+	reg := metrics.NewRegistry()
+	reg.Counter("scanner.probes").Add(42)
+	w, err := NewWorker(WorkerConfig{Coordinator: "127.0.0.1:1", ID: "w0", Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	w.Tracer().Start("scan", nil).End()
+
+	a := Assignment{State: StateRun, Round: 2, Shard: 1}
+	req := w.submitRequest(a, &core.ShardResult{})
+	if req.Worker != "w0" || req.Round != 2 || req.Shard != 1 {
+		t.Errorf("request header = %q round %d shard %d", req.Worker, req.Round, req.Shard)
+	}
+	if req.Metrics.Counters["scanner.probes"] != 42 {
+		t.Errorf("metrics not snapshotted: %+v", req.Metrics)
+	}
+	if len(req.Spans) != 1 || req.Spans[0].Name != "scan" {
+		t.Errorf("spans = %+v", req.Spans)
+	}
+	w.Tracer().Start("fetch", nil).End()
+	if req := w.submitRequest(a, &core.ShardResult{}); len(req.Spans) != 1 || req.Spans[0].Name != "fetch" {
+		t.Errorf("second submission spans = %+v, want only the new one", req.Spans)
+	}
+
+	// A worker without a registry submits an empty snapshot.
+	bare, err := NewWorker(WorkerConfig{Coordinator: "127.0.0.1:1", ID: "w1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	if req := bare.submitRequest(a, &core.ShardResult{}); req.Metrics.Counters != nil || req.Spans != nil {
+		t.Errorf("submission without sources not empty: %+v", req)
+	}
+}
+
+func TestRestampSpans(t *testing.T) {
+	in := []trace.SpanSnapshot{
+		{ID: 3, Name: "scan", Attrs: map[string]string{"regions": "r1"}},
+		{ID: 4, Parent: 3, Name: "probe"},
+		{ID: 9, Parent: 77, Name: "orphan"}, // parent outside the batch
+	}
+	out := restampSpans(in, 100, 50, "w0", 2, 1)
+	if len(out) != 3 {
+		t.Fatalf("len = %d", len(out))
+	}
+	if out[0].ID != 100 || out[1].ID != 101 || out[2].ID != 102 {
+		t.Errorf("ids not renumbered: %d %d %d", out[0].ID, out[1].ID, out[2].ID)
+	}
+	if out[0].Parent != 50 {
+		t.Errorf("root span not parented onto round: %d", out[0].Parent)
+	}
+	if out[1].Parent != 100 {
+		t.Errorf("in-batch parent not remapped: %d", out[1].Parent)
+	}
+	if out[2].Parent != 50 {
+		t.Errorf("dangling parent not reparented onto round: %d", out[2].Parent)
+	}
+	for i, s := range out {
+		if s.Attrs["worker"] != "w0" || s.Attrs["round"] != "2" || s.Attrs["shard"] != "1" {
+			t.Errorf("span %d missing stamp: %+v", i, s.Attrs)
+		}
+	}
+	if out[0].Attrs["regions"] != "r1" {
+		t.Errorf("original attrs lost: %+v", out[0].Attrs)
+	}
+	// Input untouched.
+	if in[0].ID != 3 || in[0].Attrs["worker"] != "" {
+		t.Errorf("input mutated: %+v", in[0])
+	}
+}
+
+func snapshotWith(probes int64) metrics.Snapshot {
+	r := metrics.NewRegistry()
+	r.Counter("scanner.probes").Add(probes)
+	r.Counter("scanner.responsive_ips").Add(probes / 2)
+	r.Counter("fetcher.pages").Add(probes / 4)
+	return r.Snapshot()
+}
+
+func newFleetState() *fleetState {
+	return &fleetState{workers: make(map[string]*workerState)}
+}
+
+func TestFleetRatesAndView(t *testing.T) {
+	f := newFleetState()
+	t0 := time.Unix(1000, 0)
+	f.observe("w0", snapshotWith(100), nil, t0)
+	f.observe("w1", snapshotWith(0), nil, t0)
+	// One second later w0 probed 50 more and submitted spans; w1 sat
+	// idle.
+	var spans []trace.SpanSnapshot
+	for i := 1; i <= slowestN+2; i++ {
+		spans = append(spans, trace.SpanSnapshot{ID: uint64(i), Name: "probe", DurNS: int64(i)})
+	}
+	f.observe("w0", snapshotWith(150), spans, t0.Add(time.Second))
+	f.observe("w1", snapshotWith(0), nil, t0.Add(time.Second))
+
+	st := Status{Leases: []LeaseState{{Worker: "w0", Rate: 200, ExpiresInMS: 900}}}
+	view := f.view(t0.Add(2*time.Second), st)
+	if len(view.Workers) != 2 {
+		t.Fatalf("workers = %d", len(view.Workers))
+	}
+	w0 := view.Workers[0]
+	if w0.Worker != "w0" {
+		t.Fatalf("rows not sorted: %q first", w0.Worker)
+	}
+	if w0.ProbesPerSec < 49 || w0.ProbesPerSec > 51 {
+		t.Errorf("w0 rate = %g, want ~50", w0.ProbesPerSec)
+	}
+	if w0.Probes != 150 || w0.Responsive != 75 {
+		t.Errorf("w0 counters: %+v", w0)
+	}
+	if w0.Lease == nil || w0.Lease.Rate != 200 {
+		t.Errorf("w0 lease missing: %+v", w0.Lease)
+	}
+	if view.Workers[1].Lease != nil {
+		t.Error("w1 shows a lease it does not hold")
+	}
+	if w0.SeenAgoMS != 1000 {
+		t.Errorf("seen ago = %dms, want 1000", w0.SeenAgoMS)
+	}
+	// The slowest window holds the slowestN longest submitted spans,
+	// worst first; a heartbeat (no spans) leaves it alone.
+	if len(w0.Slowest) != slowestN || w0.Slowest[0].DurNS != slowestN+2 || w0.Slowest[slowestN-1].DurNS != 3 {
+		t.Errorf("w0 slowest = %+v", w0.Slowest)
+	}
+	if view.Workers[1].Slowest != nil {
+		t.Errorf("w1 slowest = %+v, want none", view.Workers[1].Slowest)
+	}
+	if view.Fleet.Counters["scanner.probes"] != 150 {
+		t.Errorf("fleet merge: %+v", view.Fleet.Counters)
+	}
+	if view.ProbesPerSec != w0.ProbesPerSec {
+		t.Errorf("fleet rate %g != sum of worker rates", view.ProbesPerSec)
+	}
+
+	// Rows come in worker-ID order whatever order workers were first
+	// seen in: nine workers, so a view that ranged over its map would
+	// match this order about once in 9! runs.
+	g := newFleetState()
+	for _, id := range []string{"w5", "w2", "w8", "w0", "w7", "w3", "w6", "w1", "w4"} {
+		g.observe(id, snapshotWith(1), nil, t0)
+	}
+	var order []string
+	for _, w := range g.view(t0, Status{}).Workers {
+		order = append(order, w.Worker)
+	}
+	if got := strings.Join(order, " "); got != "w0 w1 w2 w3 w4 w5 w6 w7 w8" {
+		t.Errorf("row order %q, want sorted worker IDs", got)
+	}
+
+	// A counter that goes backwards (worker restart) must not produce
+	// a negative rate.
+	f.observe("w0", snapshotWith(10), nil, t0.Add(3*time.Second))
+	view = f.view(t0.Add(3*time.Second), Status{})
+	if view.Workers[0].ProbesPerSec != 0 {
+		t.Errorf("restart rate = %g, want 0", view.Workers[0].ProbesPerSec)
+	}
+}
+
+func TestHistoryRing(t *testing.T) {
+	f := newFleetState()
+	for i := 0; i < historyMax+2; i++ {
+		f.record(Status{TimeMS: int64(i), Event: "submit", Round: i})
+	}
+	view := f.view(time.Now(), Status{})
+	if view.HistoryTotal != historyMax+2 {
+		t.Errorf("total = %d, want %d", view.HistoryTotal, historyMax+2)
+	}
+	if len(view.History) != historyMax {
+		t.Fatalf("retained %d, want %d", len(view.History), historyMax)
+	}
+	for i, r := range view.History {
+		if r.Round != i+2 {
+			t.Fatalf("record %d is round %d, want %d (oldest-first tail)", i, r.Round, i+2)
+		}
+	}
+}
+
+func TestFleetIgnoresAnonymousReports(t *testing.T) {
+	f := newFleetState()
+	f.observe("", snapshotWith(1), nil, time.Now())
+	if v := f.view(time.Now(), Status{}); len(v.Workers) != 0 {
+		t.Errorf("anonymous report folded in: %+v", v.Workers)
+	}
 }

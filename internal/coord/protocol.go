@@ -29,7 +29,7 @@ package coord
 import (
 	"whowas/internal/core"
 	"whowas/internal/faults"
-	"whowas/internal/fleetobs"
+	"whowas/internal/metrics"
 	"whowas/internal/trace"
 )
 
@@ -62,12 +62,12 @@ type RegisterReply struct {
 	Faults         *faults.Scenario `json:"faults,omitempty"`
 }
 
-// HeartbeatRequest renews a worker's lease. Obs, when present, is the
-// worker's current observability report — the fleet view's freshness
-// rides on the same cadence as liveness.
+// HeartbeatRequest renews a worker's lease. Metrics is the worker's
+// current snapshot — the fleet view's freshness rides on the same
+// cadence as liveness.
 type HeartbeatRequest struct {
-	Worker string                 `json:"worker"`
-	Obs    *fleetobs.WorkerReport `json:"obs,omitempty"`
+	Worker  string           `json:"worker"`
+	Metrics metrics.Snapshot `json:"metrics"`
 }
 
 // HeartbeatReply reports the renewed lease's remaining lifetime.
@@ -112,13 +112,15 @@ type SubmitRequest struct {
 	Round  int              `json:"round"`
 	Shard  int              `json:"shard"`
 	Result core.ShardResult `json:"result"`
-	// Obs is the worker's observability report as of this submission.
-	Obs *fleetobs.WorkerReport `json:"obs,omitempty"`
-	// Spans is the worker's span buffer drained for this shard: the
-	// coordinator renumbers them into its own tracer, parents them
-	// under the round's span, and stamps each with the worker identity
-	// — so its journal reconstructs the distributed campaign alone.
-	// Spans from an unaccepted (stale) submission are discarded with it.
+	// Metrics is the worker's snapshot as of this submission.
+	Metrics metrics.Snapshot `json:"metrics"`
+	// Spans are the worker's spans completed since its previous
+	// submission: the coordinator renumbers them into its own tracer,
+	// parents them under the round's span, and stamps each with the
+	// worker identity — so its journal reconstructs the distributed
+	// campaign alone — and keeps the slowest for the worker's fleet
+	// row. Spans from an unaccepted (stale) submission are discarded
+	// with it.
 	Spans []trace.SpanSnapshot `json:"spans,omitempty"`
 }
 
@@ -127,27 +129,41 @@ type SubmitReply struct {
 	Accepted bool `json:"accepted"`
 }
 
-// Status is the coordinator's live state document (GET /coord/status).
+// Status is a snapshot of the campaign's progress: the live document
+// behind GET /coord/status and, tagged with the event that produced
+// it, each record of the fleet view's status history.
 type Status struct {
-	Cloud           string   `json:"cloud"`
-	RoundsTotal     int      `json:"rounds_total"`
-	RoundsCompleted int      `json:"rounds_completed"`
-	Done            bool     `json:"done"`
-	Round           int      `json:"round"` // current round index, -1 when idle
-	Day             int      `json:"day,omitempty"`
-	ShardsPending   int      `json:"shards_pending"`
-	ShardsAssigned  int      `json:"shards_assigned"`
-	ShardsDone      int      `json:"shards_done"`
-	Workers         []string `json:"workers"` // live lease holders, sorted
-	Rate            float64  `json:"rate"`
-	LeasedRate      float64  `json:"leased_rate"`
-	Unlimited       bool     `json:"unlimited,omitempty"`
-}
+	// TimeMS is the wall-clock instant, in Unix milliseconds.
+	TimeMS int64 `json:"time_ms"`
+	// Event names what a history record marks: "register",
+	// "round_begin", "submit", "lease_expired", "round_end",
+	// "campaign_done". Empty on the live document.
+	Event string `json:"event,omitempty"`
+	// Worker is the worker the event concerns, when there is one.
+	Worker string `json:"worker,omitempty"`
 
-// Fleet is the /coord/fleet document: the live Status plus the
-// aggregated per-worker and fleet-total observability view (metrics,
-// probe throughput, lease states, and the status-history tail).
-type Fleet struct {
-	Status Status `json:"status"`
-	fleetobs.FleetView
+	Cloud           string `json:"cloud"`
+	RoundsTotal     int    `json:"rounds_total"`
+	RoundsCompleted int    `json:"rounds_completed"`
+	Done            bool   `json:"done"`
+	Round           int    `json:"round"` // current round index, -1 when idle
+	Day             int    `json:"day"`
+	ShardsPending   int    `json:"shards_pending"`
+	ShardsAssigned  int    `json:"shards_assigned"`
+	ShardsDone      int    `json:"shards_done"`
+	Degraded        bool   `json:"degraded,omitempty"`
+
+	// Cumulative campaign counters, so any single record tells the
+	// whole reassignment story up to its instant.
+	LeasesExpired    int64 `json:"leases_expired"`
+	ShardsReassigned int64 `json:"shards_reassigned"`
+
+	// Quota state: the global §7 rate, the slice currently leased, and
+	// their ratio (0 when unlimited), plus the live leases sorted by
+	// worker.
+	Rate             float64      `json:"rate"`
+	LeasedRate       float64      `json:"leased_rate"`
+	QuotaUtilization float64      `json:"quota_utilization"`
+	Unlimited        bool         `json:"unlimited,omitempty"`
+	Leases           []LeaseState `json:"leases,omitempty"`
 }

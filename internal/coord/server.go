@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
 	"whowas/internal/cloudapi"
 	"whowas/internal/core"
 	"whowas/internal/faults"
-	"whowas/internal/fleetobs"
 	"whowas/internal/httpd"
 	"whowas/internal/metrics"
 	"whowas/internal/ops"
@@ -125,13 +123,13 @@ type Server struct {
 	days      []int
 	shards    [][]string // region names per shard, fixed per campaign
 	notify    chan struct{}
-	agg       *fleetobs.Aggregator
 
 	mu           sync.Mutex
 	round        *roundState
 	roundsDone   int
 	campaignDone bool
 	reports      []core.RoundReport
+	obs          fleetState
 
 	closeOnce sync.Once
 	closeErr  error
@@ -218,7 +216,7 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 		days:        days,
 		shards:      core.ShardLayout(regions, cfg.Shards),
 		notify:      make(chan struct{}, 1),
-		agg:         fleetobs.NewAggregator(),
+		obs:         fleetState{workers: make(map[string]*workerState)},
 		mRounds:     cfg.Metrics.Counter("coord.rounds"),
 		mAssigned:   cfg.Metrics.Counter("coord.shards_assigned"),
 		mCompleted:  cfg.Metrics.Counter("coord.shards_completed"),
@@ -276,9 +274,6 @@ func (s *Server) Start(addr string) (string, error) {
 // Addr reports the bound protocol address ("" before Start).
 func (s *Server) Addr() string { return s.addr }
 
-// Aggregator exposes the fleet-view aggregator (tests assert on it).
-func (s *Server) Aggregator() *fleetobs.Aggregator { return s.agg }
-
 // now reads the coordinator's clock — the configured test clock when
 // present, so lease-expiry arithmetic in views matches the budget's.
 func (s *Server) now() time.Time {
@@ -288,84 +283,65 @@ func (s *Server) now() time.Time {
 	return time.Now()
 }
 
-// leaseStates snapshots the budget's live leases as wire-form states.
-func (s *Server) leaseStates(now time.Time) []fleetobs.LeaseState {
-	leases := s.budget.Leases()
-	out := make([]fleetobs.LeaseState, len(leases))
-	for i, l := range leases {
-		out[i] = fleetobs.LeaseState{
-			Worker:      l.ID,
-			Rate:        l.Rate,
-			ExpiresInMS: l.Expires.Sub(now).Milliseconds(),
-		}
-	}
-	return out
-}
-
 // writeProm renders the fleet-wide Prometheus exposition.
 func (s *Server) writeProm(w io.Writer) error {
 	series := []metrics.LabeledSnapshot{{Snap: s.cfg.Metrics.Snapshot()}}
-	snaps := s.agg.Snapshots()
-	ids := make([]string, 0, len(snaps))
-	for id := range snaps {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	s.mu.Lock()
+	for _, id := range s.obs.sortedWorkers() {
 		series = append(series, metrics.LabeledSnapshot{
 			Labels: []metrics.Label{{Key: "worker", Value: id}},
-			Snap:   snaps[id],
+			Snap:   s.obs.workers[id].metrics,
 		})
 	}
+	s.mu.Unlock()
 	return metrics.WritePromSeries(w, "whowas", series)
 }
 
 // recordLocked appends one status-history record for the given event.
-// Callers hold s.mu; the history ring and the budget take only leaf
-// locks, so the ordering s.mu → history/budget is safe.
+// Callers hold s.mu.
 func (s *Server) recordLocked(event, worker string) {
-	s.agg.History().Append(s.statusRecordLocked(event, worker))
+	s.obs.record(s.statusLocked(event, worker, s.round))
 }
 
-// recordRoundEndLocked appends the round_end record. It runs after
-// s.round was cleared, so the finished round's identity comes from r.
-func (s *Server) recordRoundEndLocked(r *roundState, degraded bool) {
-	rec := s.statusRecordLocked("round_end", "")
-	rec.Round = r.idx
-	rec.Day = r.day
-	rec.ShardsDone = r.nDone
-	rec.Degraded = degraded
-	s.agg.History().Append(rec)
-}
-
-// statusRecordLocked builds a history record from live state; callers
-// hold s.mu.
-func (s *Server) statusRecordLocked(event, worker string) fleetobs.StatusRecord {
+// statusLocked builds a status snapshot with round r (nil when none
+// is open) as the current round. Callers hold s.mu; the budget takes
+// only its leaf lock, so the ordering s.mu → budget is safe.
+func (s *Server) statusLocked(event, worker string, r *roundState) Status {
 	now := s.now()
-	rec := fleetobs.StatusRecord{
+	st := Status{
 		TimeMS:           now.UnixMilli(),
 		Event:            event,
 		Worker:           worker,
+		Cloud:            s.st.CloudName,
+		RoundsTotal:      len(s.days),
+		RoundsCompleted:  s.roundsDone,
+		Done:             s.campaignDone,
 		Round:            -1,
-		RoundsDone:       s.roundsDone,
 		LeasesExpired:    s.mExpired.Load(),
 		ShardsReassigned: s.mReassigned.Load(),
 		Rate:             s.budget.Rate(),
 		LeasedRate:       s.budget.Leased(),
-		Leases:           s.leaseStates(now),
+		Unlimited:        s.unlimited,
 	}
-	if r := s.round; r != nil {
-		rec.Round = r.idx
-		rec.Day = r.day
-		rec.ShardsPending = len(r.pending)
-		rec.ShardsDone = r.nDone
-		rec.ShardsAssigned = len(s.shards) - len(r.pending) - r.nDone
-		rec.Degraded = r.degraded
+	for _, l := range s.budget.Leases() {
+		st.Leases = append(st.Leases, LeaseState{
+			Worker:      l.ID,
+			Rate:        l.Rate,
+			ExpiresInMS: l.Expires.Sub(now).Milliseconds(),
+		})
 	}
-	if !s.unlimited && rec.Rate > 0 {
-		rec.QuotaUtilization = rec.LeasedRate / rec.Rate
+	if r != nil {
+		st.Round = r.idx
+		st.Day = r.day
+		st.ShardsPending = len(r.pending)
+		st.ShardsDone = r.nDone
+		st.ShardsAssigned = len(s.shards) - len(r.pending) - r.nDone
+		st.Degraded = r.degraded
 	}
-	return rec
+	if !s.unlimited && st.Rate > 0 {
+		st.QuotaUtilization = st.LeasedRate / st.Rate
+	}
+	return st
 }
 
 // wake nudges the round loop after a state change. Always called with
@@ -512,7 +488,10 @@ func (s *Server) runRound(ctx context.Context, idx, day int) error {
 	s.mu.Lock()
 	s.reports = append(s.reports, report)
 	s.roundsDone++
-	s.recordRoundEndLocked(r, report.Degraded)
+	// s.round is already cleared: the finished round's identity comes
+	// from r.
+	r.degraded = report.Degraded
+	s.obs.record(s.statusLocked("round_end", "", r))
 	s.mu.Unlock()
 	s.mRounds.Inc()
 	if s.cfg.Observer != nil {
@@ -612,7 +591,9 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 		httpd.WriteError(w, http.StatusGone, err.Error())
 		return
 	}
-	s.agg.Observe(hb.Obs, s.now())
+	s.mu.Lock()
+	s.obs.observe(hb.Worker, hb.Metrics, nil, s.now())
+	s.mu.Unlock()
 	httpd.WriteJSON(w, HeartbeatReply{ExpiresInMS: s.cfg.LeaseTTL.Milliseconds()})
 }
 
@@ -685,17 +666,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		httpd.WriteError(w, http.StatusInternalServerError, putErr.Error())
 		return
 	}
-	s.agg.Observe(sr.Obs, s.now())
+	// Merge an accepted shard's spans into the coordinator's journal:
+	// renumber into this tracer's ID space, parent under the round
+	// span, and stamp with the worker identity. Stale submissions'
+	// spans are discarded with the records.
+	var spans []trace.SpanSnapshot
 	if accepted {
-		// Merge the shard's spans into the coordinator's journal:
-		// renumber into this tracer's ID space, parent under the round
-		// span, and stamp with the worker identity. Stale submissions'
-		// spans are discarded with the records.
-		if s.cfg.Tracer != nil && len(sr.Spans) > 0 {
-			base := s.cfg.Tracer.ReserveIDs(len(sr.Spans))
-			s.cfg.Tracer.Record(fleetobs.RestampSpans(sr.Spans, base, rootID,
-				fleetobs.WorkerAttrs(sr.Worker, sr.Round, sr.Shard))...)
-		}
+		spans = restampSpans(sr.Spans, s.cfg.Tracer.ReserveIDs(len(sr.Spans)), rootID, sr.Worker, sr.Round, sr.Shard)
+		s.cfg.Tracer.Record(spans...)
+	}
+	s.mu.Lock()
+	s.obs.observe(sr.Worker, sr.Metrics, spans, s.now())
+	s.mu.Unlock()
+	if accepted {
 		s.mCompleted.Inc()
 		s.wake()
 	} else {
@@ -704,42 +687,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	httpd.WriteJSON(w, SubmitReply{Accepted: accepted})
 }
 
-// statusDoc assembles the live Status document.
-func (s *Server) statusDoc() Status {
-	s.mu.Lock()
-	st := Status{
-		Cloud:           s.st.CloudName,
-		RoundsTotal:     len(s.days),
-		RoundsCompleted: s.roundsDone,
-		Done:            s.campaignDone,
-		Round:           -1,
-		Rate:            s.budget.Rate(),
-		Unlimited:       s.unlimited,
-	}
-	if r := s.round; r != nil {
-		st.Round = r.idx
-		st.Day = r.day
-		st.ShardsPending = len(r.pending)
-		st.ShardsDone = r.nDone
-		st.ShardsAssigned = len(s.shards) - len(r.pending) - r.nDone
-	}
-	s.mu.Unlock()
-	st.Workers = s.budget.Holders()
-	st.LeasedRate = s.budget.Leased()
-	return st
-}
-
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	httpd.WriteJSON(w, s.statusDoc())
+	s.mu.Lock()
+	st := s.statusLocked("", "", s.round)
+	s.mu.Unlock()
+	httpd.WriteJSON(w, st)
 }
 
-// handleFleet serves the aggregated fleet view: the live status plus
+// fleetView assembles the fleet document: the live status plus
 // per-worker throughput, lease states, merged fleet metrics, and the
 // status-history tail.
+func (s *Server) fleetView() Fleet {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.obs.view(s.now(), s.statusLocked("", "", s.round))
+}
+
 func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {
-	now := s.now()
-	httpd.WriteJSON(w, Fleet{
-		Status:    s.statusDoc(),
-		FleetView: s.agg.View(now, s.leaseStates(now)),
-	})
+	httpd.WriteJSON(w, s.fleetView())
 }

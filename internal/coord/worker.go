@@ -12,7 +12,6 @@ import (
 
 	"whowas/internal/cloudapi"
 	"whowas/internal/core"
-	"whowas/internal/fleetobs"
 	"whowas/internal/httpd"
 	"whowas/internal/metrics"
 	"whowas/internal/ratelimit"
@@ -45,8 +44,9 @@ type Worker struct {
 	cfg    WorkerConfig
 	coord  *httpd.Client
 	tracer *trace.Tracer
-	spans  *trace.Buffer
-	col    *fleetobs.Collector
+	// spanCursor marks the tracer's spans already submitted; only the
+	// work loop touches it.
+	spanCursor int64
 
 	mu     sync.Mutex
 	closed bool
@@ -70,16 +70,12 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coord: %w", err)
 	}
-	// The worker's spans land in an in-memory buffer drained into each
-	// shard submission; the coordinator owns the durable journal.
-	spans := trace.NewBuffer(4096)
-	tracer := trace.New(trace.Config{RingSize: 1024, Journal: spans})
+	// The worker's spans stay in its tracer's ring until the next shard
+	// submission takes them; the coordinator owns the durable journal.
 	return &Worker{
 		cfg:    cfg,
 		coord:  client,
-		tracer: tracer,
-		spans:  spans,
-		col:    &fleetobs.Collector{Worker: cfg.ID, Metrics: cfg.Metrics, Tracer: tracer},
+		tracer: trace.New(trace.Config{}),
 	}, nil
 }
 
@@ -318,7 +314,7 @@ func (w *Worker) register(ctx context.Context) (*RegisterReply, error) {
 func (w *Worker) heartbeat(ctx context.Context) error {
 	var reply HeartbeatReply
 	return w.post(ctx, "/coord/heartbeat",
-		HeartbeatRequest{Worker: w.cfg.ID, Obs: w.col.Report()}, &reply)
+		HeartbeatRequest{Worker: w.cfg.ID, Metrics: w.cfg.Metrics.Snapshot()}, &reply)
 }
 
 func (w *Worker) next(ctx context.Context) (*Assignment, error) {
@@ -331,16 +327,23 @@ func (w *Worker) next(ctx context.Context) (*Assignment, error) {
 
 func (w *Worker) submit(ctx context.Context, a Assignment, res *core.ShardResult) (bool, error) {
 	var reply SubmitReply
-	req := SubmitRequest{
-		Worker: w.cfg.ID,
-		Round:  a.Round,
-		Shard:  a.Shard,
-		Result: *res,
-		Obs:    w.col.Report(),
-		Spans:  w.spans.Drain(),
-	}
-	err := w.post(ctx, "/coord/submit", req, &reply)
+	err := w.post(ctx, "/coord/submit", w.submitRequest(a, res), &reply)
 	return reply.Accepted, err
+}
+
+// submitRequest builds one shard's submission: its result, the
+// worker's metrics snapshot, and the spans completed since the
+// previous submission, taken straight from the tracer's ring.
+func (w *Worker) submitRequest(a Assignment, res *core.ShardResult) SubmitRequest {
+	req := SubmitRequest{
+		Worker:  w.cfg.ID,
+		Round:   a.Round,
+		Shard:   a.Shard,
+		Result:  *res,
+		Metrics: w.cfg.Metrics.Snapshot(),
+	}
+	req.Spans, w.spanCursor = w.tracer.CompletedSince(w.spanCursor)
+	return req
 }
 
 // post is one leased-session exchange: a 410 means the lease is gone

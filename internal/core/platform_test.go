@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"whowas/internal/carto"
 	"whowas/internal/cloudapi"
@@ -371,8 +372,14 @@ func TestCampaignMetricsRegistry(t *testing.T) {
 	if probeLat := snap.Histograms["scanner.probe_latency"]; probeLat.Count != snap.Counters["scanner.probes"] {
 		t.Errorf("probe latency count %d != probes %d", probeLat.Count, snap.Counters["scanner.probes"])
 	}
-	if snap.Stages["core.round"].Passes != 2 {
-		t.Errorf("core.round stage = %+v", snap.Stages["core.round"])
+	// The round's stage timer is a histogram: one count per round, and
+	// sum_ms is the rounds' exact total time.
+	var total time.Duration
+	for _, r := range p.Reports {
+		total += r.Total
+	}
+	if h := snap.Histograms["core.round"]; h.Count != 2 || h.SumMS != float64(total)/float64(time.Millisecond) {
+		t.Errorf("core.round stage = %+v, want 2 passes / %v", h, total)
 	}
 
 	// The full campaign report marshals and round-trips.

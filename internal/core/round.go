@@ -149,9 +149,9 @@ func (p *Platform) runRound(ctx context.Context, runner *ShardRunner, layout [][
 	if report.Degraded {
 		degradedRounds.Inc()
 	}
-	p.Metrics.Stage("core.scan").Add(report.Scan)
-	p.Metrics.Stage("core.drain").Add(report.Drain)
-	p.Metrics.Stage("core.round").Add(report.Total)
+	p.Metrics.Histogram("core.scan").Observe(report.Scan)
+	p.Metrics.Histogram("core.drain").Observe(report.Drain)
+	p.Metrics.Histogram("core.round").Observe(report.Total)
 	rootSp.SetAttr(
 		trace.Int64("records", report.Records),
 		trace.Bool("degraded", report.Degraded),

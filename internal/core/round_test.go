@@ -256,7 +256,7 @@ func TestRunLane(t *testing.T) {
 				if name != "scan" && sp.Attr("items") != items {
 					t.Errorf("%s span items = %q, want %s", name, sp.Attr("items"), items)
 				}
-				if _, ok := snap.Stages["pipeline."+name]; !ok {
+				if _, ok := snap.Histograms["pipeline."+name]; !ok {
 					t.Errorf("no pipeline.%s stage timer", name)
 				}
 			}

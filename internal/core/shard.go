@@ -345,7 +345,7 @@ func (r *ShardRunner) stage(ctx, caller context.Context, name string, attr trace
 	m := r.cfg.Scanner.Metrics
 	start := time.Now()
 	items, err := run(ctx)
-	m.Stage("pipeline." + name).Add(time.Since(start))
+	m.Histogram("pipeline." + name).Observe(time.Since(start))
 	if items > 0 {
 		m.Counter("pipeline." + name + ".items").Add(items)
 		sp.SetAttr(trace.Int64("items", items))

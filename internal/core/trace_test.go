@@ -38,9 +38,7 @@ func runTracedChaosCampaign(t *testing.T, sc *faults.Scenario, roundTimeout time
 	if err := p.RunCampaign(ctx, chaosCampaignConfig(sc, roundTimeout)); err != nil {
 		t.Fatalf("traced chaos campaign: %v", err)
 	}
-	if err := tr.Err(); err != nil {
-		t.Fatalf("journal write error: %v", err)
-	}
+	// Close surfaces any journal write error as well as its own.
 	if err := tr.Close(); err != nil {
 		t.Fatalf("closing tracer: %v", err)
 	}

@@ -9,8 +9,8 @@
 // catch were retired.
 //
 //   - wiretag — every struct that crosses a wire boundary (the coord
-//     protocol, ops JSON documents, the cloudapi control plane,
-//     fleetobs reports — found by tracing encoder call sites and
+//     protocol and fleet view, ops JSON documents, the cloudapi
+//     control plane — found by tracing encoder call sites and
 //     closing over field types) carries explicit `json` tags on all
 //     exported fields.
 //   - errcheck — no silently discarded error returns from the
@@ -58,10 +58,10 @@ var (
 	// bare-discarded (store mutations, the trace journal).
 	errMethodPackages = []string{"internal/store", "internal/store/colstore", "internal/trace"}
 	// lockSendPackages are checked for channel sends under a held mutex.
-	lockSendPackages = []string{"internal/core", "internal/store", "internal/store/colstore", "internal/coord", "internal/fleetobs"}
+	lockSendPackages = []string{"internal/core", "internal/store", "internal/store/colstore", "internal/coord"}
 	// wirePackages' JSON encoder/decoder call sites seed the wiretag
 	// closure — the wire boundaries.
-	wirePackages = []string{"internal/coord", "internal/ops", "internal/cloudapi", "internal/fleetobs", "internal/httpd"}
+	wirePackages = []string{"internal/coord", "internal/ops", "internal/cloudapi", "internal/httpd"}
 )
 
 // matchPkg reports whether a package import path matches one of the

@@ -1,5 +1,5 @@
-// The wiretag analyzer. The coord protocol, the ops endpoints, the
-// cloudapi control plane and the fleetobs reports are all JSON wire
+// The wiretag analyzer. The coord protocol and fleet view, the ops
+// endpoints and the cloudapi control plane are all JSON wire
 // formats consumed by peers that are not this binary — other fleet
 // versions mid-upgrade, dashboards, scripted clients. A struct field
 // without an explicit `json` tag puts the Go identifier itself on the

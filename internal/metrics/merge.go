@@ -8,8 +8,8 @@
 package metrics
 
 // MergeSnapshots folds any number of snapshots into one combined
-// snapshot. Counters, gauges, and stage timers add; histograms combine
-// exactly for count/sum/min/max, while quantiles — which cannot be
+// snapshot. Counters and gauges add; histograms combine exactly for
+// count/sum/mean/min/max, while quantiles — which cannot be
 // recovered from summaries — are approximated by the count-weighted
 // mean of the per-snapshot quantiles. That approximation is faithful
 // when workers see similar latency distributions (the homogeneous-
@@ -39,15 +39,6 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 			}
 			out.Histograms[name] = mergeHist(out.Histograms[name], h)
 		}
-		for name, st := range s.Stages {
-			if out.Stages == nil {
-				out.Stages = make(map[string]StageSnapshot)
-			}
-			acc := out.Stages[name]
-			acc.Passes += st.Passes
-			acc.TotalMS += st.TotalMS
-			out.Stages[name] = acc
-		}
 	}
 	return out
 }
@@ -62,7 +53,8 @@ func mergeHist(acc, h HistogramSnapshot) HistogramSnapshot {
 	wh := float64(h.Count) / float64(total)
 	out := HistogramSnapshot{
 		Count:  total,
-		MeanMS: acc.MeanMS*wa + h.MeanMS*wh,
+		SumMS:  acc.SumMS + h.SumMS,
+		MeanMS: (acc.SumMS + h.SumMS) / float64(total),
 		MinMS:  acc.MinMS,
 		MaxMS:  acc.MaxMS,
 		P50MS:  acc.P50MS*wa + h.P50MS*wh,

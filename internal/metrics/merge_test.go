@@ -11,12 +11,12 @@ func TestMergeSnapshotsSums(t *testing.T) {
 	a := NewRegistry()
 	a.Counter("scanner.probes").Add(100)
 	a.Gauge("core.active").Set(2)
-	a.Stage("core.scan").Add(time.Second)
+	a.Histogram("core.scan").Observe(time.Second)
 	b := NewRegistry()
 	b.Counter("scanner.probes").Add(50)
 	b.Counter("fetcher.fetched").Add(7)
 	b.Gauge("core.active").Set(3)
-	b.Stage("core.scan").Add(2 * time.Second)
+	b.Histogram("core.scan").Observe(2 * time.Second)
 
 	m := MergeSnapshots(a.Snapshot(), b.Snapshot())
 	if got := m.Counters["scanner.probes"]; got != 150 {
@@ -28,8 +28,8 @@ func TestMergeSnapshotsSums(t *testing.T) {
 	if got := m.Gauges["core.active"]; got != 5 {
 		t.Errorf("core.active = %d, want 5", got)
 	}
-	st := m.Stages["core.scan"]
-	if st.Passes != 2 || math.Abs(st.TotalMS-3000) > 1e-9 {
+	st := m.Histograms["core.scan"]
+	if st.Count != 2 || st.SumMS != 3000 || st.MeanMS != 1500 {
 		t.Errorf("core.scan = %+v, want 2 passes / 3000ms", st)
 	}
 }
@@ -92,7 +92,7 @@ func TestWritePromSeriesLabels(t *testing.T) {
 	w0 := NewRegistry()
 	w0.Counter("scanner.probes").Add(10)
 	w0.Histogram("probe").Observe(time.Millisecond)
-	w0.Stage("scan").Add(time.Second)
+	w0.Histogram("scan").Observe(time.Second)
 	w1 := NewRegistry()
 	w1.Counter("scanner.probes").Add(20)
 
@@ -113,7 +113,8 @@ func TestWritePromSeriesLabels(t *testing.T) {
 		`whowas_scanner_probes_total{worker="w1"} 20`,
 		`whowas_probe_seconds{worker="w0",quantile="0.5"}`,
 		`whowas_probe_seconds_count{worker="w0"} 1`,
-		`whowas_scan_seconds_total{worker="w0"} 1`,
+		`whowas_scan_seconds_sum{worker="w0"} 1`,
+		`whowas_scan_seconds_count{worker="w0"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -131,7 +132,6 @@ func TestWritePromSeriesMatchesWriteProm(t *testing.T) {
 	r.Counter("c").Add(3)
 	r.Gauge("g").Set(4)
 	r.Histogram("h").Observe(2 * time.Millisecond)
-	r.Stage("s").Add(time.Second)
 	snap := r.Snapshot()
 
 	var a, b strings.Builder

@@ -1,7 +1,8 @@
 // Package metrics is WhoWas's pipeline instrumentation library: a
-// small, dependency-free set of atomic counters, gauges, lock-cheap
-// latency histograms and per-stage timers, collected under a named
-// Registry that snapshots to a plain struct and marshals to JSON.
+// small, dependency-free set of atomic counters, gauges and lock-cheap
+// latency histograms (which also time pipeline stages), collected
+// under a named Registry that snapshots to a plain struct and
+// marshals to JSON.
 //
 // The platform (internal/core) owns one Registry per measurement
 // deployment and threads it through the scanner, fetcher, store,
@@ -24,7 +25,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,48 +80,6 @@ func (g *Gauge) Load() int64 {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// Stage accumulates wall time spent in one named pipeline stage across
-// passes — the "where did the round go" ledger. A nil *Stage is a
-// valid no-op.
-type Stage struct {
-	ns     atomic.Int64
-	passes atomic.Int64
-}
-
-// Add records one pass of duration d.
-func (s *Stage) Add(d time.Duration) {
-	if s != nil {
-		s.ns.Add(int64(d))
-		s.passes.Add(1)
-	}
-}
-
-// Time starts a pass and returns a stop function that records its
-// elapsed time. Usage: defer st.Time()().
-func (s *Stage) Time() func() {
-	if s == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { s.Add(time.Since(start)) }
-}
-
-// Total returns the accumulated time across passes.
-func (s *Stage) Total() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return time.Duration(s.ns.Load())
-}
-
-// Passes returns how many times the stage ran.
-func (s *Stage) Passes() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.passes.Load()
 }
 
 // numBuckets covers 1 µs .. ~2.3 days in powers of two; observations
@@ -186,6 +144,16 @@ func (h *Histogram) Observe(d time.Duration) {
 			break
 		}
 	}
+}
+
+// Time starts a timed pass and returns a function that observes its
+// elapsed time — how pipeline stages are timed. Usage: defer h.Time()().
+func (h *Histogram) Time() func() {
+	if h == nil {
+		return func() {}
+	}
+	start := time.Now()
+	return func() { h.Observe(time.Since(start)) }
 }
 
 // Count returns the number of observations.
@@ -288,7 +256,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	stages   map[string]*Stage
 }
 
 // NewRegistry returns an empty registry.
@@ -297,7 +264,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		stages:   make(map[string]*Stage),
 	}
 }
 
@@ -347,37 +313,18 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Stage returns the named stage timer, creating it if needed.
-func (r *Registry) Stage(name string) *Stage {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.stages[name]
-	if !ok {
-		s = &Stage{}
-		r.stages[name] = s
-	}
-	return s
-}
-
 // HistogramSnapshot is one histogram's point-in-time summary.
-// Durations are reported in milliseconds for JSON readability.
+// Durations are reported in milliseconds for JSON readability; SumMS
+// is exact, so a stage's total time is its histogram's sum.
 type HistogramSnapshot struct {
 	Count  int64   `json:"count"`
+	SumMS  float64 `json:"sum_ms"`
 	MeanMS float64 `json:"mean_ms"`
 	MinMS  float64 `json:"min_ms"`
 	MaxMS  float64 `json:"max_ms"`
 	P50MS  float64 `json:"p50_ms"`
 	P95MS  float64 `json:"p95_ms"`
 	P99MS  float64 `json:"p99_ms"`
-}
-
-// StageSnapshot is one stage timer's point-in-time summary.
-type StageSnapshot struct {
-	Passes  int64   `json:"passes"`
-	TotalMS float64 `json:"total_ms"`
 }
 
 // Snapshot is a plain, JSON-marshalable copy of every instrument in a
@@ -387,7 +334,6 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Stages     map[string]StageSnapshot     `json:"stages,omitempty"`
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -418,6 +364,7 @@ func (r *Registry) Snapshot() Snapshot {
 		for name, h := range r.hists {
 			out.Histograms[name] = HistogramSnapshot{
 				Count:  h.Count(),
+				SumMS:  ms(time.Duration(h.sum.Load())),
 				MeanMS: ms(h.Mean()),
 				MinMS:  ms(h.Min()),
 				MaxMS:  ms(h.Max()),
@@ -427,37 +374,6 @@ func (r *Registry) Snapshot() Snapshot {
 			}
 		}
 	}
-	if len(r.stages) > 0 {
-		out.Stages = make(map[string]StageSnapshot, len(r.stages))
-		for name, s := range r.stages {
-			out.Stages[name] = StageSnapshot{Passes: s.Passes(), TotalMS: ms(s.Total())}
-		}
-	}
-	return out
-}
-
-// Names returns every registered instrument name, sorted; useful for
-// diagnostics and tests.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.stages))
-	for name := range r.counters {
-		out = append(out, name)
-	}
-	for name := range r.gauges {
-		out = append(out, name)
-	}
-	for name := range r.hists {
-		out = append(out, name)
-	}
-	for name := range r.stages {
-		out = append(out, name)
-	}
-	sort.Strings(out)
 	return out
 }
 

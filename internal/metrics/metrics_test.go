@@ -38,8 +38,7 @@ func TestNilSafety(t *testing.T) {
 	c := r.Counter("x")
 	g := r.Gauge("y")
 	h := r.Histogram("z")
-	s := r.Stage("w")
-	if c != nil || g != nil || h != nil || s != nil {
+	if c != nil || g != nil || h != nil {
 		t.Fatal("nil registry handed out non-nil handles")
 	}
 	// None of these may panic.
@@ -48,9 +47,8 @@ func TestNilSafety(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(time.Second)
-	s.Add(time.Second)
-	s.Time()()
-	if c.Load() != 0 || g.Load() != 0 || h.Count() != 0 || s.Passes() != 0 {
+	h.Time()()
+	if c.Load() != 0 || g.Load() != 0 || h.Count() != 0 {
 		t.Error("nil handles accumulated state")
 	}
 	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
@@ -60,9 +58,6 @@ func TestNilSafety(t *testing.T) {
 	if snap.Counters != nil || snap.Histograms != nil {
 		t.Error("nil registry snapshot not empty")
 	}
-	if r.Names() != nil {
-		t.Error("nil registry has names")
-	}
 }
 
 // TestNilHandlesAreNoOps calls every exported method of the metrics
@@ -70,7 +65,7 @@ func TestNilSafety(t *testing.T) {
 // arguments (io.Discard for a writer), so a method added later is held
 // to the "nil handle is a no-op" contract without being named here.
 func TestNilHandlesAreNoOps(t *testing.T) {
-	for _, h := range []any{(*Counter)(nil), (*Gauge)(nil), (*Stage)(nil), (*Histogram)(nil),
+	for _, h := range []any{(*Counter)(nil), (*Gauge)(nil), (*Histogram)(nil),
 		(*Registry)(nil), (*trace.Tracer)(nil), (*trace.Span)(nil)} {
 		v := reflect.ValueOf(h)
 		for i := 0; i < v.NumMethod(); i++ {
@@ -164,18 +159,19 @@ func TestBucketIndexMonotonic(t *testing.T) {
 	}
 }
 
+// TestStage: a stage timer is a histogram — its count is the stage's
+// passes and its snapshot's sum_ms the exact total time.
 func TestStage(t *testing.T) {
 	r := NewRegistry()
-	s := r.Stage("scan")
-	s.Add(2 * time.Second)
-	s.Add(3 * time.Second)
-	if s.Passes() != 2 || s.Total() != 5*time.Second {
-		t.Errorf("stage = %d passes / %v", s.Passes(), s.Total())
+	h := r.Histogram("scan")
+	h.Observe(2 * time.Second)
+	h.Observe(3*time.Second + 7*time.Nanosecond)
+	if snap := r.Snapshot().Histograms["scan"]; snap.Count != 2 || snap.SumMS != 5000.000007 {
+		t.Errorf("stage snapshot = %+v, want 2 passes / 5000.000007ms", snap)
 	}
-	stop := s.Time()
-	stop()
-	if s.Passes() != 3 {
-		t.Errorf("Time() did not record a pass")
+	h.Time()()
+	if h.Count() != 3 {
+		t.Errorf("Time() did not record a pass: count = %d", h.Count())
 	}
 }
 
@@ -184,7 +180,6 @@ func TestSnapshotJSON(t *testing.T) {
 	r.Counter("scanner.probes").Add(42)
 	r.Gauge("store.open_rounds").Set(1)
 	r.Histogram("fetcher.get_latency").Observe(30 * time.Millisecond)
-	r.Stage("core.scan").Add(time.Second)
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -201,26 +196,11 @@ func TestSnapshotJSON(t *testing.T) {
 		t.Errorf("gauges = %v", snap.Gauges)
 	}
 	hs := snap.Histograms["fetcher.get_latency"]
-	if hs.Count != 1 || hs.MaxMS != 30 {
+	if hs.Count != 1 || hs.MaxMS != 30 || hs.SumMS != 30 {
 		t.Errorf("histogram snapshot = %+v", hs)
 	}
 	if math.Abs(hs.MeanMS-30) > 1e-9 {
 		t.Errorf("mean_ms = %v", hs.MeanMS)
-	}
-	ss := snap.Stages["core.scan"]
-	if ss.Passes != 1 || ss.TotalMS != 1000 {
-		t.Errorf("stage snapshot = %+v", ss)
-	}
-
-	names := r.Names()
-	want := []string{"core.scan", "fetcher.get_latency", "scanner.probes", "store.open_rounds"}
-	if len(names) != len(want) {
-		t.Fatalf("names = %v", names)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Errorf("names[%d] = %q, want %q", i, names[i], want[i])
-		}
 	}
 }
 
@@ -238,12 +218,10 @@ func TestConcurrentUpdates(t *testing.T) {
 			c := r.Counter("c")
 			g := r.Gauge("g")
 			h := r.Histogram("h")
-			s := r.Stage("s")
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.Add(1)
 				h.Observe(time.Duration(w*perWorker+i) * time.Microsecond)
-				s.Add(time.Microsecond)
 				if i%500 == 0 {
 					_ = r.Snapshot() // concurrent readers are allowed
 				}
@@ -257,8 +235,11 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := r.Histogram("h").Count(); got != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
 	}
-	if got := r.Stage("s").Passes(); got != workers*perWorker {
-		t.Errorf("stage passes = %d, want %d", got, workers*perWorker)
+	// Each worker observes w*perWorker .. (w+1)*perWorker-1 µs: the
+	// sum over all of them is n(n-1)/2 µs for n observations.
+	n := int64(workers * perWorker)
+	if got, want := r.Snapshot().Histograms["h"].SumMS, ms(time.Duration(n*(n-1)/2)*time.Microsecond); got != want {
+		t.Errorf("histogram sum = %vms, want %vms", got, want)
 	}
 }
 

@@ -75,9 +75,9 @@ func renderLabels(labels []Label, extra ...Label) string {
 
 // WriteProm renders the snapshot in the Prometheus text exposition
 // format under the given namespace prefix (the ops server uses
-// "whowas"). Counters gain the conventional _total suffix, latency
-// histograms render as summaries in seconds, and stage timers render
-// as a pair of counters (seconds spent, passes).
+// "whowas"). Counters gain the conventional _total suffix, and latency
+// histograms — stage timers among them — render as summaries in
+// seconds whose _sum and _count are a stage's time spent and passes.
 func (s Snapshot) WriteProm(w io.Writer, ns string) error {
 	return WritePromSeries(w, ns, []LabeledSnapshot{{Snap: s}})
 }
@@ -95,7 +95,6 @@ func WritePromSeries(w io.Writer, ns string, series []LabeledSnapshot) error {
 	counterNames := map[string]bool{}
 	gaugeNames := map[string]bool{}
 	histNames := map[string]bool{}
-	stageNames := map[string]bool{}
 	for _, ls := range series {
 		for name := range ls.Snap.Counters {
 			counterNames[name] = true
@@ -105,9 +104,6 @@ func WritePromSeries(w io.Writer, ns string, series []LabeledSnapshot) error {
 		}
 		for name := range ls.Snap.Histograms {
 			histNames[name] = true
-		}
-		for name := range ls.Snap.Stages {
-			stageNames[name] = true
 		}
 	}
 	for _, name := range sortedKeys(counterNames) {
@@ -160,43 +156,10 @@ func WritePromSeries(w io.Writer, ns string, series []LabeledSnapshot) error {
 					return err
 				}
 			}
-			sum := secs(h.MeanMS) * float64(h.Count)
 			if _, err := fmt.Fprintf(w, "%s_sum%s %g\n%s_count%s %d\n",
-				n, renderLabels(ls.Labels), sum, n, renderLabels(ls.Labels), h.Count); err != nil {
+				n, renderLabels(ls.Labels), secs(h.SumMS), n, renderLabels(ls.Labels), h.Count); err != nil {
 				return err
 			}
-		}
-	}
-	for _, name := range sortedKeys(stageNames) {
-		n := promName(ns, name)
-		if err := writeStageSeries(w, n+"_seconds_total", series, name, func(st StageSnapshot) string {
-			return fmt.Sprintf("%g", st.TotalMS/1000)
-		}); err != nil {
-			return err
-		}
-		if err := writeStageSeries(w, n+"_passes_total", series, name, func(st StageSnapshot) string {
-			return fmt.Sprintf("%d", st.Passes)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeStageSeries emits one of a stage timer's two counter metrics
-// (seconds, passes) across every series carrying the stage.
-func writeStageSeries(w io.Writer, n string, series []LabeledSnapshot, name string,
-	value func(StageSnapshot) string) error {
-	if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", n); err != nil {
-		return err
-	}
-	for _, ls := range series {
-		st, ok := ls.Snap.Stages[name]
-		if !ok {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "%s%s %s\n", n, renderLabels(ls.Labels), value(st)); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -14,7 +14,7 @@ func TestWritePromRendersAllKinds(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(10 * time.Millisecond)
 	}
-	r.Stage("core.scan").Add(1500 * time.Millisecond)
+	r.Histogram("core.scan").Observe(1500 * time.Millisecond)
 
 	var sb strings.Builder
 	if err := r.Snapshot().WriteProm(&sb, "whowas"); err != nil {
@@ -30,9 +30,9 @@ func TestWritePromRendersAllKinds(t *testing.T) {
 		"# TYPE whowas_fetcher_get_latency_seconds summary",
 		`whowas_fetcher_get_latency_seconds{quantile="0.99"}`,
 		"whowas_fetcher_get_latency_seconds_count 100",
-		"# TYPE whowas_core_scan_seconds_total counter",
-		"whowas_core_scan_seconds_total 1.5",
-		"whowas_core_scan_passes_total 1",
+		"# TYPE whowas_core_scan_seconds summary",
+		"whowas_core_scan_seconds_sum 1.5",
+		"whowas_core_scan_seconds_count 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

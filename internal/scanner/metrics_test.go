@@ -60,9 +60,15 @@ func TestScannerMetrics(t *testing.T) {
 	if lat.P99MS < lat.P50MS {
 		t.Errorf("latency percentiles inverted: %+v", lat)
 	}
-	// The rate limiter was active, so wait time was tracked.
-	if snap.Stages["scanner.limiter_wait"].Passes != stats.Probes {
-		t.Errorf("limiter_wait passes = %d, want %d", snap.Stages["scanner.limiter_wait"].Passes, stats.Probes)
+	// The rate limiter was active, so wait time was tracked: one pass
+	// per probe, and sum_ms is the total wait (the mean is truncated to
+	// whole nanoseconds, at most one per pass).
+	wait := snap.Histograms["scanner.limiter_wait"]
+	if wait.Count != stats.Probes {
+		t.Errorf("limiter_wait passes = %d, want %d", wait.Count, stats.Probes)
+	}
+	if d := wait.SumMS - wait.MeanMS*float64(wait.Count); wait.SumMS <= 0 || d < 0 || d > 1e-6*float64(wait.Count) {
+		t.Errorf("limiter_wait sum_ms = %v, mean_ms × passes = %v", wait.SumMS, wait.MeanMS*float64(wait.Count))
 	}
 }
 

@@ -134,7 +134,7 @@ type Scanner struct {
 	mResponsive  *metrics.Counter   // IPs that answered a probe
 	mRetries     *metrics.Counter   // retry probes after timeouts
 	mProbeLat    *metrics.Histogram // per-probe dial latency
-	mLimiterWait *metrics.Stage     // time blocked on the rate limiter
+	mLimiterWait *metrics.Histogram // time blocked on the rate limiter
 }
 
 // UnlimitedRate disables rate limiting entirely when passed as
@@ -156,7 +156,7 @@ func New(dialer netsim.Dialer, cfg Config) (*Scanner, error) {
 		s.mResponsive = r.Counter("scanner.responsive_ips")
 		s.mRetries = r.Counter("scanner.retries")
 		s.mProbeLat = r.Histogram("scanner.probe_latency")
-		s.mLimiterWait = r.Stage("scanner.limiter_wait")
+		s.mLimiterWait = r.Histogram("scanner.limiter_wait")
 	}
 	if c.Rate < UnlimitedRate {
 		lim, err := ratelimit.NewWithClock(c.Rate, max(1, int(c.Rate/10)), c.Clock)
@@ -179,7 +179,7 @@ func (s *Scanner) wait(ctx context.Context) error {
 	}
 	start := time.Now()
 	err := s.limiter.Wait(ctx)
-	s.mLimiterWait.Add(time.Since(start))
+	s.mLimiterWait.Observe(time.Since(start))
 	return err
 }
 

@@ -57,7 +57,7 @@ func OpenFileBackend(path string) (*FileBackend, error) {
 }
 
 // OpenFile opens a saved store file as a Store over a FileBackend —
-// the streaming counterpart of Load.
+// the reader whowas-query opens -store files with.
 func OpenFile(path string) (*Store, error) {
 	b, err := OpenFileBackend(path)
 	if err != nil {

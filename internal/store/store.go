@@ -337,7 +337,7 @@ func (s *Store) PutBatch(recs []*Record) error {
 
 // MarkDegraded flags the open round as degraded: the round exceeded
 // its deadline and holds only the records collected before it fired.
-// The flag survives EndRound and Save/Load.
+// The flag survives EndRound and Save/OpenFile.
 func (s *Store) MarkDegraded() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -763,40 +763,4 @@ func decodeRecordsFrame(buf []byte, meta RoundMeta) ([]*Record, error) {
 		recs[i] = &flat[i]
 	}
 	return recs, nil
-}
-
-// Load reads a store written by Save into memory. Truncated or mangled
-// input returns an error wrapping ErrCorrupt — never a panic. For
-// lazy, bounded-memory access to a saved file use OpenFileBackend
-// instead.
-func Load(rd io.Reader) (*Store, error) {
-	if err := readMagic(rd); err != nil {
-		return nil, err
-	}
-	h, err := readHeader(rd)
-	if err != nil {
-		return nil, err
-	}
-	b := &memBackend{}
-	for i := 0; i < h.Rounds; i++ {
-		var meta RoundMeta
-		if err := gobUnframe(rd, &meta); err != nil {
-			return nil, err
-		}
-		if meta.Index != i {
-			return nil, fmt.Errorf("%w: round %d carries index %d", ErrCorrupt, i, meta.Index)
-		}
-		buf, err := readFrame(rd)
-		if err != nil {
-			return nil, err
-		}
-		recs, err := decodeRecordsFrame(buf, meta)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.Append(meta, recs); err != nil {
-			return nil, err
-		}
-	}
-	return NewWithBackend(h.CloudName, b), nil
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -193,14 +194,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		s.AddProbed(50)
 		_ = s.EndRound()
 	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := reopen(t, s)
 	if loaded.CloudName != "ec2" || loaded.NumRounds() != 3 {
 		t.Fatalf("loaded: name=%q rounds=%d", loaded.CloudName, loaded.NumRounds())
 	}
@@ -254,8 +248,8 @@ func TestExportJSON(t *testing.T) {
 }
 
 func TestLoadGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not gob"))); err == nil {
-		t.Error("Load of garbage succeeded")
+	if _, err := OpenFile(writeTemp(t, []byte("not gob"))); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("OpenFile of garbage = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -326,16 +320,9 @@ func TestMarkDegraded(t *testing.T) {
 	}
 
 	// The flag is part of the wire form.
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := reopen(t, s)
 	if !loaded.Round(0).Degraded || loaded.Round(1).Degraded {
-		t.Errorf("degraded flags after Load: %v, %v, want true, false",
+		t.Errorf("degraded flags after OpenFile: %v, %v, want true, false",
 			loaded.Round(0).Degraded, loaded.Round(1).Degraded)
 	}
 }

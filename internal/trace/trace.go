@@ -55,21 +55,19 @@ func Int64(k string, v int64) Attr { return Attr{Key: k, Value: strconv.FormatIn
 // Bool builds a boolean attribute.
 func Bool(k string, v bool) Attr { return Attr{Key: k, Value: strconv.FormatBool(v)} }
 
+// ringSize bounds the in-memory ring of completed spans: the
+// /trace/slowest window, and what a distributed worker can hold
+// between two shard submissions (CompletedSince).
+const ringSize = 4096
+
 // Config tunes a Tracer.
 type Config struct {
-	// RingSize bounds the in-memory buffer of completed spans (the
-	// /trace/slowest window). Default 4096.
-	RingSize int
 	// SamplePerMille is the per-IP sampling rate for probe/GET spans:
 	// SampleIP admits roughly this fraction of the address space,
 	// chosen by a pure hash of the IP so the same addresses are
 	// sampled every round and every run. 0 takes the default (10, i.e.
 	// 1%); negative disables per-IP spans; >= 1000 samples every IP.
 	SamplePerMille int
-	// SampleSeed salts the per-IP sampling hash so deployments can
-	// rotate which IPs are sampled. The decision stays a pure function
-	// of (seed, ip).
-	SampleSeed int64
 	// Journal, when non-nil, receives one JSON line per completed span
 	// (see SpanSnapshot). Writes happen under the tracer's mutex in
 	// span-completion order; wrap files in a Journal (journal.go) for
@@ -81,9 +79,6 @@ type Config struct {
 // WithDefaults resolves zero fields.
 func (c Config) WithDefaults() Config {
 	out := c
-	if out.RingSize <= 0 {
-		out.RingSize = 4096
-	}
 	if out.SamplePerMille == 0 {
 		out.SamplePerMille = 10
 	}
@@ -110,7 +105,7 @@ func New(cfg Config) *Tracer {
 	return &Tracer{
 		cfg:    c,
 		active: make(map[uint64]*Span),
-		ring:   make([]SpanSnapshot, 0, c.RingSize),
+		ring:   make([]SpanSnapshot, 0, ringSize),
 	}
 }
 
@@ -159,7 +154,7 @@ func mix64(x uint64) uint64 {
 }
 
 // SampleIP reports whether per-IP spans should be recorded for ip. The
-// decision is a pure function of (SampleSeed, ip) — never a counter or
+// decision is a pure function of ip — never a counter or
 // an RNG — so identical campaigns journal identical span sets and one
 // IP's spans appear in every round it was probed.
 func (t *Tracer) SampleIP(ip uint64) bool {
@@ -173,7 +168,7 @@ func (t *Tracer) SampleIP(ip uint64) bool {
 	if pm >= 1000 {
 		return true
 	}
-	return mix64(ip^mix64(uint64(t.cfg.SampleSeed)+0x9e3779b97f4a7c15))%1000 < uint64(pm)
+	return mix64(ip^mix64(0x9e3779b97f4a7c15))%1000 < uint64(pm)
 }
 
 // ID returns the span's id (0 for nil).
@@ -253,7 +248,7 @@ func (s *Span) End() {
 // callers hold t.mu.
 func (t *Tracer) recordLocked(snap SpanSnapshot) {
 	t.completed++
-	if len(t.ring) < t.cfg.RingSize {
+	if len(t.ring) < ringSize {
 		t.ring = append(t.ring, snap)
 	} else {
 		t.ring[t.ringNext] = snap
@@ -280,12 +275,12 @@ func (t *Tracer) ReserveIDs(n int) uint64 {
 	return t.ids.Add(uint64(n)) - uint64(n) + 1
 }
 
-// Record ingests already-completed foreign spans — a worker's drained
-// span buffer the coordinator merges into its own journal. The spans
+// Record ingests already-completed foreign spans — a worker's
+// submitted spans the coordinator merges into its own journal. The spans
 // enter the ring and journal exactly as if they had ended here, in the
 // order given. Callers renumber IDs into this tracer's space first
-// (ReserveIDs plus a parent remap; see fleetobs.RestampSpans) so they
-// cannot collide with locally issued spans.
+// (ReserveIDs plus a parent remap, as the coordinator does for each
+// accepted shard) so they cannot collide with locally issued spans.
 func (t *Tracer) Record(snaps ...SpanSnapshot) {
 	if t == nil {
 		return
@@ -345,7 +340,7 @@ func (t *Tracer) Slowest(n int) []SpanSnapshot {
 }
 
 // Completed returns how many spans have ended over the tracer's
-// lifetime (the ring keeps only the most recent RingSize of them).
+// lifetime (the ring keeps only the most recent ringSize of them).
 func (t *Tracer) Completed() int64 {
 	if t == nil {
 		return 0
@@ -355,24 +350,28 @@ func (t *Tracer) Completed() int64 {
 	return t.completed
 }
 
-// ActiveCount returns the number of currently open spans.
-func (t *Tracer) ActiveCount() int {
+// CompletedSince returns the spans that completed after the first
+// cursor completions, in completion order, and the cursor to pass
+// next time. Spans the ring has already evicted are lost, oldest
+// first. A distributed worker takes each shard's spans this way for
+// its submission; a nil tracer returns nothing and the same cursor.
+func (t *Tracer) CompletedSince(cursor int64) ([]SpanSnapshot, int64) {
 	if t == nil {
-		return 0
+		return nil, cursor
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.active)
-}
-
-// Err returns the first journal write error, if any.
-func (t *Tracer) Err() error {
-	if t == nil {
-		return nil
+	n := int(min(t.completed-cursor, int64(len(t.ring))))
+	if n <= 0 {
+		return nil, t.completed
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.jerr
+	// The newest span sits just before ringNext (which stays 0 until
+	// the ring is full), so the last n start n slots before it.
+	out := make([]SpanSnapshot, n)
+	for i := range out {
+		out[i] = t.ring[(t.ringNext+len(t.ring)-n+i)%len(t.ring)]
+	}
+	return out, t.completed
 }
 
 // Close flushes and closes the journal (when it implements io.Closer)

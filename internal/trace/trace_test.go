@@ -25,7 +25,7 @@ func TestNilTracerNoOps(t *testing.T) {
 	if tr.SampleIP(42) {
 		t.Error("nil tracer samples")
 	}
-	if tr.Active() != nil || tr.Slowest(5) != nil || tr.Completed() != 0 || tr.ActiveCount() != 0 {
+	if tr.Active() != nil || tr.Slowest(5) != nil || tr.Completed() != 0 {
 		t.Error("nil tracer reports state")
 	}
 	if err := tr.Close(); err != nil {
@@ -44,10 +44,6 @@ func TestSpanLifecycleAndTree(t *testing.T) {
 	tr := New(Config{})
 	root := tr.Start("round", nil, Int("round", 3), Int("day", 9))
 	child := tr.Start("scan", root)
-	if got := tr.ActiveCount(); got != 2 {
-		t.Fatalf("active = %d, want 2", got)
-	}
-
 	act := tr.Active()
 	if len(act) != 2 || !act[0].Active || act[0].Name != "round" {
 		t.Fatalf("Active() = %+v", act)
@@ -60,7 +56,7 @@ func TestSpanLifecycleAndTree(t *testing.T) {
 	root.SetAttr(Bool("degraded", true))
 	root.End()
 
-	if got := tr.ActiveCount(); got != 0 {
+	if got := len(tr.Active()); got != 0 {
 		t.Fatalf("active after End = %d", got)
 	}
 	if got := tr.Completed(); got != 2 {
@@ -93,22 +89,79 @@ func TestSpanLifecycleAndTree(t *testing.T) {
 }
 
 func TestRingBufferBounded(t *testing.T) {
-	tr := New(Config{RingSize: 8})
-	for i := 0; i < 50; i++ {
+	tr := New(Config{})
+	for i := 0; i < ringSize+50; i++ {
 		sp := tr.Start("op", nil, Int("i", i))
 		sp.End()
 	}
-	if got := tr.Completed(); got != 50 {
+	if got := tr.Completed(); got != ringSize+50 {
 		t.Fatalf("completed = %d", got)
 	}
-	slow := tr.Slowest(100)
-	if len(slow) != 8 {
-		t.Fatalf("ring kept %d spans, want 8", len(slow))
+	slow := tr.Slowest(2 * ringSize)
+	if len(slow) != ringSize {
+		t.Fatalf("ring kept %d spans, want %d", len(slow), ringSize)
 	}
 	for _, s := range slow {
-		if i := atoiAttr(s, "i"); i < 42 {
+		if i := atoiAttr(s, "i"); i < 50 {
 			t.Errorf("ring kept evicted span i=%d", i)
 		}
+	}
+}
+
+// TestCompletedSinceArrivalOrder: the cursor hands out each completed
+// span once, in completion order, with its tree and attributes intact.
+func TestCompletedSinceArrivalOrder(t *testing.T) {
+	tr := New(Config{})
+	root := tr.Start("round", nil, Int("round", 0))
+	child := tr.Start("scan", root, String("regions", "r1"))
+	child.End()
+	root.End()
+
+	spans, cur := tr.CompletedSince(0)
+	if len(spans) != 2 || cur != 2 {
+		t.Fatalf("took %d spans, cursor %d; want 2, 2", len(spans), cur)
+	}
+	// Completion order: child first.
+	if spans[0].Name != "scan" || spans[1].Name != "round" {
+		t.Errorf("unexpected order: %q, %q", spans[0].Name, spans[1].Name)
+	}
+	if spans[0].Parent != spans[1].ID || spans[0].Attr("regions") != "r1" {
+		t.Errorf("child snapshot = %+v", spans[0])
+	}
+	if again, next := tr.CompletedSince(cur); again != nil || next != cur {
+		t.Errorf("second take = %d spans, cursor %d; want none, %d", len(again), next, cur)
+	}
+	tr.Start("fetch", nil).End()
+	if spans, _ := tr.CompletedSince(cur); len(spans) != 1 || spans[0].Name != "fetch" {
+		t.Errorf("take after one more span = %+v", spans)
+	}
+}
+
+// TestCompletedSinceDropsOldestAtCapacity: a cursor that falls more
+// than the ring behind gets the newest ringSize spans, oldest first.
+func TestCompletedSinceDropsOldestAtCapacity(t *testing.T) {
+	tr := New(Config{})
+	tr.Start("op", nil, Int("i", 0)).End()
+	_, cur := tr.CompletedSince(0)
+	const extra = 10
+	for i := 1; i <= ringSize+extra; i++ {
+		tr.Start("op", nil, Int("i", i)).End()
+	}
+	spans, next := tr.CompletedSince(cur)
+	if len(spans) != ringSize || next != ringSize+extra+1 {
+		t.Fatalf("took %d spans, cursor %d; want %d, %d", len(spans), next, ringSize, ringSize+extra+1)
+	}
+	for k, s := range spans {
+		if i := atoiAttr(s, "i"); i != extra+1+k {
+			t.Fatalf("span %d is i=%d, want %d", k, i, extra+1+k)
+		}
+	}
+}
+
+func TestCompletedSinceNilTracer(t *testing.T) {
+	var tr *Tracer
+	if spans, cur := tr.CompletedSince(7); spans != nil || cur != 7 {
+		t.Errorf("nil tracer took %d spans, cursor %d", len(spans), cur)
 	}
 }
 
@@ -129,17 +182,6 @@ func TestSampleIPDeterministicAndProportional(t *testing.T) {
 	if n < 1500 || n > 2500 {
 		t.Errorf("sampled %d of 20000 at 100 per-mille", n)
 	}
-	// Different seeds select different subsets.
-	seeded := New(Config{SamplePerMille: 100, SampleSeed: 7})
-	same := 0
-	for ip := uint64(0); ip < 20000; ip++ {
-		if tr.SampleIP(ip) && seeded.SampleIP(ip) {
-			same++
-		}
-	}
-	if same == n {
-		t.Error("seed does not rotate the sampled subset")
-	}
 	if all := New(Config{SamplePerMille: 1000}); !all.SampleIP(1) {
 		t.Error("1000 per-mille did not sample")
 	}
@@ -149,7 +191,7 @@ func TestSampleIPDeterministicAndProportional(t *testing.T) {
 }
 
 func TestConcurrentSpans(t *testing.T) {
-	tr := New(Config{RingSize: 128})
+	tr := New(Config{})
 	root := tr.Start("round", nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -164,10 +206,33 @@ func TestConcurrentSpans(t *testing.T) {
 			}
 		}(w)
 	}
+	// A cursor reader takes spans while they complete, as a worker's
+	// submissions do; every span reaches it exactly once.
+	stop := make(chan struct{})
+	taken := make(chan int)
+	go func() {
+		var n int
+		var cur int64
+		for {
+			spans, next := tr.CompletedSince(cur)
+			n, cur = n+len(spans), next
+			select {
+			case <-stop:
+				spans, _ = tr.CompletedSince(cur)
+				taken <- n + len(spans)
+				return
+			default:
+			}
+		}
+	}()
 	wg.Wait()
 	root.End()
+	close(stop)
 	if got := tr.Completed(); got != 8*200+1 {
 		t.Fatalf("completed = %d", got)
+	}
+	if got := <-taken; got != 8*200+1 {
+		t.Errorf("cursor took %d spans, want %d", got, 8*200+1)
 	}
 }
 
@@ -281,4 +346,60 @@ func TestTimedSpanDurations(t *testing.T) {
 	if s.Active {
 		t.Error("completed span marked active")
 	}
+}
+
+func TestTracerRecordAndReserveIDs(t *testing.T) {
+	var journal strings.Builder
+	tr := New(Config{Journal: &journal})
+	local := tr.Start("round", nil)
+
+	base := tr.ReserveIDs(3)
+	if base == 0 {
+		t.Fatal("ReserveIDs returned 0")
+	}
+	if base <= local.ID() {
+		t.Fatalf("reserved base %d collides with live span %d", base, local.ID())
+	}
+	next := tr.Start("after", nil)
+	if next.ID() >= base && next.ID() < base+3 {
+		t.Fatalf("later span id %d landed inside reserved range [%d,%d)", next.ID(), base, base+3)
+	}
+
+	foreign := []SpanSnapshot{
+		{ID: base, Name: "scan", StartNS: 1, DurNS: 100, Attrs: map[string]string{"worker": "w0"}},
+		{ID: base + 1, Parent: base, Name: "probe", StartNS: 2, DurNS: 50, Active: true},
+	}
+	tr.Record(foreign...)
+	if got := tr.Completed(); got != 2 {
+		t.Errorf("completed = %d, want 2 recorded spans", got)
+	}
+	spans, err := ReadJournal(strings.NewReader(journal.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) != 2 {
+		t.Fatalf("journal received %d spans, want 2", len(spans))
+	}
+	if spans[1].Active {
+		t.Error("Record left a span marked active")
+	}
+	if spans[0].Attr("worker") != "w0" {
+		t.Errorf("attrs lost: %+v", spans[0].Attrs)
+	}
+	// Recorded spans appear in Slowest like native ones.
+	slow := tr.Slowest(1)
+	if len(slow) != 1 || slow[0].Name != "scan" {
+		t.Errorf("slowest = %+v, want the recorded scan span", slow)
+	}
+
+	var nilTr *Tracer
+	if nilTr.ReserveIDs(5) != 0 {
+		t.Error("nil tracer reserved ids")
+	}
+	nilTr.Record(SpanSnapshot{ID: 1})
+	if tr.ReserveIDs(0) != 0 {
+		t.Error("ReserveIDs(0) must return 0")
+	}
+	local.End()
+	next.End()
 }
