@@ -119,9 +119,9 @@ func (c *Client) DialContext(ctx context.Context, network, address string) (net.
 	case verdictOK:
 		return &lazyConn{ch: ch, id: id, address: address}, nil
 	case verdictTimeout:
-		return nil, netsim.NewTimeoutError(address)
+		return nil, netsim.ErrTimeout
 	case verdictRefused:
-		return nil, netsim.NewRefusedError(address)
+		return nil, netsim.ErrRefused
 	}
 	return nil, v.err
 }
@@ -131,7 +131,7 @@ func (c *Client) DialContext(ctx context.Context, network, address string) (net.
 // cancellation is itself.
 func dialCtxErr(err error, address string) error {
 	if errors.Is(err, context.DeadlineExceeded) {
-		return netsim.NewTimeoutError(address)
+		return netsim.ErrTimeout
 	}
 	return err
 }

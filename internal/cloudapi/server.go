@@ -233,24 +233,6 @@ type sessionCtx struct {
 	ctx     context.Context
 }
 
-// budgetCtx is a context with a deadline and no timer. The simulated
-// network never waits on a dial context — it reads Deadline and Err
-// and decides from state — so the daemon need not arm and stop a
-// runtime timer per probe to rebuild the caller's deadline.
-type budgetCtx struct {
-	context.Context
-	deadline time.Time
-}
-
-func (c *budgetCtx) Deadline() (time.Time, bool) { return c.deadline, true }
-
-func (c *budgetCtx) Err() error {
-	if time.Now().Before(c.deadline) {
-		return nil
-	}
-	return context.DeadlineExceeded
-}
-
 // dial makes the one simulated dial a DIAL frame stands for, with the
 // frame's session re-stamped and its deadline rebuilt, and parks the
 // connection when there is one.
@@ -266,7 +248,11 @@ func (s *Server) dial(ch *serverChannel, f *clientFrame, last *sessionCtx) (stat
 		ctx = last.ctx
 	}
 	if f.budgetMS != noBudget {
-		ctx = &budgetCtx{Context: ctx, deadline: time.Now().Add(time.Duration(f.budgetMS) * time.Millisecond)}
+		// The simulated network reads Deadline and Err and never waits,
+		// so rebuilding the caller's deadline arms no timer.
+		dctx := netsim.WithTimeout(ctx, time.Duration(f.budgetMS)*time.Millisecond)
+		defer dctx.Release()
+		ctx = dctx
 	}
 	inner, err := s.cloud.DialContext(ctx, "tcp", string(f.address))
 	if err != nil {

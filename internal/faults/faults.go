@@ -249,17 +249,17 @@ func (i *Injector) DialContext(ctx context.Context, network, address string) (ne
 			// timeout, like a real unanswered probe.
 			<-ctx.Done()
 		}
-		return nil, netsim.NewTimeoutError(address)
+		return nil, netsim.ErrTimeout
 	}
 	if i.flapping(ip, day) {
 		i.mFlapped.Inc()
 		annotate(ctx, "flap")
-		return nil, netsim.NewTimeoutError(address)
+		return nil, netsim.ErrTimeout
 	}
 	if pm := i.lossPerMille(day); pm > 0 && i.roll(saltLoss, ip, port, day, attempt) < uint64(pm) {
 		i.mDropped.Inc()
 		annotate(ctx, "dial_loss")
-		return nil, netsim.NewTimeoutError(address)
+		return nil, netsim.ErrTimeout
 	}
 	if d := i.dialDelay(ip, port, day, attempt); d > 0 {
 		i.mDelayed.Inc()
@@ -269,7 +269,7 @@ func (i *Injector) DialContext(ctx context.Context, network, address string) (ne
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			return nil, netsim.NewTimeoutError(address)
+			return nil, netsim.ErrTimeout
 		}
 	}
 

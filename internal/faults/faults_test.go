@@ -249,13 +249,15 @@ func TestBlackoutHoldBurnsDeadline(t *testing.T) {
 	ip := findWeb(t, cloud)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	start := time.Now()
+	deadline, _ := ctx.Deadline()
 	_, err := inj.DialContext(ctx, "tcp", ip.String()+":80")
 	if !scanner.IsTimeout(err) {
 		t.Errorf("held dial err = %v, want timeout", err)
 	}
-	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
-		t.Errorf("held dial returned after %v, want ~30ms (full deadline)", elapsed)
+	// Dropped-SYN semantics: the dial burns the caller's whole timeout,
+	// so it returns no earlier than the context's own deadline.
+	if early := time.Until(deadline); early > 0 {
+		t.Errorf("held dial returned %v before its context's deadline", early)
 	}
 }
 

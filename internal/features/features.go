@@ -20,7 +20,7 @@
 package features
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -175,19 +175,26 @@ func fnv64a(s string) uint64 {
 }
 
 // HeaderNameString renders feature 3: all response header field names,
+// lowered in one pass (joined by NUL, which no field name holds),
 // sorted alphabetically and joined with "#".
 func HeaderNameString(h map[string][]string) string {
-	names := make([]string, 0, len(h))
+	var stack [16]string
+	names := stack[:0]
 	for k := range h {
-		names = append(names, strings.ToLower(k))
+		names = append(names, k)
 	}
-	sort.Strings(names)
+	lowered := strings.ToLower(strings.Join(names, "\x00"))
+	for i := range names {
+		names[i], lowered, _ = strings.Cut(lowered, "\x00")
+	}
+	slices.Sort(names)
 	return strings.Join(names, "#")
 }
 
 // normalizeContentType strips parameters and lowercases the media type.
 func normalizeContentType(ct string) string {
-	return strings.ToLower(strings.TrimSpace(strings.SplitN(ct, ";", 2)[0]))
+	ct, _, _ = strings.Cut(ct, ";")
+	return strings.ToLower(strings.TrimSpace(ct))
 }
 
 // classifyErr maps transport errors to the coarse classes stored in

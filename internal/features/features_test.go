@@ -2,7 +2,9 @@ package features
 
 import (
 	"errors"
+	"math/rand"
 	"net/http"
+	"sort"
 	"strings"
 	"testing"
 
@@ -180,6 +182,37 @@ func TestHeaderNameString(t *testing.T) {
 	}
 	if got := HeaderNameString(nil); got != "" {
 		t.Errorf("HeaderNameString(nil) = %q", got)
+	}
+}
+
+// TestHeaderNameStringMatchesLowerSortJoin holds the few-allocation
+// rendering to its definition — lowercase every name, sort, join —
+// on random name sets that mix case, punctuation that sorts between
+// the letter cases, prefixes of one another and non-ASCII names.
+func TestHeaderNameStringMatchesLowerSortJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	pieces := []string{"X", "x", "-", "_", "A", "a", "Z", "[", "`", "Ä", "ß", "Σ", "K", "1", "\xff"}
+	for i := 0; i < 2000; i++ {
+		h := map[string][]string{}
+		for n := rng.Intn(24); n > 0; n-- {
+			var sb strings.Builder
+			for m := 1 + rng.Intn(4); m > 0; m-- {
+				sb.WriteString(pieces[rng.Intn(len(pieces))])
+			}
+			h[sb.String()] = nil
+		}
+		var names []string
+		for k := range h {
+			names = append(names, strings.ToLower(k))
+		}
+		sort.Strings(names)
+		if got, want := HeaderNameString(h), strings.Join(names, "#"); got != want {
+			t.Fatalf("HeaderNameString(%v) = %q, want %q", h, got, want)
+		}
+	}
+	canonical := http.Header{"Content-Type": nil, "Server": nil, "X-Powered-By": nil, "Accept-Ranges": nil, "Content-Length": nil}
+	if n := testing.AllocsPerRun(50, func() { HeaderNameString(canonical) }); n > 3 {
+		t.Errorf("HeaderNameString allocates %v times, want at most 3", n)
 	}
 }
 

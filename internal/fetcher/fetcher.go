@@ -224,7 +224,8 @@ func New(dialer netsim.Dialer, cfg Config) (*Fetcher, error) {
 // paper forgoes application/*, audio/*, image/* and video/* content,
 // with the structured-text exceptions that appear in its Table 5.
 func textualType(ctype string) bool {
-	ct := strings.ToLower(strings.TrimSpace(strings.SplitN(ctype, ";", 2)[0]))
+	ct, _, _ := strings.Cut(ctype, ";")
+	ct = strings.ToLower(strings.TrimSpace(ct))
 	if strings.HasPrefix(ct, "text/") {
 		return true
 	}
@@ -393,9 +394,9 @@ func (f *Fetcher) fetchIP(ctx context.Context, res scanner.Result) Page {
 		scheme = "https"
 	}
 	out := Page{IP: res.IP, OpenPorts: res.OpenPorts, Scheme: scheme}
-	base := fmt.Sprintf("%s://%s", scheme, res.IP)
-
-	robots, err := f.getRetry(ctx, base+"/robots.txt", false)
+	var buf [len("https://255.255.255.255/robots.txt")]byte
+	base := res.IP.AppendTo(append(append(buf[:0], scheme...), "://"...))
+	robots, err := f.getRetry(ctx, string(append(base, "/robots.txt"...)), false)
 	if err == nil && robots.Status == 200 && len(robots.Body) > 0 {
 		if RobotsDisallowsRoot(string(robots.Body), f.cfg.UserAgent) {
 			out.RobotsDenied = true
@@ -404,7 +405,7 @@ func (f *Fetcher) fetchIP(ctx context.Context, res scanner.Result) Page {
 		}
 	}
 
-	page, err := f.getRetry(ctx, base+"/", f.cfg.FollowLinks == 0)
+	page, err := f.getRetry(ctx, string(append(base, '/')), f.cfg.FollowLinks == 0)
 	if err != nil {
 		out.Err = err
 		return out
@@ -420,7 +421,7 @@ func (f *Fetcher) fetchIP(ctx context.Context, res scanner.Result) Page {
 		strings.HasPrefix(strings.ToLower(out.ContentType), "text/html") {
 		paths := SameSitePaths(string(out.Body), f.cfg.FollowLinks)
 		for i, path := range paths {
-			sub, err := f.getRetry(ctx, base+path, i == len(paths)-1)
+			sub, err := f.getRetry(ctx, string(append(base, path...)), i == len(paths)-1)
 			if err != nil {
 				continue
 			}
@@ -481,11 +482,14 @@ func (f *Fetcher) Exchange(ctx context.Context, res scanner.Result) Page {
 // rule blocks the top-level fetch, which is the exclusion the paper
 // honors.
 func RobotsDisallowsRoot(body, userAgent string) bool {
-	token := strings.ToLower(strings.SplitN(userAgent, "/", 2)[0])
+	product, _, _ := strings.Cut(userAgent, "/")
+	token := strings.ToLower(product)
 	var inWildcard, inOurs bool
 	denyWildcard, denyOurs := false, false
 	sawAnyGroup := false
-	for _, line := range strings.Split(body, "\n") {
+	for body != "" {
+		var line string
+		line, body, _ = strings.Cut(body, "\n")
 		line = strings.TrimSpace(line)
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = strings.TrimSpace(line[:i])

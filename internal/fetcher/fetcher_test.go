@@ -306,8 +306,8 @@ func BenchmarkFetchIP(b *testing.B) {
 }
 
 func TestIsTransient(t *testing.T) {
-	timeout := netsim.NewTimeoutError("54.0.0.1:80")
-	refused := netsim.NewRefusedError("54.0.0.1:80")
+	timeout := netsim.ErrTimeout
+	refused := netsim.ErrRefused
 	cases := []struct {
 		name string
 		err  error

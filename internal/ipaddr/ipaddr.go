@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -43,7 +44,15 @@ func MustParseAddr(s string) Addr {
 
 // String renders the address as dotted-quad.
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	return string(a.AppendTo(make([]byte, 0, len("255.255.255.255"))))
+}
+
+// AppendTo appends the dotted-quad form of the address to b.
+func (a Addr) AppendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(a>>24), 10)
+	b = strconv.AppendUint(append(b, '.'), uint64(byte(a>>16)), 10)
+	b = strconv.AppendUint(append(b, '.'), uint64(byte(a>>8)), 10)
+	return strconv.AppendUint(append(b, '.'), uint64(byte(a)), 10)
 }
 
 // Prefix24 returns the address's /24 prefix (the low 8 bits cleared).

@@ -1,6 +1,8 @@
 package ipaddr
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -28,6 +30,45 @@ func TestAddrStringRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+}
+
+var stringSink string
+
+// TestAddrStringMatchesPrintf holds the fmt-free String and AppendTo
+// to the %d.%d.%d.%d rendering they replaced: every octet width and
+// edge on each position, then random addresses, each also parsed back.
+func TestAddrStringMatchesPrintf(t *testing.T) {
+	octets := []byte{0, 9, 10, 99, 100, 255}
+	var addrs []Addr
+	for _, a := range octets {
+		for _, b := range octets {
+			for _, c := range octets {
+				for _, d := range octets {
+					addrs = append(addrs, Addr(uint32(a)<<24|uint32(b)<<16|uint32(c)<<8|uint32(d)))
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(34))
+	for i := 0; i < 10000; i++ {
+		addrs = append(addrs, Addr(rng.Uint32()))
+	}
+	for _, a := range addrs {
+		want := fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+		if got := a.String(); got != want {
+			t.Fatalf("Addr(%#x).String() = %q, want %q", uint32(a), got, want)
+		}
+		if got := string(a.AppendTo([]byte("x:"))); got != "x:"+want {
+			t.Fatalf("Addr(%#x).AppendTo = %q, want %q", uint32(a), got, "x:"+want)
+		}
+		if back, err := ParseAddr(a.String()); err != nil || back != a {
+			t.Fatalf("ParseAddr(%q) = %v, %v; want %v", a.String(), back, err, a)
+		}
+	}
+	a := MustParseAddr("255.255.255.255")
+	if n := testing.AllocsPerRun(100, func() { stringSink = a.String() }); n != 1 {
+		t.Errorf("String allocates %v times, want 1", n)
 	}
 }
 

@@ -5,7 +5,10 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"whowas/internal/ipaddr"
 )
 
 // stream is one direction of an in-memory connection: the writing end
@@ -118,22 +121,36 @@ func (s *stream) setReadDeadline(t time.Time) {
 // conn is one end of a buffered in-memory connection.
 type conn struct {
 	rd, wr *stream
+	pair   *connPair // set on the client end
 }
 
-// newConnPair returns the two ends of a connection in one allocation.
-func newConnPair() (client, server net.Conn) {
-	p := new(struct {
-		up, down stream // client->server, server->client
-		c, s     conn
-	})
+// connPair is both ends of a connection in one allocation. With n set,
+// c's first Write starts n.serveHTTP on s: a probe starts no goroutine.
+type connPair struct {
+	up, down stream // client->server, server->client
+	c, s     conn
+	n        *Network
+	ip       ipaddr.Addr
+	useTLS   bool
+	started  atomic.Bool
+}
+
+func newConnPair() *connPair {
+	p := new(connPair)
 	p.up.cond.L, p.down.cond.L = &p.up.mu, &p.down.mu
-	p.c = conn{rd: &p.down, wr: &p.up}
+	p.c = conn{rd: &p.down, wr: &p.up, pair: p}
 	p.s = conn{rd: &p.up, wr: &p.down}
-	return &p.c, &p.s
+	return p
 }
 
-func (c *conn) Read(p []byte) (int, error)  { return c.rd.read(p) }
-func (c *conn) Write(p []byte) (int, error) { return c.wr.write(p) }
+func (c *conn) Read(p []byte) (int, error) { return c.rd.read(p) }
+
+func (c *conn) Write(b []byte) (int, error) {
+	if p := c.pair; p != nil && p.n != nil && p.started.CompareAndSwap(false, true) {
+		go p.n.serveHTTP(&p.s, p.ip, p.useTLS)
+	}
+	return c.wr.write(b)
+}
 
 // Close closes both directions: the peer reads what was already
 // written and then io.EOF; this end's parked Read returns, and bytes

@@ -165,7 +165,8 @@ func TestConnContract(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a, b := newConnPair()
+			p := newConnPair()
+			a, b := &p.c, &p.s
 			defer a.Close()
 			defer b.Close()
 			tc.run(t, a, b)
@@ -204,7 +205,8 @@ func TestConnConcurrentReaderWriter(t *testing.T) {
 			}
 		}
 	}
-	a, b := newConnPair()
+	p := newConnPair()
+	a, b := &p.c, &p.s
 	defer a.Close()
 	defer b.Close()
 	aDone, bDone := make(chan struct{}), make(chan struct{})

@@ -45,31 +45,25 @@ type Dialer interface {
 	DialContext(ctx context.Context, network, address string) (net.Conn, error)
 }
 
-// timeoutError reports a dropped SYN, satisfying net.Error so callers
-// can distinguish timeouts from refusals.
-type timeoutError struct{ addr string }
+// verdictError is the network's answer to a dial, a net.Error telling
+// a dropped SYN (a timeout) from an RST (a refusal). It names no
+// address, which the caller holds, so a verdict allocates nothing.
+type verdictError struct {
+	msg     string
+	timeout bool
+}
 
-func (e *timeoutError) Error() string   { return fmt.Sprintf("dial tcp %s: i/o timeout", e.addr) }
-func (e *timeoutError) Timeout() bool   { return true }
-func (e *timeoutError) Temporary() bool { return true }
+func (e *verdictError) Error() string   { return e.msg }
+func (e *verdictError) Timeout() bool   { return e.timeout }
+func (e *verdictError) Temporary() bool { return e.timeout }
 
-// refusedError reports an RST from a bound instance with the port
-// closed.
-type refusedError struct{ addr string }
-
-func (e *refusedError) Error() string   { return fmt.Sprintf("dial tcp %s: connection refused", e.addr) }
-func (e *refusedError) Timeout() bool   { return false }
-func (e *refusedError) Temporary() bool { return false }
-
-// NewTimeoutError returns the dial-timeout error this network produces
-// for a dropped SYN. Fault layers wrapping a Dialer (internal/faults)
-// reuse it so injected failures are indistinguishable from organic
-// ones to the scanner's timeout classification.
-func NewTimeoutError(addr string) net.Error { return &timeoutError{addr: addr} }
-
-// NewRefusedError returns the connection-refused error this network
-// produces for a closed port on a bound instance.
-func NewRefusedError(addr string) net.Error { return &refusedError{addr: addr} }
+// ErrTimeout and ErrRefused are the verdicts for a dropped SYN and for
+// a closed port on a bound instance. Fault layers and the cloudapi
+// wire client return them too, so their failures classify as organic.
+var (
+	ErrTimeout net.Error = &verdictError{"dial tcp: i/o timeout", true}
+	ErrRefused net.Error = &verdictError{"dial tcp: connection refused", false}
+)
 
 // Stats counts network activity, for the §7 politeness checks.
 type Stats struct {
@@ -239,35 +233,32 @@ func (n *Network) DialContext(ctx context.Context, network, address string) (net
 	}
 	st := n.cloud.StateAt(day, ip)
 	if !st.Bound {
-		return nil, &timeoutError{addr: address}
+		return nil, ErrTimeout
 	}
 	if !st.Ports.OpensPort(port) {
-		return nil, &refusedError{addr: address}
+		return nil, ErrRefused
 	}
 	// Slow hosts answer only patient dialers: if the caller's deadline
 	// arrives before SlowThreshold, the SYN goes unanswered.
 	if st.Slow {
 		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < n.SlowThreshold {
-			return nil, &timeoutError{addr: address}
+			return nil, ErrTimeout
 		}
 	}
 	// Transient loss: hash-selected probes fail on their first attempt
 	// and succeed on retry, counted per probe session.
 	if n.lossDrop(ProbeSession(ctx), ip, port, day) {
-		return nil, &timeoutError{addr: address}
+		return nil, ErrTimeout
 	}
 
 	n.stats.Accepted.Add(1)
-	client, server := newConnPair()
-	switch port {
-	case 80:
-		go n.serveHTTP(server, ip, false)
-	case 443:
-		go n.serveHTTP(server, ip, true)
-	default: // 22: answer with an SSH banner then close on input.
-		go serveSSHBanner(server)
+	p := newConnPair()
+	if port == 22 { // answer with an SSH banner, then close on input
+		go serveSSHBanner(&p.s)
+	} else {
+		p.n, p.ip, p.useTLS = n, ip, port == 443
 	}
-	return client, nil
+	return &p.c, nil
 }
 
 // lossDrop decides whether this attempt is transiently lost. Loss is

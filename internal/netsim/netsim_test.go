@@ -60,6 +60,30 @@ func TestDialUnboundTimesOut(t *testing.T) {
 	}
 }
 
+// TestProbeAllocations pins what a probe costs the network: a verdict
+// allocates nothing, and an answered probe that closes without writing
+// costs its connection pair alone — starting the server goroutine
+// would cost its closure too.
+func TestProbeAllocations(t *testing.T) {
+	n, cloud := testNetwork(t)
+	n.LossPerMille = 0
+	unbound := findIP(t, cloud, func(s cloudsim.IPState) bool { return !s.Bound }).String() + ":80"
+	open := findWebIP(t, cloud, 80).String() + ":80"
+	ctx := context.Background()
+	if a := testing.AllocsPerRun(100, func() { _, _ = n.DialContext(ctx, "tcp", unbound) }); a != 0 {
+		t.Errorf("a dropped probe allocates %v times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		c, err := n.DialContext(ctx, "tcp", open)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}); a != 1 {
+		t.Errorf("an answered probe allocates %v times, want 1 (its connection pair)", a)
+	}
+}
+
 func asNetError(err error, out *net.Error) bool {
 	ne, ok := err.(net.Error)
 	if ok {

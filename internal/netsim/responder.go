@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"whowas/internal/ipaddr"
+	"whowas/internal/websim"
 )
 
 // maxHeadBytes bounds a request head (request line and header fields,
@@ -254,9 +255,6 @@ func (n *Network) serveHTTP(c net.Conn, ip ipaddr.Addr, useTLS bool) {
 // unknown path.
 const notFoundPage = "<html><head><title>404 Not Found</title></head><body><h1>Not Found</h1></body></html>\n"
 
-// header is one response header field.
-type header struct{ key, value string }
-
 // responseBufs holds response assembly buffers. One is taken per
 // request and returned before the connection waits for the next:
 // keeping it for the connection's life would pin a page-sized buffer
@@ -278,16 +276,16 @@ func (n *Network) respond(c net.Conn, day int, ip ipaddr.Addr, path []byte) bool
 	b := (*buf)[:0]
 	switch string(path) {
 	case "/robots.txt":
-		b = appendResponse(b, 200, []header{{"Content-Type", "text/plain"}}, profile.RobotsTxt())
+		b = appendResponse(b, 200, []websim.Header{{Key: "Content-Type", Value: "text/plain"}}, profile.RobotsTxt())
 	case "/":
-		var hs [8]header
-		b = appendResponse(b, profile.StatusCode, pageHeaders(hs[:0], profile.Headers(revision)), profile.RenderPage(revision))
+		var hs [8]websim.Header
+		b = appendResponse(b, profile.StatusCode, pageHeaders(profile.AppendHeaders(hs[:0], revision)), profile.RenderPage(revision))
 	default:
 		status, body := 200, profile.RenderSubpage(string(path), revision)
 		if body == "" {
 			status, body = 404, notFoundPage
 		}
-		b = appendResponse(b, status, []header{{"Content-Type", "text/html"}, {"Server", profile.Server}}, body)
+		b = appendResponse(b, status, []websim.Header{{Key: "Content-Type", Value: "text/html"}, {Key: "Server", Value: profile.Server}}, body)
 	}
 	_, err := c.Write(b)
 	*buf = b
@@ -295,27 +293,28 @@ func (n *Network) respond(c net.Conn, day int, ip ipaddr.Addr, path []byte) bool
 	return err == nil
 }
 
-// pageHeaders appends a profile's headers to dst in the order
-// net/http writes them — canonical keys, sorted — defaulting the
-// content type when the profile names none.
-func pageHeaders(dst []header, m map[string]string) []header {
+// pageHeaders puts a profile's headers in the order net/http writes
+// them — canonical keys, sorted — defaulting the content type when the
+// profile names none.
+func pageHeaders(hs []websim.Header) []websim.Header {
 	const ctype = "Content-Type"
 	hasType := false
-	for k, v := range m {
-		k = http.CanonicalHeaderKey(k)
-		if k == ctype {
-			if v == "" {
+	out := hs[:0]
+	for _, h := range hs {
+		h.Key = http.CanonicalHeaderKey(h.Key)
+		if h.Key == ctype {
+			if h.Value == "" {
 				continue
 			}
 			hasType = true
 		}
-		dst = append(dst, header{k, v})
+		out = append(out, h)
 	}
 	if !hasType {
-		dst = append(dst, header{ctype, "text/html; charset=utf-8"})
+		out = append(out, websim.Header{Key: ctype, Value: "text/html; charset=utf-8"})
 	}
-	slices.SortFunc(dst, func(a, b header) int { return strings.Compare(a.key, b.key) })
-	return dst
+	slices.SortFunc(out, func(a, b websim.Header) int { return strings.Compare(a.Key, b.Key) })
+	return out
 }
 
 // appendResponse appends the wire image of an HTTP/1.1 response to a
@@ -323,7 +322,7 @@ func pageHeaders(dst []header, m map[string]string) []header {
 // status, headers (sorted by key) and body. internal/faults cuts
 // streams at byte budgets, so every chaos digest depends on these
 // bytes; TestResponderMatchesNetHTTP holds them to the oracle.
-func appendResponse(b []byte, status int, headers []header, body string) []byte {
+func appendResponse(b []byte, status int, headers []websim.Header, body string) []byte {
 	b = append(b, "HTTP/1.1 "...)
 	b = strconv.AppendInt(b, int64(status), 10)
 	b = append(b, ' ')
@@ -335,9 +334,9 @@ func appendResponse(b []byte, status int, headers []header, body string) []byte 
 		b = append(b, "\r\n"...)
 	}
 	for _, h := range headers {
-		b = append(b, h.key...)
+		b = append(b, h.Key...)
 		b = append(b, ": "...)
-		b = append(b, h.value...)
+		b = append(b, h.Value...)
 		b = append(b, "\r\n"...)
 	}
 	// net/http writes an empty body's length after the other fields,

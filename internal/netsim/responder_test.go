@@ -13,6 +13,7 @@ import (
 
 	"whowas/internal/cloudsim"
 	"whowas/internal/ipaddr"
+	"whowas/internal/websim"
 )
 
 // oracleResponse is the response the responder built before it wrote
@@ -58,7 +59,11 @@ func oracleRespond(cloud *cloudsim.Cloud, day int, ip ipaddr.Addr, path string) 
 	case path == "/robots.txt":
 		return oracleResponse(200, "text/plain", profile.RobotsTxt(), nil)
 	case path == "/" || path == "":
-		return oracleResponse(profile.StatusCode, "", profile.RenderPage(revision), profile.Headers(revision))
+		headers := map[string]string{}
+		for _, h := range profile.AppendHeaders(nil, revision) {
+			headers[h.Key] = h.Value
+		}
+		return oracleResponse(profile.StatusCode, "", profile.RenderPage(revision), headers)
 	default:
 		if body := profile.RenderSubpage(path, revision); body != "" {
 			return oracleResponse(200, "text/html", body, map[string]string{"Server": profile.Server})
@@ -161,8 +166,11 @@ func TestResponseShapes(t *testing.T) {
 		{200, "lowercase keys", map[string]string{"server": "nginx", "x-powered-by": "Express"}},
 	}
 	for _, tc := range cases {
-		var hs [8]header
-		got := appendResponse(nil, tc.status, pageHeaders(hs[:0], tc.headers), tc.body)
+		var hs []websim.Header
+		for k, v := range tc.headers {
+			hs = append(hs, websim.Header{Key: k, Value: v})
+		}
+		got := appendResponse(nil, tc.status, pageHeaders(hs), tc.body)
 		if want := oracleResponse(tc.status, "", tc.body, tc.headers); !bytes.Equal(got, want) {
 			t.Errorf("status %d body %q headers %v:\n got %q\nwant %q", tc.status, tc.body, tc.headers, got, want)
 		}

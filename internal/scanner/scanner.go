@@ -183,33 +183,34 @@ func (s *Scanner) wait(ctx context.Context) error {
 	return err
 }
 
-// timedProbe wraps probe with the latency histogram, skipping the
-// clock reads when instrumentation is off.
-func (s *Scanner) timedProbe(ctx context.Context, ip ipaddr.Addr, port int, timeout time.Duration) (bool, error) {
-	if s.mProbeLat == nil {
-		return s.probe(ctx, ip, port, timeout)
+// probe sends one connection probe to address ("a.b.c.d:port"),
+// returning whether the port answered and, when it did not, the dial
+// error so callers can tell a timeout (retryable) from a refusal.
+// Connection-refused counts as a response from the instance for
+// liveness purposes only at the TCP level; the paper's scanner records
+// a port as open only when the SYN is answered with SYN-ACK, so
+// refusals report false here. Its deadline arms no timer unless the
+// dialer waits on it.
+func (s *Scanner) probe(ctx context.Context, address string, timeout time.Duration) (bool, error) {
+	if s.mProbeLat != nil {
+		start := time.Now()
+		defer func() { s.mProbeLat.Observe(time.Since(start)) }()
 	}
-	start := time.Now()
-	ok, err := s.probe(ctx, ip, port, timeout)
-	s.mProbeLat.Observe(time.Since(start))
-	return ok, err
-}
-
-// probe sends one connection probe, returning whether the port
-// answered and, when it did not, the dial error so callers can tell a
-// timeout (retryable) from a refusal. Connection-refused counts as a
-// response from the instance for liveness purposes only at the TCP
-// level; the paper's scanner records a port as open only when the SYN
-// is answered with SYN-ACK, so refusals report false here.
-func (s *Scanner) probe(ctx context.Context, ip ipaddr.Addr, port int, timeout time.Duration) (bool, error) {
-	pctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	conn, err := s.dialer.DialContext(pctx, "tcp", net.JoinHostPort(ip.String(), strconv.Itoa(port)))
+	pctx := netsim.WithTimeout(ctx, timeout)
+	defer pctx.Release()
+	conn, err := s.dialer.DialContext(pctx, "tcp", address)
 	if err != nil {
 		return false, err
 	}
 	conn.Close()
 	return true, nil
+}
+
+// dialAddress formats "a.b.c.d:port" in one allocation; a port's
+// retries reuse it.
+func dialAddress(ip ipaddr.Addr, port int) string {
+	var buf [len("255.255.255.255:65535")]byte
+	return string(strconv.AppendInt(append(ip.AppendTo(buf[:0]), ':'), int64(port), 10))
 }
 
 // probePort runs the full retry schedule for one (ip, port): up to
@@ -219,13 +220,14 @@ func (s *Scanner) probe(ctx context.Context, ip ipaddr.Addr, port int, timeout t
 // is how many probes this port consumed. A dial error that is no
 // verdict (see verdict) is returned: the port was not measured.
 func (s *Scanner) probePort(ctx context.Context, ip ipaddr.Addr, port int, stats *Stats) (bool, int64, error) {
+	address := dialAddress(ip, port)
 	for attempt := 0; ; attempt++ {
 		if err := s.wait(ctx); err != nil {
 			return false, int64(attempt), err
 		}
 		atomic.AddInt64(&stats.Probes, 1)
 		s.mProbes.Inc()
-		ok, perr := s.timedProbe(ctx, ip, port, s.cfg.Timeout)
+		ok, perr := s.probe(ctx, address, s.cfg.Timeout)
 		if ok {
 			return true, int64(attempt + 1), nil
 		}
@@ -257,7 +259,7 @@ func (s *Scanner) ProbeOnce(ctx context.Context, ip ipaddr.Addr, port int, timeo
 		return false, err
 	}
 	s.mProbes.Inc()
-	ok, err := s.timedProbe(ctx, ip, port, timeout)
+	ok, err := s.probe(ctx, dialAddress(ip, port), timeout)
 	if !ok {
 		if _, answered := verdict(err); !answered {
 			return false, err

@@ -547,6 +547,44 @@ func TestRetriesRecoverInjectedLoss(t *testing.T) {
 	}
 }
 
+// TestBlackoutHeldProbeUsesFullTimeout drives a probe into a fault
+// blackout that holds dials: the held dial waits on the probe
+// context's Done, which arms the deadline timer only then, so the
+// probe must still last its whole Config.Timeout and be classified as
+// a timeout, not as an aborted scan.
+func TestBlackoutHeldProbeUsesFullTimeout(t *testing.T) {
+	cloud, net := testSetup(t)
+	sc := faults.Scenario{Seed: 5, Episodes: []faults.Episode{faults.Blackout("", 0, 0, true)}}
+	inj, err := faults.Wrap(net, sc, faults.Options{Day: net.Day})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 40 * time.Millisecond
+	s, err := New(inj, Config{Rate: UnlimitedRate, Workers: 1, Timeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ip ipaddr.Addr
+	cloud.Ranges().Each(func(a ipaddr.Addr) bool {
+		ip = a
+		return !cloud.StateAt(0, a).Ports.OpensPort(80)
+	})
+	start := time.Now()
+	ok, perr := s.probe(context.Background(), dialAddress(ip, 80), s.cfg.Timeout)
+	elapsed := time.Since(start)
+	if ok || !IsTimeout(perr) {
+		t.Fatalf("held probe = %v, %v; want a timeout", ok, perr)
+	}
+	if elapsed < timeout {
+		t.Errorf("held probe returned after %v, before its %v timeout", elapsed, timeout)
+	}
+	stats := &Stats{}
+	open, err := s.scanIP(context.Background(), ip, stats)
+	if err != nil || open != 0 || stats.Probes != 3 {
+		t.Errorf("scanIP under a held blackout = ports %d, %d probes, err %v; want 0, 3 probes, no error", open, stats.Probes, err)
+	}
+}
+
 // dialerFunc adapts a function to netsim.Dialer.
 type dialerFunc func(ctx context.Context, network, address string) (net.Conn, error)
 
@@ -571,9 +609,9 @@ func TestDialErrorIsVerdictOnlyWhenNetError(t *testing.T) {
 		dialErr func(addr string) error
 		abort   bool
 	}{
-		{"timeout", func(a string) error { return netsim.NewTimeoutError(a) }, false},
-		{"refused", func(a string) error { return netsim.NewRefusedError(a) }, false},
-		{"wrapped timeout", func(a string) error { return fmt.Errorf("dial: %w", netsim.NewTimeoutError(a)) }, false},
+		{"timeout", func(string) error { return netsim.ErrTimeout }, false},
+		{"refused", func(string) error { return netsim.ErrRefused }, false},
+		{"wrapped timeout", func(string) error { return fmt.Errorf("dial: %w", netsim.ErrTimeout) }, false},
 		{"plain error", func(string) error { return broken }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,18 +7,17 @@
 // chosen with the gap statistic (§5) to group pages into clusters.
 //
 // The implementation is self-contained: tokenization, 64-bit FNV-based
-// feature hashing extended to 96 bits, weighted vector accumulation and
+// feature hashing extended to 96 bits, vector accumulation and
 // sign quantization, plus Hamming-distance helpers.
 package simhash
 
 import (
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"math/bits"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Bits is the fingerprint width used throughout WhoWas.
@@ -110,23 +109,25 @@ func (f Fingerprint) FlipBits(positions ...int) Fingerprint {
 	return f
 }
 
-// featureHash maps one token to a 96-bit hash. It runs two independent
-// FNV-1a style passes with different offset bases so the two halves are
-// decorrelated.
-func featureHash(token string) Fingerprint {
-	const (
-		prime64   = 1099511628211
-		offset64a = 14695981039346656037
-		offset64b = 0x9e3779b97f4a7c15 // golden-ratio offset for the second stream
-	)
-	a := uint64(offset64a)
-	b := uint64(offset64b)
-	for i := 0; i < len(token); i++ {
-		c := uint64(token[i])
-		a = (a ^ c) * prime64
-		b = (b ^ (c + 0x5b)) * prime64
-	}
-	// Extra avalanche so short tokens spread across all 96 bits.
+// fnvPair is a feature hash in progress: two independent FNV-1a style
+// passes with different offset bases, so the two halves of the 96 bits
+// are decorrelated. Writing a feature's bytes and then calling sum is
+// featureHash of the feature.
+type fnvPair struct{ a, b uint64 }
+
+const prime64 = 1099511628211
+
+var fnvOffsets = fnvPair{a: 14695981039346656037, b: 0x9e3779b97f4a7c15} // b: the golden ratio
+
+func (s *fnvPair) write(c byte) {
+	s.a = (s.a ^ uint64(c)) * prime64
+	s.b = (s.b ^ (uint64(c) + 0x5b)) * prime64
+}
+
+// sum finishes the hash with an extra avalanche so short tokens spread
+// across all 96 bits, leaving the pair as it was.
+func (s fnvPair) sum() Fingerprint {
+	a, b := s.a, s.b
 	a ^= a >> 33
 	a *= 0xff51afd7ed558ccd
 	a ^= a >> 33
@@ -136,42 +137,42 @@ func featureHash(token string) Fingerprint {
 	return Fingerprint{Hi: uint32(b), Lo: a}
 }
 
-// Hasher accumulates weighted features and quantizes them into a
-// Fingerprint. The zero value is ready to use.
-type Hasher struct {
+// featureHash maps one token to a 96-bit hash.
+func featureHash(token string) Fingerprint {
+	s := fnvOffsets
+	for i := 0; i < len(token); i++ {
+		s.write(token[i])
+	}
+	return s.sum()
+}
+
+// hasher accumulates features and quantizes them into a Fingerprint.
+// The zero value is ready to use.
+type hasher struct {
 	sums [Bits]int64
 	n    int
 }
 
-// Add accumulates one feature with the given positive weight.
-func (h *Hasher) Add(token string, weight int) {
-	if weight <= 0 || token == "" {
-		return
-	}
-	fp := featureHash(token)
-	w := int64(weight)
-	// Branchless accumulation: bit b contributes +w when set, -w when
-	// clear, i.e. (2*bit-1)*w. This loop dominates campaign CPU, so it
-	// avoids per-bit branches.
+// add accumulates one feature of weight 1: bit b of its hash adds 1 to
+// sum b when set and -1 when clear, computed as 2*bit-1. This loop
+// dominates hashing CPU, so it avoids per-bit branches.
+func (h *hasher) add(fp Fingerprint) {
 	lo := fp.Lo
 	for i := 0; i < 64; i++ {
-		h.sums[i] += (int64(lo&1)<<1 - 1) * w
+		h.sums[i] += int64(lo&1)<<1 - 1
 		lo >>= 1
 	}
 	hi := fp.Hi
 	for i := 64; i < Bits; i++ {
-		h.sums[i] += (int64(hi&1)<<1 - 1) * w
+		h.sums[i] += int64(hi&1)<<1 - 1
 		hi >>= 1
 	}
 	h.n++
 }
 
-// Features reports how many features have been added.
-func (h *Hasher) Features() int { return h.n }
-
 // Fingerprint quantizes the accumulated sums: bit i is 1 iff the i-th
 // component is positive. The empty hasher yields Zero.
-func (h *Hasher) Fingerprint() Fingerprint {
+func (h *hasher) Fingerprint() Fingerprint {
 	var f Fingerprint
 	if h.n == 0 {
 		return f
@@ -190,59 +191,41 @@ func (h *Hasher) Fingerprint() Fingerprint {
 }
 
 // Hash computes the simhash of a document using word-shingle features.
-// Tokens are lowercased alphanumeric runs; features are the tokens
-// themselves plus 2-shingles, each with weight 1, which matches the
-// webpage-comparison usage cited by the paper [26-28].
+// Tokens are lowercased runs of Unicode letters and digits; features
+// are the tokens themselves plus 2-shingles (two adjacent tokens
+// joined by one space), each with weight 1, which matches the
+// webpage-comparison usage cited by the paper [26-28]. It makes one
+// pass and no allocation: each lowered rune's bytes feed the token's
+// hash and the shingle's, which resumes the previous token's hash
+// after a space.
 func Hash(text string) Fingerprint {
-	var h Hasher
-	tokens := Tokenize(text)
-	for _, t := range tokens {
-		h.Add(t, 1)
-	}
-	for i := 0; i+1 < len(tokens); i++ {
-		h.Add(tokens[i]+" "+tokens[i+1], 1)
-	}
-	return h.Fingerprint()
-}
-
-// Tokenize splits text into lowercase alphanumeric tokens. It is
-// exported so callers (feature extraction, tests) share one definition
-// of a "word".
-func Tokenize(text string) []string {
-	var tokens []string
-	var sb strings.Builder
-	flush := func() {
-		if sb.Len() > 0 {
-			tokens = append(tokens, sb.String())
-			sb.Reset()
+	var h hasher
+	var tok, prev, shingle fnvPair
+	inToken, hasPrev := false, false
+	endToken := func() {
+		if inToken {
+			h.add(tok.sum())
+			if hasPrev {
+				h.add(shingle.sum())
+			}
+			prev, hasPrev, inToken = tok, true, false
 		}
 	}
+	var enc [utf8.UTFMax]byte
 	for _, r := range text {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			sb.WriteRune(unicode.ToLower(r))
-		default:
-			flush()
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+			endToken()
+			continue
+		}
+		if !inToken {
+			inToken, tok, shingle = true, fnvOffsets, prev
+			shingle.write(' ')
+		}
+		for _, c := range enc[:utf8.EncodeRune(enc[:], unicode.ToLower(r))] {
+			tok.write(c)
+			shingle.write(c)
 		}
 	}
-	flush()
-	return tokens
-}
-
-// ErrEmpty is returned by HashReaderChunks when no content was supplied.
-var ErrEmpty = errors.New("simhash: empty document")
-
-// HashChunks computes a simhash over a document supplied in chunks,
-// for callers that stream bounded page bodies (the fetcher caps bodies
-// at 512 KB). Chunk boundaries must fall on byte boundaries; tokens
-// spanning chunks are handled by carrying the trailing partial token.
-func HashChunks(chunks [][]byte) (Fingerprint, error) {
-	if len(chunks) == 0 {
-		return Zero, ErrEmpty
-	}
-	var sb strings.Builder
-	for _, c := range chunks {
-		sb.Write(c)
-	}
-	return Hash(sb.String()), nil
+	endToken()
+	return h.Fingerprint()
 }

@@ -180,14 +180,14 @@ func TestTokenize(t *testing.T) {
 		{"<html lang=\"en\">", []string{"html", "lang", "en"}},
 	}
 	for _, c := range cases {
-		got := Tokenize(c.in)
+		got := tokenize(c.in)
 		if len(got) != len(c.want) {
-			t.Errorf("Tokenize(%q) = %v, want %v", c.in, got, c.want)
+			t.Errorf("tokenize(%q) = %v, want %v", c.in, got, c.want)
 			continue
 		}
 		for i := range got {
 			if got[i] != c.want[i] {
-				t.Errorf("Tokenize(%q)[%d] = %q, want %q", c.in, i, got[i], c.want[i])
+				t.Errorf("tokenize(%q)[%d] = %q, want %q", c.in, i, got[i], c.want[i])
 			}
 		}
 	}
@@ -195,7 +195,7 @@ func TestTokenize(t *testing.T) {
 
 func TestHasherWeights(t *testing.T) {
 	// A heavily weighted feature should dominate the fingerprint.
-	var h Hasher
+	var h hasher
 	h.Add("dominant", 1000)
 	h.Add("noise", 1)
 	dominant := featureHash("dominant")
@@ -205,7 +205,7 @@ func TestHasherWeights(t *testing.T) {
 }
 
 func TestHasherIgnoresInvalid(t *testing.T) {
-	var h Hasher
+	var h hasher
 	h.Add("", 5)
 	h.Add("tok", 0)
 	h.Add("tok", -3)
@@ -214,35 +214,6 @@ func TestHasherIgnoresInvalid(t *testing.T) {
 	}
 	if h.Fingerprint() != Zero {
 		t.Error("invalid adds produced nonzero fingerprint")
-	}
-}
-
-func TestHashChunksMatchesWhole(t *testing.T) {
-	doc := []byte(strings.Repeat("whowas measures web deployments on iaas clouds ", 64))
-	whole := Hash(string(doc))
-	for _, n := range []int{1, 2, 7, 64} {
-		var chunks [][]byte
-		sz := (len(doc) + n - 1) / n
-		for i := 0; i < len(doc); i += sz {
-			end := i + sz
-			if end > len(doc) {
-				end = len(doc)
-			}
-			chunks = append(chunks, doc[i:end])
-		}
-		got, err := HashChunks(chunks)
-		if err != nil {
-			t.Fatalf("HashChunks(%d chunks): %v", n, err)
-		}
-		if got != whole {
-			t.Errorf("HashChunks(%d chunks) = %v, want %v", n, got, whole)
-		}
-	}
-}
-
-func TestHashChunksEmpty(t *testing.T) {
-	if _, err := HashChunks(nil); err != ErrEmpty {
-		t.Errorf("HashChunks(nil) err = %v, want ErrEmpty", err)
 	}
 }
 

@@ -20,6 +20,7 @@ package websim
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 )
 
@@ -477,25 +478,25 @@ func (p *Profile) RobotsTxt() string {
 	return "User-agent: *\nDisallow: /admin/\nAllow: /\n"
 }
 
-// Headers returns the HTTP response headers for the top-level page.
-// Header-name variety matters: WhoWas's feature 3 is the sorted header
-// name string, used in level-1 clustering indirectly via server and in
-// the stored record.
-func (p *Profile) Headers(revision int) map[string]string {
-	h := map[string]string{
-		"Content-Type": p.ContentType + "; charset=utf-8",
-		"Server":       p.Server,
-	}
+// Header is one HTTP response header field.
+type Header struct{ Key, Value string }
+
+// AppendHeaders appends the HTTP response headers for the top-level
+// page to dst, keys in canonical form. Header-name variety matters:
+// WhoWas's feature 3 is the sorted header name string, used in level-1
+// clustering indirectly via server and in the stored record.
+func (p *Profile) AppendHeaders(dst []Header, revision int) []Header {
+	dst = append(dst, Header{"Content-Type", p.ContentType + "; charset=utf-8"}, Header{"Server", p.Server})
 	if p.Backend != "" {
-		h["X-Powered-By"] = p.Backend
+		dst = append(dst, Header{"X-Powered-By", p.Backend})
 	}
 	if strings.Contains(p.Server, "nginx") || strings.Contains(p.Server, "Apache") {
-		h["Accept-Ranges"] = "bytes"
+		dst = append(dst, Header{"Accept-Ranges", "bytes"})
 	}
 	if p.StatusCode == 200 && revision%2 == 0 {
-		h["Cache-Control"] = "max-age=300"
+		dst = append(dst, Header{"Cache-Control", "max-age=300"})
 	}
-	return h
+	return dst
 }
 
 // RenderPage produces the page body for a content revision. Revisions
@@ -535,37 +536,41 @@ func (p *Profile) RenderPage(revision int) string {
 	return p.renderHTML(revision)
 }
 
+// renderHTML costs one allocation: a presized builder, and no fmt.
 func (p *Profile) renderHTML(revision int) string {
 	var sb strings.Builder
+	sb.Grow(2048)
+	put := func(parts ...string) {
+		for _, s := range parts {
+			sb.WriteString(s)
+		}
+	}
 	words := categoryWords[p.Category]
 	if len(words) == 0 {
 		words = categoryWords[CategoryCorporate]
 	}
-	sb.WriteString("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n")
-	fmt.Fprintf(&sb, "<title>%s</title>\n", p.Title)
-	fmt.Fprintf(&sb, "<meta name=\"description\" content=\"%s\">\n", p.Description)
-	fmt.Fprintf(&sb, "<meta name=\"keywords\" content=\"%s\">\n", p.Keywords)
+	put("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<title>", p.Title, "</title>\n",
+		"<meta name=\"description\" content=\"", p.Description, "\">\n",
+		"<meta name=\"keywords\" content=\"", p.Keywords, "\">\n")
 	if p.Template != "" {
-		fmt.Fprintf(&sb, "<meta name=\"generator\" content=\"%s\">\n", p.Template)
+		put("<meta name=\"generator\" content=\"", p.Template, "\">\n")
 	}
 	for _, tr := range p.Trackers {
 		if tr.Name == "google-analytics" && p.AnalyticsID != "" {
-			fmt.Fprintf(&sb, "<script>var _gaq=_gaq||[];_gaq.push(['_setAccount','%s']);", p.AnalyticsID)
-			fmt.Fprintf(&sb, "(function(){var ga=document.createElement('script');ga.src='%s';})();</script>\n", tr.URL)
+			put("<script>var _gaq=_gaq||[];_gaq.push(['_setAccount','", p.AnalyticsID, "']);",
+				"(function(){var ga=document.createElement('script');ga.src='", tr.URL, "';})();</script>\n")
 		} else {
-			fmt.Fprintf(&sb, "<script src=\"%s\"></script>\n", tr.URL)
+			put("<script src=\"", tr.URL, "\"></script>\n")
 		}
 	}
-	sb.WriteString("</head>\n<body>\n")
-	fmt.Fprintf(&sb, "<h1>%s</h1>\n", p.Title)
+	put("</head>\n<body>\n<h1>", p.Title, "</h1>\n")
 	// Stable body paragraphs derived from the profile id. Half the
 	// words come from a broad shared lexicon so that two services of
 	// the same category still have clearly distinct bodies (and thus
 	// distant simhashes), as real sites do.
 	seed := p.ID*0x9e3779b97f4a7c15 + 0x3c6ef372fe94f82a
 	for para := 0; para < 5; para++ {
-		sb.WriteString("<p>")
-		fmt.Fprintf(&sb, "%s section %d: ", p.Domain, para)
+		put("<p>", p.Domain, " section ", strconv.Itoa(para), ": ")
 		for w := 0; w < 24; w++ {
 			seed = seed*6364136223846793005 + 1442695040888963407
 			if w%2 == 0 {
@@ -578,12 +583,12 @@ func (p *Profile) renderHTML(revision int) string {
 		sb.WriteString("</p>\n")
 	}
 	// Revision-dependent fragment: small, so simhash moves a few bits.
-	fmt.Fprintf(&sb, "<p>updated build %d season %s</p>\n", revision, []string{"spring", "summer", "autumn", "winter"}[revision%4])
+	put("<p>updated build ", strconv.Itoa(revision), " season ", []string{"spring", "summer", "autumn", "winter"}[revision%4], "</p>\n")
 	for i, u := range p.MaliciousURLs {
-		fmt.Fprintf(&sb, "<a href=\"%s\">download %d</a>\n", u, i)
+		put("<a href=\"", u, "\">download ", strconv.Itoa(i), "</a>\n")
 	}
-	fmt.Fprintf(&sb, "<a href=\"http://%s/about\">About</a> <a href=\"http://%s/contact\">Contact</a>\n", p.Domain, p.Domain)
-	sb.WriteString("</body>\n</html>\n")
+	put("<a href=\"http://", p.Domain, "/about\">About</a> <a href=\"http://", p.Domain, "/contact\">Contact</a>\n",
+		"</body>\n</html>\n")
 	return sb.String()
 }
 

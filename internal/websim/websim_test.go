@@ -216,7 +216,10 @@ func TestRobotsTxt(t *testing.T) {
 func TestHeaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	p := GenProfile(rng, 5, EC2Like, CategoryBlog)
-	h := p.Headers(0)
+	h := map[string]string{}
+	for _, f := range p.AppendHeaders(nil, 0) {
+		h[f.Key] = f.Value
+	}
 	if h["Server"] != p.Server {
 		t.Errorf("Server header = %q", h["Server"])
 	}
