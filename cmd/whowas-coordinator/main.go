@@ -16,10 +16,10 @@
 //	whowas -worker -coordinator-addr 127.0.0.1:8395 -worker-id w2
 //
 // The coordinator's address also serves the standard ops surface
-// (/healthz, /metrics, /rounds, pprof) plus /coord/status and
-// /coord/fleet for fleet introspection: workers piggyback metrics
-// snapshots on their heartbeats and submissions, and sampled spans on
-// their submissions, and the coordinator aggregates them into a live fleet view
+// (/healthz, /metrics, /rounds, pprof) plus /coord/fleet for fleet
+// introspection: workers piggyback metrics snapshots on their
+// heartbeats and submissions, and sampled spans on their submissions,
+// and the coordinator aggregates them into a live fleet view
 // (`whowas-query fleet` renders it), a worker-labeled Prometheus
 // exposition on /metrics/prom, and — with -trace-journal — one merged
 // span journal that reconstructs the distributed campaign
@@ -52,7 +52,6 @@ type options struct {
 	leaseTTL     time.Duration
 	roundTimeout time.Duration
 	retries      int
-	keepBodies   bool
 	faultsPath   string
 	out          string
 	storeDir     string
@@ -73,7 +72,6 @@ func main() {
 	flag.DurationVar(&o.leaseTTL, "lease-ttl", coord.DefaultLeaseTTL, "worker lease lifetime; a worker silent this long is declared dead and its shards re-assigned")
 	flag.DurationVar(&o.roundTimeout, "round-timeout", 0, "per-round deadline; a round missing shards at the deadline finalizes degraded (0 = none)")
 	flag.IntVar(&o.retries, "retries", 0, "probe/fetch attempts per target, forwarded to workers (0 = single attempt)")
-	flag.BoolVar(&o.keepBodies, "keep-bodies", false, "retain raw page bodies in the store (and on the wire)")
 	flag.StringVar(&o.faultsPath, "faults", "", "inject faults from this JSON scenario on every worker")
 	flag.StringVar(&o.out, "out", "", "write the merged store (gob) to this path")
 	flag.StringVar(&o.storeDir, "store-dir", "", "back the merged store with the on-disk columnar engine at this directory (one segment file per round)")
@@ -105,7 +103,6 @@ func run(o options) error {
 		LeaseTTL:     o.leaseTTL,
 		RoundTimeout: o.roundTimeout,
 		Attempts:     o.retries,
-		KeepBodies:   o.keepBodies,
 		StoreDir:     o.storeDir,
 		Metrics:      metrics.NewRegistry(),
 	}

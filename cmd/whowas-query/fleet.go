@@ -85,14 +85,16 @@ func renderFleet(w io.Writer, addr string, f *coord.Fleet, histN int) {
 	default:
 		fmt.Fprintf(w, ", idle (%d/%d rounds)\n", st.RoundsCompleted, st.RoundsTotal)
 	}
-	if st.Unlimited {
-		fmt.Fprintf(w, "budget: unlimited (simulation speed), %d lease(s)", len(st.Leases))
-	} else {
-		util := 0.0
-		if st.Rate > 0 {
-			util = 100 * st.LeasedRate / st.Rate
+	if st.Rate == 0 {
+		leases := 0
+		for _, wv := range f.Workers {
+			if wv.Lease != nil {
+				leases++
+			}
 		}
-		fmt.Fprintf(w, "budget: %.0f pps, leased %.0f (%.1f%%)", st.Rate, st.LeasedRate, util)
+		fmt.Fprintf(w, "budget: unlimited (simulation speed), %d lease(s)", leases)
+	} else {
+		fmt.Fprintf(w, "budget: %.0f pps, leased %.0f (%.1f%%)", st.Rate, st.LeasedRate, 100*st.QuotaUtilization)
 	}
 	fmt.Fprintf(w, "   fleet rate: %.1f probes/sec\n\n", f.ProbesPerSec)
 
@@ -101,9 +103,8 @@ func renderFleet(w io.Writer, addr string, f *coord.Fleet, histN int) {
 	for _, wv := range f.Workers {
 		lease, ttl := "-", "-"
 		if wv.Lease != nil {
-			// An unlimited campaign leases slices of the simulation-speed
-			// sentinel rate; the number is meaningless, so elide it.
-			if st.Unlimited {
+			// An unlimited campaign leases zero-rate slices.
+			if st.Rate == 0 {
 				lease = "unlim"
 			} else {
 				lease = fmt.Sprintf("%.0f", wv.Lease.Rate)

@@ -13,7 +13,7 @@ import (
 // TestWorkerDeathReassignment kills a worker the moment it receives
 // its first shard assignment — before it probes or heartbeats — and
 // asserts the coordinator's lease machinery does its job: the lease
-// expires, its budget tokens return to the pool, the orphaned shard
+// expires, its slice returns to the budget, the orphaned shard
 // is re-queued, the surviving worker finishes the campaign, and the
 // final digest is still byte-identical to a single-process run.
 func TestWorkerDeathReassignment(t *testing.T) {
@@ -82,10 +82,10 @@ func TestWorkerDeathReassignment(t *testing.T) {
 		t.Fatalf("victim run = %v, want context.Canceled", err)
 	}
 
-	// The victim's lease must expire and return its tokens to the
+	// The victim's lease must expire and return its slice to the
 	// budget while the campaign is still running.
 	deadline := time.Now().Add(15 * time.Second)
-	for holds(srv.Budget().Holders(), "victim") {
+	for holds(leaseHolders(srv), "victim") {
 		if time.Now().After(deadline) {
 			t.Fatal("victim lease never expired")
 		}
@@ -146,7 +146,7 @@ func TestWorkerDeathReassignment(t *testing.T) {
 	if !expired {
 		t.Error("status history never recorded the victim's lease expiry")
 	}
-	if holders := srv.Budget().Holders(); len(holders) != 0 {
+	if holders := leaseHolders(srv); len(holders) != 0 {
 		t.Errorf("leases outstanding after drain: %v", holders)
 	}
 	for _, r := range srv.Reports() {
@@ -165,7 +165,7 @@ func TestWorkerDeathReassignment(t *testing.T) {
 
 // TestWorkerRejoinAfterDeath is the second half of the failure model:
 // a worker that re-registers under its old identity (a restarted
-// process) must get a fresh lease — not double-count the budget — and
+// process) must get a fresh lease — not count its slice twice — and
 // its previous session's orphaned shards must be re-queued rather
 // than waiting on a now-live lease that never expires.
 func TestWorkerRejoinAfterDeath(t *testing.T) {
@@ -232,8 +232,9 @@ func TestWorkerRejoinAfterDeath(t *testing.T) {
 	// Second incarnation rejoins under the SAME identity. Register must
 	// replace the dead lease in place (not stack a second one) and
 	// re-queue the orphaned shard — a shard left owned by the now-live
-	// lease would never expire and the round would hang. Budget is
-	// MaxWorkers=1, so any token leak would wedge registration forever.
+	// lease would never expire and the round would hang. The fleet is
+	// MaxWorkers=1, so a lease counted twice would wedge registration
+	// forever.
 	second, err := NewWorker(WorkerConfig{Coordinator: addr, ID: "phoenix", Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)

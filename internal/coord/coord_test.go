@@ -251,7 +251,8 @@ func TestCoordinatorDigestIdentity(t *testing.T) {
 				logMu.Lock()
 				lines := strings.Join(logged, "\n")
 				logMu.Unlock()
-				if want := "409 Conflict: " + ratelimit.ErrOverSubscribed.Error(); !strings.Contains(lines, want) {
+				want := fmt.Sprintf("409 Conflict: coord: fleet full: all %d worker leases held", tc.maxWorkers)
+				if !strings.Contains(lines, want) {
 					t.Errorf("no worker logged the coordinator's refusal reason %q:\n%s", want, lines)
 				}
 			}
@@ -265,7 +266,7 @@ func TestCoordinatorDigestIdentity(t *testing.T) {
 			if got != want {
 				t.Errorf("distributed digest %s != single-process digest %s", got, want)
 			}
-			if holders := srv.Budget().Holders(); len(holders) != 0 {
+			if holders := leaseHolders(srv); len(holders) != 0 {
 				t.Errorf("leases outstanding after drain: %v", holders)
 			}
 			reports := srv.Reports()

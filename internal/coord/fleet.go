@@ -32,10 +32,10 @@ const historyMax = 512
 const slowestN = 8
 
 // LeaseState is one worker's slice of the probe budget at a moment in
-// time: the leased rate and how long until the lease lapses unless
-// renewed. A negative ExpiresInMS marks a lease already past due.
+// time: the leased rate (0 when the campaign is unlimited) and how
+// long until the lease lapses unless renewed. A negative ExpiresInMS
+// marks a lease past due that the reaper has not reached yet.
 type LeaseState struct {
-	Worker      string  `json:"worker"`
 	Rate        float64 `json:"rate"`
 	ExpiresInMS int64   `json:"expires_in_ms"`
 }
@@ -43,7 +43,8 @@ type LeaseState struct {
 // WorkerView is one worker's row in the fleet dashboard.
 type WorkerView struct {
 	Worker string `json:"worker"`
-	// SeenAgoMS is how long ago the worker last reported.
+	// SeenAgoMS is how long ago the worker last registered or
+	// reported.
 	SeenAgoMS int64 `json:"seen_ago_ms"`
 	// ProbesPerSec is the probe rate over the most recent report
 	// interval (0 until two reports have arrived).
@@ -79,8 +80,12 @@ type Fleet struct {
 	History      []Status `json:"history"`
 }
 
-// workerState is the coordinator's bookkeeping for one worker.
+// workerState is the coordinator's row for one worker: its lease and
+// its last reports.
 type workerState struct {
+	// expires is the instant the lease lapses unless renewed; zero
+	// means the worker holds no lease.
+	expires  time.Time
 	metrics  metrics.Snapshot
 	slowest  []trace.SpanSnapshot
 	lastSeen time.Time
@@ -91,9 +96,9 @@ type workerState struct {
 	rate       float64
 }
 
-// fleetState is the coordinator's observability state: each worker's
-// last report and the status-history ring. The Server guards it with
-// its mutex.
+// fleetState is the coordinator's one worker table — each worker's
+// lease and last report — and the status-history ring. The Server
+// guards it with its mutex.
 type fleetState struct {
 	workers map[string]*workerState
 	history []Status // ring, at most historyMax records
@@ -112,6 +117,27 @@ func (f *fleetState) record(rec Status) {
 	f.next = (f.next + 1) % historyMax
 }
 
+// row returns the worker's row, adding an empty one on first sight.
+func (f *fleetState) row(worker string) *workerState {
+	ws, ok := f.workers[worker]
+	if !ok {
+		ws = &workerState{}
+		f.workers[worker] = ws
+	}
+	return ws
+}
+
+// leases counts the rows holding a lease, leaving out except's.
+func (f *fleetState) leases(except string) int {
+	n := 0
+	for id, ws := range f.workers {
+		if id != except && !ws.expires.IsZero() {
+			n++
+		}
+	}
+	return n
+}
+
 // observe folds one worker report in at the given instant: its
 // metrics snapshot and, from an accepted submission, the spans it
 // carried. Reports without a worker identity are ignored.
@@ -119,11 +145,7 @@ func (f *fleetState) observe(worker string, snap metrics.Snapshot, spans []trace
 	if worker == "" {
 		return
 	}
-	ws, ok := f.workers[worker]
-	if !ok {
-		ws = &workerState{}
-		f.workers[worker] = ws
-	}
+	ws := f.row(worker)
 	probes := snap.Counters[probesCounter]
 	if !ws.prevTime.IsZero() {
 		if dt := now.Sub(ws.prevTime); dt >= 200*time.Millisecond {
@@ -155,18 +177,18 @@ func (f *fleetState) observe(worker string, snap metrics.Snapshot, spans []trace
 	}
 }
 
-// view assembles the fleet document around a status snapshot, whose
-// leases fill each worker row's slice.
-func (f *fleetState) view(now time.Time, st Status) Fleet {
+// view assembles the fleet document around a status snapshot; each
+// row holding a lease shows it as a slice of the given rate.
+func (f *fleetState) view(now time.Time, st Status, slice float64) Fleet {
 	out := Fleet{Status: st, HistoryTotal: f.total}
-	byWorker := make(map[string]*LeaseState, len(st.Leases))
-	for i := range st.Leases {
-		byWorker[st.Leases[i].Worker] = &st.Leases[i]
-	}
 	snaps := make([]metrics.Snapshot, 0, len(f.workers))
 	for _, id := range f.sortedWorkers() {
 		ws := f.workers[id]
 		c := ws.metrics.Counters
+		var lease *LeaseState
+		if !ws.expires.IsZero() {
+			lease = &LeaseState{Rate: slice, ExpiresInMS: ws.expires.Sub(now).Milliseconds()}
+		}
 		out.Workers = append(out.Workers, WorkerView{
 			Worker:       id,
 			SeenAgoMS:    now.Sub(ws.lastSeen).Milliseconds(),
@@ -176,7 +198,7 @@ func (f *fleetState) view(now time.Time, st Status) Fleet {
 			Pages:        c["fetcher.pages"],
 			FetchErrors:  c["fetcher.transport_errors"],
 			Retries:      c["scanner.retries"] + c["fetcher.retries"],
-			Lease:        byWorker[id],
+			Lease:        lease,
 			Metrics:      ws.metrics,
 			Slowest:      ws.slowest,
 		})

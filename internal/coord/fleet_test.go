@@ -320,8 +320,8 @@ func TestFleetRatesAndView(t *testing.T) {
 	f.observe("w0", snapshotWith(150), spans, t0.Add(time.Second))
 	f.observe("w1", snapshotWith(0), nil, t0.Add(time.Second))
 
-	st := Status{Leases: []LeaseState{{Worker: "w0", Rate: 200, ExpiresInMS: 900}}}
-	view := f.view(t0.Add(2*time.Second), st)
+	f.workers["w0"].expires = t0.Add(2900 * time.Millisecond)
+	view := f.view(t0.Add(2*time.Second), Status{}, 200)
 	if len(view.Workers) != 2 {
 		t.Fatalf("workers = %d", len(view.Workers))
 	}
@@ -335,7 +335,7 @@ func TestFleetRatesAndView(t *testing.T) {
 	if w0.Probes != 150 || w0.Responsive != 75 {
 		t.Errorf("w0 counters: %+v", w0)
 	}
-	if w0.Lease == nil || w0.Lease.Rate != 200 {
+	if w0.Lease == nil || w0.Lease.Rate != 200 || w0.Lease.ExpiresInMS != 900 {
 		t.Errorf("w0 lease missing: %+v", w0.Lease)
 	}
 	if view.Workers[1].Lease != nil {
@@ -367,7 +367,7 @@ func TestFleetRatesAndView(t *testing.T) {
 		g.observe(id, snapshotWith(1), nil, t0)
 	}
 	var order []string
-	for _, w := range g.view(t0, Status{}).Workers {
+	for _, w := range g.view(t0, Status{}, 0).Workers {
 		order = append(order, w.Worker)
 	}
 	if got := strings.Join(order, " "); got != "w0 w1 w2 w3 w4 w5 w6 w7 w8" {
@@ -377,7 +377,7 @@ func TestFleetRatesAndView(t *testing.T) {
 	// A counter that goes backwards (worker restart) must not produce
 	// a negative rate.
 	f.observe("w0", snapshotWith(10), nil, t0.Add(3*time.Second))
-	view = f.view(t0.Add(3*time.Second), Status{})
+	view = f.view(t0.Add(3*time.Second), Status{}, 0)
 	if view.Workers[0].ProbesPerSec != 0 {
 		t.Errorf("restart rate = %g, want 0", view.Workers[0].ProbesPerSec)
 	}
@@ -388,7 +388,7 @@ func TestHistoryRing(t *testing.T) {
 	for i := 0; i < historyMax+2; i++ {
 		f.record(Status{TimeMS: int64(i), Event: "submit", Round: i})
 	}
-	view := f.view(time.Now(), Status{})
+	view := f.view(time.Now(), Status{}, 0)
 	if view.HistoryTotal != historyMax+2 {
 		t.Errorf("total = %d, want %d", view.HistoryTotal, historyMax+2)
 	}
@@ -405,7 +405,7 @@ func TestHistoryRing(t *testing.T) {
 func TestFleetIgnoresAnonymousReports(t *testing.T) {
 	f := newFleetState()
 	f.observe("", snapshotWith(1), nil, time.Now())
-	if v := f.view(time.Now(), Status{}); len(v.Workers) != 0 {
+	if v := f.view(time.Now(), Status{}, 0); len(v.Workers) != 0 {
 		t.Errorf("anonymous report folded in: %+v", v.Workers)
 	}
 }

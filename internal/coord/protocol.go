@@ -1,23 +1,27 @@
 // Package coord is the distributed campaign: a coordinator that owns
 // the round schedule, the region-shard assignment, the one store, and
-// the global §7 probe-rate budget as a leased-quota service
-// (internal/ratelimit.Budget), plus the worker that leases a slice of
-// that budget and runs assigned shards through core.ShardRunner
+// the global §7 probe-rate budget, plus the worker that leases a slice
+// of that budget and runs assigned shards through core.ShardRunner
 // against a shared whowas-cloudd.
+//
+// The coordinator keeps one table of workers. Each row holds the
+// worker's lease — an expiry instant on the coordinator's clock, one
+// equal slice Rate/MaxWorkers of the budget — beside its last reports,
+// all under one mutex; the budget is the count of live leases times
+// the slice.
 //
 // The protocol is JSON over HTTP on the shared internal/httpd stack,
 // beside its observability surface and internal/ops' routes; a refusal
 // is an httpd.ErrorDoc carrying the reason:
 //
-//	POST /coord/register   RegisterRequest  → RegisterReply (409 when the budget is full)
+//	POST /coord/register   RegisterRequest  → RegisterReply (409 while MaxWorkers others hold leases)
 //	POST /coord/heartbeat  HeartbeatRequest → HeartbeatReply (410 when the lease is gone)
 //	POST /coord/next       NextRequest      → Assignment     (410 when the lease is gone)
 //	POST /coord/submit     SubmitRequest    → SubmitReply
-//	GET  /coord/status                      → Status
 //	GET  /coord/fleet                       → Fleet
 //
 // Liveness is the lease: a worker that stops renewing (heartbeat or
-// /next, both renew) expires after the TTL, its tokens return to the
+// /next, both renew) expires after the TTL, its slice returns to the
 // global budget, and its unfinished shards are re-queued for the
 // surviving workers — a killed worker degrades the fleet exactly like
 // a blackout scenario degrades the network, and the round completes
@@ -47,17 +51,14 @@ type RegisterRequest struct {
 type RegisterReply struct {
 	Lease string `json:"lease"` // lease ID (the worker ID)
 	// Rate is the worker's leased slice of the global §7 probe budget,
-	// in probes per second. When Unlimited is set the campaign runs at
-	// simulation speed and the worker uses scanner.UnlimitedRate
-	// instead.
-	Rate      float64 `json:"rate"`
-	Unlimited bool    `json:"unlimited"`
+	// in probes per second; 0 means the campaign runs unlimited, at
+	// simulation speed.
+	Rate float64 `json:"rate"`
 	// TTLMS is the lease lifetime; heartbeat well inside it.
 	TTLMS     int64  `json:"ttl_ms"`
 	CloudAddr string `json:"cloud_addr"`
 	// Campaign knobs mirrored from the coordinator's config.
 	Attempts       int              `json:"attempts,omitempty"`
-	KeepBodies     bool             `json:"keep_bodies,omitempty"`
 	RoundTimeoutMS int64            `json:"round_timeout_ms,omitempty"`
 	Faults         *faults.Scenario `json:"faults,omitempty"`
 }
@@ -129,9 +130,9 @@ type SubmitReply struct {
 	Accepted bool `json:"accepted"`
 }
 
-// Status is a snapshot of the campaign's progress: the live document
-// behind GET /coord/status and, tagged with the event that produced
-// it, each record of the fleet view's status history.
+// Status is a snapshot of the campaign's progress: the live status of
+// the /coord/fleet document and, tagged with the event that produced
+// it, each record of its status history.
 type Status struct {
 	// TimeMS is the wall-clock instant, in Unix milliseconds.
 	TimeMS int64 `json:"time_ms"`
@@ -158,12 +159,11 @@ type Status struct {
 	LeasesExpired    int64 `json:"leases_expired"`
 	ShardsReassigned int64 `json:"shards_reassigned"`
 
-	// Quota state: the global §7 rate, the slice currently leased, and
-	// their ratio (0 when unlimited), plus the live leases sorted by
-	// worker.
-	Rate             float64      `json:"rate"`
-	LeasedRate       float64      `json:"leased_rate"`
-	QuotaUtilization float64      `json:"quota_utilization"`
-	Unlimited        bool         `json:"unlimited,omitempty"`
-	Leases           []LeaseState `json:"leases,omitempty"`
+	// Quota state: the global §7 rate (0 = unlimited, simulation
+	// speed), the rate currently leased (live leases × slice), and
+	// their ratio (0 when unlimited). Each lease is on its worker's
+	// row of the fleet document.
+	Rate             float64 `json:"rate"`
+	LeasedRate       float64 `json:"leased_rate"`
+	QuotaUtilization float64 `json:"quota_utilization"`
 }

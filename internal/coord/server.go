@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"sync"
 	"time"
 
@@ -15,7 +16,6 @@ import (
 	"whowas/internal/metrics"
 	"whowas/internal/ops"
 	"whowas/internal/ratelimit"
-	"whowas/internal/scanner"
 	"whowas/internal/store"
 	"whowas/internal/store/colstore"
 	"whowas/internal/trace"
@@ -39,14 +39,14 @@ type Config struct {
 	// value.
 	Shards int
 	// MaxWorkers bounds the fleet: the global probe budget is divided
-	// into MaxWorkers equal lease slices, and the MaxWorkers+1'th
-	// register attempt is refused (409) until a lease frees up.
+	// into MaxWorkers equal lease slices, and a register is refused
+	// (409) while MaxWorkers other workers hold leases.
 	// 0 means DefaultMaxWorkers.
 	MaxWorkers int
 	// Rate is the global §7 probe budget in probes per second, shared
 	// by the whole fleet. <= 0 means simulation speed (workers scan
-	// unthrottled, as core.FastCampaign does); the lease machinery
-	// still runs for liveness.
+	// unthrottled, as core.FastCampaign does, and every slice is 0);
+	// the leases still run for liveness.
 	Rate float64
 	// LeaseTTL is how long a worker lease lives without renewal; a
 	// silent worker expires after it and its shards are re-queued.
@@ -59,12 +59,11 @@ type Config struct {
 	// fleet. It is also forwarded to workers as their per-shard
 	// deadline. 0 means no deadline.
 	RoundTimeout time.Duration
-	// Attempts, KeepBodies and Faults mirror CampaignConfig and are
-	// forwarded to every worker so the fleet's records match a
-	// single-process run byte for byte.
-	Attempts   int
-	KeepBodies bool
-	Faults     *faults.Scenario
+	// Attempts and Faults mirror CampaignConfig and are forwarded to
+	// every worker so the fleet's records match a single-process run
+	// byte for byte.
+	Attempts int
+	Faults   *faults.Scenario
 	// StoreDir, when non-empty, backs the coordinator's store with the
 	// on-disk columnar engine (internal/store/colstore) in that
 	// directory instead of holding every round in memory. Digests are
@@ -80,8 +79,8 @@ type Config struct {
 	Tracer *trace.Tracer
 	// Observer, when non-nil, receives each completed round's report.
 	Observer func(core.RoundReport)
-	// Clock feeds the lease budget (tests install a fake). Nil means
-	// the real clock.
+	// Clock times the leases (tests install a fake). Nil means the
+	// real clock.
 	Clock ratelimit.Clock
 }
 
@@ -112,24 +111,23 @@ type roundState struct {
 // protocol with Start, drive the rounds with Run, and stop with
 // Shutdown.
 type Server struct {
-	cfg       Config
-	cloud     *cloudapi.Client
-	st        *store.Store
-	budget    *ratelimit.Budget
-	ctrl      *httpd.Server
-	addr      string
-	slice     float64 // per-worker lease slice
-	unlimited bool
-	days      []int
-	shards    [][]string // region names per shard, fixed per campaign
-	notify    chan struct{}
+	cfg    Config
+	cloud  *cloudapi.Client
+	st     *store.Store
+	ctrl   *httpd.Server
+	addr   string
+	slice  float64 // per-worker lease slice of cfg.Rate
+	days   []int
+	shards [][]string // region names per shard, fixed per campaign
+	notify chan struct{}
 
 	mu           sync.Mutex
 	round        *roundState
 	roundsDone   int
 	campaignDone bool
 	reports      []core.RoundReport
-	obs          fleetState
+	// obs is the one worker table: each row's lease and reports.
+	obs fleetState
 
 	closeOnce sync.Once
 	closeErr  error
@@ -148,12 +146,13 @@ type Server struct {
 }
 
 // NewServer dials the shared cloud daemon and assembles the
-// coordinator: the store the shards merge into, the leased-quota
-// budget, the shard layout, and the round schedule.
+// coordinator: the store the shards merge into, the shard layout, and
+// the round schedule.
 func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 	if cfg.CloudAddr == "" {
 		return nil, fmt.Errorf("coord: CloudAddr required")
 	}
+	cfg.Rate = max(cfg.Rate, 0)
 	if cfg.MaxWorkers <= 0 {
 		cfg.MaxWorkers = DefaultMaxWorkers
 	}
@@ -182,15 +181,6 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("coord: round day %d outside campaign [0,%d)", day, cloud.Days())
 		}
 	}
-	rate, unlimited := cfg.Rate, false
-	if rate <= 0 {
-		rate, unlimited = scanner.UnlimitedRate, true
-	}
-	budget, err := ratelimit.NewBudget(rate, cfg.LeaseTTL, cfg.Clock)
-	if err != nil {
-		cloud.Close()
-		return nil, err
-	}
 	st := store.New(cloud.Info().Name)
 	if cfg.StoreDir != "" {
 		backend, err := colstore.Open(cfg.StoreDir, colstore.Options{CloudName: cloud.Info().Name})
@@ -200,7 +190,6 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 		}
 		st = store.NewWithBackend(cloud.Info().Name, backend)
 	}
-	st.KeepBodies = cfg.KeepBodies
 	st.SetMetrics(cfg.Metrics)
 	if cfg.Tracer != nil {
 		// Store finalize spans join the merged journal too.
@@ -210,9 +199,7 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 		cfg:         cfg,
 		cloud:       cloud,
 		st:          st,
-		budget:      budget,
-		slice:       rate / float64(cfg.MaxWorkers),
-		unlimited:   unlimited,
+		slice:       cfg.Rate / float64(cfg.MaxWorkers),
 		days:        days,
 		shards:      core.ShardLayout(regions, cfg.Shards),
 		notify:      make(chan struct{}, 1),
@@ -236,7 +223,6 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 	s.ctrl.Handle("/coord/heartbeat", s.handleHeartbeat, http.MethodPost)
 	s.ctrl.Handle("/coord/next", s.handleNext, http.MethodPost)
 	s.ctrl.Handle("/coord/submit", s.handleSubmit, http.MethodPost)
-	s.ctrl.Handle("/coord/status", s.handleStatus, http.MethodGet)
 	s.ctrl.Handle("/coord/fleet", s.handleFleet, http.MethodGet)
 	return s, nil
 }
@@ -244,9 +230,6 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 // Store returns the coordinator's store (the campaign's single source
 // of truth; digest it after Run).
 func (s *Server) Store() *store.Store { return s.st }
-
-// Budget exposes the lease budget (tests assert on Leased()).
-func (s *Server) Budget() *ratelimit.Budget { return s.budget }
 
 // NumShards reports the per-round shard count.
 func (s *Server) NumShards() int { return len(s.shards) }
@@ -275,7 +258,7 @@ func (s *Server) Start(addr string) (string, error) {
 func (s *Server) Addr() string { return s.addr }
 
 // now reads the coordinator's clock — the configured test clock when
-// present, so lease-expiry arithmetic in views matches the budget's.
+// present. Every lease is granted, renewed and expired on it.
 func (s *Server) now() time.Time {
 	if s.cfg.Clock != nil {
 		return s.cfg.Clock.Now()
@@ -304,12 +287,10 @@ func (s *Server) recordLocked(event, worker string) {
 }
 
 // statusLocked builds a status snapshot with round r (nil when none
-// is open) as the current round. Callers hold s.mu; the budget takes
-// only its leaf lock, so the ordering s.mu → budget is safe.
+// is open) as the current round. Callers hold s.mu.
 func (s *Server) statusLocked(event, worker string, r *roundState) Status {
-	now := s.now()
 	st := Status{
-		TimeMS:           now.UnixMilli(),
+		TimeMS:           s.now().UnixMilli(),
 		Event:            event,
 		Worker:           worker,
 		Cloud:            s.st.CloudName,
@@ -319,16 +300,8 @@ func (s *Server) statusLocked(event, worker string, r *roundState) Status {
 		Round:            -1,
 		LeasesExpired:    s.mExpired.Load(),
 		ShardsReassigned: s.mReassigned.Load(),
-		Rate:             s.budget.Rate(),
-		LeasedRate:       s.budget.Leased(),
-		Unlimited:        s.unlimited,
-	}
-	for _, l := range s.budget.Leases() {
-		st.Leases = append(st.Leases, LeaseState{
-			Worker:      l.ID,
-			Rate:        l.Rate,
-			ExpiresInMS: l.Expires.Sub(now).Milliseconds(),
-		})
+		Rate:             s.cfg.Rate,
+		LeasedRate:       float64(s.obs.leases("")) * s.slice,
 	}
 	if r != nil {
 		st.Round = r.idx
@@ -338,15 +311,16 @@ func (s *Server) statusLocked(event, worker string, r *roundState) Status {
 		st.ShardsAssigned = len(s.shards) - len(r.pending) - r.nDone
 		st.Degraded = r.degraded
 	}
-	if !s.unlimited && st.Rate > 0 {
+	if st.Rate > 0 {
 		st.QuotaUtilization = st.LeasedRate / st.Rate
 	}
 	return st
 }
 
-// wake nudges the round loop after a state change. Always called with
-// s.mu released — a send under the lock would invert the loop's
-// lock/recv order.
+// wake nudges the round loop and DrainWorkers after a state change.
+// Callers release s.mu first, though the send never blocks and the
+// one-slot channel keeps a pending nudge: a wake under the lock only
+// makes the woken loop wait for s.mu, and loses no wake-up.
 func (s *Server) wake() {
 	select {
 	case s.notify <- struct{}{}:
@@ -354,15 +328,39 @@ func (s *Server) wake() {
 	}
 }
 
-// reapLocked expires dead leases and re-queues their unfinished
-// shards, recording each expiry in the status history. Callers hold
-// s.mu.
-func (s *Server) reapLocked() {
-	for _, id := range s.budget.Reap() {
+// reapLocked is the only place a lease dies. Every lease past its
+// expiry at now is cleared, counted in coord.leases_expired, its
+// worker's unfinished shards re-queued and the death recorded in the
+// history, all in the caller's one s.mu critical section: whichever
+// request or tick observes an expiry first handles it, exactly once.
+// Callers hold s.mu.
+func (s *Server) reapLocked(now time.Time) {
+	var dead []string
+	for id, ws := range s.obs.workers {
+		if !ws.expires.IsZero() && now.After(ws.expires) {
+			ws.expires = time.Time{}
+			dead = append(dead, id)
+		}
+	}
+	sort.Strings(dead)
+	for _, id := range dead {
 		s.mExpired.Inc()
 		s.requeueLocked(id)
 		s.recordLocked("lease_expired", id)
 	}
+}
+
+// renewLocked extends worker's lease to a TTL past now, reporting
+// false when it holds none: never registered, released, or expired.
+// Callers hold s.mu.
+func (s *Server) renewLocked(worker string, now time.Time) bool {
+	s.reapLocked(now)
+	ws := s.obs.workers[worker]
+	if ws == nil || ws.expires.IsZero() {
+		return false
+	}
+	ws.expires = now.Add(s.cfg.LeaseTTL)
+	return true
 }
 
 // requeueLocked returns a worker's assigned-but-unfinished shards to
@@ -445,7 +443,7 @@ func (s *Server) runRound(ctx context.Context, idx, day int) error {
 	timedOut := false
 	for {
 		s.mu.Lock()
-		s.reapLocked()
+		s.reapLocked(s.now())
 		complete := r.nDone == len(s.shards)
 		s.mu.Unlock()
 		if complete || timedOut {
@@ -507,7 +505,11 @@ func (s *Server) DrainWorkers(ctx context.Context) error {
 	tick := time.NewTicker(50 * time.Millisecond)
 	defer tick.Stop()
 	for {
-		if len(s.budget.Holders()) == 0 {
+		s.mu.Lock()
+		s.reapLocked(s.now())
+		held := s.obs.leases("")
+		s.mu.Unlock()
+		if held == 0 {
 			return nil
 		}
 		select {
@@ -551,17 +553,22 @@ func (s *Server) handleRegister(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	s.reapLocked()
-	_, err := s.budget.Acquire(rr.Worker, s.slice)
-	if err == nil {
+	now := s.now()
+	s.reapLocked(now)
+	// A re-registering worker's own lease is replaced, not counted.
+	full := s.obs.leases(rr.Worker) >= s.cfg.MaxWorkers
+	if !full {
+		ws := s.obs.row(rr.Worker)
+		ws.expires, ws.lastSeen = now.Add(s.cfg.LeaseTTL), now
 		// A re-registering worker lost its session state; its old
 		// assignments must go back in the queue.
 		s.requeueLocked(rr.Worker)
 		s.recordLocked("register", rr.Worker)
 	}
 	s.mu.Unlock()
-	if err != nil {
-		httpd.WriteError(w, http.StatusConflict, err.Error())
+	if full {
+		httpd.WriteError(w, http.StatusConflict,
+			fmt.Sprintf("coord: fleet full: all %d worker leases held", s.cfg.MaxWorkers))
 		return
 	}
 	s.mRegistered.Inc()
@@ -569,11 +576,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, req *http.Request) {
 	httpd.WriteJSON(w, RegisterReply{
 		Lease:          rr.Worker,
 		Rate:           s.slice,
-		Unlimited:      s.unlimited,
 		TTLMS:          s.cfg.LeaseTTL.Milliseconds(),
 		CloudAddr:      s.cfg.CloudAddr,
 		Attempts:       s.cfg.Attempts,
-		KeepBodies:     s.cfg.KeepBodies,
 		RoundTimeoutMS: s.cfg.RoundTimeout.Milliseconds(),
 		Faults:         s.cfg.Faults,
 	})
@@ -587,13 +592,17 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 	if !httpd.DecodeBody(w, req, &hb) {
 		return
 	}
-	if _, err := s.budget.Renew(hb.Worker); err != nil {
-		httpd.WriteError(w, http.StatusGone, err.Error())
+	s.mu.Lock()
+	now := s.now()
+	live := s.renewLocked(hb.Worker, now)
+	if live {
+		s.obs.observe(hb.Worker, hb.Metrics, nil, now)
+	}
+	s.mu.Unlock()
+	if !live {
+		writeNoLease(w, hb.Worker)
 		return
 	}
-	s.mu.Lock()
-	s.obs.observe(hb.Worker, hb.Metrics, nil, s.now())
-	s.mu.Unlock()
 	httpd.WriteJSON(w, HeartbeatReply{ExpiresInMS: s.cfg.LeaseTTL.Milliseconds()})
 }
 
@@ -602,13 +611,13 @@ func (s *Server) handleNext(w http.ResponseWriter, req *http.Request) {
 	if !httpd.DecodeBody(w, req, &nr) {
 		return
 	}
-	if _, err := s.budget.Renew(nr.Worker); err != nil {
-		httpd.WriteError(w, http.StatusGone, err.Error())
+	var a Assignment
+	s.mu.Lock()
+	if !s.renewLocked(nr.Worker, s.now()) {
+		s.mu.Unlock()
+		writeNoLease(w, nr.Worker)
 		return
 	}
-	var a Assignment
-	released := false
-	s.mu.Lock()
 	switch r := s.round; {
 	case r != nil && len(r.pending) > 0:
 		shard := r.pending[0]
@@ -624,15 +633,22 @@ func (s *Server) handleNext(w http.ResponseWriter, req *http.Request) {
 		s.mAssigned.Inc()
 	case s.campaignDone && s.round == nil:
 		a = Assignment{State: StateDone}
-		released = s.budget.Release(nr.Worker) == nil
+		s.obs.workers[nr.Worker].expires = time.Time{}
 	default:
 		a = Assignment{State: StateWait, RetryMS: defaultRetryMS}
 	}
 	s.mu.Unlock()
-	if released {
+	if a.State == StateDone {
+		// The released lease may be the last DrainWorkers waits on.
 		s.wake()
 	}
 	httpd.WriteJSON(w, a)
+}
+
+// writeNoLease answers a request from a worker without a live lease:
+// 410 tells it to register again.
+func writeNoLease(w http.ResponseWriter, worker string) {
+	httpd.WriteError(w, http.StatusGone, fmt.Sprintf("coord: worker %q holds no live lease", worker))
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
@@ -687,20 +703,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	httpd.WriteJSON(w, SubmitReply{Accepted: accepted})
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	st := s.statusLocked("", "", s.round)
-	s.mu.Unlock()
-	httpd.WriteJSON(w, st)
-}
-
 // fleetView assembles the fleet document: the live status plus
 // per-worker throughput, lease states, merged fleet metrics, and the
 // status-history tail.
 func (s *Server) fleetView() Fleet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.obs.view(s.now(), s.statusLocked("", "", s.round))
+	return s.obs.view(s.now(), s.statusLocked("", "", s.round), s.slice)
 }
 
 func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {

@@ -120,8 +120,11 @@ func (w *Worker) session(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	w.logf("worker %s: registered (rate %.0f pps, unlimited=%v, ttl %dms)",
-		w.cfg.ID, reg.Rate, reg.Unlimited, reg.TTLMS)
+	rate := "unlimited"
+	if reg.Rate > 0 {
+		rate = fmt.Sprintf("%.0f pps", reg.Rate)
+	}
+	w.logf("worker %s: registered (rate %s, ttl %dms)", w.cfg.ID, rate, reg.TTLMS)
 	cloud, err := w.dialCloud(ctx, reg.CloudAddr)
 	if err != nil {
 		return err
@@ -249,14 +252,13 @@ func (w *Worker) work(ctx context.Context, runner *core.ShardRunner) error {
 // simulation campaign uses so the records match byte for byte.
 func (w *Worker) shardConfig(reg *RegisterReply) core.CampaignConfig {
 	cfg := core.FastCampaign()
-	if !reg.Unlimited {
+	if reg.Rate > 0 {
 		cfg.Scanner.Rate = reg.Rate
 	}
 	if reg.Attempts > 0 {
 		cfg.Scanner.Attempts = reg.Attempts
 		cfg.Fetcher.Attempts = reg.Attempts
 	}
-	cfg.KeepBodies = reg.KeepBodies
 	cfg.RoundTimeout = time.Duration(reg.RoundTimeoutMS) * time.Millisecond
 	cfg.Faults = reg.Faults
 	cfg.Scanner.Metrics = w.cfg.Metrics
@@ -286,8 +288,8 @@ func (w *Worker) dialCloud(ctx context.Context, addr string) (*cloudapi.Client, 
 }
 
 // register acquires a lease, retrying while the coordinator is not up
-// yet or its budget is momentarily full (a dead predecessor's lease
-// may need to expire first).
+// yet or its fleet is momentarily full (a dead predecessor's lease may
+// need to expire first).
 func (w *Worker) register(ctx context.Context) (*RegisterReply, error) {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -299,7 +301,7 @@ func (w *Worker) register(ctx context.Context) (*RegisterReply, error) {
 		case err == nil:
 			return &reply, nil
 		case code == 0 || code == http.StatusOK || code == http.StatusConflict:
-			// Not up yet, an answer cut short, or the budget is full
+			// Not up yet, an answer cut short, or the fleet is full
 			// (the reason says which): all pass.
 			w.logf("worker %s: register: %v; retrying", w.cfg.ID, err)
 		default:

@@ -62,9 +62,6 @@ type CampaignConfig struct {
 	// collected so far and RoundReport.Degraded set — instead of
 	// wedging the campaign. 0 means no deadline (the default).
 	RoundTimeout time.Duration
-	// KeepBodies retains raw page bodies in the store (memory-hungry;
-	// features are extracted either way).
-	KeepBodies bool
 	// PipelineShards sets how many region lanes the round pipeline
 	// runs: each lane is an independent scan→fetch→featurize chain over
 	// its share of the cloud's regions (ShardLayout), handing the store
@@ -281,7 +278,6 @@ func (p *Platform) UseStoreBackend(b store.Backend) error {
 	st := store.NewWithBackend(p.Store.CloudName, b)
 	st.SetMetrics(p.Metrics)
 	st.SetTracer(p.Tracer)
-	st.KeepBodies = p.Store.KeepBodies
 	p.Store = st
 	return nil
 }
@@ -328,7 +324,6 @@ func (p *Platform) RunCampaign(ctx context.Context, cfg CampaignConfig) error {
 	if p.Tracer != nil {
 		p.Store.SetTracer(p.Tracer)
 	}
-	p.Store.KeepBodies = cfg.KeepBodies
 	runner, err := NewShardRunner(p.Cloud, cfg)
 	if err != nil {
 		return err

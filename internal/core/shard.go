@@ -409,11 +409,9 @@ func (r *ShardRunner) featurize(page *fetcher.Page, regs []RegionResult) *store.
 	}
 	t.BodyBytes += int64(len(page.Body))
 	rec := features.FromPage(page)
-	if !r.cfg.KeepBodies {
-		// EndRound would drop the body anyway; shedding it here
-		// keeps it off the wire and out of the round's memory.
-		rec.Body = ""
-	}
+	// EndRound would drop the body anyway; shedding it here keeps it
+	// off the wire and out of the round's memory.
+	rec.Body = ""
 	t.Records++
 	return rec
 }

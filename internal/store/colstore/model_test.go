@@ -70,7 +70,7 @@ func randRecord(rng *rand.Rand, ip uint32, round, day int) *store.Record {
 		Subpages:     rng.Intn(5),
 		Cluster:      rng.Int63n(1<<40) - 1<<39, // zigzag: both signs
 	}
-	if rng.Intn(4) == 0 { // a KeepBodies store: arbitrary bytes, not just text
+	if rng.Intn(4) == 0 { // a stored body: arbitrary bytes, not just text
 		body := make([]byte, rng.Intn(300))
 		rng.Read(body)
 		rec.Body = string(body)

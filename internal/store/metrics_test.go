@@ -31,25 +31,17 @@ func TestStoreMetrics(t *testing.T) {
 	if snap.Counters["store.rounds"] != 1 {
 		t.Errorf("store.rounds = %d, want 1", snap.Counters["store.rounds"])
 	}
-	// Bodies are dropped by default, so nothing is retained.
-	if got := snap.Counters["store.body_bytes_retained"]; got != 0 {
-		t.Errorf("store.body_bytes_retained = %d, want 0 without KeepBodies", got)
-	}
 
-	s.KeepBodies = true
 	if _, err := s.BeginRound(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(&Record{IP: ipaddr.Addr(9), OpenPorts: PortHTTP, Body: "retained!"}); err != nil {
+	if err := s.Put(&Record{IP: ipaddr.Addr(9), OpenPorts: PortHTTP, Body: "dropped"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.EndRound(); err != nil {
 		t.Fatal(err)
 	}
 	snap = reg.Snapshot()
-	if got := snap.Counters["store.body_bytes_retained"]; got != int64(len("retained!")) {
-		t.Errorf("store.body_bytes_retained = %d, want %d", got, len("retained!"))
-	}
 	if snap.Counters["store.rounds"] != 2 {
 		t.Errorf("store.rounds = %d, want 2", snap.Counters["store.rounds"])
 	}

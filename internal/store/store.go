@@ -199,27 +199,20 @@ type Store struct {
 	CloudName string
 	backend   Backend
 	open      *Round
-	// KeepBodies controls whether raw bodies survive EndRound. The
-	// paper stored full content (900 GB); campaigns here extract
-	// features first and drop bodies to keep memory proportional to
-	// features, unless a caller opts in.
-	KeepBodies bool
 	// Instrumentation handles (SetMetrics); nil (no-op) by default.
-	mRecords  *metrics.Counter // records inserted
-	mRounds   *metrics.Counter // rounds finalized
-	mRetained *metrics.Counter // body bytes retained past EndRound
-	tracer    *trace.Tracer    // SetTracer; nil no-ops
+	mRecords *metrics.Counter // records inserted
+	mRounds  *metrics.Counter // rounds finalized
+	tracer   *trace.Tracer    // SetTracer; nil no-ops
 }
 
-// SetMetrics attaches an instrumentation registry: store.records,
-// store.rounds and store.body_bytes_retained. Call before the campaign
-// starts; a nil registry detaches.
+// SetMetrics attaches an instrumentation registry: store.records and
+// store.rounds. Call before the campaign starts; a nil registry
+// detaches.
 func (s *Store) SetMetrics(r *metrics.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mRecords = r.Counter("store.records")
 	s.mRounds = r.Counter("store.rounds")
-	s.mRetained = r.Counter("store.body_bytes_retained")
 }
 
 // SetTracer attaches a tracer: every EndRound emits a
@@ -358,10 +351,12 @@ func (s *Store) AddProbed(n int64) {
 	}
 }
 
-// EndRound finalizes the open round — sort by IP, drop raw bodies
-// unless KeepBodies — and appends it to the
-// backend. On a backend failure the round is discarded (the store
-// never wedges on a half-persisted round) and the error returned.
+// EndRound finalizes the open round — sort by IP, drop raw bodies —
+// and appends it to the backend. The paper stored full content
+// (900 GB); campaigns here extract features first and drop bodies to
+// keep the store proportional to features. On a backend failure the
+// round is discarded (the store never wedges on a half-persisted
+// round) and the error returned.
 func (s *Store) EndRound() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -376,12 +371,8 @@ func (s *Store) EndRound() error {
 		trace.Bool("degraded", s.open.Degraded),
 	)
 	s.open.finalize()
-	var retained int64
 	for _, rec := range s.open.sorted {
-		if !s.KeepBodies {
-			rec.Body = ""
-		}
-		retained += int64(len(rec.Body))
+		rec.Body = ""
 	}
 	r := s.open
 	s.open = nil
@@ -390,7 +381,6 @@ func (s *Store) EndRound() error {
 		return fmt.Errorf("store: persisting round %d: %w", r.Index, err)
 	}
 	s.mRounds.Inc()
-	s.mRetained.Add(retained)
 	sp.End()
 	return nil
 }
