@@ -20,12 +20,12 @@ import (
 	"whowas/internal/ratelimit"
 )
 
+// maxAnswers caps IPs per DNS answer: authoritative servers typically
+// return a subset, and 8 mirrors common RR-set limits.
+const maxAnswers = 8
+
 // Config tunes the baseline sweep.
 type Config struct {
-	// MaxAnswers caps IPs per DNS answer (authoritative servers
-	// typically return a subset; default 8, mirroring common RR-set
-	// limits).
-	MaxAnswers int
 	// SeedShare is the fraction of resolvable domains assumed to be in
 	// the interrogator's seed list (prior work used Alexa top-million
 	// subdomains; coverage of cloud tenants was partial). Default 1.0:
@@ -39,9 +39,6 @@ type Config struct {
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.MaxAnswers <= 0 {
-		out.MaxAnswers = 8
-	}
 	if out.SeedShare <= 0 || out.SeedShare > 1 {
 		out.SeedShare = 1
 	}
@@ -95,7 +92,7 @@ func Sweep(ctx context.Context, resolver *dnssim.Resolver, day int, cfg Config) 
 		if err := limiter.Wait(ctx); err != nil {
 			return nil, err
 		}
-		ips := resolver.LookupDomain(d, day, cfg.MaxAnswers)
+		ips := resolver.LookupDomain(d, day, maxAnswers)
 		if len(ips) > 0 {
 			out.Resolved++
 		}

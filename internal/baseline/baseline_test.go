@@ -52,7 +52,7 @@ func TestSweepObservedIPsAreReal(t *testing.T) {
 	cloud := testCloud(t)
 	resolver := dnssim.NewResolver(cloud, 0)
 	res, err := Sweep(context.Background(), resolver, 0,
-		Config{Rate: 1e6, Clock: ratelimit.NewFakeClock(time.Unix(0, 0)), MaxAnswers: 4})
+		Config{Rate: 1e6, Clock: ratelimit.NewFakeClock(time.Unix(0, 0))})
 	if err != nil {
 		t.Fatal(err)
 	}

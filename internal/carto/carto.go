@@ -70,12 +70,13 @@ func (m *Map) Apply(st *store.Store) error {
 	})
 }
 
+// samplesPerPrefix is how many addresses of each /22 are queried: one
+// public-IP answer suffices to label the prefix, and at default
+// utilization a /22 holds ~240 bound IPs.
+const samplesPerPrefix = 48
+
 // Config tunes the sweep.
 type Config struct {
-	// SamplePerPrefix is how many addresses of each /22 are queried
-	// (default 48; one public-IP answer suffices to label the prefix,
-	// and at default utilization a /22 holds ~240 bound IPs).
-	SamplePerPrefix int
 	// Rate caps DNS queries per second ("a suitably low rate limit",
 	// §5; default 100).
 	Rate float64
@@ -90,14 +91,11 @@ type Config struct {
 }
 
 // WithDefaults returns the config with zero fields resolved to the
-// paper's defaults (48 samples per /22, 100 qps). Sweep applies it
-// internally; it is exported so callers and tests can observe the
-// resolved values instead of re-stating them.
+// paper's defaults (100 qps). Sweep applies it internally; it is
+// exported so callers and tests can observe the resolved values
+// instead of re-stating them.
 func (c Config) WithDefaults() Config {
 	out := c
-	if out.SamplePerPrefix <= 0 {
-		out.SamplePerPrefix = 48
-	}
 	if out.Rate <= 0 {
 		out.Rate = 100
 	}
@@ -131,7 +129,7 @@ func Sweep(ctx context.Context, resolver Resolver, ranges *ipaddr.RangeList, reg
 		last := prefix.Last() &^ 0x3ff
 		for p22 := first; ; p22 += 1024 {
 			if _, seen := m.vpc[p22]; !seen {
-				vpc, err := sweepPrefix(ctx, resolver, limiter, queries, p22, regionOf, cfg.SamplePerPrefix)
+				vpc, err := sweepPrefix(ctx, resolver, limiter, queries, p22, regionOf)
 				if err != nil {
 					sp.SetAttr(trace.String("error", "sweep"))
 					sp.End()
@@ -158,16 +156,10 @@ func Sweep(ctx context.Context, resolver Resolver, ranges *ipaddr.RangeList, reg
 // sweepPrefix samples addresses of one /22 and reports whether any
 // resolves as VPC. Samples spread evenly across the block so clustered
 // allocations are still hit.
-func sweepPrefix(ctx context.Context, resolver Resolver, limiter *ratelimit.Limiter, queries *metrics.Counter, p22 ipaddr.Addr, regionOf func(ipaddr.Addr) string, samples int) (bool, error) {
-	if samples > 1024 {
-		samples = 1024
-	}
-	step := 1024 / samples
-	if step < 1 {
-		step = 1
-	}
+func sweepPrefix(ctx context.Context, resolver Resolver, limiter *ratelimit.Limiter, queries *metrics.Counter, p22 ipaddr.Addr, regionOf func(ipaddr.Addr) string) (bool, error) {
+	const step = 1024 / samplesPerPrefix
 	region := regionOf(p22)
-	for i := 0; i < samples; i++ {
+	for i := 0; i < samplesPerPrefix; i++ {
 		if err := limiter.Wait(ctx); err != nil {
 			return false, err
 		}

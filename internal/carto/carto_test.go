@@ -35,7 +35,7 @@ func fastSweep(t testing.TB, cloud *cloudsim.Cloud, cfg Config) *Map {
 
 func TestSweepAccuracy(t *testing.T) {
 	cloud := testCloud(t)
-	m := fastSweep(t, cloud, Config{SamplePerPrefix: 64})
+	m := fastSweep(t, cloud, Config{})
 	var correct, total int
 	seen := map[ipaddr.Addr]bool{}
 	cloud.Ranges().Each(func(a ipaddr.Addr) bool {
@@ -59,7 +59,7 @@ func TestSweepNoFalseVPC(t *testing.T) {
 	// A classic prefix must never be labeled VPC: the only way to get
 	// a PublicA answer is a genuine VPC instance.
 	cloud := testCloud(t)
-	m := fastSweep(t, cloud, Config{SamplePerPrefix: 32})
+	m := fastSweep(t, cloud, Config{})
 	seen := map[ipaddr.Addr]bool{}
 	cloud.Ranges().Each(func(a ipaddr.Addr) bool {
 		p22 := a.Prefix22().Addr
@@ -76,7 +76,7 @@ func TestSweepNoFalseVPC(t *testing.T) {
 
 func TestCountByRegion(t *testing.T) {
 	cloud := testCloud(t)
-	m := fastSweep(t, cloud, Config{SamplePerPrefix: 64})
+	m := fastSweep(t, cloud, Config{})
 	// Table 2's left column: VPC /22s per region, tallied through IsVPC
 	// at each prefix's network address.
 	counts := map[string]int{}
@@ -100,7 +100,7 @@ func TestCountByRegion(t *testing.T) {
 
 func TestApplyLabelsRecords(t *testing.T) {
 	cloud := testCloud(t)
-	m := fastSweep(t, cloud, Config{SamplePerPrefix: 64})
+	m := fastSweep(t, cloud, Config{})
 	st := store.New("ec2")
 	_, _ = st.BeginRound(0)
 	// One record per distinct /22.
@@ -150,7 +150,7 @@ func TestSweepRateLimited(t *testing.T) {
 	resolver := dnssim.NewResolver(cloud, 0)
 	start := clock.Now()
 	_, err := Sweep(context.Background(), resolver, cloud.Ranges(), cloud.RegionOf,
-		Config{SamplePerPrefix: 8, Rate: 100, Clock: clock})
+		Config{Rate: 100, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}

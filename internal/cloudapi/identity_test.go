@@ -60,11 +60,10 @@ func identityCampaignConfig() core.CampaignConfig {
 			RetryBackoff: time.Microsecond,
 		},
 		Fetcher: fetcher.Config{
-			Workers:           32,
-			Timeout:           30 * time.Second,
-			Attempts:          3,
-			RetryBackoff:      time.Microsecond,
-			DisableKeepAlives: true,
+			Workers:      32,
+			Timeout:      30 * time.Second,
+			Attempts:     3,
+			RetryBackoff: time.Microsecond,
 		},
 		Faults: &faults.Scenario{
 			Name:             "loss-ramp",

@@ -107,10 +107,9 @@ func chaosCampaignConfig(sc *faults.Scenario, roundTimeout time.Duration) Campai
 			// workers sharing one CPU) and break byte-identical replays;
 			// the deadline-bounds-stalls behavior is unit-tested in the
 			// fetcher package instead.
-			Timeout:           30 * time.Second,
-			Attempts:          3,
-			RetryBackoff:      time.Microsecond,
-			DisableKeepAlives: true,
+			Timeout:      30 * time.Second,
+			Attempts:     3,
+			RetryBackoff: time.Microsecond,
 		},
 		Faults:       sc,
 		RoundTimeout: roundTimeout,

@@ -42,11 +42,9 @@ type CampaignConfig struct {
 	RoundDays []int
 	// Scanner and Fetcher tune the pipeline; zero values take the
 	// paper's defaults (see scanner.Config.WithDefaults and
-	// fetcher.Config.WithDefaults for the resolved values). The
-	// Fetcher.UserAgent is honored as configured — per §7 it must
-	// identify the measurement as research and carry a contact
-	// address; leaving it empty selects fetcher.DefaultUserAgent,
-	// which does.
+	// fetcher.Config.WithDefaults for the resolved values). Every
+	// fetch carries fetcher.DefaultUserAgent, which per §7 identifies
+	// the measurement as research and carries a contact address.
 	Scanner scanner.Config
 	Fetcher fetcher.Config
 	// Blacklist lists opted-out IPs that are never probed (§4/§7).

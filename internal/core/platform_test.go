@@ -12,7 +12,6 @@ import (
 	"whowas/internal/carto"
 	"whowas/internal/cloudapi"
 	"whowas/internal/cluster"
-	"whowas/internal/fetcher"
 	"whowas/internal/ipaddr"
 	"whowas/internal/store"
 )
@@ -396,32 +395,6 @@ func TestCampaignMetricsRegistry(t *testing.T) {
 	}
 	if rep.Metrics.Counters["scanner.probes"] != snap.Counters["scanner.probes"] {
 		t.Error("serialized snapshot diverges from registry")
-	}
-}
-
-func TestCampaignHonorsUserAgent(t *testing.T) {
-	// A caller-set UA must survive RunCampaign (it used to be
-	// overwritten); the resolved default applies only when empty.
-	custom := "Example-Research-Bot/2.0 (contact: ops@example.org)"
-	got := fetcher.Config{UserAgent: custom}.WithDefaults()
-	if got.UserAgent != custom {
-		t.Errorf("WithDefaults clobbered UA: %q", got.UserAgent)
-	}
-	if def := (fetcher.Config{}).WithDefaults(); def.UserAgent != fetcher.DefaultUserAgent {
-		t.Errorf("empty UA resolved to %q", def.UserAgent)
-	}
-	p, err := NewPlatform(cloudapi.DefaultEC2Config(4096, 67))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := FastCampaign()
-	cfg.RoundDays = []int{0}
-	cfg.Fetcher.UserAgent = custom
-	if err := p.RunCampaign(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Fetcher.UserAgent != custom {
-		t.Errorf("campaign mutated caller UA to %q", cfg.Fetcher.UserAgent)
 	}
 }
 

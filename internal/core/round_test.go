@@ -303,7 +303,7 @@ func TestRunLane(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.Tracer = trace.New(trace.Config{SamplePerMille: -1})
+			p.Tracer = trace.New(trace.Config{})
 			cfg := quickConfig(nil)
 			cfg.Faults, cfg.RoundTimeout = tc.faults, tc.timeout
 			runner, err := NewShardRunner(p.Cloud, withPlatformDefaults(p, cfg))

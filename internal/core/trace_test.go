@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -19,8 +20,8 @@ import (
 // injected faults — and, scheduling noise aside, the same scenario
 // must journal the same span tree.
 
-// runTracedChaosCampaign is runChaosCampaign plus a full-sampling
-// tracer journaling to path.
+// runTracedChaosCampaign is runChaosCampaign plus a tracer, sampling
+// its fixed 1% of IPs, journaling to path.
 func runTracedChaosCampaign(t *testing.T, sc *faults.Scenario, roundTimeout time.Duration, journalPath string) chaosOutcome {
 	t.Helper()
 	p, err := NewPlatform(chaosCloudConfig())
@@ -31,7 +32,7 @@ func runTracedChaosCampaign(t *testing.T, sc *faults.Scenario, roundTimeout time
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.New(trace.Config{SamplePerMille: 1000, Journal: j})
+	tr := trace.New(trace.Config{Journal: j})
 	p.Tracer = tr
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -96,10 +97,9 @@ func canonicalSpans(t *testing.T, spans []trace.SpanSnapshot) []string {
 }
 
 // TestTracedChaosSpanTreeDeterminism runs the stream-faults scenario
-// twice with full sampling and demands the two journals describe the
-// same span tree — same spans, same parentage, same fault
-// annotations — modulo timestamps and scheduling-dependent attempt
-// counts.
+// twice and demands the two journals describe the same span tree —
+// same spans, same parentage, same fault annotations — modulo
+// timestamps and scheduling-dependent attempt counts.
 func TestTracedChaosSpanTreeDeterminism(t *testing.T) {
 	chaosTest(t)
 	sc := &faults.Scenario{
@@ -135,6 +135,16 @@ func TestTracedChaosSpanTreeDeterminism(t *testing.T) {
 	if len(canonA) != len(canonB) {
 		t.Fatalf("span counts differ: %d vs %d", len(canonA), len(canonB))
 	}
+	// The comparison must cover the sampled per-IP spans, not only the
+	// stage spans every round has.
+	perIP := map[string]int{}
+	for _, s := range spansA {
+		perIP[s.Name]++
+	}
+	if perIP["probe"] == 0 || perIP["get"] == 0 {
+		t.Fatalf("journal holds %d probe and %d get spans; the comparison needs both", perIP["probe"], perIP["get"])
+	}
+	t.Logf("comparing %d spans, %d probe and %d get", len(canonA), perIP["probe"], perIP["get"])
 	diffs := 0
 	for i := range canonA {
 		if canonA[i] != canonB[i] {
@@ -168,7 +178,7 @@ func TestTracedChaosSpanTreeDeterminism(t *testing.T) {
 // TestTracedBlackoutJournalAttribution is the flight-recorder
 // acceptance test: given nothing but the journal of a blackout
 // campaign, reconstruct which rounds degraded, where each round's
-// time went, and which probes the blackout swallowed.
+// time went, and which region's probes the blackout swallowed.
 func TestTracedBlackoutJournalAttribution(t *testing.T) {
 	chaosTest(t)
 	sc := &faults.Scenario{
@@ -189,6 +199,21 @@ func TestTracedBlackoutJournalAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	rounds := trace.BreakdownRounds(spans)
+	// scans[day][region] is the round's per-lane scan stage span.
+	byID := make(map[uint64]trace.SpanSnapshot, len(spans))
+	for _, s := range spans {
+		byID[s.ID] = s
+	}
+	scans := map[int]map[string]trace.SpanSnapshot{}
+	for _, s := range spans {
+		if parent := byID[s.Parent]; s.Name == "scan" && parent.Name == "round" {
+			day, _ := strconv.Atoi(parent.Attr("day"))
+			if scans[day] == nil {
+				scans[day] = map[string]trace.SpanSnapshot{}
+			}
+			scans[day][s.Attr("regions")] = s
+		}
+	}
 	if len(rounds) != len(chaosDays) {
 		t.Fatalf("journal reconstructs %d rounds, want %d", len(rounds), len(chaosDays))
 	}
@@ -211,14 +236,39 @@ func TestTracedBlackoutJournalAttribution(t *testing.T) {
 		if rb.Total <= 0 || rb.Stages["scan"] > 2*rb.Total {
 			t.Errorf("day %d: scan %v exceeds %v across 2 lanes", rb.Day, rb.Stages["scan"], 2*rb.Total)
 		}
-		// The blackout's swallowed probes are attributable: held dials
-		// annotate their probe spans, which appear exactly in the
-		// degraded rounds and only against the blacked-out region.
-		// Slowest holds every non-stage span of the round, so scanning
-		// it sees each probe and get span once.
-		var blackoutSpans int
+		// The blackout is attributable by region: its held dials cut
+		// the south lane's scan at the deadline while east's finishes.
+		for region, scan := range scans[rb.Day] {
+			want := ""
+			if blackout[rb.Day] && region == "south" {
+				want = "deadline"
+			}
+			if got := scan.Attr("error"); got != want {
+				t.Errorf("day %d: %s scan span error = %q, want %q", rb.Day, region, got, want)
+			}
+		}
+		if len(scans[rb.Day]) != 2 {
+			t.Errorf("day %d: scan spans for regions %v, want east and south", rb.Day, scans[rb.Day])
+		}
+		// So are the probes it swallowed. Held dials annotate their
+		// probe spans, and only those: a south probe span in a degraded
+		// round carries the mark, and no span in a healthy round or
+		// outside south does. At the tracer's 1% rate the few dozen
+		// south IPs dialed before the deadline may include no sampled
+		// one, so a degraded round may hold no south probe span at all;
+		// a healthy round holds every sampled south IP's. Slowest holds
+		// every non-stage span of the round, so scanning it sees each
+		// probe and get span once.
+		var blackoutSpans, southProbes int
 		for _, s := range rb.Slowest {
-			if s.Attr("fault.blackout") != "true" {
+			marked := s.Attr("fault.blackout") == "true"
+			if s.Name == "probe" && s.Attr("region") == "south" {
+				southProbes++
+				if blackout[rb.Day] && !marked {
+					t.Errorf("day %d: south probe span %d lacks the fault.blackout mark", rb.Day, s.ID)
+				}
+			}
+			if !marked {
 				continue
 			}
 			blackoutSpans++
@@ -226,8 +276,8 @@ func TestTracedBlackoutJournalAttribution(t *testing.T) {
 				t.Errorf("day %d: fault.blackout span %d in region %q, want south", rb.Day, s.ID, region)
 			}
 		}
-		if blackout[rb.Day] && blackoutSpans == 0 {
-			t.Errorf("day %d degraded but journal holds no fault.blackout spans", rb.Day)
+		if !blackout[rb.Day] && southProbes == 0 {
+			t.Errorf("day %d healthy but journal holds no south probe span", rb.Day)
 		}
 		if !blackout[rb.Day] && blackoutSpans > 0 {
 			t.Errorf("day %d healthy but journal holds %d fault.blackout spans", rb.Day, blackoutSpans)

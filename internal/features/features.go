@@ -89,31 +89,6 @@ func FromPage(p *fetcher.Page) *store.Record {
 		rec.Simhash = ext.simhash
 		rec.Trackers = ext.trackers
 	}
-	// Deep-crawl extension: fold followed subpages' links in, so the
-	// malicious-URL analysis sees URLs the front page does not carry.
-	if len(p.SubPages) > 0 {
-		rec.Subpages = len(p.SubPages)
-		seen := map[string]bool{}
-		// Copy before appending: rec.Links aliases the shared
-		// extraction cache, which must stay immutable.
-		merged := make([]string, 0, len(rec.Links)+4)
-		for _, l := range rec.Links {
-			seen[l] = true
-			merged = append(merged, l)
-		}
-		for _, sub := range p.SubPages {
-			if len(sub.Body) == 0 {
-				continue
-			}
-			for _, l := range extractBody(string(sub.Body)).links {
-				if !seen[l] {
-					seen[l] = true
-					merged = append(merged, l)
-				}
-			}
-		}
-		rec.Links = merged
-	}
 	return rec
 }
 

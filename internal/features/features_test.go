@@ -141,40 +141,6 @@ func TestFromPageError(t *testing.T) {
 	}
 }
 
-func TestFromPageSubpageLinksMerged(t *testing.T) {
-	p := samplePage()
-	p.SubPages = []fetcher.SubPage{
-		{Path: "/about", Status: 200, Body: []byte(`<a href="http://dl.dropbox.com/s/more">x</a><a href="http://acme.example/catalog">dup</a>`)},
-		{Path: "/contact", Status: 200, Body: []byte(`<a href="http://tr.im/evil2">y</a>`)},
-		{Path: "/empty", Status: 404, Body: nil},
-	}
-	rec := FromPage(p)
-	if rec.Subpages != 3 {
-		t.Errorf("Subpages = %d, want 3", rec.Subpages)
-	}
-	linkSet := map[string]bool{}
-	for _, l := range rec.Links {
-		if linkSet[l] {
-			t.Errorf("duplicate merged link %q", l)
-		}
-		linkSet[l] = true
-	}
-	for _, want := range []string{"http://dl.dropbox.com/s/more", "http://tr.im/evil2", "http://acme.example/catalog"} {
-		if !linkSet[want] {
-			t.Errorf("merged links missing %q", want)
-		}
-	}
-	// The extraction cache's slice must not have been mutated: a
-	// second FromPage without subpages sees the original links only.
-	p2 := samplePage()
-	rec2 := FromPage(p2)
-	for _, l := range rec2.Links {
-		if l == "http://tr.im/evil2" {
-			t.Error("extraction cache polluted by subpage merge")
-		}
-	}
-}
-
 func TestHeaderNameString(t *testing.T) {
 	h := map[string][]string{"B": nil, "a": nil, "C": nil}
 	if got := HeaderNameString(h); got != "a#b#c" {

@@ -22,9 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"net/url"
-
-	"whowas/internal/htmlparse"
 	"whowas/internal/ipaddr"
 	"whowas/internal/metrics"
 	"whowas/internal/netsim"
@@ -41,17 +38,11 @@ const DefaultUserAgent = "WhoWas-Research-Scanner/1.0 (measurement study; contac
 const MaxBodyBytes = 512 * 1024
 
 // Config tunes the fetcher. Zero fields take the paper's defaults
-// (250 workers, 10 s HTTP timeout).
+// (250 workers, 10 s HTTP timeout). Every GET carries DefaultUserAgent
+// and stores at most MaxBodyBytes of body.
 type Config struct {
 	Workers int
 	Timeout time.Duration
-	MaxBody int
-	// UserAgent identifies the fetcher. Per the §7 ethics stance it
-	// must name the measurement as research and carry a contact
-	// address that honors opt-outs; the empty string resolves to
-	// DefaultUserAgent, which does. Callers overriding it must keep
-	// those properties.
-	UserAgent string
 	// Attempts is the maximum tries per GET. Transient transport
 	// errors — timeouts, mid-stream resets, truncated responses — are
 	// retried with a fresh per-attempt deadline of Timeout; refusals
@@ -61,18 +52,6 @@ type Config struct {
 	// RetryBackoff is the delay before the first retry, doubling on
 	// each further attempt. Default 100ms when Attempts > 1.
 	RetryBackoff time.Duration
-	// DisableKeepAlives turns off connection reuse across the GETs of
-	// one exchange. Determinism-sensitive chaos campaigns set it: the
-	// transport returns idle connections to its pool asynchronously,
-	// so whether the next GET reuses or redials is a race — with reuse
-	// off, every GET is exactly one dial and the fault layer's
-	// per-attempt decisions replay identically run to run.
-	DisableKeepAlives bool
-	// FollowLinks enables the §9 future-work extension: after the
-	// top-level GET of a 200 HTML page, follow up to this many
-	// same-site links (fetched by path on the same IP). 0 preserves
-	// the paper's behaviour — "the fetcher does not follow links".
-	FollowLinks int
 	// Metrics, when non-nil, receives the fetcher's instrumentation:
 	// the fetcher.* counters and the get/fetch latency histograms.
 	Metrics *metrics.Registry
@@ -101,10 +80,9 @@ func DefaultWorkers() int {
 }
 
 // WithDefaults returns the config with zero fields resolved to the
-// paper's defaults (DefaultWorkers workers, 10 s timeout, 512 KB body
-// cap, the research UA). New applies it internally; it is exported so
-// callers and tests can observe the resolved values instead of
-// re-stating them.
+// paper's defaults (DefaultWorkers workers, 10 s timeout, one attempt).
+// New applies it internally; it is exported so callers and tests can
+// observe the resolved values instead of re-stating them.
 func (c Config) WithDefaults() Config {
 	out := c
 	if out.Workers <= 0 {
@@ -112,12 +90,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if out.Timeout <= 0 {
 		out.Timeout = 10 * time.Second
-	}
-	if out.MaxBody <= 0 {
-		out.MaxBody = MaxBodyBytes
-	}
-	if out.UserAgent == "" {
-		out.UserAgent = DefaultUserAgent
 	}
 	if out.Attempts <= 0 {
 		out.Attempts = 1
@@ -128,13 +100,6 @@ func (c Config) WithDefaults() Config {
 	return out
 }
 
-// SubPage is one followed link's outcome (FollowLinks > 0).
-type SubPage struct {
-	Path   string
-	Status int
-	Body   []byte
-}
-
 // Page is the outcome of fetching one IP in one round.
 type Page struct {
 	IP           ipaddr.Addr
@@ -143,11 +108,10 @@ type Page struct {
 	Status       int // 0 when no HTTP response was obtained
 	Header       http.Header
 	ContentType  string
-	Body         []byte    // truncated, textual content only
-	BodySkipped  bool      // non-text content: headers kept, body not downloaded
-	RobotsDenied bool      // robots.txt disallows "/": no page GET was made
-	SubPages     []SubPage // followed links, when the extension is enabled
-	Err          error     // transport-level failure, nil on any HTTP response
+	Body         []byte // truncated, textual content only
+	BodySkipped  bool   // non-text content: headers kept, body not downloaded
+	RobotsDenied bool   // robots.txt disallows "/": no page GET was made
+	Err          error  // transport-level failure, nil on any HTTP response
 }
 
 // Available mirrors the paper's availability definition: the HTTP(S)
@@ -175,10 +139,10 @@ type Fetcher struct {
 // is one IP's exchange: robots.txt and the page share it, and the
 // exchange's final GET closes it at both ends as soon as the page is
 // read. What is left for CloseIdle are the exchanges that end early —
-// robots.txt disallows "/", a GET fails, a crawl finds no link to
-// follow. The platform calls it between rounds: rounds are days apart,
-// and no real server keeps a connection open that long — without this,
-// a pooled connection could observe a dead IP as still serving.
+// robots.txt disallows "/" or a GET fails. The platform calls it
+// between rounds: rounds are days apart, and no real server keeps a
+// connection open that long — without this, a pooled connection could
+// observe a dead IP as still serving.
 func (f *Fetcher) CloseIdle() { f.transport.CloseIdleConnections() }
 
 // New builds a fetcher over the given dialer.
@@ -192,7 +156,6 @@ func New(dialer netsim.Dialer, cfg Config) (*Fetcher, error) {
 		TLSClientConfig:     &tls.Config{InsecureSkipVerify: true}, // cloud IPs serve self-signed certs
 		MaxIdleConnsPerHost: 1,
 		DisableCompression:  true,
-		DisableKeepAlives:   c.DisableKeepAlives,
 	}
 	f := &Fetcher{
 		cfg:       c,
@@ -244,7 +207,7 @@ func (f *Fetcher) get(ctx context.Context, url string, last bool) (*Page, error)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("User-Agent", f.cfg.UserAgent)
+	req.Header.Set("User-Agent", DefaultUserAgent)
 	req.Close = last
 	f.mGets.Inc()
 	var start time.Time
@@ -268,7 +231,7 @@ func (f *Fetcher) get(ctx context.Context, url string, last bool) (*Page, error)
 	if textualType(page.ContentType) {
 		// A read error mid-body keeps what arrived; the response
 		// itself succeeded.
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, int64(f.cfg.MaxBody)))
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, MaxBodyBytes))
 		page.Body = body
 		f.mBodyBytes.Add(int64(len(body)))
 	} else {
@@ -398,14 +361,14 @@ func (f *Fetcher) fetchIP(ctx context.Context, res scanner.Result) Page {
 	base := res.IP.AppendTo(append(append(buf[:0], scheme...), "://"...))
 	robots, err := f.getRetry(ctx, string(append(base, "/robots.txt"...)), false)
 	if err == nil && robots.Status == 200 && len(robots.Body) > 0 {
-		if RobotsDisallowsRoot(string(robots.Body), f.cfg.UserAgent) {
+		if RobotsDisallowsRoot(string(robots.Body), DefaultUserAgent) {
 			out.RobotsDenied = true
 			f.mRobotsDenied.Inc()
 			return out
 		}
 	}
 
-	page, err := f.getRetry(ctx, string(append(base, '/')), f.cfg.FollowLinks == 0)
+	page, err := f.getRetry(ctx, string(append(base, '/')), true)
 	if err != nil {
 		out.Err = err
 		return out
@@ -415,52 +378,6 @@ func (f *Fetcher) fetchIP(ctx context.Context, res scanner.Result) Page {
 	out.ContentType = page.ContentType
 	out.Body = page.Body
 	out.BodySkipped = page.BodySkipped
-
-	// §9 extension: follow same-site links from the front page.
-	if f.cfg.FollowLinks > 0 && out.Status == 200 && len(out.Body) > 0 &&
-		strings.HasPrefix(strings.ToLower(out.ContentType), "text/html") {
-		paths := SameSitePaths(string(out.Body), f.cfg.FollowLinks)
-		for i, path := range paths {
-			sub, err := f.getRetry(ctx, string(append(base, path...)), i == len(paths)-1)
-			if err != nil {
-				continue
-			}
-			out.SubPages = append(out.SubPages, SubPage{Path: path, Status: sub.Status, Body: sub.Body})
-		}
-	}
-	return out
-}
-
-// SameSitePaths extracts up to max distinct link paths from page
-// markup, dropping the root, fragments, and off-page artifacts. Links
-// to the site's own domain are followed by path on the measured IP —
-// WhoWas visits by address, not by name.
-func SameSitePaths(body string, max int) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, u := range htmlparse.Parse(body).Links {
-		parsed, err := url.Parse(u)
-		if err != nil || parsed.Path == "" || parsed.Path == "/" {
-			continue
-		}
-		// Skip links that are clearly third-party assets (tracker
-		// scripts and CDNs live on well-known hosts, not the site).
-		if strings.Contains(parsed.Host, "google-analytics") ||
-			strings.Contains(parsed.Host, "facebook") ||
-			strings.Contains(parsed.Host, "twitter") ||
-			strings.Contains(parsed.Host, "doubleclick") {
-			continue
-		}
-		p := parsed.Path
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		out = append(out, p)
-		if len(out) >= max {
-			break
-		}
-	}
 	return out
 }
 

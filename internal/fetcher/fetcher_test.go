@@ -1,9 +1,12 @@
 package fetcher
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"net/url"
 	"strings"
 	"sync"
@@ -62,14 +65,14 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.cfg.Workers != DefaultWorkers() || f.cfg.Timeout != 10*time.Second || f.cfg.MaxBody != MaxBodyBytes {
+	if f.cfg.Workers != DefaultWorkers() || f.cfg.Timeout != 10*time.Second {
 		t.Errorf("defaults = %+v", f.cfg)
 	}
 	// The hardware-scaled pool never shrinks below the paper's 250.
 	if DefaultWorkers() < 250 {
 		t.Errorf("DefaultWorkers() = %d, want >= 250", DefaultWorkers())
 	}
-	if !strings.Contains(f.cfg.UserAgent, "contact:") {
+	if !strings.Contains(DefaultUserAgent, "contact:") {
 		t.Error("default User-Agent lacks contact note (§7)")
 	}
 }
@@ -137,32 +140,54 @@ func TestFetchFailingIP(t *testing.T) {
 	}
 }
 
+// bigBodyDialer serves every connection itself: robots.txt is a 404
+// and "/" a text page of size bytes.
+type bigBodyDialer struct{ size int }
+
+func (d bigBodyDialer) DialContext(ctx context.Context, network, address string) (net.Conn, error) {
+	client, server := net.Pipe()
+	go func() {
+		defer server.Close()
+		br := bufio.NewReader(server)
+		for {
+			req, err := http.ReadRequest(br)
+			if err != nil {
+				return
+			}
+			resp := &http.Response{StatusCode: 404, ProtoMajor: 1, ProtoMinor: 1, Header: http.Header{}, Body: http.NoBody, Request: req}
+			if req.URL.Path == "/" {
+				resp.StatusCode = 200
+				resp.Header.Set("Content-Type", "text/plain")
+				resp.ContentLength = int64(d.size)
+				resp.Body = io.NopCloser(strings.NewReader(strings.Repeat("x", d.size)))
+			}
+			// The client stops reading at the cap and closes the pipe.
+			if resp.Write(server) != nil {
+				return
+			}
+		}
+	}()
+	return client, nil
+}
+
+// TestBodyTruncation: a page larger than the §4 cap is stored as
+// exactly MaxBodyBytes bytes, and fetcher.body_bytes counts what was
+// stored.
 func TestBodyTruncation(t *testing.T) {
-	cloud, net, _ := testSetup(t)
-	f, err := New(net, Config{Workers: 1, Timeout: 5 * time.Second, MaxBody: 64})
+	reg := metrics.NewRegistry()
+	f, err := New(bigBodyDialer{size: MaxBodyBytes + 4096}, Config{Workers: 1, Timeout: 5 * time.Second, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ip ipaddr.Addr
-	found := false
-	cloud.Ranges().Each(func(a ipaddr.Addr) bool {
-		st := cloud.StateAt(0, a)
-		if !(st.Bound && st.Web && !st.Slow && st.Ports == cloudsim.HTTPBoth) {
-			return true
-		}
-		prof, rev, ok := cloud.PageOn(0, a)
-		if ok && !prof.RobotsDeny && prof.StatusCode == 200 && len(prof.RenderPage(rev)) > 64 {
-			ip, found = a, true
-			return false
-		}
-		return true
-	})
-	if !found {
-		t.Skip("no suitable IP")
+	page := f.FetchIP(context.Background(), scanner.Result{IP: ipaddr.MustParseAddr("10.0.0.1"), OpenPorts: store.PortHTTP})
+	if page.Err != nil || page.Status != 200 {
+		t.Fatalf("fetch: status %d, err %v", page.Status, page.Err)
 	}
-	page := f.FetchIP(context.Background(), scanner.Result{IP: ip, OpenPorts: store.PortHTTP})
-	if len(page.Body) > 64 {
-		t.Errorf("body = %d bytes, cap 64", len(page.Body))
+	if len(page.Body) != MaxBodyBytes {
+		t.Errorf("body = %d bytes, want exactly %d", len(page.Body), MaxBodyBytes)
+	}
+	if got := reg.Snapshot().Counters["fetcher.body_bytes"]; got != MaxBodyBytes {
+		t.Errorf("fetcher.body_bytes = %d, want %d", got, MaxBodyBytes)
 	}
 }
 
@@ -429,46 +454,6 @@ func TestPerAttemptDeadlineBoundsStalls(t *testing.T) {
 	}
 	if elapsed > 2*time.Second {
 		t.Errorf("stalled exchange took %v; per-attempt deadlines not enforced", elapsed)
-	}
-}
-
-func TestSameSitePathsEdgeCases(t *testing.T) {
-	body := `<html><body>
-	<a href="http://site.example/about#team">About</a>
-	<a href="http://site.example/#top">Top</a>
-	<a href="http://site.example/about">About again</a>
-	<a href="http://site.example/">Home</a>
-	<a href="https://www.google-analytics.com/collect?v=1">tracker</a>
-	<a href="docs/guide#install">relative, not extracted</a>
-	<a href="http://site.example/a">A</a>
-	<a href="http://site.example/b">B</a>
-	<a href="http://site.example/c">C</a>
-	</body></html>`
-	got := SameSitePaths(body, 10)
-	// "/about#team" and "/about" are one path (the fragment is not part
-	// of the path), "#top" and "/" resolve to the root and are dropped,
-	// the tracker host is skipped, and the relative href never leaves
-	// the parser (WhoWas follows absolute links by path, on the IP).
-	want := []string{"/about", "/a", "/b", "/c"}
-	if len(got) != len(want) {
-		t.Fatalf("paths = %q, want %q", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("path[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-	for _, p := range got {
-		if strings.Contains(p, "#") {
-			t.Errorf("path %q retains fragment", p)
-		}
-	}
-	// The cap truncates, keeping document order.
-	if capped := SameSitePaths(body, 2); len(capped) != 2 || capped[0] != "/about" || capped[1] != "/a" {
-		t.Errorf("capped paths = %q", capped)
-	}
-	if got := SameSitePaths("", 5); len(got) != 0 {
-		t.Errorf("empty body yielded paths %q", got)
 	}
 }
 

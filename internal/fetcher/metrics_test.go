@@ -13,14 +13,11 @@ import (
 
 func TestWithDefaults(t *testing.T) {
 	got := Config{}.WithDefaults()
-	if got.Workers != 250 || got.Timeout != 10*time.Second || got.MaxBody != MaxBodyBytes {
+	if got.Workers != 250 || got.Timeout != 10*time.Second {
 		t.Errorf("resolved defaults = %+v", got)
 	}
-	if got.UserAgent != DefaultUserAgent {
-		t.Errorf("default UA = %q", got.UserAgent)
-	}
-	custom := Config{Workers: 5, UserAgent: "Custom-Research/1.0 (contact: x@example.org)"}.WithDefaults()
-	if custom.Workers != 5 || custom.UserAgent == DefaultUserAgent {
+	custom := Config{Workers: 5}.WithDefaults()
+	if custom.Workers != 5 {
 		t.Errorf("custom config clobbered: %+v", custom)
 	}
 	base := Config{}

@@ -281,11 +281,7 @@ func (n *Network) respond(c net.Conn, day int, ip ipaddr.Addr, path []byte) bool
 		var hs [8]websim.Header
 		b = appendResponse(b, profile.StatusCode, pageHeaders(profile.AppendHeaders(hs[:0], revision)), profile.RenderPage(revision))
 	default:
-		status, body := 200, profile.RenderSubpage(string(path), revision)
-		if body == "" {
-			status, body = 404, notFoundPage
-		}
-		b = appendResponse(b, status, []websim.Header{{Key: "Content-Type", Value: "text/html"}, {Key: "Server", Value: profile.Server}}, body)
+		b = appendResponse(b, 404, []websim.Header{{Key: "Content-Type", Value: "text/html"}, {Key: "Server", Value: profile.Server}}, notFoundPage)
 	}
 	_, err := c.Write(b)
 	*buf = b

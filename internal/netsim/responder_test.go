@@ -65,9 +65,6 @@ func oracleRespond(cloud *cloudsim.Cloud, day int, ip ipaddr.Addr, path string) 
 		}
 		return oracleResponse(profile.StatusCode, "", profile.RenderPage(revision), headers)
 	default:
-		if body := profile.RenderSubpage(path, revision); body != "" {
-			return oracleResponse(200, "text/html", body, map[string]string{"Server": profile.Server})
-		}
 		return oracleResponse(404, "text/html", notFoundPage, map[string]string{"Server": profile.Server})
 	}
 }
@@ -91,7 +88,7 @@ func TestResponderMatchesNetHTTP(t *testing.T) {
 	n, cloud := testNetwork(t)
 	paths := []string{"/", "/robots.txt", "/deep/page.html", "/about"}
 	statuses := map[int]int{}
-	triples, subpages := 0, 0
+	triples, about404 := 0, 0
 	step := 1
 	if testing.Short() {
 		step = 7
@@ -119,21 +116,23 @@ func TestResponderMatchesNetHTTP(t *testing.T) {
 				if path == "/" {
 					statuses[profile.StatusCode]++
 				}
-				if path == "/about" && bytes.HasPrefix(want, []byte("HTTP/1.1 200 OK\r\n")) {
-					subpages++
+				if path == "/about" && bytes.HasPrefix(want, []byte("HTTP/1.1 404 Not Found\r\n")) {
+					about404++
 				}
 			}
 			return true
 		})
 	}
-	t.Logf("%d (ip, day, path) responses equal; front-page statuses %v; %d real subpages", triples, statuses, subpages)
+	t.Logf("%d (ip, day, path) responses equal; front-page statuses %v; %d 404s for /about", triples, statuses, about404)
 	for _, status := range []int{200, 301, 403, 404, 500} {
 		if statuses[status] == 0 {
 			t.Errorf("no front page with status %d in the sample", status)
 		}
 	}
-	if subpages == 0 {
-		t.Error("no real subpage in the sample")
+	// The front page links /about, but only "/" and "/robots.txt" are
+	// served: the fetcher never follows a link.
+	if about404 == 0 {
+		t.Error("no 404 for /about in the sample")
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 func testServer(t *testing.T) (*httpd.Server, *metrics.Registry, *trace.Tracer) {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	tr := trace.New(trace.Config{SamplePerMille: 1000})
+	tr := trace.New(trace.Config{})
 	rounds := []core.RoundReport{{Round: 0, Day: 0, Probed: 100, Responsive: 7}}
 	s := New(Config{
 		Metrics: reg,

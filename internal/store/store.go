@@ -80,7 +80,7 @@ type Record struct {
 
 	Links    []string `json:"links"`    // absolute URLs found in the page (malicious-URL analysis)
 	Trackers []string `json:"trackers"` // third-party tracker names matched (Table 20)
-	Subpages int      `json:"subpages"` // followed-link pages fetched (§9 deep-crawl extension)
+	Subpages int      `json:"subpages"` // always 0: the fetcher follows no link; kept while the store formats are pinned
 
 	// Labels joined after collection.
 	VPC     bool  `json:"vpc"`     // cloud-cartography label

@@ -60,29 +60,20 @@ func Bool(k string, v bool) Attr { return Attr{Key: k, Value: strconv.FormatBool
 // between two shard submissions (CompletedSince).
 const ringSize = 4096
 
+// samplePerMille is the per-IP sampling rate for probe/GET spans:
+// SampleIP admits this fraction (1%) of the address space, chosen by a
+// pure hash of the IP so the same addresses are sampled every round
+// and every run.
+const samplePerMille = 10
+
 // Config tunes a Tracer.
 type Config struct {
-	// SamplePerMille is the per-IP sampling rate for probe/GET spans:
-	// SampleIP admits roughly this fraction of the address space,
-	// chosen by a pure hash of the IP so the same addresses are
-	// sampled every round and every run. 0 takes the default (10, i.e.
-	// 1%); negative disables per-IP spans; >= 1000 samples every IP.
-	SamplePerMille int
 	// Journal, when non-nil, receives one JSON line per completed span
 	// (see SpanSnapshot). Writes happen under the tracer's mutex in
 	// span-completion order; wrap files in a Journal (journal.go) for
 	// buffering and crash-safe renames. If it also implements
 	// io.Closer, Tracer.Close closes it.
 	Journal io.Writer
-}
-
-// WithDefaults resolves zero fields.
-func (c Config) WithDefaults() Config {
-	out := c
-	if out.SamplePerMille == 0 {
-		out.SamplePerMille = 10
-	}
-	return out
 }
 
 // Tracer records spans. Safe for concurrent use; a nil *Tracer is a
@@ -101,9 +92,8 @@ type Tracer struct {
 
 // New builds a tracer.
 func New(cfg Config) *Tracer {
-	c := cfg.WithDefaults()
 	return &Tracer{
-		cfg:    c,
+		cfg:    cfg,
 		active: make(map[uint64]*Span),
 		ring:   make([]SpanSnapshot, 0, ringSize),
 	}
@@ -161,14 +151,7 @@ func (t *Tracer) SampleIP(ip uint64) bool {
 	if t == nil {
 		return false
 	}
-	pm := t.cfg.SamplePerMille
-	if pm <= 0 {
-		return false
-	}
-	if pm >= 1000 {
-		return true
-	}
-	return mix64(ip^mix64(0x9e3779b97f4a7c15))%1000 < uint64(pm)
+	return mix64(ip^mix64(0x9e3779b97f4a7c15))%1000 < samplePerMille
 }
 
 // ID returns the span's id (0 for nil).

@@ -592,35 +592,6 @@ func (p *Profile) renderHTML(revision int) string {
 	return sb.String()
 }
 
-// SubpagePaths lists the site's crawlable subpages. The paper's §9
-// future work proposes "deeper crawling of websites by following links
-// in HTML"; ordinary 200-status HTML sites here expose the /about and
-// /contact pages their front page links to.
-func (p *Profile) SubpagePaths() []string {
-	if p.StatusCode != 200 || p.ContentType != "text/html" || p.DefaultPage || p.MultiVhost {
-		return nil
-	}
-	return []string{"/about", "/contact"}
-}
-
-// RenderSubpage produces a subpage body, or "" for paths the site does
-// not serve.
-func (p *Profile) RenderSubpage(path string, revision int) string {
-	for _, known := range p.SubpagePaths() {
-		if path == known {
-			name := strings.TrimPrefix(path, "/")
-			return fmt.Sprintf(`<!DOCTYPE html>
-<html><head><title>%s - %s</title></head>
-<body><h1>%s</h1>
-<p>%s page for %s, revision %d.</p>
-<a href="http://%s/">Home</a>
-</body></html>
-`, strings.Title(name), p.Title, strings.Title(name), strings.Title(name), p.Domain, revision, p.Domain)
-		}
-	}
-	return ""
-}
-
 func (p *Profile) renderVhost404() string {
 	return fmt.Sprintf(`<!DOCTYPE html>
 <html><head><title>404 Not Found</title></head>
