@@ -1,4 +1,5 @@
-// Fleet observability. Each worker owns a metrics Registry and a span
+// The coordinator's state — the ledger, which only apply changes — and
+// the fleet's view of it. Each worker owns a metrics Registry and a span
 // Tracer, but the operator runs one coordinator, so every heartbeat
 // carries the worker's metrics snapshot and every shard submission
 // also carries the spans completed since the previous one. The
@@ -18,6 +19,7 @@ import (
 	"strconv"
 	"time"
 
+	"whowas/internal/core"
 	"whowas/internal/metrics"
 	"whowas/internal/trace"
 )
@@ -30,6 +32,290 @@ const historyMax = 512
 
 // slowestN bounds each worker row's slowest-span window.
 const slowestN = 8
+
+// evKind names an event the ledger applies.
+type evKind int
+
+const (
+	evRegister     evKind = iota // a worker asks for a lease
+	evHeartbeat                  // a worker renews its lease and reports
+	evNext                       // a worker renews its lease and asks for a shard
+	evSubmit                     // a worker hands back a shard, merged when accepted
+	evReap                       // a tick: nothing beyond the reap every event starts with
+	evRoundBegin                 // the round opens with every shard pending
+	evRoundClose                 // the round stops taking submissions
+	evRoundEnd                   // the closed round is finalized
+	evCampaignDone               // the last round has ended
+)
+
+// event is one input to the ledger; each kind reads only its fields.
+// round, day and root (the root span's ID) describe a round_begin's
+// round; round and shard name a submission's shard, and base is the
+// first tracer ID reserved for its spans.
+type event struct {
+	kind              evKind
+	worker            string
+	metrics           metrics.Snapshot
+	round, shard, day int
+	root, base        uint64
+	result            *core.ShardResult
+	spans             []trace.SpanSnapshot
+	degraded          bool // a round_end's finalized verdict
+}
+
+// effects is what one applied event asks of its caller: ok is the
+// verdict (a register's lease granted, a heartbeat's or next's lease
+// live, a submission accepted); spans are an accepted submission's,
+// restamped under the round's root span for the journal; results are
+// a round_close's; expired and requeued count the leases the event
+// reaped and the shards it put back in the queue; wake says a waiter's
+// condition may have changed. mergeErr is the store's refusal of a
+// submission, which the ledger then never sees.
+type effects struct {
+	ok                bool
+	assign            Assignment
+	spans             []trace.SpanSnapshot
+	results           []*core.ShardResult
+	complete          bool // every shard of the open round is done
+	held              int  // live leases
+	expired, requeued int64
+	wake              bool
+	mergeErr          error
+}
+
+// roundState is one in-flight round's shard assignment.
+type roundState struct {
+	idx, day int
+	root     uint64   // the round's root span, parent of accepted worker spans
+	pending  []int    // unassigned shard indexes, FIFO
+	owner    []string // assigned shard -> worker ID ("" = unassigned)
+	done     []bool
+	results  []*core.ShardResult
+	nDone    int
+	degraded bool
+}
+
+// ledger is the coordinator's whole state — the open round's shard
+// assignment, the rounds done, the one worker table with each lease,
+// and the status history — and apply is the only code that changes
+// it. apply is pure: it does no I/O, takes no lock, reads no clock and
+// touches no metric, so the coordinator's decisions can be driven by a
+// seeded event sequence with no server at all. Server.apply holds the
+// mutex around it and acts on the effects it returns.
+type ledger struct {
+	// The campaign's constants: its settings (defaults applied), the
+	// cloud, the round schedule, the region names of each shard, and
+	// each lease's slice of the global §7 budget.
+	cfg       Config
+	cloudName string
+	days      []int
+	shards    [][]string
+	slice     float64
+
+	round        *roundState // the open round, nil between rounds
+	last         *roundState // the last closed round
+	roundsDone   int
+	campaignDone bool
+	// expired and requeued count every lease reaped and every shard
+	// re-queued, campaign-wide.
+	expired, requeued int64
+
+	// workers is the one worker table: each row's lease and reports.
+	workers map[string]*workerState
+	history []Status // ring, at most historyMax records
+	next    int      // oldest record once the ring is full
+	total   int64    // records ever appended
+}
+
+// apply changes the ledger by one event at instant now and returns
+// what the caller must do about it. It reaps first — every lease past
+// its expiry at now dies here and nowhere else, exactly once — then
+// applies the event, then files the event's status record.
+func (l *ledger) apply(ev event, now time.Time) effects {
+	var fx effects
+	expired, requeued := l.expired, l.requeued
+	l.reap(now)
+	rec, r := "", l.round
+	switch ev.kind {
+	case evRegister:
+		// A re-registering worker's own lease is replaced, not counted.
+		if fx.ok = l.leases(ev.worker) < l.cfg.MaxWorkers; fx.ok {
+			ws := l.row(ev.worker)
+			ws.expires, ws.lastSeen = now.Add(l.cfg.LeaseTTL), now
+			// A re-registering worker lost its session state; its old
+			// assignments go back in the queue.
+			l.requeue(ev.worker)
+			rec, fx.wake = "register", true
+		}
+	case evHeartbeat:
+		if fx.ok = l.renew(ev.worker, now); fx.ok {
+			l.observe(ev.worker, ev.metrics, nil, now)
+		}
+	case evNext:
+		switch fx.ok = l.renew(ev.worker, now); {
+		case !fx.ok:
+		case r != nil && len(r.pending) > 0:
+			shard := r.pending[0]
+			r.pending = r.pending[1:]
+			r.owner[shard] = ev.worker
+			fx.assign = Assignment{State: StateRun, Round: r.idx, Day: r.day, Shard: shard, Regions: l.shards[shard]}
+		case l.campaignDone && r == nil:
+			// The released lease may be the last one DrainWorkers awaits.
+			fx.assign, fx.wake = Assignment{State: StateDone}, true
+			l.workers[ev.worker].expires = time.Time{}
+		default:
+			fx.assign = Assignment{State: StateWait, RetryMS: defaultRetryMS}
+		}
+	case evSubmit:
+		if fx.ok = l.accepts(ev, now); fx.ok {
+			r.done[ev.shard], r.results[ev.shard] = true, ev.result
+			r.nDone++
+			r.degraded = r.degraded || ev.result.Degraded
+			fx.spans = restampSpans(ev.spans, ev.base, r.root, ev.worker, ev.round, ev.shard)
+			rec, fx.wake = "submit", true
+		}
+		l.observe(ev.worker, ev.metrics, fx.spans, now)
+	case evRoundBegin:
+		n := len(l.shards)
+		r = &roundState{idx: ev.round, day: ev.day, root: ev.root, pending: make([]int, n),
+			owner: make([]string, n), done: make([]bool, n), results: make([]*core.ShardResult, n)}
+		for i := range r.pending {
+			r.pending[i] = i
+		}
+		l.round, rec = r, "round_begin"
+	case evRoundClose:
+		// Closed, the round takes no submission: its results are final.
+		// They hold every record of the round, so the ledger lets go.
+		fx.results, r.results = r.results, nil
+		l.round, l.last = nil, r
+	case evRoundEnd:
+		l.roundsDone++
+		r, rec = l.last, "round_end"
+		r.degraded = ev.degraded
+	case evCampaignDone:
+		l.campaignDone, rec, fx.wake = true, "campaign_done", true
+	}
+	if rec != "" {
+		l.record(l.status(rec, ev.worker, r, now))
+	}
+	fx.expired, fx.requeued = l.expired-expired, l.requeued-requeued
+	fx.held = l.leases("")
+	fx.complete = l.round != nil && l.round.nDone == len(l.shards)
+	return fx
+}
+
+// reap clears every lease past its expiry at now, re-queues each dead
+// worker's unfinished shards and records the deaths, in worker order.
+func (l *ledger) reap(now time.Time) {
+	var dead []string
+	for id, ws := range l.workers {
+		if !ws.expires.IsZero() && now.After(ws.expires) {
+			ws.expires = time.Time{}
+			dead = append(dead, id)
+		}
+	}
+	sort.Strings(dead)
+	for _, id := range dead {
+		l.expired++
+		l.requeue(id)
+		l.record(l.status("lease_expired", id, l.round, now))
+	}
+}
+
+// renew extends worker's lease to a TTL past now, reporting false when
+// it holds none: never registered, released, or reaped.
+func (l *ledger) renew(worker string, now time.Time) bool {
+	ws := l.workers[worker]
+	if ws == nil || ws.expires.IsZero() {
+		return false
+	}
+	ws.expires = now.Add(l.cfg.LeaseTTL)
+	return true
+}
+
+// requeue returns a worker's assigned-but-unfinished shards to the
+// open round's pending queue.
+func (l *ledger) requeue(worker string) {
+	if r := l.round; r != nil {
+		for shard, owner := range r.owner {
+			if owner == worker && !r.done[shard] {
+				r.owner[shard] = ""
+				r.pending = append(r.pending, shard)
+				l.requeued++
+			}
+		}
+	}
+}
+
+// accepts reports whether a submission is the open round's shard, not
+// yet done, from the worker that owns it under a lease live at now —
+// the verdict apply reaches, so the store merge can run before it.
+func (l *ledger) accepts(ev event, now time.Time) bool {
+	r, ws := l.round, l.workers[ev.worker]
+	return r != nil && ws != nil && !ws.expires.IsZero() && !now.After(ws.expires) &&
+		ev.round == r.idx && ev.shard >= 0 && ev.shard < len(r.done) &&
+		!r.done[ev.shard] && r.owner[ev.shard] == ev.worker
+}
+
+// status builds a status snapshot at now with round r (nil when none
+// is open) as the current round.
+func (l *ledger) status(event, worker string, r *roundState, now time.Time) Status {
+	st := Status{
+		TimeMS:           now.UnixMilli(),
+		Event:            event,
+		Worker:           worker,
+		Cloud:            l.cloudName,
+		RoundsTotal:      len(l.days),
+		RoundsCompleted:  l.roundsDone,
+		Done:             l.campaignDone,
+		Round:            -1,
+		LeasesExpired:    l.expired,
+		ShardsReassigned: l.requeued,
+		Rate:             l.cfg.Rate,
+		LeasedRate:       float64(l.leases("")) * l.slice,
+	}
+	if r != nil {
+		st.Round, st.Day, st.Degraded = r.idx, r.day, r.degraded
+		st.ShardsPending, st.ShardsDone = len(r.pending), r.nDone
+		st.ShardsAssigned = len(r.done) - len(r.pending) - r.nDone
+	}
+	if st.Rate > 0 {
+		st.QuotaUtilization = st.LeasedRate / st.Rate
+	}
+	return st
+}
+
+// record files one status record, dropping the oldest at capacity.
+func (l *ledger) record(rec Status) {
+	l.total++
+	if len(l.history) < historyMax {
+		l.history = append(l.history, rec)
+		return
+	}
+	l.history[l.next] = rec
+	l.next = (l.next + 1) % historyMax
+}
+
+// row returns the worker's row, adding an empty one on first sight.
+func (l *ledger) row(worker string) *workerState {
+	ws, ok := l.workers[worker]
+	if !ok {
+		ws = &workerState{}
+		l.workers[worker] = ws
+	}
+	return ws
+}
+
+// leases counts the rows holding a lease, leaving out except's.
+func (l *ledger) leases(except string) int {
+	n := 0
+	for id, ws := range l.workers {
+		if id != except && !ws.expires.IsZero() {
+			n++
+		}
+	}
+	return n
+}
 
 // LeaseState is one worker's slice of the probe budget at a moment in
 // time: the leased rate (0 when the campaign is unlimited) and how
@@ -96,70 +382,22 @@ type workerState struct {
 	rate       float64
 }
 
-// fleetState is the coordinator's one worker table — each worker's
-// lease and last report — and the status-history ring. The Server
-// guards it with its mutex.
-type fleetState struct {
-	workers map[string]*workerState
-	history []Status // ring, at most historyMax records
-	next    int      // oldest record once the ring is full
-	total   int64    // records ever appended
-}
-
-// record files one status record, dropping the oldest at capacity.
-func (f *fleetState) record(rec Status) {
-	f.total++
-	if len(f.history) < historyMax {
-		f.history = append(f.history, rec)
-		return
-	}
-	f.history[f.next] = rec
-	f.next = (f.next + 1) % historyMax
-}
-
-// row returns the worker's row, adding an empty one on first sight.
-func (f *fleetState) row(worker string) *workerState {
-	ws, ok := f.workers[worker]
-	if !ok {
-		ws = &workerState{}
-		f.workers[worker] = ws
-	}
-	return ws
-}
-
-// leases counts the rows holding a lease, leaving out except's.
-func (f *fleetState) leases(except string) int {
-	n := 0
-	for id, ws := range f.workers {
-		if id != except && !ws.expires.IsZero() {
-			n++
-		}
-	}
-	return n
-}
-
 // observe folds one worker report in at the given instant: its
 // metrics snapshot and, from an accepted submission, the spans it
 // carried. Reports without a worker identity are ignored.
-func (f *fleetState) observe(worker string, snap metrics.Snapshot, spans []trace.SpanSnapshot, now time.Time) {
+func (l *ledger) observe(worker string, snap metrics.Snapshot, spans []trace.SpanSnapshot, now time.Time) {
 	if worker == "" {
 		return
 	}
-	ws := f.row(worker)
+	ws := l.row(worker)
 	probes := snap.Counters[probesCounter]
-	if !ws.prevTime.IsZero() {
-		if dt := now.Sub(ws.prevTime); dt >= 200*time.Millisecond {
-			// Differentiate over the report interval. A restarted worker
-			// (counter went backwards) resets the baseline instead of
-			// reporting a negative rate.
-			if d := probes - ws.prevProbes; d >= 0 {
-				ws.rate = float64(d) / dt.Seconds()
-			} else {
-				ws.rate = 0
-			}
-			ws.prevProbes, ws.prevTime = probes, now
-		}
-	} else {
+	if ws.prevTime.IsZero() {
+		ws.prevProbes, ws.prevTime = probes, now
+	} else if dt := now.Sub(ws.prevTime); dt >= 200*time.Millisecond {
+		// Differentiate over the report interval. A restarted worker
+		// (counter went backwards) resets the baseline instead of
+		// reporting a negative rate.
+		ws.rate = max(float64(probes-ws.prevProbes), 0) / dt.Seconds()
 		ws.prevProbes, ws.prevTime = probes, now
 	}
 	ws.metrics = snap
@@ -179,11 +417,11 @@ func (f *fleetState) observe(worker string, snap metrics.Snapshot, spans []trace
 
 // view assembles the fleet document around a status snapshot; each
 // row holding a lease shows it as a slice of the given rate.
-func (f *fleetState) view(now time.Time, st Status, slice float64) Fleet {
-	out := Fleet{Status: st, HistoryTotal: f.total}
-	snaps := make([]metrics.Snapshot, 0, len(f.workers))
-	for _, id := range f.sortedWorkers() {
-		ws := f.workers[id]
+func (l *ledger) view(now time.Time, st Status, slice float64) Fleet {
+	out := Fleet{Status: st, HistoryTotal: l.total}
+	snaps := make([]metrics.Snapshot, 0, len(l.workers))
+	for _, id := range l.sortedWorkers() {
+		ws := l.workers[id]
 		c := ws.metrics.Counters
 		var lease *LeaseState
 		if !ws.expires.IsZero() {
@@ -206,13 +444,13 @@ func (f *fleetState) view(now time.Time, st Status, slice float64) Fleet {
 		snaps = append(snaps, ws.metrics)
 	}
 	out.Fleet = metrics.MergeSnapshots(snaps...)
-	out.History = append(append(make([]Status, 0, len(f.history)), f.history[f.next:]...), f.history[:f.next]...)
+	out.History = append(append(make([]Status, 0, len(l.history)), l.history[l.next:]...), l.history[:l.next]...)
 	return out
 }
 
-func (f *fleetState) sortedWorkers() []string {
-	out := make([]string, 0, len(f.workers))
-	for id := range f.workers {
+func (l *ledger) sortedWorkers() []string {
+	out := make([]string, 0, len(l.workers))
+	for id := range l.workers {
 		out = append(out, id)
 	}
 	sort.Strings(out)

@@ -101,6 +101,19 @@ func TestFleetObservability(t *testing.T) {
 		t.Errorf("history submit events = %d, want 4", events["submit"])
 	}
 
+	// The fleet's round records what the in-process round records.
+	degraded := int64(0)
+	for _, r := range srv.Reports() {
+		if r.Degraded {
+			degraded++
+		}
+	}
+	if snap := reg.Snapshot(); snap.Histograms["core.round"].Count != int64(srv.ScheduledRounds()) ||
+		snap.Counters["core.degraded_rounds"] != degraded {
+		t.Errorf("core.round count %d, core.degraded_rounds %d; want %d rounds, %d degraded",
+			snap.Histograms["core.round"].Count, snap.Counters["core.degraded_rounds"], srv.ScheduledRounds(), degraded)
+	}
+
 	// --- /metrics/prom: worker-labeled fleet exposition ---
 	prom := getBody(t, base+"/metrics/prom")
 	for _, want := range []string{
@@ -302,8 +315,8 @@ func snapshotWith(probes int64) metrics.Snapshot {
 	return r.Snapshot()
 }
 
-func newFleetState() *fleetState {
-	return &fleetState{workers: make(map[string]*workerState)}
+func newFleetState() *ledger {
+	return &ledger{workers: make(map[string]*workerState)}
 }
 
 func TestFleetRatesAndView(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"whowas/internal/core"
 	"whowas/internal/httpd"
 	"whowas/internal/metrics"
 	"whowas/internal/ratelimit"
@@ -95,30 +94,18 @@ func leaseHolders(s *Server) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []string
-	for _, id := range s.obs.sortedWorkers() {
-		if !s.obs.workers[id].expires.IsZero() {
+	for _, id := range s.sortedWorkers() {
+		if !s.workers[id].expires.IsZero() {
 			out = append(out, id)
 		}
 	}
 	return out
 }
 
-// openRound opens a round ledger with every shard pending, as
-// runRound does, without touching the cloud or the store.
+// openRound opens a round with every shard pending, as Run does,
+// without touching the cloud or the store.
 func openRound(s *Server) {
-	n := len(s.shards)
-	r := &roundState{
-		pending: make([]int, n),
-		owner:   make([]string, n),
-		done:    make([]bool, n),
-		results: make([]*core.ShardResult, n),
-	}
-	for i := range r.pending {
-		r.pending[i] = i
-	}
-	s.mu.Lock()
-	s.round = r
-	s.mu.Unlock()
+	s.apply(event{kind: evRoundBegin})
 }
 
 // expiries lists the workers of the history's lease_expired records,
@@ -135,9 +122,7 @@ func expiries(s *Server) []string {
 
 // reap runs the reaper's tick once at the fake clock's instant.
 func reap(s *Server) {
-	s.mu.Lock()
-	s.reapLocked(s.now())
-	s.mu.Unlock()
+	s.apply(event{kind: evReap})
 }
 
 // checkDeaths asserts the expiry counters, the lease_expired records

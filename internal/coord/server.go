@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -92,53 +91,25 @@ const (
 	defaultRetryMS = 50
 )
 
-// roundState is one in-flight round's assignment ledger.
-type roundState struct {
-	idx, day int
-	start    time.Time
-	pending  []int    // unassigned shard indexes, FIFO
-	owner    []string // assigned shard -> worker ID ("" = unassigned)
-	done     []bool
-	results  []*core.ShardResult
-	nDone    int
-	degraded bool
-	// span is the coordinator's root span for the round; accepted
-	// submissions parent their worker spans under it.
-	span *trace.Span
-}
-
 // Server is the campaign coordinator. Build with NewServer, bind the
 // protocol with Start, drive the rounds with Run, and stop with
 // Shutdown.
 type Server struct {
-	cfg    Config
-	cloud  *cloudapi.Client
-	st     *store.Store
+	// p holds the cloud client, the store the shards merge into and the
+	// round reports; its RunRound is the frame around every round.
+	p      *core.Platform
 	ctrl   *httpd.Server
 	addr   string
-	slice  float64 // per-worker lease slice of cfg.Rate
-	days   []int
-	shards [][]string // region names per shard, fixed per campaign
 	notify chan struct{}
 
-	mu           sync.Mutex
-	round        *roundState
-	roundsDone   int
-	campaignDone bool
-	reports      []core.RoundReport
-	// obs is the one worker table: each row's lease and reports.
-	obs fleetState
+	mu sync.Mutex
+	// ledger is the campaign's state. Only apply changes it, under mu.
+	ledger
 
 	closeOnce sync.Once
 	closeErr  error
 
-	mRounds     *metrics.Counter
-	mAssigned   *metrics.Counter
-	mCompleted  *metrics.Counter
-	mReassigned *metrics.Counter
-	mExpired    *metrics.Counter
-	mRegistered *metrics.Counter
-	mRejected   *metrics.Counter
+	mRounds, mAssigned, mCompleted, mReassigned, mExpired, mRegistered, mRejected *metrics.Counter
 
 	// testOnHeartbeat, when set, runs at the top of every heartbeat
 	// request — the worker tests hold one in flight through it.
@@ -151,6 +122,9 @@ type Server struct {
 func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 	if cfg.CloudAddr == "" {
 		return nil, fmt.Errorf("coord: CloudAddr required")
+	}
+	if cfg.LeaseTTL > 0 && cfg.LeaseTTL < time.Millisecond { // workers learn it in whole ms
+		return nil, fmt.Errorf("coord: lease TTL %v below the protocol's 1ms resolution", cfg.LeaseTTL)
 	}
 	cfg.Rate = max(cfg.Rate, 0)
 	if cfg.MaxWorkers <= 0 {
@@ -181,29 +155,33 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("coord: round day %d outside campaign [0,%d)", day, cloud.Days())
 		}
 	}
-	st := store.New(cloud.Info().Name)
-	if cfg.StoreDir != "" {
-		backend, err := colstore.Open(cfg.StoreDir, colstore.Options{CloudName: cloud.Info().Name})
-		if err != nil {
-			cloud.Close()
-			return nil, fmt.Errorf("coord: opening store dir: %w", err)
-		}
-		st = store.NewWithBackend(cloud.Info().Name, backend)
-	}
-	st.SetMetrics(cfg.Metrics)
-	if cfg.Tracer != nil {
+	p, err := core.NewPlatformCloud(cloud)
+	if err == nil {
 		// Store finalize spans join the merged journal too.
-		st.SetTracer(cfg.Tracer)
+		p.Metrics, p.Tracer = cfg.Metrics, cfg.Tracer
+		backend := store.NewMemoryBackend()
+		if cfg.StoreDir != "" {
+			backend, err = colstore.Open(cfg.StoreDir, colstore.Options{CloudName: cloud.Info().Name})
+		}
+		if err == nil {
+			err = p.UseStoreBackend(backend)
+		}
+	}
+	if err != nil {
+		cloud.Close()
+		return nil, fmt.Errorf("coord: opening store: %w", err)
 	}
 	s := &Server{
-		cfg:         cfg,
-		cloud:       cloud,
-		st:          st,
-		slice:       cfg.Rate / float64(cfg.MaxWorkers),
-		days:        days,
-		shards:      core.ShardLayout(regions, cfg.Shards),
-		notify:      make(chan struct{}, 1),
-		obs:         fleetState{workers: make(map[string]*workerState)},
+		p:      p,
+		notify: make(chan struct{}, 1),
+		ledger: ledger{
+			cfg:       cfg,
+			cloudName: cloud.Info().Name,
+			days:      days,
+			shards:    core.ShardLayout(regions, cfg.Shards),
+			slice:     cfg.Rate / float64(cfg.MaxWorkers),
+			workers:   make(map[string]*workerState),
+		},
 		mRounds:     cfg.Metrics.Counter("coord.rounds"),
 		mAssigned:   cfg.Metrics.Counter("coord.shards_assigned"),
 		mCompleted:  cfg.Metrics.Counter("coord.shards_completed"),
@@ -229,7 +207,7 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 
 // Store returns the coordinator's store (the campaign's single source
 // of truth; digest it after Run).
-func (s *Server) Store() *store.Store { return s.st }
+func (s *Server) Store() *store.Store { return s.p.Store }
 
 // NumShards reports the per-round shard count.
 func (s *Server) NumShards() int { return len(s.shards) }
@@ -238,11 +216,7 @@ func (s *Server) NumShards() int { return len(s.shards) }
 func (s *Server) ScheduledRounds() int { return len(s.days) }
 
 // Reports returns a copy of the completed rounds' reports.
-func (s *Server) Reports() []core.RoundReport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]core.RoundReport(nil), s.reports...)
-}
+func (s *Server) Reports() []core.RoundReport { return s.p.RoundReports() }
 
 // Start binds the coordinator's address and serves in the background,
 // returning the bound address.
@@ -270,231 +244,97 @@ func (s *Server) now() time.Time {
 func (s *Server) writeProm(w io.Writer) error {
 	series := []metrics.LabeledSnapshot{{Snap: s.cfg.Metrics.Snapshot()}}
 	s.mu.Lock()
-	for _, id := range s.obs.sortedWorkers() {
+	for _, id := range s.sortedWorkers() {
 		series = append(series, metrics.LabeledSnapshot{
 			Labels: []metrics.Label{{Key: "worker", Value: id}},
-			Snap:   s.obs.workers[id].metrics,
+			Snap:   s.workers[id].metrics,
 		})
 	}
 	s.mu.Unlock()
 	return metrics.WritePromSeries(w, "whowas", series)
 }
 
-// recordLocked appends one status-history record for the given event.
-// Callers hold s.mu.
-func (s *Server) recordLocked(event, worker string) {
-	s.obs.record(s.statusLocked(event, worker, s.round))
-}
-
-// statusLocked builds a status snapshot with round r (nil when none
-// is open) as the current round. Callers hold s.mu.
-func (s *Server) statusLocked(event, worker string, r *roundState) Status {
-	st := Status{
-		TimeMS:           s.now().UnixMilli(),
-		Event:            event,
-		Worker:           worker,
-		Cloud:            s.st.CloudName,
-		RoundsTotal:      len(s.days),
-		RoundsCompleted:  s.roundsDone,
-		Done:             s.campaignDone,
-		Round:            -1,
-		LeasesExpired:    s.mExpired.Load(),
-		ShardsReassigned: s.mReassigned.Load(),
-		Rate:             s.cfg.Rate,
-		LeasedRate:       float64(s.obs.leases("")) * s.slice,
+// apply changes the ledger by one event on the coordinator's clock and
+// acts on the effects: it counts the reaped leases and re-queued
+// shards and wakes the waiters. An acceptable submission is merged
+// into the store first, under the same lock; a shard the store
+// refuses stays with its worker, the event unapplied.
+func (s *Server) apply(ev event) effects {
+	s.mu.Lock()
+	now := s.now()
+	var fx effects
+	if ev.kind == evSubmit && s.accepts(ev, now) {
+		fx.mergeErr = s.p.Store.PutBatch(ev.result.Records)
+		ev.base = s.cfg.Tracer.ReserveIDs(len(ev.spans))
 	}
-	if r != nil {
-		st.Round = r.idx
-		st.Day = r.day
-		st.ShardsPending = len(r.pending)
-		st.ShardsDone = r.nDone
-		st.ShardsAssigned = len(s.shards) - len(r.pending) - r.nDone
-		st.Degraded = r.degraded
+	if fx.mergeErr == nil {
+		fx = s.ledger.apply(ev, now)
 	}
-	if st.Rate > 0 {
-		st.QuotaUtilization = st.LeasedRate / st.Rate
-	}
-	return st
-}
-
-// wake nudges the round loop and DrainWorkers after a state change.
-// Callers release s.mu first, though the send never blocks and the
-// one-slot channel keeps a pending nudge: a wake under the lock only
-// makes the woken loop wait for s.mu, and loses no wake-up.
-func (s *Server) wake() {
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
-}
-
-// reapLocked is the only place a lease dies. Every lease past its
-// expiry at now is cleared, counted in coord.leases_expired, its
-// worker's unfinished shards re-queued and the death recorded in the
-// history, all in the caller's one s.mu critical section: whichever
-// request or tick observes an expiry first handles it, exactly once.
-// Callers hold s.mu.
-func (s *Server) reapLocked(now time.Time) {
-	var dead []string
-	for id, ws := range s.obs.workers {
-		if !ws.expires.IsZero() && now.After(ws.expires) {
-			ws.expires = time.Time{}
-			dead = append(dead, id)
+	s.mu.Unlock()
+	s.mExpired.Add(fx.expired)
+	s.mReassigned.Add(fx.requeued)
+	if fx.wake {
+		select {
+		case s.notify <- struct{}{}:
+		default:
 		}
 	}
-	sort.Strings(dead)
-	for _, id := range dead {
-		s.mExpired.Inc()
-		s.requeueLocked(id)
-		s.recordLocked("lease_expired", id)
-	}
+	return fx
 }
 
-// renewLocked extends worker's lease to a TTL past now, reporting
-// false when it holds none: never registered, released, or expired.
-// Callers hold s.mu.
-func (s *Server) renewLocked(worker string, now time.Time) bool {
-	s.reapLocked(now)
-	ws := s.obs.workers[worker]
-	if ws == nil || ws.expires.IsZero() {
-		return false
+// await re-checks done on every wake and every tick until it holds or
+// ctx ends, reporting whether the deadline (0: none) cut the wait short.
+func (s *Server) await(ctx context.Context, tick, deadline time.Duration, done func() bool) (bool, error) {
+	t := time.NewTicker(tick)
+	defer t.Stop()
+	var expired <-chan time.Time
+	if deadline > 0 {
+		timer := time.NewTimer(deadline)
+		defer timer.Stop()
+		expired = timer.C
 	}
-	ws.expires = now.Add(s.cfg.LeaseTTL)
-	return true
-}
-
-// requeueLocked returns a worker's assigned-but-unfinished shards to
-// the pending queue. Callers hold s.mu.
-func (s *Server) requeueLocked(worker string) {
-	r := s.round
-	if r == nil {
-		return
-	}
-	for shard, owner := range r.owner {
-		if owner == worker && !r.done[shard] {
-			r.owner[shard] = ""
-			r.pending = append(r.pending, shard)
-			s.mReassigned.Inc()
+	for !done() {
+		select {
+		case <-ctx.Done():
+			return false, ctx.Err()
+		case <-expired:
+			return true, nil
+		case <-s.notify:
+		case <-t.C:
 		}
 	}
+	return false, nil
 }
 
-// Run drives the campaign: one round per scheduled day, each waiting
-// until every shard has been submitted (re-assigning as leases die),
-// then finalizing through core.FinishRound like the in-process
-// round. After the last round, workers asking for work are told to
-// exit.
+// Run drives the campaign: one round per scheduled day through the
+// in-process round's frame, each collected by waiting until every
+// shard has been submitted (re-assigning as leases die). After the
+// last round, workers asking for work are told to exit.
 func (s *Server) Run(ctx context.Context) error {
 	for i, day := range s.days {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := s.runRound(ctx, i, day); err != nil {
+		collect := func(ctx context.Context) ([]*core.ShardResult, bool, error) {
+			s.apply(event{kind: evRoundBegin, round: i, day: day, root: trace.FromContext(ctx).ID()})
+			// Reap on a quarter-TTL cadence so a dead worker's shards are
+			// back in the queue well before the survivors go idle.
+			timedOut, err := s.await(ctx, s.cfg.LeaseTTL/4, s.cfg.RoundTimeout,
+				func() bool { return s.apply(event{kind: evReap}).complete })
+			return s.apply(event{kind: evRoundClose}).results, timedOut, err
+		}
+		end := func(report core.RoundReport) {
+			s.apply(event{kind: evRoundEnd, degraded: report.Degraded})
+			s.mRounds.Inc()
+			if s.cfg.Observer != nil {
+				s.cfg.Observer(report)
+			}
+		}
+		if err := s.p.RunRound(ctx, s.shards, i, day, end, collect); err != nil {
 			return err
 		}
 	}
-	s.mu.Lock()
-	s.campaignDone = true
-	s.recordLocked("campaign_done", "")
-	s.mu.Unlock()
-	s.wake()
-	return nil
-}
-
-func (s *Server) runRound(ctx context.Context, idx, day int) error {
-	if err := s.cloud.SetDay(ctx, day); err != nil {
-		return fmt.Errorf("coord: round %d: %w", idx, err)
-	}
-	if _, err := s.st.BeginRound(day); err != nil {
-		return err
-	}
-	r := &roundState{
-		idx:     idx,
-		day:     day,
-		start:   time.Now(),
-		pending: make([]int, len(s.shards)),
-		owner:   make([]string, len(s.shards)),
-		done:    make([]bool, len(s.shards)),
-		results: make([]*core.ShardResult, len(s.shards)),
-	}
-	for i := range s.shards {
-		r.pending[i] = i
-	}
-	// The coordinator's round span mirrors the in-process round's root:
-	// accepted worker spans reparent under it, so the merged journal's
-	// per-round breakdown reads like a single-process campaign's.
-	r.span = s.cfg.Tracer.Start("round", nil,
-		trace.Int("round", idx), trace.Int("day", day))
-	s.mu.Lock()
-	s.round = r
-	s.recordLocked("round_begin", "")
-	s.mu.Unlock()
-
-	// Reap on a quarter-TTL cadence so a dead worker's shards are
-	// back in the queue well before the survivors go idle.
-	reapTick := time.NewTicker(s.cfg.LeaseTTL / 4)
-	defer reapTick.Stop()
-	var deadline <-chan time.Time
-	if s.cfg.RoundTimeout > 0 {
-		t := time.NewTimer(s.cfg.RoundTimeout)
-		defer t.Stop()
-		deadline = t.C
-	}
-	timedOut := false
-	for {
-		s.mu.Lock()
-		s.reapLocked(s.now())
-		complete := r.nDone == len(s.shards)
-		s.mu.Unlock()
-		if complete || timedOut {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			// A cancelled campaign must not wedge the store on an open
-			// round; drop the partial round like runRound does.
-			s.mu.Lock()
-			s.round = nil
-			s.mu.Unlock()
-			_ = s.st.AbortRound()
-			r.span.SetAttr(trace.String("error", "cancelled"))
-			r.span.End()
-			return ctx.Err()
-		case <-deadline:
-			timedOut = true
-		case <-s.notify:
-		case <-reapTick.C:
-		}
-	}
-
-	s.mu.Lock()
-	s.round = nil
-	s.mu.Unlock()
-
-	// With s.round cleared no submission can land: r.results is final.
-	report, err := core.FinishRound(s.st, s.shards, r.results, timedOut)
-	if err != nil {
-		r.span.End()
-		return err
-	}
-	report.Round, report.Day, report.Total = idx, day, time.Since(r.start)
-	r.span.SetAttr(
-		trace.Int64("records", report.Records),
-		trace.Bool("degraded", report.Degraded),
-	)
-	r.span.End()
-	s.mu.Lock()
-	s.reports = append(s.reports, report)
-	s.roundsDone++
-	// s.round is already cleared: the finished round's identity comes
-	// from r.
-	r.degraded = report.Degraded
-	s.obs.record(s.statusLocked("round_end", "", r))
-	s.mu.Unlock()
-	s.mRounds.Inc()
-	if s.cfg.Observer != nil {
-		s.cfg.Observer(report)
-	}
+	s.apply(event{kind: evCampaignDone})
 	return nil
 }
 
@@ -502,39 +342,22 @@ func (s *Server) runRound(ctx context.Context, idx, day int) error {
 // is done and released its lease (or ctx expires). Call after Run so
 // a clean shutdown leaves no orphaned workers polling.
 func (s *Server) DrainWorkers(ctx context.Context) error {
-	tick := time.NewTicker(50 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		s.mu.Lock()
-		s.reapLocked(s.now())
-		held := s.obs.leases("")
-		s.mu.Unlock()
-		if held == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-s.notify:
-		case <-tick.C:
-		}
-	}
+	_, err := s.await(ctx, 50*time.Millisecond, 0,
+		func() bool { return s.apply(event{kind: evReap}).held == 0 })
+	return err
 }
 
 // Shutdown stops the protocol server, closes the cloud client and
 // releases the store backend. Idempotent; safe on a server never
-// started.
+// started. Call it once Run has returned: Run drops a round it does
+// not finish, and a store with a round still open refuses to close.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closeOnce.Do(func() {
 		s.closeErr = s.ctrl.Shutdown(ctx)
-		if err := s.cloud.Close(); err != nil && s.closeErr == nil {
+		if err := s.p.Cloud.Close(); err != nil && s.closeErr == nil {
 			s.closeErr = err
 		}
-		// A shutdown mid-round abandons the open round — the backend
-		// holds only finalized rounds either way — so the abort error
-		// ("no open round" in the normal case) is deliberately ignored.
-		_ = s.st.AbortRound()
-		if err := s.st.Close(); err != nil && s.closeErr == nil {
+		if err := s.p.Store.Close(); err != nil && s.closeErr == nil {
 			s.closeErr = err
 		}
 	})
@@ -552,27 +375,12 @@ func (s *Server) handleRegister(w http.ResponseWriter, req *http.Request) {
 		httpd.WriteError(w, http.StatusBadRequest, "coord: worker ID required")
 		return
 	}
-	s.mu.Lock()
-	now := s.now()
-	s.reapLocked(now)
-	// A re-registering worker's own lease is replaced, not counted.
-	full := s.obs.leases(rr.Worker) >= s.cfg.MaxWorkers
-	if !full {
-		ws := s.obs.row(rr.Worker)
-		ws.expires, ws.lastSeen = now.Add(s.cfg.LeaseTTL), now
-		// A re-registering worker lost its session state; its old
-		// assignments must go back in the queue.
-		s.requeueLocked(rr.Worker)
-		s.recordLocked("register", rr.Worker)
-	}
-	s.mu.Unlock()
-	if full {
+	if !s.apply(event{kind: evRegister, worker: rr.Worker}).ok {
 		httpd.WriteError(w, http.StatusConflict,
 			fmt.Sprintf("coord: fleet full: all %d worker leases held", s.cfg.MaxWorkers))
 		return
 	}
 	s.mRegistered.Inc()
-	s.wake()
 	httpd.WriteJSON(w, RegisterReply{
 		Lease:          rr.Worker,
 		Rate:           s.slice,
@@ -592,14 +400,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 	if !httpd.DecodeBody(w, req, &hb) {
 		return
 	}
-	s.mu.Lock()
-	now := s.now()
-	live := s.renewLocked(hb.Worker, now)
-	if live {
-		s.obs.observe(hb.Worker, hb.Metrics, nil, now)
-	}
-	s.mu.Unlock()
-	if !live {
+	if !s.apply(event{kind: evHeartbeat, worker: hb.Worker, metrics: hb.Metrics}).ok {
 		writeNoLease(w, hb.Worker)
 		return
 	}
@@ -611,38 +412,15 @@ func (s *Server) handleNext(w http.ResponseWriter, req *http.Request) {
 	if !httpd.DecodeBody(w, req, &nr) {
 		return
 	}
-	var a Assignment
-	s.mu.Lock()
-	if !s.renewLocked(nr.Worker, s.now()) {
-		s.mu.Unlock()
+	fx := s.apply(event{kind: evNext, worker: nr.Worker})
+	if !fx.ok {
 		writeNoLease(w, nr.Worker)
 		return
 	}
-	switch r := s.round; {
-	case r != nil && len(r.pending) > 0:
-		shard := r.pending[0]
-		r.pending = r.pending[1:]
-		r.owner[shard] = nr.Worker
-		a = Assignment{
-			State:   StateRun,
-			Round:   r.idx,
-			Day:     r.day,
-			Shard:   shard,
-			Regions: s.shards[shard],
-		}
+	if fx.assign.State == StateRun {
 		s.mAssigned.Inc()
-	case s.campaignDone && s.round == nil:
-		a = Assignment{State: StateDone}
-		s.obs.workers[nr.Worker].expires = time.Time{}
-	default:
-		a = Assignment{State: StateWait, RetryMS: defaultRetryMS}
 	}
-	s.mu.Unlock()
-	if a.State == StateDone {
-		// The released lease may be the last DrainWorkers waits on.
-		s.wake()
-	}
-	httpd.WriteJSON(w, a)
+	httpd.WriteJSON(w, fx.assign)
 }
 
 // writeNoLease answers a request from a worker without a live lease:
@@ -651,56 +429,28 @@ func writeNoLease(w http.ResponseWriter, worker string) {
 	httpd.WriteError(w, http.StatusGone, fmt.Sprintf("coord: worker %q holds no live lease", worker))
 }
 
+// handleSubmit merges an accepted shard into the store and its spans
+// into the coordinator's journal: renumbered into this tracer's ID
+// space, parented under the round span, stamped with the worker
+// identity. A stale submission's spans are discarded with its records.
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var sr SubmitRequest
 	if !httpd.DecodeBody(w, req, &sr) {
 		return
 	}
-	accepted := false
-	var putErr error
-	var rootID uint64
-	s.mu.Lock()
-	r := s.round
-	if r != nil && sr.Round == r.idx &&
-		sr.Shard >= 0 && sr.Shard < len(r.done) &&
-		!r.done[sr.Shard] && r.owner[sr.Shard] == sr.Worker {
-		if putErr = s.st.PutBatch(sr.Result.Records); putErr == nil {
-			res := sr.Result
-			r.done[sr.Shard] = true
-			r.results[sr.Shard] = &res
-			r.nDone++
-			if res.Degraded {
-				r.degraded = true
-			}
-			accepted = true
-			rootID = r.span.ID()
-			s.recordLocked("submit", sr.Worker)
-		}
-	}
-	s.mu.Unlock()
-	if putErr != nil {
-		httpd.WriteError(w, http.StatusInternalServerError, putErr.Error())
+	fx := s.apply(event{kind: evSubmit, worker: sr.Worker, round: sr.Round, shard: sr.Shard,
+		result: &sr.Result, metrics: sr.Metrics, spans: sr.Spans})
+	if fx.mergeErr != nil {
+		httpd.WriteError(w, http.StatusInternalServerError, fx.mergeErr.Error())
 		return
 	}
-	// Merge an accepted shard's spans into the coordinator's journal:
-	// renumber into this tracer's ID space, parent under the round
-	// span, and stamp with the worker identity. Stale submissions'
-	// spans are discarded with the records.
-	var spans []trace.SpanSnapshot
-	if accepted {
-		spans = restampSpans(sr.Spans, s.cfg.Tracer.ReserveIDs(len(sr.Spans)), rootID, sr.Worker, sr.Round, sr.Shard)
-		s.cfg.Tracer.Record(spans...)
-	}
-	s.mu.Lock()
-	s.obs.observe(sr.Worker, sr.Metrics, spans, s.now())
-	s.mu.Unlock()
-	if accepted {
+	if fx.ok {
+		s.cfg.Tracer.Record(fx.spans...)
 		s.mCompleted.Inc()
-		s.wake()
 	} else {
 		s.mRejected.Inc()
 	}
-	httpd.WriteJSON(w, SubmitReply{Accepted: accepted})
+	httpd.WriteJSON(w, SubmitReply{Accepted: fx.ok})
 }
 
 // fleetView assembles the fleet document: the live status plus
@@ -709,7 +459,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 func (s *Server) fleetView() Fleet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.obs.view(s.now(), s.statusLocked("", "", s.round), s.slice)
+	now := s.now()
+	return s.view(now, s.status("", "", s.round, now), s.slice)
 }
 
 func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {

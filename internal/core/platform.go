@@ -305,12 +305,12 @@ func withPlatformDefaults(p *Platform, cfg CampaignConfig) CampaignConfig {
 	return cfg
 }
 
-// RunCampaign executes rounds per the config's schedule: each round
-// advances the network day and runs the region-sharded pipeline
-// (round.go) — scan the cloud's ranges, fetch pages for responsive web
-// IPs, extract features, store the records — one ShardRunner lane per
-// region shard, all on one runner so the scanner's rate limiter stays
-// the campaign-wide §7 probe budget. Each completed round appends a
+// RunCampaign executes rounds per the config's schedule: each round is
+// the RunRound frame around the region-sharded pipeline (round.go) —
+// scan the cloud's ranges, fetch pages for responsive web IPs, extract
+// features, store the records — one ShardRunner lane per region shard,
+// all on one runner so the scanner's rate limiter stays the
+// campaign-wide §7 probe budget. Each completed round appends a
 // RoundReport to p.Reports and, when configured, invokes cfg.Observer
 // with it.
 func (p *Platform) RunCampaign(ctx context.Context, cfg CampaignConfig) error {
@@ -333,10 +333,15 @@ func (p *Platform) RunCampaign(ctx context.Context, cfg CampaignConfig) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if day < 0 || day >= p.Cloud.Days() {
-			return fmt.Errorf("core: round day %d outside campaign [0,%d)", day, p.Cloud.Days())
-		}
-		if err := p.runRound(ctx, runner, layout, i, day); err != nil {
+		err := p.RunRound(ctx, layout, i, day, cfg.Observer, func(ctx context.Context) ([]*ShardResult, bool, error) {
+			results, err := p.runLanes(ctx, runner, layout)
+			return results, false, err
+		})
+		// One CloseIdle per round, once every lane is done and the report
+		// stamped: tearing the shared fetcher's pool down is not part of
+		// the round's Total.
+		runner.CloseIdle()
+		if err != nil {
 			return err
 		}
 	}

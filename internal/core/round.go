@@ -1,9 +1,9 @@
 // The round: a layout deals the cloud's regions into shards, every
-// shard runs as one ShardRunner lane (shard.go), and FinishRound folds
+// shard runs as one ShardRunner lane (shard.go), and finishRound folds
 // the shard results into a finalized store round and its RoundReport.
-// RunCampaign runs a round's lanes concurrently in-process; the coord
-// package hands the same shards to a worker fleet and finishes the
-// round through the same FinishRound.
+// RunRound is the one frame around a round; its collector either runs
+// the lanes concurrently in-process (RunCampaign) or, in the coord
+// package, waits for a worker fleet to submit the same shards.
 package core
 
 import (
@@ -33,17 +33,10 @@ func ShardLayout(regions []string, n int) [][]string {
 // multiplying it: N lanes with W total workers keep the same
 // concurrency budget as one lane.
 func poolShare(workers, lanes int) int {
-	if lanes < 1 {
-		lanes = 1
-	}
-	w := workers / lanes
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(workers/max(lanes, 1), 1)
 }
 
-// FinishRound closes st's open round from its shards' results:
+// finishRound closes st's open round from its shards' results:
 // results[i] is layout[i]'s run, already handed to st.PutBatch, or nil
 // for a shard that never came back; timedOut says the round deadline
 // cut the wait short. It adds the probed counts, marks the round
@@ -52,7 +45,7 @@ func poolShare(workers, lanes int) int {
 // missing shard's regions zero-count and Degraded, Scan the longest
 // lane scan and Drain the tail from there to the end of the longest
 // lane. The caller stamps Round, Day and Total.
-func FinishRound(st *store.Store, layout [][]string, results []*ShardResult, timedOut bool) (RoundReport, error) {
+func finishRound(st *store.Store, layout [][]string, results []*ShardResult, timedOut bool) (RoundReport, error) {
 	report := RoundReport{Degraded: timedOut}
 	var laneTotal time.Duration
 	nRegions := 0
@@ -62,16 +55,10 @@ func FinishRound(st *store.Store, layout [][]string, results []*ShardResult, tim
 			continue
 		}
 		report.Degraded = report.Degraded || res.Degraded
-		if res.Scan > report.Scan {
-			report.Scan = res.Scan
-		}
-		if res.Total > laneTotal {
-			laneTotal = res.Total
-		}
+		report.Scan = max(report.Scan, res.Scan)
+		laneTotal = max(laneTotal, res.Total)
 	}
-	if laneTotal > report.Scan {
-		report.Drain = laneTotal - report.Scan
-	}
+	report.Drain = max(laneTotal-report.Scan, 0)
 	// Region i sits at layout[i%n][i/n]: walking i restores
 	// address-range order from the round-robin deal.
 	for i := 0; i < nRegions; i++ {
@@ -111,10 +98,15 @@ func FinishRound(st *store.Store, layout [][]string, results []*ShardResult, tim
 	return report, nil
 }
 
-// runRound executes one in-process round: advance the cloud's day, open
-// the store round, run every shard of the layout as a concurrent lane
-// on the shared runner, and finish.
-func (p *Platform) runRound(ctx context.Context, runner *ShardRunner, layout [][]string, idx, day int) error {
+// RunRound is the one frame around a round: advance the cloud to day,
+// open the store round under a root span, and let collect gather the
+// layout's shard results, each already merged into the store (nil for
+// a shard that never came back; timedOut says the round deadline cut
+// the wait short). A collect error drops the partial round, so the
+// completed rounds stay digestable. Otherwise the round is finished,
+// its report recorded and handed to observe when non-nil.
+func (p *Platform) RunRound(ctx context.Context, layout [][]string, idx, day int, observe func(RoundReport),
+	collect func(ctx context.Context) (results []*ShardResult, timedOut bool, err error)) error {
 	start := time.Now()
 	if err := p.Cloud.SetDay(ctx, day); err != nil {
 		return fmt.Errorf("core: round %d: %w", idx, err)
@@ -122,25 +114,17 @@ func (p *Platform) runRound(ctx context.Context, runner *ShardRunner, layout [][
 	if _, err := p.Store.BeginRound(day); err != nil {
 		return err
 	}
-	// One CloseIdle per round, on every exit path and only once every
-	// lane is done — never while a sibling lane is still using the
-	// shared fetcher's pool. It runs after the report is stamped:
-	// tearing the pool down is not part of the round's Total.
-	defer runner.CloseIdle()
 	rootSp := p.Tracer.Start("round", nil,
 		trace.Int("round", idx), trace.Int("day", day))
 	defer rootSp.End()
 
-	results, err := p.runLanes(trace.NewContext(ctx, rootSp), runner, layout)
+	results, timedOut, err := collect(trace.NewContext(ctx, rootSp))
 	if err != nil {
-		// A hard failure (campaign cancellation, a store error) must
-		// not leave the store wedged on an open round: drop the
-		// partial round so the completed ones stay digestable.
 		_ = p.Store.AbortRound()
-		rootSp.SetAttr(trace.String("error", "pipeline"))
+		rootSp.SetAttr(trace.String("error", "collect"))
 		return fmt.Errorf("core: round %d: %w", idx, err)
 	}
-	report, err := FinishRound(p.Store, layout, results, false)
+	report, err := finishRound(p.Store, layout, results, timedOut)
 	if err != nil {
 		return err
 	}
@@ -158,8 +142,8 @@ func (p *Platform) runRound(ctx context.Context, runner *ShardRunner, layout [][
 	)
 	rootSp.End()
 	p.appendReport(report)
-	if runner.cfg.Observer != nil {
-		runner.cfg.Observer(report)
+	if observe != nil {
+		observe(report)
 	}
 	return nil
 }

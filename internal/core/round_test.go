@@ -240,7 +240,7 @@ func TestRunLane(t *testing.T) {
 			if err := o.p.Store.PutBatch(o.res.Records); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := FinishRound(o.p.Store, [][]string{regions}, []*ShardResult{o.res}, false); err != nil {
+			if _, err := finishRound(o.p.Store, [][]string{regions}, []*ShardResult{o.res}, false); err != nil {
 				t.Fatal(err)
 			}
 			if digest, err := o.p.Store.Digest(); err != nil || digest != campaign.digest {
@@ -363,7 +363,7 @@ func TestSplitRegions(t *testing.T) {
 	}
 }
 
-// finishFixture is one FinishRound call's inputs over a five-region
+// finishFixture is one finishRound call's inputs over a five-region
 // cloud: a store with a round open, the layout, and a full set of
 // healthy shard results (each region probed 100, 10 responsive, one
 // record) not yet handed to the store.
@@ -476,7 +476,7 @@ func TestFinishRound(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			report, err := FinishRound(st, layout, results, tc.timedOut)
+			report, err := finishRound(st, layout, results, tc.timedOut)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -538,7 +538,7 @@ func TestFinishRound(t *testing.T) {
 
 	// A store with no open round surfaces the error instead of a report
 	// that never landed.
-	if _, err := FinishRound(store.New("closed"), ShardLayout(regions, 1), make([]*ShardResult, 1), true); err == nil {
-		t.Error("FinishRound on a store with no open round succeeded")
+	if _, err := finishRound(store.New("closed"), ShardLayout(regions, 1), make([]*ShardResult, 1), true); err == nil {
+		t.Error("finishRound on a store with no open round succeeded")
 	}
 }

@@ -3,7 +3,7 @@
 // records as a ShardResult. It is the only thing that runs a lane —
 // RunCampaign (round.go) runs a round's lanes concurrently on one
 // shared runner, a coord worker runs its assigned shards one at a time
-// on its own — and FinishRound is the only thing that folds the results
+// on its own — and finishRound is the only thing that folds the results
 // into a finalized store round, so store digests are byte-identical for
 // any lane or worker count. The lane is a plain function (runLane) whose
 // stages run on a first-error group; the rule that turns a RoundTimeout
@@ -35,7 +35,7 @@ import (
 var shardSession atomic.Int64
 
 // RegionResult is one region's share of a shard run. It carries the
-// scanner's counts and the fetch-side tallies FinishRound folds into
+// scanner's counts and the fetch-side tallies finishRound folds into
 // the round's RegionReport.
 type RegionResult struct {
 	Region       string        `json:"region"`

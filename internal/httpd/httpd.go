@@ -12,6 +12,7 @@ package httpd
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -175,12 +176,28 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // the peer hanging up mid-answer is its own report
 }
 
-// DecodeBody decodes the request's JSON body into v, answering a 400
-// ErrorDoc (and returning false) when it is malformed.
+// maxBody caps a request body. The largest the control planes take is
+// a coord submission: one region shard of one round's records.
+const maxBody = 1 << 30
+
+// DecodeBody decodes the request's JSON body into v, answering an
+// ErrorDoc and returning false when it is malformed (400) or over
+// maxBody (413).
 func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("httpd: bad request body: %v", err))
-		return false
+	return decodeBody(w, r, v, maxBody)
+}
+
+// decodeBody is DecodeBody under limit; a declared length over it is
+// refused unread.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
+	err := error(&http.MaxBytesError{Limit: limit})
+	if r.ContentLength <= limit {
+		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
 	}
-	return true
+	if over := (*http.MaxBytesError)(nil); errors.As(err, &over) {
+		WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("httpd: request body over %d bytes", over.Limit))
+	} else if err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("httpd: bad request body: %v", err))
+	}
+	return err == nil
 }

@@ -164,3 +164,41 @@ func TestServer(t *testing.T) {
 		}
 	})
 }
+
+// TestDecodeBodyCap: a body over the cap is answered 413 with an
+// ErrorDoc, whether its length is declared or only found by reading
+// it; a body at the cap decodes.
+func TestDecodeBodyCap(t *testing.T) {
+	body := `{"n": 12345}` // 12 bytes
+	cases := []struct {
+		name     string
+		limit    int64
+		declared int64 // the request's Content-Length; -1 = unknown
+		status   int
+	}{
+		{name: "at-cap", limit: 12, declared: -1, status: http.StatusOK},
+		{name: "streamed-over", limit: 11, declared: -1, status: http.StatusRequestEntityTooLarge},
+		{name: "declared-over", limit: 11, declared: 12, status: http.StatusRequestEntityTooLarge},
+		{name: "constant-declared-over", limit: maxBody, declared: maxBody + 1, status: http.StatusRequestEntityTooLarge},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(body))
+			req.ContentLength = tc.declared
+			rr := httptest.NewRecorder()
+			var doc echoDoc
+			ok := decodeBody(rr, req, &doc, tc.limit)
+			if rr.Code != tc.status || ok != (tc.status == http.StatusOK) {
+				t.Fatalf("decodeBody = %v, status %d; want %d", ok, rr.Code, tc.status)
+			}
+			if !ok {
+				var e ErrorDoc
+				if err := json.Unmarshal(rr.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "over") {
+					t.Errorf("413 body %q is not an ErrorDoc naming the cap (%v)", rr.Body, err)
+				}
+			} else if doc.N != 12345 {
+				t.Errorf("decoded %+v", doc)
+			}
+		})
+	}
+}

@@ -223,13 +223,13 @@ func (s *Span) End() {
 	t := s.tr
 	t.mu.Lock()
 	delete(t.active, s.id)
-	t.recordLocked(snap)
+	t.fileLocked(snap)
 	t.mu.Unlock()
 }
 
-// recordLocked files one completed span into the ring and journal;
+// fileLocked files one completed span into the ring and journal;
 // callers hold t.mu.
-func (t *Tracer) recordLocked(snap SpanSnapshot) {
+func (t *Tracer) fileLocked(snap SpanSnapshot) {
 	t.completed++
 	if len(t.ring) < ringSize {
 		t.ring = append(t.ring, snap)
@@ -272,7 +272,7 @@ func (t *Tracer) Record(snaps ...SpanSnapshot) {
 	defer t.mu.Unlock()
 	for _, snap := range snaps {
 		snap.Active = false
-		t.recordLocked(snap)
+		t.fileLocked(snap)
 	}
 }
 
