@@ -68,7 +68,6 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/htmlparse -fuzz FuzzParseHTML -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/simhash -fuzz FuzzSimhash -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ipaddr -fuzz FuzzParseIPRange -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netsim -fuzz FuzzRequestHead -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/colstore -fuzz FuzzSegment -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/store/colstore -fuzz FuzzDecompress -fuzztime $(FUZZTIME)

@@ -43,7 +43,7 @@ func mkStore(t *testing.T, probed int64, days []int, rounds [][]*store.Record) *
 		}
 		for _, r := range recs {
 			cp := *r
-			if err := s.Put(&cp); err != nil {
+			if err := s.PutBatch([]*store.Record{&cp}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -554,7 +554,7 @@ func BenchmarkChurn(b *testing.B) {
 		_, _ = s.BeginRound(days[i])
 		for _, r := range recs {
 			cp := *r
-			_ = s.Put(&cp)
+			_ = s.PutBatch([]*store.Record{&cp})
 		}
 		s.AddProbed(10000)
 		_ = s.EndRound()

@@ -113,15 +113,15 @@ func TestLinchpins(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		links = append(links, "http://evil"+string(rune('a'+i%3))+".example/p"+string(rune('0'+i%10)))
 	}
-	_ = s.Put(&store.Record{
+	_ = s.PutBatch([]*store.Record{{
 		IP: ipaddr.MustParseAddr("1.0.0.1"), OpenPorts: store.PortHTTP,
 		HTTPStatus: 200, Links: links, Simhash: simhash.Hash("linchpin"),
-	})
+	}})
 	// An ordinary page with two flagged URLs.
-	_ = s.Put(&store.Record{
+	_ = s.PutBatch([]*store.Record{{
 		IP: ipaddr.MustParseAddr("1.0.0.2"), OpenPorts: store.PortHTTP,
 		HTTPStatus: 200, Links: links[:2], Simhash: simhash.Hash("ordinary"),
-	})
+	}})
 	_ = s.EndRound()
 
 	flagged := func(url string, day int) bool { return strings.Contains(url, "evil") }

@@ -66,17 +66,6 @@ func (v VPCSeries) Format(cloud string) string {
 	return sb.String()
 }
 
-// VPCClusterKind classifies a cluster's networking usage (§8.1:
-// classic-only 72.9%, VPC-only 24.5%, mixed 2.6%).
-type VPCClusterKind int
-
-// Cluster networking classes.
-const (
-	ClassicOnly VPCClusterKind = iota
-	VPCOnly
-	Mixed
-)
-
 // VPCClusterSeries is Figure 14: per-round counts of clusters by
 // networking class, plus the overall class totals.
 type VPCClusterSeries struct {

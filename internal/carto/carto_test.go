@@ -111,7 +111,7 @@ func TestApplyLabelsRecords(t *testing.T) {
 			return true
 		}
 		seen[p22] = true
-		_ = st.Put(&store.Record{IP: a, OpenPorts: store.PortHTTP})
+		_ = st.PutBatch([]*store.Record{{IP: a, OpenPorts: store.PortHTTP}})
 		return true
 	})
 	_ = st.EndRound()

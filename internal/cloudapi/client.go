@@ -23,7 +23,7 @@ import (
 
 // Client is the wire Cloud: it speaks the probe-channel protocol
 // (wire.go) to a whowas-cloudd data plane and JSON over HTTP to its
-// control plane. The address layout (Ranges/RegionOf/IsVPC) is
+// control plane. The address layout (Ranges/RegionOf) is
 // reconstructed locally from the daemon's advertised configuration, so
 // the hot path pays no control-plane round trips; only dials, day
 // changes, snapshots, and DNS queries cross the wire.
@@ -511,12 +511,6 @@ func (c *Client) RegionOf(a ipaddr.Addr) string {
 		return pi.Region
 	}
 	return ""
-}
-
-// IsVPC reports VPC membership from the advertised layout.
-func (c *Client) IsVPC(a ipaddr.Addr) bool {
-	pi := c.lookup(a)
-	return pi != nil && pi.VPC
 }
 
 // Info describes the remote cloud, including its data-plane addresses.

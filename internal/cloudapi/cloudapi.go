@@ -26,20 +26,18 @@ package cloudapi
 import (
 	"context"
 	"fmt"
-	"net"
 
 	"whowas/internal/blacklist"
 	"whowas/internal/cloudsim"
 	"whowas/internal/dnssim"
 	"whowas/internal/ipaddr"
+	"whowas/internal/netsim"
 	"whowas/internal/websim"
 )
 
-// Dialer is the data-plane contract, identical to netsim.Dialer and
-// http.Transport.DialContext.
-type Dialer interface {
-	DialContext(ctx context.Context, network, address string) (net.Conn, error)
-}
+// Dialer is the data-plane contract, netsim.Dialer (the shape of
+// http.Transport.DialContext).
+type Dialer = netsim.Dialer
 
 // Resolver answers EC2-style public-DNS queries for the cartography
 // sweep. *dnssim.Resolver satisfies it; the wire client answers over
@@ -57,7 +55,6 @@ type Cloud interface {
 	// configuration; the wire client answers them locally from Info.
 	Ranges() *ipaddr.RangeList
 	RegionOf(a ipaddr.Addr) string
-	IsVPC(a ipaddr.Addr) bool
 
 	// Control plane.
 	Info() Info
@@ -71,7 +68,7 @@ type Cloud interface {
 }
 
 // Info describes a cloud's identity and static layout — everything a
-// client needs to reconstruct Ranges/RegionOf/IsVPC without talking
+// client needs to reconstruct Ranges/RegionOf without talking
 // to the data plane.
 type Info struct {
 	Name      string           `json:"name"`
@@ -142,25 +139,12 @@ func ProfileConfig(name string, scaleDiv int, seed int64) (SimConfig, error) {
 	return SimConfig{}, fmt.Errorf("unknown cloud %q (want ec2 or azure)", name)
 }
 
-// Unwrapper is implemented by decorating clouds (WithFaults) so
-// helpers can reach the underlying implementation.
-type Unwrapper interface {
-	Unwrap() Cloud
-}
-
-// Sim unwraps c to its in-process simulator, or nil when the cloud is
+// Sim returns c's in-process simulator, or nil when the cloud is
 // remote. Ground-truth-hungry callers (accuracy tests, experiments)
 // use it; campaign code must not, or it would break under wire mode.
 func Sim(c Cloud) *cloudsim.Cloud {
-	for c != nil {
-		switch v := c.(type) {
-		case *InProcess:
-			return v.cloud
-		case Unwrapper:
-			c = v.Unwrap()
-		default:
-			return nil
-		}
+	if p, ok := c.(*InProcess); ok {
+		return p.cloud
 	}
 	return nil
 }
@@ -170,15 +154,8 @@ func Sim(c Cloud) *cloudsim.Cloud {
 // feed joins run them on the daemon side or rebuild feeds from the
 // ground truth.
 func FeedsOf(c Cloud) *Feeds {
-	for c != nil {
-		switch v := c.(type) {
-		case *InProcess:
-			return v.feeds
-		case Unwrapper:
-			c = v.Unwrap()
-		default:
-			return nil
-		}
+	if p, ok := c.(*InProcess); ok {
+		return p.feeds
 	}
 	return nil
 }

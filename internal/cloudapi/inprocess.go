@@ -46,9 +46,6 @@ func (p *InProcess) Ranges() *ipaddr.RangeList { return p.cloud.Ranges() }
 // RegionOf maps an address to its region ("" outside the cloud).
 func (p *InProcess) RegionOf(a ipaddr.Addr) string { return p.cloud.RegionOf(a) }
 
-// IsVPC reports ground-truth VPC membership.
-func (p *InProcess) IsVPC(a ipaddr.Addr) bool { return p.cloud.IsVPC(a) }
-
 // Info describes the simulated cloud's configuration.
 func (p *InProcess) Info() Info {
 	cfg := p.cloud.Config()
@@ -131,14 +128,3 @@ func (p *InProcess) Close() error { return nil }
 // Network exposes the underlying virtual network for tests that tune
 // or instrument it (politeness accounting, loss rates).
 func (p *InProcess) Network() *netsim.Network { return p.net }
-
-// RecordProbes enables per-IP probe and request accounting.
-func (p *InProcess) RecordProbes(on bool) { p.net.RecordProbes(on) }
-
-// ProbeCount reports dials an IP received on a day (needs
-// RecordProbes).
-func (p *InProcess) ProbeCount(day int, ip ipaddr.Addr) int { return p.net.ProbeCount(day, ip) }
-
-// RequestCount reports HTTP requests an IP served on a day (needs
-// RecordProbes).
-func (p *InProcess) RequestCount(day int, ip ipaddr.Addr) int { return p.net.RequestCount(day, ip) }

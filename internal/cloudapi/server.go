@@ -67,7 +67,7 @@ func NewServer(cloud *InProcess, cfg ServerConfig) *Server {
 	s := &Server{
 		cloud: cloud,
 		cfg:   cfg,
-		fleet: netsim.NewFleet(netsim.FleetConfig{Max: cfg.DataListeners, BasePort: cfg.DataBasePort}),
+		fleet: netsim.NewFleet(cfg.DataBasePort),
 		ctrl: httpd.New(httpd.Config{
 			Metrics:  cfg.Metrics,
 			Health:   func(doc map[string]any) { doc["day"] = cloud.Day() },

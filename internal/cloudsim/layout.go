@@ -8,23 +8,13 @@ import (
 
 // PrefixInfo is the ground-truth layout of one /22 block: where it
 // sits, which region advertises it, and whether it is VPC networking.
-// The slice form is the cloud's entire address plan, which is what the
-// wire client needs to answer RegionOf/IsVPC/Ranges locally instead of
-// paying a round trip per address.
+// The slice form is the cloud's entire address plan, which New builds
+// the cloud from and the wire client answers RegionOf/Ranges from
+// locally instead of paying a round trip per address.
 type PrefixInfo struct {
 	Prefix ipaddr.Prefix `json:"prefix"`
 	Region string        `json:"region"`
 	VPC    bool          `json:"vpc"`
-}
-
-// Prefixes returns the cloud's /22 layout in address order (shared
-// ground truth behind RegionOf and IsVPC).
-func (c *Cloud) Prefixes() []PrefixInfo {
-	out := make([]PrefixInfo, len(c.space.prefixes))
-	for i, pi := range c.space.prefixes {
-		out[i] = PrefixInfo{Prefix: pi.prefix, Region: pi.region, VPC: pi.vpc}
-	}
-	return out
 }
 
 // Layout computes the /22 address plan implied by a base octet and a
@@ -32,7 +22,7 @@ func (c *Cloud) Prefixes() []PrefixInfo {
 // from baseOctet.0.0.0, each region taking its configured share with
 // the leading VPC22 blocks marked VPC. This is exactly the plan New
 // builds internally, exported so a remote cloud's client can
-// reconstruct region and VPC lookups from the daemon's advertised
+// reconstruct region lookups from the daemon's advertised
 // configuration.
 func Layout(baseOctet byte, regions []RegionConfig) ([]PrefixInfo, *ipaddr.RangeList, error) {
 	next := uint32(baseOctet) << 24

@@ -129,8 +129,3 @@ func (p *pool) release(a ipaddr.Addr, region string, vpc bool) {
 	list[i], list[len(list)-1] = list[len(list)-1], list[i]
 	p.free[k] = list
 }
-
-// freeCount reports the available addresses in a class.
-func (p *pool) freeCount(region string, vpc bool) int {
-	return len(p.free[poolKey{region, vpc}])
-}

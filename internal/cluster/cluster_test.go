@@ -34,7 +34,7 @@ func buildStore(t *testing.T, rounds [][]*store.Record) *store.Store {
 		}
 		for _, rec := range recs {
 			cp := *rec
-			if err := s.Put(&cp); err != nil {
+			if err := s.PutBatch([]*store.Record{&cp}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -377,7 +377,7 @@ func TestRunPersistsThroughColumnarBackend(t *testing.T) {
 		}
 		for _, rec := range recs {
 			cp := *rec
-			if err := col.Put(&cp); err != nil {
+			if err := col.PutBatch([]*store.Record{&cp}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -443,7 +443,7 @@ func BenchmarkRun1000Records(b *testing.B) {
 			_, _ = stCopy.BeginRound(ri)
 			for _, rec := range recs {
 				cp := *rec
-				_ = stCopy.Put(&cp)
+				_ = stCopy.PutBatch([]*store.Record{&cp})
 			}
 			_ = stCopy.EndRound()
 		}

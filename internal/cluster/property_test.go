@@ -57,7 +57,7 @@ func randomStore(t *testing.T, seed int64, nFamilies, nRounds int) *store.Store 
 					Simhash:    h,
 					BodyLen:    100,
 				}
-				if err := s.Put(rec); err != nil {
+				if err := s.PutBatch([]*store.Record{rec}); err != nil {
 					t.Fatal(err)
 				}
 			}

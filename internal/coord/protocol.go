@@ -49,7 +49,6 @@ type RegisterRequest struct {
 // lives and the campaign knobs that must match across the fleet for
 // the digest to stay byte-identical.
 type RegisterReply struct {
-	Lease string `json:"lease"` // lease ID (the worker ID)
 	// Rate is the worker's leased slice of the global §7 probe budget,
 	// in probes per second; 0 means the campaign runs unlimited, at
 	// simulation speed.

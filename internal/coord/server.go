@@ -382,7 +382,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, req *http.Request) {
 	}
 	s.mRegistered.Inc()
 	httpd.WriteJSON(w, RegisterReply{
-		Lease:          rr.Worker,
 		Rate:           s.slice,
 		TTLMS:          s.cfg.LeaseTTL.Milliseconds(),
 		CloudAddr:      s.cfg.CloudAddr,

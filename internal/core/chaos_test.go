@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -233,6 +234,28 @@ func chaosTest(t *testing.T) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("chaos campaign skipped in -short mode")
+	}
+}
+
+// TestChaosInvalidScenarioRefused: the fault layer wraps the data
+// plane once, when the campaign builds its shard runner, so a scenario
+// outside its bounds fails RunCampaign with faults.Wrap's validation
+// error before round 0 begins — no round reaches the store or the
+// Observer.
+func TestChaosInvalidScenarioRefused(t *testing.T) {
+	p, err := NewPlatform(chaosCloudConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := chaosCampaignConfig(&faults.Scenario{DialLossPerMille: 1500}, 0)
+	observed := 0
+	cfg.Observer = func(RoundReport) { observed++ }
+	err = p.RunCampaign(context.Background(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "dial_loss_per_mille = 1500") {
+		t.Fatalf("RunCampaign = %v, want the scenario's validation error", err)
+	}
+	if n := p.Store.NumRounds(); n != 0 || len(p.Reports) != 0 || observed != 0 {
+		t.Errorf("%d stored rounds, %d reports, %d observed after a refused scenario, want none", n, len(p.Reports), observed)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestPolitenessInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	inp := p.Cloud.(*cloudapi.InProcess)
-	inp.RecordProbes(true)
+	inp.Network().RecordProbes(true)
 
 	bl := ipaddr.NewSet()
 	for i := int64(100); i < 110; i++ {
@@ -39,13 +39,13 @@ func TestPolitenessInvariants(t *testing.T) {
 	var probeViolations, requestViolations int
 	for _, day := range cfg.RoundDays {
 		p.Cloud.Ranges().Each(func(a ipaddr.Addr) bool {
-			if n := inp.ProbeCount(day, a); n > 4 {
+			if n := inp.Network().ProbeCount(day, a); n > 4 {
 				probeViolations++
 			}
-			if n := inp.RequestCount(day, a); n > 2 {
+			if n := inp.Network().RequestCount(day, a); n > 2 {
 				requestViolations++
 			}
-			if bl.Contains(a) && (inp.ProbeCount(day, a) > 0 || inp.RequestCount(day, a) > 0) {
+			if bl.Contains(a) && (inp.Network().ProbeCount(day, a) > 0 || inp.Network().RequestCount(day, a) > 0) {
 				t.Errorf("blacklisted IP %s was contacted on day %d", a, day)
 			}
 			return true

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"whowas/internal/cloudapi"
+	"whowas/internal/faults"
 	"whowas/internal/features"
 	"whowas/internal/fetcher"
 	"whowas/internal/ipaddr"
@@ -100,10 +101,11 @@ type ShardRunner struct {
 
 // NewShardRunner builds a runner over the cloud. Region hooks default
 // to the cloud's, and a fault scenario wraps the data plane through
-// cloudapi.WithFaults at this single point; its decisions are
-// deterministic per (ip, port, day, attempt), so the same scenario
-// reproduces the same campaign byte for byte — over any transport and
-// any worker count.
+// faults.Wrap at this single point, so in-process and wire campaigns
+// inject identically; its decisions are deterministic per (ip, port,
+// day, attempt), so the same scenario reproduces the same campaign
+// byte for byte — over any transport and any worker count. The control
+// plane is never wrapped.
 func NewShardRunner(cloud cloudapi.Cloud, cfg CampaignConfig) (*ShardRunner, error) {
 	if cloud == nil {
 		return nil, fmt.Errorf("core: nil cloud")
@@ -116,11 +118,15 @@ func NewShardRunner(cloud cloudapi.Cloud, cfg CampaignConfig) (*ShardRunner, err
 	}
 	var dialer cloudapi.Dialer = cloud
 	if cfg.Faults != nil {
-		fc, err := cloudapi.WithFaults(cloud, *cfg.Faults, cfg.Scanner.Metrics)
+		inj, err := faults.Wrap(cloud, *cfg.Faults, faults.Options{
+			Day:      cloud.Day,
+			RegionOf: cloud.RegionOf,
+			Metrics:  cfg.Scanner.Metrics,
+		})
 		if err != nil {
 			return nil, err
 		}
-		dialer = fc
+		dialer = inj
 	}
 	scn, err := scanner.New(dialer, cfg.Scanner)
 	if err != nil {

@@ -95,9 +95,6 @@ func Wrap(inner netsim.Dialer, sc Scenario, opts Options) (*Injector, error) {
 	return i, nil
 }
 
-// Scenario returns the injector's resolved scenario.
-func (i *Injector) Scenario() Scenario { return i.sc }
-
 // Salts separating the fault families' hash streams.
 const (
 	saltLoss = iota + 1

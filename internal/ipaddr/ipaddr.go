@@ -1,6 +1,7 @@
 // Package ipaddr supplies the IPv4 address-space utilities WhoWas
-// needs: parsing provider-advertised CIDR ranges (the EC2/Azure public
-// ranges that seed the scanner, §4/§6), prefix aggregation at /22 and
+// needs: CIDR prefixes and ordered range lists for the clouds'
+// advertised ranges (the EC2/Azure public ranges that seed the scanner,
+// §4/§6), prefix aggregation at /22 and
 // /24 granularity (Table 2 counts VPC usage by /22; the §4 timeout
 // experiment samples per /24), range iteration for task lists, and
 // opt-out blacklists.
@@ -134,7 +135,7 @@ type RangeList struct {
 }
 
 // NewRangeList builds a range list, rejecting overlapping prefixes
-// (provider range files never overlap; an overlap indicates operator
+// (advertised ranges never overlap; an overlap indicates a layout
 // error and would double-count IPs in every percentage the analyses
 // report).
 func NewRangeList(prefixes []Prefix) (*RangeList, error) {
@@ -150,37 +151,12 @@ func NewRangeList(prefixes []Prefix) (*RangeList, error) {
 	return &RangeList{prefixes: ps, total: total}, nil
 }
 
-// ParseRangeList parses newline-separated CIDR blocks, ignoring blank
-// lines and '#' comments — the format of the provider range files the
-// scanner is seeded with.
-func ParseRangeList(text string) (*RangeList, error) {
-	var ps []Prefix
-	for lineNo, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		p, err := ParsePrefix(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
-		}
-		ps = append(ps, p)
-	}
-	return NewRangeList(ps)
-}
-
 // Prefixes returns the sorted prefixes (shared slice; callers must not
 // modify).
 func (r *RangeList) Prefixes() []Prefix { return r.prefixes }
 
 // Total returns the number of addresses covered.
 func (r *RangeList) Total() uint64 { return r.total }
-
-// Contains reports membership via binary search.
-func (r *RangeList) Contains(a Addr) bool {
-	i := sort.Search(len(r.prefixes), func(i int) bool { return r.prefixes[i].Last() >= a })
-	return i < len(r.prefixes) && r.prefixes[i].Contains(a)
-}
 
 // Each calls fn for every address in the list, in ascending order,
 // stopping early if fn returns false.
@@ -196,22 +172,6 @@ func (r *RangeList) Each(fn func(Addr) bool) {
 			}
 		}
 	}
-}
-
-// Index returns the ordinal position (0-based) of a within the list's
-// address enumeration, or -1 when absent. It is the inverse of AtIndex.
-func (r *RangeList) Index(a Addr) int64 {
-	var before uint64
-	for _, p := range r.prefixes {
-		if p.Contains(a) {
-			return int64(before + uint64(a-p.First()))
-		}
-		if p.Addr > a {
-			return -1
-		}
-		before += p.Size()
-	}
-	return -1
 }
 
 // AtIndex returns the idx-th address of the enumeration.
@@ -260,9 +220,6 @@ func NewSet() *Set { return &Set{m: make(map[Addr]struct{})} }
 // Add inserts an address.
 func (s *Set) Add(a Addr) { s.m[a] = struct{}{} }
 
-// Remove deletes an address.
-func (s *Set) Remove(a Addr) { delete(s.m, a) }
-
 // Contains reports membership. A nil set contains nothing, so an
 // absent blacklist is simply nil.
 func (s *Set) Contains(a Addr) bool {
@@ -279,17 +236,4 @@ func (s *Set) Len() int {
 		return 0
 	}
 	return len(s.m)
-}
-
-// Addrs returns the members in ascending order.
-func (s *Set) Addrs() []Addr {
-	if s == nil {
-		return nil
-	}
-	out := make([]Addr, 0, len(s.m))
-	for a := range s.m {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -135,49 +135,6 @@ func TestRangeListRejectsOverlap(t *testing.T) {
 	}
 }
 
-func TestParseRangeList(t *testing.T) {
-	text := `
-# EC2 sample ranges
-54.208.0.0/21
-
-23.20.0.0/22
-`
-	rl, err := ParseRangeList(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rl.Total() != 2048+1024 {
-		t.Errorf("Total = %d", rl.Total())
-	}
-	// Sorted by network address: 23.20/22 first.
-	if rl.Prefixes()[0].String() != "23.20.0.0/22" {
-		t.Errorf("first prefix = %s", rl.Prefixes()[0])
-	}
-	if _, err := ParseRangeList("not a cidr"); err == nil {
-		t.Error("bad range list accepted")
-	}
-}
-
-func TestRangeListContains(t *testing.T) {
-	rl, _ := NewRangeList([]Prefix{
-		MustParsePrefix("23.20.0.0/22"),
-		MustParsePrefix("54.208.0.0/21"),
-	})
-	cases := []struct {
-		addr string
-		want bool
-	}{
-		{"23.20.0.0", true}, {"23.20.3.255", true}, {"23.20.4.0", false},
-		{"54.208.0.1", true}, {"54.208.7.255", true}, {"54.208.8.0", false},
-		{"8.8.8.8", false},
-	}
-	for _, c := range cases {
-		if got := rl.Contains(MustParseAddr(c.addr)); got != c.want {
-			t.Errorf("Contains(%s) = %v, want %v", c.addr, got, c.want)
-		}
-	}
-}
-
 func TestRangeListEachCount(t *testing.T) {
 	rl, _ := NewRangeList([]Prefix{
 		MustParsePrefix("10.0.0.0/30"),
@@ -213,23 +170,23 @@ func TestIndexAtIndexInverse(t *testing.T) {
 	if total != 12 {
 		t.Fatalf("Total = %d", total)
 	}
-	for i := int64(0); i < total; i++ {
+	var i int64
+	rl.Each(func(want Addr) bool {
 		a, err := rl.AtIndex(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := rl.Index(a); got != i {
-			t.Errorf("Index(AtIndex(%d)) = %d", i, got)
+		if a != want {
+			t.Errorf("AtIndex(%d) = %s, want %s (Each order)", i, a, want)
 		}
-	}
+		i++
+		return true
+	})
 	if _, err := rl.AtIndex(total); err == nil {
 		t.Error("AtIndex(total) succeeded")
 	}
 	if _, err := rl.AtIndex(-1); err == nil {
 		t.Error("AtIndex(-1) succeeded")
-	}
-	if rl.Index(MustParseAddr("8.8.8.8")) != -1 {
-		t.Error("Index of absent address != -1")
 	}
 }
 
@@ -270,10 +227,6 @@ func TestSetBasics(t *testing.T) {
 	if !s.Contains(a) || s.Len() != 1 {
 		t.Error("Add failed or double-counted")
 	}
-	s.Remove(a)
-	if s.Contains(a) || s.Len() != 0 {
-		t.Error("Remove failed")
-	}
 }
 
 func TestNilSet(t *testing.T) {
@@ -283,37 +236,5 @@ func TestNilSet(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Error("nil set Len != 0")
-	}
-	if s.Addrs() != nil {
-		t.Error("nil set Addrs != nil")
-	}
-}
-
-func TestSetAddrsSorted(t *testing.T) {
-	s := NewSet()
-	for _, a := range []string{"9.9.9.9", "1.1.1.1", "5.5.5.5"} {
-		s.Add(MustParseAddr(a))
-	}
-	got := s.Addrs()
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("Addrs not ascending: %v", got)
-		}
-	}
-}
-
-func BenchmarkRangeListContains(b *testing.B) {
-	var ps []Prefix
-	for i := 0; i < 256; i++ {
-		ps = append(ps, Prefix{Addr: Addr(uint32(i) << 16), Bits: 22})
-	}
-	rl, err := NewRangeList(ps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := MustParseAddr("0.128.1.2")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rl.Contains(a)
 	}
 }

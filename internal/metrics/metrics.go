@@ -21,8 +21,6 @@
 package metrics
 
 import (
-	"encoding/json"
-	"io"
 	"math"
 	"math/bits"
 	"sync"
@@ -375,13 +373,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return out
-}
-
-// WriteJSON writes the registry snapshot as indented JSON. Nil-safe:
-// a nil registry writes the zero snapshot ("{}") — the lint suite's
-// call-graph delegation check verifies this through Snapshot's guard.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

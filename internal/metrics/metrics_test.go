@@ -182,7 +182,7 @@ func TestSnapshotJSON(t *testing.T) {
 	r.Histogram("fetcher.get_latency").Observe(30 * time.Millisecond)
 
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var snap Snapshot

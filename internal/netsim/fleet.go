@@ -7,31 +7,16 @@ import (
 	"sync"
 )
 
-// DefaultFleetMax bounds a fleet that did not configure its own cap.
-const DefaultFleetMax = 16
-
 // fleetHost is where every fleet listener binds: the simulated cloud's
 // data plane is a loopback service.
 const fleetHost = "127.0.0.1"
 
-// FleetConfig sizes a listener fleet.
-type FleetConfig struct {
-	// Max is the listener cap; Listen fails once reached (<=0 uses
-	// DefaultFleetMax). The bound is what keeps a misconfigured caller
-	// from exhausting ephemeral ports or file descriptors.
-	Max int
-	// BasePort, when positive, makes port assignment deterministic:
-	// the i-th listener binds BasePort+i. Zero asks the kernel for
-	// ephemeral ports.
-	BasePort int
-}
-
-// Fleet is a bounded set of real TCP listeners sharing one lifecycle:
+// Fleet is a set of real TCP listeners sharing one lifecycle:
 // deterministic port assignment, per-connection goroutine tracking,
 // and an idempotent Close that waits for every accept loop and
 // handler to drain — the data plane whowas-cloudd serves.
 type Fleet struct {
-	cfg FleetConfig
+	basePort int
 
 	mu        sync.Mutex
 	listeners []net.Listener
@@ -40,12 +25,11 @@ type Fleet struct {
 	wg        sync.WaitGroup
 }
 
-// NewFleet returns an empty fleet.
-func NewFleet(cfg FleetConfig) *Fleet {
-	if cfg.Max <= 0 {
-		cfg.Max = DefaultFleetMax
-	}
-	return &Fleet{cfg: cfg, conns: make(map[net.Conn]struct{})}
+// NewFleet returns an empty fleet. A positive basePort makes port
+// assignment deterministic: the i-th listener binds basePort+i. Zero
+// asks the kernel for ephemeral ports.
+func NewFleet(basePort int) *Fleet {
+	return &Fleet{basePort: basePort, conns: make(map[net.Conn]struct{})}
 }
 
 // Listen binds the fleet's next listener and serves every accepted
@@ -53,21 +37,14 @@ func NewFleet(cfg FleetConfig) *Fleet {
 // connection for its lifetime; the fleet closes it when the handler
 // returns and force-closes it on Close. Returns the bound address.
 func (f *Fleet) Listen(handler func(net.Conn)) (string, error) {
-	if handler == nil {
-		return "", fmt.Errorf("netsim: fleet: nil handler")
-	}
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
 		return "", fmt.Errorf("netsim: fleet: closed")
 	}
-	if len(f.listeners) >= f.cfg.Max {
-		f.mu.Unlock()
-		return "", fmt.Errorf("netsim: fleet full (%d listeners)", f.cfg.Max)
-	}
 	port := 0
-	if f.cfg.BasePort > 0 {
-		port = f.cfg.BasePort + len(f.listeners)
+	if f.basePort > 0 {
+		port = f.basePort + len(f.listeners)
 	}
 	ln, err := net.Listen("tcp", net.JoinHostPort(fleetHost, strconv.Itoa(port)))
 	if err != nil {
@@ -130,13 +107,6 @@ func (f *Fleet) Addrs() []string {
 		out[i] = ln.Addr().String()
 	}
 	return out
-}
-
-// NumListeners reports how many listeners are bound.
-func (f *Fleet) NumListeners() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.listeners)
 }
 
 // Close shuts every listener and live connection down and waits for

@@ -15,25 +15,6 @@ import (
 // closes it — the shape of a long-lived tunnel handler.
 func discardHandler(c net.Conn) { _, _ = io.Copy(io.Discard, c) }
 
-func TestFleetBoundedListeners(t *testing.T) {
-	f := NewFleet(FleetConfig{Max: 2})
-	defer f.Close()
-	for i := 0; i < 2; i++ {
-		if _, err := f.Listen(discardHandler); err != nil {
-			t.Fatalf("listener %d: %v", i, err)
-		}
-	}
-	if _, err := f.Listen(discardHandler); err == nil {
-		t.Fatal("third listener accepted past Max=2")
-	}
-	if n := f.NumListeners(); n != 2 {
-		t.Errorf("NumListeners = %d, want 2", n)
-	}
-	if _, err := f.Listen(nil); err == nil {
-		t.Error("nil handler accepted")
-	}
-}
-
 func TestFleetDeterministicPorts(t *testing.T) {
 	// A fixed base makes the i-th listener's port predictable — the
 	// property whowas-cloudd relies on for stable data-plane addresses.
@@ -42,7 +23,7 @@ func TestFleetDeterministicPorts(t *testing.T) {
 	// this one open — so a failed listen moves on to the next base.
 candidates:
 	for _, base := range []int{39120, 39370, 39620, 39870} {
-		f := NewFleet(FleetConfig{Max: 3, BasePort: base})
+		f := NewFleet(base)
 		for i := 0; i < 3; i++ {
 			addr, err := f.Listen(discardHandler)
 			if err != nil {
@@ -66,7 +47,7 @@ candidates:
 
 func TestFleetCloseIdempotentAndDrains(t *testing.T) {
 	before := runtime.NumGoroutine()
-	f := NewFleet(FleetConfig{Max: 4})
+	f := NewFleet(0)
 
 	// Handlers that block forever on read: only a force-close from the
 	// fleet can unwind them.
@@ -127,7 +108,7 @@ func TestFleetCloseIdempotentAndDrains(t *testing.T) {
 }
 
 func TestFleetHandlerEcho(t *testing.T) {
-	f := NewFleet(FleetConfig{})
+	f := NewFleet(0)
 	defer f.Close()
 	addr, err := f.Listen(func(c net.Conn) {
 		_, _ = io.Copy(c, c)

@@ -65,13 +65,9 @@ var (
 	ErrRefused net.Error = &verdictError{"dial tcp: connection refused", false}
 )
 
-// Stats counts network activity, for the §7 politeness checks.
-type Stats struct {
-	Dials    atomic.Int64 // dial attempts
-	Accepted atomic.Int64 // successful connections
-	Requests atomic.Int64 // HTTP requests served
-	TLSConns atomic.Int64 // TLS handshakes completed
-}
+// slowThreshold is the patience a dialer needs for a slow host to
+// answer (the paper compared 2s vs 8s timeouts).
+const slowThreshold = 5 * time.Second
 
 // Network serves the simulated cloud's IP space. Safe for concurrent
 // use; the measurement day is advanced between rounds with SetDay.
@@ -79,9 +75,6 @@ type Network struct {
 	cloud *cloudsim.Cloud
 	day   atomic.Int64
 
-	// SlowThreshold is the patience a dialer needs for a slow host to
-	// answer (default 5s; the paper compared 2s vs 8s timeouts).
-	SlowThreshold time.Duration
 	// LossPerMille is the per-probe transient failure rate (default 3,
 	// i.e. 0.3%); a retry of a lost probe succeeds.
 	LossPerMille int
@@ -96,7 +89,6 @@ type Network struct {
 	requestCounts map[int]map[ipaddr.Addr]int // day -> ip -> HTTP requests
 
 	tlsConf *tls.Config
-	stats   Stats
 }
 
 type attemptKey struct {
@@ -135,11 +127,10 @@ func New(cloud *cloudsim.Cloud) (*Network, error) {
 		return nil, fmt.Errorf("netsim: generating TLS certificate: %w", err)
 	}
 	return &Network{
-		cloud:         cloud,
-		SlowThreshold: 5 * time.Second,
-		LossPerMille:  3,
-		attempts:      make(map[attemptKey]int),
-		tlsConf:       tlsConf,
+		cloud:        cloud,
+		LossPerMille: 3,
+		attempts:     make(map[attemptKey]int),
+		tlsConf:      tlsConf,
 	}, nil
 }
 
@@ -154,9 +145,6 @@ func (n *Network) SetDay(d int) {
 
 // Day returns the current simulated day.
 func (n *Network) Day() int { return int(n.day.Load()) }
-
-// Stats exposes the activity counters.
-func (n *Network) Stats() *Stats { return &n.stats }
 
 // RecordProbes enables per-IP probe and HTTP-request counting
 // (politeness tests).
@@ -216,7 +204,6 @@ func (n *Network) DialContext(ctx context.Context, network, address string) (net
 	if err != nil {
 		return nil, fmt.Errorf("netsim: %w", err)
 	}
-	n.stats.Dials.Add(1)
 	day := n.Day()
 
 	if n.recordProbes.Load() {
@@ -239,9 +226,9 @@ func (n *Network) DialContext(ctx context.Context, network, address string) (net
 		return nil, ErrRefused
 	}
 	// Slow hosts answer only patient dialers: if the caller's deadline
-	// arrives before SlowThreshold, the SYN goes unanswered.
+	// arrives before slowThreshold, the SYN goes unanswered.
 	if st.Slow {
-		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < n.SlowThreshold {
+		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < slowThreshold {
 			return nil, ErrTimeout
 		}
 	}
@@ -251,7 +238,6 @@ func (n *Network) DialContext(ctx context.Context, network, address string) (net
 		return nil, ErrTimeout
 	}
 
-	n.stats.Accepted.Add(1)
 	p := newConnPair()
 	if port == 22 { // answer with an SSH banner, then close on input
 		go serveSSHBanner(&p.s)

@@ -185,8 +185,8 @@ func TestHTTPSFetchOverTLS(t *testing.T) {
 	if _, err := io.ReadAll(resp.Body); err != nil {
 		t.Fatal(err)
 	}
-	if n.Stats().TLSConns.Load() == 0 {
-		t.Error("no TLS handshake recorded")
+	if resp.TLS == nil || !resp.TLS.HandshakeComplete {
+		t.Error("response did not arrive over a completed TLS handshake")
 	}
 }
 

@@ -227,7 +227,6 @@ func (n *Network) serveHTTP(c net.Conn, ip ipaddr.Addr, useTLS bool) {
 		if err := tc.Handshake(); err != nil {
 			return
 		}
-		n.stats.TLSConns.Add(1)
 		c = tc
 	}
 	hr := headReaders.Get().(*headReader)
@@ -242,7 +241,6 @@ func (n *Network) serveHTTP(c net.Conn, ip ipaddr.Addr, useTLS bool) {
 		if !ok {
 			return
 		}
-		n.stats.Requests.Add(1)
 		day := n.Day()
 		n.countRequest(day, ip)
 		if !n.respond(c, day, ip, path) || closeAfter {

@@ -287,14 +287,18 @@ func FuzzRequestHead(f *testing.F) {
 // reader ends the connection without an answer instead of growing it.
 func TestOverlongHeadClosesConnection(t *testing.T) {
 	n, cloud := testNetwork(t)
+	n.RecordProbes(true)
 	ip := findWebIP(t, cloud, 80)
 	raw := "GET / HTTP/1.1\r\nX-Pad: " + strings.Repeat("a", 2*maxHeadBytes) + "\r\n\r\n"
 	resp, _ := rawHTTP(t, n, ip, 80, raw)
 	if resp != "" {
 		t.Errorf("over-long head answered %.40q", resp)
 	}
-	if got := n.Stats().Requests.Load(); got != 0 {
-		t.Errorf("Requests = %d, want 0", got)
+	if got := n.ProbeCount(n.Day(), ip); got != 1 {
+		t.Errorf("ProbeCount = %d, want 1", got)
+	}
+	if got := n.RequestCount(n.Day(), ip); got != 0 {
+		t.Errorf("RequestCount = %d, want 0", got)
 	}
 }
 

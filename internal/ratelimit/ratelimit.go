@@ -60,13 +60,9 @@ type Limiter struct {
 // ErrBadRate reports an invalid limiter configuration.
 var ErrBadRate = errors.New("ratelimit: rate and burst must be positive")
 
-// New builds a limiter issuing rate tokens per second with the given
-// burst capacity, using the real clock.
-func New(rate float64, burst int) (*Limiter, error) {
-	return NewWithClock(rate, burst, realClock{})
-}
-
-// NewWithClock is New with an explicit clock (for simulation/tests).
+// NewWithClock builds a limiter issuing rate tokens per second with the
+// given burst capacity on clock (nil: the real clock; a fake one for
+// simulation and tests).
 func NewWithClock(rate float64, burst int, clock Clock) (*Limiter, error) {
 	if rate <= 0 || burst <= 0 {
 		return nil, fmt.Errorf("%w: rate=%v burst=%d", ErrBadRate, rate, burst)

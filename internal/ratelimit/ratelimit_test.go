@@ -12,12 +12,12 @@ func TestNewValidation(t *testing.T) {
 		rate  float64
 		burst int
 	}{{0, 1}, {-1, 1}, {1, 0}, {1, -5}} {
-		if _, err := New(c.rate, c.burst); err == nil {
-			t.Errorf("New(%v,%d) succeeded, want error", c.rate, c.burst)
+		if _, err := NewWithClock(c.rate, c.burst, nil); err == nil {
+			t.Errorf("NewWithClock(%v,%d,nil) succeeded, want error", c.rate, c.burst)
 		}
 	}
-	if _, err := New(250, 10); err != nil {
-		t.Errorf("New(250,10): %v", err)
+	if _, err := NewWithClock(250, 10, nil); err != nil {
+		t.Errorf("NewWithClock(250,10,nil): %v", err)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestWaitPacesRequests(t *testing.T) {
 }
 
 func TestWaitContextCancelled(t *testing.T) {
-	l, _ := New(1, 1)
+	l, _ := NewWithClock(1, 1, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// Drain the burst token first so Wait must block.
@@ -131,7 +131,7 @@ func TestRealClockSleepCancels(t *testing.T) {
 }
 
 func TestRate(t *testing.T) {
-	l, _ := New(42, 1)
+	l, _ := NewWithClock(42, 1, nil)
 	if l.Rate() != 42 {
 		t.Errorf("Rate = %v, want 42", l.Rate())
 	}

@@ -7,9 +7,9 @@
 // population by well under one percent (reproduced by the §4 timeout
 // experiment in this repository's bench suite). Config.Attempts turns
 // on the paper's calibration schedule for faulty-network runs: a
-// timed-out probe is retried with exponential backoff and
-// deterministic jitter, while a refusal — a definitive answer from the
-// instance — never is.
+// timed-out probe is retried with a doubling backoff, identical from
+// run to run, while a refusal — a definitive answer from the instance
+// — never is.
 //
 // A token-bucket limiter enforces the global probe budget (250 probes
 // per second by default — deliberately far below Internet-scanner
@@ -214,8 +214,8 @@ func dialAddress(ip ipaddr.Addr, port int) string {
 }
 
 // probePort runs the full retry schedule for one (ip, port): up to
-// Config.Attempts probes, retrying only on timeouts, with exponential
-// backoff and deterministic jitter between attempts. Every attempt
+// Config.Attempts probes, retrying only on timeouts, with a doubling
+// backoff (retryDelay) between attempts. Every attempt
 // pays the rate-limiter toll and counts as a probe; the returned count
 // is how many probes this port consumed. A dial error that is no
 // verdict (see verdict) is returned: the port was not measured.
@@ -341,7 +341,8 @@ func (s *Scanner) probeSequence(ctx context.Context, ip ipaddr.Addr, stats *Stat
 // sequential region scans into one channel the lane owns — and sizes
 // this scan's worker pool explicitly (so N concurrent lanes can split
 // one configured pool instead of multiplying it). workers <= 0 uses
-// the configured pool size. The returned Stats are final. All scans
+// the configured pool size. The scan stops queueing addresses at its
+// first error. The returned Stats are final. All scans
 // share the scanner's global rate limiter, which keeps the §7 probe
 // budget campaign-wide no matter how many lanes run.
 func (s *Scanner) ScanRangesInto(ctx context.Context, ranges *ipaddr.RangeList, blacklist *ipaddr.Set, results chan<- Result, workers int) (*Stats, error) {
@@ -385,6 +386,9 @@ feed:
 	for _, prefix := range ranges.Prefixes() {
 		last := prefix.Last()
 		for ip := prefix.First(); ; ip++ {
+			if firstErr.Load() != nil {
+				break feed // the scan has failed: walk no further
+			}
 			if blacklist.Contains(ip) {
 				atomic.AddInt64(&stats.Skipped, 1)
 				s.mSkipped.Inc()

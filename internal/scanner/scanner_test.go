@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/url"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -644,5 +645,41 @@ func TestDialErrorIsVerdictOnlyWhenNetError(t *testing.T) {
 				t.Errorf("Probes = %d, want 1: the scan stops at the first failed dial", stats.Probes)
 			}
 		})
+	}
+}
+
+// TestScanStopsFeedingAfterFailure: once a dial fails with no verdict
+// the scan is over, so the feeder must not walk the rest of the range —
+// here a /8 whose last /24 is blacklisted, which a feeder that kept
+// walking would count as 256 skips of addresses the failed scan never
+// reached.
+func TestScanStopsFeedingAfterFailure(t *testing.T) {
+	ranges, err := ipaddr.NewRangeList([]ipaddr.Prefix{ipaddr.MustParsePrefix("10.0.0.0/8")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bl := ipaddr.NewSet()
+	last24 := ipaddr.MustParsePrefix("10.255.255.0/24")
+	for a := last24.First(); a <= last24.Last(); a++ {
+		bl.Add(a)
+	}
+	broken := errors.New("data plane down")
+	var dials atomic.Int64
+	d := dialerFunc(func(context.Context, string, string) (net.Conn, error) {
+		if dials.Add(1) == 1 {
+			return nil, broken
+		}
+		return nil, netsim.ErrTimeout
+	})
+	s, err := New(d, Config{Rate: UnlimitedRate, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := s.ScanRangesInto(context.Background(), ranges, bl, make(chan Result, 16), 4)
+	if !errors.Is(err, broken) {
+		t.Fatalf("scan error %v, want the dialer's error", err)
+	}
+	if stats.Skipped != 0 {
+		t.Errorf("Skipped = %d, want 0: the feeder walked on after the scan failed", stats.Skipped)
 	}
 }

@@ -100,8 +100,7 @@ func (f Fingerprint) SetBit(i int, v uint) Fingerprint {
 }
 
 // FlipBits returns a copy of f with the given bit positions flipped.
-// It is used by tests and the cloud simulator to construct documents
-// at a known Hamming distance.
+// Tests use it to construct fingerprints at a known Hamming distance.
 func (f Fingerprint) FlipBits(positions ...int) Fingerprint {
 	for _, i := range positions {
 		f = f.SetBit(i, 1-f.Bit(i))

@@ -260,7 +260,7 @@ func buildCampaignLanes(t *testing.T, s *store.Store, rounds, perRound, lanes in
 			rec := fullRecord(uint32(0x0a000000+i*11), r, r*3)
 			if lanes > 0 {
 				batches[i%lanes] = append(batches[i%lanes], rec)
-			} else if err := s.Put(rec); err != nil {
+			} else if err := s.PutBatch([]*store.Record{rec}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -576,7 +576,7 @@ func TestMemoryBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < perRound; i++ {
-				if err := s.Put(fullRecord(uint32(0x0a000000+i*7), r, r)); err != nil {
+				if err := s.PutBatch([]*store.Record{fullRecord(uint32(0x0a000000+i*7), r, r)}); err != nil {
 					t.Fatal(err)
 				}
 			}

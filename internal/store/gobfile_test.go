@@ -24,7 +24,7 @@ func buildSaved(t *testing.T) (string, *Store) {
 		for i := 0; i < 20; i++ {
 			rec := mkRecord(fmt.Sprintf("10.%d.0.%d", r, i), r)
 			rec.Trackers = []string{"ga"}
-			if err := s.Put(rec); err != nil {
+			if err := s.PutBatch([]*Record{rec}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -294,7 +294,7 @@ func TestFileBackendMatchesMemory(t *testing.T) {
 		for i := 0; i < n; i++ {
 			rec := mkRecord(fmt.Sprintf("10.0.%d.%d", i%3, 2*i+r), r)
 			ips = append(ips, rec.IP, rec.IP+1) // +1: a gap key no round holds
-			if err := s.Put(rec); err != nil {
+			if err := s.PutBatch([]*Record{rec}); err != nil {
 				t.Fatal(err)
 			}
 		}

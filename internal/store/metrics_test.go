@@ -16,7 +16,7 @@ func TestStoreMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := s.Put(&Record{IP: ipaddr.Addr(i), OpenPorts: PortHTTP, Body: "abcd"}); err != nil {
+		if err := s.PutBatch([]*Record{{IP: ipaddr.Addr(i), OpenPorts: PortHTTP, Body: "abcd"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -35,7 +35,7 @@ func TestStoreMetrics(t *testing.T) {
 	if _, err := s.BeginRound(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(&Record{IP: ipaddr.Addr(9), OpenPorts: PortHTTP, Body: "dropped"}); err != nil {
+	if err := s.PutBatch([]*Record{{IP: ipaddr.Addr(9), OpenPorts: PortHTTP, Body: "dropped"}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.EndRound(); err != nil {
@@ -51,7 +51,7 @@ func TestStoreMetrics(t *testing.T) {
 	if _, err := s.BeginRound(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(&Record{IP: ipaddr.Addr(12), OpenPorts: PortHTTP}); err != nil {
+	if err := s.PutBatch([]*Record{{IP: ipaddr.Addr(12), OpenPorts: PortHTTP}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.EndRound(); err != nil {

@@ -284,29 +284,13 @@ func (s *Store) BeginRound(day int) (*Round, error) {
 	return r, nil
 }
 
-// Put inserts a record into the open round. Safe for concurrent use:
-// the store mutex is taken in read mode (it excludes only
-// Begin/End/AbortRound) and writers serialize on the round's own.
-func (s *Store) Put(rec *Record) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r := s.open
-	if r == nil {
-		return fmt.Errorf("store: no open round")
-	}
-	rec.Round = r.Index
-	rec.Day = r.Day
-	r.mu.Lock()
-	r.records[rec.IP] = rec
-	r.mu.Unlock()
-	s.mRecords.Inc()
-	return nil
-}
-
 // PutBatch records a batch of observations in the open round under a
-// single round-lock acquisition. Every lane's records — an in-process
-// lane's or a worker's shard submission — arrive through it;
-// per-record semantics are exactly Put's.
+// single round-lock acquisition, stamping each with the round's index
+// and day; a later record for the same IP replaces an earlier one.
+// Every lane's records — an in-process lane's or a worker's shard
+// submission — arrive through it. Safe for concurrent use: the store
+// mutex is taken in read mode (it excludes only Begin/End/AbortRound)
+// and writers serialize on the round's own.
 func (s *Store) PutBatch(recs []*Record) error {
 	if len(recs) == 0 {
 		return nil

@@ -32,7 +32,7 @@ func TestRoundLifecycle(t *testing.T) {
 	if _, err := s.BeginRound(1); err == nil {
 		t.Error("second BeginRound succeeded with round open")
 	}
-	if err := s.Put(mkRecord("1.2.3.4", 0)); err != nil {
+	if err := s.PutBatch([]*Record{mkRecord("1.2.3.4", 0)}); err != nil {
 		t.Fatal(err)
 	}
 	s.AddProbed(100)
@@ -90,7 +90,7 @@ func TestDaysMustAdvance(t *testing.T) {
 
 func TestPutWithoutRound(t *testing.T) {
 	s := New("ec2")
-	if err := s.Put(mkRecord("1.2.3.4", 0)); err == nil {
+	if err := s.PutBatch([]*Record{mkRecord("1.2.3.4", 0)}); err == nil {
 		t.Error("Put without open round succeeded")
 	}
 }
@@ -99,7 +99,7 @@ func TestRecordsSortedAndEach(t *testing.T) {
 	s := New("ec2")
 	_, _ = s.BeginRound(0)
 	for _, ip := range []string{"9.9.9.9", "1.1.1.1", "5.5.5.5"} {
-		_ = s.Put(mkRecord(ip, 0))
+		_ = s.PutBatch([]*Record{mkRecord(ip, 0)})
 	}
 	_ = s.EndRound()
 	recs := s.Round(0).Records()
@@ -121,7 +121,7 @@ func TestHistory(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		_, _ = s.BeginRound(round * 3)
 		if round != 2 { // unresponsive in round 2
-			_ = s.Put(mkRecord(ip, round))
+			_ = s.PutBatch([]*Record{mkRecord(ip, round)})
 		}
 		_ = s.EndRound()
 	}
@@ -149,7 +149,7 @@ func TestConcurrentPut(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				ip := fmt.Sprintf("10.%d.%d.%d", w, i/256, i%256)
-				if err := s.Put(mkRecord(ip, 0)); err != nil {
+				if err := s.PutBatch([]*Record{mkRecord(ip, 0)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -191,7 +191,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			rec.Links = []string{"http://x.example/a"}
 			rec.Trackers = []string{"google-analytics"}
 			rec.Cluster = int64(i)
-			_ = s.Put(rec)
+			_ = s.PutBatch([]*Record{rec})
 		}
 		s.AddProbed(50)
 		_ = s.EndRound()
@@ -222,8 +222,8 @@ func TestExportJSON(t *testing.T) {
 	rec := mkRecord("1.2.3.4", 0)
 	rec.Cluster = 7
 	rec.VPC = true
-	_ = s.Put(rec)
-	_ = s.Put(&Record{IP: ipaddr.MustParseAddr("1.2.3.5"), OpenPorts: PortSSH})
+	_ = s.PutBatch([]*Record{rec})
+	_ = s.PutBatch([]*Record{{IP: ipaddr.MustParseAddr("1.2.3.5"), OpenPorts: PortSSH}})
 	_ = s.EndRound()
 
 	var buf bytes.Buffer
@@ -269,7 +269,7 @@ func BenchmarkPut(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec := &Record{IP: ipaddr.Addr(i), OpenPorts: PortHTTP, HTTPStatus: 200}
-		if err := s.Put(rec); err != nil {
+		if err := s.PutBatch([]*Record{rec}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -280,7 +280,7 @@ func BenchmarkHistory(b *testing.B) {
 	for round := 0; round < 50; round++ {
 		_, _ = s.BeginRound(round)
 		for i := 0; i < 1000; i++ {
-			_ = s.Put(&Record{IP: ipaddr.Addr(i), OpenPorts: PortHTTP})
+			_ = s.PutBatch([]*Record{{IP: ipaddr.Addr(i), OpenPorts: PortHTTP}})
 		}
 		_ = s.EndRound()
 	}
@@ -299,7 +299,7 @@ func TestMarkDegraded(t *testing.T) {
 	if _, err := s.BeginRound(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(mkRecord("54.0.0.1", 0)); err != nil {
+	if err := s.PutBatch([]*Record{mkRecord("54.0.0.1", 0)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.MarkDegraded(); err != nil {
@@ -333,8 +333,8 @@ func TestDigest(t *testing.T) {
 	build := func(degraded bool) *Store {
 		s := New("ec2")
 		s.BeginRound(0)
-		s.Put(mkRecord("54.0.0.1", 0))
-		s.Put(mkRecord("54.0.0.2", 0))
+		s.PutBatch([]*Record{mkRecord("54.0.0.1", 0)})
+		s.PutBatch([]*Record{mkRecord("54.0.0.2", 0)})
 		if degraded {
 			s.MarkDegraded()
 		}
@@ -365,7 +365,7 @@ func TestDigest(t *testing.T) {
 	}
 	other := build(false)
 	other.BeginRound(3)
-	other.Put(mkRecord("54.0.0.3", 1))
+	other.PutBatch([]*Record{mkRecord("54.0.0.3", 1)})
 	other.EndRound()
 	if do, _ := other.Digest(); do == d1 {
 		t.Error("extra round not covered by the digest")
@@ -435,7 +435,7 @@ func TestOpenRoundAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := mkRecord("1.2.3.4", 0)
-	if err := s.Put(rec); err != nil {
+	if err := s.PutBatch([]*Record{rec}); err != nil {
 		t.Fatal(err)
 	}
 	if r.Len() != 1 || r.Get(rec.IP) != rec {
@@ -462,7 +462,7 @@ func TestAbortRound(t *testing.T) {
 	if _, err := s.BeginRound(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(mkRecord("1.2.3.4", 0)); err != nil {
+	if err := s.PutBatch([]*Record{mkRecord("1.2.3.4", 0)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.EndRound(); err != nil {
@@ -475,7 +475,7 @@ func TestAbortRound(t *testing.T) {
 	if _, err := s.BeginRound(5); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(mkRecord("5.6.7.8", 1)); err != nil {
+	if err := s.PutBatch([]*Record{mkRecord("5.6.7.8", 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AbortRound(); err != nil {
