@@ -44,15 +44,18 @@ test:
 	$(GO) test -short ./...
 
 # What CI runs; the campaign fixtures shrink under -race. The
-# concurrency-heavy packages, the round's lane tests and colstore's
-# parallel read paths go first, twice, so a schedule-dependent race has
-# two chances to interleave before the full-module pass. The colstore
+# concurrency-heavy packages (among them the probe path's, whose
+# deadline contexts and wait timers are reused across probes), the
+# round's lane tests and colstore's parallel read paths go first,
+# twice, so a schedule-dependent race has two chances to interleave
+# before the full-module pass. The colstore
 # leg includes the narrowed reads: the decode on parallel workers, and
 # the analyses' cross-backend oracle and read counters.
 race:
 	$(GO) test -race -count=2 -timeout 20m \
 		./internal/coord/ \
-		./internal/cloudapi/ ./internal/ops/ ./internal/httpd/
+		./internal/cloudapi/ ./internal/ops/ ./internal/httpd/ \
+		./internal/netsim/ ./internal/scanner/ ./internal/faults/
 	$(GO) test -race -count=2 -timeout 20m \
 		-run 'TestRunLane|TestRoundStorePutFailure|TestCampaignCancelMidRound|TestPipelineShardDigestIdentity' \
 		./internal/core/
@@ -74,6 +77,7 @@ fuzz:
 	$(GO) test ./internal/cloudapi -fuzz FuzzProbeFrames -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cloudapi -fuzz FuzzChannelPreamble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faults -fuzz FuzzScenarioLoad -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/coord -fuzz FuzzCoordRequests -fuzztime $(FUZZTIME)
 
 # Fault-injection + resilience suites (what the CI chaos job runs):
 # -count=2 replays every deterministic campaign against its first

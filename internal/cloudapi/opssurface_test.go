@@ -207,7 +207,7 @@ func TestProbePathAllocsIgnoreMetrics(t *testing.T) {
 		srv := NewServer(backing, ServerConfig{Metrics: reg})
 		ch := &serverChannel{parked: make(map[uint32]net.Conn)}
 		f := clientFrame{typ: frameDial, id: 1, budgetMS: 2000, address: []byte(unbound.String() + ":80"), session: []byte("s1")}
-		var last sessionCtx
+		var last dialCtx
 		return testing.AllocsPerRun(200, func() {
 			if status, _ := srv.dial(ch, &f, &last); status != verdictTimeout {
 				t.Fatalf("dial of unbound %s: status %d", unbound, status)

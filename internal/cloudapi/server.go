@@ -200,7 +200,7 @@ func (s *Server) serveChannel(c net.Conn, br *bufio.Reader) {
 	out = append(strconv.AppendUint(out, name, 10), '\n')
 	dec := &frameDecoder{br: br}
 	var f clientFrame
-	var last sessionCtx
+	var last dialCtx
 	for {
 		if br.Buffered() == 0 && len(out) > 0 {
 			_ = c.SetWriteDeadline(time.Now().Add(handshakeTimeout))
@@ -225,18 +225,20 @@ func (s *Server) serveChannel(c net.Conn, br *bufio.Reader) {
 	}
 }
 
-// sessionCtx remembers the context stamped with a channel's last
-// probe session: a shard's dials all carry one session, so the next
-// frame almost always reuses it.
-type sessionCtx struct {
-	session string
-	ctx     context.Context
+// dialCtx is what a channel's dials reuse, one frame at a time: the
+// context stamped with its last probe session (a shard's dials all
+// carry one session, so the next frame almost always reuses it), and
+// the deadline context each budgeted dial resets.
+type dialCtx struct {
+	session  string
+	ctx      context.Context
+	deadline netsim.DeadlineContext
 }
 
 // dial makes the one simulated dial a DIAL frame stands for, with the
 // frame's session re-stamped and its deadline rebuilt, and parks the
 // connection when there is one.
-func (s *Server) dial(ch *serverChannel, f *clientFrame, last *sessionCtx) (status byte, reason string) {
+func (s *Server) dial(ch *serverChannel, f *clientFrame, last *dialCtx) (status byte, reason string) {
 	s.mDials.Inc()
 	ctx := context.Background()
 	if len(f.session) > 0 {
@@ -250,9 +252,9 @@ func (s *Server) dial(ch *serverChannel, f *clientFrame, last *sessionCtx) (stat
 	if f.budgetMS != noBudget {
 		// The simulated network reads Deadline and Err and never waits,
 		// so rebuilding the caller's deadline arms no timer.
-		dctx := netsim.WithTimeout(ctx, time.Duration(f.budgetMS)*time.Millisecond)
-		defer dctx.Release()
-		ctx = dctx
+		last.deadline.Reset(ctx, time.Duration(f.budgetMS)*time.Millisecond)
+		defer last.deadline.Release()
+		ctx = &last.deadline
 	}
 	inner, err := s.cloud.DialContext(ctx, "tcp", string(f.address))
 	if err != nil {

@@ -78,7 +78,7 @@ func coordCloudConfig() cloudapi.SimConfig {
 
 // startCloudd stands up the shared cloud daemon and returns its
 // control address. Shutdown is registered as test cleanup.
-func startCloudd(t *testing.T) string {
+func startCloudd(t testing.TB) string {
 	t.Helper()
 	backing, err := cloudapi.NewInProcess(coordCloudConfig())
 	if err != nil {

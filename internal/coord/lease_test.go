@@ -22,7 +22,7 @@ import (
 
 // leaseServer builds a coordinator over a fresh cloud daemon, on a
 // fake clock and with a 5 s lease TTL unless cfg sets one.
-func leaseServer(t *testing.T, cfg Config) (*Server, *ratelimit.FakeClock) {
+func leaseServer(t testing.TB, cfg Config) (*Server, *ratelimit.FakeClock) {
 	t.Helper()
 	clk := ratelimit.NewFakeClock(time.Unix(1380499200, 0))
 	cfg.CloudAddr = startCloudd(t)

@@ -437,6 +437,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if !httpd.DecodeBody(w, req, &sr) {
 		return
 	}
+	for _, rec := range sr.Result.Records {
+		if rec == nil {
+			httpd.WriteError(w, http.StatusBadRequest, "coord: submission holds a null record")
+			return
+		}
+	}
 	fx := s.apply(event{kind: evSubmit, worker: sr.Worker, round: sr.Round, shard: sr.Shard,
 		result: &sr.Result, metrics: sr.Metrics, spans: sr.Spans})
 	if fx.mergeErr != nil {

@@ -21,6 +21,27 @@ var withTimeouts = map[string]func(context.Context, time.Duration) (context.Cont
 	},
 }
 
+// reusedWithTimeouts are the lazy constructor again, on a context an
+// owner reuses: Reset after a use that armed Done, and after one that
+// ended without arming it. Each must observe what a fresh
+// context.WithTimeout does.
+var reusedWithTimeouts = map[string]func(context.Context, time.Duration) (context.Context, func()){
+	"netsim reused after a waited use": func(p context.Context, d time.Duration) (context.Context, func()) {
+		c := WithTimeout(context.Background(), time.Millisecond)
+		<-c.Done()
+		c.Reset(p, d)
+		return c, c.Release
+	},
+	"netsim reused after an unwaited use": func(p context.Context, d time.Duration) (context.Context, func()) {
+		c := WithTimeout(context.Background(), time.Millisecond)
+		sleepPast(c.deadline)
+		_ = c.Err()
+		c.Release()
+		c.Reset(p, d)
+		return c, c.Release
+	},
+}
+
 // sleepPast sleeps until t has passed.
 func sleepPast(t time.Time) {
 	for d := time.Until(t); d >= 0; d = time.Until(t) {
@@ -200,6 +221,11 @@ func TestDeadlineContextMatchesWithTimeout(t *testing.T) {
 			if got := sc.run(withTimeouts["netsim.WithTimeout"]); got != want {
 				t.Errorf("netsim.WithTimeout observed %q, context.WithTimeout %q", got, want)
 			}
+			for name, mk := range reusedWithTimeouts {
+				if got := sc.run(mk); got != want {
+					t.Errorf("%s observed %q, context.WithTimeout %q", name, got, want)
+				}
+			}
 		})
 	}
 }
@@ -251,6 +277,29 @@ func TestDeadlineContextReleaseDisarms(t *testing.T) {
 	for runtime.NumGoroutine() > base {
 		if time.Now().After(deadline) {
 			t.Fatalf("watcher goroutine still running after Release: %d > %d goroutines", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDeadlineContextResetDisarms checks that Reset, like Release,
+// cancels what a Done since the last Reset armed, so a reused context
+// leaves no timer or watcher goroutine behind.
+func TestDeadlineContextResetDisarms(t *testing.T) {
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	base := runtime.NumGoroutine()
+	c := WithTimeout(opaqueCtx{parent}, time.Hour)
+	done := c.Done()
+	c.Reset(context.Background(), time.Hour)
+	<-done
+	if c.waited != nil || c.Err() != nil {
+		t.Errorf("after Reset: waited %v, Err %v; want a fresh context", c.waited, c.Err())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("watcher goroutine still running after Reset: %d > %d goroutines", runtime.NumGoroutine(), base)
 		}
 		time.Sleep(time.Millisecond)
 	}

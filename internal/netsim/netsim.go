@@ -41,6 +41,8 @@ import (
 
 // Dialer is the scanner/fetcher-facing dial interface, matching the
 // signature of net.Dialer.DialContext and http.Transport.DialContext.
+// A Dialer keeps no reference to ctx after DialContext returns: the
+// scanner and whowas-cloudd reset one DeadlineContext for each dial.
 type Dialer interface {
 	DialContext(ctx context.Context, network, address string) (net.Conn, error)
 }

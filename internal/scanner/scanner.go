@@ -189,14 +189,15 @@ func (s *Scanner) wait(ctx context.Context) error {
 // Connection-refused counts as a response from the instance for
 // liveness purposes only at the TCP level; the paper's scanner records
 // a port as open only when the SYN is answered with SYN-ACK, so
-// refusals report false here. Its deadline arms no timer unless the
-// dialer waits on it.
-func (s *Scanner) probe(ctx context.Context, address string, timeout time.Duration) (bool, error) {
+// refusals report false here. The dial runs under pctx, reset to end
+// timeout from now: a worker's probes share one, and its deadline arms
+// no timer unless the dialer holds the dial on Done.
+func (s *Scanner) probe(ctx context.Context, pctx *netsim.DeadlineContext, address string, timeout time.Duration) (bool, error) {
 	if s.mProbeLat != nil {
 		start := time.Now()
 		defer func() { s.mProbeLat.Observe(time.Since(start)) }()
 	}
-	pctx := netsim.WithTimeout(ctx, timeout)
+	pctx.Reset(ctx, timeout)
 	defer pctx.Release()
 	conn, err := s.dialer.DialContext(pctx, "tcp", address)
 	if err != nil {
@@ -219,7 +220,7 @@ func dialAddress(ip ipaddr.Addr, port int) string {
 // pays the rate-limiter toll and counts as a probe; the returned count
 // is how many probes this port consumed. A dial error that is no
 // verdict (see verdict) is returned: the port was not measured.
-func (s *Scanner) probePort(ctx context.Context, ip ipaddr.Addr, port int, stats *Stats) (bool, int64, error) {
+func (s *Scanner) probePort(ctx context.Context, pctx *netsim.DeadlineContext, ip ipaddr.Addr, port int, stats *Stats) (bool, int64, error) {
 	address := dialAddress(ip, port)
 	for attempt := 0; ; attempt++ {
 		if err := s.wait(ctx); err != nil {
@@ -227,7 +228,7 @@ func (s *Scanner) probePort(ctx context.Context, ip ipaddr.Addr, port int, stats
 		}
 		atomic.AddInt64(&stats.Probes, 1)
 		s.mProbes.Inc()
-		ok, perr := s.probe(ctx, address, s.cfg.Timeout)
+		ok, perr := s.probe(ctx, pctx, address, s.cfg.Timeout)
 		if ok {
 			return true, int64(attempt + 1), nil
 		}
@@ -259,7 +260,7 @@ func (s *Scanner) ProbeOnce(ctx context.Context, ip ipaddr.Addr, port int, timeo
 		return false, err
 	}
 	s.mProbes.Inc()
-	ok, err := s.probe(ctx, dialAddress(ip, port), timeout)
+	ok, err := s.probe(ctx, new(netsim.DeadlineContext), dialAddress(ip, port), timeout)
 	if !ok {
 		if _, answered := verdict(err); !answered {
 			return false, err
@@ -288,13 +289,14 @@ func (s *Scanner) startProbeSpan(ctx context.Context, ip ipaddr.Addr) *trace.Spa
 // scanIP runs the §4 probe sequence for one IP: 80, then 443, then 22
 // only if both web probes failed. Sampled IPs get a "probe" span
 // wrapping the whole sequence; the fault injector sees it through the
-// dial context and annotates the faults it injects.
-func (s *Scanner) scanIP(ctx context.Context, ip ipaddr.Addr, stats *Stats) (uint8, error) {
+// dial context and annotates the faults it injects. pctx is the
+// worker's probe context, which every probe of the sequence reuses.
+func (s *Scanner) scanIP(ctx context.Context, pctx *netsim.DeadlineContext, ip ipaddr.Addr, stats *Stats) (uint8, error) {
 	sp := s.startProbeSpan(ctx, ip)
 	if sp != nil {
 		ctx = trace.NewContext(ctx, sp)
 	}
-	open, probes, err := s.probeSequence(ctx, ip, stats)
+	open, probes, err := s.probeSequence(ctx, pctx, ip, stats)
 	if sp != nil {
 		sp.SetAttr(trace.Int("ports", int(open)), trace.Int64("probes", probes))
 		if err != nil {
@@ -305,11 +307,11 @@ func (s *Scanner) scanIP(ctx context.Context, ip ipaddr.Addr, stats *Stats) (uin
 	return open, err
 }
 
-func (s *Scanner) probeSequence(ctx context.Context, ip ipaddr.Addr, stats *Stats) (uint8, int64, error) {
+func (s *Scanner) probeSequence(ctx context.Context, pctx *netsim.DeadlineContext, ip ipaddr.Addr, stats *Stats) (uint8, int64, error) {
 	var open uint8
 	var probes int64
 	for _, port := range []int{80, 443} {
-		ok, n, err := s.probePort(ctx, ip, port, stats)
+		ok, n, err := s.probePort(ctx, pctx, ip, port, stats)
 		probes += n
 		if err != nil {
 			return 0, probes, err
@@ -323,7 +325,7 @@ func (s *Scanner) probeSequence(ctx context.Context, ip ipaddr.Addr, stats *Stat
 		}
 	}
 	if open == 0 {
-		ok, n, err := s.probePort(ctx, ip, 22, stats)
+		ok, n, err := s.probePort(ctx, pctx, ip, 22, stats)
 		probes += n
 		if err != nil {
 			return 0, probes, err
@@ -358,11 +360,12 @@ func (s *Scanner) ScanRangesInto(ctx context.Context, ranges *ipaddr.RangeList, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			pctx := new(netsim.DeadlineContext)
 			for ip := range tasks {
 				if firstErr.Load() != nil {
 					continue // the scan has failed: drain, measure nothing more
 				}
-				open, err := s.scanIP(ctx, ip, stats)
+				open, err := s.scanIP(ctx, pctx, ip, stats)
 				if err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					continue

@@ -471,12 +471,12 @@ func TestRetriesOnlyOnTimeouts(t *testing.T) {
 		}
 		return !(haveU && haveS)
 	})
-	ctx := context.Background()
+	ctx, pctx := context.Background(), new(netsim.DeadlineContext)
 
 	// Refusals are definitive: an SSH-only IP refuses 80 and 443 and
 	// answers 22, so even with Attempts=3 it sees exactly 3 probes.
 	stats := &Stats{}
-	open, err := s.scanIP(ctx, sshOnly, stats)
+	open, err := s.scanIP(ctx, pctx, sshOnly, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestRetriesOnlyOnTimeouts(t *testing.T) {
 	// Timeouts retry: an unbound IP times out on 80, 443 and 22, each
 	// probed Attempts times.
 	stats = &Stats{}
-	if _, err := s.scanIP(ctx, unbound, stats); err != nil {
+	if _, err := s.scanIP(ctx, pctx, unbound, stats); err != nil {
 		t.Fatal(err)
 	}
 	if got := net.ProbeCount(0, unbound); got != 9 {
@@ -570,8 +570,11 @@ func TestBlackoutHeldProbeUsesFullTimeout(t *testing.T) {
 		ip = a
 		return !cloud.StateAt(0, a).Ports.OpensPort(80)
 	})
+	// One probe context for both, as a scan worker has: the scan's
+	// probes reuse it after the first probe armed its Done.
+	pctx := new(netsim.DeadlineContext)
 	start := time.Now()
-	ok, perr := s.probe(context.Background(), dialAddress(ip, 80), s.cfg.Timeout)
+	ok, perr := s.probe(context.Background(), pctx, dialAddress(ip, 80), s.cfg.Timeout)
 	elapsed := time.Since(start)
 	if ok || !IsTimeout(perr) {
 		t.Fatalf("held probe = %v, %v; want a timeout", ok, perr)
@@ -580,9 +583,43 @@ func TestBlackoutHeldProbeUsesFullTimeout(t *testing.T) {
 		t.Errorf("held probe returned after %v, before its %v timeout", elapsed, timeout)
 	}
 	stats := &Stats{}
-	open, err := s.scanIP(context.Background(), ip, stats)
+	open, err := s.scanIP(context.Background(), pctx, ip, stats)
 	if err != nil || open != 0 || stats.Probes != 3 {
 		t.Errorf("scanIP under a held blackout = ports %d, %d probes, err %v; want 0, 3 probes, no error", open, stats.Probes, err)
+	}
+}
+
+// TestProbePortAllocations pins what a verdict probe costs on a scan
+// worker's reused probe context: its address string and nothing else —
+// no context per probe, no timer.
+func TestProbePortAllocations(t *testing.T) {
+	cloud, net := testSetup(t)
+	net.LossPerMille = 0
+	s, err := New(net, Config{Rate: UnlimitedRate, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unbound, sshOnly ipaddr.Addr
+	cloud.Ranges().Each(func(a ipaddr.Addr) bool {
+		st := cloud.StateAt(0, a)
+		if !st.Bound && unbound == 0 {
+			unbound = a
+		}
+		if st.Bound && st.Ports == cloudsim.SSHOnly && !st.Slow && sshOnly == 0 {
+			sshOnly = a
+		}
+		return unbound == 0 || sshOnly == 0
+	})
+	ctx, pctx := context.Background(), new(netsim.DeadlineContext)
+	stats := &Stats{}
+	for _, ip := range []ipaddr.Addr{unbound, sshOnly} {
+		if n := testing.AllocsPerRun(100, func() {
+			if ok, _, err := s.probePort(ctx, pctx, ip, 80, stats); ok || err != nil {
+				t.Fatalf("probe of %s:80 = %v, %v; want a closed port", ip, ok, err)
+			}
+		}); n != 1 {
+			t.Errorf("a verdict probe of %s:80 allocates %v times, want 1 (its address)", ip, n)
+		}
 	}
 }
 
