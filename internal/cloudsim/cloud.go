@@ -1,37 +1,38 @@
 package cloudsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"whowas/internal/ipaddr"
 	"whowas/internal/websim"
 )
 
-// Cloud is a fully materialized simulated IaaS cloud: a ground-truth
-// timeline of every public IP's state across the campaign. It is
-// immutable after New, so the network, DNS and blacklist simulators
-// can share it concurrently.
+// Cloud is a fully materialized simulated IaaS cloud: the ground truth
+// of every public IP across the campaign, stored as one run per
+// binding. It is immutable after New, so the network, DNS and
+// blacklist simulators can share it concurrently.
 type Cloud struct {
 	cfg      Config
 	space    *addressSpace
 	services []*Service
 	byID     map[uint64]*Service
-	days     []daySnapshot
+	runs     []run
+	bound    []int32 // bindings per day
 }
 
-// daySnapshot holds the bindings for one day, sorted by address for
-// binary-search lookup.
-type daySnapshot struct {
-	addrs    []ipaddr.Addr
-	bindings []bindingVal
-}
-
-type bindingVal struct {
-	svcID uint32 // 0 = background (non-web) instance
-	ports PortProfile
+// run is one binding held over consecutive days: an instance of one
+// owner (a service, or 0 for the background population) holding addr
+// from day first through day last inclusive.
+type run struct {
+	addr        ipaddr.Addr
+	svcID       uint32
+	first, last uint16
+	ports       uint8
 }
 
 // IPState is the ground-truth state of one IP on one day.
@@ -75,7 +76,7 @@ func New(cfg Config) (*Cloud, error) {
 	return c, nil
 }
 
-// step runs the per-day assignment engine, producing c.days.
+// step runs the per-day assignment engine, producing c.runs and c.bound.
 func (c *Cloud) step(rng *rand.Rand) {
 	pool := newPool(c.space, rng)
 	assigned := make(map[uint64][]ipaddr.Addr) // svcID -> current IPs
@@ -164,7 +165,21 @@ func (c *Cloud) step(rng *rand.Rand) {
 		pool.release(a, k.region, k.vpc)
 	}
 
-	c.days = make([]daySnapshot, c.cfg.Days)
+	// latest[a-base] is 1 + the index of a's newest run, which a binding
+	// that held yesterday with the same owner (so the same ports) extends.
+	base := c.space.prefixes[0].prefix.Addr
+	latest := make([]int32, c.space.ranges.Total())
+	c.bound = make([]int32, c.cfg.Days)
+	emit := func(d int, a ipaddr.Addr, svcID uint32, ports PortProfile) {
+		c.bound[d]++
+		if i := latest[a-base]; i > 0 && int(c.runs[i-1].last) == d-1 && c.runs[i-1].svcID == svcID {
+			c.runs[i-1].last = uint16(d)
+			return
+		}
+		c.runs = append(c.runs, run{addr: a, svcID: svcID, first: uint16(d), last: uint16(d), ports: uint8(ports)})
+		latest[a-base] = int32(len(c.runs))
+	}
+
 	for d := 0; d < c.cfg.Days; d++ {
 		// Service transitions, in deterministic (ID) order.
 		for _, s := range c.services {
@@ -266,21 +281,18 @@ func (c *Cloud) step(rng *rand.Rand) {
 			bg = append(bg, bgInst{addr: a, deathDay: d + geomLifetime()})
 		}
 
-		// Materialize the snapshot.
-		snap := daySnapshot{}
 		for _, s := range c.services {
 			for _, a := range assigned[s.ID] {
-				snap.addrs = append(snap.addrs, a)
-				snap.bindings = append(snap.bindings, bindingVal{svcID: uint32(s.ID), ports: s.Ports})
+				emit(d, a, uint32(s.ID), s.Ports)
 			}
 		}
 		for _, inst := range bg {
-			snap.addrs = append(snap.addrs, inst.addr)
-			snap.bindings = append(snap.bindings, bindingVal{svcID: 0, ports: SSHOnly})
+			emit(d, inst.addr, 0, SSHOnly)
 		}
-		sortSnapshot(&snap)
-		c.days[d] = snap
 	}
+	slices.SortFunc(c.runs, func(x, y run) int {
+		return cmp.Or(cmp.Compare(x.addr, y.addr), cmp.Compare(x.first, y.first))
+	})
 }
 
 // movingAverage returns the centered moving average of xs with the
@@ -305,22 +317,6 @@ func movingAverage(xs []int, half int) []float64 {
 		out[i] = float64(sum) / float64(2*h+1)
 	}
 	return out
-}
-
-func sortSnapshot(s *daySnapshot) {
-	idx := make([]int, len(s.addrs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return s.addrs[idx[i]] < s.addrs[idx[j]] })
-	addrs := make([]ipaddr.Addr, len(s.addrs))
-	binds := make([]bindingVal, len(s.bindings))
-	for i, k := range idx {
-		addrs[i] = s.addrs[k]
-		binds[i] = s.bindings[k]
-	}
-	s.addrs = addrs
-	s.bindings = binds
 }
 
 // hash64 is a deterministic per-(cloud, ip, day, salt) hash for
@@ -368,7 +364,7 @@ func (c *Cloud) IsVPC(a ipaddr.Addr) bool {
 // StateAt returns the ground-truth state of ip on the given day.
 func (c *Cloud) StateAt(day int, ip ipaddr.Addr) IPState {
 	var st IPState
-	if day < 0 || day >= len(c.days) {
+	if day < 0 || day >= c.cfg.Days {
 		return st
 	}
 	pi := c.space.lookup(ip)
@@ -377,16 +373,19 @@ func (c *Cloud) StateAt(day int, ip ipaddr.Addr) IPState {
 	}
 	st.Region = pi.region
 	st.VPC = pi.vpc
-	snap := &c.days[day]
-	i := sort.Search(len(snap.addrs), func(i int) bool { return snap.addrs[i] >= ip })
-	if i >= len(snap.addrs) || snap.addrs[i] != ip {
+	// The last run of ip that starts by day holds ip unless it ended.
+	i := sort.Search(len(c.runs), func(i int) bool {
+		r := &c.runs[i]
+		return r.addr > ip || r.addr == ip && int(r.first) > day
+	})
+	if i == 0 || c.runs[i-1].addr != ip || int(c.runs[i-1].last) < day {
 		return st
 	}
-	b := snap.bindings[i]
+	b := &c.runs[i-1]
 	st.Bound = true
-	st.Ports = b.ports
+	st.Ports = PortProfile(b.ports)
 	st.ServiceID = uint64(b.svcID)
-	st.Web = b.ports.Web() && b.svcID != 0
+	st.Web = st.Ports.Web() && b.svcID != 0
 	// ~0.5% of live hosts are persistently slow (only answer patient
 	// probes); keyed by IP+service so the set is stable day to day.
 	st.Slow = c.hash64(ip, 0, uint64(b.svcID)*31+7)%1000 < 4
@@ -423,14 +422,10 @@ func (c *Cloud) PageOn(day int, ip ipaddr.Addr) (profile websim.Profile, revisio
 // AssignedIPs returns the IPs a service holds on a day (ground truth
 // for calibration tests and the blacklist feeds).
 func (c *Cloud) AssignedIPs(day int, svcID uint64) []ipaddr.Addr {
-	if day < 0 || day >= len(c.days) {
-		return nil
-	}
-	snap := &c.days[day]
 	var out []ipaddr.Addr
-	for i, a := range snap.addrs {
-		if uint64(snap.bindings[i].svcID) == svcID {
-			out = append(out, a)
+	for _, r := range c.runs {
+		if uint64(r.svcID) == svcID && int(r.first) <= day && day <= int(r.last) {
+			out = append(out, r.addr)
 		}
 	}
 	return out
@@ -439,10 +434,10 @@ func (c *Cloud) AssignedIPs(day int, svcID uint64) []ipaddr.Addr {
 // BoundCount returns how many IPs are bound on a day (responsive
 // ground truth).
 func (c *Cloud) BoundCount(day int) int {
-	if day < 0 || day >= len(c.days) {
+	if day < 0 || day >= len(c.bound) {
 		return 0
 	}
-	return len(c.days[day].addrs)
+	return int(c.bound[day])
 }
 
 // MaliciousServices returns services carrying malicious behaviour.

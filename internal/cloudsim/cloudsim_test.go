@@ -1,7 +1,9 @@
 package cloudsim
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"whowas/internal/ipaddr"
@@ -38,6 +40,15 @@ func TestConfigValidate(t *testing.T) {
 	bad.Days = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("Days=0 accepted")
+	}
+	// A run's day fields are uint16: the last day index must fit.
+	bad.Days = 1 << 16
+	if err := bad.Validate(); err != nil {
+		t.Errorf("Days=65536 refused: %v", err)
+	}
+	bad.Days = 1<<16 + 1
+	if err := bad.Validate(); err == nil {
+		t.Error("Days=65537 accepted")
 	}
 	bad = good
 	bad.Regions = nil
@@ -412,15 +423,13 @@ func TestIPChurnOwnershipChanges(t *testing.T) {
 	// on different days (the churn WhoWas exists to measure).
 	owners := map[ipaddr.Addr]map[uint64]bool{}
 	for d := 0; d < c.Days(); d += 7 {
-		snap := &c.days[d]
-		for i, a := range snap.addrs {
-			if snap.bindings[i].svcID == 0 {
-				continue
+		for _, s := range c.Services() {
+			for _, a := range c.AssignedIPs(d, s.ID) {
+				if owners[a] == nil {
+					owners[a] = map[uint64]bool{}
+				}
+				owners[a][s.ID] = true
 			}
-			if owners[a] == nil {
-				owners[a] = map[uint64]bool{}
-			}
-			owners[a][uint64(snap.bindings[i].svcID)] = true
 		}
 	}
 	multi := 0
@@ -585,13 +594,33 @@ func BenchmarkStateAt(b *testing.B) {
 	}
 }
 
+// BenchmarkNewCloud prices building the EC2 cloud at several scales,
+// with the heap the built cloud retains (live-MiB, read after a GC) and
+// its run count beside the time and allocations; select one scale with
+// e.g. -bench 'NewCloud/1:8$'.
 func BenchmarkNewCloud(b *testing.B) {
-	cfg := DefaultEC2Config(512, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := New(cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, div := range []int{512, 128, 32, 8} {
+		b.Run(fmt.Sprintf("1:%d", div), func(b *testing.B) {
+			cfg := DefaultEC2Config(div, 3)
+			var before, after runtime.MemStats
+			var c *Cloud
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c = nil
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
+				var err error
+				if c, err = New(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/(1<<20), "live-MiB")
+			b.ReportMetric(float64(len(c.runs)), "runs")
+		})
 	}
 }

@@ -108,7 +108,7 @@ type PopulationConfig struct {
 type Config struct {
 	Name       string // "ec2" or "azure"; used in labels and DNS names
 	Kind       websim.CloudKind
-	Days       int   // campaign length in days (93 EC2, 62 Azure)
+	Days       int   // campaign length in days (93 EC2, 62 Azure; at most 65536)
 	Seed       int64 // master seed; all randomness derives from it
 	BaseOctet  byte  // first octet of the simulated address space
 	Regions    []RegionConfig
@@ -117,8 +117,8 @@ type Config struct {
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
-	if c.Days <= 0 {
-		return fmt.Errorf("cloudsim: Days must be positive, have %d", c.Days)
+	if c.Days <= 0 || c.Days > 1<<16 {
+		return fmt.Errorf("cloudsim: Days must be in [1, 65536], have %d", c.Days)
 	}
 	if len(c.Regions) == 0 {
 		return fmt.Errorf("cloudsim: no regions configured")

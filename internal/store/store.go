@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -288,12 +289,16 @@ func (s *Store) BeginRound(day int) (*Round, error) {
 // single round-lock acquisition, stamping each with the round's index
 // and day; a later record for the same IP replaces an earlier one.
 // Every lane's records — an in-process lane's or a worker's shard
-// submission — arrive through it. Safe for concurrent use: the store
-// mutex is taken in read mode (it excludes only Begin/End/AbortRound)
-// and writers serialize on the round's own.
+// submission — arrive through it. A batch holding a nil record is
+// refused whole, before any lock is taken. Safe for concurrent use: the
+// store mutex is taken in read mode (it excludes only
+// Begin/End/AbortRound) and writers serialize on the round's own.
 func (s *Store) PutBatch(recs []*Record) error {
 	if len(recs) == 0 {
 		return nil
+	}
+	if slices.Contains(recs, nil) {
+		return fmt.Errorf("store: batch holds a nil record")
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()

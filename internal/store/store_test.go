@@ -95,6 +95,29 @@ func TestPutWithoutRound(t *testing.T) {
 	}
 }
 
+// TestPutBatchRefusesNil: a batch holding a nil record is refused
+// whole and leaves the round usable; the round holds only what later
+// batches put.
+func TestPutBatchRefusesNil(t *testing.T) {
+	s := New("ec2")
+	if _, err := s.BeginRound(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutBatch([]*Record{mkRecord("1.2.3.4", 0), nil}); err == nil {
+		t.Fatal("PutBatch with a nil record succeeded")
+	}
+	if err := s.PutBatch([]*Record{mkRecord("5.6.7.8", 0)}); err != nil {
+		t.Fatalf("PutBatch after a refused batch: %v", err)
+	}
+	if err := s.EndRound(); err != nil {
+		t.Fatalf("EndRound after a refused batch: %v", err)
+	}
+	recs := s.Round(0).Records()
+	if len(recs) != 1 || recs[0].IP != ipaddr.MustParseAddr("5.6.7.8") {
+		t.Errorf("round holds %d records (%v), want only 5.6.7.8", len(recs), recs)
+	}
+}
+
 func TestRecordsSortedAndEach(t *testing.T) {
 	s := New("ec2")
 	_, _ = s.BeginRound(0)
