@@ -218,18 +218,20 @@ func BuildFeeds(cloud *cloudsim.Cloud) *Feeds {
 		if cloud.Config().Kind == websim.AzureLike {
 			continue
 		}
+		holdings := cloud.Holdings(svc.ID)
 		for day := mb.ActiveFrom; day < mb.ActiveTo && day < cloud.Days(); day++ {
 			urls, active := mb.ActiveOn(day)
 			if !active {
 				continue
 			}
-			for _, ip := range cloud.AssignedIPs(day, svc.ID) {
+			for _, h := range holdings {
+				ip := h.Addr
 				// Coverage is per-IP incomplete: aggregators see the
 				// URLs and whichever addresses their crawls resolved,
 				// not a deployment's full footprint. The unseen IPs
 				// are exactly what the paper's co-clustering expansion
 				// (+191 IPs) recovers.
-				if hashDet(seed, svc.ID, uint64(ip))%100 < 30 {
+				if day < h.First || day > h.Last || hashDet(seed, svc.ID, uint64(ip))%100 < 30 {
 					continue
 				}
 				rep := vt.reports[ip]

@@ -1,6 +1,7 @@
 package blacklist
 
 import (
+	"fmt"
 	"testing"
 
 	"whowas/internal/cloudsim"
@@ -217,14 +218,24 @@ func TestMaliciousDomainsSkewToFileHosting(t *testing.T) {
 	}
 }
 
+// BenchmarkBuildFeeds prices building both feeds from an EC2 cloud at
+// several scales, the cloud built once per scale outside the timer;
+// select one scale with e.g. -bench 'BuildFeeds/1:8$'.
 func BenchmarkBuildFeeds(b *testing.B) {
-	cloud, err := cloudsim.New(cloudsim.DefaultEC2Config(512, 31))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildFeeds(cloud)
+	for _, div := range []int{512, 128, 8} {
+		var cloud *cloudsim.Cloud
+		b.Run(fmt.Sprintf("1:%d", div), func(b *testing.B) {
+			if cloud == nil {
+				var err error
+				if cloud, err = cloudsim.New(cloudsim.DefaultEC2Config(div, 31)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				BuildFeeds(cloud)
+			}
+		})
 	}
 }

@@ -14,14 +14,15 @@ import (
 
 // Cloud is a fully materialized simulated IaaS cloud: the ground truth
 // of every public IP across the campaign, stored as one run per
-// binding. It is immutable after New, so the network, DNS and
-// blacklist simulators can share it concurrently.
+// binding. runs[b] holds the runs of /22 block b in address, then
+// first-day order; the blocks are consecutive subslices of one sorted
+// slice. services[i] has ID i+1. It is immutable after New, so the
+// network, DNS and blacklist simulators can share it concurrently.
 type Cloud struct {
 	cfg      Config
 	space    *addressSpace
 	services []*Service
-	byID     map[uint64]*Service
-	runs     []run
+	runs     [][]run
 	bound    []int32 // bindings per day
 }
 
@@ -60,18 +61,12 @@ func New(cfg Config) (*Cloud, error) {
 	}
 	popRng := rand.New(rand.NewSource(cfg.Seed))
 	services := buildPopulation(&cfg, popRng)
-	c := &Cloud{
-		cfg:      cfg,
-		space:    space,
-		services: services,
-		byID:     make(map[uint64]*Service, len(services)),
-	}
-	for _, s := range services {
-		if s.ID > uint64(^uint32(0)) {
-			return nil, fmt.Errorf("cloudsim: service ID %d exceeds uint32", s.ID)
+	for i, s := range services {
+		if s.ID != uint64(i+1) {
+			return nil, fmt.Errorf("cloudsim: service %d has ID %d, want %d", i, s.ID, i+1)
 		}
-		c.byID[s.ID] = s
 	}
+	c := &Cloud{cfg: cfg, space: space, services: services}
 	c.step(rand.New(rand.NewSource(cfg.Seed + 1)))
 	return c, nil
 }
@@ -79,13 +74,12 @@ func New(cfg Config) (*Cloud, error) {
 // step runs the per-day assignment engine, producing c.runs and c.bound.
 func (c *Cloud) step(rng *rand.Rand) {
 	pool := newPool(c.space, rng)
-	assigned := make(map[uint64][]ipaddr.Addr) // svcID -> current IPs
-	classOf := make(map[ipaddr.Addr]poolKey)   // where to release an IP back
+	assigned := make([][]ipaddr.Addr, len(c.services)) // current IPs, by service position
 	// reserve models Elastic/Reserved IPs (§2): addresses a deployment
 	// released while downsizing stay allocated to the tenant and are
 	// re-bound first when it scales back up, so size fluctuations do
 	// not churn ownership.
-	reserve := make(map[uint64][]ipaddr.Addr)
+	reserve := make([][]ipaddr.Addr, len(c.services))
 
 	type bgInst struct {
 		addr     ipaddr.Addr
@@ -141,62 +135,55 @@ func (c *Cloud) step(rng *rand.Rand) {
 		region := s.Regions[rng.Intn(len(s.Regions))]
 		vpc := rng.Float64() < s.VPCShare
 		if a, ok := pool.acquire(region, vpc); ok {
-			classOf[a] = poolKey{region, vpc}
 			return a, true
 		}
 		// Fall back to the other class, then to any region.
 		if a, ok := pool.acquire(region, !vpc); ok {
-			classOf[a] = poolKey{region, !vpc}
 			return a, true
 		}
 		for _, r := range c.cfg.Regions {
 			for _, v := range []bool{vpc, !vpc} {
 				if a, ok := pool.acquire(r.Name, v); ok {
-					classOf[a] = poolKey{r.Name, v}
 					return a, true
 				}
 			}
 		}
 		return 0, false
 	}
-	release := func(a ipaddr.Addr) {
-		k := classOf[a]
-		delete(classOf, a)
-		pool.release(a, k.region, k.vpc)
-	}
 
 	// latest[a-base] is 1 + the index of a's newest run, which a binding
 	// that held yesterday with the same owner (so the same ports) extends.
-	base := c.space.prefixes[0].prefix.Addr
+	base := c.space.prefixes[0].Prefix.Addr
 	latest := make([]int32, c.space.ranges.Total())
+	var runs []run
 	c.bound = make([]int32, c.cfg.Days)
 	emit := func(d int, a ipaddr.Addr, svcID uint32, ports PortProfile) {
 		c.bound[d]++
-		if i := latest[a-base]; i > 0 && int(c.runs[i-1].last) == d-1 && c.runs[i-1].svcID == svcID {
-			c.runs[i-1].last = uint16(d)
+		if i := latest[a-base]; i > 0 && int(runs[i-1].last) == d-1 && runs[i-1].svcID == svcID {
+			runs[i-1].last = uint16(d)
 			return
 		}
-		c.runs = append(c.runs, run{addr: a, svcID: svcID, first: uint16(d), last: uint16(d), ports: uint8(ports)})
-		latest[a-base] = int32(len(c.runs))
+		runs = append(runs, run{addr: a, svcID: svcID, first: uint16(d), last: uint16(d), ports: uint8(ports)})
+		latest[a-base] = int32(len(runs))
 	}
 
 	for d := 0; d < c.cfg.Days; d++ {
 		// Service transitions, in deterministic (ID) order.
-		for _, s := range c.services {
-			cur := assigned[s.ID]
+		for i, s := range c.services {
+			cur := assigned[i]
 			target := s.SizeOn(d)
 			// Classic->VPC migration (§8.1, Figure 14): the deployment
 			// relaunches all instances on its migration day, drawing
 			// fresh addresses from the other networking type.
 			if s.MigrateDay == d && len(cur) > 0 {
 				for _, a := range cur {
-					release(a)
+					pool.release(a)
 				}
 				cur = cur[:0]
-				for _, a := range reserve[s.ID] {
-					release(a)
+				for _, a := range reserve[i] {
+					pool.release(a)
 				}
-				delete(reserve, s.ID)
+				reserve[i] = nil
 				s.VPCShare = s.MigrateVPCShare
 			}
 			// Intra-deployment IP churn: replace a fraction of IPs
@@ -207,7 +194,7 @@ func (c *Cloud) step(rng *rand.Rand) {
 				replaced := 0
 				for _, a := range cur {
 					if rng.Float64() < s.DailyChurn {
-						release(a)
+						pool.release(a)
 						replaced++
 					} else {
 						keep = append(keep, a)
@@ -228,22 +215,22 @@ func (c *Cloud) step(rng *rand.Rand) {
 			for len(cur) > target {
 				idx := len(cur) - 1
 				if target == 0 {
-					release(cur[idx])
+					pool.release(cur[idx])
 				} else {
-					reserve[s.ID] = append(reserve[s.ID], cur[idx])
+					reserve[i] = append(reserve[i], cur[idx])
 				}
 				cur = cur[:idx]
 			}
-			if target == 0 && len(reserve[s.ID]) > 0 {
-				for _, a := range reserve[s.ID] {
-					release(a)
+			if target == 0 && len(reserve[i]) > 0 {
+				for _, a := range reserve[i] {
+					pool.release(a)
 				}
-				delete(reserve, s.ID)
+				reserve[i] = nil
 			}
 			for len(cur) < target {
-				if rs := reserve[s.ID]; len(rs) > 0 {
+				if rs := reserve[i]; len(rs) > 0 {
 					cur = append(cur, rs[len(rs)-1])
-					reserve[s.ID] = rs[:len(rs)-1]
+					reserve[i] = rs[:len(rs)-1]
 					continue
 				}
 				a, ok := acquireFor(s)
@@ -252,14 +239,14 @@ func (c *Cloud) step(rng *rand.Rand) {
 				}
 				cur = append(cur, a)
 			}
-			assigned[s.ID] = cur
+			assigned[i] = cur
 		}
 
 		// Background population lifecycle.
 		live := bg[:0]
 		for _, inst := range bg {
 			if inst.deathDay <= d {
-				release(inst.addr)
+				pool.release(inst.addr)
 			} else {
 				live = append(live, inst)
 			}
@@ -275,14 +262,12 @@ func (c *Cloud) step(rng *rand.Rand) {
 				if a, ok = pool.acquire(region, !vpc); !ok {
 					break
 				}
-				vpc = !vpc
 			}
-			classOf[a] = poolKey{region, vpc}
 			bg = append(bg, bgInst{addr: a, deathDay: d + geomLifetime()})
 		}
 
-		for _, s := range c.services {
-			for _, a := range assigned[s.ID] {
+		for i, s := range c.services {
+			for _, a := range assigned[i] {
 				emit(d, a, uint32(s.ID), s.Ports)
 			}
 		}
@@ -290,9 +275,14 @@ func (c *Cloud) step(rng *rand.Rand) {
 			emit(d, inst.addr, 0, SSHOnly)
 		}
 	}
-	slices.SortFunc(c.runs, func(x, y run) int {
+	slices.SortFunc(runs, func(x, y run) int {
 		return cmp.Or(cmp.Compare(x.addr, y.addr), cmp.Compare(x.first, y.first))
 	})
+	c.runs = make([][]run, len(c.space.prefixes))
+	for b, pi := range c.space.prefixes {
+		n := sort.Search(len(runs), func(i int) bool { return runs[i].addr > pi.Prefix.Last() })
+		c.runs[b], runs = runs[:n:n], runs[n:]
+	}
 }
 
 // movingAverage returns the centered moving average of xs with the
@@ -344,21 +334,27 @@ func (c *Cloud) Ranges() *ipaddr.RangeList { return c.space.ranges }
 // callers must not modify).
 func (c *Cloud) Services() []*Service { return c.services }
 
-// ServiceByID looks up one service.
-func (c *Cloud) ServiceByID(id uint64) *Service { return c.byID[id] }
+// ServiceByID looks up one service, or nil for 0 (the background
+// population) and unknown IDs.
+func (c *Cloud) ServiceByID(id uint64) *Service {
+	if id == 0 || id > uint64(len(c.services)) {
+		return nil
+	}
+	return c.services[id-1]
+}
 
 // RegionOf returns the region owning an address, or "".
 func (c *Cloud) RegionOf(a ipaddr.Addr) string {
-	if pi := c.space.lookup(a); pi != nil {
-		return pi.region
+	if b := c.space.block(a); b >= 0 {
+		return c.space.prefixes[b].Region
 	}
 	return ""
 }
 
 // IsVPC reports the ground-truth VPC flag of an address's prefix.
 func (c *Cloud) IsVPC(a ipaddr.Addr) bool {
-	pi := c.space.lookup(a)
-	return pi != nil && pi.vpc
+	b := c.space.block(a)
+	return b >= 0 && c.space.prefixes[b].VPC
 }
 
 // StateAt returns the ground-truth state of ip on the given day.
@@ -367,21 +363,22 @@ func (c *Cloud) StateAt(day int, ip ipaddr.Addr) IPState {
 	if day < 0 || day >= c.cfg.Days {
 		return st
 	}
-	pi := c.space.lookup(ip)
-	if pi == nil {
+	blk := c.space.block(ip)
+	if blk < 0 {
 		return st
 	}
-	st.Region = pi.region
-	st.VPC = pi.vpc
+	st.Region = c.space.prefixes[blk].Region
+	st.VPC = c.space.prefixes[blk].VPC
 	// The last run of ip that starts by day holds ip unless it ended.
-	i := sort.Search(len(c.runs), func(i int) bool {
-		r := &c.runs[i]
+	runs := c.runs[blk]
+	i := sort.Search(len(runs), func(i int) bool {
+		r := &runs[i]
 		return r.addr > ip || r.addr == ip && int(r.first) > day
 	})
-	if i == 0 || c.runs[i-1].addr != ip || int(c.runs[i-1].last) < day {
+	if i == 0 || runs[i-1].addr != ip || int(runs[i-1].last) < day {
 		return st
 	}
-	b := &c.runs[i-1]
+	b := &runs[i-1]
 	st.Bound = true
 	st.Ports = PortProfile(b.ports)
 	st.ServiceID = uint64(b.svcID)
@@ -390,10 +387,7 @@ func (c *Cloud) StateAt(day int, ip ipaddr.Addr) IPState {
 	// probes); keyed by IP+service so the set is stable day to day.
 	st.Slow = c.hash64(ip, 0, uint64(b.svcID)*31+7)%1000 < 4
 	if st.Web {
-		svc := c.byID[st.ServiceID]
-		if svc != nil {
-			st.Down = svc.DownOn(day)
-		}
+		st.Down = c.services[b.svcID-1].DownOn(day)
 		failPermille := uint64(c.cfg.Population.HTTPFailRate * 1000)
 		st.HTTPFail = c.hash64(ip, day, 13)%1000 < failPermille
 	}
@@ -408,10 +402,7 @@ func (c *Cloud) PageOn(day int, ip ipaddr.Addr) (profile websim.Profile, revisio
 	if !st.Web || st.Down || st.HTTPFail {
 		return websim.Profile{}, 0, false
 	}
-	svc := c.byID[st.ServiceID]
-	if svc == nil {
-		return websim.Profile{}, 0, false
-	}
+	svc := c.services[st.ServiceID-1]
 	p, ok := svc.PageOn(day)
 	if !ok {
 		return websim.Profile{}, 0, false
@@ -419,13 +410,35 @@ func (c *Cloud) PageOn(day int, ip ipaddr.Addr) (profile websim.Profile, revisio
 	return p, svc.RevisionOn(day), true
 }
 
-// AssignedIPs returns the IPs a service holds on a day (ground truth
-// for calibration tests and the blacklist feeds).
+// Holding is one address an owner held from day First through day
+// Last inclusive.
+type Holding struct {
+	Addr        ipaddr.Addr
+	First, Last int
+}
+
+// Holdings returns every holding of a service (0 for the background
+// population) in address, then first-day order: the ground truth the
+// blacklist feeds are built from, read once rather than once per day.
+func (c *Cloud) Holdings(svcID uint64) []Holding {
+	var out []Holding
+	for _, runs := range c.runs {
+		for _, r := range runs {
+			if uint64(r.svcID) == svcID {
+				out = append(out, Holding{r.addr, int(r.first), int(r.last)})
+			}
+		}
+	}
+	return out
+}
+
+// AssignedIPs returns the IPs a service holds on a day, in address
+// order (ground truth for calibration tests and DNS answers).
 func (c *Cloud) AssignedIPs(day int, svcID uint64) []ipaddr.Addr {
 	var out []ipaddr.Addr
-	for _, r := range c.runs {
-		if uint64(r.svcID) == svcID && int(r.first) <= day && day <= int(r.last) {
-			out = append(out, r.addr)
+	for _, h := range c.Holdings(svcID) {
+		if h.First <= day && day <= h.Last {
+			out = append(out, h.Addr)
 		}
 	}
 	return out

@@ -179,8 +179,8 @@ func TestStateAtUnboundAndOutside(t *testing.T) {
 }
 
 func TestRegionAndVPCLookup(t *testing.T) {
-	// Use the default campaign scale (1:64), where Table 2's region
-	// proportions survive rounding; the layout needs no day stepping.
+	// Use scale 1:64, where Table 2's region proportions survive
+	// rounding; the layout needs no day stepping.
 	cfg := DefaultEC2Config(64, 1)
 	space, err := newAddressSpace(&cfg)
 	if err != nil {
@@ -189,12 +189,16 @@ func TestRegionAndVPCLookup(t *testing.T) {
 	vpcCount, total := 0, 0
 	regions := map[string]int{}
 	space.ranges.Each(func(a ipaddr.Addr) bool {
-		pi := space.lookup(a)
-		if pi == nil {
-			t.Fatalf("address %s has no prefix info", a)
+		b := space.block(a)
+		if b < 0 {
+			t.Fatalf("address %s has no block", a)
 		}
-		regions[pi.region]++
-		if pi.vpc {
+		pi := space.prefixes[b]
+		if !pi.Prefix.Contains(a) {
+			t.Fatalf("address %s maps to block %s", a, pi.Prefix)
+		}
+		regions[pi.Region]++
+		if pi.VPC {
 			vpcCount++
 		}
 		total++
@@ -215,8 +219,11 @@ func TestRegionAndVPCLookup(t *testing.T) {
 		}
 	}
 	// Addresses below/above the space have no info.
-	if space.lookup(space.prefixes[0].prefix.Addr-1) != nil {
+	if space.block(space.prefixes[0].Prefix.Addr-1) >= 0 {
 		t.Error("lookup below space succeeded")
+	}
+	if space.block(space.prefixes[len(space.prefixes)-1].Prefix.Last()+1) >= 0 {
+		t.Error("lookup above space succeeded")
 	}
 }
 
@@ -594,6 +601,38 @@ func BenchmarkStateAt(b *testing.B) {
 	}
 }
 
+// BenchmarkStateAtScattered reads the truth the way a scan round does:
+// on one day of the 1:128 EC2 cloud, lookups alternate a web host with
+// an unbound address, each drawn in shuffled order across the space.
+func BenchmarkStateAtScattered(b *testing.B) {
+	c, err := New(DefaultEC2Config(128, 3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	day := c.Days() / 2
+	var web, unbound []ipaddr.Addr
+	c.Ranges().Each(func(a ipaddr.Addr) bool {
+		if st := c.StateAt(day, a); st.Web {
+			web = append(web, a)
+		} else if !st.Bound {
+			unbound = append(unbound, a)
+		}
+		return true
+	})
+	rng := rand.New(rand.NewSource(1))
+	rng.Shuffle(len(web), func(i, j int) { web[i], web[j] = web[j], web[i] })
+	rng.Shuffle(len(unbound), func(i, j int) { unbound[i], unbound[j] = unbound[j], unbound[i] })
+	ips := make([]ipaddr.Addr, 0, 2*len(web))
+	for i := 0; i < len(web) && i < len(unbound); i++ {
+		ips = append(ips, web[i], unbound[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.StateAt(day, ips[i%len(ips)])
+	}
+}
+
 // BenchmarkNewCloud prices building the EC2 cloud at several scales,
 // with the heap the built cloud retains (live-MiB, read after a GC) and
 // its run count beside the time and allocations; select one scale with
@@ -620,7 +659,11 @@ func BenchmarkNewCloud(b *testing.B) {
 			runtime.GC()
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/(1<<20), "live-MiB")
-			b.ReportMetric(float64(len(c.runs)), "runs")
+			runs := 0
+			for _, blk := range c.runs {
+				runs += len(blk)
+			}
+			b.ReportMetric(float64(runs), "runs")
 		})
 	}
 }

@@ -7,19 +7,12 @@ import (
 	"whowas/internal/ipaddr"
 )
 
-// prefixInfo records the ground truth for one /22 block.
-type prefixInfo struct {
-	prefix ipaddr.Prefix
-	region string
-	vpc    bool
-}
-
 // addressSpace lays the configured regions out over contiguous /22
-// blocks and answers region/VPC lookups for any address.
+// blocks. An address's block index, (a-base)>>10, locates both its
+// layout entry in prefixes and its runs in the cloud's per-block runs.
 type addressSpace struct {
-	prefixes []prefixInfo
+	prefixes []PrefixInfo
 	ranges   *ipaddr.RangeList
-	regions  []string
 }
 
 // newAddressSpace carves BaseOctet.0.0.0 onward into consecutive /22
@@ -31,41 +24,28 @@ func newAddressSpace(cfg *Config) (*addressSpace, error) {
 	if err != nil {
 		return nil, err
 	}
-	as := &addressSpace{ranges: rl}
-	for _, r := range cfg.Regions {
-		as.regions = append(as.regions, r.Name)
-	}
-	as.prefixes = make([]prefixInfo, len(infos))
-	for i, pi := range infos {
-		as.prefixes[i] = prefixInfo{prefix: pi.Prefix, region: pi.Region, vpc: pi.VPC}
-	}
-	return as, nil
+	return &addressSpace{prefixes: infos, ranges: rl}, nil
 }
 
-// lookup returns the prefix info covering a, or nil when a is outside
-// the cloud.
-func (as *addressSpace) lookup(a ipaddr.Addr) *prefixInfo {
-	// Prefixes are contiguous /22s starting at prefixes[0]; index directly.
-	if len(as.prefixes) == 0 {
-		return nil
+// block returns the index of the /22 block holding a, or -1 when a is
+// outside the cloud.
+func (as *addressSpace) block(a ipaddr.Addr) int {
+	if len(as.prefixes) == 0 || a < as.prefixes[0].Prefix.Addr {
+		return -1
 	}
-	base := as.prefixes[0].prefix.Addr
-	if a < base {
-		return nil
+	if b := int((a - as.prefixes[0].Prefix.Addr) >> 10); b < len(as.prefixes) {
+		return b
 	}
-	idx := int((a - base) >> 10)
-	if idx >= len(as.prefixes) {
-		return nil
-	}
-	return &as.prefixes[idx]
+	return -1
 }
 
 // pool hands out free addresses per (region, vpc) class. Acquisition is
 // random (seeded) so released IPs are reassigned unpredictably, which
 // is what creates cross-tenant IP churn.
 type pool struct {
-	rng  *rand.Rand
-	free map[poolKey][]ipaddr.Addr
+	rng   *rand.Rand
+	space *addressSpace
+	free  map[poolKey][]ipaddr.Addr
 }
 
 type poolKey struct {
@@ -74,11 +54,11 @@ type poolKey struct {
 }
 
 func newPool(as *addressSpace, rng *rand.Rand) *pool {
-	p := &pool{rng: rng, free: make(map[poolKey][]ipaddr.Addr)}
+	p := &pool{rng: rng, space: as, free: make(map[poolKey][]ipaddr.Addr)}
 	for _, pi := range as.prefixes {
-		k := poolKey{pi.region, pi.vpc}
-		last := pi.prefix.Last()
-		for a := pi.prefix.First(); ; a++ {
+		k := poolKey{pi.Region, pi.VPC}
+		last := pi.Prefix.Last()
+		for a := pi.Prefix.First(); ; a++ {
 			p.free[k] = append(p.free[k], a)
 			if a == last {
 				break
@@ -118,11 +98,13 @@ func (p *pool) acquire(region string, vpc bool) (ipaddr.Addr, bool) {
 	return a, true
 }
 
-// release returns an address to its class's free list at a random
-// position, so the next tenant to acquire from the region may receive
-// a recently released IP (ownership churn) or a long-idle one.
-func (p *pool) release(a ipaddr.Addr, region string, vpc bool) {
-	k := poolKey{region, vpc}
+// release returns an address to the free list of its block's class,
+// which is the class it was acquired from, at a random position, so
+// the next tenant to acquire from the region may receive a recently
+// released IP (ownership churn) or a long-idle one.
+func (p *pool) release(a ipaddr.Addr) {
+	pi := &p.space.prefixes[p.space.block(a)]
+	k := poolKey{pi.Region, pi.VPC}
 	list := append(p.free[k], a)
 	// Swap the new tail with a random element to avoid LIFO reuse.
 	i := p.rng.Intn(len(list))
