@@ -11,6 +11,7 @@ package e2e
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -283,6 +284,40 @@ func TestCampaignAndQuery(t *testing.T) {
 	}
 	if out, code := runCLI(t, "whowas", "-cloud", "gcp"); code == 0 {
 		t.Errorf("whowas with unknown cloud succeeded:\n%s", out)
+	}
+}
+
+// TestQueryRefusesDamagedStore: whowas-query must refuse a store file
+// whose round 0 records frame is damaged, exiting 1 with the
+// corruption named, rather than reading it and hanging.
+func TestQueryRefusesDamagedStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("e2e suite skipped in -short mode")
+	}
+	storePath := filepath.Join(t.TempDir(), "ec2.whowas")
+	out, code := runCLI(t, "whowas",
+		"-cloud", "ec2", "-scale", e2eScale, "-seed", "7", "-rounds", "2",
+		"-cluster=false", "-carto=false", "-q", "-out", storePath)
+	if code != 0 {
+		t.Fatalf("whowas exit %d:\n%s", code, out)
+	}
+	data, err := os.ReadFile(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An 8-byte magic, then frames of a 4-byte big-endian length and
+	// its payload: the header, round 0's meta, round 0's records.
+	off := 8
+	for range 2 {
+		off += 4 + int(binary.BigEndian.Uint32(data[off:]))
+	}
+	copy(data[off+4:off+8], []byte{0xff, 0xff, 0xff, 0xff})
+	if err := os.WriteFile(storePath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p := startProc(t, "whowas-query", "-store", storePath, "-summary")
+	if code := p.wait(30 * time.Second); code != 1 || !strings.Contains(p.output(), "corrupt") {
+		t.Fatalf("whowas-query on a damaged store: exit %d, output:\n%s", code, p.output())
 	}
 }
 

@@ -12,12 +12,12 @@
 //	whowas-query -store ec2.whowas -to-dir ec2.colstore  # gob → columnar
 //	whowas-query -store-dir ec2.colstore -digest     # identity check
 //
-// Gob stores open lazily: single-round commands such as -summary and
-// -json decode only the rounds they touch instead of loading the whole
-// file. -store-dir reads a columnar segment directory written by
-// whowas -store-dir, and -to-dir converts either form to one,
-// streaming round by round. -digest prints the backend-independent
-// store digest.
+// A gob store (-store) is loaded whole and checked at open, so a
+// damaged file is refused before any command runs; memory is then
+// proportional to the whole campaign. -store-dir reads a columnar
+// segment directory written by whowas -store-dir in bounded memory,
+// one round at a time, and -to-dir converts either form to one.
+// -digest prints the backend-independent store digest.
 //
 // The trace subcommand reads a span journal written with
 // -trace-journal and prints each round's stage latency breakdown plus
@@ -109,10 +109,9 @@ type queryOptions struct {
 	toDir     string
 }
 
-// openStore opens the requested store without decoding its rounds: gob
-// files through the lazy FileBackend (frames are scanned, records stay
-// on disk until a command asks for a round), segment directories
-// through the columnar backend.
+// openStore opens the requested store: a gob file is loaded whole into
+// memory and checked (store.OpenFile), a segment directory is opened
+// on the columnar backend, which decodes rounds as commands read them.
 func openStore(o queryOptions) (*store.Store, error) {
 	switch {
 	case o.storePath != "" && o.storeDir != "":
@@ -205,8 +204,8 @@ func run(o queryOptions) error {
 	return nil
 }
 
-// convertToDir streams the open store into a columnar segment
-// directory, one round at a time — a gob file is never fully resident.
+// convertToDir copies the open store into a columnar segment
+// directory, one round at a time.
 func convertToDir(st *store.Store, dir string) error {
 	src := st.Backend()
 	dst, err := colstore.Open(dir, colstore.Options{CloudName: st.CloudName})

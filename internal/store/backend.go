@@ -1,9 +1,10 @@
 // The storage boundary: the Store frontend owns the open-round
 // lifecycle (batched writes, finalize, metrics, digests) and delegates
 // persistence of finalized rounds to a Backend. Two implementations
-// exist: the in-memory maps this package grew up with (memory.go, the
-// default) and the on-disk columnar engine (internal/store/colstore)
-// that makes 1:1-scale campaigns fit in bounded memory.
+// exist: the in-memory slices this package grew up with (memory.go, the
+// default, which OpenFile also loads a Save snapshot into) and the
+// on-disk columnar engine (internal/store/colstore) that makes
+// 1:1-scale campaigns fit in bounded memory.
 package store
 
 import (
@@ -77,10 +78,10 @@ type RoundMeta struct {
 //
 // Fields contract: Read(i, f) fills at least the fields in f, plus IP,
 // Round and Day. colstore decodes only those columns and leaves every
-// other field zero; the memory backend and FileBackend hold whole
-// records and return them whole. A narrowed round is therefore not a
-// copy of the stored one: it must not escape the call that asked for
-// it, and it is never written back (UpdateRounds reads every field).
+// other field zero; the memory backend holds whole records and returns
+// them whole. A narrowed round is therefore not a copy of the stored
+// one: it must not escape the call that asked for it, and it is never
+// written back (UpdateRounds reads every field).
 type Backend interface {
 	// Append persists a finalized round. meta.Index is always the
 	// current NumRounds (rounds are dense and appended in order), and
@@ -91,7 +92,7 @@ type Backend interface {
 	// Meta returns round i's metadata.
 	Meta(i int) (RoundMeta, error)
 	// Read returns round i's records, sorted ascending by IP, with at
-	// least the fields in f filled. Lazy backends decode on demand;
+	// least the fields in f filled. colstore decodes on demand;
 	// callers must not retain the slice across rounds when streaming
 	// (Store.Scan does not).
 	Read(i int, f Fields) ([]*Record, error)

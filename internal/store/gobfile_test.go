@@ -65,38 +65,9 @@ func reopen(t *testing.T, s *Store) *Store {
 	return st
 }
 
-// TestFileBackendLazyExport is the whowas-query regression: exporting
-// one round of a saved store must decode exactly that round, not the
-// whole campaign.
-func TestFileBackendLazyExport(t *testing.T) {
-	path, orig := buildSaved(t)
-	st, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	fb := st.Backend().(*FileBackend)
-	if got := fb.Stats().RoundsDecoded; got != 0 {
-		t.Fatalf("open decoded %d rounds", got)
-	}
-
-	var lazy, eager bytes.Buffer
-	if err := st.ExportJSON(&lazy, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := fb.Stats().RoundsDecoded; got != 1 {
-		t.Fatalf("single-round export decoded %d rounds, want 1", got)
-	}
-	if err := orig.ExportJSON(&eager, 1); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(lazy.Bytes(), eager.Bytes()) {
-		t.Fatal("ExportJSON diverges between FileBackend and memory")
-	}
-}
-
-// TestFileBackendDigestIdentity: a saved store reopened lazily
-// reproduces the original digest and History byte for byte.
+// TestFileBackendDigestIdentity: a saved store reopened from its file
+// reproduces the original digest, History and JSON export byte for
+// byte.
 func TestFileBackendDigestIdentity(t *testing.T) {
 	path, orig := buildSaved(t)
 	st, err := OpenFile(path)
@@ -125,37 +96,22 @@ func TestFileBackendDigestIdentity(t *testing.T) {
 	if h := st.History(ipaddr.MustParseAddr("9.9.9.9")); h != nil {
 		t.Fatalf("History of unseen IP = %+v", h)
 	}
-}
-
-// TestFileBackendReadOnly: the lazy backend rejects writes, at both
-// the backend and the Store-frontend layers.
-func TestFileBackendReadOnly(t *testing.T) {
-	path, _ := buildSaved(t)
-	st, err := OpenFile(path)
-	if err != nil {
+	var loaded, live bytes.Buffer
+	if err := st.ExportJSON(&loaded, 1); err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	fb := st.Backend().(*FileBackend)
-	if err := fb.Append(RoundMeta{Index: 3}, nil); err == nil {
-		t.Error("Append on read-only backend succeeded")
-	}
-	if err := fb.Rewrite(0, RoundMeta{Index: 0}, nil); err == nil {
-		t.Error("Rewrite on read-only backend succeeded")
-	}
-	if _, err := st.BeginRound(10); err != nil {
+	if err := orig.ExportJSON(&live, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.EndRound(); err == nil {
-		t.Error("EndRound persisted a round into a read-only backend")
-	}
-	if err := st.UpdateRounds([]int{0}, func(r *Round) bool { return true }); err == nil {
-		t.Error("UpdateRounds rewrote a read-only backend")
+	if !bytes.Equal(loaded.Bytes(), live.Bytes()) {
+		t.Fatal("ExportJSON diverges between the loaded file and the live store")
 	}
 }
 
 // TestOpenFileCorrupt: truncated and mangled save files must surface
-// ErrCorrupt from open — never a panic, never a partial store.
+// ErrCorrupt from open — never a panic, never a partial store — and
+// that includes damage only decoding finds (a flipped byte inside a
+// records frame). The undamaged original still opens.
 func TestOpenFileCorrupt(t *testing.T) {
 	path, _ := buildSaved(t)
 	data, err := os.ReadFile(path)
@@ -170,6 +126,7 @@ func TestOpenFileCorrupt(t *testing.T) {
 		"mid frame":         data[:len(data)/2],
 		"last byte missing": data[:len(data)-1],
 		"trailing garbage":  append(append([]byte{}, data...), 'x'),
+		"byte flipped":      flip(data, len(data)/2),
 	}
 	for name, b := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -178,47 +135,39 @@ func TestOpenFileCorrupt(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestLoadCorrupt: loading a damaged file — opening it, then reading
-// every round — reports ErrCorrupt, including damage the open's frame
-// scan cannot see (a flipped byte inside a records frame).
-func TestLoadCorrupt(t *testing.T) {
-	path, _ := buildSaved(t)
-	data, err := os.ReadFile(path)
+	b, err := OpenFileBackend(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	load := func(path string) error {
-		b, err := OpenFileBackend(path)
-		if err != nil {
-			return err
-		}
-		defer b.Close()
-		for i := 0; i < b.NumRounds(); i++ {
-			if _, err := b.Read(i, AllFields); err != nil {
-				return err
+	b.Close()
+}
+
+// TestOpenFileRefusesUnsorted: a round whose records are not in
+// strictly ascending IP order is refused at open, since History and
+// Round.Get binary search it.
+func TestOpenFileRefusesUnsorted(t *testing.T) {
+	lo, hi := *mkRecord("10.0.0.1", 0), *mkRecord("10.0.0.2", 0)
+	frame := func(recs ...Record) []byte {
+		var buf bytes.Buffer
+		buf.WriteString(saveMagic)
+		for _, v := range []any{
+			&saveHeader{Version: saveVersion, CloudName: "ec2", Rounds: 1},
+			&RoundMeta{Records: len(recs)},
+			recs,
+		} {
+			if err := gobFrame(&buf, v); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return nil
+		return buf.Bytes()
 	}
-	cases := map[string][]byte{
-		"empty":        {},
-		"bad magic":    []byte("NOTASTORE-------"),
-		"magic only":   []byte(saveMagic),
-		"mid frame":    data[:len(data)/2],
-		"byte flipped": flip(data, len(data)/2),
+	if _, err := OpenFile(writeTemp(t, frame(lo, hi))); err != nil {
+		t.Fatalf("sorted round refused: %v", err)
 	}
-	for name, b := range cases {
-		t.Run(name, func(t *testing.T) {
-			if err := load(writeTemp(t, b)); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("load = %v, want ErrCorrupt", err)
-			}
-		})
-	}
-	// The undamaged original still loads.
-	if err := load(path); err != nil {
-		t.Fatal(err)
+	for name, recs := range map[string][]Record{"swapped": {hi, lo}, "duplicate": {lo, lo}} {
+		if _, err := OpenFile(writeTemp(t, frame(recs...))); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: OpenFile = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 )
 
 // memBackend is the default Backend: finalized rounds held as live
-// slices plus a per-round IP map for History. It retains every record
-// for the life of the store — the layout the analysis engines grew up
-// on — so memory stays proportional to the whole campaign; campaigns
-// that cannot afford that use the columnar backend instead.
+// IP-sorted slices, which History binary searches. It retains every
+// record for the life of the store — the layout the analysis engines
+// grew up on — so memory stays proportional to the whole campaign;
+// campaigns that cannot afford that use the columnar backend instead.
 type memBackend struct {
 	rounds []memRound
 }
@@ -18,7 +18,6 @@ type memBackend struct {
 type memRound struct {
 	meta RoundMeta
 	recs []*Record
-	byIP map[ipaddr.Addr]*Record
 }
 
 // NewMemoryBackend returns the in-memory Backend New installs by
@@ -26,19 +25,11 @@ type memRound struct {
 // both backends symmetrically.
 func NewMemoryBackend() Backend { return &memBackend{} }
 
-func indexRecords(recs []*Record) map[ipaddr.Addr]*Record {
-	m := make(map[ipaddr.Addr]*Record, len(recs))
-	for _, rec := range recs {
-		m[rec.IP] = rec
-	}
-	return m
-}
-
 func (b *memBackend) Append(meta RoundMeta, recs []*Record) error {
 	if meta.Index != len(b.rounds) {
 		return fmt.Errorf("store: append round %d, have %d rounds", meta.Index, len(b.rounds))
 	}
-	b.rounds = append(b.rounds, memRound{meta: meta, recs: recs, byIP: indexRecords(recs)})
+	b.rounds = append(b.rounds, memRound{meta: meta, recs: recs})
 	return nil
 }
 
@@ -62,7 +53,7 @@ func (b *memBackend) Read(i int, _ Fields) ([]*Record, error) {
 func (b *memBackend) History(ip ipaddr.Addr) ([]*Record, error) {
 	var out []*Record
 	for i := range b.rounds {
-		if rec := b.rounds[i].byIP[ip]; rec != nil {
+		if rec := searchIP(b.rounds[i].recs, ip); rec != nil {
 			out = append(out, rec)
 		}
 	}
@@ -73,7 +64,7 @@ func (b *memBackend) Rewrite(i int, meta RoundMeta, recs []*Record) error {
 	if i < 0 || i >= len(b.rounds) {
 		return fmt.Errorf("store: no round %d", i)
 	}
-	b.rounds[i] = memRound{meta: meta, recs: recs, byIP: indexRecords(recs)}
+	b.rounds[i] = memRound{meta: meta, recs: recs}
 	return nil
 }
 

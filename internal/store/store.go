@@ -134,9 +134,14 @@ func (r *Round) Get(ip ipaddr.Addr) *Record {
 		defer r.mu.Unlock()
 		return r.records[ip]
 	}
-	i := sort.Search(len(r.sorted), func(i int) bool { return r.sorted[i].IP >= ip })
-	if i < len(r.sorted) && r.sorted[i].IP == ip {
-		return r.sorted[i]
+	return searchIP(r.sorted, ip)
+}
+
+// searchIP binary searches an IP-sorted record slice.
+func searchIP(recs []*Record, ip ipaddr.Addr) *Record {
+	i := sort.Search(len(recs), func(i int) bool { return recs[i].IP >= ip })
+	if i < len(recs) && recs[i].IP == ip {
+		return recs[i]
 	}
 	return nil
 }
@@ -429,33 +434,30 @@ func (s *Store) NumRounds() int {
 }
 
 // Round returns a view of round i, or nil.
-func (s *Store) Round(i int) *Round {
+func (s *Store) Round(i int) *Round { return s.view(i, AllFields) }
+
+// view returns round i with at least the fields in f filled, or nil.
+// The deferred unlock releases the read lock even when roundAt panics.
+func (s *Store) view(i int, f Fields) *Round {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if i < 0 || i >= s.backend.NumRounds() {
 		return nil
 	}
-	return s.roundAt(i, AllFields)
+	return s.roundAt(i, f)
 }
 
 // Scan streams the finalized rounds in order, one at a time, with at
-// least the fields in f filled (see Backend's fields contract): on a
-// lazy backend at most one round is loaded per iteration, so a
-// full-campaign fold runs in one round's memory, and colstore decodes
-// only the columns f names. fn returns false to stop. fn must not
-// retain the round (or its records) across iterations if it wants that
-// bound to hold, and must not let a narrowed round's records outlive
-// the analysis that asked for them.
+// least the fields in f filled (see Backend's fields contract): on
+// colstore at most one round is decoded per iteration, so a
+// full-campaign fold runs in one round's memory, and only the columns
+// f names are decoded. fn returns false to stop. fn must not retain
+// the round (or its records) across iterations if it wants that bound
+// to hold, and must not let a narrowed round's records outlive the
+// analysis that asked for them.
 func (s *Store) Scan(f Fields, fn func(*Round) bool) {
 	for i := 0; ; i++ {
-		s.mu.RLock()
-		if i >= s.backend.NumRounds() {
-			s.mu.RUnlock()
-			return
-		}
-		r := s.roundAt(i, f)
-		s.mu.RUnlock()
-		if !fn(r) {
+		if r := s.view(i, f); r == nil || !fn(r) {
 			return
 		}
 	}
@@ -469,7 +471,7 @@ func (s *Store) EachRound(fn func(*Round) bool) { s.Scan(AllFields, fn) }
 // to the backend; no other round is read. It is the one sanctioned way
 // to mutate stored records — the analysis joins (cartography's VPC
 // labels, clustering's final IDs) write back through it; mutating
-// records obtained from Round/Scan/EachRound is lost on a lazy backend.
+// records obtained from Round/Scan/EachRound is lost on colstore.
 // fn runs under the store's write lock and must not call other Store
 // methods.
 func (s *Store) UpdateRounds(rounds []int, fn func(*Round) bool) error {
@@ -504,19 +506,15 @@ func (s *Store) History(ip ipaddr.Addr) []*Record {
 
 // The framed save format: a magic string, then length-prefixed frames,
 // each an independent gob stream — a header frame, then a meta frame
-// and a records frame per round. Independent frames let a reader skip
-// straight to one round's records without decoding the rest (the
-// FileBackend does), while the encoding stays fully deterministic:
+// and a records frame per round. The encoding is fully deterministic:
 // identical data produces identical bytes, whatever backend or lane
-// count collected it.
+// count collected it. The frames stay because the store digest is
+// defined over these bytes, not so that a reader can skip rounds:
+// OpenFile decodes every one.
 const saveMagic = "WHOWAS2\n"
 
 // saveVersion is the header's format version.
 const saveVersion = 2
-
-// maxFrameLen bounds a frame read so a corrupt length prefix cannot
-// drive an allocation by itself.
-const maxFrameLen = 1 << 31
 
 // saveHeader is the first frame.
 type saveHeader struct {
@@ -543,46 +541,6 @@ func gobFrame(w io.Writer, v any) error {
 		return err
 	}
 	return writeFrame(w, buf.Bytes())
-}
-
-// readFrameLen reads a frame's length prefix. Every frame in the
-// format is mandatory — the header fixes the round count — so running
-// out of input here is always truncation, reported as ErrCorrupt.
-func readFrameLen(r io.Reader) (int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, fmt.Errorf("%w: truncated frame length: %v", ErrCorrupt, err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n >= maxFrameLen {
-		return 0, fmt.Errorf("%w: frame length %d", ErrCorrupt, n)
-	}
-	return int(n), nil
-}
-
-// readFrame reads one full frame.
-func readFrame(r io.Reader) ([]byte, error) {
-	n, err := readFrameLen(r)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("%w: truncated frame: %v", ErrCorrupt, err)
-	}
-	return buf, nil
-}
-
-// gobUnframe decodes one frame into v.
-func gobUnframe(r io.Reader, v any) error {
-	buf, err := readFrame(r)
-	if err != nil {
-		return err
-	}
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(v); err != nil {
-		return fmt.Errorf("%w: decoding frame: %v", ErrCorrupt, err)
-	}
-	return nil
 }
 
 // Save writes the store (finalized rounds only) in the framed format.
@@ -698,48 +656,4 @@ func (s *Store) ExportJSON(w io.Writer, round int) error {
 	}
 	_, err := io.WriteString(w, "]\n")
 	return err
-}
-
-// readMagic consumes and validates the save magic.
-func readMagic(r io.Reader) error {
-	var m [len(saveMagic)]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return fmt.Errorf("%w: reading magic: %v", ErrCorrupt, err)
-	}
-	if string(m[:]) != saveMagic {
-		return fmt.Errorf("%w: not a WhoWas store (bad magic %q)", ErrCorrupt, m[:])
-	}
-	return nil
-}
-
-// readHeader reads and validates the header frame.
-func readHeader(r io.Reader) (saveHeader, error) {
-	var h saveHeader
-	if err := gobUnframe(r, &h); err != nil {
-		return h, err
-	}
-	if h.Version != saveVersion {
-		return h, fmt.Errorf("%w: unsupported store version %d", ErrCorrupt, h.Version)
-	}
-	if h.Rounds < 0 {
-		return h, fmt.Errorf("%w: negative round count %d", ErrCorrupt, h.Rounds)
-	}
-	return h, nil
-}
-
-// decodeRecordsFrame decodes one round's records frame into pointers,
-// stamping Round/Day from the meta.
-func decodeRecordsFrame(buf []byte, meta RoundMeta) ([]*Record, error) {
-	var flat []Record
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&flat); err != nil {
-		return nil, fmt.Errorf("%w: decoding round %d records: %v", ErrCorrupt, meta.Index, err)
-	}
-	if len(flat) != meta.Records {
-		return nil, fmt.Errorf("%w: round %d holds %d records, meta says %d", ErrCorrupt, meta.Index, len(flat), meta.Records)
-	}
-	recs := make([]*Record, len(flat))
-	for i := range flat {
-		recs[i] = &flat[i]
-	}
-	return recs, nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"whowas/internal/ipaddr"
 	"whowas/internal/simhash"
@@ -275,6 +276,43 @@ func TestExportJSON(t *testing.T) {
 func TestLoadGarbage(t *testing.T) {
 	if _, err := OpenFile(writeTemp(t, []byte("not gob"))); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("OpenFile of garbage = %v, want ErrCorrupt", err)
+	}
+}
+
+// failingRead is a backend whose every Read fails, as a colstore
+// segment truncated after Open would.
+type failingRead struct{ Backend }
+
+func (failingRead) Read(int, Fields) ([]*Record, error) {
+	return nil, errors.New("segment truncated")
+}
+
+// TestScanPanicReleasesLock: a backend read failure panics out of Scan
+// (it breaks the integrity contract), but must not leave the store's
+// lock held, or a deferred Close deadlocks on it.
+func TestScanPanicReleasesLock(t *testing.T) {
+	b := NewMemoryBackend()
+	if err := b.Append(RoundMeta{Records: 1}, []*Record{mkRecord("1.2.3.4", 0)}); err != nil {
+		t.Fatal(err)
+	}
+	s := NewWithBackend("ec2", failingRead{b})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Scan over a failing backend did not panic")
+			}
+		}()
+		s.Scan(FieldPorts, func(*Round) bool { return true })
+	}()
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close blocked: Scan's panic left the store locked")
 	}
 }
 
