@@ -171,6 +171,48 @@ func TestOpenFileRefusesUnsorted(t *testing.T) {
 	}
 }
 
+// TestLoadCorrupt: loading a damaged file — opening it, then reading
+// every round — reports ErrCorrupt, including a flipped byte inside a
+// records frame.
+func TestLoadCorrupt(t *testing.T) {
+	path, _ := buildSaved(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(path string) error {
+		b, err := OpenFileBackend(path)
+		if err != nil {
+			return err
+		}
+		defer b.Close()
+		for i := 0; i < b.NumRounds(); i++ {
+			if _, err := b.Read(i, AllFields); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	cases := map[string][]byte{
+		"empty":        {},
+		"bad magic":    []byte("NOTASTORE-------"),
+		"magic only":   []byte(saveMagic),
+		"mid frame":    data[:len(data)/2],
+		"byte flipped": flip(data, len(data)/2),
+	}
+	for name, b := range cases {
+		t.Run(name, func(t *testing.T) {
+			if err := load(writeTemp(t, b)); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("load = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+	// The undamaged original still loads.
+	if err := load(path); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func flip(data []byte, i int) []byte {
 	out := append([]byte{}, data...)
 	out[i] ^= 0x20
