@@ -48,7 +48,8 @@ test:
 # deadline contexts and wait timers are reused across probes), the
 # round's lane tests and colstore's parallel read paths go first,
 # twice, so a schedule-dependent race has two chances to interleave
-# before the full-module pass. The colstore
+# before the full-module pass. The clustering leg holds level 2's
+# worker pool to schedule-independent cluster IDs. The colstore
 # leg includes the narrowed reads: the decode on parallel workers, and
 # the analyses' cross-backend oracle and read counters.
 race:
@@ -59,6 +60,9 @@ race:
 	$(GO) test -race -count=2 -timeout 20m \
 		-run 'TestRunLane|TestRoundStorePutFailure|TestCampaignCancelMidRound|TestPipelineShardDigestIdentity' \
 		./internal/core/
+	$(GO) test -race -count=2 -timeout 20m \
+		-run 'TestDeterministicClusterIDs|TestClusteringInvariants|TestRunPersistsThroughColumnarBackend' \
+		./internal/cluster/
 	$(GO) test -race -count=2 -timeout 20m \
 		-run 'TestConcurrentReadersAndWriter|TestModelAgainstMemoryBackend|TestRecordsAreNotAliased|TestSegmentFilesLifecycle|TestParallelDecodeDeterministic|TestNarrowed' \
 		./internal/store/colstore/ ./internal/analysis/

@@ -16,6 +16,8 @@ import (
 	"log"
 
 	"whowas/internal/analysis"
+	"whowas/internal/blacklist"
+	"whowas/internal/cloudapi"
 	"whowas/internal/cloudsim"
 	"whowas/internal/cluster"
 	"whowas/internal/core"
@@ -34,20 +36,23 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// The feeds are built from the simulated cloud's ground truth.
+	feeds := blacklist.BuildFeeds(cloudapi.Sim(platform.Cloud))
+
 	// Safe Browsing: URL verdicts per round (Figure 16).
-	sb := analysis.SafeBrowsing(platform.Store, platform.Feeds.SafeBrowsing)
+	sb := analysis.SafeBrowsing(platform.Store, feeds.SafeBrowsing)
 	fmt.Println()
 	fmt.Println(sb.Format("ec2"))
 
 	// VirusTotal: >=2-engine consensus IP reports (Tables 17/18,
 	// behaviour types, Figure 19, cluster expansion).
 	months := analysis.DefaultMonths(platform.Cloud.Days())
-	vt := analysis.VirusTotal(platform.Store, platform.Feeds.VirusTotal,
+	vt := analysis.VirusTotal(platform.Store, feeds.VirusTotal,
 		platform.Clusters, platform.Cloud.RegionOf, months, 2)
 	fmt.Println(vt.Format("ec2"))
 
 	// Inspect one malicious IP's history the way an analyst would.
-	if ips := platform.Feeds.VirusTotal.MaliciousIPs(2); len(ips) > 0 {
+	if ips := feeds.VirusTotal.MaliciousIPs(2); len(ips) > 0 {
 		ip := ips[0]
 		fmt.Printf("example malicious IP %s history:\n", ip)
 		for _, rec := range platform.History(ip) {

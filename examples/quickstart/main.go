@@ -48,11 +48,11 @@ func main() {
 	// Pick an interesting IP: a member of the largest cluster.
 	var biggest *cluster.Cluster
 	for _, c := range platform.Clusters.Clusters {
-		if biggest == nil || len(c.Records) > len(biggest.Records) {
+		if biggest == nil || len(c.Members) > len(biggest.Members) {
 			biggest = c
 		}
 	}
-	ip := biggest.Records[0].IP
+	ip := biggest.Members[0].IP
 
 	// The headline lookup: per-round history of one address.
 	fmt.Printf("\nwhowas %s?\n", ip)
@@ -63,7 +63,7 @@ func main() {
 
 	// And the whole cluster it belongs to.
 	fmt.Printf("\ncluster %d (%q) spans %d observations across %d rounds\n",
-		biggest.ID, biggest.Title, len(biggest.Records), len(biggest.Rounds()))
+		biggest.ID, biggest.Title, len(biggest.Members), len(biggest.Rounds()))
 	for _, round := range biggest.Rounds() {
 		fmt.Printf("  round %d: %d IPs\n", round, biggest.IPsInRound(round))
 	}

@@ -537,6 +537,36 @@ func TestFormatSmoke(t *testing.T) {
 	}
 }
 
+// TestVTStudyFormatTiedRegions: Table 17 lists regions by total, and
+// regions with equal totals by name, whatever order the region map
+// iterates in.
+func TestVTStudyFormatTiedRegions(t *testing.T) {
+	study := VTStudy{
+		Months: []MonthWindow{{Name: "Oct", From: 0, To: 31}, {Name: "Nov", From: 31, To: 61}},
+		RegionMonth: map[string]map[string]int{
+			"us-east-1":      {"Oct": 7, "Nov": 2},
+			"sa-east-1":      {"Oct": 5},
+			"ap-southeast-1": {"Nov": 5},
+			"eu-west-1":      {"Oct": 2, "Nov": 3},
+			"us-west-2":      {"Oct": 1},
+		},
+	}
+	want := study.Format("ec2")
+	for i := 0; i < 50; i++ {
+		if got := study.Format("ec2"); got != want {
+			t.Fatalf("Format differs between calls:\n%s\nvs\n%s", got, want)
+		}
+	}
+	last := -1
+	for _, region := range []string{"us-east-1", "ap-southeast-1", "eu-west-1", "sa-east-1", "us-west-2"} {
+		at := strings.Index(want, "  "+region+" ")
+		if at <= last {
+			t.Fatalf("region %s out of order (want total descending, then name):\n%s", region, want)
+		}
+		last = at
+	}
+}
+
 func BenchmarkChurn(b *testing.B) {
 	web := uint8(store.PortHTTP)
 	var rounds [][]*store.Record

@@ -68,14 +68,14 @@ func seriesOf(c *cluster.Cluster) *clusterSeries {
 		byRound: map[int]map[ipaddr.Addr]bool{},
 		uniqIPs: map[ipaddr.Addr]bool{},
 	}
-	for _, rec := range c.Records {
-		m := s.byRound[rec.Round]
-		if m == nil {
-			m = map[ipaddr.Addr]bool{}
-			s.byRound[rec.Round] = m
+	for _, m := range c.Members {
+		ips := s.byRound[m.Round]
+		if ips == nil {
+			ips = map[ipaddr.Addr]bool{}
+			s.byRound[m.Round] = ips
 		}
-		m[rec.IP] = true
-		s.uniqIPs[rec.IP] = true
+		ips[m.IP] = true
+		s.uniqIPs[m.IP] = true
 	}
 	for r := range s.byRound {
 		s.rounds = append(s.rounds, r)
@@ -154,8 +154,8 @@ func ClusterAvailability(st *store.Store, res *cluster.Result) AvailabilityChang
 	avail := make([]map[int]bool, len(res.Clusters))
 	for i, c := range res.Clusters {
 		avail[i] = map[int]bool{}
-		for _, rec := range c.Records {
-			avail[i][rec.Round] = true
+		for _, m := range c.Members {
+			avail[i][m.Round] = true
 		}
 	}
 	for r := 1; r < nRounds; r++ {
@@ -413,11 +413,11 @@ func TopClusters(res *cluster.Result, topN int, regionOf func(ipaddr.Addr) strin
 			}
 		}
 		row.Regions = len(regions)
-		// Mean VPC IPs per round, from the cartography label on records.
+		// Mean VPC IPs per round, from the cartography label on members.
 		vpcByRound := map[int]int{}
-		for _, rec := range s.c.Records {
-			if rec.VPC {
-				vpcByRound[rec.Round]++
+		for _, m := range s.c.Members {
+			if m.VPC {
+				vpcByRound[m.Round]++
 			}
 		}
 		for _, r := range s.rounds {
@@ -461,8 +461,8 @@ func Regions(res *cluster.Result, regionOf func(ipaddr.Addr) string) RegionUsage
 	single := 0
 	for _, c := range res.Clusters {
 		regions := map[string]bool{}
-		for _, rec := range c.Records {
-			regions[regionOf(rec.IP)] = true
+		for _, m := range c.Members {
+			regions[regionOf(m.IP)] = true
 		}
 		out.Total++
 		if len(regions) == 1 {

@@ -47,8 +47,8 @@ func Departures(st *store.Store, res *cluster.Result, topN int) []DepartureEvent
 		departAt := last + 1
 		events[departAt].Clusters++
 		ips := map[ipaddr.Addr]bool{}
-		for _, rec := range c.Records {
-			ips[rec.IP] = true
+		for _, m := range c.Members {
+			ips[m.IP] = true
 		}
 		events[departAt].IPs += len(ips)
 	}

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"whowas/internal/blacklist"
+	"whowas/internal/cloudapi"
 	"whowas/internal/cloudsim"
 	"whowas/internal/cluster"
 	"whowas/internal/core"
@@ -13,10 +15,12 @@ import (
 
 // campaignFixture runs one reduced EC2 campaign shared by the
 // integration tests: small cloud, 18 rounds across the full 93 days.
+// campaignFeeds are the cloud's blacklist feeds.
 var (
-	campaignOnce sync.Once
-	campaignP    *core.Platform
-	campaignErr  error
+	campaignOnce  sync.Once
+	campaignP     *core.Platform
+	campaignFeeds *blacklist.Feeds
+	campaignErr   error
 )
 
 func campaign(t *testing.T) *core.Platform {
@@ -50,7 +54,7 @@ func campaign(t *testing.T) *core.Platform {
 			campaignErr = err
 			return
 		}
-		campaignP = p
+		campaignP, campaignFeeds = p, blacklist.BuildFeeds(cloudapi.Sim(p.Cloud))
 	})
 	if campaignErr != nil {
 		t.Fatal(campaignErr)
@@ -60,7 +64,7 @@ func campaign(t *testing.T) *core.Platform {
 
 func TestSafeBrowsingStudyIntegration(t *testing.T) {
 	p := campaign(t)
-	study := SafeBrowsing(p.Store, p.Feeds.SafeBrowsing)
+	study := SafeBrowsing(p.Store, campaignFeeds.SafeBrowsing)
 	if study.MaliciousIPs == 0 {
 		t.Fatal("no malicious IPs found via Safe Browsing")
 	}
@@ -87,7 +91,7 @@ func TestSafeBrowsingStudyIntegration(t *testing.T) {
 func TestVirusTotalStudyIntegration(t *testing.T) {
 	p := campaign(t)
 	months := DefaultMonths(p.Cloud.Days())
-	study := VirusTotal(p.Store, p.Feeds.VirusTotal, p.Clusters, p.Cloud.RegionOf, months, 2)
+	study := VirusTotal(p.Store, campaignFeeds.VirusTotal, p.Clusters, p.Cloud.RegionOf, months, 2)
 	if study.MaliciousIPs == 0 {
 		t.Fatal("no VT malicious IPs")
 	}
@@ -135,7 +139,7 @@ func TestVirusTotalStudyIntegration(t *testing.T) {
 func TestClusterExpansionIntegration(t *testing.T) {
 	p := campaign(t)
 	months := DefaultMonths(p.Cloud.Days())
-	study := VirusTotal(p.Store, p.Feeds.VirusTotal, p.Clusters, p.Cloud.RegionOf, months, 2)
+	study := VirusTotal(p.Store, campaignFeeds.VirusTotal, p.Clusters, p.Cloud.RegionOf, months, 2)
 	if study.ClusteredIPs == 0 {
 		t.Skip("no VT IPs landed in clusters")
 	}

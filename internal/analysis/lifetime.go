@@ -126,9 +126,9 @@ func RegionChanges(res *cluster.Result, regionOf func(ipaddr.Addr) string) Regio
 		mid := s.rounds[len(s.rounds)/2]
 		early := map[string]bool{}
 		late := map[string]bool{}
-		for _, rec := range c.Records {
-			r := regionOf(rec.IP)
-			if rec.Round <= mid {
+		for _, m := range c.Members {
+			r := regionOf(m.IP)
+			if m.Round <= mid {
 				early[r] = true
 			} else {
 				late[r] = true
@@ -189,16 +189,16 @@ func VPCTransitions(res *cluster.Result) VPCTransitionStats {
 		firstCut := s.rounds[len(s.rounds)/3]
 		lastCut := s.rounds[2*len(s.rounds)/3]
 		var earlyVPC, earlyClassic, lateVPC, lateClassic int
-		for _, rec := range c.Records {
+		for _, m := range c.Members {
 			switch {
-			case rec.Round <= firstCut:
-				if rec.VPC {
+			case m.Round <= firstCut:
+				if m.VPC {
 					earlyVPC++
 				} else {
 					earlyClassic++
 				}
-			case rec.Round >= lastCut:
-				if rec.VPC {
+			case m.Round >= lastCut:
+				if m.VPC {
 					lateVPC++
 				} else {
 					lateClassic++

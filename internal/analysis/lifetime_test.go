@@ -15,13 +15,7 @@ func mkCluster(id int64, obs map[int][]string) *cluster.Cluster {
 	c := &cluster.Cluster{ID: id}
 	for round, ips := range obs {
 		for _, ip := range ips {
-			c.Records = append(c.Records, &store.Record{
-				IP:         ipaddr.MustParseAddr(ip),
-				Round:      round,
-				Day:        round * 2,
-				OpenPorts:  store.PortHTTP,
-				HTTPStatus: 200,
-			})
+			c.Members = append(c.Members, cluster.Member{IP: ipaddr.MustParseAddr(ip), Round: round})
 		}
 	}
 	return c
@@ -84,12 +78,10 @@ func TestVPCTransitions(t *testing.T) {
 	mk := func(id int64, vpcByRound map[int]bool) *cluster.Cluster {
 		c := &cluster.Cluster{ID: id}
 		for round := 0; round < 6; round++ {
-			c.Records = append(c.Records, &store.Record{
-				IP:         ipaddr.Addr(uint32(id)<<16 | uint32(round)),
-				Round:      round,
-				HTTPStatus: 200,
-				OpenPorts:  store.PortHTTP,
-				VPC:        vpcByRound[round],
+			c.Members = append(c.Members, cluster.Member{
+				IP:    ipaddr.Addr(uint32(id)<<16 | uint32(round)),
+				Round: round,
+				VPC:   vpcByRound[round],
 			})
 		}
 		return c

@@ -294,9 +294,9 @@ func VirusTotal(st *store.Store, vt *blacklist.VirusTotal, res *cluster.Result, 
 			if !clustersWithVT[c.ID] {
 				continue
 			}
-			for _, rec := range c.Records {
-				if !flagged[rec.IP] {
-					expanded[rec.IP] = true
+			for _, m := range c.Members {
+				if !flagged[m.IP] {
+					expanded[m.IP] = true
 				}
 			}
 		}
@@ -375,7 +375,11 @@ func (v VTStudy) Format(cloud string) string {
 		regions = append(regions, r)
 	}
 	sort.Slice(regions, func(i, j int) bool {
-		return regionTotal(v.RegionMonth[regions[i]]) > regionTotal(v.RegionMonth[regions[j]])
+		ti, tj := regionTotal(v.RegionMonth[regions[i]]), regionTotal(v.RegionMonth[regions[j]])
+		if ti != tj {
+			return ti > tj
+		}
+		return regions[i] < regions[j]
 	})
 	fmt.Fprintf(&sb, "  %-16s", "Region")
 	for _, m := range v.Months {

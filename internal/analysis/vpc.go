@@ -89,17 +89,17 @@ func VPCClusters(st *store.Store, res *cluster.Result) VPCClusterSeries {
 	}
 	overall := map[int64]usage{}
 	for _, c := range res.Clusters {
-		for _, rec := range c.Records {
-			u := perRound[rec.Round][c.ID]
+		for _, m := range c.Members {
+			u := perRound[m.Round][c.ID]
 			o := overall[c.ID]
-			if rec.VPC {
+			if m.VPC {
 				u.vpc = true
 				o.vpc = true
 			} else {
 				u.classic = true
 				o.classic = true
 			}
-			perRound[rec.Round][c.ID] = u
+			perRound[m.Round][c.ID] = u
 			overall[c.ID] = o
 		}
 	}

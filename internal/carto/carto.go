@@ -46,8 +46,8 @@ func (m *Map) VPCPrefixCount() int {
 }
 
 // Apply writes the VPC label into every record of every round,
-// persisting through the store's update path so the join survives a
-// lazy storage backend. A flags-only scan finds the rounds holding a
+// persisting through the store's update path, the only write that
+// reaches every backend. A flags-only scan finds the rounds holding a
 // stale label; only those are read whole and rewritten.
 func (m *Map) Apply(st *store.Store) error {
 	var stale []int

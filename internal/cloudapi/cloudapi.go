@@ -27,7 +27,6 @@ import (
 	"context"
 	"fmt"
 
-	"whowas/internal/blacklist"
 	"whowas/internal/cloudsim"
 	"whowas/internal/dnssim"
 	"whowas/internal/ipaddr"
@@ -111,8 +110,6 @@ type (
 	PopulationConfig = cloudsim.PopulationConfig
 	// IPState is the per-(day, IP) ground truth record.
 	IPState = cloudsim.IPState
-	// Feeds bundles the simulated blacklist feeds.
-	Feeds = blacklist.Feeds
 )
 
 // DefaultEC2Config returns the stock EC2-like simulation scaled down
@@ -145,17 +142,6 @@ func ProfileConfig(name string, scaleDiv int, seed int64) (SimConfig, error) {
 func Sim(c Cloud) *cloudsim.Cloud {
 	if p, ok := c.(*InProcess); ok {
 		return p.cloud
-	}
-	return nil
-}
-
-// FeedsOf returns the cloud's blacklist feeds when it has them
-// locally (in-process clouds), else nil. Wire campaigns that need
-// feed joins run them on the daemon side or rebuild feeds from the
-// ground truth.
-func FeedsOf(c Cloud) *Feeds {
-	if p, ok := c.(*InProcess); ok {
-		return p.feeds
 	}
 	return nil
 }

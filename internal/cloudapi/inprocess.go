@@ -5,24 +5,22 @@ import (
 	"fmt"
 	"net"
 
-	"whowas/internal/blacklist"
 	"whowas/internal/cloudsim"
 	"whowas/internal/dnssim"
 	"whowas/internal/ipaddr"
 	"whowas/internal/netsim"
 )
 
-// InProcess is the in-process Cloud: the cloudsim ground truth, the
-// netsim virtual network, and the blacklist feeds, composed exactly
-// as core built them before the boundary existed. Campaigns through
-// it are bit-identical to the pre-cloudapi platform.
+// InProcess is the in-process Cloud: the cloudsim ground truth and the
+// netsim virtual network, composed exactly as core built them before
+// the boundary existed. Campaigns through it are bit-identical to the
+// pre-cloudapi platform.
 type InProcess struct {
 	cloud *cloudsim.Cloud
 	net   *netsim.Network
-	feeds *blacklist.Feeds
 }
 
-// NewInProcess builds the simulated cloud, its network, and feeds.
+// NewInProcess builds the simulated cloud and its network.
 func NewInProcess(cfg SimConfig) (*InProcess, error) {
 	cloud, err := cloudsim.New(cfg)
 	if err != nil {
@@ -32,7 +30,7 @@ func NewInProcess(cfg SimConfig) (*InProcess, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cloudapi: building network: %w", err)
 	}
-	return &InProcess{cloud: cloud, net: nw, feeds: blacklist.BuildFeeds(cloud)}, nil
+	return &InProcess{cloud: cloud, net: nw}, nil
 }
 
 // DialContext implements the data plane over the virtual network.

@@ -22,9 +22,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"whowas/internal/ipaddr"
 	"whowas/internal/metrics"
@@ -44,9 +46,6 @@ type Config struct {
 	// CleanMinAvgIPs is the average-size cutoff above which default
 	// server pages are checked during cleaning (20 in the paper).
 	CleanMinAvgIPs float64
-	// Workers bounds level-2 clustering parallelism (0 = GOMAXPROCS
-	// behaviour via a modest default).
-	Workers int
 	// Seed drives the gap statistic's reference draws.
 	Seed int64
 	// Metrics, when non-nil, receives the clustering instrumentation:
@@ -58,9 +57,9 @@ type Config struct {
 }
 
 // WithDefaults returns the config with zero fields resolved to the
-// paper's defaults (merge distance 3, clean cutoff 20, 8 workers). Run
-// applies it internally; it is exported so callers and tests can
-// observe the resolved values instead of re-stating them.
+// paper's defaults (merge distance 3, clean cutoff 20). Run applies it
+// internally; it is exported so callers and tests can observe the
+// resolved values instead of re-stating them.
 func (c Config) WithDefaults() Config {
 	out := c
 	if out.MergeDistance <= 0 {
@@ -69,17 +68,22 @@ func (c Config) WithDefaults() Config {
 	if out.CleanMinAvgIPs <= 0 {
 		out.CleanMinAvgIPs = 20
 	}
-	if out.Workers <= 0 {
-		out.Workers = 8
-	}
 	return out
 }
 
-// Cluster is one final cluster: a set of <IP, round> records believed
-// to be the same web application.
+// Member is one <IP, round> observation of a cluster, with the
+// cartography label the record carried when it was clustered.
+type Member struct {
+	IP    ipaddr.Addr
+	Round int
+	VPC   bool
+}
+
+// Cluster is one final cluster: a set of <IP, round> observations
+// believed to be the same web application.
 type Cluster struct {
 	ID      int64
-	Records []*store.Record
+	Members []Member
 	// Representative level-1 features (from the first member).
 	Title, Template, Server, Keywords, AnalyticsID string
 	// Removed marks clusters dropped by the cleaning step; their
@@ -93,8 +97,8 @@ type Cluster struct {
 // observed, ascending.
 func (c *Cluster) Rounds() []int {
 	seen := map[int]bool{}
-	for _, r := range c.Records {
-		seen[r.Round] = true
+	for _, m := range c.Members {
+		seen[m.Round] = true
 	}
 	out := make([]int, 0, len(seen))
 	for r := range seen {
@@ -108,10 +112,10 @@ func (c *Cluster) Rounds() []int {
 // round.
 func (c *Cluster) IPsInRound(round int) int {
 	n := 0
-	seen := map[uint32]bool{}
-	for _, r := range c.Records {
-		if r.Round == round && !seen[uint32(r.IP)] {
-			seen[uint32(r.IP)] = true
+	seen := map[ipaddr.Addr]bool{}
+	for _, m := range c.Members {
+		if m.Round == round && !seen[m.IP] {
+			seen[m.IP] = true
 			n++
 		}
 	}
@@ -144,74 +148,96 @@ type l1Key struct {
 	title, template, server, keywords, gaID string
 }
 
-func keyOf(rec *store.Record) l1Key {
-	return l1Key{rec.Title, rec.Template, rec.Server, rec.Keywords, rec.AnalyticsID}
+// scanFields are the columns clustering reads: availability, the five
+// level-1 features, the simhash, the VPC flag and the stored label.
+const scanFields = store.FieldStatus | store.FieldTitle | store.FieldTemplate | store.FieldServer |
+	store.FieldKeywords | store.FieldAnalyticsID | store.FieldSimhash | store.FieldFlags | store.FieldCluster
+
+// point is one available record's clustering input, copied out of the
+// scan so that no scanned record is kept or written.
+type point struct {
+	m     Member
+	key   l1Key
+	hash  simhash.Fingerprint
+	label int64 // the stored cluster ID before this run
+}
+
+// draft is a cluster under construction: its points by index.
+type draft struct {
+	id     int64
+	key    l1Key
+	points []int
 }
 
 // Run clusters every available record in the store and writes final
 // cluster IDs back into the records' Cluster field (0 = not part of
-// any final cluster).
+// any final cluster), through Store.UpdateRounds and only for the
+// rounds whose stored labels change.
 func Run(st *store.Store, cfg Config) (*Result, error) {
 	cfg = cfg.WithDefaults()
 	reg := cfg.Metrics
 	root := cfg.Tracer.Start("cluster", nil)
 
-	// Collect the records to cluster: those with an HTTP response. They
-	// are read whole — the final clusters hand them to analyses that
-	// read any field — but streamed, so a round's unavailable records
-	// are not kept.
+	// Collect the records to cluster, those with an HTTP response, in
+	// scan order: round by round, IPs ascending. starts[r] is round r's
+	// first point.
 	spL1 := cfg.Tracer.Start("level1", root)
 	stopLevel1 := reg.Histogram("cluster.level1").Time()
-	var records []*store.Record
-	st.EachRound(func(round *store.Round) bool {
+	var pts []point
+	var starts []int
+	st.Scan(scanFields, func(round *store.Round) bool {
+		starts = append(starts, len(pts))
 		round.Each(func(rec *store.Record) bool {
 			if rec.Available() {
-				records = append(records, rec)
+				pts = append(pts, point{
+					m:     Member{IP: rec.IP, Round: rec.Round, VPC: rec.VPC},
+					key:   l1Key{rec.Title, rec.Template, rec.Server, rec.Keywords, rec.AnalyticsID},
+					hash:  rec.Simhash,
+					label: rec.Cluster,
+				})
 			}
 			return true
 		})
 		return true
 	})
-	if len(records) == 0 {
+	rounds := len(starts)
+	starts = append(starts, len(pts))
+	if len(pts) == 0 {
 		spL1.End()
 		root.SetAttr(trace.String("error", "no-records"))
 		root.End()
 		return nil, fmt.Errorf("cluster: no available records to cluster")
 	}
-	reg.Counter("cluster.records_in").Add(int64(len(records)))
+	reg.Counter("cluster.records_in").Add(int64(len(pts)))
 
 	// Level 1: strict equality on the five features.
-	groups := make(map[l1Key][]*store.Record)
+	groups := make(map[l1Key][]int)
 	hashSet := make(map[simhash.Fingerprint]struct{})
-	for _, rec := range records {
-		k := keyOf(rec)
-		groups[k] = append(groups[k], rec)
-		hashSet[rec.Simhash] = struct{}{}
+	for i, p := range pts {
+		groups[p.key] = append(groups[p.key], i)
+		hashSet[p.hash] = struct{}{}
 	}
 	stopLevel1()
 	spL1.SetAttr(trace.Int("groups", len(groups)))
 	spL1.End()
 
 	// Threshold: explicit, or tuned by the gap statistic over the
-	// observed level-1 groups.
+	// observed simhashes.
 	spThresh := cfg.Tracer.Start("threshold", root)
 	stopThreshold := reg.Histogram("cluster.threshold").Time()
 	threshold := cfg.Threshold
 	if threshold <= 0 {
-		threshold = gapThreshold(groups, cfg.Seed)
+		threshold = gapThreshold(hashSet, cfg.Seed)
 	}
 	stopThreshold()
 	spThresh.SetAttr(trace.Int("threshold", threshold))
 	spThresh.End()
 
-	// Level 2: split each level-1 group by simhash distance, in
-	// parallel across groups.
+	// Level 2: split each level-1 group by simhash distance, on up to
+	// GOMAXPROCS workers pulling group indexes. Each group's output has
+	// its own slot, so the schedule cannot change the IDs.
 	spL2 := cfg.Tracer.Start("level2", root)
 	stopLevel2 := reg.Histogram("cluster.level2").Time()
-	type l2Out struct {
-		key      l1Key
-		clusters [][]*store.Record
-	}
 	keys := make([]l1Key, 0, len(groups))
 	for k := range groups {
 		keys = append(keys, k)
@@ -219,39 +245,27 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 	// Deterministic order for stable cluster IDs.
 	sort.Slice(keys, func(i, j int) bool { return l1Less(keys[i], keys[j]) })
 
-	outs := make([]l2Out, len(keys))
+	outs := make([][][]int, len(keys))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
-	for i, k := range keys {
+	for w := min(runtime.GOMAXPROCS(0), len(keys)); w > 0; w-- {
 		wg.Add(1)
-		go func(i int, k l1Key) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			outs[i] = l2Out{key: k, clusters: splitBySimhash(groups[k], threshold)}
-		}(i, k)
+			for i := int(next.Add(1) - 1); i < len(keys); i = int(next.Add(1) - 1) {
+				outs[i] = splitBySimhash(pts, groups[keys[i]], threshold)
+			}
+		}()
 	}
 	wg.Wait()
 
-	secondLevel := 0
-	var all []*Cluster
-	var nextID int64 = 1
-	for _, o := range outs {
-		for _, members := range o.clusters {
-			secondLevel++
-			c := &Cluster{
-				ID:          nextID,
-				Records:     members,
-				Title:       o.key.title,
-				Template:    o.key.template,
-				Server:      o.key.server,
-				Keywords:    o.key.keywords,
-				AnalyticsID: o.key.gaID,
-			}
-			nextID++
-			all = append(all, c)
+	var all []*draft
+	for i, out := range outs {
+		for _, members := range out {
+			all = append(all, &draft{id: int64(len(all) + 1), key: keys[i], points: members})
 		}
 	}
+	secondLevel := len(all)
 	stopLevel2()
 	spL2.SetAttr(trace.Int("clusters", secondLevel))
 	spL2.End()
@@ -259,23 +273,40 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 	// Merge heuristic across clusters.
 	spMerge := cfg.Tracer.Start("merge", root)
 	stopMerge := reg.Histogram("cluster.merge").Time()
-	merged, nMerges := mergeClusters(all, cfg.MergeDistance)
+	merged, nMerges := mergeClusters(pts, all, cfg.MergeDistance)
 	stopMerge()
 	reg.Counter("cluster.merges").Add(int64(nMerges))
 	spMerge.SetAttr(trace.Int("merges", nMerges))
 	spMerge.End()
 
-	// Cleaning.
+	// Cleaning, then numbering the final clusters 1.. and labeling
+	// their points (0 = no final cluster).
 	spClean := cfg.Tracer.Start("clean", root)
 	stopClean := reg.Histogram("cluster.clean").Time()
-	rounds := st.NumRounds()
+	labels := make([]int64, len(pts))
 	var final, removed []*Cluster
-	for _, c := range merged {
+	for _, d := range merged {
+		c := &Cluster{
+			ID:          d.id,
+			Members:     make([]Member, len(d.points)),
+			Title:       d.key.title,
+			Template:    d.key.template,
+			Server:      d.key.server,
+			Keywords:    d.key.keywords,
+			AnalyticsID: d.key.gaID,
+		}
+		for j, i := range d.points {
+			c.Members[j] = pts[i].m
+		}
 		if reason := cleanReason(c, rounds, cfg.CleanMinAvgIPs); reason != "" {
 			c.Removed = true
 			c.RemovedReason = reason
 			removed = append(removed, c)
 			continue
+		}
+		c.ID = int64(len(final) + 1)
+		for _, i := range d.points {
+			labels[i] = c.ID
 		}
 		final = append(final, c)
 	}
@@ -284,53 +315,27 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 	reg.Counter("cluster.final").Add(int64(len(final)))
 	spClean.SetAttr(trace.Int("removed", len(removed)))
 	spClean.End()
-	root.SetAttr(trace.Int("records_in", len(records)), trace.Int("final", len(final)))
+	root.SetAttr(trace.Int("records_in", len(pts)), trace.Int("final", len(final)))
 	root.End()
 
-	// Re-number final clusters and label records. The collected copies
-	// are mutated directly so the Result's cluster members carry their
-	// IDs; the same assignment is then persisted through the store's
-	// update path, which is what survives a lazy storage backend.
-	type recKey struct {
-		round int
-		ip    ipaddr.Addr
-	}
-	// The changed-round set must be computed against the records'
-	// pre-clustering IDs, before the in-place labeling below: on the
-	// memory backend the records seen here and the records seen by
-	// UpdateRounds are the same pointers, so an after-the-fact "did it
-	// change" comparison inside the update would read its own mutation.
-	// Only the changed rounds are read back and rewritten.
-	assigned := make(map[recKey]int64, len(records))
-	orig := make(map[recKey]int64, len(records))
-	for _, rec := range records {
-		k := recKey{rec.Round, rec.IP}
-		orig[k] = rec.Cluster
-		rec.Cluster = 0
-		assigned[k] = 0
-	}
-	for i, c := range final {
-		c.ID = int64(i + 1)
-		for _, rec := range c.Records {
-			rec.Cluster = c.ID
-			assigned[recKey{rec.Round, rec.IP}] = c.ID
+	// Persist the labels of the rounds where one moved. A round's
+	// points and its records are both in IP order, so one walk joins
+	// them.
+	var stale []int
+	for r := 0; r < rounds; r++ {
+		for i := starts[r]; i < starts[r+1]; i++ {
+			if pts[i].label != labels[i] {
+				stale = append(stale, r)
+				break
+			}
 		}
 	}
-	changedRounds := make(map[int]bool)
-	for k, id := range assigned {
-		if orig[k] != id {
-			changedRounds[k.round] = true
-		}
-	}
-	rewrite := make([]int, 0, len(changedRounds))
-	for r := range changedRounds {
-		rewrite = append(rewrite, r)
-	}
-	sort.Ints(rewrite)
-	err := st.UpdateRounds(rewrite, func(round *store.Round) bool {
+	err := st.UpdateRounds(stale, func(round *store.Round) bool {
+		i, end := starts[round.Index], starts[round.Index+1]
 		round.Each(func(rec *store.Record) bool {
-			if id, ok := assigned[recKey{rec.Round, rec.IP}]; ok {
-				rec.Cluster = id
+			if i < end && rec.IP == pts[i].m.IP {
+				rec.Cluster = labels[i]
+				i++
 			}
 			return true
 		})
@@ -367,17 +372,18 @@ func l1Less(a, b l1Key) bool {
 	return a.gaID < b.gaID
 }
 
-// splitBySimhash single-links a level-1 group's records by simhash
+// splitBySimhash single-links a level-1 group's points by simhash
 // distance. Identical fingerprints collapse first, so the pairwise
 // phase runs over distinct hashes only.
-func splitBySimhash(records []*store.Record, threshold int) [][]*store.Record {
-	byHash := make(map[simhash.Fingerprint][]*store.Record)
+func splitBySimhash(pts []point, group []int, threshold int) [][]int {
+	byHash := make(map[simhash.Fingerprint][]int)
 	var hashes []simhash.Fingerprint
-	for _, rec := range records {
-		if _, ok := byHash[rec.Simhash]; !ok {
-			hashes = append(hashes, rec.Simhash)
+	for _, i := range group {
+		h := pts[i].hash
+		if _, ok := byHash[h]; !ok {
+			hashes = append(hashes, h)
 		}
-		byHash[rec.Simhash] = append(byHash[rec.Simhash], rec)
+		byHash[h] = append(byHash[h], i)
 	}
 	uf := newUnionFind(len(hashes))
 	for i := 0; i < len(hashes); i++ {
@@ -387,7 +393,7 @@ func splitBySimhash(records []*store.Record, threshold int) [][]*store.Record {
 			}
 		}
 	}
-	byRoot := map[int][]*store.Record{}
+	byRoot := map[int][]int{}
 	for i, h := range hashes {
 		root := uf.find(i)
 		byRoot[root] = append(byRoot[root], byHash[h]...)
@@ -397,47 +403,44 @@ func splitBySimhash(records []*store.Record, threshold int) [][]*store.Record {
 		roots = append(roots, r)
 	}
 	sort.Ints(roots)
-	out := make([][]*store.Record, 0, len(byRoot))
+	out := make([][]int, 0, len(byRoot))
 	for _, r := range roots {
 		out = append(out, byRoot[r])
 	}
 	return out
 }
 
-// mergeClusters applies the §5 merge heuristic: records of the same IP
+// mergeClusters applies the §5 merge heuristic: points of the same IP
 // in temporal order, simhash distance <= mergeDist, and at least one
 // matching level-1 feature join their clusters. The second return is
 // the number of cluster pairs actually joined.
-func mergeClusters(clusters []*Cluster, mergeDist int) ([]*Cluster, int) {
-	idx := map[*Cluster]int{}
-	for i, c := range clusters {
-		idx[c] = i
-	}
+func mergeClusters(pts []point, clusters []*draft, mergeDist int) ([]*draft, int) {
 	uf := newUnionFind(len(clusters))
 	merges := 0
 
-	// Build per-IP record lists with their cluster index.
+	// Build per-IP point lists with their cluster index.
 	type obs struct {
-		rec *store.Record
-		ci  int
+		p  *point
+		ci int
 	}
-	byIP := map[uint32][]obs{}
-	for i, c := range clusters {
-		for _, rec := range c.Records {
-			byIP[uint32(rec.IP)] = append(byIP[uint32(rec.IP)], obs{rec, i})
+	byIP := map[ipaddr.Addr][]obs{}
+	for ci, c := range clusters {
+		for _, i := range c.points {
+			p := &pts[i]
+			byIP[p.m.IP] = append(byIP[p.m.IP], obs{p, ci})
 		}
 	}
 	for _, list := range byIP {
-		sort.Slice(list, func(i, j int) bool { return list[i].rec.Round < list[j].rec.Round })
+		sort.Slice(list, func(i, j int) bool { return list[i].p.m.Round < list[j].p.m.Round })
 		for i := 1; i < len(list); i++ {
 			a, b := list[i-1], list[i]
 			if a.ci == b.ci {
 				continue
 			}
-			if simhash.Distance(a.rec.Simhash, b.rec.Simhash) > mergeDist {
+			if simhash.Distance(a.p.hash, b.p.hash) > mergeDist {
 				continue
 			}
-			if !oneFeatureEqual(a.rec, b.rec) {
+			if !oneFeatureEqual(a.p.key, b.p.key) {
 				continue
 			}
 			if uf.union(a.ci, b.ci) {
@@ -446,18 +449,18 @@ func mergeClusters(clusters []*Cluster, mergeDist int) ([]*Cluster, int) {
 		}
 	}
 
-	byRoot := map[int]*Cluster{}
+	byRoot := map[int]*draft{}
 	var order []int
 	for i, c := range clusters {
 		root := uf.find(i)
 		if dst, ok := byRoot[root]; ok {
-			dst.Records = append(dst.Records, c.Records...)
+			dst.points = append(dst.points, c.points...)
 		} else {
 			byRoot[root] = c
 			order = append(order, root)
 		}
 	}
-	out := make([]*Cluster, 0, len(byRoot))
+	out := make([]*draft, 0, len(byRoot))
 	for _, r := range order {
 		out = append(out, byRoot[r])
 	}
@@ -465,14 +468,14 @@ func mergeClusters(clusters []*Cluster, mergeDist int) ([]*Cluster, int) {
 }
 
 // oneFeatureEqual reports whether at least one of the five level-1
-// features matches between two records (the merge condition tolerates
+// features matches between two points (the merge condition tolerates
 // revisions that changed the others).
-func oneFeatureEqual(a, b *store.Record) bool {
-	return (a.Title != "" && a.Title == b.Title) ||
-		(a.Template != "" && a.Template == b.Template) ||
-		(a.Server != "" && a.Server == b.Server) ||
-		(a.Keywords != "" && a.Keywords == b.Keywords) ||
-		(a.AnalyticsID != "" && a.AnalyticsID == b.AnalyticsID)
+func oneFeatureEqual(a, b l1Key) bool {
+	return (a.title != "" && a.title == b.title) ||
+		(a.template != "" && a.template == b.template) ||
+		(a.server != "" && a.server == b.server) ||
+		(a.keywords != "" && a.keywords == b.keywords) ||
+		(a.gaID != "" && a.gaID == b.gaID)
 }
 
 // errorTitleFragments flag clusters whose fetch returned no useful
@@ -499,7 +502,7 @@ func cleanReason(c *Cluster, rounds int, minAvgIPs float64) string {
 		}
 	}
 	if rounds > 0 {
-		avg := float64(len(c.Records)) / float64(rounds)
+		avg := float64(len(c.Members)) / float64(rounds)
 		if avg > minAvgIPs {
 			for _, frag := range defaultPageTitles {
 				if strings.Contains(title, frag) {
@@ -558,18 +561,12 @@ func (u *unionFind) union(a, b int) bool {
 // distances), and — per the standard one-standard-error rule — picks
 // the smallest threshold whose gap is within s of the next one, i.e.
 // the point where raising the threshold stops merging real structure.
-func gapThreshold(groups map[l1Key][]*store.Record, seed int64) int {
+func gapThreshold(hashes map[simhash.Fingerprint]struct{}, seed int64) int {
 	const maxT = 16
-	// Collect distinct hashes deterministically (map iteration order
+	// Order the distinct hashes deterministically (map iteration order
 	// must not influence the threshold): gather, sort, subsample.
-	seen := map[simhash.Fingerprint]bool{}
-	for _, recs := range groups {
-		for _, r := range recs {
-			seen[r.Simhash] = true
-		}
-	}
-	sample := make([]simhash.Fingerprint, 0, len(seen))
-	for h := range seen {
+	sample := make([]simhash.Fingerprint, 0, len(hashes))
+	for h := range hashes {
 		sample = append(sample, h)
 	}
 	sort.Slice(sample, func(i, j int) bool {

@@ -344,17 +344,16 @@ func TestUnavailableRecordsExcluded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range res.Clusters {
-		for _, rec := range c.Records {
-			if !rec.Available() {
-				t.Error("unavailable record clustered")
+		for _, m := range c.Members {
+			if rec := st.Round(m.Round).Get(m.IP); rec == nil || !rec.Available() {
+				t.Errorf("member %s in round %d is not an available record: %+v", m.IP, m.Round, rec)
 			}
 		}
 	}
-	_ = res
 }
 
 // TestRunPersistsThroughColumnarBackend: clustering's write-back must
-// reach the disk — a lazy backend hands every reader its own decoded
+// reach the disk — colstore hands every reader its own decoded
 // records, so labels that do not go through UpdateRounds' Rewrite are
 // lost, and only rewritten segments reproduce the post-clustering
 // digest after a reopen.

@@ -76,17 +76,21 @@ func TestClusteringInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Invariant 1: every record belongs to at most one cluster, and
-		// cluster membership matches the record label.
-		seen := map[*store.Record]int64{}
+		// Invariant 1: every <IP, round> belongs to at most one cluster,
+		// and cluster membership matches the stored record's label.
+		seen := map[Member]int64{}
 		for _, c := range res.Clusters {
-			for _, rec := range c.Records {
-				if prev, dup := seen[rec]; dup {
-					t.Fatalf("seed %d: record in clusters %d and %d", seed, prev, c.ID)
+			for _, m := range c.Members {
+				if prev, dup := seen[m]; dup {
+					t.Fatalf("seed %d: %s round %d in clusters %d and %d", seed, m.IP, m.Round, prev, c.ID)
 				}
-				seen[rec] = c.ID
+				seen[m] = c.ID
+				rec := st.Round(m.Round).Get(m.IP)
+				if rec == nil {
+					t.Fatalf("seed %d: member %s round %d has no stored record", seed, m.IP, m.Round)
+				}
 				if rec.Cluster != c.ID {
-					t.Fatalf("seed %d: record label %d != cluster %d", seed, rec.Cluster, c.ID)
+					t.Fatalf("seed %d: stored label %d != cluster %d", seed, rec.Cluster, c.ID)
 				}
 			}
 		}
@@ -105,8 +109,8 @@ func TestClusteringInvariants(t *testing.T) {
 		// fixture (merges require one shared feature, and the fixture
 		// never reuses titles across families).
 		for _, c := range res.Clusters {
-			for _, rec := range c.Records {
-				if rec.Title != c.Title {
+			for _, m := range c.Members {
+				if rec := st.Round(m.Round).Get(m.IP); rec.Title != c.Title {
 					t.Fatalf("seed %d: cluster %d mixes titles %q and %q", seed, c.ID, c.Title, rec.Title)
 				}
 			}

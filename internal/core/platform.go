@@ -1,9 +1,8 @@
 // Package core assembles the WhoWas platform (§4, Figure 1): the
 // scanner, webpage fetcher and feature generator populating a
-// round-oriented store, plus the analysis attachments — clustering,
-// cloud cartography, and blacklist feeds. It is the public face of the
-// library: the CLIs, the examples and the benchmark harness all drive
-// a Platform.
+// round-oriented store, plus the analysis attachments — clustering and
+// cloud cartography. It is the public face of the library: the CLIs,
+// the examples and the benchmark harness all drive a Platform.
 //
 // A Platform binds one simulated cloud (the measurement substrate
 // standing in for 2013 EC2/Azure — see DESIGN.md) to one measurement
@@ -188,9 +187,6 @@ func fastWorkers() int {
 type Platform struct {
 	Cloud cloudapi.Cloud
 	Store *store.Store
-	// Feeds are the §8.2 blacklist attachments (nil for wire clouds,
-	// whose feeds live on the daemon side).
-	Feeds *cloudapi.Feeds
 	// CartoMap is set by RunCartography (EC2-like clouds).
 	CartoMap *carto.Map
 	// Clusters is set by RunClustering.
@@ -258,7 +254,6 @@ func NewPlatformCloud(cloud cloudapi.Cloud) (*Platform, error) {
 	return &Platform{
 		Cloud:   cloud,
 		Store:   st,
-		Feeds:   cloudapi.FeedsOf(cloud),
 		Metrics: reg,
 	}, nil
 }

@@ -13,8 +13,8 @@ import (
 // ClusteringAccuracy evaluates the §5 clustering against the
 // simulator's ground truth — an evaluation the paper could not run on
 // the real clouds, where true service boundaries are unknown. For
-// every final cluster it computes purity (the share of member records
-// whose ground-truth service matches the cluster's majority service),
+// every final cluster it computes purity (the share of members whose
+// ground-truth service matches the cluster's majority service),
 // and for every web service the number of clusters its observations
 // were split across.
 func (s *Suite) ClusteringAccuracy() string {
@@ -25,13 +25,14 @@ func (s *Suite) ClusteringAccuracy() string {
 	}{{s.EC2, "ec2"}, {s.Azure, "azure"}} {
 		p := pc.p
 		sim := cloudapi.Sim(p.Cloud)
+		metas := p.Store.Metas()
 		var puritySum float64
 		var clusters int
 		svcClusters := map[uint64]map[int64]bool{}
 		for _, c := range p.Clusters.Clusters {
 			counts := map[uint64]int{}
-			for _, rec := range c.Records {
-				st := sim.StateAt(rec.Day, rec.IP)
+			for _, m := range c.Members {
+				st := sim.StateAt(metas[m.Round].Day, m.IP)
 				counts[st.ServiceID]++
 				if st.ServiceID != 0 {
 					if svcClusters[st.ServiceID] == nil {
@@ -46,7 +47,7 @@ func (s *Suite) ClusteringAccuracy() string {
 					best = n
 				}
 			}
-			puritySum += float64(best) / float64(len(c.Records))
+			puritySum += float64(best) / float64(len(c.Members))
 			clusters++
 		}
 		oneCluster := 0

@@ -49,7 +49,7 @@ func (s *Suite) FigureCSVs() map[string]string {
 		out["figure12-"+cloud] = pointsCSV("uptime_pct,cdf", up.CDF.Points(), 1)
 
 		// Figure 16: malicious lifetime CDFs.
-		sbStudy := analysis.SafeBrowsing(p.Store, p.Feeds.SafeBrowsing)
+		sbStudy := analysis.SafeBrowsing(p.Store, s.feeds[p].SafeBrowsing)
 		sb.Reset()
 		sb.WriteString("lifetime_days,cdf_all,cdf_classic,cdf_vpc\n")
 		for d := 1; d <= p.Cloud.Days(); d++ {
@@ -80,7 +80,7 @@ func (s *Suite) FigureCSVs() map[string]string {
 	out["figure14-ec2"] = sb.String()
 
 	// Figure 19: detection lag CDFs by behaviour type.
-	study := vtStudy(s.EC2)
+	study := s.vtStudy(s.EC2)
 	sb.Reset()
 	sb.WriteString("days,lag_type1,lag_type2,lag_type3,tail_type1,tail_type2,tail_type3\n")
 	at := func(c *timeseries.CDF, d int) float64 {

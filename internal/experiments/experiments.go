@@ -72,13 +72,16 @@ func (o *Options) logf(format string, args ...any) {
 // Suite holds the two measured clouds and their analyses' inputs.
 type Suite struct {
 	EC2, Azure *core.Platform
+	// feeds are each platform's §8.2 blacklist feeds, built once from
+	// its simulated cloud.
+	feeds map[*core.Platform]*blacklist.Feeds
 }
 
 // Run builds both clouds, runs the full §6 campaigns, the cartography
 // sweep (EC2), and the clustering on both.
 func Run(ctx context.Context, opts Options) (*Suite, error) {
 	opts = opts.withDefaults()
-	s := &Suite{}
+	s := &Suite{feeds: map[*core.Platform]*blacklist.Feeds{}}
 	start := time.Now()
 
 	build := func(name string, cfg cloudsim.Config) (*core.Platform, error) {
@@ -86,6 +89,7 @@ func Run(ctx context.Context, opts Options) (*Suite, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s platform: %w", name, err)
 		}
+		s.feeds[p] = blacklist.BuildFeeds(cloudapi.Sim(p.Cloud))
 		camp := core.FastCampaign()
 		camp.Observer = func(r core.RoundReport) { opts.logf("%s %s", name, r.ProgressLine()) }
 		if err := p.RunCampaign(ctx, camp); err != nil {
@@ -245,7 +249,7 @@ func (s *Suite) Table15() string {
 // Figure16 regenerates the Safe-Browsing malicious-lifetime CDFs.
 func (s *Suite) Figure16() string {
 	return s.both(func(p *core.Platform, cloud string) string {
-		study := analysis.SafeBrowsing(p.Store, p.Feeds.SafeBrowsing)
+		study := analysis.SafeBrowsing(p.Store, s.feeds[p].SafeBrowsing)
 		out := study.Format(cloud)
 		days := p.Cloud.Days()
 		all := make([]float64, days)
@@ -266,16 +270,16 @@ func (s *Suite) Figure16() string {
 }
 
 // vtStudy joins VirusTotal data for a platform.
-func vtStudy(p *core.Platform) analysis.VTStudy {
+func (s *Suite) vtStudy(p *core.Platform) analysis.VTStudy {
 	months := analysis.DefaultMonths(p.Cloud.Days())
-	return analysis.VirusTotal(p.Store, p.Feeds.VirusTotal, p.Clusters, p.Cloud.RegionOf, months, 2)
+	return analysis.VirusTotal(p.Store, s.feeds[p].VirusTotal, p.Clusters, p.Cloud.RegionOf, months, 2)
 }
 
 // Table17And18 regenerates the VirusTotal region/domain tables plus
 // Figure 19 and the §8.2 behaviour/cluster-expansion results.
 func (s *Suite) Table17And18() string {
-	ec2 := vtStudy(s.EC2)
-	az := vtStudy(s.Azure)
+	ec2 := s.vtStudy(s.EC2)
+	az := s.vtStudy(s.Azure)
 	return ec2.Format("ec2") + "\n" +
 		fmt.Sprintf("VirusTotal (azure): %d malicious IPs (paper found none)\n", az.MaliciousIPs)
 }
@@ -283,7 +287,7 @@ func (s *Suite) Table17And18() string {
 // Figure19 isolates the detection-lag CDFs that Table17And18's
 // VTStudy output also carries.
 func (s *Suite) Figure19() string {
-	study := vtStudy(s.EC2)
+	study := s.vtStudy(s.EC2)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Figure 19 (ec2): behaviour types t1=%d t2=%d t3=%d\n",
 		study.TypeCounts[analysis.Type1], study.TypeCounts[analysis.Type2], study.TypeCounts[analysis.Type3])
@@ -336,7 +340,7 @@ func (s *Suite) Sec81Extras() string {
 
 // Linchpins reports the §8.2 linchpin-IP analysis over the EC2 store.
 func (s *Suite) Linchpins() string {
-	sb := s.EC2.Feeds.SafeBrowsing
+	sb := s.feeds[s.EC2].SafeBrowsing
 	lps := analysis.Linchpins(s.EC2.Store, 20, func(u string, day int) bool {
 		return sb.Lookup(u, day) != blacklist.OK
 	})
