@@ -51,7 +51,8 @@ test:
 # before the full-module pass. The clustering leg holds level 2's
 # worker pool to schedule-independent cluster IDs. The colstore
 # leg includes the narrowed reads: the decode on parallel workers, and
-# the analyses' cross-backend oracle and read counters.
+# the analyses' cross-backend oracle and read counters, and the scan
+# buffers: each Scan decodes into a pair no concurrent Scan holds.
 race:
 	$(GO) test -race -count=2 -timeout 20m \
 		./internal/coord/ \
@@ -64,7 +65,7 @@ race:
 		-run 'TestDeterministicClusterIDs|TestClusteringInvariants|TestRunPersistsThroughColumnarBackend' \
 		./internal/cluster/
 	$(GO) test -race -count=2 -timeout 20m \
-		-run 'TestConcurrentReadersAndWriter|TestModelAgainstMemoryBackend|TestRecordsAreNotAliased|TestSegmentFilesLifecycle|TestParallelDecodeDeterministic|TestNarrowed' \
+		-run 'TestConcurrentReadersAndWriter|TestModelAgainstMemoryBackend|TestRecordsAreNotAliased|TestSegmentFilesLifecycle|TestParallelDecodeDeterministic|TestNarrowed|TestScanWindow|TestScanReusesBuffers' \
 		./internal/store/colstore/ ./internal/analysis/
 	$(GO) test -race -timeout 40m ./...
 

@@ -414,6 +414,70 @@ func TestColumnarStoreCLI(t *testing.T) {
 	}
 }
 
+// TestQueryClusterAcrossBackends: -cluster prints the same report from
+// a gob (-store) as from the segment directory it was collected on
+// (-store-dir). The columnar scan decodes round 2 into the buffer that
+// held round 0, so a sample record kept from round 0 without a copy
+// would print round 2's fields.
+func TestQueryClusterAcrossBackends(t *testing.T) {
+	if testing.Short() {
+		t.Skip("e2e suite skipped in -short mode")
+	}
+	tmp := t.TempDir()
+	gob := filepath.Join(tmp, "ec2.whowas")
+	dir := filepath.Join(tmp, "colstore")
+	out, code := runCLI(t, "whowas",
+		"-cloud", "ec2", "-scale", e2eScale, "-seed", "7", "-rounds", "3",
+		"-carto=false", "-q", "-out", gob, "-store-dir", dir)
+	if code != 0 {
+		t.Fatalf("whowas exit %d:\n%s", code, out)
+	}
+
+	// Clusters of records spread over round 0, from its JSON export:
+	// later rounds' churn shifts the records behind the first ones,
+	// so round 2 decodes someone else into those slots.
+	out, code = runCLI(t, "whowas-query", "-store", gob, "-json", "0")
+	if code != 0 {
+		t.Fatalf("whowas-query -json 0 exit %d:\n%s", code, out)
+	}
+	var records []struct {
+		Cluster int64 `json:"cluster"`
+	}
+	if err := json.Unmarshal([]byte(out[strings.Index(out, "["):]), &records); err != nil {
+		t.Fatalf("-json 0 output is not a JSON array: %v", err)
+	}
+	var ids []int64
+	seen := map[int64]bool{}
+	for j := 0; j < 8; j++ {
+		for _, rec := range records[j*len(records)/8:] {
+			if id := rec.Cluster; id != 0 {
+				if !seen[id] {
+					seen[id] = true
+					ids = append(ids, id)
+				}
+				break
+			}
+		}
+	}
+	if len(ids) == 0 {
+		t.Fatal("round 0 holds no clustered record")
+	}
+	for _, id := range ids {
+		arg := fmt.Sprint(id)
+		fromGob, code := runCLI(t, "whowas-query", "-store", gob, "-cluster", arg)
+		if code != 0 || !strings.Contains(fromGob, "title=") {
+			t.Fatalf("whowas-query -store -cluster %s exit %d:\n%s", arg, code, fromGob)
+		}
+		fromDir, code := runCLI(t, "whowas-query", "-store-dir", dir, "-cluster", arg)
+		if code != 0 {
+			t.Fatalf("whowas-query -store-dir -cluster %s exit %d:\n%s", arg, code, fromDir)
+		}
+		if fromDir != fromGob {
+			t.Errorf("-cluster %s differs by backend:\n-store:\n%s\n-store-dir:\n%s", arg, fromGob, fromDir)
+		}
+	}
+}
+
 // startCloudd boots the cloud daemon on ephemeral ports and waits for
 // health via whowas-query cloud.
 func startCloudd(t *testing.T) (p *proc, addr string) {

@@ -222,7 +222,7 @@ func convertToDir(st *store.Store, dir string) error {
 			_ = dst.Close()
 			return err
 		}
-		recs, err := src.Read(i, store.AllFields)
+		recs, err := src.Read(i, store.AllFields, nil)
 		if err != nil {
 			_ = dst.Close()
 			return err
@@ -308,7 +308,10 @@ func printCluster(st *store.Store, id int64) {
 	rounds := map[int]*roundInfo{}
 	var sample *store.Record
 	total := map[ipaddr.Addr]bool{}
-	st.EachRound(func(r *store.Round) bool {
+	// The sample is copied out: a scanned record does not outlive the
+	// scan.
+	fields := store.FieldCluster | store.FieldTitle | store.FieldServer | store.FieldTemplate | store.FieldAnalyticsID
+	st.Scan(fields, func(r *store.Round) bool {
 		r.Each(func(rec *store.Record) bool {
 			if rec.Cluster != id {
 				return true
@@ -321,7 +324,8 @@ func printCluster(st *store.Store, id int64) {
 			ri.ips[rec.IP] = true
 			total[rec.IP] = true
 			if sample == nil {
-				sample = rec
+				s := *rec
+				sample = &s
 			}
 			return true
 		})

@@ -242,9 +242,15 @@ func Trackers(st *store.Store) TrackerStudy {
 	out := TrackerStudy{}
 	ids := map[string]bool{}
 	accounts := map[string]map[string]bool{} // account -> profiles
-	var last *store.Round
+	// The table is tallied as the scan passes the last round: no
+	// scanned round outlives the scan.
+	if out.Round = st.NumRounds() - 1; out.Round < 0 {
+		return TrackerStudy{}
+	}
+	ipCounts := map[string]int{}
+	clusterSets := map[string]map[int64]bool{}
+	var one, two, three, users float64
 	st.Scan(store.FieldTrackers|store.FieldCluster|store.FieldAnalyticsID, func(r *store.Round) bool {
-		last = r
 		r.Each(func(rec *store.Record) bool {
 			if rec.AnalyticsID == "" {
 				return true
@@ -258,38 +264,33 @@ func Trackers(st *store.Store) TrackerStudy {
 			}
 			return true
 		})
-		return true
-	})
-	if last == nil {
-		return out
-	}
-	out.Round = last.Index
-
-	ipCounts := map[string]int{}
-	clusterSets := map[string]map[int64]bool{}
-	var one, two, three, users float64
-	last.Each(func(rec *store.Record) bool {
-		if len(rec.Trackers) == 0 {
+		if r.Index != out.Round {
 			return true
 		}
-		users++
-		switch len(rec.Trackers) {
-		case 1:
-			one++
-		case 2:
-			two++
-		default:
-			three++
-		}
-		for _, tr := range rec.Trackers {
-			ipCounts[tr]++
-			if rec.Cluster != 0 {
-				if clusterSets[tr] == nil {
-					clusterSets[tr] = map[int64]bool{}
-				}
-				clusterSets[tr][rec.Cluster] = true
+		r.Each(func(rec *store.Record) bool {
+			if len(rec.Trackers) == 0 {
+				return true
 			}
-		}
+			users++
+			switch len(rec.Trackers) {
+			case 1:
+				one++
+			case 2:
+				two++
+			default:
+				three++
+			}
+			for _, tr := range rec.Trackers {
+				ipCounts[tr]++
+				if rec.Cluster != 0 {
+					if clusterSets[tr] == nil {
+						clusterSets[tr] = map[int64]bool{}
+					}
+					clusterSets[tr][rec.Cluster] = true
+				}
+			}
+			return true
+		})
 		return true
 	})
 	for tr, n := range ipCounts {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"whowas/internal/ipaddr"
 	"whowas/internal/store"
 )
 
@@ -42,8 +41,8 @@ const statusFields = store.FieldPorts | store.FieldStatus | store.FieldCluster
 func Churn(st *store.Store) *ChurnSummary {
 	out := &ChurnSummary{}
 	// Sliding two-round window: consecutive-round comparison needs prev
-	// and cur together but never more, so the fold holds at most two
-	// decoded rounds.
+	// and cur together but never more, which is exactly how long a
+	// scanned round stays valid.
 	var prev *store.Round
 	st.Scan(statusFields, func(cur *store.Round) bool {
 		if prev == nil {
@@ -55,18 +54,22 @@ func Churn(st *store.Store) *ChurnSummary {
 			probed = prev.Probed
 		}
 		var respFlips, availFlips, clustFlips, anyFlips float64
-		// Union of IPs appearing in either round; IPs in neither are
-		// unresponsive both times and cannot have changed.
-		seen := map[ipaddr.Addr]bool{}
 		var uniqueResponsive float64
-		consider := func(rec *store.Record) {
-			ip := rec.IP
-			if seen[ip] {
-				return
+		// Both rounds are IP-sorted: one merge walk visits the union of
+		// their IPs, each once, with its record in either round (nil
+		// where absent). IPs in neither are unresponsive both times and
+		// cannot have changed.
+		as, bs := prev.Records(), cur.Records()
+		for i, j := 0, 0; i < len(as) || j < len(bs); {
+			var a, b *store.Record
+			switch {
+			case j == len(bs) || i < len(as) && as[i].IP < bs[j].IP:
+				a, i = as[i], i+1
+			case i == len(as) || bs[j].IP < as[i].IP:
+				b, j = bs[j], j+1
+			default:
+				a, b, i, j = as[i], bs[j], i+1, j+1
 			}
-			seen[ip] = true
-			a := prev.Get(ip)
-			b := cur.Get(ip)
 			respA, respB := a != nil && a.Responsive(), b != nil && b.Responsive()
 			availA, availB := a != nil && a.Available(), b != nil && b.Available()
 			var clustA, clustB int64
@@ -99,8 +102,6 @@ func Churn(st *store.Store) *ChurnSummary {
 				anyFlips++
 			}
 		}
-		prev.Each(func(rec *store.Record) bool { consider(rec); return true })
-		cur.Each(func(rec *store.Record) bool { consider(rec); return true })
 
 		p := ChurnPoint{Round: cur.Index, Day: cur.Day}
 		if probed > 0 {

@@ -183,7 +183,12 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 	// first point.
 	spL1 := cfg.Tracer.Start("level1", root)
 	stopLevel1 := reg.Histogram("cluster.level1").Time()
-	var pts []point
+	// The stored record count bounds the points: no append regrows.
+	total := 0
+	for _, m := range st.Metas() {
+		total += m.Records
+	}
+	pts := make([]point, 0, total)
 	var starts []int
 	st.Scan(scanFields, func(round *store.Round) bool {
 		starts = append(starts, len(pts))

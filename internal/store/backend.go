@@ -76,12 +76,19 @@ type RoundMeta struct {
 // this is what makes Save/Digest/ExportJSON/History identical whichever
 // backend collected the campaign.
 //
-// Fields contract: Read(i, f) fills at least the fields in f, plus IP,
-// Round and Day. colstore decodes only those columns and leaves every
-// other field zero; the memory backend holds whole records and returns
-// them whole. A narrowed round is therefore not a copy of the stored
-// one: it must not escape the call that asked for it, and it is never
-// written back (UpdateRounds reads every field).
+// Fields contract: Read(i, f, buf) fills at least the fields in f, plus
+// IP, Round and Day. colstore decodes only those columns and leaves
+// every other field zero; the memory backend holds whole records and
+// returns them whole. A narrowed round is therefore not a copy of the
+// stored one: it must not escape the call that asked for it, and it is
+// never written back (UpdateRounds reads every field).
+//
+// Buffer contract: a nil buf asks for records the caller owns. A
+// non-nil buf lets colstore decode into the space (RoundBuf) its last
+// Read used: the records of that last Read are overwritten, so they
+// are valid only until buf is passed again. Strings and string lists
+// are always fresh allocations, so a string kept from a record
+// outlives the buffer. The memory backend ignores buf.
 type Backend interface {
 	// Append persists a finalized round. meta.Index is always the
 	// current NumRounds (rounds are dense and appended in order), and
@@ -92,10 +99,9 @@ type Backend interface {
 	// Meta returns round i's metadata.
 	Meta(i int) (RoundMeta, error)
 	// Read returns round i's records, sorted ascending by IP, with at
-	// least the fields in f filled. colstore decodes on demand;
-	// callers must not retain the slice across rounds when streaming
-	// (Store.Scan does not).
-	Read(i int, f Fields) ([]*Record, error)
+	// least the fields in f filled, decoded into buf when it is not
+	// nil (see the buffer contract above).
+	Read(i int, f Fields, buf *RoundBuf) ([]*Record, error)
 	// History returns every record for an IP across rounds, in round
 	// order; nil when the IP was never responsive.
 	History(ip ipaddr.Addr) ([]*Record, error)
@@ -106,4 +112,69 @@ type Backend interface {
 	Rewrite(i int, meta RoundMeta, recs []*Record) error
 	// Close releases backend resources. The store is unusable after.
 	Close() error
+}
+
+// RoundBuf is decode space one Backend.Read after another reuses: a
+// round's record slab, the pointers handed out into it, the bytes the
+// round was read from and the scratch they were expanded into. Each
+// grows to the largest round it has held and is never shrunk. Methods
+// on a nil *RoundBuf allocate afresh on every call. A RoundBuf is not
+// safe for concurrent use.
+type RoundBuf struct {
+	flat          []Record
+	ptrs          []*Record
+	data, scratch []byte
+}
+
+// Records returns n zeroed records, pointers into b's slab in order.
+// The records the previous call returned are cleared and handed out
+// again.
+func (b *RoundBuf) Records(n int) []*Record {
+	if b == nil {
+		return pointInto(make([]Record, n), make([]*Record, n))
+	}
+	if cap(b.flat) < n {
+		b.flat, b.ptrs = make([]Record, n), make([]*Record, n)
+	} else {
+		b.flat, b.ptrs = b.flat[:n], b.ptrs[:n]
+		clear(b.flat)
+	}
+	return pointInto(b.flat, b.ptrs)
+}
+
+// pointInto points ptrs[k] at flat[k] and returns ptrs.
+func pointInto(flat []Record, ptrs []*Record) []*Record {
+	for k := range flat {
+		ptrs[k] = &flat[k]
+	}
+	return ptrs
+}
+
+// Bytes returns n bytes of unspecified contents for a round's stored
+// form, reusing the ones the previous call returned.
+func (b *RoundBuf) Bytes(n int) []byte {
+	if b == nil {
+		return make([]byte, n)
+	}
+	return regrow(&b.data, n)
+}
+
+// Scratch returns n bytes of unspecified contents, apart from Bytes',
+// for a read's working state (colstore inflates into it), reusing the
+// ones the previous call returned.
+func (b *RoundBuf) Scratch(n int) []byte {
+	if b == nil {
+		return make([]byte, n)
+	}
+	return regrow(&b.scratch, n)
+}
+
+// regrow resizes *p to n bytes, reallocating only when its capacity
+// falls short.
+func regrow(p *[]byte, n int) []byte {
+	if cap(*p) < n {
+		*p = make([]byte, n)
+	}
+	*p = (*p)[:n]
+	return *p
 }

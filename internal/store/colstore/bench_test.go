@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"whowas/internal/ipaddr"
+	"whowas/internal/store"
 )
 
 // The layer benchmarks behind bench/'s store-mixed and analyse numbers:
@@ -63,6 +64,27 @@ func BenchmarkRecords(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if recs, err := col.Records(i % benchRounds); err != nil || len(recs) != benchPerRound {
 			b.Fatalf("Records = %d records (%v), want %d", len(recs), err, benchPerRound)
+		}
+	}
+}
+
+// BenchmarkScan is one analysis fold's read: a Store.Scan of the
+// status columns (Churn's and Usage's set) over all twelve rounds, each
+// pass after the first decoding into the buffers the one before left.
+func BenchmarkScan(b *testing.B) {
+	dir := b.TempDir()
+	writeRounds(b, dir, benchRounds, benchPerRound)
+	st := store.NewWithBackend("c", openBackend(b, dir, Options{}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		st.Scan(store.FieldPorts|store.FieldStatus|store.FieldCluster, func(r *store.Round) bool {
+			n += r.Len()
+			return true
+		})
+		if n != benchRounds*benchPerRound {
+			b.Fatalf("Scan saw %d records, want %d", n, benchRounds*benchPerRound)
 		}
 	}
 }

@@ -72,9 +72,9 @@ type readStats struct {
 }
 
 // readAt is the package readAt, counted.
-func (st *readStats) readAt(r io.ReaderAt, off int64, n int) ([]byte, error) {
-	st.bytes.Add(int64(n))
-	return readAt(r, off, n)
+func (st *readStats) readAt(r io.ReaderAt, off int64, buf []byte) error {
+	st.bytes.Add(int64(len(buf)))
+	return readAt(r, off, buf)
 }
 
 // ReadStats returns the backend's cumulative read counts.
@@ -147,8 +147,8 @@ func Open(dir string, opts Options) (_ *Backend, err error) {
 		if err != nil {
 			return nil, fmt.Errorf("colstore: %w", err)
 		}
-		data, err := readAt(f, 0, int(fi.Size()))
-		if err != nil {
+		data := make([]byte, fi.Size())
+		if err := readAt(f, 0, data); err != nil {
 			return nil, err
 		}
 		foot, err := parseFooter(data)
@@ -256,16 +256,19 @@ func (b *Backend) writeSegment(meta store.RoundMeta, recs []*store.Record) (segm
 	return segment{foot: foot, f: f, size: len(data)}, nil
 }
 
-// Records decodes every field of a round's segment: Read(i,
-// store.AllFields).
+// Records decodes every field of a round's segment into fresh records:
+// Read(i, store.AllFields, nil).
 func (b *Backend) Records(i int) ([]*store.Record, error) {
-	return b.Read(i, store.AllFields)
+	return b.Read(i, store.AllFields, nil)
 }
 
 // Read decodes the columns of fields from a round's segment and leaves
-// every other field zero (store.Backend's fields contract); every call
-// returns fresh records the caller owns.
-func (b *Backend) Read(i int, fields store.Fields) ([]*store.Record, error) {
+// every other field zero (store.Backend's fields contract). The
+// segment's bytes are read into buf and its records decoded into buf's
+// slab, so a nil buf returns fresh records the caller owns and a
+// non-nil one overwrites the records its previous Read returned
+// (store.Backend's buffer contract).
+func (b *Backend) Read(i int, fields store.Fields, buf *store.RoundBuf) ([]*store.Record, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if b.closed {
@@ -278,11 +281,11 @@ func (b *Backend) Read(i int, fields store.Fields) ([]*store.Record, error) {
 	if fields&store.AllFields == store.AllFields {
 		b.stats.fullScans.Add(1)
 	}
-	data, err := b.stats.readAt(b.segs[i].f, 0, b.segs[i].size)
-	if err != nil {
+	data := buf.Bytes(b.segs[i].size)
+	if err := b.stats.readAt(b.segs[i].f, 0, data); err != nil {
 		return nil, err
 	}
-	recs, err := decodeSegment(data, b.segs[i].foot, fields, &b.stats)
+	recs, err := decodeSegment(data, b.segs[i].foot, fields, &b.stats, buf)
 	if err != nil {
 		return nil, fmt.Errorf("colstore: segment %s: %w", segName(i), err)
 	}

@@ -50,7 +50,7 @@ func TestCompressRoundTrip(t *testing.T) {
 
 	for i, src := range cases {
 		comp := compress(nil, src)
-		got, err := decompress(comp, len(src))
+		got, err := decompress(nil, comp, len(src))
 		if err != nil {
 			t.Fatalf("case %d: decompress: %v", i, err)
 		}
@@ -74,12 +74,12 @@ func TestDecompressCorrupt(t *testing.T) {
 		"offset too large": {0x00, 'a', 0x80, 0xff, 0xff},
 	}
 	for name, src := range cases {
-		if _, err := decompress(src, 1<<20); err == nil {
+		if _, err := decompress(nil, src, 1<<20); err == nil {
 			t.Errorf("%s: decompress succeeded", name)
 		}
 	}
 	// Wrong claimed length on valid input must also fail.
-	if _, err := decompress(good, 3); err == nil {
+	if _, err := decompress(nil, good, 3); err == nil {
 		t.Error("wrong rawLen accepted")
 	}
 }
@@ -173,7 +173,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if foot.MinIP != uint32(recs[0].IP) || foot.MaxIP != uint32(recs[n-1].IP) {
 		t.Fatalf("IP bounds [%d,%d], want [%d,%d]", foot.MinIP, foot.MaxIP, recs[0].IP, recs[n-1].IP)
 	}
-	got, err := decodeSegment(data, foot, store.AllFields, new(readStats))
+	got, err := decodeSegment(data, foot, store.AllFields, new(readStats), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestSegmentEmptyAndSparseFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeSegment(data, foot, store.AllFields, new(readStats))
+	got, err := decodeSegment(data, foot, store.AllFields, new(readStats), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestSegmentEmptyAndSparseFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := decodeSegment(empty, efoot, store.AllFields, new(readStats)); err != nil || len(got) != 0 {
+	if got, err := decodeSegment(empty, efoot, store.AllFields, new(readStats), nil); err != nil || len(got) != 0 {
 		t.Fatalf("empty round: %d records, err %v", len(got), err)
 	}
 }

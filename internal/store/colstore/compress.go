@@ -99,14 +99,21 @@ func compress(dst, src []byte) []byte {
 // raw length above it is a lie, and is refused before it sizes a buffer.
 func maxRawLen(compLen int) int { return (compLen/3 + 1) * maxCopyLen }
 
-// decompress expands src into a fresh buffer of exactly rawLen bytes,
-// bounds-checking every step: mangled input returns an error, never a
-// panic or an overrun.
-func decompress(src []byte, rawLen int) ([]byte, error) {
+// decompress expands src into exactly rawLen bytes, bounds-checking
+// every step: mangled input returns an error, never a panic or an
+// overrun. The output is written over dst's first rawLen bytes when
+// dst's capacity holds them (a fresh buffer otherwise) and never past
+// them, so callers may hand out adjacent ranges of one buffer.
+func decompress(dst, src []byte, rawLen int) ([]byte, error) {
 	if rawLen < 0 || rawLen > maxRawLen(len(src)) {
 		return nil, fmt.Errorf("colstore: raw length %d impossible for %d compressed bytes", rawLen, len(src))
 	}
-	dst := make([]byte, 0, rawLen)
+	if cap(dst) < rawLen {
+		dst = make([]byte, 0, rawLen)
+	}
+	// Capped at rawLen: output running long reallocates rather than
+	// writing into the caller's next range, and fails the length check.
+	dst = dst[:0:rawLen]
 	i := 0
 	for i < len(src) {
 		c := src[i]

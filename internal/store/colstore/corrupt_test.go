@@ -178,7 +178,7 @@ func TestParallelDecodeDeterministic(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		prev := runtime.GOMAXPROCS(procs)
 		for rep := 0; rep < 20; rep++ {
-			_, err := decodeSegment(data, foot, store.AllFields, new(readStats))
+			_, err := decodeSegment(data, foot, store.AllFields, new(readStats), nil)
 			if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "row group 1:") {
 				t.Fatalf("GOMAXPROCS %d: decodeSegment = %v, want row group 1's ErrCorrupt", procs, err)
 			}
@@ -273,7 +273,7 @@ func FuzzSegment(f *testing.F) {
 		if !check("parseFooter", err) {
 			return
 		}
-		recs, err := decodeSegment(data, foot, store.AllFields, new(readStats))
+		recs, err := decodeSegment(data, foot, store.AllFields, new(readStats), nil)
 		scanned := check("decodeSegment", err)
 		if scanned && len(recs) != foot.Meta.Records {
 			t.Fatalf("decoded %d records, footer says %d", len(recs), foot.Meta.Records)
@@ -282,7 +282,7 @@ func FuzzSegment(f *testing.F) {
 		// of the same cursors: it may succeed where the whole scan fails,
 		// but never the reverse, and it agrees on what it reads.
 		fields := store.Fields(binary.BigEndian.Uint32(data[crcOff:])) & store.AllFields
-		narrow, err := decodeSegment(data, foot, fields, new(readStats))
+		narrow, err := decodeSegment(data, foot, fields, new(readStats), nil)
 		if check("narrowed decodeSegment", err) && scanned {
 			for k, rec := range recs {
 				if want := masked(rec, fields); !reflect.DeepEqual(*narrow[k], want) {
@@ -338,14 +338,14 @@ func FuzzDecompress(f *testing.F) {
 	f.Add([]byte{0x00, 'a', 0x80, 0x01, 0x00}, 1<<40)
 	f.Fuzz(func(t *testing.T, src []byte, rawLen int) {
 		before := allocated()
-		out, err := decompress(src, rawLen)
+		out, err := decompress(nil, src, rawLen)
 		if err == nil && len(out) != rawLen {
 			t.Fatalf("decompress returned %d bytes for a claimed %d", len(out), rawLen)
 		}
 		if grew, limit := allocated()-before, uint64(1<<20+2*maxRawLen(len(src))); grew > limit {
 			t.Fatalf("%d input bytes made decompress allocate %d (limit %d)", len(src), grew, limit)
 		}
-		back, err := decompress(compress(nil, src), len(src))
+		back, err := decompress(nil, compress(nil, src), len(src))
 		if err != nil || !bytes.Equal(back, src) {
 			t.Fatalf("round trip of %d bytes: err %v", len(src), err)
 		}

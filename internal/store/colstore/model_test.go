@@ -175,7 +175,7 @@ func runModel(t *testing.T, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := mem.Read(i, store.AllFields)
+		want, _ := mem.Read(i, store.AllFields, nil)
 		sameRecs(t, fmt.Sprintf("Records(%d)", i), got, want)
 		gm, err := col.Meta(i)
 		wm, _ := mem.Meta(i)
@@ -213,7 +213,7 @@ func runModel(t *testing.T, seed int64) {
 			}
 		case op == 1: // Rewrite: the analysis joins' write-back
 			i := rng.Intn(n)
-			old, _ := mem.Read(i, store.AllFields)
+			old, _ := mem.Read(i, store.AllFields, nil)
 			recs := cloneRecs(old)
 			for _, rec := range recs {
 				if rng.Intn(3) == 0 {
@@ -239,7 +239,7 @@ func runModel(t *testing.T, seed int64) {
 		case op <= 4: // Records
 			checkRecords(rng.Intn(n))
 		default: // History, keyed off a random round's shape
-			recs, _ := mem.Read(rng.Intn(n), store.AllFields)
+			recs, _ := mem.Read(rng.Intn(n), store.AllFields, nil)
 			for _, ip := range probeKeys(rng, recs) {
 				checkHistory(ip)
 			}
@@ -249,7 +249,7 @@ func runModel(t *testing.T, seed int64) {
 	// address answers like the oracle at the end.
 	for i := 0; i < mem.NumRounds(); i++ {
 		checkRecords(i)
-		recs, _ := mem.Read(i, store.AllFields)
+		recs, _ := mem.Read(i, store.AllFields, nil)
 		for _, ip := range probeKeys(rng, recs) {
 			checkHistory(ip)
 		}

@@ -106,7 +106,7 @@ func TestNarrowedDecode(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for _, fields := range sets {
 				var st readStats
-				got, err := decodeSegment(data, foot, fields, &st)
+				got, err := decodeSegment(data, foot, fields, &st, nil)
 				if err != nil {
 					t.Fatalf("fields %b: %v", fields, err)
 				}

@@ -908,10 +908,11 @@ func (d *frontDecoder) next() error {
 	return nil
 }
 
-// inflate decompresses a group block or dictionary chunk, tagging a
-// codec failure as corruption of the named part.
-func inflate(comp []byte, rawLen int, part string, i int) ([]byte, error) {
-	raw, err := decompress(comp, rawLen)
+// inflate decompresses a group block or dictionary chunk into dst's
+// memory (see decompress), tagging a codec failure as corruption of
+// the named part.
+func inflate(dst, comp []byte, rawLen int, part string, i int) ([]byte, error) {
+	raw, err := decompress(dst, comp, rawLen)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s %d: %v", store.ErrCorrupt, part, i, err)
 	}
@@ -923,14 +924,16 @@ func badWordID(id uint64, f *segFooter) error {
 }
 
 // decodeSegment reconstructs the round's records, with the columns of
-// fields filled, from full file contents, counting what it inflates in
-// st. Round and Day are reproduced from the footer meta (they are
-// constant across a round and not stored per record).
-func decodeSegment(data []byte, f *segFooter, fields store.Fields, st *readStats) ([]*store.Record, error) {
+// fields filled, from full file contents into buf's slab (fresh records
+// when buf is nil), counting what it inflates in st. Round and Day are
+// reproduced from the footer meta (they are constant across a round
+// and not stored per record).
+func decodeSegment(data []byte, f *segFooter, fields store.Fields, st *readStats, buf *store.RoundBuf) ([]*store.Record, error) {
 	// Dictionary first; every string column points into it. Each word
 	// is its own allocation: strings cut from one shared blob would pin
-	// the blob for as long as any record is retained. A read of no
-	// string column leaves it empty.
+	// the blob for as long as any record is retained, and a string kept
+	// from a record decoded into a reused buf must outlive the buf's
+	// next round. A read of no string column leaves it empty.
 	var words []string
 	nChunks := 0
 	if fields&dictFields != 0 {
@@ -938,9 +941,21 @@ func decodeSegment(data []byte, f *segFooter, fields store.Fields, st *readStats
 	}
 	st.chunks.Add(int64(nChunks))
 	st.groups.Add(int64(len(f.Groups)))
+	// Each chunk read, then each row group, inflates into its own range
+	// of buf's scratch, spans[k] to spans[k+1]: the parallel workers
+	// never share a byte.
+	spans := make([]int, 1, nChunks+len(f.Groups)+1)
+	for _, c := range f.Chunks[:nChunks] {
+		spans = append(spans, spans[len(spans)-1]+c.RawLen)
+	}
+	for _, g := range f.Groups {
+		spans = append(spans, spans[len(spans)-1]+g.RawLen)
+	}
+	scratch := buf.Scratch(spans[len(spans)-1])
+	span := func(k int) []byte { return scratch[spans[k]:spans[k+1]] }
 	err := parallel(nChunks, func(i int) error {
 		c := f.Chunks[i]
-		raw, err := inflate(data[c.Off:c.Off+int64(c.CompLen)], c.RawLen, "dictionary chunk", i)
+		raw, err := inflate(span(i), data[c.Off:c.Off+int64(c.CompLen)], c.RawLen, "dictionary chunk", i)
 		if err != nil {
 			return err
 		}
@@ -962,12 +977,11 @@ func decodeSegment(data []byte, f *segFooter, fields store.Fields, st *readStats
 	for i, g := range f.Groups {
 		start[i+1] = start[i] + g.Rows
 	}
-	recs := make([]*store.Record, f.Meta.Records)
-	flat := make([]store.Record, f.Meta.Records)
+	recs := buf.Records(f.Meta.Records)
 	err = parallel(len(f.Groups), func(i int) error {
 		g := &f.Groups[i]
 		block := data[g.Off+int64(g.IPLen) : g.Off+int64(g.IPLen+g.CompLen)]
-		raw, err := inflate(block, g.RawLen, "row group", i)
+		raw, err := inflate(span(nChunks+i), block, g.RawLen, "row group", i)
 		if err != nil {
 			return err
 		}
@@ -982,14 +996,13 @@ func decodeSegment(data []byte, f *segFooter, fields store.Fields, st *readStats
 		}
 		ips := g.ips(data[g.Off : g.Off+int64(g.IPLen)])
 		for k := start[i]; k < start[i+1]; k++ {
-			rec := &flat[k]
+			rec := recs[k]
 			rec.IP = ipaddr.Addr(ips.ip)
 			rec.Round = f.Meta.Index
 			rec.Day = f.Meta.Day
 			if err := dec.read(rec); err != nil {
 				return err
 			}
-			recs[k] = rec
 			if _, err := ips.next(); err != nil {
 				return err
 			}
@@ -1014,8 +1027,8 @@ func readRow(r io.ReaderAt, f *segFooter, ip uint32, st *readStats) (*store.Reco
 		return nil, nil
 	}
 	g := &f.Groups[gi]
-	buf, err := st.readAt(r, g.Off, g.IPLen+g.CompLen)
-	if err != nil {
+	buf := make([]byte, g.IPLen+g.CompLen)
+	if err := st.readAt(r, g.Off, buf); err != nil {
 		return nil, err
 	}
 	row := 0
@@ -1030,7 +1043,7 @@ func readRow(r io.ReaderAt, f *segFooter, ip uint32, st *readStats) (*store.Reco
 	}
 
 	st.groups.Add(1)
-	raw, err := inflate(buf[g.IPLen:], g.RawLen, "row group", gi)
+	raw, err := inflate(nil, buf[g.IPLen:], g.RawLen, "row group", gi)
 	if err != nil {
 		return nil, err
 	}
@@ -1044,12 +1057,12 @@ func readRow(r io.ReaderAt, f *segFooter, ip uint32, st *readStats) (*store.Reco
 		ci := int(id / chunkWords)
 		if chunks[ci] == nil {
 			c := f.Chunks[ci]
-			comp, err := st.readAt(r, c.Off, c.CompLen)
-			if err != nil {
+			comp := make([]byte, c.CompLen)
+			if err := st.readAt(r, c.Off, comp); err != nil {
 				return "", err
 			}
 			st.chunks.Add(1)
-			if chunks[ci], err = inflate(comp, c.RawLen, "dictionary chunk", ci); err != nil {
+			if chunks[ci], err = inflate(nil, comp, c.RawLen, "dictionary chunk", ci); err != nil {
 				return "", err
 			}
 		}
@@ -1076,13 +1089,12 @@ func readRow(r io.ReaderAt, f *segFooter, ip uint32, st *readStats) (*store.Reco
 	return rec, nil
 }
 
-// readAt reads exactly n bytes at off. The range was proven inside the
-// file when the segment was opened, so a short read is an I/O error,
-// not corruption.
-func readAt(r io.ReaderAt, off int64, n int) ([]byte, error) {
-	buf := make([]byte, n)
+// readAt fills buf from off. The range was proven inside the file when
+// the segment was opened, so a short read is an I/O error, not
+// corruption.
+func readAt(r io.ReaderAt, off int64, buf []byte) error {
 	if _, err := r.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("colstore: reading %d bytes at offset %d: %w", n, off, err)
+		return fmt.Errorf("colstore: reading %d bytes at offset %d: %w", len(buf), off, err)
 	}
-	return buf, nil
+	return nil
 }

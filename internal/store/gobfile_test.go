@@ -187,7 +187,7 @@ func TestLoadCorrupt(t *testing.T) {
 		}
 		defer b.Close()
 		for i := 0; i < b.NumRounds(); i++ {
-			if _, err := b.Read(i, AllFields); err != nil {
+			if _, err := b.Read(i, AllFields, nil); err != nil {
 				return err
 			}
 		}
@@ -322,8 +322,8 @@ func TestFileBackendMatchesMemory(t *testing.T) {
 		gm, gerr := fb.Meta(i)
 		wm, werr := mem.Meta(i)
 		same(fmt.Sprintf("Meta(%d)", i), gm, wm, gerr, werr)
-		gr, gerr := fb.Read(i, AllFields)
-		wr, werr := mem.Read(i, AllFields)
+		gr, gerr := fb.Read(i, AllFields, nil)
+		wr, werr := mem.Read(i, AllFields, nil)
 		same(fmt.Sprintf("Records(%d)", i), gr, wr, gerr, werr)
 	}
 	for _, ip := range ips {

@@ -42,8 +42,9 @@ func (b *memBackend) Meta(i int) (RoundMeta, error) {
 	return b.rounds[i].meta, nil
 }
 
-// Read returns the stored records whole, whatever f asks for.
-func (b *memBackend) Read(i int, _ Fields) ([]*Record, error) {
+// Read returns the stored records whole, whatever f asks for, and
+// never touches buf.
+func (b *memBackend) Read(i int, _ Fields, _ *RoundBuf) ([]*Record, error) {
 	if i < 0 || i >= len(b.rounds) {
 		return nil, fmt.Errorf("store: no round %d", i)
 	}

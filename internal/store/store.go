@@ -205,6 +205,11 @@ type Store struct {
 	CloudName string
 	backend   Backend
 	open      *Round
+	// idleBufs is the buffer pair the last Scan to return decoded into;
+	// the next Scan takes it (scanMu guards the hand-over), so no two
+	// Scans share a pair. A Scan that finds it taken makes its own.
+	scanMu   sync.Mutex
+	idleBufs *[2]RoundBuf
 	// Instrumentation handles (SetMetrics); nil (no-op) by default.
 	mRecords *metrics.Counter // records inserted
 	mRounds  *metrics.Counter // rounds finalized
@@ -394,15 +399,16 @@ func (s *Store) AbortRound() error {
 }
 
 // roundAt builds the frontend view of finalized round i with at least
-// the fields in f filled. The caller holds s.mu (read or write). A
+// the fields in f filled, decoded into buf when it is not nil (see
+// Backend's buffer contract). The caller holds s.mu (read or write). A
 // backend read failure here is a broken integrity contract (backends
 // validate at open), not an I/O condition — it panics rather than
 // forcing an error return onto every read-path signature.
-func (s *Store) roundAt(i int, f Fields) *Round {
+func (s *Store) roundAt(i int, f Fields, buf *RoundBuf) *Round {
 	meta, err := s.backend.Meta(i)
 	if err == nil {
 		var recs []*Record
-		recs, err = s.backend.Read(i, f)
+		recs, err = s.backend.Read(i, f, buf)
 		if err == nil {
 			return roundOf(meta, recs)
 		}
@@ -433,31 +439,50 @@ func (s *Store) NumRounds() int {
 	return s.backend.NumRounds()
 }
 
-// Round returns a view of round i, or nil.
-func (s *Store) Round(i int) *Round { return s.view(i, AllFields) }
+// Round returns a view of round i, or nil. Its records are the
+// caller's: no later read reuses them.
+func (s *Store) Round(i int) *Round { return s.view(i, AllFields, nil) }
 
-// view returns round i with at least the fields in f filled, or nil.
-// The deferred unlock releases the read lock even when roundAt panics.
-func (s *Store) view(i int, f Fields) *Round {
+// view returns round i with at least the fields in f filled, decoded
+// into buf when it is not nil, or nil. The deferred unlock releases the
+// read lock even when roundAt panics.
+func (s *Store) view(i int, f Fields, buf *RoundBuf) *Round {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if i < 0 || i >= s.backend.NumRounds() {
 		return nil
 	}
-	return s.roundAt(i, f)
+	return s.roundAt(i, f, buf)
 }
 
 // Scan streams the finalized rounds in order, one at a time, with at
 // least the fields in f filled (see Backend's fields contract): on
-// colstore at most one round is decoded per iteration, so a
-// full-campaign fold runs in one round's memory, and only the columns
-// f names are decoded. fn returns false to stop. fn must not retain
-// the round (or its records) across iterations if it wants that bound
-// to hold, and must not let a narrowed round's records outlive the
-// analysis that asked for them.
+// colstore only the columns f names are decoded, and a full-campaign
+// fold runs in two rounds' memory. fn returns false to stop.
+//
+// A round handed to fn, and its records, stay valid until fn returns
+// for the round after it; none is valid after Scan returns. colstore
+// decodes round i into the buffer that held round i-2, and Scan hands
+// its two buffers to the next Scan, so a fold may compare a round with
+// the one before it, but must copy out anything it keeps longer (a
+// string field may be kept as it is: strings are never reused). A
+// narrowed round's records also must not outlive the analysis that
+// asked for them.
 func (s *Store) Scan(f Fields, fn func(*Round) bool) {
+	s.scanMu.Lock()
+	bufs := s.idleBufs
+	s.idleBufs = nil
+	s.scanMu.Unlock()
+	if bufs == nil {
+		bufs = new([2]RoundBuf)
+	}
+	defer func() {
+		s.scanMu.Lock()
+		s.idleBufs = bufs
+		s.scanMu.Unlock()
+	}()
 	for i := 0; ; i++ {
-		if r := s.view(i, f); r == nil || !fn(r) {
+		if r := s.view(i, f, &bufs[i%2]); r == nil || !fn(r) {
 			return
 		}
 	}
@@ -481,7 +506,7 @@ func (s *Store) UpdateRounds(rounds []int, fn func(*Round) bool) error {
 		if i < 0 || i >= s.backend.NumRounds() {
 			return fmt.Errorf("store: no round %d", i)
 		}
-		r := s.roundAt(i, AllFields)
+		r := s.roundAt(i, AllFields, nil)
 		if !fn(r) {
 			continue
 		}
@@ -561,7 +586,7 @@ func (s *Store) Save(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		recs, err := s.backend.Read(i, AllFields)
+		recs, err := s.backend.Read(i, AllFields, nil)
 		if err != nil {
 			return err
 		}

@@ -283,7 +283,7 @@ func TestLoadGarbage(t *testing.T) {
 // segment truncated after Open would.
 type failingRead struct{ Backend }
 
-func (failingRead) Read(int, Fields) ([]*Record, error) {
+func (failingRead) Read(int, Fields, *RoundBuf) ([]*Record, error) {
 	return nil, errors.New("segment truncated")
 }
 
