@@ -62,7 +62,7 @@ race:
 		-run 'TestRunLane|TestRoundStorePutFailure|TestCampaignCancelMidRound|TestPipelineShardDigestIdentity' \
 		./internal/core/
 	$(GO) test -race -count=2 -timeout 20m \
-		-run 'TestDeterministicClusterIDs|TestClusteringInvariants|TestRunPersistsThroughColumnarBackend' \
+		-run 'TestDeterministicClusterIDs|TestMembersInRoundIPOrder|TestClusteringInvariants|TestRunPersistsThroughColumnarBackend' \
 		./internal/cluster/
 	$(GO) test -race -count=2 -timeout 20m \
 		-run 'TestConcurrentReadersAndWriter|TestModelAgainstMemoryBackend|TestRecordsAreNotAliased|TestSegmentFilesLifecycle|TestParallelDecodeDeterministic|TestNarrowed|TestScanWindow|TestScanReusesBuffers' \

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -53,47 +54,114 @@ func (c ClusteringSummary) Format(cloud string) string {
 	return sb.String()
 }
 
-// clusterSeries precomputes, per final cluster, its per-round IP count
-// and day offsets, shared by several analyses.
+// clusterSeries reads one final cluster as runs: its Members are
+// strictly ascending by (round, IP), so each round the cluster is
+// available in is one contiguous run of ascending IPs.
 type clusterSeries struct {
-	c       *cluster.Cluster
-	byRound map[int]map[ipaddr.Addr]bool // round -> member IPs
-	rounds  []int                        // rounds where available, ascending
-	uniqIPs map[ipaddr.Addr]bool
+	c      *cluster.Cluster
+	starts []int // starts[i] opens the i-th available round's run; the last entry is len(c.Members)
 }
 
-func seriesOf(c *cluster.Cluster) *clusterSeries {
-	s := &clusterSeries{
-		c:       c,
-		byRound: map[int]map[ipaddr.Addr]bool{},
-		uniqIPs: map[ipaddr.Addr]bool{},
-	}
-	for _, m := range c.Members {
-		ips := s.byRound[m.Round]
-		if ips == nil {
-			ips = map[ipaddr.Addr]bool{}
-			s.byRound[m.Round] = ips
+func seriesOf(c *cluster.Cluster) clusterSeries {
+	newRun := func(i int) bool { return i == 0 || c.Members[i].Round != c.Members[i-1].Round }
+	n := 0
+	for i := range c.Members {
+		if newRun(i) {
+			n++
 		}
-		ips[m.IP] = true
-		s.uniqIPs[m.IP] = true
 	}
-	for r := range s.byRound {
-		s.rounds = append(s.rounds, r)
+	s := clusterSeries{c: c, starts: make([]int, 0, n+1)}
+	for i := range c.Members {
+		if newRun(i) {
+			s.starts = append(s.starts, i)
+		}
 	}
-	sort.Ints(s.rounds)
+	s.starts = append(s.starts, len(c.Members))
 	return s
 }
 
+// rounds is the number of rounds the cluster is available in.
+func (s clusterSeries) rounds() int { return len(s.starts) - 1 }
+
+// run returns the members of the i-th available round.
+func (s clusterSeries) run(i int) []cluster.Member { return s.c.Members[s.starts[i]:s.starts[i+1]] }
+
 // avgSize is the mean member count over rounds where available.
-func (s *clusterSeries) avgSize() float64 {
-	if len(s.rounds) == 0 {
+func (s clusterSeries) avgSize() float64 {
+	if s.rounds() == 0 {
 		return 0
 	}
-	sum := 0
-	for _, r := range s.rounds {
-		sum += len(s.byRound[r])
+	return float64(len(s.c.Members)) / float64(s.rounds())
+}
+
+// avgUptime is the cluster's average IP uptime: the mean over its
+// distinct IPs of (rounds the IP is in / rounds the cluster is
+// available). Each member is one <IP, round>, so the IPs' round counts
+// sum to len(Members) and the mean has this closed form.
+func (s clusterSeries) avgUptime(ips int) float64 {
+	return float64(len(s.c.Members)) / (float64(ips) * float64(s.rounds()))
+}
+
+// ipCounts returns the cluster's distinct IPs and how many of them
+// are in every round it is available in. An IP is in a round at most
+// once, so once the member IPs are sorted each distinct IP is one run,
+// as long as its round count.
+func (s clusterSeries) ipCounts() (distinct, stable int) {
+	ips := make([]ipaddr.Addr, len(s.c.Members))
+	for i, m := range s.c.Members {
+		ips[i] = m.IP
 	}
-	return float64(sum) / float64(len(s.rounds))
+	slices.Sort(ips)
+	for i := 0; i < len(ips); {
+		j := i + 1
+		for j < len(ips) && ips[j] == ips[i] {
+			j++
+		}
+		distinct++
+		if j-i == s.rounds() {
+			stable++
+		}
+		i = j
+	}
+	return distinct, stable
+}
+
+// departed counts the IPs of run prev missing from run cur; both hold
+// ascending IPs.
+func departed(prev, cur []cluster.Member) int {
+	left, j := 0, 0
+	for _, m := range prev {
+		for j < len(cur) && cur[j].IP < m.IP {
+			j++
+		}
+		if j == len(cur) || cur[j].IP != m.IP {
+			left++
+		}
+	}
+	return left
+}
+
+// regionCount counts the distinct regions of the members' IPs. A
+// cloud has a handful of regions, so a slice is the set.
+func regionCount(ms []cluster.Member, regionOf func(ipaddr.Addr) string) int {
+	var seen []string
+	for _, m := range ms {
+		if r := regionOf(m.IP); !slices.Contains(seen, r) {
+			seen = append(seen, r)
+		}
+	}
+	return len(seen)
+}
+
+// vpcMembers counts the members carrying the cartography's VPC label.
+func vpcMembers(ms []cluster.Member) int {
+	n := 0
+	for _, m := range ms {
+		if m.VPC {
+			n++
+		}
+	}
+	return n
 }
 
 // SizeMix reports §8.1's cluster-size distribution by average size.
@@ -150,22 +218,28 @@ func ClusterAvailability(st *store.Store, res *cluster.Result) AvailabilityChang
 	if total == 0 || nRounds < 2 {
 		return out
 	}
-	// availability[cluster][round]
-	avail := make([]map[int]bool, len(res.Clusters))
-	for i, c := range res.Clusters {
-		avail[i] = map[int]bool{}
-		for _, m := range c.Members {
-			avail[i][m.Round] = true
+	// A cluster flips where one of its runs of consecutive available
+	// rounds starts or ends: at round r if it is available in exactly
+	// one of r-1 and r.
+	flips := make([]int, nRounds)
+	flip := func(r int) {
+		if r > 0 && r < nRounds {
+			flips[r]++
 		}
 	}
-	for r := 1; r < nRounds; r++ {
-		flips := 0
-		for i := range avail {
-			if avail[i][r] != avail[i][r-1] {
-				flips++
+	for _, c := range res.Clusters {
+		last := -1 // the last available round seen
+		for _, m := range c.Members {
+			if m.Round > last+1 {
+				flip(last + 1)
+				flip(m.Round)
 			}
+			last = m.Round
 		}
-		frac := float64(flips) / float64(total)
+		flip(last + 1)
+	}
+	for r := 1; r < nRounds; r++ {
+		frac := float64(flips[r]) / float64(total)
 		out.Points = append(out.Points, timeseries.Point{X: float64(r), Y: frac})
 		out.Avg += frac
 	}
@@ -208,8 +282,11 @@ func SizePatterns(st *store.Store, res *cluster.Result, campaignDays int) Patter
 		samples := make([]timeseries.Sample, len(rounds))
 		allZeroMedian := true
 		for i := range rounds {
-			v := float64(len(s.byRound[i]))
-			samples[i] = timeseries.Sample{Day: rounds[i].Day, Value: v}
+			samples[i].Day = rounds[i].Day
+		}
+		for i := 0; i < s.rounds(); i++ {
+			run := s.run(i)
+			samples[run[0].Round].Value = float64(len(run))
 		}
 		paa := timeseries.PAA(samples, campaignDays, 7)
 		for _, v := range paa {
@@ -268,23 +345,11 @@ func IPUptimes(res *cluster.Result) UptimeCDF {
 	full, singletons := 0, 0
 	for _, c := range res.Clusters {
 		s := seriesOf(c)
-		if len(s.rounds) == 0 {
+		if s.rounds() == 0 {
 			continue
 		}
-		// Average IP uptime: mean over member IPs of (rounds the IP is
-		// in the cluster / rounds the cluster is available).
-		lifetime := float64(len(s.rounds))
-		var sum float64
-		for ip := range s.uniqIPs {
-			inRounds := 0
-			for _, r := range s.rounds {
-				if s.byRound[r][ip] {
-					inRounds++
-				}
-			}
-			sum += float64(inRounds) / lifetime
-		}
-		avgUptime := sum / float64(len(s.uniqIPs))
+		ips, _ := s.ipCounts()
+		avgUptime := s.avgUptime(ips)
 		if avgUptime >= 0.9999 {
 			full++
 		}
@@ -336,7 +401,7 @@ type TopClusterRow struct {
 // ranges).
 func TopClusters(res *cluster.Result, topN int, regionOf func(ipaddr.Addr) string) []TopClusterRow {
 	type scored struct {
-		s    *clusterSeries
+		s    clusterSeries
 		mean float64
 	}
 	var all []scored
@@ -355,76 +420,31 @@ func TopClusters(res *cluster.Result, topN int, regionOf func(ipaddr.Addr) strin
 	}
 	var rows []TopClusterRow
 	for _, sc := range all {
-		s := sc.s
-		row := TopClusterRow{ClusterID: s.c.ID, Title: s.c.Title, TotalIPs: len(s.uniqIPs), MeanIPs: sc.mean}
-		var sizes []float64
-		var vpcSum float64
+		s, c := sc.s, sc.s.c
+		row := TopClusterRow{ClusterID: c.ID, Title: c.Title, MeanIPs: sc.mean}
+		sizes := make([]float64, s.rounds())
 		row.MinIPs = 1 << 30
-		for _, r := range s.rounds {
-			n := len(s.byRound[r])
-			sizes = append(sizes, float64(n))
-			if n < row.MinIPs {
-				row.MinIPs = n
-			}
-			if n > row.MaxIPs {
-				row.MaxIPs = n
+		for i := range sizes {
+			n := len(s.run(i))
+			sizes[i] = float64(n)
+			row.MinIPs = min(row.MinIPs, n)
+			row.MaxIPs = max(row.MaxIPs, n)
+			// Max departure between consecutive available rounds.
+			if i > 0 {
+				prev := s.run(i - 1)
+				row.MaxDeparture = max(row.MaxDeparture, 100*float64(departed(prev, s.run(i)))/float64(len(prev)))
 			}
 		}
 		row.MedianIPs = timeseries.NewCDF(sizes).Quantile(0.5)
-		// Avg IP uptime.
-		lifetime := float64(len(s.rounds))
-		var uptimeSum float64
-		stable := 0
-		for ip := range s.uniqIPs {
-			inRounds := 0
-			for _, r := range s.rounds {
-				if s.byRound[r][ip] {
-					inRounds++
-				}
-			}
-			uptimeSum += float64(inRounds) / lifetime
-			if inRounds == len(s.rounds) {
-				stable++
-			}
+		var stable int
+		row.TotalIPs, stable = s.ipCounts()
+		row.AvgUptime = 100 * s.avgUptime(row.TotalIPs)
+		row.StableIPs = 100 * float64(stable) / float64(row.TotalIPs)
+		if regionOf != nil {
+			row.Regions = regionCount(c.Members, regionOf)
 		}
-		row.AvgUptime = 100 * uptimeSum / float64(len(s.uniqIPs))
-		row.StableIPs = 100 * float64(stable) / float64(len(s.uniqIPs))
-		// Max departure between consecutive available rounds.
-		for i := 1; i < len(s.rounds); i++ {
-			prev, cur := s.byRound[s.rounds[i-1]], s.byRound[s.rounds[i]]
-			left := 0
-			for ip := range prev {
-				if !cur[ip] {
-					left++
-				}
-			}
-			if len(prev) > 0 {
-				frac := 100 * float64(left) / float64(len(prev))
-				if frac > row.MaxDeparture {
-					row.MaxDeparture = frac
-				}
-			}
-		}
-		// Regions and VPC usage.
-		regions := map[string]bool{}
-		for ip := range s.uniqIPs {
-			if regionOf != nil {
-				regions[regionOf(ip)] = true
-			}
-		}
-		row.Regions = len(regions)
-		// Mean VPC IPs per round, from the cartography label on members.
-		vpcByRound := map[int]int{}
-		for _, m := range s.c.Members {
-			if m.VPC {
-				vpcByRound[m.Round]++
-			}
-		}
-		for _, r := range s.rounds {
-			vpcSum += float64(vpcByRound[r])
-		}
-		if len(s.rounds) > 0 {
-			row.MeanVPCIPs = vpcSum / float64(len(s.rounds))
+		if s.rounds() > 0 {
+			row.MeanVPCIPs = float64(vpcMembers(c.Members)) / float64(s.rounds())
 		}
 		rows = append(rows, row)
 	}
@@ -460,12 +480,8 @@ func Regions(res *cluster.Result, regionOf func(ipaddr.Addr) string) RegionUsage
 	}
 	single := 0
 	for _, c := range res.Clusters {
-		regions := map[string]bool{}
-		for _, m := range c.Members {
-			regions[regionOf(m.IP)] = true
-		}
 		out.Total++
-		if len(regions) == 1 {
+		if regionCount(c.Members, regionOf) == 1 {
 			single++
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"whowas/internal/cluster"
-	"whowas/internal/ipaddr"
 	"whowas/internal/store"
 )
 
@@ -36,21 +35,17 @@ func Departures(st *store.Store, res *cluster.Result, topN int) []DepartureEvent
 		events[i] = DepartureEvent{Round: i, Day: metas[i].Day}
 	}
 	for _, c := range res.Clusters {
-		rounds := c.Rounds()
-		if len(rounds) == 0 {
+		if len(c.Members) == 0 {
 			continue
 		}
-		last := rounds[len(rounds)-1]
+		last := c.Members[len(c.Members)-1].Round // the last run's round
 		if last >= nRounds-1 {
 			continue // still alive at the end: not a departure
 		}
 		departAt := last + 1
 		events[departAt].Clusters++
-		ips := map[ipaddr.Addr]bool{}
-		for _, m := range c.Members {
-			ips[m.IP] = true
-		}
-		events[departAt].IPs += len(ips)
+		ips, _ := seriesOf(c).ipCounts()
+		events[departAt].IPs += ips
 	}
 	out := events[1:]
 	sort.Slice(out, func(i, j int) bool {

@@ -31,12 +31,13 @@ type ClusterUptimeStats struct {
 
 // clusterUptime computes one cluster's lifetime uptime: available
 // rounds over rounds spanned by [first, last].
-func clusterUptime(s *clusterSeries) float64 {
-	if len(s.rounds) == 0 {
+func clusterUptime(s clusterSeries) float64 {
+	if s.rounds() == 0 {
 		return 0
 	}
-	span := s.rounds[len(s.rounds)-1] - s.rounds[0] + 1
-	return float64(len(s.rounds)) / float64(span)
+	ms := s.c.Members
+	span := ms[len(ms)-1].Round - ms[0].Round + 1
+	return float64(s.rounds()) / float64(span)
 }
 
 // ClusterUptimes computes the §8.1 uptime breakdown.
@@ -47,7 +48,7 @@ func ClusterUptimes(res *cluster.Result) ClusterUptimeStats {
 	var low, total float64
 	for _, c := range res.Clusters {
 		s := seriesOf(c)
-		if len(s.rounds) == 0 {
+		if s.rounds() == 0 {
 			continue
 		}
 		up := clusterUptime(s)
@@ -118,28 +119,18 @@ func RegionChanges(res *cluster.Result, regionOf func(ipaddr.Addr) string) Regio
 	var same, p1, p2, m1, m2 float64
 	for _, c := range res.Clusters {
 		s := seriesOf(c)
-		if len(s.rounds) < 2 {
+		// Early is every run up to and including the middle available
+		// round's; late is the rest.
+		split := len(c.Members)
+		if s.rounds() >= 2 {
+			split = s.starts[s.rounds()/2+1]
+		}
+		if split == len(c.Members) { // nothing after the middle round
 			out.Total++
 			same++
 			continue
 		}
-		mid := s.rounds[len(s.rounds)/2]
-		early := map[string]bool{}
-		late := map[string]bool{}
-		for _, m := range c.Members {
-			r := regionOf(m.IP)
-			if m.Round <= mid {
-				early[r] = true
-			} else {
-				late[r] = true
-			}
-		}
-		if len(late) == 0 { // everything before mid
-			out.Total++
-			same++
-			continue
-		}
-		delta := len(late) - len(early)
+		delta := regionCount(c.Members[split:], regionOf) - regionCount(c.Members[:split], regionOf)
 		out.Total++
 		switch {
 		case delta == 0:
@@ -183,30 +174,15 @@ func VPCTransitions(res *cluster.Result) VPCTransitionStats {
 	out := VPCTransitionStats{}
 	for _, c := range res.Clusters {
 		s := seriesOf(c)
-		if len(s.rounds) < 3 {
+		n := s.rounds()
+		if n < 3 {
 			continue
 		}
-		firstCut := s.rounds[len(s.rounds)/3]
-		lastCut := s.rounds[2*len(s.rounds)/3]
-		var earlyVPC, earlyClassic, lateVPC, lateClassic int
-		for _, m := range c.Members {
-			switch {
-			case m.Round <= firstCut:
-				if m.VPC {
-					earlyVPC++
-				} else {
-					earlyClassic++
-				}
-			case m.Round >= lastCut:
-				if m.VPC {
-					lateVPC++
-				} else {
-					lateClassic++
-				}
-			}
-		}
-		earlyIsVPC := earlyVPC > earlyClassic
-		lateIsVPC := lateVPC > lateClassic
+		// Early is the runs up to the one-third available round, late
+		// those from the two-thirds one on.
+		early, late := c.Members[:s.starts[n/3+1]], c.Members[s.starts[2*n/3]:]
+		earlyIsVPC := 2*vpcMembers(early) > len(early)
+		lateIsVPC := 2*vpcMembers(late) > len(late)
 		if !earlyIsVPC && lateIsVPC {
 			out.ClassicToVPC++
 		}

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,7 +12,8 @@ import (
 	"whowas/internal/store"
 )
 
-// mkCluster fabricates a cluster from (round, ips...) observations.
+// mkCluster fabricates a cluster from (round, ips...) observations,
+// its members in (round, IP) order as cluster.Run hands them out.
 func mkCluster(id int64, obs map[int][]string) *cluster.Cluster {
 	c := &cluster.Cluster{ID: id}
 	for round, ips := range obs {
@@ -18,6 +21,9 @@ func mkCluster(id int64, obs map[int][]string) *cluster.Cluster {
 			c.Members = append(c.Members, cluster.Member{IP: ipaddr.MustParseAddr(ip), Round: round})
 		}
 	}
+	slices.SortFunc(c.Members, func(a, b cluster.Member) int {
+		return cmp.Or(cmp.Compare(a.Round, b.Round), cmp.Compare(a.IP, b.IP))
+	})
 	return c
 }
 

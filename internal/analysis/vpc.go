@@ -79,56 +79,36 @@ type VPCClusterSeries struct {
 
 // VPCClusters computes Figure 14.
 func VPCClusters(st *store.Store, res *cluster.Result) VPCClusterSeries {
-	var out VPCClusterSeries
 	nRounds := st.NumRounds()
-	// Per cluster per round: does it use VPC IPs, classic IPs, both?
-	type usage struct{ classic, vpc bool }
-	perRound := make([]map[int64]usage, nRounds)
-	for i := range perRound {
-		perRound[i] = map[int64]usage{}
+	out := VPCClusterSeries{
+		Rounds:      make([]int, nRounds),
+		ClassicOnly: make([]int, nRounds),
+		VPCOnly:     make([]int, nRounds),
+		Mixed:       make([]int, nRounds),
 	}
-	overall := map[int64]usage{}
-	for _, c := range res.Clusters {
-		for _, m := range c.Members {
-			u := perRound[m.Round][c.ID]
-			o := overall[c.ID]
-			if m.VPC {
-				u.vpc = true
-				o.vpc = true
-			} else {
-				u.classic = true
-				o.classic = true
-			}
-			perRound[m.Round][c.ID] = u
-			overall[c.ID] = o
-		}
+	for r := range out.Rounds {
+		out.Rounds[r] = r
 	}
-	for r := 0; r < nRounds; r++ {
-		var co, vo, mx int
-		for _, u := range perRound[r] {
-			switch {
-			case u.classic && u.vpc:
-				mx++
-			case u.vpc:
-				vo++
-			default:
-				co++
-			}
-		}
-		out.Rounds = append(out.Rounds, r)
-		out.ClassicOnly = append(out.ClassicOnly, co)
-		out.VPCOnly = append(out.VPCOnly, vo)
-		out.Mixed = append(out.Mixed, mx)
-	}
-	for _, u := range overall {
-		switch {
-		case u.classic && u.vpc:
-			out.TotalMixed++
-		case u.vpc:
-			out.TotalVPCOnly++
+	// Each run (one round's members) and each whole cluster uses VPC
+	// IPs, classic IPs, or both.
+	classify := func(ms []cluster.Member, classic, vpcOnly, mixed *int) {
+		switch vpc := vpcMembers(ms); {
+		case vpc == 0:
+			*classic++
+		case vpc == len(ms):
+			*vpcOnly++
 		default:
-			out.TotalClassicOnly++
+			*mixed++
 		}
+	}
+	for _, c := range res.Clusters {
+		s := seriesOf(c)
+		for i := 0; i < s.rounds(); i++ {
+			run := s.run(i)
+			r := run[0].Round
+			classify(run, &out.ClassicOnly[r], &out.VPCOnly[r], &out.Mixed[r])
+		}
+		classify(c.Members, &out.TotalClassicOnly, &out.TotalVPCOnly, &out.TotalMixed)
 	}
 	return out
 }

@@ -23,6 +23,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -72,7 +73,9 @@ func (c Config) WithDefaults() Config {
 }
 
 // Member is one <IP, round> observation of a cluster, with the
-// cartography label the record carried when it was clustered.
+// cartography label the record carried when it was clustered. A
+// cluster's Members are strictly ascending by (round, IP): each round
+// the cluster is observed in is one contiguous run of ascending IPs.
 type Member struct {
 	IP    ipaddr.Addr
 	Round int
@@ -94,28 +97,23 @@ type Cluster struct {
 }
 
 // Rounds returns the distinct rounds in which the cluster was
-// observed, ascending.
+// observed, ascending: the round of each run of Members.
 func (c *Cluster) Rounds() []int {
-	seen := map[int]bool{}
-	for _, m := range c.Members {
-		seen[m.Round] = true
+	var out []int
+	for i, m := range c.Members {
+		if i == 0 || m.Round != c.Members[i-1].Round {
+			out = append(out, m.Round)
+		}
 	}
-	out := make([]int, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Ints(out)
 	return out
 }
 
 // IPsInRound returns the distinct IPs associated with the cluster in a
-// round.
+// round: the length of the round's run.
 func (c *Cluster) IPsInRound(round int) int {
 	n := 0
-	seen := map[ipaddr.Addr]bool{}
 	for _, m := range c.Members {
-		if m.Round == round && !seen[m.IP] {
-			seen[m.IP] = true
+		if m.Round == round {
 			n++
 		}
 	}
@@ -131,16 +129,6 @@ type Result struct {
 	UniqueHashes    int        // distinct simhashes across the input
 	Clusters        []*Cluster // final clusters (Removed ones excluded)
 	RemovedClusters []*Cluster
-}
-
-// ByID returns the final cluster with the given ID, or nil.
-func (r *Result) ByID(id int64) *Cluster {
-	for _, c := range r.Clusters {
-		if c.ID == id {
-			return c
-		}
-	}
-	return nil
 }
 
 // l1Key is the strict-equality level-1 grouping key.
@@ -291,6 +279,10 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 	labels := make([]int64, len(pts))
 	var final, removed []*Cluster
 	for _, d := range merged {
+		// Points are indexed in scan order, (round, IP) ascending, so
+		// sorted indexes give Members their order even where level 2
+		// or the merge concatenated runs out of order.
+		slices.Sort(d.points)
 		c := &Cluster{
 			ID:          d.id,
 			Members:     make([]Member, len(d.points)),

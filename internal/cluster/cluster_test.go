@@ -300,12 +300,6 @@ func TestClusterAccessors(t *testing.T) {
 	if c.IPsInRound(0) != 2 || c.IPsInRound(1) != 1 {
 		t.Errorf("IPsInRound = %d,%d", c.IPsInRound(0), c.IPsInRound(1))
 	}
-	if res.ByID(c.ID) != c {
-		t.Error("ByID failed")
-	}
-	if res.ByID(9999) != nil {
-		t.Error("ByID(9999) non-nil")
-	}
 }
 
 func TestDeterministicClusterIDs(t *testing.T) {
@@ -332,6 +326,48 @@ func TestDeterministicClusterIDs(t *testing.T) {
 			t.Errorf("cluster %d differs: %q/%d vs %q/%d", i,
 				a.Clusters[i].Title, a.Clusters[i].ID, b.Clusters[i].Title, b.Clusters[i].ID)
 		}
+	}
+}
+
+// TestMembersInRoundIPOrder pins Member's order contract: every final
+// cluster's members are strictly ascending by (round, IP). The merged
+// fixture joins a level-1 group that only holds round 1 ("A Shop",
+// sorted first) with one whose points start at round 0 ("B Shop"), so
+// concatenating their drafts would put round 1 before round 0.
+func TestMembersInRoundIPOrder(t *testing.T) {
+	h0 := simhash.Hash(bodyA)
+	revised := func(ip string, title string) *store.Record {
+		r := page(ip, title, "nginx", bodyA)
+		r.Simhash = h0.FlipBits(3)
+		return r
+	}
+	merged := buildStore(t, [][]*store.Record{
+		{page("1.0.0.1", "B Shop", "nginx", bodyA), page("1.0.0.2", "B Shop", "nginx", bodyA)},
+		{revised("1.0.0.1", "A Shop"), revised("1.0.0.2", "A Shop")},
+		{page("1.0.0.1", "B Shop", "nginx", bodyA), page("1.0.0.2", "B Shop", "nginx", bodyA)},
+	})
+	check := func(name string, st *store.Store, cfg Config) *Result {
+		t.Helper()
+		res, err := Run(st, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range res.Clusters {
+			for i := 1; i < len(c.Members); i++ {
+				a, b := c.Members[i-1], c.Members[i]
+				if a.Round > b.Round || a.Round == b.Round && a.IP >= b.IP {
+					t.Fatalf("%s: cluster %d member %d (%s, round %d) does not follow (%s, round %d)",
+						name, c.ID, i, b.IP, b.Round, a.IP, a.Round)
+				}
+			}
+		}
+		return res
+	}
+	if res := check("merged", merged, Config{Threshold: 3}); res.SecondLevel != 2 || res.Final != 1 {
+		t.Fatalf("merged fixture: SecondLevel %d Final %d, want 2 and 1", res.SecondLevel, res.Final)
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		check(fmt.Sprintf("random seed %d", seed), randomStore(t, seed, 60, 6), Config{Threshold: 3, Seed: seed})
 	}
 }
 
