@@ -50,7 +50,9 @@ test:
 # twice, so a schedule-dependent race has two chances to interleave
 # before the full-module pass. The clustering leg holds level 2's
 # worker pool to schedule-independent cluster IDs. The colstore
-# leg includes the narrowed reads: the decode on parallel workers, and
+# leg includes the narrowed reads: the decode on parallel workers and
+# the dictionary chunks they load on first use, the stream directory's
+# bounds, the encoder's reused match table, and
 # the analyses' cross-backend oracle and read counters, and the scan
 # buffers: each Scan decodes into a pair no concurrent Scan holds.
 race:
@@ -65,7 +67,7 @@ race:
 		-run 'TestDeterministicClusterIDs|TestMembersInRoundIPOrder|TestClusteringInvariants|TestRunPersistsThroughColumnarBackend' \
 		./internal/cluster/
 	$(GO) test -race -count=2 -timeout 20m \
-		-run 'TestConcurrentReadersAndWriter|TestModelAgainstMemoryBackend|TestRecordsAreNotAliased|TestSegmentFilesLifecycle|TestParallelDecodeDeterministic|TestNarrowed|TestScanWindow|TestScanReusesBuffers' \
+		-run 'TestConcurrentReadersAndWriter|TestModelAgainstMemoryBackend|TestRecordsAreNotAliased|TestSegmentFilesLifecycle|TestParallelDecodeDeterministic|TestParallelChunkLoadDeterministic|TestStreamDirectoryBounds|TestCompressorReuse|TestNarrowed|TestScanWindow|TestScanReusesBuffers' \
 		./internal/store/colstore/ ./internal/analysis/
 	$(GO) test -race -timeout 40m ./...
 

@@ -277,12 +277,16 @@ func SizePatterns(st *store.Store, res *cluster.Result, campaignDays int) Patter
 	rounds := st.Metas()
 	counts := map[string]int{}
 	out := PatternTable{}
+	// One series of every round's day, its sizes refilled per cluster.
+	samples := make([]timeseries.Sample, len(rounds))
+	for i := range rounds {
+		samples[i].Day = rounds[i].Day
+	}
 	for _, c := range res.Clusters {
 		s := seriesOf(c)
-		samples := make([]timeseries.Sample, len(rounds))
 		allZeroMedian := true
-		for i := range rounds {
-			samples[i].Day = rounds[i].Day
+		for i := range samples {
+			samples[i].Value = 0
 		}
 		for i := 0; i < s.rounds(); i++ {
 			run := s.run(i)

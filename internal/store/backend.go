@@ -121,24 +121,34 @@ type Backend interface {
 // on a nil *RoundBuf allocate afresh on every call. A RoundBuf is not
 // safe for concurrent use.
 type RoundBuf struct {
-	flat          []Record
-	ptrs          []*Record
+	flat []Record
+	ptrs []*Record
+	// filled is every field the Records calls since the slab was last
+	// zeroed asked for: beyond IP, Round and Day, the only fields any
+	// record in the slab can hold.
+	filled        Fields
 	data, scratch []byte
 }
 
-// Records returns n zeroed records, pointers into b's slab in order.
-// The records the previous call returned are cleared and handed out
-// again.
-func (b *RoundBuf) Records(n int) []*Record {
+// Records returns n records, pointers into b's slab in order, for a
+// read that fills IP, Round, Day and the fields in f of every one of
+// them: each is zero outside those. The records the previous call
+// returned are handed out again, and the slab is cleared only when an
+// earlier read filled a field f does not.
+func (b *RoundBuf) Records(n int, f Fields) []*Record {
 	if b == nil {
 		return pointInto(make([]Record, n), make([]*Record, n))
 	}
-	if cap(b.flat) < n {
+	switch {
+	case cap(b.flat) < n:
 		b.flat, b.ptrs = make([]Record, n), make([]*Record, n)
-	} else {
-		b.flat, b.ptrs = b.flat[:n], b.ptrs[:n]
-		clear(b.flat)
+		b.filled = 0
+	case b.filled&^f != 0:
+		clear(b.flat[:cap(b.flat)])
+		b.filled = 0
 	}
+	b.filled |= f
+	b.flat, b.ptrs = b.flat[:n], b.ptrs[:n]
 	return pointInto(b.flat, b.ptrs)
 }
 

@@ -61,7 +61,7 @@ type Backend struct {
 type ReadStats struct {
 	Scans     int64 // segment decodes (Read, Records)
 	FullScans int64 // of Scans, those that decoded every field
-	Groups    int64 // row-group blocks inflated, by scans and point reads
+	Groups    int64 // row groups decoded, by scans and point reads
 	Chunks    int64 // dictionary chunks inflated, by scans and point reads
 	Bytes     int64 // segment bytes read, by scans and point reads
 }
@@ -104,7 +104,7 @@ func segName(i int) string { return fmt.Sprintf("round-%05d.seg", i) }
 // footer's directories against the file's size, sequential round
 // indexes — so later reads operate on proven data; any damage surfaces
 // here as an error wrapping store.ErrCorrupt, and a directory in the
-// superseded v1 layout as an error that says how to rebuild it.
+// superseded v1 or v2 layout as an error that says how to rebuild it.
 // Leftover .tmp files from an interrupted atomic write are ignored:
 // the rename never happened, so the directory's committed state is
 // intact without them. A failed Open closes every file it opened.
@@ -151,7 +151,7 @@ func Open(dir string, opts Options) (_ *Backend, err error) {
 		if err := readAt(f, 0, data); err != nil {
 			return nil, err
 		}
-		foot, err := parseFooter(data)
+		foot, err := parseSegment(data)
 		if err != nil {
 			return nil, fmt.Errorf("colstore: segment %s: %w", name, err)
 		}
@@ -241,7 +241,7 @@ func (b *Backend) writeSegment(meta store.RoundMeta, recs []*store.Record) (segm
 	}
 	// Re-parsing what was just encoded both yields the footer to retain
 	// and proves the segment passes the exact validation Open applies.
-	foot, err := parseFooter(data)
+	foot, err := parseSegment(data)
 	if err != nil {
 		return segment{}, fmt.Errorf("colstore: freshly encoded segment invalid: %w", err)
 	}

@@ -17,6 +17,7 @@ package colstore
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 const (
@@ -36,11 +37,32 @@ func load32(b []byte, i int) uint32 {
 	return binary.LittleEndian.Uint32(b[i:])
 }
 
-// compress appends the compressed form of src to dst.
+// compress appends the compressed form of src to dst, matching with a
+// fresh table.
 func compress(dst, src []byte) []byte {
-	// table maps a 4-byte hash to one past the last position that
-	// hashed there, so the zero value means "none yet".
-	var table [1 << hashBits]int32
+	return new(compressor).compress(dst, src)
+}
+
+// compressor is compress with a match table kept from one input to the
+// next: a segment compresses 21 streams per row group and a stream per
+// dictionary chunk, most of them far smaller than the 64 KiB table a
+// fresh compress zeroes. Each input's positions are entered offset by base,
+// the total length of the inputs before it, so an entry left by an
+// earlier input reads as "none yet" and the output is byte-identical to
+// a fresh compress of the input alone.
+type compressor struct {
+	// table maps a 4-byte hash to base plus one past the last position
+	// that hashed there; entries at or below base are stale.
+	table [1 << hashBits]int32
+	base  int32
+}
+
+// compress appends the compressed form of src to dst.
+func (z *compressor) compress(dst, src []byte) []byte {
+	if int64(z.base)+int64(len(src)) >= math.MaxInt32 {
+		z.table, z.base = [1 << hashBits]int32{}, 0
+	}
+	table, base := &z.table, z.base
 	litStart := 0
 	emitLiterals := func(end int) {
 		for litStart < end {
@@ -57,8 +79,8 @@ func compress(dst, src []byte) []byte {
 	// match at i (0 if it has none) and enters i into the table.
 	match := func(i int) (length, dist int) {
 		h := hash4(load32(src, i))
-		cand := int(table[h]) - 1
-		table[h] = int32(i + 1)
+		cand := int(table[h]-base) - 1
+		table[h] = base + int32(i+1)
 		if cand < 0 || i-cand > maxOffset || load32(src, cand) != load32(src, i) {
 			return 0, 0
 		}
@@ -91,6 +113,7 @@ func compress(dst, src []byte) []byte {
 		litStart = i
 	}
 	emitLiterals(len(src))
+	z.base += int32(len(src))
 	return dst
 }
 

@@ -4,20 +4,23 @@
 // consecutive IP-sorted records; inside a group the fields are stored
 // column-wise — each encoded to its shape (delta+uvarint IPs, packed
 // flag bits, ids into a shared string dictionary for the feature
-// columns) — and every column but the IPs is byte-compressed. The IP
-// column stays raw so a membership test decompresses nothing. The
-// dictionary is segment-wide (real pages share long strings across
-// groups) but addressable: its sorted words are cut into chunks of
-// chunkWords, each front-coded and compressed on its own, so a point
-// read resolves its handful of ids through the chunks they fall in.
+// columns) — and every column but the IPs is compressed as a stream of
+// its own, so a scan inflates only the columns it reads. The IP column
+// stays raw so a membership test decompresses nothing. The dictionary
+// is segment-wide (real pages share long strings across groups) but
+// addressable: its sorted words are cut into chunks of chunkWords, each
+// front-coded and compressed on its own, so a read inflates only the
+// chunks its ids fall in.
 // The layout:
 //
-//	[magic "WWCOLSG2"]
+//	[magic "WWCOLSG3"]
 //	[row groups, back to back; each:
 //	    IP column, raw: uvarint deltas for rows 1..n-1 (row 0's IP is
 //	        in the footer)
-//	    one compressed block: numCols uvarint column lengths, then the
-//	        other columns back to back]
+//	    stream directory, raw: per column its uvarint compressed length,
+//	        then its uvarint raw length unless the column is fixed-width
+//	        (ports and flags 1 byte a row, simhash simhashLen)
+//	    numCols compressed streams back to back, one per column]
 //	[dictionary chunks, back to back; each compressed on its own:
 //	    per word uvarint shared-prefix length (with the word before it
 //	        in the chunk), uvarint suffix length, suffix bytes]
@@ -40,7 +43,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
+	"sync"
 
 	"whowas/internal/ipaddr"
 	"whowas/internal/simhash"
@@ -48,9 +53,12 @@ import (
 )
 
 const (
-	headMagic = "WWCOLSG2"
-	// v1Magic headed the whole-round column blocks this layout replaced.
+	headMagic = "WWCOLSG3"
+	// v1Magic headed the whole-round column blocks of the first layout,
+	// v2Magic the row groups compressed as one block that per-column
+	// streams replaced.
 	v1Magic   = "WWCOLSG1"
+	v2Magic   = "WWCOLSG2"
 	tailMagic = "WWCOLEND"
 	// tailLen is footerLen (4) + CRC (4) + tail magic (8).
 	tailLen = 16
@@ -81,7 +89,8 @@ type segFooter struct {
 }
 
 // groupInfo locates one row group. Its IP column occupies
-// [Off, Off+IPLen), its compressed columns the CompLen bytes after.
+// [Off, Off+IPLen), its stream directory and compressed streams the
+// CompLen bytes after; RawLen is what the streams inflate to in all.
 type groupInfo struct {
 	FirstIP uint32
 	Rows    int
@@ -98,7 +107,7 @@ type chunkInfo struct {
 	RawLen  int
 }
 
-// The compressed columns of a group, in block order.
+// The compressed columns of a group, in stream order.
 const (
 	colPorts = iota
 	colFlags
@@ -138,9 +147,21 @@ const (
 
 const simhashLen = 12
 
-// minRowLen is the least one row occupies across a group's compressed
+// minRowLen is the least one row occupies across a group's raw
 // columns: its simhash, and a byte in each of the others.
 const minRowLen = simhashLen + numCols - 1
+
+// width is the bytes one row takes in a fixed-width column, whose raw
+// length the directory leaves out; 0 for a column of varying width.
+func (k colKind) width() int {
+	switch k {
+	case kindByte:
+		return 1
+	case kindSimhash:
+		return simhashLen
+	}
+	return 0
+}
 
 // columns names each column, its shape, and the Record fields a read
 // must ask for (store.Fields) to have it decoded.
@@ -170,6 +191,21 @@ var columns = [numCols]struct {
 	colTrackers:  {"trackers", kindList, store.FieldTrackers},
 	colSubpages:  {"subpages", kindVarint, store.FieldSubpages},
 	colCluster:   {"cluster", kindVarint, store.FieldCluster},
+}
+
+// allCols lists every column, in stream order: what a point read
+// decodes.
+var allCols = wanted(store.AllFields)
+
+// wanted lists the columns a read of fields decodes, in stream order.
+func wanted(fields store.Fields) []int {
+	var cols []int
+	for c, col := range columns {
+		if fields&col.field != 0 {
+			cols = append(cols, c)
+		}
+	}
+	return cols
 }
 
 // dictFields are the fields whose columns hold dictionary ids: a read
@@ -207,7 +243,7 @@ type colReader struct {
 }
 
 func (r *colReader) overrun() error {
-	return fmt.Errorf("%w: column %q overruns its block", store.ErrCorrupt, r.col)
+	return fmt.Errorf("%w: column %q overruns its stream", store.ErrCorrupt, r.col)
 }
 
 func (r *colReader) uvarint() (uint64, error) {
@@ -338,13 +374,14 @@ func buildDict(recs []*store.Record) ([]string, map[string]uint64) {
 	return words, idx
 }
 
-// rowEncoder accumulates one row group's columns; its buffers are
-// reused from group to group.
+// rowEncoder accumulates one row group's columns; its buffers, and its
+// compressor's match table, are reused from group to group.
 type rowEncoder struct {
-	dict map[string]uint64
-	ips  colWriter
-	cols [numCols]colWriter
-	raw  []byte // scratch: the group's block before compression
+	dict    map[string]uint64
+	ips     colWriter
+	cols    [numCols]colWriter
+	streams []byte // scratch: the group's compressed streams
+	z       compressor
 }
 
 // word writes s's dictionary id; "" is id 0 by construction, and common
@@ -403,8 +440,8 @@ func (e *rowEncoder) write(rec *store.Record) {
 	e.cols[colCluster].varint(rec.Cluster)
 }
 
-// flush appends the accumulated group — raw IP column, then the
-// compressed block of column lengths and columns — to out, fills in
+// flush appends the accumulated group — raw IP column, stream
+// directory, then each column compressed on its own — to out, fills in
 // g's lengths, and empties the encoder for the next group.
 func (e *rowEncoder) flush(out []byte, g *groupInfo) []byte {
 	g.Off = int64(len(out))
@@ -412,19 +449,26 @@ func (e *rowEncoder) flush(out []byte, g *groupInfo) []byte {
 	out = append(out, e.ips.buf...)
 	e.ips.buf = e.ips.buf[:0]
 
-	raw := e.raw[:0]
+	g.RawLen = 0
 	for c := range e.cols {
-		raw = binary.AppendUvarint(raw, uint64(len(e.cols[c].buf)))
+		g.RawLen += len(e.cols[c].buf)
 	}
+	// Room for the streams' worst case, a control byte per literal run
+	// of maxLiteralRun: grown once, then reused by every group after.
+	streams := slices.Grow(e.streams[:0], g.RawLen+g.RawLen/maxLiteralRun+numCols)
 	for c := range e.cols {
-		raw = append(raw, e.cols[c].buf...)
-		e.cols[c].buf = e.cols[c].buf[:0]
+		raw := e.cols[c].buf
+		start := len(streams)
+		streams = e.z.compress(streams, raw)
+		out = binary.AppendUvarint(out, uint64(len(streams)-start))
+		if columns[c].kind.width() == 0 {
+			out = binary.AppendUvarint(out, uint64(len(raw)))
+		}
+		e.cols[c].buf = raw[:0]
 	}
-	e.raw = raw
-	g.RawLen = len(raw)
-	start := len(out)
-	out = compress(out, raw)
-	g.CompLen = len(out) - start
+	e.streams = streams
+	out = append(out, streams...)
+	g.CompLen = len(out) - int(g.Off) - g.IPLen
 	return out
 }
 
@@ -477,7 +521,7 @@ func encodeSegment(meta store.RoundMeta, cloudName string, recs []*store.Record)
 			prev = s
 		}
 		c := chunkInfo{Off: int64(len(out)), RawLen: len(chunk.buf)}
-		out = compress(out, chunk.buf)
+		out = enc.z.compress(out, chunk.buf)
 		c.CompLen = len(out) - int(c.Off)
 		f.Chunks = append(f.Chunks, c)
 	}
@@ -504,12 +548,12 @@ func parseFooter(data []byte) (*segFooter, error) {
 	if len(data) < len(headMagic)+tailLen {
 		return nil, fmt.Errorf("%w: segment of %d bytes is too short", store.ErrCorrupt, len(data))
 	}
-	switch string(data[:len(headMagic)]) {
+	switch magic := string(data[:len(headMagic)]); magic {
 	case headMagic:
-	case v1Magic:
-		return nil, fmt.Errorf("written in segment format v1 (%s), this build reads and writes v2 (%s): "+
+	case v1Magic, v2Magic:
+		return nil, fmt.Errorf("written in segment format v%c (%s), this build reads and writes v3 (%s): "+
 			"rebuild the directory from the campaign's portable gob with whowas-query -store FILE -to-dir DIR",
-			v1Magic, headMagic)
+			magic[len(magic)-1], magic, headMagic)
 	default:
 		return nil, fmt.Errorf("%w: bad segment magic", store.ErrCorrupt)
 	}
@@ -568,6 +612,80 @@ func parseFooter(data []byte) (*segFooter, error) {
 		}
 	}
 	return f, nil
+}
+
+// parseSegment is parseFooter plus every row group's stream directory:
+// what Open and a fresh write prove of a segment before it serves a
+// read. The reads parse a group's directory again when they use it.
+func parseSegment(data []byte) (*segFooter, error) {
+	f, err := parseFooter(data)
+	if err != nil {
+		return nil, err
+	}
+	for i := range f.Groups {
+		if _, err := f.Groups[i].directory(f.Groups[i].streams(data), i); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
+// stream locates one column's compressed stream in a row group: comp
+// bytes at off from the end of the group's IP column, raw bytes once
+// inflated.
+type stream struct{ off, comp, raw int }
+
+// streams returns group g's directory and compressed streams out of
+// the segment's bytes.
+func (g *groupInfo) streams(data []byte) []byte {
+	return data[g.Off+int64(g.IPLen) : g.Off+int64(g.IPLen+g.CompLen)]
+}
+
+// directory parses group i's stream directory from block, the group's
+// CompLen bytes after its IP column, and bounds it the way parseFooter
+// bounds the footer: each raw length by what its compressed bytes can
+// expand to, the streams to end exactly at the group's end, and the
+// raw lengths to sum to the footer's RawLen.
+func (g *groupInfo) directory(block []byte, i int) (dir [numCols]stream, err error) {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: row group %d: "+format, append([]any{store.ErrCorrupt, i}, args...)...)
+	}
+	r := colReader{buf: block, col: "stream directory"}
+	for c := range dir {
+		comp, err := r.uvarint()
+		if err != nil {
+			return dir, bad("stream directory overruns the group")
+		}
+		raw := uint64(g.Rows * columns[c].kind.width())
+		if raw == 0 {
+			if raw, err = r.uvarint(); err != nil {
+				return dir, bad("stream directory overruns the group")
+			}
+		}
+		switch {
+		case comp > uint64(len(block)):
+			return dir, bad("column %q's stream overruns the group", columns[c].name)
+		case raw > uint64(maxRawLen(int(comp))):
+			return dir, bad("column %q claims %d raw bytes from %d compressed", columns[c].name, raw, comp)
+		}
+		dir[c] = stream{comp: int(comp), raw: int(raw)}
+	}
+	off, rawLen := r.pos, 0
+	for c := range dir {
+		if dir[c].comp > len(block)-off {
+			return dir, bad("column %q's stream overruns the group", columns[c].name)
+		}
+		dir[c].off = off
+		off += dir[c].comp
+		rawLen += dir[c].raw
+	}
+	switch {
+	case off != len(block):
+		return dir, bad("streams end %d bytes before the group does", len(block)-off)
+	case rawLen != g.RawLen:
+		return dir, bad("streams hold %d raw bytes, the footer says %d", rawLen, g.RawLen)
+	}
+	return dir, nil
 }
 
 // wordsIn returns how many words dictionary chunk i holds.
@@ -696,43 +814,36 @@ func decodeFooter(buf []byte) (*segFooter, error) {
 // wordFunc resolves a dictionary id.
 type wordFunc func(id uint64) (string, error)
 
-// rowDecoder is a cursor into each compressed column of one row group.
-// It is the only routine that turns column bytes into a Record:
+// rowDecoder is a cursor into each inflated column stream of one row
+// group. It is the only routine that turns column bytes into a Record:
 // decodeSegment drives read over every row, the point read seeks to
-// its one row and calls the same read. Only the columns of fields are
-// read; the others' cursors never move.
+// its one row and calls the same read. Only the columns in want are
+// inflated and read; the others' cursors stay empty.
 type rowDecoder struct {
-	cols   [numCols]colReader
-	word   wordFunc
-	fields store.Fields
+	cols [numCols]colReader
+	want []int
+	word wordFunc
 }
 
-// reset points the cursors at row 0 of a decompressed group block.
-func (d *rowDecoder) reset(raw []byte) error {
-	hdr := colReader{buf: raw, col: "group header"}
-	var lens [numCols]uint64
-	for c := range lens {
-		var err error
-		if lens[c], err = hdr.uvarint(); err != nil {
-			return err
-		}
-	}
-	for c := range d.cols {
-		buf, err := hdr.bytes(lens[c])
+// inflate expands the streams of want out of block, the group's bytes
+// after its IP column, back to back into dst (exactly their raw lengths
+// long) and points their cursors at row 0.
+func (d *rowDecoder) inflate(dst, block []byte, dir *[numCols]stream, gi int) error {
+	for _, c := range d.want {
+		s := dir[c]
+		raw, err := decompress(dst[:s.raw:s.raw], block[s.off:s.off+s.comp], s.raw)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: row group %d: column %q: %v", store.ErrCorrupt, gi, columns[c].name, err)
 		}
-		d.cols[c] = colReader{buf: buf, col: columns[c].name}
-	}
-	if hdr.pos != len(raw) {
-		return fmt.Errorf("%w: %d trailing bytes in row group block", store.ErrCorrupt, len(raw)-hdr.pos)
+		d.cols[c] = colReader{buf: raw, col: columns[c].name}
+		dst = dst[s.raw:]
 	}
 	return nil
 }
 
-// seek steps every cursor over n rows.
+// seek steps every wanted cursor over n rows.
 func (d *rowDecoder) seek(n int) error {
-	for c := range d.cols {
+	for _, c := range d.want {
 		if err := d.cols[c].skipRows(columns[c].kind, n); err != nil {
 			return err
 		}
@@ -770,15 +881,12 @@ func (d *rowDecoder) list(c int) ([]string, error) {
 	return out, nil
 }
 
-// read fills rec's requested fields from the cursors' current row and
+// read fills rec's wanted fields from the cursors' current row and
 // advances their cursors to the next. IP, Round and Day are the
 // caller's: the IP column is walked separately, round and day are
 // constant across a segment and live in its footer.
 func (d *rowDecoder) read(rec *store.Record) error {
-	for c := range d.cols {
-		if d.fields&columns[c].field == 0 {
-			continue
-		}
+	for _, c := range d.want {
 		if err := d.readCol(c, rec); err != nil {
 			return err
 		}
@@ -908,13 +1016,12 @@ func (d *frontDecoder) next() error {
 	return nil
 }
 
-// inflate decompresses a group block or dictionary chunk into dst's
-// memory (see decompress), tagging a codec failure as corruption of
-// the named part.
-func inflate(dst, comp []byte, rawLen int, part string, i int) ([]byte, error) {
+// inflateChunk decompresses dictionary chunk i into dst's memory (see
+// decompress), tagging a codec failure as corruption of the chunk.
+func inflateChunk(dst, comp []byte, rawLen, i int) ([]byte, error) {
 	raw, err := decompress(dst, comp, rawLen)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s %d: %v", store.ErrCorrupt, part, i, err)
+		return nil, fmt.Errorf("%w: dictionary chunk %d: %v", store.ErrCorrupt, i, err)
 	}
 	return raw, nil
 }
@@ -923,75 +1030,117 @@ func badWordID(id uint64, f *segFooter) error {
 	return fmt.Errorf("%w: dictionary id %d of %d", store.ErrCorrupt, id, f.Words)
 }
 
+// lazyDict resolves the word ids of one decode. A chunk is inflated
+// and front-decoded the first time an id falls in it, by whichever
+// worker asks first, into its own range of the decode's scratch; the
+// others wait for it, and every asker gets the same words or the same
+// error. Each word is its own allocation: strings cut from one shared
+// blob would pin the blob for as long as any record is retained, and a
+// string kept from a record decoded into a reused buf must outlive the
+// buf's next round.
+type lazyDict struct {
+	data    []byte
+	f       *segFooter
+	st      *readStats
+	scratch []byte
+	spans   []int // chunk i's scratch is scratch[spans[i]:spans[i+1]]
+	chunks  []lazyChunk
+}
+
+type lazyChunk struct {
+	once  sync.Once
+	words []string
+	err   error
+}
+
+func (d *lazyDict) word(id uint64) (string, error) {
+	if id >= uint64(d.f.Words) {
+		return "", badWordID(id, d.f)
+	}
+	i := int(id / chunkWords)
+	c := &d.chunks[i]
+	c.once.Do(func() { c.words, c.err = d.load(i) })
+	if c.err != nil {
+		return "", c.err
+	}
+	return c.words[id%chunkWords], nil
+}
+
+// load inflates and front-decodes chunk i.
+func (d *lazyDict) load(i int) ([]string, error) {
+	c := d.f.Chunks[i]
+	d.st.chunks.Add(1)
+	raw, err := inflateChunk(d.scratch[d.spans[i]:d.spans[i+1]], d.data[c.Off:c.Off+int64(c.CompLen)], c.RawLen, i)
+	if err != nil {
+		return nil, err
+	}
+	words := make([]string, d.f.wordsIn(i))
+	fd := frontDecoder{r: colReader{buf: raw, col: "dict"}}
+	for k := range words {
+		if err := fd.next(); err != nil {
+			return nil, err
+		}
+		words[k] = string(fd.word)
+	}
+	return words, nil
+}
+
 // decodeSegment reconstructs the round's records, with the columns of
 // fields filled, from full file contents into buf's slab (fresh records
 // when buf is nil), counting what it inflates in st. Round and Day are
 // reproduced from the footer meta (they are constant across a round
-// and not stored per record).
+// and not stored per record). Only the streams of fields are inflated,
+// and only the dictionary chunks their ids fall in.
 func decodeSegment(data []byte, f *segFooter, fields store.Fields, st *readStats, buf *store.RoundBuf) ([]*store.Record, error) {
-	// Dictionary first; every string column points into it. Each word
-	// is its own allocation: strings cut from one shared blob would pin
-	// the blob for as long as any record is retained, and a string kept
-	// from a record decoded into a reused buf must outlive the buf's
-	// next round. A read of no string column leaves it empty.
-	var words []string
-	nChunks := 0
-	if fields&dictFields != 0 {
-		words, nChunks = make([]string, f.Words), len(f.Chunks)
-	}
-	st.chunks.Add(int64(nChunks))
+	want := wanted(fields)
 	st.groups.Add(int64(len(f.Groups)))
-	// Each chunk read, then each row group, inflates into its own range
-	// of buf's scratch, spans[k] to spans[k+1]: the parallel workers
-	// never share a byte.
-	spans := make([]int, 1, nChunks+len(f.Groups)+1)
-	for _, c := range f.Chunks[:nChunks] {
-		spans = append(spans, spans[len(spans)-1]+c.RawLen)
+	// Each row group inflates its wanted streams into its own range of
+	// buf's scratch, spans[g] to spans[g+1], then each dictionary chunk
+	// a read touches into its own range after them: the parallel workers
+	// never share a byte. The directories size the ranges; a group whose
+	// directory is bad ends the decode there, after the groups before it
+	// have run, so the error reported is still the lowest group's.
+	spans := make([]int, 1, len(f.Groups)+len(f.Chunks)+1)
+	var dirErr error
+	for i := range f.Groups {
+		dir, err := f.Groups[i].directory(f.Groups[i].streams(data), i)
+		if err != nil {
+			dirErr = err
+			break
+		}
+		n := spans[len(spans)-1]
+		for _, c := range want {
+			n += dir[c].raw
+		}
+		spans = append(spans, n)
 	}
-	for _, g := range f.Groups {
-		spans = append(spans, spans[len(spans)-1]+g.RawLen)
+	groups := len(spans) - 1
+	dict := lazyDict{data: data, f: f, st: st}
+	if fields&dictFields != 0 {
+		for _, c := range f.Chunks {
+			spans = append(spans, spans[len(spans)-1]+c.RawLen)
+		}
+		dict.spans = spans[groups:]
+		dict.chunks = make([]lazyChunk, len(f.Chunks))
 	}
 	scratch := buf.Scratch(spans[len(spans)-1])
-	span := func(k int) []byte { return scratch[spans[k]:spans[k+1]] }
-	err := parallel(nChunks, func(i int) error {
-		c := f.Chunks[i]
-		raw, err := inflate(span(i), data[c.Off:c.Off+int64(c.CompLen)], c.RawLen, "dictionary chunk", i)
-		if err != nil {
-			return err
-		}
-		fd := frontDecoder{r: colReader{buf: raw, col: "dict"}}
-		for k := i * chunkWords; k < i*chunkWords+f.wordsIn(i); k++ {
-			if err := fd.next(); err != nil {
-				return err
-			}
-			words[k] = string(fd.word)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	dict.scratch = scratch
 
 	// Group g fills rows [start[g], start[g+1]); they sum to Meta.Records.
 	start := make([]int, len(f.Groups)+1)
 	for i, g := range f.Groups {
 		start[i+1] = start[i] + g.Rows
 	}
-	recs := buf.Records(f.Meta.Records)
-	err = parallel(len(f.Groups), func(i int) error {
+	recs := buf.Records(f.Meta.Records, fields)
+	err := parallel(groups, func(i int) error {
 		g := &f.Groups[i]
-		block := data[g.Off+int64(g.IPLen) : g.Off+int64(g.IPLen+g.CompLen)]
-		raw, err := inflate(span(nChunks+i), block, g.RawLen, "row group", i)
+		block := g.streams(data)
+		dir, err := g.directory(block, i)
 		if err != nil {
 			return err
 		}
-		dec := rowDecoder{fields: fields, word: func(id uint64) (string, error) {
-			if id >= uint64(len(words)) {
-				return "", badWordID(id, f)
-			}
-			return words[id], nil
-		}}
-		if err := dec.reset(raw); err != nil {
+		dec := rowDecoder{want: want, word: dict.word}
+		if err := dec.inflate(scratch[spans[i]:spans[i+1]], block, &dir, i); err != nil {
 			return err
 		}
 		ips := g.ips(data[g.Off : g.Off+int64(g.IPLen)])
@@ -1009,6 +1158,9 @@ func decodeSegment(data []byte, f *segFooter, fields store.Fields, st *readStats
 		}
 		return nil
 	})
+	if err == nil {
+		err = dirErr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -1018,9 +1170,9 @@ func decodeSegment(data []byte, f *segFooter, fields store.Fields, st *readStats
 // readRow is the point read: the record stored for ip in the segment
 // behind r, or nil. It costs a binary search of the resident group
 // directory and one read of the group ip would sort into; a miss ends
-// at the walk of that group's raw IP column, a hit decompresses the
-// group's block, seeks the row decoder to the row and resolves the
-// row's dictionary ids through the chunks they fall in.
+// at the walk of that group's raw IP column, a hit inflates the
+// group's streams into one buffer, seeks the row decoder to the row and
+// resolves the row's dictionary ids through the chunks they fall in.
 func readRow(r io.ReaderAt, f *segFooter, ip uint32, st *readStats) (*store.Record, error) {
 	gi := sort.Search(len(f.Groups), func(k int) bool { return f.Groups[k].FirstIP > ip }) - 1
 	if gi < 0 || ip > f.MaxIP {
@@ -1043,14 +1195,15 @@ func readRow(r io.ReaderAt, f *segFooter, ip uint32, st *readStats) (*store.Reco
 	}
 
 	st.groups.Add(1)
-	raw, err := inflate(nil, buf[g.IPLen:], g.RawLen, "row group", gi)
+	block := buf[g.IPLen:]
+	dir, err := g.directory(block, gi)
 	if err != nil {
 		return nil, err
 	}
 	// Decompressed chunks, kept for the length of this one read: a
 	// row's empty fields all resolve through chunk 0.
 	chunks := make([][]byte, len(f.Chunks))
-	dec := rowDecoder{fields: store.AllFields, word: func(id uint64) (string, error) {
+	dec := rowDecoder{want: allCols, word: func(id uint64) (string, error) {
 		if id >= uint64(f.Words) {
 			return "", badWordID(id, f)
 		}
@@ -1062,9 +1215,11 @@ func readRow(r io.ReaderAt, f *segFooter, ip uint32, st *readStats) (*store.Reco
 				return "", err
 			}
 			st.chunks.Add(1)
-			if chunks[ci], err = inflate(nil, comp, c.RawLen, "dictionary chunk", ci); err != nil {
+			raw, err := inflateChunk(nil, comp, c.RawLen, ci)
+			if err != nil {
 				return "", err
 			}
+			chunks[ci] = raw
 		}
 		fd := frontDecoder{r: colReader{buf: chunks[ci], col: "dict"}}
 		for n := id % chunkWords; ; n-- {
@@ -1076,7 +1231,7 @@ func readRow(r io.ReaderAt, f *segFooter, ip uint32, st *readStats) (*store.Reco
 			}
 		}
 	}}
-	if err := dec.reset(raw); err != nil {
+	if err := dec.inflate(make([]byte, g.RawLen), block, &dir, gi); err != nil {
 		return nil, err
 	}
 	if err := dec.seek(row); err != nil {

@@ -43,25 +43,40 @@ func PAA(samples []Sample, totalDays, windowDays int) []float64 {
 	if frames < 1 {
 		frames = 1
 	}
-	buckets := make([][]float64, frames)
+	frame := func(day int) int { return min(day/windowDays, frames-1) }
+	// The values in range are laid out frame by frame in one slice:
+	// end[f] first counts frame f's samples, then marks where its next
+	// value goes, so that once all are placed it is where frame f ends.
+	end := make([]int, frames)
 	for _, s := range samples {
-		if s.Day < 0 || s.Day >= totalDays {
-			continue
+		if s.Day >= 0 && s.Day < totalDays {
+			end[frame(s.Day)]++
 		}
-		f := s.Day / windowDays
-		if f >= frames {
-			f = frames - 1
+	}
+	at := 0
+	for f, n := range end {
+		end[f] = at
+		at += n
+	}
+	vals := make([]float64, at)
+	for _, s := range samples {
+		if s.Day >= 0 && s.Day < totalDays {
+			f := frame(s.Day)
+			vals[end[f]] = s.Value
+			end[f]++
 		}
-		buckets[f] = append(buckets[f], s.Value)
 	}
 	out := make([]float64, frames)
-	for i, b := range buckets {
-		out[i] = median(b)
+	start := 0
+	for f := range out {
+		out[f] = median(vals[start:end[f]])
+		start = end[f]
 	}
 	return out
 }
 
-// median returns the median of vs, or 0 for an empty slice.
+// median returns the median of vs, or 0 for an empty slice. It sorts
+// vs in place.
 func median(vs []float64) float64 {
 	switch len(vs) {
 	case 0:
@@ -69,13 +84,12 @@ func median(vs []float64) float64 {
 	case 1:
 		return vs[0]
 	}
-	s := append([]float64(nil), vs...)
-	sort.Float64s(s)
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
+	sort.Float64s(vs)
+	mid := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[mid]
 	}
-	return (s[mid-1] + s[mid]) / 2
+	return (vs[mid-1] + vs[mid]) / 2
 }
 
 // Tendency computes D” from D' per Algorithm 1 of the paper: element
