@@ -48,8 +48,10 @@ test:
 # deadline contexts and wait timers are reused across probes), the
 # round's lane tests and colstore's parallel read paths go first,
 # twice, so a schedule-dependent race has two chances to interleave
-# before the full-module pass. The clustering leg holds level 2's
-# worker pool to schedule-independent cluster IDs. The colstore
+# before the full-module pass. The clustering leg holds the workers
+# of level 2 and of the gap statistic's count curves to
+# schedule-independent cluster IDs, and to the map-based oracle
+# (TestRunMatchesReference). The colstore
 # leg includes the narrowed reads: the decode on parallel workers and
 # the dictionary chunks they load on first use, the stream directory's
 # bounds, the encoder's reused match table, and
@@ -64,7 +66,7 @@ race:
 		-run 'TestRunLane|TestRoundStorePutFailure|TestCampaignCancelMidRound|TestPipelineShardDigestIdentity' \
 		./internal/core/
 	$(GO) test -race -count=2 -timeout 20m \
-		-run 'TestDeterministicClusterIDs|TestMembersInRoundIPOrder|TestClusteringInvariants|TestRunPersistsThroughColumnarBackend' \
+		-run 'TestDeterministicClusterIDs|TestMembersInRoundIPOrder|TestClusteringInvariants|TestRunPersistsThroughColumnarBackend|TestRunMatchesReference' \
 		./internal/cluster/
 	$(GO) test -race -count=2 -timeout 20m \
 		-run 'TestConcurrentReadersAndWriter|TestModelAgainstMemoryBackend|TestRecordsAreNotAliased|TestSegmentFilesLifecycle|TestParallelDecodeDeterministic|TestParallelChunkLoadDeterministic|TestStreamDirectoryBounds|TestCompressorReuse|TestNarrowed|TestScanWindow|TestScanReusesBuffers' \

@@ -38,35 +38,21 @@ type CensusResult struct {
 	VulnerableWordPress float64
 }
 
-// shareCounter accumulates per-round fractions.
-type shareCounter struct {
-	rounds int
-	counts map[string]float64 // summed per-round counts
-	total  float64            // summed per-round denominators
-}
+// tally counts records by name over the whole campaign.
+type tally map[string]int
 
-func newShareCounter() *shareCounter {
-	return &shareCounter{counts: map[string]float64{}}
-}
-
-func (s *shareCounter) addRound(counts map[string]int) {
-	s.rounds++
-	var tot int
-	for _, n := range counts {
-		tot += n
+// shares turns the tally into shares of its total, each with its
+// average count per round, largest first.
+func (t tally) shares(rounds int) []Share {
+	total := 0
+	for _, n := range t {
+		total += n
 	}
-	s.total += float64(tot)
-	for k, n := range counts {
-		s.counts[k] += float64(n)
-	}
-}
-
-func (s *shareCounter) shares() []Share {
-	out := make([]Share, 0, len(s.counts))
-	for k, n := range s.counts {
-		sh := Share{Name: k, Count: n / float64(max(s.rounds, 1))}
-		if s.total > 0 {
-			sh.Share = n / s.total
+	out := make([]Share, 0, len(t))
+	for k, n := range t {
+		sh := Share{Name: k, Count: float64(n) / float64(max(rounds, 1))}
+		if total > 0 {
+			sh.Share = float64(n) / float64(total)
 		}
 		out = append(out, sh)
 	}
@@ -80,102 +66,93 @@ func (s *shareCounter) shares() []Share {
 }
 
 // Census computes the §8.3 software ecosystem census over all rounds.
+// The scan counts each distinct Server, X-Powered-By and template
+// string; each is then classified once, its count standing for every
+// record that carried it. The counts are integers, so the shares do not
+// depend on the order they are summed in.
 func Census(st *store.Store) CensusResult {
-	servers := newShareCounter()
-	backends := newShareCounter()
-	templates := newShareCounter()
-	apacheV := newShareCounter()
-	phpV := newShareCounter()
-	iisV := newShareCounter()
-	wpV := newShareCounter()
-	var availSum, serverSum, backendSum, templateSum float64
-	var wpTotal, wpVulnerable float64
-
+	servers, backends, templates := tally{}, tally{}, tally{}
+	var rounds, avail int
 	st.Scan(store.FieldStatus|store.FieldServer|store.FieldPoweredBy|store.FieldTemplate, func(r *store.Round) bool {
-		sc := map[string]int{}
-		bc := map[string]int{}
-		tc := map[string]int{}
-		av := map[string]int{}
-		pv := map[string]int{}
-		iv := map[string]int{}
-		wv := map[string]int{}
-		var avail, withServer, withBackend, withTemplate float64
+		rounds++
 		r.Each(func(rec *store.Record) bool {
 			if !rec.Available() {
 				return true
 			}
 			avail++
 			if rec.Server != "" {
-				withServer++
-				fam := features.ServerFamily(rec.Server)
-				sc[fam]++
-				switch fam {
-				case "Apache":
-					if v := features.VersionOf(rec.Server, "Apache"); v != "" {
-						av["Apache/"+v]++
-					}
-				case "Microsoft-IIS":
-					if v := features.VersionOf(rec.Server, "Microsoft-IIS"); v != "" {
-						iv["IIS/"+v]++
-					}
-				}
+				servers[rec.Server]++
 			}
 			if rec.PoweredBy != "" {
-				withBackend++
-				fam := features.BackendFamily(rec.PoweredBy)
-				bc[fam]++
-				if fam == "PHP" {
-					if v := features.VersionOf(rec.PoweredBy, "PHP"); v != "" {
-						pv["PHP/"+v]++
-					}
-				}
+				backends[rec.PoweredBy]++
 			}
 			if rec.Template != "" {
-				withTemplate++
-				fam := features.TemplateFamily(rec.Template)
-				tc[fam]++
-				if fam == "WordPress" {
-					wpTotal++
-					if v := features.VersionOf(rec.Template, "WordPress"); v != "" {
-						wv["WordPress/"+v]++
-						if versionBelow(v, 3, 6) {
-							wpVulnerable++
-						}
-					}
-				}
+				templates[rec.Template]++
 			}
 			return true
 		})
-		availSum += avail
-		serverSum += withServer
-		backendSum += withBackend
-		templateSum += withTemplate
-		servers.addRound(sc)
-		backends.addRound(bc)
-		templates.addRound(tc)
-		apacheV.addRound(av)
-		phpV.addRound(pv)
-		iisV.addRound(iv)
-		wpV.addRound(wv)
 		return true
 	})
 
-	out := CensusResult{
-		ServerFamilies:    servers.shares(),
-		BackendFamilies:   backends.shares(),
-		TemplateFamilies:  templates.shares(),
-		ApacheVersions:    apacheV.shares(),
-		PHPVersions:       phpV.shares(),
-		IISVersions:       iisV.shares(),
-		WordPressVersions: wpV.shares(),
+	serverFams, backendFams, templateFams := tally{}, tally{}, tally{}
+	apacheV, phpV, iisV, wpV := tally{}, tally{}, tally{}, tally{}
+	var withServer, withBackend, withTemplate, wpTotal, wpVulnerable int
+	for s, n := range servers {
+		withServer += n
+		fam := features.ServerFamily(s)
+		serverFams[fam] += n
+		switch fam {
+		case "Apache":
+			if v := features.VersionOf(s, "Apache"); v != "" {
+				apacheV["Apache/"+v] += n
+			}
+		case "Microsoft-IIS":
+			if v := features.VersionOf(s, "Microsoft-IIS"); v != "" {
+				iisV["IIS/"+v] += n
+			}
+		}
 	}
-	if availSum > 0 {
-		out.IdentifiedServerFrac = serverSum / availSum
-		out.IdentifiedBackendFrac = backendSum / availSum
-		out.TemplateFrac = templateSum / availSum
+	for s, n := range backends {
+		withBackend += n
+		fam := features.BackendFamily(s)
+		backendFams[fam] += n
+		if fam == "PHP" {
+			if v := features.VersionOf(s, "PHP"); v != "" {
+				phpV["PHP/"+v] += n
+			}
+		}
+	}
+	for s, n := range templates {
+		withTemplate += n
+		fam := features.TemplateFamily(s)
+		templateFams[fam] += n
+		if fam == "WordPress" {
+			wpTotal += n
+			if v := features.VersionOf(s, "WordPress"); v != "" {
+				wpV["WordPress/"+v] += n
+				if versionBelow(v, 3, 6) {
+					wpVulnerable += n
+				}
+			}
+		}
+	}
+
+	out := CensusResult{
+		ServerFamilies:    serverFams.shares(rounds),
+		BackendFamilies:   backendFams.shares(rounds),
+		TemplateFamilies:  templateFams.shares(rounds),
+		ApacheVersions:    apacheV.shares(rounds),
+		PHPVersions:       phpV.shares(rounds),
+		IISVersions:       iisV.shares(rounds),
+		WordPressVersions: wpV.shares(rounds),
+	}
+	if avail > 0 {
+		out.IdentifiedServerFrac = float64(withServer) / float64(avail)
+		out.IdentifiedBackendFrac = float64(withBackend) / float64(avail)
+		out.TemplateFrac = float64(withTemplate) / float64(avail)
 	}
 	if wpTotal > 0 {
-		out.VulnerableWordPress = wpVulnerable / wpTotal
+		out.VulnerableWordPress = float64(wpVulnerable) / float64(wpTotal)
 	}
 	return out
 }

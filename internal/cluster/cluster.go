@@ -19,12 +19,12 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,7 +53,8 @@ type Config struct {
 	// cluster.* counters and per-pass stage timings.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, records a "cluster" root span with one
-	// child per pass (level1, threshold, level2, merge, clean).
+	// child per pass (scan, level1, threshold, level2, merge, clean);
+	// the scan's span covers the decode and the level-1 ids.
 	Tracer *trace.Tracer
 }
 
@@ -142,25 +143,32 @@ const scanFields = store.FieldStatus | store.FieldTitle | store.FieldTemplate | 
 	store.FieldKeywords | store.FieldAnalyticsID | store.FieldSimhash | store.FieldFlags | store.FieldCluster
 
 // point is one available record's clustering input, copied out of the
-// scan so that no scanned record is kept or written.
+// scan so that no scanned record is kept or written. Its five level-1
+// features are its group's key, held once per group.
 type point struct {
 	m     Member
-	key   l1Key
+	group int32 // level-1 group id, in order of first appearance
 	hash  simhash.Fingerprint
 	label int64 // the stored cluster ID before this run
-}
-
-// draft is a cluster under construction: its points by index.
-type draft struct {
-	id     int64
-	key    l1Key
-	points []int
 }
 
 // Run clusters every available record in the store and writes final
 // cluster IDs back into the records' Cluster field (0 = not part of
 // any final cluster), through Store.UpdateRounds and only for the
 // rounds whose stored labels change.
+//
+// Every pass works on flat slices indexed by point, in scan order
+// ((round, IP) ascending). The scan callback gives each available
+// record its level-1 group id from one map of keys; a point holds its
+// Member, that id, its simhash and its stored label, and the five
+// features are kept once per group. A counting sort lays each group's
+// points out in scan order, and each group's distinct fingerprints are
+// collected once: their sorted union is the gap statistic's input, and
+// level 2 single-links them on workers that reuse their own union-find.
+// The merge walks the rounds, joining each round's IP-ascending points
+// against the IP-ascending list of every IP's latest earlier point, so
+// each IP's consecutive observations meet without a map or a sort. The
+// gap statistic's count curves bucket their pairs by distance.
 func Run(st *store.Store, cfg Config) (*Result, error) {
 	cfg = cfg.WithDefaults()
 	reg := cfg.Metrics
@@ -168,9 +176,9 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 
 	// Collect the records to cluster, those with an HTTP response, in
 	// scan order: round by round, IPs ascending. starts[r] is round r's
-	// first point.
-	spL1 := cfg.Tracer.Start("level1", root)
-	stopLevel1 := reg.Histogram("cluster.level1").Time()
+	// first point. Each gets its level-1 group id as it is copied.
+	spScan := cfg.Tracer.Start("scan", root)
+	stopScan := reg.Histogram("cluster.scan").Time()
 	// The stored record count bounds the points: no append regrows.
 	total := 0
 	for _, m := range st.Metas() {
@@ -178,40 +186,75 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 	}
 	pts := make([]point, 0, total)
 	var starts []int
+	ids := make(map[l1Key]int32)
+	var keys []l1Key // by group id
 	st.Scan(scanFields, func(round *store.Round) bool {
 		starts = append(starts, len(pts))
 		round.Each(func(rec *store.Record) bool {
-			if rec.Available() {
-				pts = append(pts, point{
-					m:     Member{IP: rec.IP, Round: rec.Round, VPC: rec.VPC},
-					key:   l1Key{rec.Title, rec.Template, rec.Server, rec.Keywords, rec.AnalyticsID},
-					hash:  rec.Simhash,
-					label: rec.Cluster,
-				})
+			if !rec.Available() {
+				return true
 			}
+			k := l1Key{rec.Title, rec.Template, rec.Server, rec.Keywords, rec.AnalyticsID}
+			g, ok := ids[k]
+			if !ok {
+				g = int32(len(keys))
+				ids[k] = g
+				keys = append(keys, k)
+			}
+			pts = append(pts, point{
+				m:     Member{IP: rec.IP, Round: rec.Round, VPC: rec.VPC},
+				group: g,
+				hash:  rec.Simhash,
+				label: rec.Cluster,
+			})
 			return true
 		})
 		return true
 	})
 	rounds := len(starts)
 	starts = append(starts, len(pts))
+	stopScan()
+	spScan.SetAttr(trace.Int("points", len(pts)))
+	spScan.End()
 	if len(pts) == 0 {
-		spL1.End()
 		root.SetAttr(trace.String("error", "no-records"))
 		root.End()
 		return nil, fmt.Errorf("cluster: no available records to cluster")
 	}
 	reg.Counter("cluster.records_in").Add(int64(len(pts)))
 
-	// Level 1: strict equality on the five features.
-	groups := make(map[l1Key][]int)
-	hashSet := make(map[simhash.Fingerprint]struct{})
-	for i, p := range pts {
-		groups[p.key] = append(groups[p.key], i)
-		hashSet[p.hash] = struct{}{}
+	// Level 1: lay the groups' points out, then collect each group's
+	// distinct fingerprints in order of first appearance. hashes[
+	// hashStart[g]:hashStart[g+1]] are group g's; slot[i] is point i's
+	// fingerprint's index in hashes.
+	spL1 := cfg.Tracer.Start("level1", root)
+	stopLevel1 := reg.Histogram("cluster.level1").Time()
+	byGroup, groupStart := bucketSort(len(pts), len(keys), func(i int) int { return int(pts[i].group) })
+	hashes := make([]simhash.Fingerprint, 0, len(keys))
+	hashStart := make([]int32, len(keys)+1)
+	slot := make([]int32, len(pts))
+	seen := make(map[simhash.Fingerprint]int32)
+	for g := range keys {
+		clear(seen)
+		for _, i := range byGroup[groupStart[g]:groupStart[g+1]] {
+			h := pts[i].hash
+			s, ok := seen[h]
+			if !ok {
+				s = int32(len(hashes))
+				seen[h] = s
+				hashes = append(hashes, h)
+			}
+			slot[i] = s
+		}
+		hashStart[g+1] = int32(len(hashes))
 	}
+	unique := slices.Clone(hashes)
+	slices.SortFunc(unique, func(a, b simhash.Fingerprint) int {
+		return cmp.Or(cmp.Compare(a.Hi, b.Hi), cmp.Compare(a.Lo, b.Lo))
+	})
+	unique = slices.Compact(unique)
 	stopLevel1()
-	spL1.SetAttr(trace.Int("groups", len(groups)))
+	spL1.SetAttr(trace.Int("groups", len(keys)))
 	spL1.End()
 
 	// Threshold: explicit, or tuned by the gap statistic over the
@@ -220,45 +263,49 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 	stopThreshold := reg.Histogram("cluster.threshold").Time()
 	threshold := cfg.Threshold
 	if threshold <= 0 {
-		threshold = gapThreshold(hashSet, cfg.Seed)
+		threshold = gapThreshold(unique, cfg.Seed)
 	}
 	stopThreshold()
 	spThresh.SetAttr(trace.Int("threshold", threshold))
 	spThresh.End()
 
 	// Level 2: split each level-1 group by simhash distance, on up to
-	// GOMAXPROCS workers pulling group indexes. Each group's output has
-	// its own slot, so the schedule cannot change the IDs.
+	// GOMAXPROCS workers pulling groups in key order. sub[k] is
+	// hashes[k]'s sub-cluster in its group and nsub[r] the count of
+	// the r-th group in key order: each group writes its own ranges,
+	// so the schedule cannot change the IDs.
 	spL2 := cfg.Tracer.Start("level2", root)
 	stopLevel2 := reg.Histogram("cluster.level2").Time()
-	keys := make([]l1Key, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
+	order := make([]int32, len(keys))
+	for g := range order {
+		order[g] = int32(g)
 	}
 	// Deterministic order for stable cluster IDs.
-	sort.Slice(keys, func(i, j int) bool { return l1Less(keys[i], keys[j]) })
-
-	outs := make([][][]int, len(keys))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(keys)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < len(keys); i = int(next.Add(1) - 1) {
-				outs[i] = splitBySimhash(pts, groups[keys[i]], threshold)
-			}
-		}()
-	}
-	wg.Wait()
-
-	var all []*draft
-	for i, out := range outs {
-		for _, members := range out {
-			all = append(all, &draft{id: int64(len(all) + 1), key: keys[i], points: members})
+	slices.SortFunc(order, func(a, b int32) int { return l1Compare(keys[a], keys[b]) })
+	sub := make([]int32, len(hashes))
+	nsub := make([]int32, len(order))
+	parallel(len(order), func() func(int) {
+		var uf unionFind
+		return func(r int) {
+			lo, hi := hashStart[order[r]], hashStart[order[r]+1]
+			nsub[r] = splitBySimhash(hashes[lo:hi], sub[lo:hi], threshold, &uf)
+		}
+	})
+	// Drafts are numbered group by group in key order, each group's
+	// sub-clusters in order; draft d's ID is d+1.
+	base := make([]int32, len(keys)) // by group id: its first draft
+	draftGroup := make([]int32, 0, len(hashes))
+	for r, g := range order {
+		base[g] = int32(len(draftGroup))
+		for range nsub[r] {
+			draftGroup = append(draftGroup, g)
 		}
 	}
-	secondLevel := len(all)
+	draftOf := slot // slot is not read again
+	for i := range pts {
+		draftOf[i] = base[pts[i].group] + sub[slot[i]]
+	}
+	secondLevel := len(draftGroup)
 	stopLevel2()
 	spL2.SetAttr(trace.Int("clusters", secondLevel))
 	spL2.End()
@@ -266,34 +313,39 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 	// Merge heuristic across clusters.
 	spMerge := cfg.Tracer.Start("merge", root)
 	stopMerge := reg.Histogram("cluster.merge").Time()
-	merged, nMerges := mergeClusters(pts, all, cfg.MergeDistance)
+	comp, firstDraft := mergeDrafts(pts, starts, draftOf, keys, secondLevel, cfg.MergeDistance)
+	nMerges := secondLevel - len(firstDraft)
 	stopMerge()
 	reg.Counter("cluster.merges").Add(int64(nMerges))
 	spMerge.SetAttr(trace.Int("merges", nMerges))
 	spMerge.End()
 
 	// Cleaning, then numbering the final clusters 1.. and labeling
-	// their points (0 = no final cluster).
+	// their points (0 = no final cluster). A counting sort by component
+	// keeps each cluster's points in scan order, which is Members'
+	// (round, IP) order, and all Members share one array.
 	spClean := cfg.Tracer.Start("clean", root)
 	stopClean := reg.Histogram("cluster.clean").Time()
+	byComp, compStart := bucketSort(len(pts), len(firstDraft), func(i int) int { return int(comp[draftOf[i]]) })
+	all := make([]Member, len(pts))
+	for j, i := range byComp {
+		all[j] = pts[i].m
+	}
+	clusters := make([]Cluster, len(firstDraft))
 	labels := make([]int64, len(pts))
 	var final, removed []*Cluster
-	for _, d := range merged {
-		// Points are indexed in scan order, (round, IP) ascending, so
-		// sorted indexes give Members their order even where level 2
-		// or the merge concatenated runs out of order.
-		slices.Sort(d.points)
-		c := &Cluster{
-			ID:          d.id,
-			Members:     make([]Member, len(d.points)),
-			Title:       d.key.title,
-			Template:    d.key.template,
-			Server:      d.key.server,
-			Keywords:    d.key.keywords,
-			AnalyticsID: d.key.gaID,
-		}
-		for j, i := range d.points {
-			c.Members[j] = pts[i].m
+	for ci, d := range firstDraft {
+		key := keys[draftGroup[d]]
+		lo, hi := compStart[ci], compStart[ci+1]
+		c := &clusters[ci]
+		*c = Cluster{
+			ID:          int64(d) + 1,
+			Members:     all[lo:hi:hi],
+			Title:       key.title,
+			Template:    key.template,
+			Server:      key.server,
+			Keywords:    key.keywords,
+			AnalyticsID: key.gaID,
 		}
 		if reason := cleanReason(c, rounds, cfg.CleanMinAvgIPs); reason != "" {
 			c.Removed = true
@@ -302,7 +354,7 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 			continue
 		}
 		c.ID = int64(len(final) + 1)
-		for _, i := range d.points {
+		for _, i := range byComp[lo:hi] {
 			labels[i] = c.ID
 		}
 		final = append(final, c)
@@ -343,46 +395,67 @@ func Run(st *store.Store, cfg Config) (*Result, error) {
 	}
 
 	return &Result{
-		TopLevel:        len(groups),
+		TopLevel:        len(keys),
 		SecondLevel:     secondLevel,
 		Final:           len(final),
 		Threshold:       threshold,
-		UniqueHashes:    len(hashSet),
+		UniqueHashes:    len(unique),
 		Clusters:        final,
 		RemovedClusters: removed,
 	}, nil
 }
 
-func l1Less(a, b l1Key) bool {
-	if a.title != b.title {
-		return a.title < b.title
-	}
-	if a.template != b.template {
-		return a.template < b.template
-	}
-	if a.server != b.server {
-		return a.server < b.server
-	}
-	if a.keywords != b.keywords {
-		return a.keywords < b.keywords
-	}
-	return a.gaID < b.gaID
+func l1Compare(a, b l1Key) int {
+	return cmp.Or(strings.Compare(a.title, b.title), strings.Compare(a.template, b.template),
+		strings.Compare(a.server, b.server), strings.Compare(a.keywords, b.keywords), strings.Compare(a.gaID, b.gaID))
 }
 
-// splitBySimhash single-links a level-1 group's points by simhash
-// distance. Identical fingerprints collapse first, so the pairwise
-// phase runs over distinct hashes only.
-func splitBySimhash(pts []point, group []int, threshold int) [][]int {
-	byHash := make(map[simhash.Fingerprint][]int)
-	var hashes []simhash.Fingerprint
-	for _, i := range group {
-		h := pts[i].hash
-		if _, ok := byHash[h]; !ok {
-			hashes = append(hashes, h)
-		}
-		byHash[h] = append(byHash[h], i)
+// bucketSort returns the indexes 0..n-1 grouped by key(i), a value in
+// [0, keys): key k's indexes, ascending, are idx[start[k]:start[k+1]].
+func bucketSort(n, keys int, key func(i int) int) (idx, start []int) {
+	start = make([]int, keys+1)
+	for i := 0; i < n; i++ {
+		start[key(i)+1]++
 	}
-	uf := newUnionFind(len(hashes))
+	for k := 0; k < keys; k++ {
+		start[k+1] += start[k]
+	}
+	idx = make([]int, n)
+	next := slices.Clone(start[:keys])
+	for i := 0; i < n; i++ {
+		k := key(i)
+		idx[next[k]] = i
+		next[k]++
+	}
+	return idx, start
+}
+
+// parallel runs tasks 0..n-1 on up to GOMAXPROCS workers pulling task
+// indexes. Each worker takes its task function from newWorker, so it
+// can keep scratch of its own; each task writes only its own outputs.
+func parallel(n int, newWorker func() func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			task := newWorker()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				task(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// splitBySimhash single-links a level-1 group's distinct fingerprints,
+// in order of first appearance, by simhash distance, and writes each
+// one's sub-cluster into sub: sub-clusters are numbered by ascending
+// union-find root. It returns the sub-cluster count. uf is the
+// caller's scratch.
+func splitBySimhash(hashes []simhash.Fingerprint, sub []int32, threshold int, uf *unionFind) int32 {
+	uf.reset(len(hashes))
 	for i := 0; i < len(hashes); i++ {
 		for j := i + 1; j < len(hashes); j++ {
 			if simhash.Distance(hashes[i], hashes[j]) <= threshold {
@@ -390,78 +463,71 @@ func splitBySimhash(pts []point, group []int, threshold int) [][]int {
 			}
 		}
 	}
-	byRoot := map[int][]int{}
-	for i, h := range hashes {
-		root := uf.find(i)
-		byRoot[root] = append(byRoot[root], byHash[h]...)
+	n := int32(0)
+	for k := range hashes {
+		if uf.find(k) == k {
+			sub[k] = n
+			n++
+		}
 	}
-	roots := make([]int, 0, len(byRoot))
-	for r := range byRoot {
-		roots = append(roots, r)
+	for k := range hashes {
+		sub[k] = sub[uf.find(k)]
 	}
-	sort.Ints(roots)
-	out := make([][]int, 0, len(byRoot))
-	for _, r := range roots {
-		out = append(out, byRoot[r])
-	}
-	return out
+	return n
 }
 
-// mergeClusters applies the §5 merge heuristic: points of the same IP
-// in temporal order, simhash distance <= mergeDist, and at least one
-// matching level-1 feature join their clusters. The second return is
-// the number of cluster pairs actually joined.
-func mergeClusters(pts []point, clusters []*draft, mergeDist int) ([]*draft, int) {
-	uf := newUnionFind(len(clusters))
-	merges := 0
-
-	// Build per-IP point lists with their cluster index.
-	type obs struct {
-		p  *point
-		ci int
-	}
-	byIP := map[ipaddr.Addr][]obs{}
-	for ci, c := range clusters {
-		for _, i := range c.points {
-			p := &pts[i]
-			byIP[p.m.IP] = append(byIP[p.m.IP], obs{p, ci})
+// mergeDrafts applies the §5 merge heuristic over drafts 0..drafts-1:
+// consecutive observations of an IP, simhash distance <= mergeDist,
+// and at least one matching level-1 feature join their drafts. latest
+// holds, IP-ascending, the latest point of every IP seen so far; each
+// round's points, IP-ascending too, are merge-joined against it and
+// replace their IP's entry.
+//
+// Each set of joined drafts is one cluster, numbered in the order of
+// its lowest draft, under which it is kept: comp[d] is draft d's
+// cluster and first[c] cluster c's lowest draft. Neither depends on
+// the order of the unions.
+func mergeDrafts(pts []point, starts []int, draftOf []int32, keys []l1Key, drafts, mergeDist int) (comp, first []int32) {
+	uf := newUnionFind(drafts)
+	var latest, next []int
+	for r := 0; r+1 < len(starts); r++ {
+		next = next[:0]
+		j := 0
+		for i := starts[r]; i < starts[r+1]; i++ {
+			ip := pts[i].m.IP
+			for j < len(latest) && pts[latest[j]].m.IP < ip {
+				next = append(next, latest[j])
+				j++
+			}
+			if j < len(latest) && pts[latest[j]].m.IP == ip {
+				prev := latest[j]
+				a, b := &pts[prev], &pts[i]
+				if draftOf[prev] != draftOf[i] && simhash.Distance(a.hash, b.hash) <= mergeDist &&
+					oneFeatureEqual(keys[a.group], keys[b.group]) {
+					uf.union(int(draftOf[prev]), int(draftOf[i]))
+				}
+				j++
+			}
+			next = append(next, i)
 		}
+		next = append(next, latest[j:]...)
+		latest, next = next, latest
 	}
-	for _, list := range byIP {
-		sort.Slice(list, func(i, j int) bool { return list[i].p.m.Round < list[j].p.m.Round })
-		for i := 1; i < len(list); i++ {
-			a, b := list[i-1], list[i]
-			if a.ci == b.ci {
-				continue
-			}
-			if simhash.Distance(a.p.hash, b.p.hash) > mergeDist {
-				continue
-			}
-			if !oneFeatureEqual(a.p.key, b.p.key) {
-				continue
-			}
-			if uf.union(a.ci, b.ci) {
-				merges++
-			}
+	// A root's entry holds its cluster from the first (lowest) of its
+	// drafts on; a draft's, once it is passed.
+	comp = make([]int32, drafts)
+	for d := range comp {
+		comp[d] = -1
+	}
+	for d := range comp {
+		r := uf.find(d)
+		if comp[r] < 0 {
+			comp[r] = int32(len(first))
+			first = append(first, int32(d))
 		}
+		comp[d] = comp[r]
 	}
-
-	byRoot := map[int]*draft{}
-	var order []int
-	for i, c := range clusters {
-		root := uf.find(i)
-		if dst, ok := byRoot[root]; ok {
-			dst.points = append(dst.points, c.points...)
-		} else {
-			byRoot[root] = c
-			order = append(order, root)
-		}
-	}
-	out := make([]*draft, 0, len(byRoot))
-	for _, r := range order {
-		out = append(out, byRoot[r])
-	}
-	return out, merges
+	return comp, first
 }
 
 // oneFeatureEqual reports whether at least one of the five level-1
@@ -518,11 +584,20 @@ type unionFind struct {
 }
 
 func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), rank: make([]int, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
-	}
+	uf := &unionFind{}
+	uf.reset(n)
 	return uf
+}
+
+// reset makes n singletons, reusing the slices where they fit.
+func (u *unionFind) reset(n int) {
+	if cap(u.parent) < n {
+		u.parent, u.rank = make([]int, n), make([]int, n)
+	}
+	u.parent, u.rank = u.parent[:n], u.rank[:n]
+	for i := range u.parent {
+		u.parent[i], u.rank[i] = i, 0
+	}
 }
 
 func (u *unionFind) find(x int) int {
@@ -558,20 +633,10 @@ func (u *unionFind) union(a, b int) bool {
 // distances), and — per the standard one-standard-error rule — picks
 // the smallest threshold whose gap is within s of the next one, i.e.
 // the point where raising the threshold stops merging real structure.
-func gapThreshold(hashes map[simhash.Fingerprint]struct{}, seed int64) int {
+//
+// sample is the distinct fingerprints, ascending by (Hi, Lo).
+func gapThreshold(sample []simhash.Fingerprint, seed int64) int {
 	const maxT = 16
-	// Order the distinct hashes deterministically (map iteration order
-	// must not influence the threshold): gather, sort, subsample.
-	sample := make([]simhash.Fingerprint, 0, len(hashes))
-	for h := range hashes {
-		sample = append(sample, h)
-	}
-	sort.Slice(sample, func(i, j int) bool {
-		if sample[i].Hi != sample[j].Hi {
-			return sample[i].Hi < sample[j].Hi
-		}
-		return sample[i].Lo < sample[j].Lo
-	})
 	if len(sample) < 8 {
 		return 3 // sensible default for tiny inputs
 	}
@@ -585,20 +650,28 @@ func gapThreshold(hashes map[simhash.Fingerprint]struct{}, seed int64) int {
 		sample = sub
 	}
 
-	obs := clusterCounts(sample, maxT)
-
+	// The reference draws come off the rng in order first; then the
+	// observed curve and the references' run on workers.
 	rng := rand.New(rand.NewSource(seed + 42))
 	const refDraws = 3
-	refLog := make([][]float64, refDraws)
-	for b := range refLog {
+	sets := [refDraws + 1][]simhash.Fingerprint{sample}
+	for b := 1; b <= refDraws; b++ {
 		ref := make([]simhash.Fingerprint, len(sample))
 		for i := range ref {
 			ref[i] = simhash.Fingerprint{Hi: rng.Uint32(), Lo: rng.Uint64()}
 		}
-		counts := clusterCounts(ref, maxT)
+		sets[b] = ref
+	}
+	var counts [refDraws + 1][]int
+	parallel(len(sets), func() func(int) {
+		return func(b int) { counts[b] = clusterCounts(sets[b], maxT) }
+	})
+	obs := counts[0]
+	refLog := make([][]float64, refDraws)
+	for b := range refLog {
 		refLog[b] = make([]float64, maxT+1)
 		for t := 1; t <= maxT; t++ {
-			refLog[b][t] = math.Log(float64(counts[t]))
+			refLog[b][t] = math.Log(float64(counts[b+1][t]))
 		}
 	}
 
@@ -634,32 +707,29 @@ func gapThreshold(hashes map[simhash.Fingerprint]struct{}, seed int64) int {
 
 // clusterCounts returns, for every threshold 1..maxT, the number of
 // single-linkage clusters over the hashes. Pairs within maxT are
-// collected once and merged incrementally as the threshold rises.
+// bucketed by distance once and merged bucket by bucket as the
+// threshold rises; a count does not depend on the order of the unions.
 func clusterCounts(hashes []simhash.Fingerprint, maxT int) []int {
-	type pair struct {
-		i, j, d int
-	}
-	var pairs []pair
+	byDist := make([][][2]int32, maxT+1)
 	for i := 0; i < len(hashes); i++ {
 		for j := i + 1; j < len(hashes); j++ {
 			if d := simhash.Distance(hashes[i], hashes[j]); d <= maxT {
-				pairs = append(pairs, pair{i, j, d})
+				byDist[d] = append(byDist[d], [2]int32{int32(i), int32(j)})
 			}
 		}
 	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].d < pairs[b].d })
 	uf := newUnionFind(len(hashes))
 	comps := len(hashes)
 	counts := make([]int, maxT+1)
-	idx := 0
-	for t := 1; t <= maxT; t++ {
-		for idx < len(pairs) && pairs[idx].d <= t {
-			if uf.union(pairs[idx].i, pairs[idx].j) {
+	for t := 0; t <= maxT; t++ {
+		for _, p := range byDist[t] {
+			if uf.union(int(p[0]), int(p[1])) {
 				comps--
 			}
-			idx++
 		}
-		counts[t] = comps
+		if t > 0 {
+			counts[t] = comps
+		}
 	}
 	return counts
 }

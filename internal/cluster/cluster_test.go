@@ -129,15 +129,7 @@ func TestMergeHeuristicAcrossRevisions(t *testing.T) {
 	// the server header changes at the revision — splitting level 1.
 	// The merge heuristic must rejoin the two clusters via the shared
 	// IP + small simhash distance + equal title.
-	h0 := simhash.Hash(bodyA)
-	h1 := h0.FlipBits(0, 5) // distance 2 from h0
-	recA := page("1.0.0.1", "Shop", "nginx/1.0", bodyA)
-	recB := page("1.0.0.1", "Shop", "nginx/1.1", bodyA)
-	recB.Simhash = h1
-	st := buildStore(t, [][]*store.Record{
-		{recA},
-		{recB},
-	})
+	st := buildStore(t, mergeFixture())
 	res, err := Run(st, Config{Threshold: 3})
 	if err != nil {
 		t.Fatal(err)
