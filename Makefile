@@ -56,7 +56,10 @@ test:
 # the dictionary chunks they load on first use, the stream directory's
 # bounds, the encoder's reused match table, and
 # the analyses' cross-backend oracle and read counters, and the scan
-# buffers: each Scan decodes into a pair no concurrent Scan holds.
+# buffers: each Scan decodes into a pair no concurrent Scan holds. The
+# features leg holds a campaign's extraction cache, shared by
+# concurrent lanes, to the uncached FromPage, and its records to
+# keeping no page alive.
 race:
 	$(GO) test -race -count=2 -timeout 20m \
 		./internal/coord/ \
@@ -71,6 +74,9 @@ race:
 	$(GO) test -race -count=2 -timeout 20m \
 		-run 'TestConcurrentReadersAndWriter|TestModelAgainstMemoryBackend|TestRecordsAreNotAliased|TestSegmentFilesLifecycle|TestParallelDecodeDeterministic|TestParallelChunkLoadDeterministic|TestStreamDirectoryBounds|TestCompressorReuse|TestNarrowed|TestScanWindow|TestScanReusesBuffers' \
 		./internal/store/colstore/ ./internal/analysis/
+	$(GO) test -race -count=2 -timeout 20m \
+		-run 'TestExtractorMatchesFromPage|TestRecordsRetainNoBody|TestExtractorBound' \
+		./internal/features/
 	$(GO) test -race -timeout 40m ./...
 
 # Short native-fuzzing smoke over the parser surfaces (what the CI

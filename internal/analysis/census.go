@@ -214,11 +214,11 @@ type TrackerStudy struct {
 }
 
 // Trackers computes Table 20 on the last round, and GA statistics over
-// the whole campaign, in one pass.
+// the whole campaign, in one scan; GA accounts are then split out of
+// the distinct ids.
 func Trackers(st *store.Store) TrackerStudy {
 	out := TrackerStudy{}
 	ids := map[string]bool{}
-	accounts := map[string]map[string]bool{} // account -> profiles
 	// The table is tallied as the scan passes the last round: no
 	// scanned round outlives the scan.
 	if out.Round = st.NumRounds() - 1; out.Round < 0 {
@@ -229,15 +229,8 @@ func Trackers(st *store.Store) TrackerStudy {
 	var one, two, three, users float64
 	st.Scan(store.FieldTrackers|store.FieldCluster|store.FieldAnalyticsID, func(r *store.Round) bool {
 		r.Each(func(rec *store.Record) bool {
-			if rec.AnalyticsID == "" {
-				return true
-			}
-			ids[rec.AnalyticsID] = true
-			if acct, prof, ok := htmlparse.SplitAnalyticsID(rec.AnalyticsID); ok {
-				if accounts[acct] == nil {
-					accounts[acct] = map[string]bool{}
-				}
-				accounts[acct][prof] = true
+			if rec.AnalyticsID != "" {
+				ids[rec.AnalyticsID] = true
 			}
 			return true
 		})
@@ -285,11 +278,19 @@ func Trackers(st *store.Store) TrackerStudy {
 		out.ThreeTrackers = three / users
 	}
 
+	// Distinct ids are distinct (account, profile) pairs, so counting
+	// each account's ids counts its profiles.
 	out.UniqueGAIDs = len(ids)
+	accounts := map[string]int{} // account -> profiles
+	for id := range ids {
+		if acct, _, ok := htmlparse.SplitAnalyticsID(id); ok {
+			accounts[acct]++
+		}
+	}
 	out.GAAccounts = len(accounts)
 	var oneProf, twoProf float64
 	for _, profs := range accounts {
-		switch len(profs) {
+		switch profs {
 		case 1:
 			oneProf++
 		case 2:

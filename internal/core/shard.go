@@ -85,14 +85,16 @@ type laneRegion struct {
 }
 
 // ShardRunner executes region shards against a cloud. It owns one
-// scanner and one fetcher, shared by every lane it runs — the scanner's
-// rate limiter is the §7 probe budget (the whole budget in-process, the
-// worker's leased slice in a fleet) — but never touches a store or the
-// cloud's day schedule; both belong to whoever finishes the round.
+// scanner, one fetcher and one extraction cache, shared by every lane
+// it runs — the scanner's rate limiter is the §7 probe budget (the
+// whole budget in-process, the worker's leased slice in a fleet) — but
+// never touches a store or the cloud's day schedule; both belong to
+// whoever finishes the round.
 type ShardRunner struct {
 	cfg          CampaignConfig
 	scn          *scanner.Scanner
 	ftc          *fetcher.Fetcher
+	ext          *features.Extractor
 	regions      []laneRegion
 	slots        map[string]int // region name -> slot
 	scanWorkers  int            // per-lane scan pool
@@ -136,7 +138,7 @@ func NewShardRunner(cloud cloudapi.Cloud, cfg CampaignConfig) (*ShardRunner, err
 	if err != nil {
 		return nil, err
 	}
-	r := &ShardRunner{cfg: cfg, scn: scn, ftc: ftc}
+	r := &ShardRunner{cfg: cfg, scn: scn, ftc: ftc, ext: features.NewExtractor()}
 	r.regions, err = splitRegions(cloud.Ranges(), cfg.Scanner.RegionOf)
 	if err != nil {
 		return nil, fmt.Errorf("core: splitting regions: %w", err)
@@ -414,12 +416,8 @@ func (r *ShardRunner) featurize(page *fetcher.Page, regs []RegionResult) *store.
 		t.FetchErrors++
 	}
 	t.BodyBytes += int64(len(page.Body))
-	rec := features.FromPage(page)
-	// EndRound would drop the body anyway; shedding it here keeps it
-	// off the wire and out of the round's memory.
-	rec.Body = ""
 	t.Records++
-	return rec
+	return r.ext.FromPage(page)
 }
 
 // group runs functions on goroutines of their own under one derived

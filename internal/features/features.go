@@ -17,13 +17,18 @@
 // malicious-URL analysis) and third-party tracker matches (§8.3,
 // Table 20). Missing features are stored as empty strings, the paper's
 // "unknown".
+//
+// Extraction is cached per campaign: each core.ShardRunner (one per
+// in-process campaign, one per fleet worker session) owns an Extractor
+// that goes with it, holding up to 2^19 bodies (a 1:1 round fits) and
+// cleared when full. Records hold no page: FromPage never sets Body,
+// and extracted strings are copies. The package keeps no mutable state.
 package features
 
 import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"whowas/internal/fetcher"
 	"whowas/internal/htmlparse"
@@ -31,33 +36,36 @@ import (
 	"whowas/internal/store"
 )
 
-// TrackerFingerprint pairs a tracker's name with the URL substring
-// that identifies its tracking code, following Mayer & Mitchell's
-// catalogue as used by the paper's tracker census.
-type TrackerFingerprint struct {
-	Name string
-	URL  string // substring matched against the page body
-}
-
-// TrackerFingerprints is the Table 20 tracker catalogue.
-var TrackerFingerprints = []TrackerFingerprint{
-	{"google-analytics", "google-analytics.com"},
-	{"facebook", "connect.facebook.net"},
-	{"twitter", "platform.twitter.com"},
-	{"doubleclick", "doubleclick.net"},
-	{"quantserve", "quantserve.com"},
-	{"scorecardresearch", "scorecardresearch.com"},
-	{"imrworldwide", "imrworldwide.com"},
-	{"serving-sys", "serving-sys.com"},
-	{"atdmt", "atdmt.com"},
-	{"yieldmanager", "yieldmanager.com"},
-	{"adnxs", "adnxs.com"},
-}
-
 // FromPage builds a store.Record from a fetch outcome, extracting all
-// features. The record's Round/Day fields are filled by the store on
+// features without a cache: it is Extractor.FromPage on a nil
+// Extractor. The record's Round/Day fields are filled by the store on
 // insert.
 func FromPage(p *fetcher.Page) *store.Record {
+	return (*Extractor)(nil).FromPage(p)
+}
+
+// Extractor is one campaign's extraction cache. Identical bodies recur
+// massively across IPs and rounds (a 500-IP deployment serves one page
+// for weeks), so the cache turns repeated parsing and simhashing into
+// a lookup keyed by the body's hash and length. It is safe for
+// concurrent use, and a nil *Extractor extracts uncached.
+type Extractor struct {
+	mu      sync.Mutex
+	entries map[bodyKey]*extracted
+	bound   int // entry count at which the cache is cleared and refilled
+}
+
+// NewExtractor returns an empty cache bounded to fit a 1:1 round
+// (~267 k distinct bodies).
+func NewExtractor() *Extractor {
+	return &Extractor{entries: map[bodyKey]*extracted{}, bound: 1 << 19}
+}
+
+// FromPage builds a store.Record from a fetch outcome, extracting the
+// body's features through the cache. The record never carries the
+// body, and every string it holds owns its bytes, so no page stays
+// reachable through it.
+func (x *Extractor) FromPage(p *fetcher.Page) *store.Record {
 	rec := &store.Record{
 		IP:           p.IP,
 		OpenPorts:    p.OpenPorts,
@@ -66,6 +74,7 @@ func FromPage(p *fetcher.Page) *store.Record {
 		Scheme:       p.Scheme,
 		HTTPStatus:   p.Status,
 		ContentType:  normalizeContentType(p.ContentType),
+		BodyLen:      len(p.Body),
 	}
 	if p.Err != nil {
 		rec.FetchErr = classifyErr(p.Err)
@@ -75,11 +84,8 @@ func FromPage(p *fetcher.Page) *store.Record {
 		rec.PoweredBy = p.Header.Get("X-Powered-By")
 		rec.HeaderNames = HeaderNameString(p.Header)
 	}
-	body := string(p.Body)
-	rec.BodyLen = len(body)
-	rec.Body = body
-	if body != "" {
-		ext := extractBody(body)
+	if len(p.Body) != 0 {
+		ext := x.extract(p.Body)
 		rec.Title = ext.title
 		rec.Description = ext.description
 		rec.Keywords = ext.keywords
@@ -92,11 +98,9 @@ func FromPage(p *fetcher.Page) *store.Record {
 	return rec
 }
 
-// extracted caches the body-derived features. Identical bodies recur
-// massively across IPs and rounds (a 500-IP deployment serves one page
-// for weeks), so the campaign-level cache turns repeated parsing and
-// simhashing into a lookup. Cached slices are shared and must not be
-// mutated by callers.
+// extracted holds the body-derived features. Its strings own their
+// bytes; its slices are shared by every record of the body and must
+// not be mutated by callers.
 type extracted struct {
 	title, description, keywords, template, analyticsID string
 	links, trackers                                     []string
@@ -108,43 +112,56 @@ type bodyKey struct {
 	size int
 }
 
-var (
-	extractCache   sync.Map // bodyKey -> *extracted
-	extractEntries atomic.Int64
-)
-
-// extractCacheCap bounds the cache; past it, extraction runs uncached
-// (pathological inputs only — a dual-cloud campaign stays far below).
-const extractCacheCap = 1 << 18
-
-func extractBody(body string) *extracted {
-	k := bodyKey{hash: fnv64a(body), size: len(body)}
-	if v, ok := extractCache.Load(k); ok {
-		return v.(*extracted)
+// extract returns the body's features, from the cache when an equal
+// body was seen since the cache last filled. A hit copies nothing; a
+// full cache is cleared, so extraction never runs uncached for good.
+func (x *Extractor) extract(body []byte) *extracted {
+	if x == nil {
+		return extractBody(string(body))
 	}
+	k := bodyKey{hash: fnv64a(body), size: len(body)}
+	x.mu.Lock()
+	ext, ok := x.entries[k]
+	x.mu.Unlock()
+	if ok {
+		return ext
+	}
+	ext = extractBody(string(body))
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if prev, ok := x.entries[k]; ok { // a concurrent lane got there first
+		return prev
+	}
+	if len(x.entries) >= x.bound {
+		clear(x.entries)
+	}
+	x.entries[k] = ext
+	return ext
+}
+
+// extractBody parses and hashes one body, cloning every string it
+// keeps so that none is a substring of the body.
+func extractBody(body string) *extracted {
 	doc := htmlparse.Parse(body)
-	ext := &extracted{
-		title:       doc.Title,
-		description: doc.Description,
-		keywords:    doc.Keywords,
-		template:    doc.Generator,
-		analyticsID: doc.AnalyticsID,
+	for i, l := range doc.Links {
+		doc.Links[i] = strings.Clone(l)
+	}
+	return &extracted{
+		title:       strings.Clone(doc.Title),
+		description: strings.Clone(doc.Description),
+		keywords:    strings.Clone(doc.Keywords),
+		template:    strings.Clone(doc.Generator),
+		analyticsID: strings.Clone(doc.AnalyticsID),
 		links:       doc.Links,
 		simhash:     simhash.Hash(body),
 		trackers:    MatchTrackers(body),
 	}
-	if extractEntries.Load() < extractCacheCap {
-		if _, loaded := extractCache.LoadOrStore(k, ext); !loaded {
-			extractEntries.Add(1)
-		}
-	}
-	return ext
 }
 
-func fnv64a(s string) uint64 {
+func fnv64a(b []byte) uint64 {
 	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
 	}
 	return h
 }
@@ -190,12 +207,26 @@ func classifyErr(err error) string {
 
 // MatchTrackers scans a page body for tracker fingerprints, returning
 // matched tracker names in catalogue order. This mirrors the paper's
-// fingerprint search over stored content.
+// fingerprint search over stored content. The catalogue is Table 20's:
+// each tracker's name and the URL substring that identifies its
+// tracking code, following Mayer & Mitchell as the paper's census does.
 func MatchTrackers(body string) []string {
 	var out []string
-	for _, tf := range TrackerFingerprints {
-		if strings.Contains(body, tf.URL) {
-			out = append(out, tf.Name)
+	for _, tf := range [...]struct{ name, url string }{
+		{"google-analytics", "google-analytics.com"},
+		{"facebook", "connect.facebook.net"},
+		{"twitter", "platform.twitter.com"},
+		{"doubleclick", "doubleclick.net"},
+		{"quantserve", "quantserve.com"},
+		{"scorecardresearch", "scorecardresearch.com"},
+		{"imrworldwide", "imrworldwide.com"},
+		{"serving-sys", "serving-sys.com"},
+		{"atdmt", "atdmt.com"},
+		{"yieldmanager", "yieldmanager.com"},
+		{"adnxs", "adnxs.com"},
+	} {
+		if strings.Contains(body, tf.url) {
+			out = append(out, tf.name)
 		}
 	}
 	return out
@@ -205,71 +236,32 @@ func MatchTrackers(body string) []string {
 // ("Apache", "nginx", "Microsoft-IIS", ...), as used by the §8.3
 // census. Unknown families return the first product token.
 func ServerFamily(server string) string {
-	s := strings.TrimSpace(server)
-	if s == "" {
-		return ""
-	}
-	switch {
-	case strings.HasPrefix(s, "Apache"):
-		return "Apache"
-	case strings.HasPrefix(s, "nginx"):
-		return "nginx"
-	case strings.HasPrefix(s, "Microsoft-IIS"):
-		return "Microsoft-IIS"
-	case strings.HasPrefix(s, "MochiWeb"):
-		return "MochiWeb"
-	case strings.HasPrefix(s, "lighttpd"):
-		return "lighttpd"
-	case strings.HasPrefix(s, "Jetty"):
-		return "Jetty"
-	case strings.HasPrefix(s, "gunicorn"):
-		return "gunicorn"
-	}
-	if i := strings.IndexAny(s, "/ "); i > 0 {
-		return s[:i]
-	}
-	return s
+	return family(server, "Apache", "nginx", "Microsoft-IIS", "MochiWeb", "lighttpd", "Jetty", "gunicorn")
 }
 
 // BackendFamily reduces an X-Powered-By value to its family (PHP,
 // ASP.NET, ...).
 func BackendFamily(poweredBy string) string {
-	s := strings.TrimSpace(poweredBy)
-	if s == "" {
-		return ""
-	}
-	switch {
-	case strings.HasPrefix(s, "PHP"):
-		return "PHP"
-	case strings.HasPrefix(s, "ASP.NET"):
-		return "ASP.NET"
-	case strings.HasPrefix(s, "Phusion"):
+	if strings.HasPrefix(strings.TrimSpace(poweredBy), "Phusion") {
 		return "Phusion Passenger"
-	case strings.HasPrefix(s, "Express"):
-		return "Express"
-	case strings.HasPrefix(s, "Servlet"):
-		return "Servlet"
 	}
-	if i := strings.IndexAny(s, "/ "); i > 0 {
-		return s[:i]
-	}
-	return s
+	return family(poweredBy, "PHP", "ASP.NET", "Express", "Servlet")
 }
 
 // TemplateFamily reduces a meta-generator value to its template family
 // (WordPress, Joomla!, Drupal, ...).
 func TemplateFamily(template string) string {
-	s := strings.TrimSpace(template)
-	if s == "" {
-		return ""
-	}
-	switch {
-	case strings.HasPrefix(s, "WordPress"):
-		return "WordPress"
-	case strings.HasPrefix(s, "Joomla!"):
-		return "Joomla!"
-	case strings.HasPrefix(s, "Drupal"):
-		return "Drupal"
+	return family(template, "WordPress", "Joomla!", "Drupal")
+}
+
+// family returns the first of the known families the trimmed value
+// starts with, else its first product token ("" for an empty value).
+func family(value string, known ...string) string {
+	s := strings.TrimSpace(value)
+	for _, f := range known {
+		if strings.HasPrefix(s, f) {
+			return f
+		}
 	}
 	if i := strings.IndexAny(s, "/ "); i > 0 {
 		return s[:i]

@@ -45,7 +45,8 @@ var s='http://www.google-analytics.com/ga.js';</script>
 }
 
 func TestFromPageAllFeatures(t *testing.T) {
-	rec := FromPage(samplePage())
+	page := samplePage()
+	rec := FromPage(page)
 	if rec.PoweredBy != "PHP/5.3.10-1ubuntu3.9" { // feature 1
 		t.Errorf("PoweredBy = %q", rec.PoweredBy)
 	}
@@ -55,8 +56,11 @@ func TestFromPageAllFeatures(t *testing.T) {
 	if rec.HeaderNames != "content-type#date#server#x-powered-by" { // feature 3
 		t.Errorf("HeaderNames = %q", rec.HeaderNames)
 	}
-	if rec.BodyLen == 0 || rec.BodyLen != len(rec.Body) { // feature 4
-		t.Errorf("BodyLen = %d, body %d", rec.BodyLen, len(rec.Body))
+	if rec.BodyLen == 0 || rec.BodyLen != len(page.Body) { // feature 4
+		t.Errorf("BodyLen = %d, body %d", rec.BodyLen, len(page.Body))
+	}
+	if rec.Body != "" {
+		t.Errorf("record carries the body (%d bytes)", len(rec.Body))
 	}
 	if rec.Title != "Acme Cloud Shop" { // feature 5
 		t.Errorf("Title = %q", rec.Title)

@@ -66,7 +66,7 @@ type Record struct {
 	FetchErr     string `json:"fetch_err"`     // error class when the exchange failed
 	ContentType  string `json:"content_type"`
 	BodyLen      int    `json:"body_len"` // feature 4: length of returned body
-	Body         string `json:"body"`     // raw body; empty if the store drops bodies
+	Body         string `json:"body"`     // raw body: no producer sets it and EndRound drops it; removed with the store re-baseline (ROADMAP item 6(a))
 
 	// Extracted features.
 	PoweredBy   string              `json:"powered_by"`   // feature 1: x-powered-by header
