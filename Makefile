@@ -56,7 +56,10 @@ test:
 # the dictionary chunks they load on first use, the stream directory's
 # bounds, the encoder's reused match table, and
 # the analyses' cross-backend oracle and read counters, and the scan
-# buffers: each Scan decodes into a pair no concurrent Scan holds. The
+# buffers: each Scan decodes into a pair no concurrent Scan holds, and
+# reads the next round on a helper goroutine while its fold runs on
+# this one (the store package's Scan tests: the one-round window, a
+# fold that stops or panics, a read-ahead that fails). The
 # features leg holds a campaign's extraction cache, shared by
 # concurrent lanes, to the uncached FromPage, and its records to
 # keeping no page alive.
@@ -72,8 +75,8 @@ race:
 		-run 'TestDeterministicClusterIDs|TestMembersInRoundIPOrder|TestClusteringInvariants|TestRunPersistsThroughColumnarBackend|TestRunMatchesReference' \
 		./internal/cluster/
 	$(GO) test -race -count=2 -timeout 20m \
-		-run 'TestConcurrentReadersAndWriter|TestModelAgainstMemoryBackend|TestRecordsAreNotAliased|TestSegmentFilesLifecycle|TestParallelDecodeDeterministic|TestParallelChunkLoadDeterministic|TestStreamDirectoryBounds|TestCompressorReuse|TestNarrowed|TestScanWindow|TestScanReusesBuffers' \
-		./internal/store/colstore/ ./internal/analysis/
+		-run 'TestConcurrentReadersAndWriter|TestModelAgainstMemoryBackend|TestRecordsAreNotAliased|TestSegmentFilesLifecycle|TestParallelDecodeDeterministic|TestParallelChunkLoadDeterministic|TestStreamDirectoryBounds|TestCompressorReuse|TestNarrowed|TestScan' \
+		./internal/store/colstore/ ./internal/analysis/ ./internal/store/
 	$(GO) test -race -count=2 -timeout 20m \
 		-run 'TestExtractorMatchesFromPage|TestRecordsRetainNoBody|TestExtractorBound' \
 		./internal/features/

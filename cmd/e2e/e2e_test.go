@@ -416,9 +416,10 @@ func TestColumnarStoreCLI(t *testing.T) {
 
 // TestQueryClusterAcrossBackends: -cluster prints the same report from
 // a gob (-store) as from the segment directory it was collected on
-// (-store-dir). The columnar scan decodes round 2 into the buffer that
-// held round 0, so a sample record kept from round 0 without a copy
-// would print round 2's fields.
+// (-store-dir). The columnar scan reads round 1 ahead, into the spare
+// buffer, while the fold runs on round 0, and round 2 into round 0's
+// buffer once that fold returns, so a sample record kept from round 0
+// without a copy would print round 2's fields.
 func TestQueryClusterAcrossBackends(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e suite skipped in -short mode")

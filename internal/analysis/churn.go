@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"whowas/internal/ipaddr"
 	"whowas/internal/store"
 )
 
@@ -37,88 +38,38 @@ type ChurnSummary struct {
 // responsiveness, availability and the cluster label.
 const statusFields = store.FieldPorts | store.FieldStatus | store.FieldCluster
 
+// ipStatus is what Churn compares of one IP between rounds. An IP
+// absent from a round compares as the zero ipStatus: unresponsive,
+// unavailable, unassigned.
+type ipStatus struct {
+	ip          ipaddr.Addr
+	resp, avail bool
+	cluster     int64
+}
+
 // Churn computes the §8.1 IP-status churn between consecutive rounds.
 func Churn(st *store.Store) *ChurnSummary {
 	out := &ChurnSummary{}
-	// Sliding two-round window: consecutive-round comparison needs prev
-	// and cur together but never more, which is exactly how long a
-	// scanned round stays valid.
-	var prev *store.Round
-	st.Scan(statusFields, func(cur *store.Round) bool {
-		if prev == nil {
-			prev = cur
-			return true
+	// Sliding two-round window: consecutive-round comparison needs the
+	// previous round and this one together but never more. A scanned
+	// round is valid only while the fold runs on it, so the window holds
+	// the compared status of each IP, 16 B a record, in two slices that
+	// swap roles each round.
+	var prev, cur []ipStatus
+	var prevProbed int64
+	st.Scan(statusFields, func(r *store.Round) bool {
+		cur = cur[:0]
+		for _, rec := range r.Records() {
+			cur = append(cur, ipStatus{rec.IP, rec.Responsive(), rec.Available(), rec.Cluster})
 		}
-		probed := cur.Probed
-		if probed == 0 {
-			probed = prev.Probed
+		if r.Index > 0 {
+			probed := r.Probed
+			if probed == 0 {
+				probed = prevProbed
+			}
+			out.Points = append(out.Points, churnPoint(prev, cur, r.Index, r.Day, probed))
 		}
-		var respFlips, availFlips, clustFlips, anyFlips float64
-		var uniqueResponsive float64
-		// Both rounds are IP-sorted: one merge walk visits the union of
-		// their IPs, each once, with its record in either round (nil
-		// where absent). IPs in neither are unresponsive both times and
-		// cannot have changed.
-		as, bs := prev.Records(), cur.Records()
-		for i, j := 0, 0; i < len(as) || j < len(bs); {
-			var a, b *store.Record
-			switch {
-			case j == len(bs) || i < len(as) && as[i].IP < bs[j].IP:
-				a, i = as[i], i+1
-			case i == len(as) || bs[j].IP < as[i].IP:
-				b, j = bs[j], j+1
-			default:
-				a, b, i, j = as[i], bs[j], i+1, j+1
-			}
-			respA, respB := a != nil && a.Responsive(), b != nil && b.Responsive()
-			availA, availB := a != nil && a.Available(), b != nil && b.Available()
-			var clustA, clustB int64
-			if a != nil {
-				clustA = a.Cluster
-			}
-			if b != nil {
-				clustB = b.Cluster
-			}
-			if respA || respB {
-				uniqueResponsive++
-			}
-			changed := false
-			if respA != respB {
-				respFlips++
-				changed = true
-			}
-			if availA != availB {
-				availFlips++
-				changed = true
-			}
-			// Cluster change only counts when both rounds carry an
-			// assignment and they differ (an appearance/disappearance
-			// is already availability churn).
-			if clustA != 0 && clustB != 0 && clustA != clustB {
-				clustFlips++
-				changed = true
-			}
-			if changed {
-				anyFlips++
-			}
-		}
-
-		p := ChurnPoint{Round: cur.Index, Day: cur.Day}
-		if probed > 0 {
-			d := float64(probed)
-			p.Responsiveness = respFlips / d
-			p.Availability = availFlips / d
-			p.ClusterChange = clustFlips / d
-			p.Overall = anyFlips / d
-		}
-		if uniqueResponsive > 0 {
-			p.RelResponsiveness = respFlips / uniqueResponsive
-			p.RelAvailability = availFlips / uniqueResponsive
-			p.RelClusterChange = clustFlips / uniqueResponsive
-			p.RelOverall = anyFlips / uniqueResponsive
-		}
-		out.Points = append(out.Points, p)
-		prev = cur
+		prev, cur, prevProbed = cur, prev, r.Probed
 		return true
 	})
 	n := float64(len(out.Points))
@@ -136,6 +87,64 @@ func Churn(st *store.Store) *ChurnSummary {
 		out.AvgRelOverall += p.RelOverall / n
 	}
 	return out
+}
+
+// churnPoint compares two consecutive rounds' IP-sorted statuses.
+func churnPoint(as, bs []ipStatus, round, day int, probed int64) ChurnPoint {
+	var respFlips, availFlips, clustFlips, anyFlips float64
+	var uniqueResponsive float64
+	// One merge walk visits the union of the two rounds' IPs, each
+	// once, with its status in either round (zero where absent). IPs in
+	// neither are unresponsive both times and cannot have changed.
+	for i, j := 0, 0; i < len(as) || j < len(bs); {
+		var a, b ipStatus
+		switch {
+		case j == len(bs) || i < len(as) && as[i].ip < bs[j].ip:
+			a, i = as[i], i+1
+		case i == len(as) || bs[j].ip < as[i].ip:
+			b, j = bs[j], j+1
+		default:
+			a, b, i, j = as[i], bs[j], i+1, j+1
+		}
+		if a.resp || b.resp {
+			uniqueResponsive++
+		}
+		changed := false
+		if a.resp != b.resp {
+			respFlips++
+			changed = true
+		}
+		if a.avail != b.avail {
+			availFlips++
+			changed = true
+		}
+		// Cluster change only counts when both rounds carry an
+		// assignment and they differ (an appearance/disappearance is
+		// already availability churn).
+		if a.cluster != 0 && b.cluster != 0 && a.cluster != b.cluster {
+			clustFlips++
+			changed = true
+		}
+		if changed {
+			anyFlips++
+		}
+	}
+
+	p := ChurnPoint{Round: round, Day: day}
+	if probed > 0 {
+		d := float64(probed)
+		p.Responsiveness = respFlips / d
+		p.Availability = availFlips / d
+		p.ClusterChange = clustFlips / d
+		p.Overall = anyFlips / d
+	}
+	if uniqueResponsive > 0 {
+		p.RelResponsiveness = respFlips / uniqueResponsive
+		p.RelAvailability = availFlips / uniqueResponsive
+		p.RelClusterChange = clustFlips / uniqueResponsive
+		p.RelOverall = anyFlips / uniqueResponsive
+	}
+	return p
 }
 
 // Format renders the Figure 9 summary and series.

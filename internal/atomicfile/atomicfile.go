@@ -47,8 +47,9 @@ func (a *File) Write(p []byte) (int, error) { return a.f.Write(p) }
 // Name returns the destination path the file will commit to.
 func (a *File) Name() string { return a.path }
 
-// Commit syncs the temp file and renames it over the destination.
-// After Commit the File is closed; further writes fail.
+// Commit syncs the temp file, renames it over the destination and
+// syncs the parent directory, so the rename itself survives a power
+// loss. After Commit the File is closed; further writes fail.
 func (a *File) Commit() error {
 	if a.done {
 		return fmt.Errorf("atomicfile: already committed or aborted")
@@ -70,7 +71,23 @@ func (a *File) Commit() error {
 		_ = os.Remove(tmpPath(a.path))
 		return fmt.Errorf("atomicfile: rename: %w", err)
 	}
+	if err := syncDir(filepath.Dir(a.path)); err != nil {
+		return fmt.Errorf("atomicfile: sync directory: %w", err)
+	}
 	return nil
+}
+
+// syncDir flushes a directory's entries to stable storage.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		_ = d.Close() // read-only; the sync failure is the error
+		return err
+	}
+	return d.Close()
 }
 
 // Abort closes and removes the temp file, leaving the destination

@@ -86,9 +86,11 @@ type RoundMeta struct {
 // Buffer contract: a nil buf asks for records the caller owns. A
 // non-nil buf lets colstore decode into the space (RoundBuf) its last
 // Read used: the records of that last Read are overwritten, so they
-// are valid only until buf is passed again. Strings and string lists
-// are always fresh allocations, so a string kept from a record
-// outlives the buffer. The memory backend ignores buf.
+// are valid only until buf is passed again. Store.Scan passes one of
+// its two buffers while its fold still holds the records of the other,
+// so a scanned round is valid only while the fold runs on it. Strings
+// and string lists are always fresh allocations, so a string kept from
+// a record outlives the buffer. The memory backend ignores buf.
 type Backend interface {
 	// Append persists a finalized round. meta.Index is always the
 	// current NumRounds (rounds are dense and appended in order), and

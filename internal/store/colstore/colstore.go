@@ -59,7 +59,7 @@ type Backend struct {
 // many segments they decoded and what they inflated and read to do it.
 // Open's own validation pass is not counted.
 type ReadStats struct {
-	Scans     int64 // segment decodes (Read, Records)
+	Scans     int64 // segment decodes (Read, Records), counted once their records are ready
 	FullScans int64 // of Scans, those that decoded every field
 	Groups    int64 // row groups decoded, by scans and point reads
 	Chunks    int64 // dictionary chunks inflated, by scans and point reads
@@ -277,10 +277,6 @@ func (b *Backend) Read(i int, fields store.Fields, buf *store.RoundBuf) ([]*stor
 	if i < 0 || i >= len(b.segs) {
 		return nil, fmt.Errorf("colstore: no round %d", i)
 	}
-	b.stats.scans.Add(1)
-	if fields&store.AllFields == store.AllFields {
-		b.stats.fullScans.Add(1)
-	}
 	data := buf.Bytes(b.segs[i].size)
 	if err := b.stats.readAt(b.segs[i].f, 0, data); err != nil {
 		return nil, err
@@ -289,6 +285,10 @@ func (b *Backend) Read(i int, fields store.Fields, buf *store.RoundBuf) ([]*stor
 	if err != nil {
 		return nil, fmt.Errorf("colstore: segment %s: %w", segName(i), err)
 	}
+	if fields&store.AllFields == store.AllFields {
+		b.stats.fullScans.Add(1)
+	}
+	b.stats.scans.Add(1)
 	return recs, nil
 }
 
@@ -348,31 +348,40 @@ func (b *Backend) Close() (err error) {
 // in ascending order and none above the lowest failure seen is taken, so
 // every index below the reported one ran: the schedule cannot change it.
 func parallel(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	var (
-		next, failAt atomic.Int64 // failAt is the lowest failed index, n if none
-		wg           sync.WaitGroup
-	)
-	failAt.Store(int64(n))
-	work := func() {
-		for i := next.Add(1) - 1; i < failAt.Load(); i = next.Add(1) - 1 {
-			if errs[i] = fn(int(i)); errs[i] != nil {
-				for low := failAt.Load(); i < low && !failAt.CompareAndSwap(low, i); low = failAt.Load() {
-				}
-			}
-		}
-	}
+	p := &fanOut{fn: fn}
+	p.failAt.Store(int64(n))
 	for w := 1; w < min(n, runtime.GOMAXPROCS(0)); w++ {
-		wg.Add(1)
+		p.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			work()
+			defer p.wg.Done()
+			p.work()
 		}()
 	}
-	work()
-	wg.Wait()
-	if i := failAt.Load(); i < int64(n) {
-		return errs[i]
+	p.work()
+	p.wg.Wait()
+	return p.err
+}
+
+// fanOut is one parallel call's shared state, one allocation for all
+// of it.
+type fanOut struct {
+	fn           func(i int) error
+	next, failAt atomic.Int64 // failAt is the lowest failed index, n if none
+	mu           sync.Mutex   // serializes failures: guards err and lowering failAt
+	err          error        // failAt's error
+	wg           sync.WaitGroup
+}
+
+// work runs indices until none below failAt is left.
+func (p *fanOut) work() {
+	for i := p.next.Add(1) - 1; i < p.failAt.Load(); i = p.next.Add(1) - 1 {
+		if err := p.fn(int(i)); err != nil {
+			p.mu.Lock()
+			if i < p.failAt.Load() {
+				p.failAt.Store(i)
+				p.err = err
+			}
+			p.mu.Unlock()
+		}
 	}
-	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"whowas/internal/ipaddr"
@@ -36,53 +37,64 @@ func windowStore(t testing.TB, rounds int) *store.Store {
 }
 
 // TestScanWindow holds Scan to its contract: while round i is handed
-// to fn, the round before it and both rounds' records still equal a
-// fresh read, on the requested fields and zero on the rest. The scans
-// run whole, narrowed, then whole again, so each decodes into buffers
-// the one before filled with other fields; then three run at once,
-// which must not share a buffer.
+// to fn, its records equal a fresh read, on the requested fields and
+// zero on the rest, even once the read-ahead of round i+1 has finished.
+// Each fold waits for that read before it compares, so a read-ahead
+// that decoded into the buffer fn holds fails here, and one that never
+// overlaps the fold times out. The scans run whole, narrowed, then
+// whole again, so each decodes into buffers the one before filled with
+// other fields; then three run at once, which must not share a buffer.
 func TestScanWindow(t *testing.T) {
 	const rounds = 7
 	st := windowStore(t, rounds)
 	narrow := store.FieldPorts | store.FieldTitle | store.FieldCluster
 	for _, fields := range []store.Fields{store.AllFields, narrow, store.AllFields} {
-		checkWindow(t, st, fields, rounds)
+		checkWindow(t, st, fields, rounds, 1, st.Backend().(*Backend).ReadStats().Scans)
 	}
+	concurrent := []store.Fields{store.AllFields, narrow, store.FieldStatus}
+	base := st.Backend().(*Backend).ReadStats().Scans
 	var wg sync.WaitGroup
-	for _, fields := range []store.Fields{store.AllFields, narrow, store.FieldStatus} {
+	for _, fields := range concurrent {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			checkWindow(t, st, fields, rounds)
+			checkWindow(t, st, fields, rounds, len(concurrent), base)
 		}()
 	}
 	wg.Wait()
 }
 
-// checkWindow runs one Scan of fields over st, checking the two-round
-// window at every step; it reports through t.Errorf, so it may run on
+// checkWindow runs one of scans concurrent Scans of fields over st,
+// whose backend had finished base decodes before they started. At round
+// i it waits until every Scan has read rounds 0..i+1 and made its fresh
+// reads of rounds 0..i-1: no Scan reads round i+2 or makes a fresh read
+// of round i before one of them has seen that many decodes, so the
+// count is reached exactly when they have. Then it checks round i
+// against a fresh read. It reports through t.Errorf, so it may run on
 // any goroutine.
-func checkWindow(t *testing.T, st *store.Store, fields store.Fields, rounds int) {
-	var prev *store.Round
+func checkWindow(t *testing.T, st *store.Store, fields store.Fields, rounds, scans int, base int64) {
+	b := st.Backend().(*Backend)
 	seen := 0
 	st.Scan(fields, func(cur *store.Round) bool {
-		for _, r := range []*store.Round{prev, cur} {
-			if r == nil {
-				continue
-			}
-			want, got := st.Round(r.Index).Records(), r.Records()
-			if len(got) != len(want) {
-				t.Errorf("fields %b, at round %d: round %d holds %d records, want %d", fields, cur.Index, r.Index, len(got), len(want))
+		i := cur.Index
+		want := base + int64(scans*(min(i+2, rounds)+i))
+		for deadline := time.Now().Add(10 * time.Second); b.ReadStats().Scans < want; time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("fields %b: at round %d, %d decodes after 10 s, want %d: round %d was not read ahead", fields, i, b.ReadStats().Scans-base, want-base, i+1)
 				return false
 			}
-			for k := range want {
-				if m := masked(want[k], fields); !reflect.DeepEqual(*got[k], m) {
-					t.Errorf("fields %b, at round %d: round %d record %d\n got %+v\nwant %+v", fields, cur.Index, r.Index, k, *got[k], m)
-					return false
-				}
+		}
+		fresh, got := st.Round(i).Records(), cur.Records()
+		if len(got) != len(fresh) {
+			t.Errorf("fields %b: round %d holds %d records, want %d", fields, i, len(got), len(fresh))
+			return false
+		}
+		for k := range fresh {
+			if m := masked(fresh[k], fields); !reflect.DeepEqual(*got[k], m) {
+				t.Errorf("fields %b: round %d record %d, read ahead of round %d\n got %+v\nwant %+v", fields, i, k, i+1, *got[k], m)
+				return false
 			}
 		}
-		prev = cur
 		seen++
 		return true
 	})

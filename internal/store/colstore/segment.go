@@ -98,6 +98,9 @@ type groupInfo struct {
 	IPLen   int
 	CompLen int
 	RawLen  int
+	// row is the group's first row's index in the round: not stored,
+	// summed from the groups before it when the footer is parsed.
+	row int
 }
 
 // chunkInfo locates one compressed dictionary chunk.
@@ -197,16 +200,26 @@ var columns = [numCols]struct {
 // decodes.
 var allCols = wanted(store.AllFields)
 
+// colSet lists the columns a read decodes, in stream order. It is a
+// small value: naming a read's columns allocates nothing.
+type colSet struct {
+	n    uint8
+	cols [numCols]uint8
+}
+
 // wanted lists the columns a read of fields decodes, in stream order.
-func wanted(fields store.Fields) []int {
-	var cols []int
+func wanted(fields store.Fields) (s colSet) {
 	for c, col := range columns {
 		if fields&col.field != 0 {
-			cols = append(cols, c)
+			s.cols[s.n] = uint8(c)
+			s.n++
 		}
 	}
-	return cols
+	return s
 }
+
+// list returns the set's columns.
+func (s *colSet) list() []uint8 { return s.cols[:s.n] }
 
 // dictFields are the fields whose columns hold dictionary ids: a read
 // that asks for none of them inflates no dictionary chunk.
@@ -593,6 +606,7 @@ func parseFooter(data []byte) (*segFooter, error) {
 			return nil, fmt.Errorf("%w: row group %d claims %d rows in a %d-byte IP column and %d raw bytes",
 				store.ErrCorrupt, i, g.Rows, g.IPLen, g.RawLen)
 		}
+		f.Groups[i].row = rows
 		rows += g.Rows
 	}
 	if rows != f.Meta.Records {
@@ -821,7 +835,7 @@ type wordFunc func(id uint64) (string, error)
 // inflated and read; the others' cursors stay empty.
 type rowDecoder struct {
 	cols [numCols]colReader
-	want []int
+	want colSet
 	word wordFunc
 }
 
@@ -829,7 +843,7 @@ type rowDecoder struct {
 // after its IP column, back to back into dst (exactly their raw lengths
 // long) and points their cursors at row 0.
 func (d *rowDecoder) inflate(dst, block []byte, dir *[numCols]stream, gi int) error {
-	for _, c := range d.want {
+	for _, c := range d.want.list() {
 		s := dir[c]
 		raw, err := decompress(dst[:s.raw:s.raw], block[s.off:s.off+s.comp], s.raw)
 		if err != nil {
@@ -843,7 +857,7 @@ func (d *rowDecoder) inflate(dst, block []byte, dir *[numCols]stream, gi int) er
 
 // seek steps every wanted cursor over n rows.
 func (d *rowDecoder) seek(n int) error {
-	for _, c := range d.want {
+	for _, c := range d.want.list() {
 		if err := d.cols[c].skipRows(columns[c].kind, n); err != nil {
 			return err
 		}
@@ -886,8 +900,8 @@ func (d *rowDecoder) list(c int) ([]string, error) {
 // caller's: the IP column is walked separately, round and day are
 // constant across a segment and live in its footer.
 func (d *rowDecoder) read(rec *store.Record) error {
-	for _, c := range d.want {
-		if err := d.readCol(c, rec); err != nil {
+	for _, c := range d.want.list() {
+		if err := d.readCol(int(c), rec); err != nil {
 			return err
 		}
 	}
@@ -1109,8 +1123,8 @@ func decodeSegment(data []byte, f *segFooter, fields store.Fields, st *readStats
 			break
 		}
 		n := spans[len(spans)-1]
-		for _, c := range want {
-			n += dir[c].raw
+		for k := range want.n { // not want.list(): the group closure copies want
+			n += dir[want.cols[k]].raw
 		}
 		spans = append(spans, n)
 	}
@@ -1126,12 +1140,8 @@ func decodeSegment(data []byte, f *segFooter, fields store.Fields, st *readStats
 	scratch := buf.Scratch(spans[len(spans)-1])
 	dict.scratch = scratch
 
-	// Group g fills rows [start[g], start[g+1]); they sum to Meta.Records.
-	start := make([]int, len(f.Groups)+1)
-	for i, g := range f.Groups {
-		start[i+1] = start[i] + g.Rows
-	}
 	recs := buf.Records(f.Meta.Records, fields)
+	word := dict.word // one method value for every group's decoder
 	err := parallel(groups, func(i int) error {
 		g := &f.Groups[i]
 		block := g.streams(data)
@@ -1139,13 +1149,12 @@ func decodeSegment(data []byte, f *segFooter, fields store.Fields, st *readStats
 		if err != nil {
 			return err
 		}
-		dec := rowDecoder{want: want, word: dict.word}
+		dec := rowDecoder{want: want, word: word}
 		if err := dec.inflate(scratch[spans[i]:spans[i+1]], block, &dir, i); err != nil {
 			return err
 		}
 		ips := g.ips(data[g.Off : g.Off+int64(g.IPLen)])
-		for k := start[i]; k < start[i+1]; k++ {
-			rec := recs[k]
+		for _, rec := range recs[g.row : g.row+g.Rows] {
 			rec.IP = ipaddr.Addr(ips.ip)
 			rec.Round = f.Meta.Index
 			rec.Day = f.Meta.Day

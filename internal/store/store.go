@@ -31,6 +31,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"whowas/internal/ipaddr"
 	"whowas/internal/metrics"
@@ -211,19 +212,22 @@ type Store struct {
 	scanMu   sync.Mutex
 	idleBufs *[2]RoundBuf
 	// Instrumentation handles (SetMetrics); nil (no-op) by default.
-	mRecords *metrics.Counter // records inserted
-	mRounds  *metrics.Counter // rounds finalized
-	tracer   *trace.Tracer    // SetTracer; nil no-ops
+	mRecords  *metrics.Counter   // records inserted
+	mRounds   *metrics.Counter   // rounds finalized
+	mScanWait *metrics.Histogram // a Scan's wait for each round's read
+	tracer    *trace.Tracer      // SetTracer; nil no-ops
 }
 
-// SetMetrics attaches an instrumentation registry: store.records and
-// store.rounds. Call before the campaign starts; a nil registry
-// detaches.
+// SetMetrics attaches an instrumentation registry: store.records,
+// store.rounds and store.scan_wait, how long each Scan waited for each
+// round's read; a fold that mostly waits is decode-bound. Call before
+// the campaign starts; a nil registry detaches.
 func (s *Store) SetMetrics(r *metrics.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mRecords = r.Counter("store.records")
 	s.mRounds = r.Counter("store.rounds")
+	s.mScanWait = r.Histogram("store.scan_wait")
 }
 
 // SetTracer attaches a tracer: every EndRound emits a
@@ -460,14 +464,20 @@ func (s *Store) view(i int, f Fields, buf *RoundBuf) *Round {
 // colstore only the columns f names are decoded, and a full-campaign
 // fold runs in two rounds' memory. fn returns false to stop.
 //
-// A round handed to fn, and its records, stay valid until fn returns
-// for the round after it; none is valid after Scan returns. colstore
-// decodes round i into the buffer that held round i-2, and Scan hands
-// its two buffers to the next Scan, so a fold may compare a round with
-// the one before it, but must copy out anything it keeps longer (a
-// string field may be kept as it is: strings are never reused). A
-// narrowed round's records also must not outlive the analysis that
-// asked for them.
+// Scan reads ahead: before it calls fn with round i it starts the read
+// of round i+1 on a helper goroutine, into the buffer that held round
+// i-1, so the next round decodes while the fold runs on this one. Scan
+// hands its two buffers to the next Scan. So a round handed to fn, and
+// its records, stay valid only until fn returns: a fold that compares a
+// round with the one before it must copy out what it compares, and
+// anything it keeps longer (a string field may be kept as it is:
+// strings are never reused). A narrowed round's records also must not
+// outlive the analysis that asked for them, and fn must not count on
+// seeing its own rewrite (UpdateRounds) of the next round.
+//
+// A backend failure in the read-ahead panics on the caller's goroutine,
+// as one in Round does. When fn returns false or panics, Scan waits for
+// the read in flight before it returns: no goroutine outlives it.
 func (s *Store) Scan(f Fields, fn func(*Round) bool) {
 	s.scanMu.Lock()
 	bufs := s.idleBufs
@@ -476,16 +486,63 @@ func (s *Store) Scan(f Fields, fn func(*Round) bool) {
 	if bufs == nil {
 		bufs = new([2]RoundBuf)
 	}
+	s.mu.RLock()
+	wait := s.mScanWait
+	s.mu.RUnlock()
+	// The helper reads each round next names into its buffer and sends
+	// it on read; it ends when next is closed, and closes read then.
+	next, read := make(chan int, 1), make(chan scanRead, 1)
+	go func() {
+		defer close(read)
+		for i := range next {
+			read <- s.readRound(i, f, &bufs[i%2])
+		}
+	}()
 	defer func() {
+		close(next)
+		for range read { // the read in flight, if fn stopped the scan
+		}
 		s.scanMu.Lock()
 		s.idleBufs = bufs
 		s.scanMu.Unlock()
 	}()
-	for i := 0; ; i++ {
-		if r := s.view(i, f, &bufs[i%2]); r == nil || !fn(r) {
+	next <- 0
+	for i := 1; ; i++ {
+		var start time.Time
+		if wait != nil { // an uninstrumented store skips the clock
+			start = time.Now()
+		}
+		got := <-read
+		if got.fault != nil {
+			panic(got.fault)
+		}
+		if got.r == nil {
+			return
+		}
+		if wait != nil {
+			wait.Observe(time.Since(start))
+		}
+		next <- i
+		if !fn(got.r) {
 			return
 		}
 	}
+}
+
+// scanRead is one of Scan's reads: the round (nil past the last), or
+// what the read panicked with.
+type scanRead struct {
+	r     *Round
+	fault any
+}
+
+// readRound is view for Scan's helper goroutine: a panic is returned,
+// for Scan to raise on its caller's goroutine, not raised. view's
+// deferred unlock has run by then.
+func (s *Store) readRound(i int, f Fields, buf *RoundBuf) (got scanRead) {
+	defer func() { got.fault = recover() }()
+	got.r = s.view(i, f, buf)
+	return got
 }
 
 // EachRound streams whole rounds: Scan(AllFields, fn).
